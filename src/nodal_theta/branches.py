@@ -25,13 +25,13 @@ import numpy as np
 from .abel_jacobi import phi
 from .curve import NodalCurveSpec, derive_periods
 from .errors import (
-    DegenerateC,
     JacobianSingular,
     NewtonDivergence,
     NoValidEpsilon,
     QuadratureFailure,
 )
 from .inversion import (
+    DMap,
     ThetaPullback,
     kappa_vector,
     laurent_data,
@@ -92,26 +92,14 @@ def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | 
         )
     cs = [sample_generic_c(spec, rng)[0] for _ in range(n_c)]
     for eps in usable:
-        ok = True
         for c in cs:
-            base = _d2_value(spec, c, eps)
-            for s in _PERIOD_FRACTIONS:
-                shifted = _d2_value(spec, (c[0], c[1] + s), eps)
-                if abs(shifted - base) <= sep_tol:
-                    ok = False
-                    break
-            if not ok:
+            dm = DMap(spec, c[0], eps)
+            base = dm.d2(c[1])
+            if any(abs(dm.d2(c[1] + s) - base) <= sep_tol for s in _PERIOD_FRACTIONS):
                 break
-        if ok:
+        else:
             return eps
     raise NoValidEpsilon(f"all candidates {list(candidates)} show a rational period")
-
-
-def _d2_value(spec: NodalCurveSpec, c, eps: float) -> complex:
-    tp = ThetaPullback(c, spec)
-    ld = laurent_data(tp, eps)
-    r1, _, _ = derive_periods(spec)
-    return tp.c1 * r1 + ld.H3(eps) / TWO_PI_I
 
 
 @dataclass(frozen=True)
@@ -161,9 +149,9 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
     v = complex(u[1]) - k2
     r1, _, _ = derive_periods(spec)
 
-    # shared Laurent scaffolding at c2 = 0 (c2 enters only through e(-c2))
-    tp0 = ThetaPullback((c1, 0.0), spec)
-    ld0 = laurent_data(tp0, eps)
+    # c2 enters the map only through e(-c2): one DMap serves every trial c2
+    dm = DMap(spec, c1, eps)
+    ld0 = dm.ld
     from .abel_jacobi import phi1 as _phi1
 
     x1 = _phi1(spec, spec.p1) - c1
@@ -187,44 +175,46 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
     c2_lin = complex(np.log(arg) / TWO_PI_I) + k
 
     def F_and_slope(c2):
-        ld = laurent_data(ThetaPullback((c1, c2), spec), eps)
-        F = c1 * r1 + ld.H3(eps) / TWO_PI_I - v
-        dF = ld.dH3_dc2(eps) / TWO_PI_I
-        return F, dF
+        return dm.d2(c2) - v, dm.d2_dc2(c2)
 
     starts = (c2_lin, c2_lin + 0.25, c2_lin - 0.25, c2_lin + 0.25j, c2_lin - 0.25j)
     last_err: Exception | None = None
-    for c2 in starts:
-        try:
-            f_cur, dF = F_and_slope(c2)
-            for _ in range(max_iters):
-                if abs(f_cur) < newton_tol:
-                    return (c1, c2)
-                if abs(dF) < 1e-10:
-                    raise JacobianSingular("dH3/dc2 below floor during Newton")
-                step = f_cur / dF
-                # trust region: cap the step, backtrack while |F| grows
-                if abs(step) > 0.7:
-                    step *= 0.7 / abs(step)
-                for _ in range(8):
-                    f_new, dF_new = F_and_slope(c2 - step)
-                    if abs(f_new) < abs(f_cur) or abs(step) < newton_tol:
-                        break
-                    step *= 0.5
+    try:
+        for c2 in starts:
+            try:
+                f_cur, dF = F_and_slope(c2)
+                for _ in range(max_iters):
+                    if abs(f_cur) < newton_tol:
+                        return (c1, c2)
+                    if abs(dF) < 1e-10:
+                        raise JacobianSingular("dH3/dc2 below floor during Newton")
+                    step = f_cur / dF
+                    # trust region: cap the step, backtrack while |F| grows
+                    if abs(step) > 0.7:
+                        step *= 0.7 / abs(step)
+                    for _ in range(8):
+                        f_new, dF_new = F_and_slope(c2 - step)
+                        if abs(f_new) < abs(f_cur) or abs(step) < newton_tol:
+                            break
+                        step *= 0.5
+                    else:
+                        raise NewtonDivergence("backtracking stalled; u off the sheet")
+                    c2 = c2 - step
+                    f_cur, dF = f_new, dF_new
                 else:
-                    raise NewtonDivergence("backtracking stalled; u off the sheet")
-                c2 = c2 - step
-                f_cur, dF = f_new, dF_new
-            else:
-                raise NewtonDivergence(f"no convergence within {max_iters} iterations")
-        except (NewtonDivergence, JacobianSingular, DegenerateC, QuadratureFailure) as exc:
-            # a quadrature blowup means the trial c2 put a zero of the
-            # pullback on the chart ray: the iterate left the sheet
-            last_err = exc
-            continue
-    if isinstance(last_err, JacobianSingular):
-        raise last_err
-    raise NewtonDivergence(f"all starts failed: {last_err}") from last_err
+                    raise NewtonDivergence(f"no convergence within {max_iters} iterations")
+            except (NewtonDivergence, JacobianSingular, QuadratureFailure) as exc:
+                # a quadrature blowup means the trial c2 put a zero of the
+                # pullback on the chart ray: the iterate left the sheet
+                last_err = exc
+                continue
+        if isinstance(last_err, JacobianSingular):
+            raise last_err
+        raise NewtonDivergence(f"all starts failed: {last_err}") from last_err
+    finally:
+        # the caught tracebacks hold this frame, and so dm, in reference
+        # cycles until a full collection: drop the node memo now
+        dm.coeffs.clear()
 
 
 def zero_set_residual(P, spec: NodalCurveSpec, eps: float, path=None, k: int = 0,

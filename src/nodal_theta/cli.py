@@ -77,8 +77,19 @@ def _parse_complex(text: str) -> complex:
         raise ConfigError(f"bad complex value {text!r}") from exc
 
 
+_CONFIG_KEYS = frozenset({
+    "curve.tau", "curve.p1", "curve.p2", "curve.z0", "curve.q0",
+    "curve.delta", "curve.eps", "curve.eps_candidates",
+    "tol.series", "tol.quad", "tol.congruence", "tol.newton",
+    "run.samples", "run.grid", "run.seed", "run.out_dir",
+})
+
+
 def parse_config(path: str | Path) -> RunConfig:
-    """Read the flat key-value config file into a validated RunConfig."""
+    """Read the flat key-value config file into a validated RunConfig.
+
+    Unknown and repeated keys are errors, so a misspelt key cannot fall back
+    to its default silently."""
     entries: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -91,6 +102,10 @@ def parse_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
+        if key in entries:
+            raise ConfigError(f"{path}:{ln}: repeated config key {key!r}")
         entries[key] = val
 
     def need(key: str) -> str:

@@ -435,12 +435,59 @@ def H3(t, tp: ThetaPullback, quad_tol: float | None = None, t0: float | None = N
     return laurent_data(tp, t0).H3(t, quad_tol)
 
 
-def d_map(eps: float, c, spec: NodalCurveSpec, quad_tol: float | None = None) -> tuple[complex, complex]:
+class DMap:
+    """The second component of d(eps)(c) as a function of c2, for one (c1, eps).
+
+    The Moebius coefficients A..D of h3 do not depend on c2, which enters
+    only through e(-c2).  They are evaluated once per quadrature node array
+    and reused by every d2 / d2_dc2 call.  Both integrate the same integrands
+    as LaurentData.H3 / dH3_dc2 through the same adaptive rule, so the values,
+    the refinement and any QuadratureFailure agree with that route exactly.
+    The genericity guards run once, at construction.
+    """
+
+    def __init__(self, spec: NodalCurveSpec, c1, eps: float):
+        self.ld = laurent_data(ThetaPullback((c1, 0.0), spec), eps)
+        self.c1 = self.ld.tp.c1
+        self.eps = eps
+        self.r1 = self.ld.tp.r1
+        self.coeffs: dict[bytes, tuple] = {}  # node array bytes -> (A, B, C, D)
+
+    def _abcd(self, t):
+        key = t.tobytes()
+        abcd = self.coeffs.get(key)
+        if abcd is None:
+            abcd = self.coeffs[key] = self.ld.mobius_coeffs(t)
+        return abcd
+
+    def _integral(self, f) -> complex:
+        return integrate_segment(f, 0.0, complex(self.eps), self.ld.spec.quad_tol)
+
+    def d2(self, c2) -> complex:
+        """c1*r1 + H3(eps; (c1, c2))/(2*pi*i)."""
+        ec = e_func(-complex(c2))
+
+        def h3(t):
+            A, B, C, D = self._abcd(t)
+            return (A + B * ec) / (C + D * ec)
+
+        return self.c1 * self.r1 + self._integral(h3) / TWO_PI_I
+
+    def d2_dc2(self, c2) -> complex:
+        """dH3/dc2 (eps; (c1, c2))/(2*pi*i)."""
+        ec = e_func(-complex(c2))
+
+        def dh3_dc2(t):
+            A, B, C, D = self._abcd(t)
+            return TWO_PI_I * ec * (A * D - B * C) / (C + D * ec) ** 2
+
+        return self._integral(dh3_dc2) / TWO_PI_I
+
+
+def d_map(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
     """d(eps)(c) = (c1, c1*r1 + H3(eps; c)/(2*pi*i))."""
-    tp = ThetaPullback(c, spec)
-    ld = laurent_data(tp, eps)
-    r1, _, _ = derive_periods(spec)
-    return (tp.c1, tp.c1 * r1 + ld.H3(eps, quad_tol) / TWO_PI_I)
+    dm = DMap(spec, c[0], eps)
+    return (dm.c1, dm.d2(c[1]))
 
 
 # -- generalized Riemann constants -------------------------------------------

@@ -81,7 +81,7 @@ def test_criterion_01_theta_identities():
     odd = max(abs(theta_char((0.5, 0.5), 0.0, tau)) for tau in (1j, 0.3 + 0.8j))
     dt = time.time() - t0
     ok = worst < 1e-10 and odd < 1e-12 and dt < 5.0
-    verdict(1, ok, f"theta identities: worst rel err {worst:.2e}, odd value {odd:.2e}, {dt:.1f}s")
+    verdict(1, ok, f"theta identities: worst rel err {worst:.2e}, odd value {odd:.2e}, time bound 5s")
     assert ok
 
 
@@ -95,7 +95,7 @@ def test_criterion_02_period_normalization(spec_a, spec_b):
             worst = max(worst, abs(val - target), abs(val.imag))
     dt = time.time() - t0
     ok = worst < 1e-8 and dt < 10.0
-    verdict(2, ok, f"period normalization: worst err {worst:.2e}, {dt:.1f}s")
+    verdict(2, ok, f"period normalization: worst err {worst:.2e}, time bound 10s")
     assert ok
 
 
@@ -180,7 +180,7 @@ def test_criterion_05_inversion_congruence(spec_a):
         "FAIL (as stated) / PASS (branch-corrected)" if ok_corrected and not ok_stated else "FAIL",
         f"divisor congruence over {len(results)} samples ({resampled} resampled): "
         f"as stated FAIL (best residual {min(lit):.2e}); with branch-cut term PASS "
-        f"(worst {max(cor):.2e}), closing constant -tau/2; {dt:.0f}s",
+        f"(worst {max(cor):.2e}), closing constant -tau/2; time bound 180s",
     )
     assert not ok_stated, "stated congruence unexpectedly closed; revisit the analysis"
     assert ok_corrected
@@ -322,7 +322,7 @@ def test_criterion_09_zero_set_containment(spec_ab):
         f"zero-set containment at {len(pts)} points: stated map FAIL (best curve "
         f"residual {min(literal):.2e}); corrected map PASS (worst {max(corrected):.2e}) "
         f"but vacuously (off-curve control {off:.2e}, not > 1e-3); k-independence "
-        f"{abs(r0 - r1_):.2e}; {dt:.0f}s",
+        f"{abs(r0 - r1_):.2e}; time bound 180s",
     )
     assert ok_corrected
     assert not stated_containment, "stated containment unexpectedly holds; revisit"
@@ -350,5 +350,5 @@ def test_criterion_10_cli_suite_deterministic(tmp_path):
     markers = sum(1 for e in root.iter() if e.get("class") == "zero-marker")
     dt = time.time() - t0
     ok = same and markers == 2 and dt < 360
-    verdict(10, ok, f"CLI suite deterministic={same}, zero markers={markers}, {dt:.0f}s for two full runs")
+    verdict(10, ok, f"CLI suite deterministic={same}, zero markers={markers}, two full runs, time bound 360s")
     assert ok

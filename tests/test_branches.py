@@ -8,9 +8,13 @@ asserted, since together they summarize what the containment statement
 actually delivers numerically.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from nodal_theta import branches
 from nodal_theta.abel_jacobi import phi
 from nodal_theta.branches import (
     BranchInverse,
@@ -22,6 +26,7 @@ from nodal_theta.branches import (
 from nodal_theta.curve import derive_periods
 from nodal_theta.errors import JacobianSingular, NewtonDivergence, NoValidEpsilon
 from nodal_theta.inversion import (
+    DMap,
     d_map,
     d_map_corrected,
     kappa_vector,
@@ -189,6 +194,28 @@ class TestZeroSet:
             except (NewtonDivergence, JacobianSingular):
                 continue
         assert vals and min(vals) > 1e-3
+
+    def test_node_memo_released_after_newton_divergence(self, spec_a, kappa_a, monkeypatch):
+        # the exceptions beta_k catches keep its frame, and so its DMap, alive
+        # in reference cycles until a full collection; the node memo must not
+        # live on with them
+        made = []
+
+        class RecordingDMap(DMap):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(branches, "DMap", RecordingDMap)
+        gc.disable()
+        try:
+            with pytest.raises(NewtonDivergence):
+                zero_set_residual(spec_a.point(0.22, 0.71), spec_a, EPS_SEL,
+                                  use_correction=False, _kappa_cache=kappa_a)
+        finally:
+            gc.enable()
+        assert made
+        assert all(ref() is None or not ref().coeffs for ref in made)
 
     def test_corrected_containment_is_vacuous(self, spec_ab):
         # the corrected inverse satisfies the containment identically: the

@@ -26,7 +26,7 @@ class TestConfigParsing:
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("# leading comment\n\n" + CONFIG_B_TEXT + "\nrun.samples = 3  # tail\n")
+        p.write_text("# leading comment\n\n" + CONFIG_B_TEXT.replace("run.samples = 10", "run.samples = 3  # tail"))
         cfg = parse_config(p)
         assert cfg.samples == 3
 
@@ -103,6 +103,16 @@ class TestCommands:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["identities", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_unknown_key_exits_2(self, cfg_a, tmp_path):
+        p = tmp_path / "typo.cfg"
+        p.write_text(cfg_a.read_text().replace("tol.congruence =", "tol.congruense ="))
+        assert main(["identities", "--config", str(p)]) == 2
+
+    def test_repeated_key_exits_2(self, cfg_a, tmp_path):
+        p = tmp_path / "twice.cfg"
+        p.write_text(cfg_a.read_text() + "tol.congruence = 1e-9\n")
+        assert main(["identities", "--config", str(p)]) == 2
 
     def test_broken_config_exits_2(self, tmp_path):
         p = tmp_path / "broken.cfg"

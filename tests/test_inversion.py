@@ -16,8 +16,9 @@ import pytest
 
 from nodal_theta.abel_jacobi import divisor_image, phi1, phi2
 from nodal_theta.curve import derive_periods, mod_gamma_decompose, period_group
-from nodal_theta.errors import ContourThroughZero, DegenerateC, ZeroCollision
+from nodal_theta.errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
 from nodal_theta.inversion import (
+    DMap,
     ThetaPullback,
     alpha_dlog_integral,
     beta_dlog_integral,
@@ -419,6 +420,38 @@ class TestDMap:
         b = branch_correction_tracked(tp, EPS_W)
         diff = a - b
         assert abs(diff - round(diff.real)) < 1e-10
+
+    @staticmethod
+    def pole_c2(dm, frac=0.37):
+        """The c2 that puts a zero of T_c on the chart ray at t = frac * eps."""
+        _, _, C, D = dm.ld.mobius_coeffs(np.array([frac * dm.eps + 0j]))
+        return complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I)
+
+    def test_cached_route_equals_rebuild_route(self, spec_ab):
+        # oracle: LaurentData rebuilt at each (c1, c2), as before the cache
+        c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
+        dm = DMap(spec_ab, c[0], EPS_W)
+        r1, _, _ = derive_periods(spec_ab)
+        refined = self.pole_c2(dm) + 0.05  # zero of T_c moved off the ray
+        fresh = DMap(spec_ab, c[0], EPS_W)
+        fresh.d2(refined)
+        assert len(fresh.coeffs) > 2  # the adaptive rule split the segment
+        for c2 in (0.0, c[1], 0.3 + 0.1j, 0.77 - 0.2j, refined):
+            ld = laurent_data(ThetaPullback((c[0], c2), spec_ab), EPS_W)
+            assert dm.d2(c2) == dm.c1 * r1 + ld.H3(EPS_W) / TWO_PI_I
+            assert dm.d2_dc2(c2) == ld.dH3_dc2(EPS_W) / TWO_PI_I
+
+    def test_quadrature_failure_matches_rebuild_route(self, spec_ab):
+        c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
+        dm = DMap(spec_ab, c[0], EPS_W)
+        c2 = self.pole_c2(dm)
+        ld = laurent_data(ThetaPullback((c[0], c2), spec_ab), EPS_W)
+        for cached, rebuilt in ((dm.d2, ld.H3), (dm.d2_dc2, ld.dH3_dc2)):
+            with pytest.raises(QuadratureFailure) as new:
+                cached(c2)
+            with pytest.raises(QuadratureFailure) as old:
+                rebuilt(EPS_W)
+            assert str(new.value) == str(old.value)
 
 
 class TestRiemannConstants:
