@@ -8,8 +8,7 @@ Config files are flat `key = value` text (UTF-8, `#` comments); complex
 values are written `re,im`, lists are space separated.  Reports are CSV with
 a header row and 17-significant-digit floats, so a fixed seed reproduces
 identical payload bytes.  The RNG is numpy's Philox counter-based generator
-(64-bit, splittable), seeded from run.seed.  NODAL_THETA_THREADS caps suite
-parallelism (default 1); results are assembled in sample order either way.
+(64-bit, splittable), seeded from run.seed.
 Exit codes: 0 all thresholds met, 1 threshold failure, 2 config error.
 """
 
@@ -17,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,21 +178,6 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NODAL_THETA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    n = _thread_count()
-    if n == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
@@ -295,22 +277,21 @@ def cmd_thm51(cfg: RunConfig, out_dir: Path, samples: int | None = None) -> bool
         resampled += rej
         drawn.append(c)
 
-    def run_one(idx_c):
-        idx, c = idx_c
+    def run_one(c):
         try:
             res = verify_thm51(c, spec, eps=eps_w)
             tp = ThetaPullback(c, spec)
             ka = alpha_dlog_integral(tp)
             kb = beta_dlog_integral(tp) - (-0.5 * spec.tau - (phi1(spec, spec.q0) - tp.c1))
-            return (idx, res, round(ka.real), round(kb.real), None)
+            return (res, round(ka.real), round(kb.real), None)
         except (ContourThroughZero, ZeroCollision, DegenerateC, JacobianSingular) as exc:
-            return (idx, None, 0, 0, type(exc).__name__)
+            return (None, 0, 0, type(exc).__name__)
 
-    outputs = _parallel_map(run_one, list(enumerate(drawn)))
     rows: list[list] = []
     oks: list[bool] = []
     skipped = 0
-    for idx, res, ka, kb, err in sorted(outputs, key=lambda t: t[0]):
+    for idx, c in enumerate(drawn):
+        res, ka, kb, err = run_one(c)
         if res is None:
             skipped += 1
             rows.append([idx, "skipped:" + err] + [""] * 13)
@@ -403,24 +384,23 @@ def cmd_thm66(cfg: RunConfig, out_dir: Path, samples: int | None = None) -> bool
         n_grid += 1
     pts = pts[:n_target]
 
-    def run_one(idx_p):
-        idx, P = idx_p
+    def run_one(P):
         try:
             corr = zero_set_residual(P, spec, eps_w, _kappa_cache=kap)
         except (NewtonDivergence, JacobianSingular) as exc:
-            return (idx, P, None, None, type(exc).__name__)
+            return (None, None, type(exc).__name__)
         lit: float | None
         try:
             lit = zero_set_residual(P, spec, eps_w, use_correction=False, _kappa_cache=kap)
         except (NewtonDivergence, JacobianSingular):
             lit = None
-        return (idx, P, corr, lit, None)
+        return (corr, lit, None)
 
-    outputs = _parallel_map(run_one, list(enumerate(pts)))
     rows: list[list] = []
     oks: list[bool] = []
     skipped = 0
-    for idx, P, corr, lit, err in sorted(outputs, key=lambda t: t[0]):
+    for idx, P in enumerate(pts):
+        corr, lit, err = run_one(P)
         if err is not None:
             skipped += 1
             rows.append([idx, P, "skipped:" + err, ""])

@@ -193,21 +193,25 @@ def period_group(spec: NodalCurveSpec) -> PeriodGroup:
 def mod_gamma_decompose(v, pg: PeriodGroup) -> GammaDecomposition:
     """Nearest Gamma element of v = (v_z, v_w) and the leftover residual.
 
-    (p, q) solve p + q*tau = v_z as a real 2x2 system and are rounded;
-    m = round(v_w - p*r1 - q*r2).  Emits a warning when the rounding is
-    marginal (entry farther than 0.25 from an integer) yet the residual is
-    small, which flags a near-degenerate tau.
+    (p, q) solve p + q*tau = v_z as a real 2x2 system; each floor/ceil pair
+    is tried with m = round(v_w - p*r1 - q*r2), and the smallest residual
+    wins, so a half-integer p or q cannot flip the residual under a last-bit
+    change of v.  Emits a warning when the rounding is marginal (entry
+    farther than 0.25 from an integer) yet the residual is small, which flags
+    a near-degenerate tau.
     """
     vz, vw = complex(v[0]), complex(v[1])
     q_real = vz.imag / pg.tau.imag
     p_real = vz.real - q_real * pg.tau.real
-    p, q = round(p_real), round(q_real)
-    m_real = (vw - p * pg.r1 - q * pg.r2).real
-    m = round(m_real)
-    rz = vz - p - q * pg.tau
-    rw = vw - m - p * pg.r1 - q * pg.r2
-    dec = GammaDecomposition(m=int(m), p=int(p), q=int(q), residual=(rz, rw))
-    off = max(abs(p_real - p), abs(q_real - q), abs(m_real - m))
+    candidates = []
+    for q in (math.floor(q_real), math.ceil(q_real)):
+        for p in (math.floor(p_real), math.ceil(p_real)):
+            m = round((vw - p * pg.r1 - q * pg.r2).real)
+            residual = (vz - p - q * pg.tau, vw - m - p * pg.r1 - q * pg.r2)
+            candidates.append(GammaDecomposition(m=int(m), p=int(p), q=int(q), residual=residual))
+    dec = min(candidates, key=lambda d: d.residual_norm)
+    m_real = (vw - dec.p * pg.r1 - dec.q * pg.r2).real
+    off = max(abs(p_real - dec.p), abs(q_real - dec.q), abs(m_real - dec.m))
     if off > 0.25 and dec.residual_norm < 1e-3:
         warnings.warn(
             f"marginal lattice rounding (offset {off:.3f}); tau may be near-degenerate",

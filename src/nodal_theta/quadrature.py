@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ContourThroughZero, QuadratureFailure
 
 _MAX_DEPTH = 13
+# samples per segment of the sampled log trackers: first try and cap
+_N0, _N_MAX = 32, 1 << 14
 
 
 @lru_cache(maxsize=32)
@@ -111,49 +113,14 @@ def track_log(f, a: complex, b: complex, f_a: complex | None = None,
     return total, f_prev
 
 
-def track_log_polyline(f, vertices, f_start: complex | None = None, **kw):
-    """track_log chained along a polyline; returns (delta_log, f_end)."""
+def _closed(vertices) -> list:
     verts = list(vertices)
-    f_cur = f(verts[0]) if f_start is None else f_start
-    total = 0.0 + 0.0j
-    for k in range(len(verts) - 1):
-        d, f_cur = track_log(f, verts[k], verts[k + 1], f_a=f_cur, **kw)
-        total += d
-    return total, f_cur
+    return verts if verts[0] == verts[-1] else verts + [verts[0]]
 
 
-def track_log_sampled(f_vec, a: complex, b: complex, n0: int = 32, n_max: int = 1 << 14):
-    """Continuous log change of a vectorized integrand along [a, b].
-
-    Samples the segment at n points, doubling n until every consecutive
-    ratio has |Log| < 0.9.  Much faster than scalar stepping when f is
-    vectorized, e.g. theta-based integrands on contour walks.
-    """
-    n = n0
-    while True:
-        ts = np.linspace(0.0, 1.0, n + 1)
-        vals = f_vec(a + ts * (b - a))
-        if np.all(vals != 0):
-            ratios = vals[1:] / vals[:-1]
-            dlogs = np.log(ratios)
-            if np.max(np.abs(dlogs)) < 0.9:
-                return complex(np.sum(dlogs)), complex(vals[-1])
-        if n >= n_max:
-            raise ContourThroughZero(
-                f"sampled log tracking failed on [{a:.6g}, {b:.6g}] at n={n}"
-            )
-        n *= 2
-
-
-def winding_number_sampled(f_vec, vertices, snap_tol: float = 0.1) -> int:
-    """Winding of a vectorized function around 0 along a closed polyline."""
-    verts = list(vertices)
-    if verts[0] != verts[-1]:
-        verts = verts + [verts[0]]
-    total = 0.0 + 0.0j
-    for k in range(len(verts) - 1):
-        d, _ = track_log_sampled(f_vec, verts[k], verts[k + 1])
-        total += d
+def _snap_winding(total: complex, snap_tol: float) -> int:
+    """The integer total/(2*pi*i); raises ContourThroughZero when total is
+    farther than snap_tol from one, which signals a zero on the contour."""
     w = total.imag / (2 * np.pi)
     w_int = round(w)
     if abs(w - w_int) > snap_tol or abs(total.real) > snap_tol:
@@ -161,6 +128,56 @@ def winding_number_sampled(f_vec, vertices, snap_tol: float = 0.1) -> int:
             f"winding integral {total/(2j*np.pi):.6g} is not an integer"
         )
     return int(w_int)
+
+
+def _track_edges(f_vec, edges, n0: int, n_max: int):
+    """(delta_log, f(b)) along each segment (a, b) of `edges`.
+
+    Every pending segment is sampled at n points in one f_vec call; a segment
+    is done once every consecutive ratio has |Log| < 0.9, and the others are
+    sampled again at 2n, up to n_max.
+    """
+    out = [None] * len(edges)
+    pending = list(range(len(edges)))
+    n = n0
+    while pending:
+        ts = np.linspace(0.0, 1.0, n + 1)
+        vals = f_vec(np.concatenate([edges[k][0] + ts * (edges[k][1] - edges[k][0]) for k in pending]))
+        failed = []
+        for k, seg in zip(pending, vals.reshape(len(pending), n + 1)):
+            if seg.all():
+                dlogs = np.log(seg[1:] / seg[:-1])
+                if np.abs(dlogs).max() < 0.9:
+                    out[k] = (complex(dlogs.sum()), complex(seg[-1]))
+                    continue
+            if n >= n_max:
+                a, b = edges[k]
+                raise ContourThroughZero(f"sampled log tracking failed on [{a:.6g}, {b:.6g}] at n={n}")
+            failed.append(k)
+        pending = failed
+        n *= 2
+    return out
+
+
+def track_log_sampled(f_vec, a: complex, b: complex, n0: int = _N0, n_max: int = _N_MAX):
+    """Continuous log change of a vectorized integrand along [a, b].
+
+    Samples the segment at n points, doubling n until every consecutive
+    ratio has |Log| < 0.9.  Much faster than scalar stepping when f is
+    vectorized, e.g. theta-based integrands on contour walks.
+    """
+    return _track_edges(f_vec, [(a, b)], n0, n_max)[0]
+
+
+def winding_number_sampled(f_vec, vertices, snap_tol: float = 0.1) -> int:
+    """Winding of a vectorized function around 0 along a closed polyline.
+
+    All edges are sampled together, and only those failing the ratio test
+    are resampled, so each edge ends at the n track_log_sampled gives it.
+    """
+    verts = _closed(vertices)
+    tracks = _track_edges(f_vec, list(zip(verts[:-1], verts[1:])), _N0, _N_MAX)
+    return _snap_winding(sum((d for d, _ in tracks), 0.0 + 0.0j), snap_tol)
 
 
 def winding_number(f, vertices, snap_tol: float = 0.1) -> int:
@@ -170,14 +187,9 @@ def winding_number(f, vertices, snap_tol: float = 0.1) -> int:
     integer; values farther than snap_tol from an integer signal a zero
     sitting on the contour and raise ContourThroughZero.
     """
-    verts = list(vertices)
-    if verts[0] != verts[-1]:
-        verts = verts + [verts[0]]
-    total, _ = track_log_polyline(f, verts)
-    w = total.imag / (2 * np.pi)
-    w_int = round(w)
-    if abs(w - w_int) > snap_tol or abs(total.real) > snap_tol:
-        raise ContourThroughZero(
-            f"winding integral {total/(2j*np.pi):.6g} is not an integer"
-        )
-    return int(w_int)
+    verts = _closed(vertices)
+    total, f_cur = 0.0 + 0.0j, f(verts[0])
+    for a, b in zip(verts[:-1], verts[1:]):
+        d, f_cur = track_log(f, a, b, f_a=f_cur)
+        total += d
+    return _snap_winding(total, snap_tol)

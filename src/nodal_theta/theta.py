@@ -8,15 +8,18 @@ Conventions used everywhere in this package:
     Theta(z, w)         = theta[0;0](z) + theta[-r1;r2](z) e(w)
 
 The series is truncated when the Gaussian tail exp(-pi*Im(tau)*(n+a)^2) drops
-below the policy tolerance.  The summation window is centered so that the
-largest term is always included, which keeps the tail bound valid for
-arguments with nonzero imaginary part.
+below the policy tolerance.  Each argument is moved by quasi-periodicity into
+the strip |Im z| <= Im(tau)/2, where the Gaussian centre of the terms lies
+within 1/2 of n + a = 0, so one cached window per (characteristic, tau,
+policy) holds the largest terms of every point and a point's value does not
+depend on the rest of its batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +27,8 @@ from .errors import NonConvergent
 
 TWO_PI_I = 2j * math.pi
 
-# hard cap on summation window size; protects against absurd Im(z)/Im(tau)
-_MAX_WINDOW = 100_000
+# cap on the strip shift |q|; protects against absurd Im(z)/Im(tau)
+_MAX_SHIFT = 100_000
 
 
 @dataclass(frozen=True)
@@ -123,34 +126,51 @@ def _halfwidth(a_red: float, im_tau: float, policy: SeriesPolicy) -> int:
     return n
 
 
-def _term_indices(a: float, z, b: float, tau: complex, policy: SeriesPolicy):
-    """Summation indices covering the Gaussian bulk for every entry of z."""
+@lru_cache(maxsize=64)
+def _window(a: float, b: float, tau: complex, policy: SeriesPolicy, deriv_order: int):
+    """(a_red, nk, coeffs) for arguments in the strip: nk = n + a for n in
+    [-floor(a) - N - 1, -floor(a) + N + 1], centred on nk = a_red, and the
+    read-only tau-only factors coeffs = (2 pi i)^k e(nk^2 tau/2 + nk b)."""
     a_red = a - math.floor(a)
     n_half = _halfwidth(a_red, tau.imag, policy)
-    im = np.imag(np.asarray(z, dtype=np.complex128)) + b * 0.0
-    # center of the Gaussian in n: n + a = -Im(z+b)/Im(tau)
-    center = -a - (np.atleast_1d(im) + 0.0) / tau.imag
-    lo = math.floor(float(np.min(center))) - n_half
-    hi = math.ceil(float(np.max(center))) + n_half
-    if hi - lo + 1 > _MAX_WINDOW:
-        raise NonConvergent(f"summation window {hi - lo + 1} exceeds cap {_MAX_WINDOW}")
-    return np.arange(lo, hi + 1, dtype=np.float64)
+    nk = a_red + np.arange(-n_half - 1, n_half + 2, dtype=np.float64)
+    coeffs = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * b)) * TWO_PI_I**deriv_order
+    nk.flags.writeable = False
+    coeffs.flags.writeable = False
+    return a_red, nk, coeffs
 
 
 def _theta_general(char, z, tau, policy: SeriesPolicy, deriv_order: int):
+    """z = w + q*tau with w in the strip, q = round(Im z / Im tau), and
+    theta[a;b](z) = e(-q^2 tau/2 - q(w + b)) theta[a;b](w).  The terms
+    e(nk w) come from one exponential per point and a recurrence from the
+    window centre, in one row per point that is summed on its own."""
     a, b = _char_ab(char)
     tau = _tau_value(tau)
     policy = policy or DEFAULT_POLICY
+    a_red, nk, coeffs = _window(a, b, tau, policy, deriv_order)
     z_arr = np.asarray(z, dtype=np.complex128)
-    scalar = z_arr.ndim == 0
-    zz = np.atleast_1d(z_arr).ravel() + b
-    ns = _term_indices(a, z_arr, b, tau, policy) + a  # n + a
-    expo = 0.5 * ns[:, None] * ns[:, None] * tau + ns[:, None] * zz[None, :]
-    terms = np.exp(TWO_PI_I * expo)
+    zf = z_arr.ravel()
+    q = np.rint(zf.imag / tau.imag)
+    if zf.size and not np.abs(q).max() <= _MAX_SHIFT:
+        raise NonConvergent(f"strip shift beyond {_MAX_SHIFT} periods (Im z / Im tau too large)")
+    qt = q * tau
+    w = zf - qt
+    step = np.exp(TWO_PI_I * w)
+    mid = len(nk) // 2
+    rows = np.empty((zf.size, len(nk)), dtype=np.complex128)
+    rows[:, mid] = 1.0
+    rows[:, mid + 1:] = step[:, None]
+    rows[:, :mid] = (1.0 / step)[:, None]
+    np.multiply.accumulate(rows[:, mid:], axis=1, out=rows[:, mid:])
+    np.multiply.accumulate(rows[:, mid::-1], axis=1, out=rows[:, mid::-1])
+    # in-place products only on whole rows: numpy may round a length-1
+    # in-place complex product differently from a longer one
+    rows *= coeffs
     if deriv_order:
-        terms = terms * (TWO_PI_I * ns[:, None]) ** deriv_order
-    vals = terms.sum(axis=0)
-    return complex(vals[0]) if scalar else vals.reshape(z_arr.shape)
+        rows *= (nk - q[:, None]) ** deriv_order
+    vals = rows.sum(axis=1) * np.exp(TWO_PI_I * ((a_red - q) * w - q * (0.5 * qt + b)))
+    return complex(vals[0]) if z_arr.ndim == 0 else vals.reshape(z_arr.shape)
 
 
 def theta_char(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
@@ -158,7 +178,8 @@ def theta_char(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
 
     char may be a Characteristic or an (a, b) pair; z may be a scalar or an
     ndarray.  Raises NonConvergent if the tail bound cannot be met within
-    policy.max_index terms per side.
+    policy.max_index terms per side, or if some |Im z| / Im tau exceeds
+    100,000.
     """
     return _theta_general(char, z, tau, policy, 0)
 

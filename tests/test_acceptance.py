@@ -47,9 +47,10 @@ from nodal_theta.theta import big_theta, e_func, theta_char, translation_factor
 REPORT: list[str] = []
 
 
-def verdict(num: int, ok, text: str):
+def verdict(num: int, ok, text: str, preset: str = ""):
     status = ok if isinstance(ok, str) else ("PASS" if ok else "FAIL")
-    line = f"ACCEPTANCE {num:2d}: {status} - {text}"
+    tag = f" [{preset}]" if preset else ""
+    line = f"ACCEPTANCE {num:2d}{tag}: {status} - {text}"
     REPORT.append(line)
     print(line)
 
@@ -60,6 +61,13 @@ def write_report():
     if REPORT:
         with open("acceptance_report.txt", "w", encoding="utf-8") as fh:
             fh.write("\n".join(sorted(REPORT)) + "\n")
+
+
+@pytest.fixture
+def preset(spec_ab, spec_a) -> str:
+    """Name of the preset that spec_ab stands for, tagged on report lines so
+    the sorted report keeps a and b apart whatever their numbers."""
+    return "a" if spec_ab is spec_a else "b"
 
 
 def test_criterion_01_theta_identities():
@@ -99,7 +107,7 @@ def test_criterion_02_period_normalization(spec_a, spec_b):
     assert ok
 
 
-def test_criterion_03_cut_relations(spec_ab):
+def test_criterion_03_cut_relations(spec_ab, preset):
     spec = spec_ab
     r1, r2, _ = derive_periods(spec)
     rng = np.random.default_rng(33)
@@ -123,11 +131,11 @@ def test_criterion_03_cut_relations(spec_ab):
         )
         worst_t = max(worst_t, abs(tp.value(Q - 1) - tp.value(Q)) / max(1e-30, abs(tp.value(Q))))
     ok = worst_phi < 1e-8 and worst_t < 1e-8
-    verdict(3, ok, f"cut relations: phi jump err {worst_phi:.2e}, pullback factor err {worst_t:.2e}")
+    verdict(3, ok, f"cut relations: phi jump err {worst_phi:.2e}, pullback factor err {worst_t:.2e}", preset)
     assert ok
 
 
-def test_criterion_04_zero_count_and_intermediates(spec_ab):
+def test_criterion_04_zero_count_and_intermediates(spec_ab, preset):
     spec = spec_ab
     rng = np.random.default_rng(44)
     counts = []
@@ -157,6 +165,7 @@ def test_criterion_04_zero_count_and_intermediates(spec_ab):
         f"zero count 2 for {len(counts)} generic c; edge log-integrals match the "
         f"displays to {worst_int:.2e} up to exact integers (literal alpha display "
         f"held for {literal_alpha}/{len(counts)} draws)",
+        preset,
     )
     assert ok
 
@@ -186,7 +195,7 @@ def test_criterion_05_inversion_congruence(spec_a):
     assert ok_corrected
 
 
-def test_criterion_06_laurent_consistency(spec_ab):
+def test_criterion_06_laurent_consistency(spec_ab, preset):
     spec = spec_ab
     rng = np.random.default_rng(66)
     c, _ = sample_generic_c(spec, rng)
@@ -227,12 +236,13 @@ def test_criterion_06_laurent_consistency(spec_ab):
         f"literal display misses by {gap_literal:.2e} (= predicted defect to "
         f"{defect_match:.2e}); reconstruction {worst_recon:.2e}; det bound "
         f"{'holds' if det_ok else 'fails'}",
+        preset,
     )
     assert gap_literal > 1e-3, "literal display unexpectedly exact; revisit the analysis"
     assert ok
 
 
-def test_criterion_07_periodicity_structure(spec_ab):
+def test_criterion_07_periodicity_structure(spec_ab, preset):
     spec = spec_ab
     rng = np.random.default_rng(77)
     worst_int = 0.0
@@ -245,11 +255,11 @@ def test_criterion_07_periodicity_structure(spec_ab):
         h = d_map(0.03, (c[0], c[1] + 0.5), spec)
         worst_half = min(worst_half, abs(a[1] - h[1]))
     ok = worst_int < 1e-10 and worst_half > 1e-4
-    verdict(7, ok, f"d-map periodicity: integer shift {worst_int:.2e}, half shift {worst_half:.2e}")
+    verdict(7, ok, f"d-map periodicity: integer shift {worst_int:.2e}, half shift {worst_half:.2e}", preset)
     assert ok
 
 
-def test_criterion_08_branch_inversion(spec_ab):
+def test_criterion_08_branch_inversion(spec_ab, preset):
     spec = spec_ab
     eps_w = 0.04
     kap = kappa_vector(riemann_constants(spec, eps_w), spec, "half_tau")
@@ -280,11 +290,12 @@ def test_criterion_08_branch_inversion(spec_ab):
         ok,
         f"branch inversion: round trip {worst_rt:.2e}, sheet step err {sheet_err:.2e}, "
         f"Jacobian dual-route rel err {rel:.2e}",
+        preset,
     )
     assert ok
 
 
-def test_criterion_09_zero_set_containment(spec_ab):
+def test_criterion_09_zero_set_containment(spec_ab, preset):
     t0 = time.time()
     spec = spec_ab
     eps_w = select_epsilon(spec, (0.05, 0.04, 0.03) if spec.tau == 1j else (0.045, 0.035, 0.025))
@@ -323,6 +334,7 @@ def test_criterion_09_zero_set_containment(spec_ab):
         f"residual {min(literal):.2e}); corrected map PASS (worst {max(corrected):.2e}) "
         f"but vacuously (off-curve control {off:.2e}, not > 1e-3); k-independence "
         f"{abs(r0 - r1_):.2e}; time bound 180s",
+        preset,
     )
     assert ok_corrected
     assert not stated_containment, "stated containment unexpectedly holds; revisit"

@@ -118,10 +118,3 @@ class TestCommands:
         p = tmp_path / "broken.cfg"
         p.write_text("curve.tau 0,1\n")
         assert main(["identities", "--config", str(p)]) == 2
-
-    def test_threads_env(self, cfg_a, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["thm51", "--config", str(cfg_a), "--out", str(out1), "--samples", "2"]) == 0
-        monkeypatch.setenv("NODAL_THETA_THREADS", "4")
-        assert main(["thm51", "--config", str(cfg_a), "--out", str(out2), "--samples", "2"]) == 0
-        assert (out1 / "thm51.csv").read_bytes() == (out2 / "thm51.csv").read_bytes()

@@ -71,6 +71,24 @@ class TestModGamma:
         assert (dec.m, dec.p, dec.q) == (m, p, q)
         assert dec.residual_norm < 1e-10
 
+    @pytest.mark.parametrize("m, p, q", [(0, 0, 0), (2, -1, 1), (-3, 2, -2)])
+    def test_half_tau_offset_is_stable_under_last_bit_changes(self, m, p, q):
+        # v sits tau/2 from a Gamma element, so q solves to a half-integer
+        # and plain rounding picks either neighbour under a 1e-15 change
+        pg = PeriodGroup(r1=-0.17, r2=0.31, tau=0.3 + 0.8j)
+        base = (p + q * pg.tau + 0.5 * pg.tau, m + p * pg.r1 + q * pg.r2 + 0.23 + 0.05j)
+        norms = []
+        for sign in (-1.0, 1.0):
+            v = (base[0] + sign * 1e-15j, base[1])
+            norms.append(mod_gamma_decompose(v, pg).residual_norm)
+        assert abs(norms[0] - norms[1]) < 1e-12
+        # and it is the better of the two neighbouring Gamma elements
+        for qq in (q, q + 1):
+            rz = base[0] - p - qq * pg.tau
+            rw = base[1] - p * pg.r1 - qq * pg.r2
+            rw -= round(rw.real)
+            assert norms[0] <= math.hypot(abs(rz), abs(rw)) + 1e-12
+
     def test_congruence_reflexive(self):
         v = (0.3 + 0.4j, -1.2 + 0.1j)
         assert congruent_mod_gamma(v, v, self.PG)

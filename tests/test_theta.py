@@ -7,6 +7,7 @@ where stated, frozen literals computed from that oracle.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from nodal_theta.theta import (
     rho0_factor,
     theta_char,
     theta_char_dz,
+    theta_char_dzk,
     translation_factor,
 )
 
@@ -115,6 +117,12 @@ class TestThetaChar:
         with pytest.raises(NonConvergent):
             theta_char((0.0, 0.0), 0.1, 1e-3j, SeriesPolicy(abs_tol=1e-14, max_index=64))
 
+    def test_nonconvergent_for_huge_im_z(self):
+        with pytest.raises(NonConvergent):
+            theta_char((0.0, 0.0), 0.1 + 1e6j, 1j)
+        with pytest.raises(NonConvergent):
+            theta_char_dz((0.5, 0.5), np.array([0.2, 0.3 - 2e5j]), 0.3 + 0.8j)
+
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             theta_char((0.0, 0.0), 0.0, 1.0 - 0.5j)
@@ -126,6 +134,56 @@ class TestThetaChar:
             SeriesPolicy(abs_tol=2.0)
         with pytest.raises(ValueError):
             SeriesPolicy(max_index=0)
+
+
+def theta_mpmath(char, z, tau, k, n_max=30):
+    """Independent oracle at 40 digits: termwise k-th derivative summed over
+    |n| <= n_max (the tail is below 1e-300 for the arguments used)."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(char[0]), mpmath.mpf(char[1])
+        z = mpmath.mpc(z.real, z.imag)
+        tau = mpmath.mpc(tau.real, tau.imag)
+        total = mpmath.mpc(0)
+        for n in range(-n_max, n_max + 1):
+            na = n + a
+            total += (2j * mpmath.pi * na) ** k * mpmath.exp(
+                2j * mpmath.pi * (na * na * tau / 2 + na * (z + b))
+            )
+        return complex(total)
+
+
+CHARS = [(0.0, 0.0), (0.5, 0.5), (0.25, -0.4), (-1.3, 0.7)]
+
+
+class TestFixedWindowKernel:
+    """Each point's value depends on that point only, and matches a
+    high-precision oracle."""
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("char", CHARS)
+    @pytest.mark.parametrize("func", [theta_char, theta_char_dz])
+    def test_batch_invariance(self, tau, char, func):
+        rng = np.random.default_rng(43)
+        zs = rng.uniform(-1.5, 1.5, 200) + 1j * np.linspace(-2.0, 3.0, 200)
+        rng.shuffle(zs)
+        batch = func(char, zs, tau)
+        alone = np.array([func(char, complex(z), tau) for z in zs])
+        assert np.array_equal(alone, batch)
+        for m in (1, 3, 5, 7, 33, 64):
+            assert np.array_equal(func(char, zs[:m], tau), batch[:m])
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 7])
+    def test_matches_mpmath_oracle(self, k):
+        rng = np.random.default_rng(47)
+        worst = 0.0
+        for tau in TAUS:
+            zs = rng.uniform(-1.5, 1.5, 6) + 1j * rng.uniform(-2.0, 3.0, 6)
+            for char in CHARS:
+                got = theta_char_dzk(char, zs, tau, k)
+                for z, g in zip(zs, got):
+                    ref = theta_mpmath(char, z, tau, k)
+                    worst = max(worst, abs(g - ref) / max(1.0, abs(ref)))
+        assert worst <= 2e-14
 
 
 class TestDerivative:
