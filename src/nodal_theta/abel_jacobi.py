@@ -26,7 +26,7 @@ import numpy as np
 from .curve import NodalCurveSpec
 from .differentials import third_kind
 from .errors import BranchStepTooLarge, ContourThroughZero, PoleProximity
-from .quadrature import integrate_segment, track_log
+from .quadrature import _log_change_sampled, integrate_segment
 from .theta import TWO_PI_I, theta_char
 
 
@@ -103,6 +103,7 @@ def default_path_vertices(spec: NodalCurveSpec, P: complex) -> tuple[complex, ..
 
 
 def _theta_quotient(spec: NodalCurveSpec):
+    """The odd-theta quotient Q; vectorized in z."""
     odd = (0.5, 0.5)
 
     def q(z):
@@ -122,16 +123,11 @@ def trace_path(spec: NodalCurveSpec, vertices) -> BranchedPath:
         _require_inside(spec, v)
     if not _path_clears_poles(spec, verts, path_margin(spec)):
         raise PoleProximity("path runs inside the pole safety margin")
-    q = _theta_quotient(spec)
+    try:
+        total = _log_change_sampled(_theta_quotient(spec), verts)
+    except ContourThroughZero as exc:
+        raise BranchStepTooLarge(str(exc)) from exc
     kappa = third_kind(spec).kappa_coeff
-    total = 0.0 + 0.0j
-    f_cur = q(verts[0])
-    for k in range(len(verts) - 1):
-        try:
-            d, f_cur = track_log(q, verts[k], verts[k + 1], f_a=f_cur)
-        except ContourThroughZero as exc:
-            raise BranchStepTooLarge(str(exc)) from exc
-        total += d
     phi2_val = total / TWO_PI_I + kappa * (verts[-1] - verts[0])
     return BranchedPath(vertices=verts, branch_state=complex(phi2_val))
 
@@ -182,13 +178,7 @@ def loop_increment(spec: NodalCurveSpec, vertices) -> complex:
     verts = [complex(v) for v in vertices]
     if abs(verts[0] - verts[-1]) > 1e-12:
         verts.append(verts[0])
-    q = _theta_quotient(spec)
-    total = 0.0 + 0.0j
-    f_cur = q(verts[0])
-    for k in range(len(verts) - 1):
-        d, f_cur = track_log(q, verts[k], verts[k + 1], f_a=f_cur)
-        total += d
-    return complex(total / TWO_PI_I)
+    return complex(_log_change_sampled(_theta_quotient(spec), verts) / TWO_PI_I)
 
 
 # -- chart continuations near the identified points -------------------------
@@ -265,8 +255,7 @@ def a_eps(spec: NodalCurveSpec, eps: float, quad_tol: float | None = None) -> co
     return base - 0.5 + tail
 
 
-def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float,
-                         quad_tol: float | None = None) -> complex:
+def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float) -> complex:
     """a_eps recomputed with the branch discarded at angle u0 and restarted
     from the principal chart value there.
 
@@ -275,7 +264,7 @@ def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float,
     both branches continue the same multivalued function.  Probes the
     documented branch sensitivity of the circle average.
     """
-    base = a_eps(spec, eps, quad_tol)
+    base = a_eps(spec, eps)
     diff = third_kind(spec)
     continued = (
         phi2_radial_anchor(spec, eps)
@@ -287,7 +276,7 @@ def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float,
             * np.exp(TWO_PI_I * np.asarray(v)),
             0.0,
             u0,
-            spec.quad_tol if quad_tol is None else quad_tol,
+            spec.quad_tol,
         )
     )
     restarted = phi2_chart_p2(spec, eps * cmath.exp(2j * math.pi * u0))

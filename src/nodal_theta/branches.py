@@ -18,7 +18,6 @@ zero_set_residual uses it by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,28 +99,6 @@ def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | 
         else:
             return eps
     raise NoValidEpsilon(f"all candidates {list(candidates)} show a rational period")
-
-
-@dataclass(frozen=True)
-class BranchInverse:
-    """Configuration bundle for inverting d(eps) on the k-th sheet."""
-
-    eps: float
-    k: int = 0
-    newton_tol: float = 1e-12
-    max_iters: int = 50
-    use_correction: bool = True
-
-    def __call__(self, u, spec: NodalCurveSpec):
-        return beta_k(
-            u,
-            spec,
-            self.eps,
-            k=self.k,
-            newton_tol=self.newton_tol,
-            max_iters=self.max_iters,
-            use_correction=self.use_correction,
-        )
 
 
 def _kappa(spec: NodalCurveSpec, eps: float):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +56,10 @@ class RunConfig:
     spec: NodalCurveSpec
     eps_candidates: tuple[float, ...]
     tol_congruence: float = 1e-6
-    tol_newton: float = 1e-12
     samples: int = 10
     grid: int = 6
     seed: int = 20260808
     out_dir: str = "out"
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_complex(text: str) -> complex:
@@ -77,7 +75,7 @@ def _parse_complex(text: str) -> complex:
 _CONFIG_KEYS = frozenset({
     "curve.tau", "curve.p1", "curve.p2", "curve.z0", "curve.q0",
     "curve.delta", "curve.eps", "curve.eps_candidates",
-    "tol.series", "tol.quad", "tol.congruence", "tol.newton",
+    "tol.series", "tol.quad", "tol.congruence",
     "run.samples", "run.grid", "run.seed", "run.out_dir",
 })
 
@@ -150,12 +148,10 @@ def parse_config(path: str | Path) -> RunConfig:
         spec=spec,
         eps_candidates=candidates,
         tol_congruence=get_float("tol.congruence", 1e-6),
-        tol_newton=get_float("tol.newton", 1e-12),
         samples=samples,
         grid=grid,
         seed=seed,
         out_dir=entries.get("run.out_dir", "out"),
-        raw=entries,
     )
 
 
@@ -268,19 +264,10 @@ def cmd_thm51(cfg: RunConfig, out_dir: Path, samples: int | None = None) -> bool
     rng = _rng(cfg.seed)
     eps_w = select_epsilon(spec, cfg.eps_candidates, rng=_rng(cfg.seed + 1))
 
-    drawn: list[tuple[complex, complex]] = []
-    resampled = 0
-    attempts = 0
-    while len(drawn) < n_samples and attempts < 40 * n_samples:
-        attempts += 1
-        c, rej = sample_generic_c(spec, rng)
-        resampled += rej
-        drawn.append(c)
-
     def run_one(c):
         try:
-            res = verify_thm51(c, spec, eps=eps_w)
             tp = ThetaPullback(c, spec)
+            res = verify_thm51(tp, spec, eps=eps_w)
             ka = alpha_dlog_integral(tp)
             kb = beta_dlog_integral(tp) - (-0.5 * spec.tau - (phi1(spec, spec.q0) - tp.c1))
             return (res, round(ka.real), round(kb.real), None)
@@ -290,7 +277,10 @@ def cmd_thm51(cfg: RunConfig, out_dir: Path, samples: int | None = None) -> bool
     rows: list[list] = []
     oks: list[bool] = []
     skipped = 0
-    for idx, c in enumerate(drawn):
+    resampled = 0
+    for idx in range(n_samples):
+        c, rej = sample_generic_c(spec, rng)
+        resampled += rej
         res, ka, kb, err = run_one(c)
         if res is None:
             skipped += 1

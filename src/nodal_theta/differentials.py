@@ -183,14 +183,14 @@ def h1_at_p2(spec: NodalCurveSpec, t):
     return third_kind(spec).h1_at_p2(t)
 
 
-def period_integral(spec: NodalCurveSpec, contour: str, quad_tol: float | None = None) -> complex:
+def period_integral(spec: NodalCurveSpec, contour: str) -> complex:
     """Period of eta over one of the four reference contours.
 
     gamma1/gamma2 are circles of radius delta/2 resp. eps/2 around p1, p2
     (the values are residues, hence radius-independent); alpha and beta are
     the parallelogram edges q0 -> q0+1 and q0 -> q0+tau.
     """
-    tol = spec.quad_tol if quad_tol is None else quad_tol
+    tol = spec.quad_tol
     diff = third_kind(spec)
     if contour == "gamma1":
         return integrate_circle(diff.eta_coeff, spec.p1, spec.delta / 2, tol)

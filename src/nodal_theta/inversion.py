@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .abel_jacobi import a_eps, divisor_image, phi1, phi2
+from .abel_jacobi import _theta_quotient, a_eps, divisor_image, phi1, phi2
 from .curve import NodalCurveSpec, derive_periods, lattice_coords, mod_gamma_decompose, period_group
 from .differentials import third_kind
 from .errors import ContourThroughZero, DegenerateC, ZeroCollision
@@ -45,40 +45,51 @@ def _theta_scale(tau: complex, char: tuple[float, float]) -> float:
     return float(np.max(np.abs(theta_char(char, zs, tau))))
 
 
+def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
+    """Name of the first genericity guard that the shift c1 fails, or None.
+
+    T_c needs theta00(phi1(p1) - c1) != 0 (its value at p1), and the node
+    chart needs theta[-r1;r2](phi1(p2) - c1) != 0 (the residue c_minus1) and
+    theta00(phi1(p2) - c1) != 0 (the Moebius determinant).  Each counts as
+    zero at or below GENERICITY_TOL times that theta's scale over one cell.
+    """
+    r1, r2, _ = derive_periods(spec)
+    x1 = phi1(spec, spec.p1) - c1
+    x2 = phi1(spec, spec.p2) - c1
+    for name, char, x in (
+        ("theta00(phi1(p1) - c1)", (0.0, 0.0), x1),
+        ("theta[-r1;r2](phi1(p2) - c1)", (-r1, r2), x2),
+        ("theta00(phi1(p2) - c1)", (0.0, 0.0), x2),
+    ):
+        if abs(theta_char(char, x, spec.tau, spec.policy)) <= GENERICITY_TOL * _theta_scale(spec.tau, char):
+            return name
+    return None
+
+
 class ThetaPullback:
     """T_c for one shift c = (c1, c2) on a given curve instance."""
 
-    def __init__(self, c, spec: NodalCurveSpec, genericity_tol: float = GENERICITY_TOL):
+    def __init__(self, c, spec: NodalCurveSpec):
         self.c1 = complex(c[0])
         self.c2 = complex(c[1])
         self.spec = spec
+        failed = genericity_failure(spec, self.c1)
+        if failed is not None:
+            raise DegenerateC(failed)
         self.r1, self.r2, self.kappa = derive_periods(spec)
-        self._odd = (0.5, 0.5)
         self._rchar = (-self.r1, self.r2)
-        self._q_at_z0 = self._quotient(spec.z0)
-        guard = abs(theta_char((0.0, 0.0), phi1(spec, spec.p1) - self.c1, spec.tau, spec.policy))
-        scale = _theta_scale(spec.tau, (0.0, 0.0))
-        if guard <= genericity_tol * scale:
-            raise DegenerateC(
-                f"|theta00(phi1(p1) - c1)| = {guard:.3e} under guard {genericity_tol * scale:.3e}"
-            )
+        self._q = _theta_quotient(spec)
+        self._q_at_z0 = self._q(spec.z0)
 
     # -- building blocks ----------------------------------------------------
-
-    def _quotient(self, z):
-        spec = self.spec
-        return theta_char(self._odd, z - spec.p1, spec.tau, spec.policy) / theta_char(
-            self._odd, z - spec.p2, spec.tau, spec.policy
-        )
 
     def e_phi2(self, z):
         """e(phi2(z)): single-valued, branch-free evaluation."""
         z = np.asarray(z, dtype=np.complex128) if isinstance(z, np.ndarray) else z
-        return self._quotient(z) / self._q_at_z0 * e_func(self.kappa * (z - self.spec.z0))
+        return self._q(z) / self._q_at_z0 * e_func(self.kappa * (z - self.spec.z0))
 
-    def value(self, P, path=None):
-        """T_c(P).  Accepts scalars or arrays; `path` is accepted for symmetry
-        with the tracked period map but the value does not depend on it."""
+    def value(self, P):
+        """T_c(P) for scalars or arrays."""
         spec = self.spec
         x = (P - spec.z0) - self.c1
         ew = self.e_phi2(P) * e_func(-self.c2)
@@ -117,11 +128,6 @@ class ThetaPullback:
         )
 
 
-def frak_T(tp: ThetaPullback, P, path=None):
-    """Value of the pulled-back theta function at P."""
-    return tp.value(P, path)
-
-
 # -- zero counting and location ---------------------------------------------
 
 
@@ -135,7 +141,7 @@ def _p2_in_box(spec: NodalCurveSpec, s0, s1, t0, t1) -> bool:
     return s0 < s < s1 and t0 < t < t1
 
 
-def count_zeros(tp: ThetaPullback, quad_tol: float | None = None) -> int:
+def count_zeros(tp: ThetaPullback) -> int:
     """Number of zeros of T_c: boundary winding plus one for the pole at p2."""
     spec = tp.spec
     w = winding_number_sampled(tp.value, _box_polyline(spec, 0.0, 1.0, 0.0, 1.0))
@@ -255,7 +261,7 @@ class LaurentData:
 
     _SMALL_T = 1e-3
 
-    def __init__(self, tp: ThetaPullback, t0: float, genericity_tol: float = GENERICITY_TOL):
+    def __init__(self, tp: ThetaPullback, t0: float):
         if t0 <= 0 or t0 >= tp.spec.eps * 1.0001:
             raise ValueError("chart anchor t0 must lie in (0, eps]")
         self.tp = tp
@@ -265,18 +271,6 @@ class LaurentData:
         self.diff = third_kind(spec)
         self.x2 = phi1(spec, spec.p2) - tp.c1
         self._rchar = tp._rchar
-        scale_r = _theta_scale(spec.tau, self._rchar)
-        guard = abs(theta_char(self._rchar, self.x2, spec.tau, spec.policy))
-        if guard <= genericity_tol * scale_r:
-            raise DegenerateC(
-                f"|theta[-r1;r2](phi1(p2) - c1)| = {guard:.3e}; c_minus1 would degenerate"
-            )
-        scale_0 = _theta_scale(spec.tau, (0.0, 0.0))
-        guard0 = abs(theta_char((0.0, 0.0), self.x2, spec.tau, spec.policy))
-        if guard0 <= genericity_tol * scale_0:
-            raise DegenerateC(
-                f"|theta00(phi1(p2) - c1)| = {guard0:.3e}; Moebius determinant would degenerate"
-            )
         # e(phi2) at the chart anchor, branch-free
         self._e_phi2_t0 = tp.e_phi2(spec.p2 + self.t0)
         h1c = self._h1_derivs()
@@ -404,35 +398,21 @@ class LaurentData:
         theta_r'/theta_r(x2) + 2*pi*i*h1(0)."""
         return complex(self._G_taylor[1] / self._G_taylor[0])
 
-    def H3(self, t, quad_tol: float | None = None) -> complex:
+    def H3(self, t) -> complex:
         """Integral of h3 along the straight segment from 0 to t."""
         if t == 0:
             return 0.0 + 0.0j
-        tol = self.spec.quad_tol if quad_tol is None else quad_tol
-        return integrate_segment(self.h3, 0.0, complex(t), tol)
+        return integrate_segment(self.h3, 0.0, complex(t), self.spec.quad_tol)
 
-    def dH3_dc2(self, t, quad_tol: float | None = None) -> complex:
+    def dH3_dc2(self, t) -> complex:
         if t == 0:
             return 0.0 + 0.0j
-        tol = self.spec.quad_tol if quad_tol is None else quad_tol
-        return integrate_segment(self.dh3_dc2, 0.0, complex(t), tol)
+        return integrate_segment(self.dh3_dc2, 0.0, complex(t), self.spec.quad_tol)
 
 
 def laurent_data(tp: ThetaPullback, t0: float | None = None) -> LaurentData:
     """Laurent/Moebius evaluators at the node chart; t0 defaults to eps/2."""
     return LaurentData(tp, tp.spec.eps / 2 if t0 is None else t0)
-
-
-def g_func(tp: ThetaPullback, t, t0: float | None = None):
-    return laurent_data(tp, t0).g(t)
-
-
-def mobius_coeffs(tp: ThetaPullback, t, c1=None, t0: float | None = None):
-    return laurent_data(tp, t0).mobius_coeffs(t)
-
-
-def H3(t, tp: ThetaPullback, quad_tol: float | None = None, t0: float | None = None) -> complex:
-    return laurent_data(tp, t0).H3(t, quad_tol)
 
 
 class DMap:
@@ -443,7 +423,7 @@ class DMap:
     and reused by every d2 / d2_dc2 call.  Both integrate the same integrands
     as LaurentData.H3 / dH3_dc2 through the same adaptive rule, so the values,
     the refinement and any QuadratureFailure agree with that route exactly.
-    The genericity guards run once, at construction.
+    The genericity guard runs once, at construction.
     """
 
     def __init__(self, spec: NodalCurveSpec, c1, eps: float):
@@ -607,7 +587,7 @@ def branch_correction_tracked(tp: ThetaPullback, eps: float) -> complex:
     return complex(total / TWO_PI_I)
 
 
-def d_map_corrected(eps: float, c, spec: NodalCurveSpec, quad_tol: float | None = None) -> tuple[complex, complex]:
+def d_map_corrected(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
     """Branch-corrected inversion map: d(eps)(c) + (0, A(eps, c)).
 
     Collapses to the closed form (c1, c1*r1 + (1/2*pi*i)[Log theta00(phi1(P1)-c1)
@@ -684,7 +664,7 @@ class Thm51Result:
 
 
 def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None,
-                 quad_tol: float | None = None, check_jacobian: bool = True) -> Thm51Result:
+                 check_jacobian: bool = True) -> Thm51Result:
     """Check W = phi(Q1) + phi(Q2) == d(eps)(c) + kappa(eps) mod Gamma.
 
     Residuals are reported for both candidate constants (-tau/2 and -tau in
@@ -699,11 +679,11 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None,
     w = divisor_image(spec, list(zeros))
     ld = laurent_data(tp, eps_w)
     r1, _, _ = derive_periods(spec)
-    d_val = (tp.c1, tp.c1 * r1 + ld.H3(eps_w, quad_tol) / TWO_PI_I)
+    d_val = (tp.c1, tp.c1 * r1 + ld.H3(eps_w) / TWO_PI_I)
     corr = branch_correction(tp, eps_w, ld)
     if check_jacobian:
         jacobian_consistency_check(tp, eps_w)
-    rc = riemann_constants(spec, eps_w, quad_tol)
+    rc = riemann_constants(spec, eps_w)
     pg = period_group(spec)
     res = {}
     decs = {}
@@ -757,29 +737,15 @@ def run_thm51_batch(spec: NodalCurveSpec, n_samples: int, rng: np.random.Generat
     return results, resampled
 
 
-def sample_generic_c(spec: NodalCurveSpec, rng: np.random.Generator,
-                     genericity_tol: float = GENERICITY_TOL, max_tries: int = 64):
-    """Draw c from the fundamental box, rejecting degenerate shifts.
-
-    Returns (c, n_rejected).  Guards: the pullback guard at p1 and both
-    chart guards at p2 (nonvanishing c_minus1 and Moebius determinant).
-    """
-    scale0 = _theta_scale(spec.tau, (0.0, 0.0))
-    r1, r2, _ = derive_periods(spec)
-    scale_r = _theta_scale(spec.tau, (-r1, r2))
+def sample_generic_c(spec: NodalCurveSpec, rng: np.random.Generator, max_tries: int = 64):
+    """Draw c from the fundamental box, rejecting shifts that fail
+    genericity_failure.  Returns (c, n_rejected)."""
     rejected = 0
     for _ in range(max_tries):
         s, t = rng.uniform(0.0, 1.0, size=2)
         c1 = s + t * spec.tau
         c2 = complex(rng.uniform(0.0, 1.0), rng.uniform(-0.25, 0.25))
-        x1 = phi1(spec, spec.p1) - c1
-        x2 = phi1(spec, spec.p2) - c1
-        ok = (
-            abs(theta_char((0.0, 0.0), x1, spec.tau, spec.policy)) > genericity_tol * scale0
-            and abs(theta_char((0.0, 0.0), x2, spec.tau, spec.policy)) > genericity_tol * scale0
-            and abs(theta_char((-r1, r2), x2, spec.tau, spec.policy)) > genericity_tol * scale_r
-        )
-        if ok:
+        if genericity_failure(spec, c1) is None:
             return (c1, c2), rejected
         rejected += 1
     raise DegenerateC(f"no generic c found in {max_tries} draws")

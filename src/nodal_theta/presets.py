@@ -21,7 +21,6 @@ curve.eps_candidates = 0.05 0.04 0.03
 tol.series = 1e-14
 tol.quad = 1e-10
 tol.congruence = 1e-6
-tol.newton = 1e-12
 run.samples = 10
 run.grid = 6
 run.seed = 20260808
@@ -41,7 +40,6 @@ curve.eps_candidates = 0.045 0.035 0.025
 tol.series = 1e-14
 tol.quad = 1e-10
 tol.congruence = 1e-6
-tol.newton = 1e-12
 run.samples = 10
 run.grid = 6
 run.seed = 20260808

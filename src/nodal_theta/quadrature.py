@@ -79,17 +79,19 @@ def track_log(f, a: complex, b: complex, f_a: complex | None = None,
     """Continuous continuation of log f along the segment [a, b].
 
     Returns (delta_log, f_b): the accumulated change of log f and the value
-    f(b).  Steps are halved until each consecutive value ratio satisfies
+    f(b).  The first step is 1/_N0 of the segment, as in the sampled
+    tracker; steps are halved until each consecutive value ratio satisfies
     |Log ratio| < max_ratio_log, so the tracked argument never jumps by a
     half turn.  Raises ContourThroughZero when halving bottoms out, which
-    indicates f vanishes on or very near the segment.
+    indicates f vanishes on or very near the segment.  Kept as the scalar
+    oracle of the sampled trackers.
     """
     f_a = f(a) if f_a is None else f_a
     if f_a == 0:
         raise ContourThroughZero(f"f({a:.6g}) = 0 on contour")
     total = 0.0 + 0.0j
     t = 0.0
-    step = 1.0
+    step = 1.0 / _N0
     f_prev = f_a
     while t < 1.0:
         step = min(step, 1.0 - t)
@@ -169,15 +171,20 @@ def track_log_sampled(f_vec, a: complex, b: complex, n0: int = _N0, n_max: int =
     return _track_edges(f_vec, [(a, b)], n0, n_max)[0]
 
 
-def winding_number_sampled(f_vec, vertices, snap_tol: float = 0.1) -> int:
-    """Winding of a vectorized function around 0 along a closed polyline.
+def _log_change_sampled(f_vec, vertices) -> complex:
+    """Continuous log change of a vectorized function along a polyline.
 
     All edges are sampled together, and only those failing the ratio test
     are resampled, so each edge ends at the n track_log_sampled gives it.
     """
-    verts = _closed(vertices)
+    verts = list(vertices)
     tracks = _track_edges(f_vec, list(zip(verts[:-1], verts[1:])), _N0, _N_MAX)
-    return _snap_winding(sum((d for d, _ in tracks), 0.0 + 0.0j), snap_tol)
+    return sum((d for d, _ in tracks), 0.0 + 0.0j)
+
+
+def winding_number_sampled(f_vec, vertices, snap_tol: float = 0.1) -> int:
+    """Winding of a vectorized function around 0 along a closed polyline."""
+    return _snap_winding(_log_change_sampled(f_vec, _closed(vertices)), snap_tol)
 
 
 def winding_number(f, vertices, snap_tol: float = 0.1) -> int:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nodal_theta.abel_jacobi import (
+    _theta_quotient,
     a_eps,
     a_eps_bruteforce,
     default_path,
@@ -23,12 +24,22 @@ from nodal_theta.abel_jacobi import (
 from nodal_theta.curve import derive_periods
 from nodal_theta.differentials import third_kind
 from nodal_theta.errors import PoleProximity
-from nodal_theta.quadrature import integrate_polyline
-from nodal_theta.theta import e_func
+from nodal_theta.quadrature import integrate_polyline, track_log
+from nodal_theta.theta import TWO_PI_I, e_func
 
 
 def circle_poly(center, radius, n=24):
     return [center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n + 1)]
+
+
+def phi2_scalar(spec, verts):
+    """phi2 along the polyline by the scalar step-halving log tracker."""
+    q = _theta_quotient(spec)
+    total, f_cur = 0.0 + 0.0j, q(verts[0])
+    for a, b in zip(verts[:-1], verts[1:]):
+        d, f_cur = track_log(q, a, b, f_a=f_cur)
+        total += d
+    return total / TWO_PI_I + third_kind(spec).kappa_coeff * (verts[-1] - verts[0])
 
 
 class TestPhi1:
@@ -80,6 +91,22 @@ class TestPhi2:
     def test_pole_proximity_raises(self, spec_a):
         with pytest.raises(PoleProximity):
             trace_path(spec_a, (spec_a.z0, spec_a.p1))
+
+    def test_sampled_walk_matches_scalar_oracle(self, spec_ab):
+        # every cell point of a 40 x 40 grid that admits a default path; a
+        # different integer branch would show as a gap of about 1
+        spec = spec_ab
+        n_points = 0
+        for s in np.linspace(0.0, 1.0, 40):
+            for t in np.linspace(0.0, 1.0, 40):
+                try:
+                    verts = default_path_vertices(spec, spec.point(s, t))
+                except PoleProximity:
+                    continue
+                gap = trace_path(spec, verts).branch_state - phi2_scalar(spec, verts)
+                assert abs(gap) < 1e-12, (s, t, gap)
+                n_points += 1
+        assert n_points > 1500
 
 
 class TestTranslationIncrements:

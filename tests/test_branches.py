@@ -17,7 +17,6 @@ import pytest
 from nodal_theta import branches
 from nodal_theta.abel_jacobi import phi
 from nodal_theta.branches import (
-    BranchInverse,
     beta_k,
     estimate_u20_radius,
     select_epsilon,
@@ -147,11 +146,6 @@ class TestBetaK:
         for i in (1, 2):
             if errs[i] > 1e-14 and errs[i + 1] > 1e-15:
                 assert errs[i + 1] / errs[i] ** 2 < 1e4
-
-    def test_branch_inverse_bundle(self, spec_a, kappa_a):
-        inv = BranchInverse(eps=EPS_SEL, k=2)
-        u = (0.25 + 0.15j, 0.4 + 0.1j)
-        assert inv(u, spec_a) == beta_k(u, spec_a, EPS_SEL, k=2)
 
 
 class TestZeroSet:

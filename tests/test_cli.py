@@ -1,11 +1,14 @@
 """Config ingestion, report emission, determinism, exit codes."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from nodal_theta.cli import ConfigError, main, parse_config
-from nodal_theta.presets import CONFIG_A_TEXT, CONFIG_B_TEXT
+from nodal_theta.presets import CONFIG_A_TEXT, CONFIG_B_TEXT, config_a, config_b
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.fixture()
@@ -47,6 +50,14 @@ class TestConfigParsing:
         p.write_text(CONFIG_A_TEXT.replace("curve.p1 = 0.76,0.52", "curve.p1 = 0.45,0.35"))
         with pytest.raises(ConfigError):
             parse_config(p)
+
+    @pytest.mark.parametrize(
+        "name, text, make_spec", [("a", CONFIG_A_TEXT, config_a), ("b", CONFIG_B_TEXT, config_b)]
+    )
+    def test_demo_config_matches_preset(self, name, text, make_spec):
+        path = DEMOS / f"config_{name}.cfg"
+        assert path.read_bytes() == text.encode("utf-8")
+        assert parse_config(path).spec == make_spec()
 
 
 class TestCommands:

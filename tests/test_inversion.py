@@ -10,6 +10,7 @@ Independent oracles used here:
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from nodal_theta.abel_jacobi import divisor_image, phi1, phi2
 from nodal_theta.curve import derive_periods, mod_gamma_decompose, period_group
 from nodal_theta.errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
 from nodal_theta.inversion import (
+    GENERICITY_TOL,
     DMap,
+    _theta_scale,
     ThetaPullback,
     alpha_dlog_integral,
     beta_dlog_integral,
@@ -27,8 +30,7 @@ from nodal_theta.inversion import (
     count_zeros,
     d_map,
     d_map_corrected,
-    frak_T,
-    g_func,
+    genericity_failure,
     jacobian_consistency_check,
     kappa_vector,
     laurent_data,
@@ -38,7 +40,7 @@ from nodal_theta.inversion import (
     sample_generic_c,
     verify_thm51,
 )
-from nodal_theta.theta import TWO_PI_I, e_func, theta_char
+from nodal_theta.theta import TWO_PI_I, e_func, theta_char, theta_char_dz
 
 EPS_W = 0.03  # working radius used throughout (half the U2 radius)
 
@@ -110,17 +112,14 @@ class TestPullback:
         assert abs(lim) > 1e-3
 
     def test_genericity_guard(self, spec_a):
-        # put c1 exactly at a zero of theta00(phi1(p1) - c1): guard must trip
+        # c1 exactly on a zero of each theta00 guard in turn: that guard trips
         spec = spec_a
         zero_of_theta = 0.5 + 0.5 * spec.tau  # theta00 vanishes at (1+tau)/2
-        c1_bad = phi1(spec, spec.p1) - zero_of_theta
-        with pytest.raises(DegenerateC):
-            ThetaPullback((c1_bad, 0.1), spec)
-
-    def test_frak_T_alias(self, spec_a):
-        tp = generic_tp(spec_a)
-        P = spec_a.point(0.3, 0.8)
-        assert frak_T(tp, P) == tp.value(P)
+        for name, point in (("theta00(phi1(p1) - c1)", spec.p1), ("theta00(phi1(p2) - c1)", spec.p2)):
+            c1_bad = phi1(spec, point) - zero_of_theta
+            assert genericity_failure(spec, c1_bad) == name
+            with pytest.raises(DegenerateC, match=re.escape(name)):
+                ThetaPullback((c1_bad, 0.1), spec)
 
 
 class TestZeroCounting:
@@ -259,19 +258,28 @@ class TestLaurentData:
         assert abs(ld.h2_prime(t) - fd) < 1e-6 * max(1.0, abs(fd))
 
     def test_degenerate_c_rejected(self, spec_a):
+        """The theta[-r1;r2](phi1(p2) - c1) guard.
+
+        theta[-r1;r2](x) is a nonvanishing multiple of theta00(x + p1 - p2),
+        so this theta shares its zeros with the p1 guard's, and on a zero the
+        p1 guard, which runs first, trips.  Near the zero translate used
+        below the theta_r guard is the more sensitive of the two (ratio of
+        normalized slopes about 0.23 on config A), so half way to its
+        threshold it trips alone.
+        """
         spec = spec_a
         r1, r2, _ = derive_periods(spec)
-        # place c1 at a zero of theta[-r1;r2](phi1(p2) - c1):
+        name = "theta[-r1;r2](phi1(p2) - c1)"
         # zeros of theta[a;b] sit at z = (1/2 - b) + (1/2 - a) tau mod lattice
         zero_arg = (0.5 - r2) + (0.5 + r1) * spec.tau
-        c1_bad = phi1(spec, spec.p2) - zero_arg
-        tp = None
-        try:
-            tp = ThetaPullback((c1_bad, 0.2), spec)
-        except DegenerateC:
-            return  # tripped already at the pullback guard: acceptable
-        with pytest.raises(DegenerateC):
-            laurent_data(tp, EPS_W)
+        assert genericity_failure(spec, phi1(spec, spec.p2) - zero_arg) == "theta00(phi1(p1) - c1)"
+        x2 = zero_arg + spec.tau
+        slope = abs(theta_char_dz((-r1, r2), x2, spec.tau))
+        h = 0.5 * GENERICITY_TOL * _theta_scale(spec.tau, (-r1, r2)) / slope
+        c1_bad = phi1(spec, spec.p2) - x2 - h
+        assert genericity_failure(spec, c1_bad) == name
+        with pytest.raises(DegenerateC, match=re.escape(name)):
+            ThetaPullback((c1_bad, 0.2), spec)
 
 
 class TestGFunction:
@@ -296,11 +304,6 @@ class TestGFunction:
         ts = np.array([1e-3, 1e-4, 1e-5])
         for t in ts:
             assert abs(ld.g(t) - ld.g0) < 10.0 * abs(ld.g0) * t
-
-    def test_g_func_entry_point(self, spec_a):
-        tp = generic_tp(spec_a)
-        val = g_func(tp, EPS_W / 2, t0=EPS_W)
-        assert np.isfinite(val)
 
 
 class TestMobius:

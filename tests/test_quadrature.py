@@ -2,10 +2,9 @@
 
 `winding_number_sampled` samples every edge of a closed polyline in one
 vectorized call and resamples only the edges that fail the ratio test.
-Oracles: the scalar step-halving `winding_number` on the polyline cut into
-short pieces (its first step spans a whole segment, so on a long edge it can
-step over a full turn of T_c), and `track_log_sampled` run edge by edge,
-which fixes the sample count each edge must end at.
+Oracles: the scalar step-halving `winding_number`, whose first step is
+1/32 of an edge as in the sampled loop, and `track_log_sampled` run edge by
+edge, which fixes the sample count each edge must end at.
 """
 
 import numpy as np
@@ -13,17 +12,12 @@ import pytest
 
 from nodal_theta.curve import lattice_coords
 from nodal_theta.errors import ContourThroughZero
-from nodal_theta.inversion import ThetaPullback, locate_zeros, sample_generic_c
+from nodal_theta.inversion import ThetaPullback, count_zeros, locate_zeros, sample_generic_c
 from nodal_theta.quadrature import track_log_sampled, winding_number, winding_number_sampled
 
 
 def box(spec, s0, s1, t0, t1):
     return [spec.point(s, t) for s, t in ((s0, t0), (s1, t0), (s1, t1), (s0, t1), (s0, t0))]
-
-
-def scalar_winding(f, verts, pieces=64):
-    fine = [a + (b - a) * (k / pieces) for a, b in zip(verts[:-1], verts[1:]) for k in range(pieces)]
-    return winding_number(f, fine + [verts[-1]])
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +52,19 @@ def test_matches_scalar_oracle(pullback):
     seen = set()
     for b in boxes:
         w = winding_number_sampled(tp.value, box(spec, *b))
-        assert w == scalar_winding(tp.value, box(spec, *b))
+        assert w == winding_number(tp.value, box(spec, *b))
         seen.add(w)
     assert {-1, 1} <= seen
+
+
+def test_scalar_winding_counts_zeros_on_whole_cell(spec_ab):
+    # one edge per side of the cell: the scalar tracker's first step must not
+    # span a whole edge, or one small ratio can hide a full turn of T_c
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        c, _ = sample_generic_c(spec_ab, rng)
+        tp = ThetaPullback(c, spec_ab)
+        assert winding_number(tp.value, box(spec_ab, 0, 1, 0, 1)) + 1 == count_zeros(tp)
 
 
 def test_edge_through_zero_raises(pullback):
@@ -72,7 +76,7 @@ def test_edge_through_zero_raises(pullback):
         with pytest.raises(ContourThroughZero):
             winding_number_sampled(tp.value, verts)
         with pytest.raises(ContourThroughZero):
-            scalar_winding(tp.value, verts)
+            winding_number(tp.value, verts)
 
 
 def test_resamples_only_failing_edges(pullback):
@@ -83,7 +87,7 @@ def test_resamples_only_failing_edges(pullback):
     verts = box(spec, s - 2e-3, s + 0.2, t - 0.1, t + 0.1)
     f = CountingF(tp.value)
     w = winding_number_sampled(f, verts)
-    assert w == scalar_winding(tp.value, verts)
+    assert w == winding_number(tp.value, verts)
 
     n0 = 32
     assert len(f.calls) >= 2
