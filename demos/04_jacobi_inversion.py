@@ -10,6 +10,7 @@ first component.
 import numpy as np
 
 from nodal_theta.inversion import (
+    DMap,
     ThetaPullback,
     branch_correction,
     count_zeros,
@@ -29,7 +30,7 @@ print("zero count by the argument principle (pole-corrected):", count_zeros(tp))
 q1, q2 = locate_zeros(tp)
 print(f"zeros: {q1:.10f}  and  {q2:.10f}")
 print(f"residuals: {abs(tp.value(q1)):.2e}, {abs(tp.value(q2)):.2e}")
-print(f"branch-cut term A(eps, c) = {branch_correction(tp, 0.05):.8f}")
+print(f"branch-cut term A(eps, c) = {branch_correction(DMap(spec, c[0], 0.05), c[1]):.8f}")
 
 print("\ncongruence residuals over generic shifts (eps = 0.05):")
 results, resampled = run_thm51_batch(spec, 5, rng, eps=0.05)

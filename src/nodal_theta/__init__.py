@@ -29,7 +29,6 @@ from .curve import (
 from .differentials import ThirdKindDifferential, eta_coeff, h1_at_p2, h_at_p1, period_integral
 from .inversion import (
     DMap,
-    LaurentData,
     RiemannConstants,
     ThetaPullback,
     Thm51Result,
@@ -37,7 +36,6 @@ from .inversion import (
     count_zeros,
     d_map,
     d_map_corrected,
-    laurent_data,
     locate_zeros,
     riemann_constants,
     verify_thm51,
@@ -64,7 +62,6 @@ __all__ = [
     "DMap",
     "GammaDecomposition",
     "LatticeRep",
-    "LaurentData",
     "ModularParameter",
     "NodalCurveSpec",
     "PeriodGroup",
@@ -89,7 +86,6 @@ __all__ = [
     "h1_at_p2",
     "h_at_p1",
     "is_toroidal",
-    "laurent_data",
     "locate_zeros",
     "mod_gamma_decompose",
     "period_group",

@@ -8,16 +8,15 @@ inverted by 1-d complex Newton in c2 on
 
     F(c2) = c1*r1 + H3(eps; (c1, c2))/(2*pi*i) - (u2 - kappa2),
 
-started from the closed-form solution of the t -> 0 linearization.  The
+started from the closed-form solution of the t -> 0 linearization; one
+node chart (inversion.DMap) of (c1, eps) serves every trial c2.  The
 branch-corrected map d_corr(eps) (see inversion.branch_correction) is affine
-in c2 and inverts in closed form; it is the corrected inverse that places
-the curve image inside the zero set of the generalized theta function, so
-zero_set_residual uses it by default.
+in c2 and inverts in closed form from the same chart's branch-cut terms; it
+is the corrected inverse that places the curve image inside the zero set of
+the generalized theta function, so zero_set_residual uses it by default.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -29,15 +28,8 @@ from .errors import (
     NoValidEpsilon,
     QuadratureFailure,
 )
-from .inversion import (
-    DMap,
-    ThetaPullback,
-    kappa_vector,
-    laurent_data,
-    riemann_constants,
-    sample_generic_c,
-)
-from .theta import TWO_PI_I, big_theta, theta_char
+from .inversion import DMap, kappa_vector, riemann_constants, sample_generic_c
+from .theta import TWO_PI_I, big_theta
 
 _PERIOD_FRACTIONS = (
     0.5,
@@ -53,15 +45,15 @@ def estimate_u20_radius(spec: NodalCurveSpec, rng: np.random.Generator | None = 
     below by det_floor * scale, sampled over chart circles and generic c."""
     rng = np.random.default_rng(1905) if rng is None else rng
     cs = [sample_generic_c(spec, rng)[0] for _ in range(n_c1)]
-    lds = [laurent_data(ThetaPullback(c, spec), spec.eps / 2) for c in cs]
+    dms = [DMap(spec, c[0], spec.eps / 2) for c in cs]
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
     best = 0.0
     for frac in np.linspace(0.95, 0.15, 17):
         r = frac * spec.eps
         dets, scales = [], []
-        for ld in lds:
+        for dm in dms:
             for rho in (r, 0.75 * r, 0.5 * r, 0.25 * r):
-                A, B, C, D = ld.mobius_coeffs(rho * angles)
+                A, B, C, D = dm.mobius_coeffs(rho * angles)
                 dets.append(np.min(np.abs(A * D - B * C)))
                 scales.append(np.max(np.abs(A * D) + np.abs(B * C)))
         if min(dets) > det_floor * max(scales):
@@ -128,23 +120,16 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
 
     # c2 enters the map only through e(-c2): one DMap serves every trial c2
     dm = DMap(spec, c1, eps)
-    ld0 = dm.ld
-    from .abel_jacobi import phi1 as _phi1
-
-    x1 = _phi1(spec, spec.p1) - c1
-    th00_p1 = theta_char((0.0, 0.0), x1, spec.tau, spec.policy)
-    beta_c1 = ld0.beta_coeff  # theta_r(phi1(p2) - c1) * g(0)
 
     if use_correction:
-        # d2_corr = c1 r1 + c2 + (Log th00(x1) - Log beta + log eps)/(2 pi i)
-        c2 = v - c1 * r1 - (np.log(th00_p1) - np.log(beta_c1) + math.log(eps)) / TWO_PI_I + k
+        # d2_corr = c1 r1 + c2 + (Log th00(x1) - Log beta + log eps)/(2 pi i),
+        # with beta = theta_r(phi1(p2) - c1) * g(0) = c_minus1 e(c2)
+        c2 = v - c1 * r1 - dm.branch_log(np.log(dm.beta_coeff)) / TWO_PI_I + k
         return (c1, complex(c2))
 
     # linearized start: H3 ~ eps * h3(0; c), affine in e(c2)
-    x2 = _phi1(spec, spec.p2) - c1
-    th00_p2 = theta_char((0.0, 0.0), x2, spec.tau, spec.policy)
-    P_lin = th00_p2 / beta_c1
-    R_lin = ld0.h3_zero_defect
+    P_lin = dm.alpha1(0.0) / dm.beta_coeff
+    R_lin = dm.h3_zero_defect
     target = (v - c1 * r1) * TWO_PI_I / eps
     arg = (target - R_lin) / P_lin
     if arg == 0:

@@ -15,9 +15,9 @@ Exit codes: 0 all thresholds met, 1 threshold failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ class ConfigError(NodalThetaError):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     spec: NodalCurveSpec
     eps_candidates: tuple[float, ...]
@@ -61,15 +61,34 @@ class RunConfig:
     seed: int = 20260808
     out_dir: str = "out"
 
+    def __post_init__(self):
+        # also runs on dataclasses.replace, so command-line overrides are checked
+        for name, value, low in (("samples", self.samples, 1), ("grid", self.grid, 1),
+                                 ("seed", self.seed, 0)):
+            if value < low:
+                raise ConfigError(f"run.{name} must be at least {low}, got {value}")
+        if self.tol_congruence <= 0:
+            raise ConfigError(f"tol.congruence must be positive, got {self.tol_congruence}")
+        if min(self.eps_candidates) <= 0:
+            raise ConfigError(f"curve.eps_candidates must be positive, got {self.eps_candidates}")
+
 
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"complex values are written 're,im', got {text!r}")
+    return complex(_parse_float(parts[0]), _parse_float(parts[1]))
+
+
+def _parse_float(text: str) -> float:
+    """A finite float; NaN and infinities are malformed values too."""
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        val = float(text)
     except ValueError as exc:
-        raise ConfigError(f"bad complex value {text!r}") from exc
+        raise ConfigError(f"bad float {text!r}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"non-finite float {text!r}")
+    return val
 
 
 _CONFIG_KEYS = frozenset({
@@ -114,9 +133,9 @@ def parse_config(path: str | Path) -> RunConfig:
                 raise ConfigError(f"missing config key {key!r}")
             return default
         try:
-            return float(entries[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad float for {key!r}: {entries[key]!r}") from exc
+            return _parse_float(entries[key])
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} for {key!r}") from exc
 
     try:
         policy = SeriesPolicy(abs_tol=get_float("tol.series", 1e-14))
@@ -135,9 +154,9 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"invalid curve data: {exc}") from exc
     cand_text = entries.get("curve.eps_candidates", "")
     try:
-        candidates = tuple(float(tok) for tok in cand_text.split()) if cand_text else (spec.eps / 2,)
-    except ValueError as exc:
-        raise ConfigError(f"bad eps candidate list {cand_text!r}") from exc
+        candidates = tuple(_parse_float(tok) for tok in cand_text.split()) if cand_text else (spec.eps / 2,)
+    except ConfigError as exc:
+        raise ConfigError(f"bad eps candidate list {cand_text!r}: {exc}") from exc
     try:
         samples = int(entries.get("run.samples", "10"))
         grid = int(entries.get("run.grid", "6"))
@@ -258,9 +277,9 @@ def cmd_periods(cfg: RunConfig, out_dir: Path) -> bool:
     return ok
 
 
-def cmd_thm51(cfg: RunConfig, out_dir: Path, samples: int | None = None) -> bool:
+def cmd_thm51(cfg: RunConfig, out_dir: Path) -> bool:
     spec = cfg.spec
-    n_samples = cfg.samples if samples is None else samples
+    n_samples = cfg.samples
     rng = _rng(cfg.seed)
     eps_w = select_epsilon(spec, cfg.eps_candidates, rng=_rng(cfg.seed + 1))
 
@@ -355,9 +374,9 @@ def cmd_thm51(cfg: RunConfig, out_dir: Path, samples: int | None = None) -> bool
     return summary_ok
 
 
-def cmd_thm66(cfg: RunConfig, out_dir: Path, samples: int | None = None) -> bool:
+def cmd_thm66(cfg: RunConfig, out_dir: Path) -> bool:
     spec = cfg.spec
-    n_target = max(20, cfg.samples if samples is None else samples)
+    n_target = max(20, cfg.samples)
     rng = _rng(cfg.seed)
     eps_w = select_epsilon(spec, cfg.eps_candidates, rng=_rng(cfg.seed + 1))
     kap = kappa_vector(riemann_constants(spec, eps_w), spec, "half_tau")
@@ -506,11 +525,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        overrides = {"seed": args.seed, "samples": args.samples}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -518,12 +537,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot create {out_dir}: {exc}", file=sys.stderr)
         return 2
 
-    fn = COMMANDS[args.command]
     try:
-        if args.command in ("thm51", "thm66"):
-            ok = fn(cfg, out_dir, samples=args.samples)
-        else:
-            ok = fn(cfg, out_dir)
+        ok = COMMANDS[args.command](cfg, out_dir)
     except NodalThetaError as exc:
         print(f"suite error: {exc}", file=sys.stderr)
         return 1

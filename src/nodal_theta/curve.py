@@ -11,6 +11,7 @@ differential constructed in `differentials`.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -115,12 +116,14 @@ class NodalCurveSpec:
 
     def __post_init__(self):
         tau = complex(self.tau)
+        if not all(cmath.isfinite(complex(z)) for z in (tau, self.p1, self.p2, self.z0, self.q0)):
+            raise ValueError("tau and the points must be finite")
         if tau.imag <= 0:
             raise ValueError("Im(tau) must be positive")
-        if self.delta <= 0 or self.eps <= 0:
-            raise ValueError("disk radii must be positive")
-        if self.quad_tol <= 0:
-            raise ValueError("quad_tol must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in (self.delta, self.eps)):
+            raise ValueError("disk radii must be positive and finite")
+        if not (math.isfinite(self.quad_tol) and self.quad_tol > 0):
+            raise ValueError("quad_tol must be positive and finite")
         q0 = complex(self.q0)
         p1 = reduce_to_cell(complex(self.p1), q0, tau)
         p2 = reduce_to_cell(complex(self.p2), q0, tau)

@@ -15,7 +15,9 @@ exactly two zeros; their divisor image W satisfies
     W == d(eps)(c) + kappa(eps)   mod Gamma,
 
 which `verify_thm51` checks for both readings of the constant (-tau/2
-versus -tau in the first component), reporting the residual of each.
+versus -tau in the first component), reporting the residual of each.  The
+Laurent data at p2, d(eps) and the branch-cut term all come from one node
+chart per (c1, eps), `DMap`, which takes c2 as an argument.
 """
 
 from __future__ import annotations
@@ -244,42 +246,58 @@ def locate_zeros(tp: ThetaPullback) -> tuple[complex, complex]:
     return q1, q2
 
 
-# -- Laurent data on the node chart ------------------------------------------
+# -- the node chart and the d-map ---------------------------------------------
 
 
-class LaurentData:
-    """Evaluators for the pole expansion of T_c at p2 in the chart z = p2 + t.
+def _moebius(abcd, ec):
+    A, B, C, D = abcd
+    return (A + B * ec) / (C + D * ec)
+
+
+def _moebius_dc2(abcd, ec):
+    """c2-derivative of _moebius, with ec = e(-c2)."""
+    A, B, C, D = abcd
+    return TWO_PI_I * ec * (A * D - B * C) / (C + D * ec) ** 2
+
+
+class DMap:
+    """The node chart z = p2 + t of T_c for one (c1, eps), and the second
+    component of d(eps)(c) as a function of c2.
 
     T_c(t) = c_minus1/t + h2(t), h3 = T'/T + 1/t = (h2 + h2' t)/(c_minus1 + h2 t),
-    and the Moebius structure h3 = (A + B e(-c2))/(C + D e(-c2)) in e(-c2).
+    and h3 = (A + B e(-c2))/(C + D e(-c2)) with A..D independent of c2.  The
+    chart holds what does not depend on c2 (the factor g anchored at eps,
+    alpha1, alpha2, beta_coeff = G(0), theta00(phi1(p1) - c1)); everything
+    that does takes c2 as an argument.  H3 / d2 and dH3_dc2 / d2_dc2 read
+    A..D from a memo keyed by the quadrature node array, so each node array
+    is evaluated once whatever c2 is; h3 and dh3_dc2 evaluate them afresh.
 
     `h3_zero` is the value h3(0; c) implied by the definitions; the shorter
     closed form lacking the derivative term (`h3_zero_no_derivative`) is kept
-    for comparison because downstream displays quote it, and its deviation is
-    exactly `h3_zero_defect`.
+    for comparison, and its deviation is exactly `h3_zero_defect`.  The
+    genericity guard runs once, at construction.
     """
 
     _SMALL_T = 1e-3
 
-    def __init__(self, tp: ThetaPullback, t0: float):
-        if t0 <= 0 or t0 >= tp.spec.eps * 1.0001:
-            raise ValueError("chart anchor t0 must lie in (0, eps]")
-        self.tp = tp
-        self.spec = tp.spec
-        self.t0 = float(t0)
-        spec = tp.spec
+    def __init__(self, spec: NodalCurveSpec, c1, eps: float):
+        if eps <= 0 or eps >= spec.eps * 1.0001:
+            raise ValueError("chart radius eps must lie in (0, spec.eps]")
+        tp = ThetaPullback((c1, 0.0), spec)
+        self.spec = spec
+        self.c1 = tp.c1
+        self.eps = float(eps)
+        self.r1 = tp.r1
         self.diff = third_kind(spec)
-        self.x2 = phi1(spec, spec.p2) - tp.c1
+        self.x2 = phi1(spec, spec.p2) - self.c1
         self._rchar = tp._rchar
-        # e(phi2) at the chart anchor, branch-free
-        self._e_phi2_t0 = tp.e_phi2(spec.p2 + self.t0)
-        h1c = self._h1_derivs()
+        self.theta00_p1 = theta_char((0.0, 0.0), phi1(spec, spec.p1) - self.c1, spec.tau, spec.policy)
+        # e(phi2) at the chart anchor t = eps, branch-free
+        self._e_phi2_eps = tp.e_phi2(spec.p2 + self.eps)
         self.g0 = complex(self.g(0.0))
-        L = lambda k, t: theta_char_dzk(self._rchar, self.x2 + t, spec.tau, k, spec.policy)
-        l0, l1, l2, l3 = (L(k, 0.0) for k in range(4))
-        m = TWO_PI_I * h1c[0]
-        mp = TWO_PI_I * h1c[1]
-        mpp = TWO_PI_I * h1c[2]
+        _, h1c = self.diff._h1_series()
+        m, mp, mpp = (TWO_PI_I * h for h in (complex(h1c[0]), complex(h1c[1]), 2.0 * complex(h1c[2])))
+        l0, l1, l2, l3 = (theta_char_dzk(self._rchar, self.x2, spec.tau, k, spec.policy) for k in range(4))
         g0 = self.g0
         self._G_taylor = (
             l0 * g0,
@@ -287,32 +305,15 @@ class LaurentData:
             (l2 + 2 * m * l1 + (m * m + mp) * l0) * g0,
             (l3 + 3 * m * l2 + 3 * (m * m + mp) * l1 + (m**3 + 3 * m * mp + mpp) * l0) * g0,
         )
-        self.c_minus1 = self._G_taylor[0] * e_func(-tp.c2)
         self.beta_coeff = self._G_taylor[0]
+        self.coeffs: dict[bytes, tuple] = {}  # node array bytes -> (A, B, C, D)
 
-    def _h1_derivs(self) -> tuple[complex, complex, complex]:
-        rho, coeffs = self.diff._h1_series()
-        return complex(coeffs[0]), complex(coeffs[1]), 2.0 * complex(coeffs[2])
-
-    # -- chart factor g ------------------------------------------------------
+    # -- chart factor g and the Moebius coefficients --------------------------
 
     def g(self, t):
-        """g(t) = e(phi2(t0)) * t0 * e(int_{t0}^t h1), so e(phi2(p2+t)) = g(t)/t."""
+        """g(t) = e(phi2(p2 + eps)) * eps * e(int_eps^t h1), so e(phi2(p2+t)) = g(t)/t."""
         prim = self.diff.h1_primitive
-        val = self._e_phi2_t0 * self.t0 * np.exp(TWO_PI_I * (prim(t) - prim(self.t0)))
-        return val
-
-    def _G(self, t):
-        spec = self.spec
-        return theta_char(self._rchar, self.x2 + t, spec.tau, spec.policy) * self.g(t)
-
-    def _G_prime(self, t):
-        spec = self.spec
-        th = theta_char(self._rchar, self.x2 + t, spec.tau, spec.policy)
-        thp = theta_char_dz(self._rchar, self.x2 + t, spec.tau, spec.policy)
-        return (thp + TWO_PI_I * self.diff.h1_at_p2(t) * th) * self.g(t)
-
-    # -- Moebius coefficient functions ----------------------------------------
+        return self._e_phi2_eps * self.eps * np.exp(TWO_PI_I * (prim(t) - prim(self.eps)))
 
     def alpha1(self, t):
         return theta_char((0.0, 0.0), self.x2 + t, self.spec.tau, self.spec.policy)
@@ -321,147 +322,111 @@ class LaurentData:
         return theta_char_dz((0.0, 0.0), self.x2 + t, self.spec.tau, self.spec.policy)
 
     def alpha2(self, t):
-        """(G(t) - G(0))/t extended through t = 0."""
+        """alpha2 = (G(t) - G(0))/t and alpha2', extended through t = 0, with
+        G(t) = theta[-r1;r2](x2 + t) g(t).  theta_r, theta_r', g and h1 are
+        evaluated once on the nodes away from 0."""
         t = np.asarray(t, dtype=np.complex128)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = np.empty_like(t)
+        a2, a2p = np.empty_like(t), np.empty_like(t)
         small = np.abs(t) < self._SMALL_T
         if np.any(~small):
+            spec = self.spec
             ts = t[~small]
-            out[~small] = (self._G(ts) - self._G_taylor[0]) / ts
+            th = theta_char(self._rchar, self.x2 + ts, spec.tau, spec.policy)
+            thp = theta_char_dz(self._rchar, self.x2 + ts, spec.tau, spec.policy)
+            g = self.g(ts)
+            dG = th * g - self._G_taylor[0]
+            a2[~small] = dG / ts
+            a2p[~small] = ((thp + TWO_PI_I * self.diff.h1_at_p2(ts) * th) * g * ts - dG) / (ts * ts)
         if np.any(small):
             ts = t[small]
             _, g1, g2, g3 = self._G_taylor
-            out[small] = g1 + ts * (g2 / 2.0 + ts * (g3 / 6.0))
-        return complex(out[0]) if scalar else out
-
-    def alpha2_prime(self, t):
-        t = np.asarray(t, dtype=np.complex128)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty_like(t)
-        small = np.abs(t) < self._SMALL_T
-        if np.any(~small):
-            ts = t[~small]
-            out[~small] = (self._G_prime(ts) * ts - (self._G(ts) - self._G_taylor[0])) / (ts * ts)
-        if np.any(small):
-            ts = t[small]
-            _, _, g2, g3 = self._G_taylor
-            out[small] = g2 / 2.0 + ts * (g3 / 3.0)
-        return complex(out[0]) if scalar else out
+            a2[small] = g1 + ts * (g2 / 2.0 + ts * (g3 / 6.0))
+            a2p[small] = g2 / 2.0 + ts * (g3 / 3.0)
+        return (complex(a2[0]), complex(a2p[0])) if scalar else (a2, a2p)
 
     def mobius_coeffs(self, t):
         """(A, B, C, D) with h3 = (A + B e(-c2)) / (C + D e(-c2))."""
         a1, a1p = self.alpha1(t), self.alpha1_prime(t)
-        a2, a2p = self.alpha2(t), self.alpha2_prime(t)
+        a2, a2p = self.alpha2(t)
         A = a1 + t * a1p
         B = a2 + t * a2p
         C = t * a1
         D = self.beta_coeff + t * a2
         return A, B, C, D
 
-    # -- pole expansion -------------------------------------------------------
-
-    def h2(self, t):
-        return self.alpha1(t) + self.alpha2(t) * e_func(-self.tp.c2)
-
-    def h2_prime(self, t):
-        return self.alpha1_prime(t) + self.alpha2_prime(t) * e_func(-self.tp.c2)
-
-    def h3(self, t):
-        A, B, C, D = self.mobius_coeffs(t)
-        ec = e_func(-self.tp.c2)
-        return (A + B * ec) / (C + D * ec)
-
-    def dh3_dc2(self, t):
-        """Analytic partial derivative of h3 with respect to c2."""
-        A, B, C, D = self.mobius_coeffs(t)
-        ec = e_func(-self.tp.c2)
-        return TWO_PI_I * ec * (A * D - B * C) / (C + D * ec) ** 2
-
-    @property
-    def h3_zero(self) -> complex:
-        """h3(0; c) implied by the definitions (includes the derivative term)."""
-        ec = e_func(-self.tp.c2)
-        return complex((self.alpha1(0.0) + self._G_taylor[1] * ec) / (self.beta_coeff * ec))
-
-    @property
-    def h3_zero_no_derivative(self) -> complex:
-        """Shorter closed form theta00(x2) e(c2) / (theta_r(x2) g(0)); deviates
-        from h3_zero by h3_zero_defect."""
-        return complex(self.alpha1(0.0) * e_func(self.tp.c2) / self.beta_coeff)
-
-    @property
-    def h3_zero_defect(self) -> complex:
-        """Predicted gap between the two closed forms:
-        theta_r'/theta_r(x2) + 2*pi*i*h1(0)."""
-        return complex(self._G_taylor[1] / self._G_taylor[0])
-
-    def H3(self, t) -> complex:
-        """Integral of h3 along the straight segment from 0 to t."""
-        if t == 0:
-            return 0.0 + 0.0j
-        return integrate_segment(self.h3, 0.0, complex(t), self.spec.quad_tol)
-
-    def dH3_dc2(self, t) -> complex:
-        if t == 0:
-            return 0.0 + 0.0j
-        return integrate_segment(self.dh3_dc2, 0.0, complex(t), self.spec.quad_tol)
-
-
-def laurent_data(tp: ThetaPullback, t0: float | None = None) -> LaurentData:
-    """Laurent/Moebius evaluators at the node chart; t0 defaults to eps/2."""
-    return LaurentData(tp, tp.spec.eps / 2 if t0 is None else t0)
-
-
-class DMap:
-    """The second component of d(eps)(c) as a function of c2, for one (c1, eps).
-
-    The Moebius coefficients A..D of h3 do not depend on c2, which enters
-    only through e(-c2).  They are evaluated once per quadrature node array
-    and reused by every d2 / d2_dc2 call.  Both integrate the same integrands
-    as LaurentData.H3 / dH3_dc2 through the same adaptive rule, so the values,
-    the refinement and any QuadratureFailure agree with that route exactly.
-    The genericity guard runs once, at construction.
-    """
-
-    def __init__(self, spec: NodalCurveSpec, c1, eps: float):
-        self.ld = laurent_data(ThetaPullback((c1, 0.0), spec), eps)
-        self.c1 = self.ld.tp.c1
-        self.eps = eps
-        self.r1 = self.ld.tp.r1
-        self.coeffs: dict[bytes, tuple] = {}  # node array bytes -> (A, B, C, D)
-
     def _abcd(self, t):
         key = t.tobytes()
         abcd = self.coeffs.get(key)
         if abcd is None:
-            abcd = self.coeffs[key] = self.ld.mobius_coeffs(t)
+            abcd = self.coeffs[key] = self.mobius_coeffs(t)
         return abcd
 
-    def _integral(self, f) -> complex:
-        return integrate_segment(f, 0.0, complex(self.eps), self.ld.spec.quad_tol)
+    @property
+    def h3_zero_defect(self) -> complex:
+        """Gap between the two closed forms of h3(0; c):
+        theta_r'/theta_r(x2) + 2*pi*i*h1(0)."""
+        return complex(self._G_taylor[1] / self._G_taylor[0])
+
+    # -- c2-dependent quantities ----------------------------------------------
+
+    def c_minus1(self, c2) -> complex:
+        """Residue of T_c at p2: G(0) e(-c2)."""
+        return self.beta_coeff * e_func(-complex(c2))
+
+    def h2(self, t, c2):
+        return self.alpha1(t) + self.alpha2(t)[0] * e_func(-complex(c2))
+
+    def h2_prime(self, t, c2):
+        return self.alpha1_prime(t) + self.alpha2(t)[1] * e_func(-complex(c2))
+
+    def h3(self, t, c2):
+        return _moebius(self.mobius_coeffs(t), e_func(-complex(c2)))
+
+    def dh3_dc2(self, t, c2):
+        """Analytic partial derivative of h3 with respect to c2."""
+        return _moebius_dc2(self.mobius_coeffs(t), e_func(-complex(c2)))
+
+    def h3_zero(self, c2) -> complex:
+        """h3(0; c) implied by the definitions (includes the derivative term)."""
+        ec = e_func(-complex(c2))
+        return complex((self.alpha1(0.0) + self._G_taylor[1] * ec) / (self.beta_coeff * ec))
+
+    def h3_zero_no_derivative(self, c2) -> complex:
+        """Shorter closed form theta00(x2) e(c2) / (theta_r(x2) g(0)); deviates
+        from h3_zero by h3_zero_defect."""
+        return complex(self.alpha1(0.0) * e_func(complex(c2)) / self.beta_coeff)
+
+    def _integral(self, f, t) -> complex:
+        t = self.eps if t is None else t
+        if t == 0:
+            return 0.0 + 0.0j
+        return integrate_segment(f, 0.0, complex(t), self.spec.quad_tol)
+
+    def H3(self, c2, t=None) -> complex:
+        """Integral of h3 along the straight segment from 0 to t (default eps)."""
+        ec = e_func(-complex(c2))
+        return self._integral(lambda s: _moebius(self._abcd(s), ec), t)
+
+    def dH3_dc2(self, c2, t=None) -> complex:
+        ec = e_func(-complex(c2))
+        return self._integral(lambda s: _moebius_dc2(self._abcd(s), ec), t)
 
     def d2(self, c2) -> complex:
         """c1*r1 + H3(eps; (c1, c2))/(2*pi*i)."""
-        ec = e_func(-complex(c2))
-
-        def h3(t):
-            A, B, C, D = self._abcd(t)
-            return (A + B * ec) / (C + D * ec)
-
-        return self.c1 * self.r1 + self._integral(h3) / TWO_PI_I
+        return self.c1 * self.r1 + self.H3(c2) / TWO_PI_I
 
     def d2_dc2(self, c2) -> complex:
         """dH3/dc2 (eps; (c1, c2))/(2*pi*i)."""
-        ec = e_func(-complex(c2))
+        return self.dH3_dc2(c2) / TWO_PI_I
 
-        def dh3_dc2(t):
-            A, B, C, D = self._abcd(t)
-            return TWO_PI_I * ec * (A * D - B * C) / (C + D * ec) ** 2
-
-        return self._integral(dh3_dc2) / TWO_PI_I
+    def branch_log(self, log_pole) -> complex:
+        """Log theta00(phi1(p1) - c1) - log_pole + log eps, the part of the
+        branch-cut term A(eps, c) that the corrected map keeps; log_pole is a
+        log of the pole coefficient (Log c_minus1, or Log beta_coeff where c2
+        is solved for)."""
+        return np.log(self.theta00_p1) - log_pole + math.log(self.eps)
 
 
 def d_map(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
@@ -536,7 +501,7 @@ def kappa_vector(rc: RiemannConstants, spec: NodalCurveSpec, variant: str):
 # -- the inversion congruence -------------------------------------------------
 
 
-def branch_correction(tp: ThetaPullback, eps: float, ld: LaurentData | None = None) -> complex:
+def branch_correction(dm: DMap, c2) -> complex:
     """Branch-cut contribution A(eps, c) missing from the naive argument
     principle for the two-component period map.
 
@@ -551,21 +516,13 @@ def branch_correction(tp: ThetaPullback, eps: float, ld: LaurentData | None = No
     returned representative uses principal logs of the closed form
 
         A = (1/2*pi*i) [Log theta00(phi1(P1)-c1) - Log c_minus1 + log eps
-                        - Log(1 + eps*h2(eps)/c_minus1)].
+                        - Log(1 + eps*h2(eps)/c_minus1)]
+
+    on the chart dm of (c1, eps).
     """
-    ld = laurent_data(tp, eps) if ld is None else ld
-    spec = tp.spec
-    x1 = phi1(spec, spec.p1) - tp.c1
-    th = theta_char((0.0, 0.0), x1, spec.tau, spec.policy)
-    return complex(
-        (
-            np.log(th)
-            - np.log(ld.c_minus1)
-            + math.log(eps)
-            - np.log(1.0 + eps * ld.h2(eps) / ld.c_minus1)
-        )
-        / TWO_PI_I
-    )
+    c_minus1 = dm.c_minus1(c2)
+    tail = np.log(1.0 + dm.eps * dm.h2(dm.eps, c2) / c_minus1)
+    return complex((dm.branch_log(np.log(c_minus1)) - tail) / TWO_PI_I)
 
 
 def branch_correction_tracked(tp: ThetaPullback, eps: float) -> complex:
@@ -595,31 +552,21 @@ def d_map_corrected(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, compl
     congruence W == d_corr(eps)(c) + kappa(eps) mod Gamma closes numerically,
     whereas the uncorrected form leaves exactly the A(eps, c) defect.
     """
-    tp = c if isinstance(c, ThetaPullback) else ThetaPullback(c, spec)
-    ld = laurent_data(tp, eps)
-    r1, _, _ = derive_periods(spec)
-    x1 = phi1(spec, spec.p1) - tp.c1
-    th = theta_char((0.0, 0.0), x1, spec.tau, spec.policy)
-    d2 = tp.c1 * r1 + (np.log(th) - np.log(ld.c_minus1) + math.log(eps)) / TWO_PI_I
-    return (tp.c1, complex(d2))
+    dm = DMap(spec, c[0], eps)
+    return (dm.c1, complex(dm.c1 * dm.r1 + dm.branch_log(np.log(dm.c_minus1(c[1]))) / TWO_PI_I))
 
 
-def jacobian_consistency_check(tp: ThetaPullback, eps: float, rel_tol: float = 1e-5) -> float:
-    """Double-entry check of dH3/dc2: quadrature of the analytic derivative
-    against a Richardson-extrapolated central difference.  Returns the
-    relative disagreement and raises JacobianSingular beyond rel_tol."""
+def jacobian_consistency_check(dm: DMap, c2, rel_tol: float = 1e-5) -> float:
+    """Double-entry check of dH3/dc2 at (dm.c1, c2): quadrature of the
+    analytic derivative against a Richardson-extrapolated central difference
+    of H3 on the same chart.  Returns the relative disagreement and raises
+    JacobianSingular beyond rel_tol."""
     from .errors import JacobianSingular
 
-    ld = laurent_data(tp, eps)
-    analytic = ld.dH3_dc2(eps)
+    analytic = dm.dH3_dc2(c2)
     h = 1e-3
-
-    def h3_at(dc2):
-        tp2 = ThetaPullback((tp.c1, tp.c2 + dc2), tp.spec)
-        return laurent_data(tp2, eps).H3(eps)
-
-    d1 = (h3_at(h) - h3_at(-h)) / (2 * h)
-    d2 = (h3_at(h / 2) - h3_at(-h / 2)) / h
+    d1 = (dm.H3(c2 + h) - dm.H3(c2 - h)) / (2 * h)
+    d2 = (dm.H3(c2 + h / 2) - dm.H3(c2 - h / 2)) / h
     fd = (4 * d2 - d1) / 3.0
     rel = abs(analytic - fd) / max(1e-30, abs(analytic))
     if rel > rel_tol:
@@ -677,12 +624,11 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None,
     n = count_zeros(tp)
     zeros = locate_zeros(tp)
     w = divisor_image(spec, list(zeros))
-    ld = laurent_data(tp, eps_w)
-    r1, _, _ = derive_periods(spec)
-    d_val = (tp.c1, tp.c1 * r1 + ld.H3(eps_w) / TWO_PI_I)
-    corr = branch_correction(tp, eps_w, ld)
+    dm = DMap(spec, tp.c1, eps_w)
+    d_val = (dm.c1, dm.d2(tp.c2))
+    corr = branch_correction(dm, tp.c2)
     if check_jacobian:
-        jacobian_consistency_check(tp, eps_w)
+        jacobian_consistency_check(dm, tp.c2)
     rc = riemann_constants(spec, eps_w)
     pg = period_group(spec)
     res = {}

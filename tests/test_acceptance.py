@@ -27,6 +27,7 @@ from nodal_theta.errors import (
     NewtonDivergence,
 )
 from nodal_theta.inversion import (
+    DMap,
     ThetaPullback,
     alpha_dlog_integral,
     beta_dlog_integral,
@@ -36,7 +37,6 @@ from nodal_theta.inversion import (
     d_map,
     jacobian_consistency_check,
     kappa_vector,
-    laurent_data,
     riemann_constants,
     run_thm51_batch,
     sample_generic_c,
@@ -179,7 +179,7 @@ def test_criterion_05_inversion_congruence(spec_a):
     variants = {r.variant_used for r in results}
     # the branch-cut term itself double-checked by the tracked route
     tp = ThetaPullback(results[0].c, spec_a)
-    d = branch_correction(tp, 0.05) - branch_correction_tracked(tp, 0.05)
+    d = branch_correction(DMap(spec_a, tp.c1, 0.05), tp.c2) - branch_correction_tracked(tp, 0.05)
     routes_agree = abs(d - round(d.real)) < 1e-8
     dt = time.time() - t0
     ok_corrected = max(cor) < 1e-6 and variants == {"half_tau"} and routes_agree and dt < 180
@@ -201,7 +201,7 @@ def test_criterion_06_laurent_consistency(spec_ab, preset):
     c, _ = sample_generic_c(spec, rng)
     tp = ThetaPullback(c, spec)
     eps_w = 0.03
-    ld = laurent_data(tp, eps_w)
+    dm = DMap(spec, tp.c1, eps_w)
 
     def h3_direct(t):
         z = spec.p2 + t
@@ -209,21 +209,21 @@ def test_criterion_06_laurent_consistency(spec_ab, preset):
 
     circle = eps_w / 2 * np.exp(2j * np.pi * np.arange(32) / 32)
     oracle = sum(h3_direct(t) for t in circle) / 32  # mean value = h3(0)
-    err_corrected = abs(ld.h3_zero - oracle)
-    gap_literal = abs(ld.h3_zero_no_derivative - oracle)
-    defect_match = abs((oracle - ld.h3_zero_no_derivative) - ld.h3_zero_defect)
+    err_corrected = abs(dm.h3_zero(tp.c2) - oracle)
+    gap_literal = abs(dm.h3_zero_no_derivative(tp.c2) - oracle)
+    defect_match = abs((oracle - dm.h3_zero_no_derivative(tp.c2)) - dm.h3_zero_defect)
 
     rng2 = np.random.default_rng(67)
     worst_recon = 0.0
     for _ in range(10):
         t = rng2.uniform(0.05, 1.0) * eps_w * np.exp(1j * rng2.uniform(0, 2 * np.pi))
-        A, B, C, D = ld.mobius_coeffs(t)
+        A, B, C, D = dm.mobius_coeffs(t)
         ec = e_func(-tp.c2)
-        worst_recon = max(worst_recon, abs((A + B * ec) / (C + D * ec) - ld.h3(t)))
+        worst_recon = max(worst_recon, abs((A + B * ec) / (C + D * ec) - dm.h3(t, tp.c2)))
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
     dets, scales = [], []
     for rho in (eps_w, 0.5 * eps_w, 0.1 * eps_w):
-        A, B, C, D = ld.mobius_coeffs(rho * angles)
+        A, B, C, D = dm.mobius_coeffs(rho * angles)
         dets.append(np.min(np.abs(A * D - B * C)))
         scales.append(np.max(np.abs(A * D) + np.abs(B * C)))
     det_ok = min(dets) > 1e-6 * max(scales)
@@ -283,7 +283,7 @@ def test_criterion_08_branch_inversion(spec_ab, preset):
     sheet_err = abs(c1[1] - c0[1] - 1.0)
     rng2 = np.random.default_rng(89)
     c, _ = sample_generic_c(spec, rng2)
-    rel = jacobian_consistency_check(ThetaPullback(c, spec), eps_w)
+    rel = jacobian_consistency_check(DMap(spec, c[0], eps_w), c[1])
     ok = worst_rt < 1e-9 and sheet_err < 1e-9 and rel < 1e-6
     verdict(
         8,

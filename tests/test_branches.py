@@ -130,17 +130,12 @@ class TestBetaK:
         d = d_map(EPS_SEL, c, spec)
         u = (d[0] + kappa_a[0], d[1] + kappa_a[1])
         c_star = beta_k(u, spec, EPS_SEL, use_correction=False, _kappa_cache=kappa_a)
-        from nodal_theta.inversion import ThetaPullback, laurent_data
-        from nodal_theta.theta import TWO_PI_I
-
-        r1, _, _ = derive_periods(spec)
+        dm = DMap(spec, c_star[0], EPS_SEL)
         errs = []
         c2 = c_star[1] + 0.05
         for _ in range(5):
-            ld = laurent_data(ThetaPullback((c_star[0], c2), spec), EPS_SEL)
-            F = c_star[0] * r1 + ld.H3(EPS_SEL) / TWO_PI_I - (u[1] - kappa_a[1])
-            dF = ld.dH3_dc2(EPS_SEL) / TWO_PI_I
-            c2 = c2 - F / dF
+            F = dm.d2(c2) - (u[1] - kappa_a[1])
+            c2 = c2 - F / dm.d2_dc2(c2)
             errs.append(abs(c2 - c_star[1]))
         # quadratic tail: error ratio e_{n+1}/e_n^2 stays bounded
         for i in (1, 2):

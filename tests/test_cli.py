@@ -11,6 +11,26 @@ from nodal_theta.presets import CONFIG_A_TEXT, CONFIG_B_TEXT, config_a, config_b
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
+# (command, config line replaced as (old, new) or None, extra arguments)
+MALFORMED = {
+    "grid_negative": ("thm66", ("run.grid = 6", "run.grid = -3"), []),
+    "seed_negative": ("thm51", ("run.seed = 20260808", "run.seed = -1"), []),
+    "seed_flag_negative": ("thm51", None, ["--seed", "-1"]),
+    "samples_negative": ("thm51", ("run.samples = 10", "run.samples = -2"), []),
+    "samples_flag_zero": ("thm51", None, ["--samples", "0"]),
+    "eps_nan": ("thm51", ("curve.eps = 0.06", "curve.eps = nan"), []),
+    "quad_tol_nan": ("thm51", ("tol.quad = 1e-10", "tol.quad = nan"), []),
+    "congruence_tol_nan": ("thm51", ("tol.congruence = 1e-6", "tol.congruence = nan"), []),
+    "eps_candidate_nan": (
+        "thm51", ("curve.eps_candidates = 0.05 0.04 0.03", "curve.eps_candidates = 0.05 nan"), []
+    ),
+    "eps_candidate_negative": (
+        "thm51", ("curve.eps_candidates = 0.05 0.04 0.03", "curve.eps_candidates = -0.05 0.04"), []
+    ),
+    "congruence_tol_zero": ("thm51", ("tol.congruence = 1e-6", "tol.congruence = 0"), []),
+}
+
+
 @pytest.fixture()
 def cfg_a(tmp_path):
     p = tmp_path / "a.cfg"
@@ -129,3 +149,14 @@ class TestCommands:
         p = tmp_path / "broken.cfg"
         p.write_text("curve.tau 0,1\n")
         assert main(["identities", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("command, edit, extra", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_input_exits_2(self, cfg_a, tmp_path, capsys, command, edit, extra):
+        text = cfg_a.read_text()
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit)
+        p = tmp_path / "malformed.cfg"
+        p.write_text(text)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out"), *extra]) == 2
+        assert "config error:" in capsys.readouterr().err

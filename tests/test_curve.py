@@ -167,6 +167,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NodalCurveSpec(tau=1j, p1=0.5 + 0.5j, p2=0.2 + 0.2j, z0=0.5 + 0.5j)
 
+    @pytest.mark.parametrize("field", [
+        {"eps": math.nan}, {"delta": math.inf}, {"quad_tol": math.nan},
+        {"tau": complex(math.nan, 1.0)}, {"p1": complex(0.5, math.nan)},
+    ])
+    def test_rejects_non_finite(self, field):
+        # NaN passes every ordered comparison check, so it needs its own
+        base = dict(tau=1j, p1=0.76 + 0.52j, p2=0.45 + 0.35j, z0=0.14 + 0.18j, delta=0.06, eps=0.06)
+        with pytest.raises(ValueError, match="finite"):
+            NodalCurveSpec(**{**base, **field})
+
     def test_lattice_round_trip(self):
         tau = 0.3 + 0.8j
         z = 0.37 + 0.41j

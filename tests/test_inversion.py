@@ -18,6 +18,7 @@ import pytest
 from nodal_theta.abel_jacobi import divisor_image, phi1, phi2
 from nodal_theta.curve import derive_periods, mod_gamma_decompose, period_group
 from nodal_theta.errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
+from nodal_theta.quadrature import integrate_segment
 from nodal_theta.inversion import (
     GENERICITY_TOL,
     DMap,
@@ -33,7 +34,6 @@ from nodal_theta.inversion import (
     genericity_failure,
     jacobian_consistency_check,
     kappa_vector,
-    laurent_data,
     locate_zeros,
     riemann_constants,
     run_thm51_batch,
@@ -49,6 +49,11 @@ def generic_tp(spec, seed=101):
     rng = np.random.default_rng(seed)
     c, _ = sample_generic_c(spec, rng)
     return ThetaPullback(c, spec)
+
+
+def chart(tp):
+    """The node chart of tp's c1 at the working radius."""
+    return DMap(tp.spec, tp.c1, EPS_W)
 
 
 def h3_direct(tp, t):
@@ -99,10 +104,10 @@ class TestPullback:
 
     def test_simple_pole_at_p2(self, spec_a):
         tp = generic_tp(spec_a)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         for k in range(8):
             t = 1e-5 * cmath.exp(2j * math.pi * k / 8)
-            assert abs(t * tp.value(spec_a.p2 + t) - ld.c_minus1) < 1e-4
+            assert abs(t * tp.value(spec_a.p2 + t) - dm.c_minus1(tp.c2)) < 1e-4
 
     def test_finite_at_p1(self, spec_a):
         tp = generic_tp(spec_a)
@@ -211,51 +216,51 @@ class TestZeroCounting:
 class TestLaurentData:
     def test_residue_against_limit(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         # Richardson in t: t*T = c_minus1 + h2(0) t + O(t^2)
         t = 1e-5
         v1 = t * tp.value(spec_ab.p2 + t)
         v2 = (t / 2) * tp.value(spec_ab.p2 + t / 2)
         extrap = 2 * v2 - v1
-        assert abs(extrap - ld.c_minus1) < 1e-8
+        assert abs(extrap - dm.c_minus1(tp.c2)) < 1e-8
 
     def test_h3_matches_pullback_log_derivative(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         for k in range(8):
             t = (EPS_W / 2) * cmath.exp(2j * math.pi * k / 8)
-            assert abs(ld.h3(t) - h3_direct(tp, t)) < 1e-8
+            assert abs(dm.h3(t, tp.c2) - h3_direct(tp, t)) < 1e-8
 
     def test_h3_zero_closed_form_vs_oracle(self, spec_ab):
         # definition-consistent closed form agrees with the mean-value oracle
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         oracle = h3_zero_oracle(tp, EPS_W / 2)
-        assert abs(ld.h3_zero - oracle) < 1e-8
+        assert abs(dm.h3_zero(tp.c2) - oracle) < 1e-8
 
     def test_h3_zero_short_form_misses_by_the_defect(self, spec_ab):
         # the shorter display formula theta00 e(c2) / (theta_r g0) deviates
         # from the true limit by exactly theta_r'/theta_r + 2*pi*i*h1(0)
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         oracle = h3_zero_oracle(tp, EPS_W / 2)
-        gap = oracle - ld.h3_zero_no_derivative
+        gap = oracle - dm.h3_zero_no_derivative(tp.c2)
         assert abs(gap) > 1e-3
-        assert abs(gap - ld.h3_zero_defect) < 1e-8
+        assert abs(gap - dm.h3_zero_defect) < 1e-8
 
     def test_h2_is_pullback_minus_pole(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         for t in (EPS_W / 2, EPS_W / 3 * cmath.exp(1.2j)):
-            direct = tp.value(spec_ab.p2 + t) - ld.c_minus1 / t
-            assert abs(ld.h2(t) - direct) < 1e-9
+            direct = tp.value(spec_ab.p2 + t) - dm.c_minus1(tp.c2) / t
+            assert abs(dm.h2(t, tp.c2) - direct) < 1e-9
 
     def test_h2_prime_finite_difference(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         t, h = EPS_W / 2, 1e-6
-        fd = (ld.h2(t + h) - ld.h2(t - h)) / (2 * h)
-        assert abs(ld.h2_prime(t) - fd) < 1e-6 * max(1.0, abs(fd))
+        fd = (dm.h2(t + h, tp.c2) - dm.h2(t - h, tp.c2)) / (2 * h)
+        assert abs(dm.h2_prime(t, tp.c2) - fd) < 1e-6 * max(1.0, abs(fd))
 
     def test_degenerate_c_rejected(self, spec_a):
         """The theta[-r1;r2](phi1(p2) - c1) guard.
@@ -285,72 +290,72 @@ class TestLaurentData:
 class TestGFunction:
     def test_g_over_t_equals_e_phi2(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         for k in range(8):
             t = (EPS_W / 2) * cmath.exp(2j * math.pi * k / 8)
-            lhs = ld.g(t) / t
+            lhs = dm.g(t) / t
             rhs = tp.e_phi2(spec_ab.p2 + t)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
     def test_g_finite_nonzero_at_origin(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
-        assert abs(ld.g0) > 1e-6
-        assert np.isfinite(ld.g0)
+        dm = chart(tp)
+        assert abs(dm.g0) > 1e-6
+        assert np.isfinite(dm.g0)
 
     def test_g_lipschitz_near_origin(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         ts = np.array([1e-3, 1e-4, 1e-5])
         for t in ts:
-            assert abs(ld.g(t) - ld.g0) < 10.0 * abs(ld.g0) * t
+            assert abs(dm.g(t) - dm.g0) < 10.0 * abs(dm.g0) * t
 
 
 class TestMobius:
     def test_reconstruction_identity(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         rng = np.random.default_rng(43)
         for _ in range(6):
             t = rng.uniform(0.1, 1.0) * EPS_W * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            A, B, C, D = ld.mobius_coeffs(t)
+            A, B, C, D = dm.mobius_coeffs(t)
             ec = e_func(-tp.c2)
             recon = (A + B * ec) / (C + D * ec)
-            assert abs(recon - ld.h3(t)) < 1e-10 * max(1.0, abs(ld.h3(t)))
+            assert abs(recon - dm.h3(t, tp.c2)) < 1e-10 * max(1.0, abs(dm.h3(t, tp.c2)))
 
     def test_c_and_b_at_origin(self, spec_ab):
         # C(0) = 0 exactly; B(0) equals the derivative of theta_r(phi1-c1) g
         # at the node (nonzero), the same coefficient behind the h3(0) defect
         spec = spec_ab
         tp = generic_tp(spec)
-        ld = laurent_data(tp, EPS_W)
-        A, B, C, D = ld.mobius_coeffs(0.0)
+        dm = chart(tp)
+        A, B, C, D = dm.mobius_coeffs(0.0)
         assert C == 0
         assert abs(B) > 1e-6
         h = 1e-6
         x2 = phi1(spec, spec.p2) - tp.c1
 
         def G(t):
-            return theta_char((-tp.r1, tp.r2), x2 + t, spec.tau) * ld.g(t)
+            return theta_char((-tp.r1, tp.r2), x2 + t, spec.tau) * dm.g(t)
 
         fd = (G(h) - G(-h)) / (2 * h)
         assert abs(B - fd) < 1e-6 * max(1.0, abs(B))
 
     def test_determinant_at_origin_is_diagonal_product(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
-        A, B, C, D = ld.mobius_coeffs(0.0)
+        dm = chart(tp)
+        A, B, C, D = dm.mobius_coeffs(0.0)
         # det(0) = A(0) D(0) because C(0) = 0
-        want = theta_char((0.0, 0.0), phi1(tp.spec, tp.spec.p2) - tp.c1, tp.spec.tau) * ld.beta_coeff
+        want = theta_char((0.0, 0.0), phi1(tp.spec, tp.spec.p2) - tp.c1, tp.spec.tau) * dm.beta_coeff
         assert abs(A * D - B * C - want) < 1e-10 * abs(want)
 
     def test_determinant_bounded_below_on_chart(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         angles = np.exp(2j * np.pi * np.arange(8) / 8)
         dets, scales = [], []
         for rho in (EPS_W, 0.75 * EPS_W, 0.5 * EPS_W, 0.25 * EPS_W, 1e-3 * EPS_W):
-            A, B, C, D = ld.mobius_coeffs(rho * angles)
+            A, B, C, D = dm.mobius_coeffs(rho * angles)
             dets.append(np.min(np.abs(A * D - B * C)))
             scales.append(np.max(np.abs(A * D) + np.abs(B * C)))
         assert min(dets) > 1e-6 * max(scales)
@@ -359,33 +364,31 @@ class TestMobius:
 class TestH3Map:
     def test_h3_integral_zero_at_origin(self, spec_a):
         tp = generic_tp(spec_a)
-        ld = laurent_data(tp, EPS_W)
-        assert ld.H3(0.0) == 0
+        dm = chart(tp)
+        assert dm.H3(tp.c2, 0.0) == 0
 
     def test_fundamental_theorem(self, spec_ab):
         tp = generic_tp(spec_ab)
-        ld = laurent_data(tp, EPS_W)
+        dm = chart(tp)
         t, h = 0.6 * EPS_W, 1e-6
-        fd = (ld.H3(t + h) - ld.H3(t - h)) / (2 * h)
-        assert abs(fd - ld.h3(t)) < 1e-6 * max(1.0, abs(ld.h3(t)))
+        fd = (dm.H3(tp.c2, t + h) - dm.H3(tp.c2, t - h)) / (2 * h)
+        assert abs(fd - dm.h3(t, tp.c2)) < 1e-6 * max(1.0, abs(dm.h3(t, tp.c2)))
 
     def test_integer_period_in_c2(self, spec_ab):
         tp = generic_tp(spec_ab)
-        shifted = ThetaPullback((tp.c1, tp.c2 + 1.0), spec_ab)
-        a = laurent_data(tp, EPS_W).H3(EPS_W)
-        b = laurent_data(shifted, EPS_W).H3(EPS_W)
+        a = chart(tp).H3(tp.c2)
+        b = chart(tp).H3(tp.c2 + 1.0)
         assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
     def test_not_half_periodic_in_c2(self, spec_ab):
         tp = generic_tp(spec_ab)
-        shifted = ThetaPullback((tp.c1, tp.c2 + 0.5), spec_ab)
-        a = laurent_data(tp, EPS_W).h3(0.5 * EPS_W)
-        b = laurent_data(shifted, EPS_W).h3(0.5 * EPS_W)
+        a = chart(tp).h3(0.5 * EPS_W, tp.c2)
+        b = chart(tp).h3(0.5 * EPS_W, tp.c2 + 0.5)
         assert abs(a - b) > 1e-4
 
     def test_jacobian_dual_route(self, spec_ab):
         tp = generic_tp(spec_ab)
-        rel = jacobian_consistency_check(tp, EPS_W)
+        rel = jacobian_consistency_check(chart(tp), tp.c2)
         assert rel < 1e-6
 
 
@@ -408,9 +411,7 @@ class TestDMap:
         rng = np.random.default_rng(59)
         c, _ = sample_generic_c(spec_ab, rng)
         tp = ThetaPullback(c, spec_ab)
-        ld = laurent_data(tp, EPS_W)
-        r1, _, _ = derive_periods(spec_ab)
-        quad = tp.c1 * r1 + ld.H3(EPS_W) / TWO_PI_I + branch_correction_tracked(tp, EPS_W)
+        quad = chart(tp).d2(tp.c2) + branch_correction_tracked(tp, EPS_W)
         closed = d_map_corrected(EPS_W, c, spec_ab)[1]
         diff = quad - closed
         assert abs(diff - round(diff.real)) < 1e-9
@@ -419,7 +420,7 @@ class TestDMap:
         rng = np.random.default_rng(61)
         c, _ = sample_generic_c(spec_ab, rng)
         tp = ThetaPullback(c, spec_ab)
-        a = branch_correction(tp, EPS_W)
+        a = branch_correction(chart(tp), tp.c2)
         b = branch_correction_tracked(tp, EPS_W)
         diff = a - b
         assert abs(diff - round(diff.real)) < 1e-10
@@ -427,34 +428,61 @@ class TestDMap:
     @staticmethod
     def pole_c2(dm, frac=0.37):
         """The c2 that puts a zero of T_c on the chart ray at t = frac * eps."""
-        _, _, C, D = dm.ld.mobius_coeffs(np.array([frac * dm.eps + 0j]))
+        _, _, C, D = dm.mobius_coeffs(np.array([frac * dm.eps + 0j]))
         return complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I)
 
+    @staticmethod
+    def unmemoised(dm, f, c2):
+        """Integral of f(t, c2) over [0, eps] with A..D evaluated afresh per call."""
+        return integrate_segment(lambda t: f(t, c2), 0.0, complex(dm.eps), dm.spec.quad_tol)
+
     def test_cached_route_equals_rebuild_route(self, spec_ab):
-        # oracle: LaurentData rebuilt at each (c1, c2), as before the cache
+        # oracle: a fresh chart per c2, integrating the unmemoised h3 and dh3/dc2
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
         dm = DMap(spec_ab, c[0], EPS_W)
-        r1, _, _ = derive_periods(spec_ab)
         refined = self.pole_c2(dm) + 0.05  # zero of T_c moved off the ray
-        fresh = DMap(spec_ab, c[0], EPS_W)
-        fresh.d2(refined)
-        assert len(fresh.coeffs) > 2  # the adaptive rule split the segment
+        probe = DMap(spec_ab, c[0], EPS_W)
+        probe.d2(refined)
+        assert len(probe.coeffs) > 2  # the adaptive rule split the segment
         for c2 in (0.0, c[1], 0.3 + 0.1j, 0.77 - 0.2j, refined):
-            ld = laurent_data(ThetaPullback((c[0], c2), spec_ab), EPS_W)
-            assert dm.d2(c2) == dm.c1 * r1 + ld.H3(EPS_W) / TWO_PI_I
-            assert dm.d2_dc2(c2) == ld.dH3_dc2(EPS_W) / TWO_PI_I
+            fresh = DMap(spec_ab, c[0], EPS_W)
+            assert dm.d2(c2) == fresh.c1 * fresh.r1 + self.unmemoised(fresh, fresh.h3, c2) / TWO_PI_I
+            assert dm.d2_dc2(c2) == self.unmemoised(fresh, fresh.dh3_dc2, c2) / TWO_PI_I
+            assert dm.d2(c2) == fresh.d2(c2)
 
     def test_quadrature_failure_matches_rebuild_route(self, spec_ab):
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
         dm = DMap(spec_ab, c[0], EPS_W)
         c2 = self.pole_c2(dm)
-        ld = laurent_data(ThetaPullback((c[0], c2), spec_ab), EPS_W)
-        for cached, rebuilt in ((dm.d2, ld.H3), (dm.d2_dc2, ld.dH3_dc2)):
+        fresh = DMap(spec_ab, c[0], EPS_W)
+        for cached, integrand in ((dm.d2, fresh.h3), (dm.d2_dc2, fresh.dh3_dc2)):
             with pytest.raises(QuadratureFailure) as new:
                 cached(c2)
             with pytest.raises(QuadratureFailure) as old:
-                rebuilt(EPS_W)
+                self.unmemoised(fresh, integrand, c2)
             assert str(new.value) == str(old.value)
+
+    def test_verify_thm51_evaluates_each_node_array_once(self, spec_ab, monkeypatch):
+        # one chart serves d_val, the branch term and all five Jacobian
+        # quadratures, so no node array has its A..D evaluated twice
+        seen = []
+        evaluate = DMap.mobius_coeffs
+
+        def counting(self, t):
+            seen.append(np.asarray(t).tobytes())
+            return evaluate(self, t)
+
+        monkeypatch.setattr(DMap, "mobius_coeffs", counting)
+        rng = np.random.default_rng(83)
+        while True:
+            c, _ = sample_generic_c(spec_ab, rng)
+            try:
+                verify_thm51(c, spec_ab, eps=EPS_W)
+                break
+            except (ContourThroughZero, ZeroCollision):
+                assert not seen  # these end the sample before the chart is built
+        assert len(seen) >= 2
+        assert len(seen) == len(set(seen))
 
 
 class TestRiemannConstants:
