@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -267,10 +267,11 @@ class DMap:
     T_c(t) = c_minus1/t + h2(t), h3 = T'/T + 1/t = (h2 + h2' t)/(c_minus1 + h2 t),
     and h3 = (A + B e(-c2))/(C + D e(-c2)) with A..D independent of c2.  The
     chart holds what does not depend on c2 (the factor g anchored at eps,
-    alpha1, alpha2, beta_coeff = G(0), theta00(phi1(p1) - c1)); everything
-    that does takes c2 as an argument.  H3 / d2 and dH3_dc2 / d2_dc2 read
-    A..D from a memo keyed by the quadrature node array, so each node array
-    is evaluated once whatever c2 is; h3 and dh3_dc2 evaluate them afresh.
+    alpha1, alpha2, beta_coeff = G(0), and theta00(phi1(p1) - c1) on first
+    use); everything that does takes c2 as an argument.  H3 / d2 and
+    dH3_dc2 / d2_dc2 read A..D from a memo keyed by the quadrature node
+    array, so each node array is evaluated once whatever c2 is; h3 and
+    dh3_dc2 evaluate them afresh.
 
     `h3_zero` is the value h3(0; c) implied by the definitions; the shorter
     closed form lacking the derivative term (`h3_zero_no_derivative`) is kept
@@ -283,17 +284,20 @@ class DMap:
     def __init__(self, spec: NodalCurveSpec, c1, eps: float):
         if eps <= 0 or eps >= spec.eps * 1.0001:
             raise ValueError("chart radius eps must lie in (0, spec.eps]")
-        tp = ThetaPullback((c1, 0.0), spec)
+        self.c1 = complex(c1)
+        failed = genericity_failure(spec, self.c1)
+        if failed is not None:
+            raise DegenerateC(failed)
         self.spec = spec
-        self.c1 = tp.c1
         self.eps = float(eps)
-        self.r1 = tp.r1
+        self.r1, r2, kappa = derive_periods(spec)
         self.diff = third_kind(spec)
         self.x2 = phi1(spec, spec.p2) - self.c1
-        self._rchar = tp._rchar
-        self.theta00_p1 = theta_char((0.0, 0.0), phi1(spec, spec.p1) - self.c1, spec.tau, spec.policy)
-        # e(phi2) at the chart anchor t = eps, branch-free
-        self._e_phi2_eps = tp.e_phi2(spec.p2 + self.eps)
+        self._rchar = (-self.r1, r2)
+        # e(phi2) at the chart anchor t = eps, by the identity of ThetaPullback.e_phi2
+        q = _theta_quotient(spec)
+        z = spec.p2 + self.eps
+        self._e_phi2_eps = q(z) / q(spec.z0) * e_func(kappa * (z - spec.z0))
         self.g0 = complex(self.g(0.0))
         _, h1c = self.diff._h1_series()
         m, mp, mpp = (TWO_PI_I * h for h in (complex(h1c[0]), complex(h1c[1]), 2.0 * complex(h1c[2])))
@@ -398,20 +402,20 @@ class DMap:
         from h3_zero by h3_zero_defect."""
         return complex(self.alpha1(0.0) * e_func(complex(c2)) / self.beta_coeff)
 
-    def _integral(self, f, t) -> complex:
+    def H3(self, c2, t=None) -> complex:
+        """Integral of h3 along the straight segment from 0 to t (default eps)."""
         t = self.eps if t is None else t
         if t == 0:
             return 0.0 + 0.0j
-        return integrate_segment(f, 0.0, complex(t), self.spec.quad_tol)
-
-    def H3(self, c2, t=None) -> complex:
-        """Integral of h3 along the straight segment from 0 to t (default eps)."""
         ec = e_func(-complex(c2))
-        return self._integral(lambda s: _moebius(self._abcd(s), ec), t)
+        return integrate_segment(lambda s: _moebius(self._abcd(s), ec), 0.0, complex(t), self.spec.quad_tol)
 
-    def dH3_dc2(self, c2, t=None) -> complex:
+    def dH3_dc2(self, c2) -> complex:
+        """Integral of dh3/dc2 along the straight segment from 0 to eps."""
         ec = e_func(-complex(c2))
-        return self._integral(lambda s: _moebius_dc2(self._abcd(s), ec), t)
+        return integrate_segment(
+            lambda s: _moebius_dc2(self._abcd(s), ec), 0.0, complex(self.eps), self.spec.quad_tol
+        )
 
     def d2(self, c2) -> complex:
         """c1*r1 + H3(eps; (c1, c2))/(2*pi*i)."""
@@ -420,6 +424,12 @@ class DMap:
     def d2_dc2(self, c2) -> complex:
         """dH3/dc2 (eps; (c1, c2))/(2*pi*i)."""
         return self.dH3_dc2(c2) / TWO_PI_I
+
+    @cached_property
+    def theta00_p1(self) -> complex:
+        """theta00(phi1(p1) - c1), the value of T_c at p1 (read by branch_log only)."""
+        spec = self.spec
+        return theta_char((0.0, 0.0), phi1(spec, spec.p1) - self.c1, spec.tau, spec.policy)
 
     def branch_log(self, log_pole) -> complex:
         """Log theta00(phi1(p1) - c1) - log_pole + log eps, the part of the
