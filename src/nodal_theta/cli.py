@@ -303,7 +303,7 @@ def cmd_thm51(cfg: RunConfig, out_dir: Path) -> bool:
         res, ka, kb, err = run_one(c)
         if res is None:
             skipped += 1
-            rows.append([idx, "skipped:" + err] + [""] * 13)
+            rows.append([idx, "skipped:" + err] + [""] * 14)
             continue
         good = res.corrected_residual_half_tau < cfg.tol_congruence and res.n_zeros == 2
         oks.append(good)

@@ -26,11 +26,13 @@ class PoleProximity(NodalThetaError):
 
 
 class ContourThroughZero(NodalThetaError):
-    """A winding contour runs too close to a zero; the caller should resample."""
+    """A contour (winding, log tracking or moment line) runs too close to a
+    zero; the caller should resample."""
 
 
 class ZeroCollision(NodalThetaError):
-    """Subdivision could not isolate the expected number of simple zeros."""
+    """The located zeros of T_c are not two distinct simple zeros outside the
+    excluded disks (they collide, Newton polish fails, or one lies in a disk)."""
 
 
 class DegenerateC(NodalThetaError):

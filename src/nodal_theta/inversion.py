@@ -10,7 +10,10 @@ is single-valued on the cut curve because integer ambiguities of phi2 are
 killed by e(.).  It is evaluated through the exact branch-free identity
 e(phi2(z)) = (Q(z)/Q(z0)) e(kappa*(z - z0)) with Q the odd-theta quotient,
 which also makes grid evaluation cheap.  T_c has a simple pole at p2 and
-exactly two zeros; their divisor image W satisfies
+exactly two zeros.  `count_zeros` counts them by the winding of T_c along
+the cell boundary; `locate_zeros` finds them from the first two moments of
+T'/T on one period line, where the quasi-periodicity of T_c reduces the
+argument principle over the cell.  Their divisor image W satisfies
 
     W == d(eps)(c) + kappa(eps)   mod Gamma,
 
@@ -30,10 +33,17 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .abel_jacobi import _theta_quotient, a_eps, divisor_image, phi1, phi2
-from .curve import NodalCurveSpec, derive_periods, lattice_coords, mod_gamma_decompose, period_group
+from .curve import (
+    NodalCurveSpec,
+    derive_periods,
+    lattice_coords,
+    mod_gamma_decompose,
+    period_group,
+    reduce_to_cell,
+)
 from .differentials import third_kind
 from .errors import ContourThroughZero, DegenerateC, ZeroCollision
-from .quadrature import integrate_segment, track_log_sampled, winding_number_sampled
+from .quadrature import _N0, _N_MAX, integrate_segment, track_log_sampled, winding_number_sampled
 from .theta import TWO_PI_I, e_func, theta_char, theta_char_dz, theta_char_dzk
 
 GENERICITY_TOL = 1e-3
@@ -133,21 +143,9 @@ class ThetaPullback:
 # -- zero counting and location ---------------------------------------------
 
 
-def _box_polyline(spec: NodalCurveSpec, s0, s1, t0, t1):
-    pts = [(s0, t0), (s1, t0), (s1, t1), (s0, t1), (s0, t0)]
-    return [spec.point(s, t) for s, t in pts]
-
-
-def _p2_in_box(spec: NodalCurveSpec, s0, s1, t0, t1) -> bool:
-    s, t = lattice_coords(spec.p2, spec.q0, spec.tau)
-    return s0 < s < s1 and t0 < t < t1
-
-
 def count_zeros(tp: ThetaPullback) -> int:
     """Number of zeros of T_c: boundary winding plus one for the pole at p2."""
-    spec = tp.spec
-    w = winding_number_sampled(tp.value, _box_polyline(spec, 0.0, 1.0, 0.0, 1.0))
-    return w + 1
+    return winding_number_sampled(tp.value, tp.spec.corners) + 1
 
 
 def alpha_dlog_integral(tp: ThetaPullback) -> complex:
@@ -177,66 +175,61 @@ def _newton_polish(tp: ThetaPullback, z: complex, tol: float = 1e-12, max_iter: 
     raise ZeroCollision(f"Newton polish did not converge near {z:.6g}")
 
 
-def locate_zeros(tp: ThetaPullback) -> tuple[complex, complex]:
-    """The two zeros of T_c, isolated by winding subdivision in the cell
-    and polished by Newton to 1e-10."""
+def _moment_roots(tp: ThetaPullback, a: complex):
+    """(e(q1), e(q2)) for the zeros q1, q2 of T_c in the strip between the
+    lines a and a + tau, or None when the moments do not converge.
+
+    T_c is 1-periodic and T'/T drops by 2*pi*i from a line to its tau
+    translate, so the argument principle over the cell collapses onto the
+    line a: for k = 1, 2
+
+        e(k q1) + e(k q2) - e(k p2') = (1 - e(k tau))/(2 pi i) * int_a^{a+1} e(k z) T'/T dz
+
+    with p2' the representative of p2 in the strip.  The integrand is
+    1-periodic, so the trapezoid rule converges spectrally; n doubles from
+    _N0 until both moments agree within quad_tol (relative), up to _N_MAX.
+    """
     spec = tp.spec
+    p2 = spec.p2 if lattice_coords(spec.p2, a, spec.tau)[1] >= 0 else spec.p2 + spec.tau
+    k = np.array([[1.0], [2.0]])
+    scale = (1.0 - e_func(k[:, 0] * spec.tau)) / TWO_PI_I
 
-    def box_winding(s0, s1, t0, t1, depth=0):
-        for jitter in (0.0, 7e-4, -9e-4, 1.7e-3):
-            try:
-                w = winding_number_sampled(
-                    tp.value, _box_polyline(spec, s0 + jitter, s1 + jitter, t0 + jitter, t1 + jitter)
-                )
-                box = (s0 + jitter, s1 + jitter, t0 + jitter, t1 + jitter)
-                return w + (1 if _p2_in_box(spec, *box) else 0), box
-            except ContourThroughZero:
-                continue
-        raise ContourThroughZero("could not jitter contour away from a zero")
+    def sums(z):
+        return np.sum(e_func(k * z) * (tp.dvalue(z) / tp.value(z)), axis=1)
 
-    found: list[complex] = []
-    n_total, box0 = box_winding(0.0, 1.0, 0.0, 1.0)
-    stack = [(box0, n_total)]
-    while stack:
-        (s0, s1, t0, t1), n = stack.pop()
-        if n <= 0:
-            continue
-        if max(s1 - s0, t1 - t0) < 0.02:
-            if n == 1:
-                z = _newton_polish(tp, spec.point(0.5 * (s0 + s1), 0.5 * (t0 + t1)))
-                found.append(z)
-                continue
-            raise ZeroCollision(f"{n} zeros left unresolved in a minimal box")
-        if s1 - s0 >= t1 - t0:
-            for frac in (0.5, 0.53, 0.461, 0.587):
-                sm = s0 + frac * (s1 - s0)
-                try:
-                    nl, bl = box_winding(s0, sm, t0, t1)
-                    nr, br = box_winding(sm, s1, t0, t1)
-                except ContourThroughZero:
-                    continue
-                if nl + nr == n:
-                    stack.extend([(bl, nl), (br, nr)])
-                    break
-            else:
-                raise ZeroCollision("subdivision could not split cleanly")
-        else:
-            for frac in (0.5, 0.53, 0.461, 0.587):
-                tm = t0 + frac * (t1 - t0)
-                try:
-                    nb, bb = box_winding(s0, s1, t0, tm)
-                    nt, bt = box_winding(s0, s1, tm, t1)
-                except ContourThroughZero:
-                    continue
-                if nb + nt == n:
-                    stack.extend([(bb, nb), (bt, nt)])
-                    break
-            else:
-                raise ZeroCollision("subdivision could not split cleanly")
+    n = _N0
+    acc = sums(a + np.arange(n) / n)
+    m = scale * acc / n
+    while n < _N_MAX:
+        acc = acc + sums(a + (np.arange(n) + 0.5) / n)
+        n *= 2
+        m, m_prev = scale * acc / n, m
+        if np.max(np.abs(m - m_prev)) <= spec.quad_tol * np.max(np.abs(m)):
+            s1 = m[0] + e_func(p2)
+            s2 = m[1] + e_func(2 * p2)
+            prod = (s1 * s1 - s2) / 2
+            r = cmath.sqrt(2 * s2 - s1 * s1)
+            w1 = max((s1 + r) / 2, (s1 - r) / 2, key=abs)
+            return w1, prod / w1
+    return None
 
-    if len(found) != 2:
-        raise ZeroCollision(f"expected 2 zeros, isolated {len(found)}")
-    q1, q2 = found
+
+def locate_zeros(tp: ThetaPullback) -> tuple[complex, complex]:
+    """The two zeros of T_c in the cell, from the moments of T'/T on the
+    line q0 (or, should they not converge there, on the line q0 + tau/2),
+    polished by Newton."""
+    spec = tp.spec
+    for a in (spec.q0, spec.q0 + 0.5 * spec.tau):
+        w = _moment_roots(tp, a)
+        if w is not None:
+            break
+    else:
+        raise ContourThroughZero("moments of T'/T did not converge on the lines q0 and q0 + tau/2")
+
+    def cell(z):
+        return reduce_to_cell(z, spec.q0, spec.tau)
+
+    q1, q2 = (cell(_newton_polish(tp, cell(cmath.log(x) / TWO_PI_I))) for x in w)
     if abs(q1 - q2) < 1e-6:
         raise ZeroCollision("zeros collided after polishing")
     for z in (q1, q2):

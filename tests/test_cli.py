@@ -1,5 +1,6 @@
 """Config ingestion, report emission, determinism, exit codes."""
 
+import csv
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -100,6 +101,16 @@ class TestCommands:
         lines = (out / "thm51.csv").read_text().splitlines()
         assert lines[0].startswith("sample,status,c1,c2,n_zeros")
         assert lines[-1].startswith("summary,pass")
+
+    def test_thm51_rows_as_wide_as_header(self, cfg_a, tmp_path):
+        # sample 3 of config A at the default seed is skipped (ZeroCollision),
+        # so the run holds an ok row, a skipped row and the summary
+        out = tmp_path / "out"
+        assert main(["thm51", "--config", str(cfg_a), "--out", str(out), "--samples", "4"]) == 0
+        with open(out / "thm51.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert any(row[1].startswith("skipped:") for row in rows[1:])
+        assert [len(row) for row in rows] == [len(rows[0])] * len(rows)
 
     def test_thm66_small_run(self, cfg_a, tmp_path):
         out = tmp_path / "out"

@@ -14,11 +14,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nodal_theta.abel_jacobi import divisor_image, phi1, phi2
-from nodal_theta.curve import derive_periods, mod_gamma_decompose, period_group
+from nodal_theta.curve import NodalCurveSpec, derive_periods, mod_gamma_decompose, period_group
 from nodal_theta.errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
-from nodal_theta.quadrature import integrate_segment
+from nodal_theta.quadrature import integrate_segment, winding_number_sampled
 from nodal_theta.inversion import (
     GENERICITY_TOL,
     DMap,
@@ -127,6 +129,34 @@ class TestPullback:
                 ThetaPullback((c1_bad, 0.1), spec)
 
 
+def zero_sum_gap(tp, q1, q2):
+    """Distance from the exact zero-sum identity, not taken mod Z,
+
+        q1 + q2 - p2 = beta - tau*alpha + q0 + 1/2 + tau,
+
+    the argument principle for z T'/T on the cell: the edge pairs leave the
+    continued-log integrals alpha (bottom edge) and beta (left edge)."""
+    spec = tp.spec
+    alpha, beta = alpha_dlog_integral(tp), beta_dlog_integral(tp)
+    return abs(q1 + q2 - spec.p2 - (beta - spec.tau * alpha + spec.q0 + 0.5 + spec.tau))
+
+
+# Draws whose zeros lie within 2.5e-4 of the line q0 (mod the lattice), so
+# the moments on that line do not converge and locate_zeros falls back to
+# the line q0 + tau/2.  The pinned zeros were computed by winding
+# subdivision, an independent route.
+NEAR_LINE_DRAWS = [
+    ("a", (0.8474218384649422 + 0.4304966800962695j, 0.7728644192522546 - 0.14705818645847346j),
+     (0.44702482843066316 + 0.46063799909722064j, 0.49039701003427916 + 0.9998586809990488j)),
+    ("b", (0.7238874568652329 + 0.0889162996613818j, 0.560502032891158 + 0.09183643140921455j),
+     (0.6934901689102555 + 0.00017024843053787457j, 0.21939728795497757 + 0.5517460512308439j)),
+    ("b", (0.44131917995703573 + 0.02188318623608181j, 0.6922281921727766 - 0.017569076686295815j),
+     (0.6184434425010262 + 0.4851021453245716j, 0.31187573745600955 + 0.79978104091151j)),
+    ("b", (0.950287911138926 + 0.6133879538812215j, 0.45384229501607465 - 0.08752128911715656j),
+     (0.2772803223151462 + 0.00014992326886921638j, 0.5620075888237799 + 0.27623803061235225j)),
+]
+
+
 class TestZeroCounting:
     def test_two_zeros_many_c_both_configs(self, spec_ab):
         rng = np.random.default_rng(23)
@@ -190,6 +220,45 @@ class TestZeroCounting:
             for q in (q1, q2):
                 assert abs(q - spec_ab.p1) > spec_ab.delta
                 assert abs(q - spec_ab.p2) > spec_ab.eps
+                # each zero is simple and alone in a small box around it
+                r = 0.25 * min(abs(q1 - q2), spec_ab.eps)
+                square = [q + r * corner for corner in (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)]
+                assert winding_number_sampled(tp.value, square) == 1
+            assert zero_sum_gap(tp, q1, q2) < 1e-12
+
+    @pytest.mark.parametrize("name, c, zeros", NEAR_LINE_DRAWS)
+    def test_zeros_near_the_line_q0(self, spec_a, spec_b, name, c, zeros):
+        spec = spec_a if name == "a" else spec_b
+        q1, q2 = locate_zeros(ThetaPullback(c, spec))
+        assert abs(q1 - zeros[0]) < 1e-13
+        assert abs(q2 - zeros[1]) < 1e-13
+
+    @given(
+        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
+        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
+        c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)),
+    )
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_zeros_on_generated_specs(self, tau, q0, coords, c):
+        tau, q0 = complex(*tau), complex(*q0)
+        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+        try:
+            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
+        except ValueError:
+            assume(False)
+        try:
+            tp = ThetaPullback((c[0] + c[1] * tau, complex(c[2], c[3])), spec)
+            q1, q2 = locate_zeros(tp)
+            gap = zero_sum_gap(tp, q1, q2)
+        except (DegenerateC, ContourThroughZero, ZeroCollision):
+            assume(False)
+        scale = max(1.0, abs(tp.value(spec.z0)))
+        for q in (q1, q2):
+            assert abs(tp.value(q)) < 1e-9 * scale
+            assert spec.contains(q, slack=0.0)
+        assert abs(q1 - q2) > 1e-6
+        assert gap < 1e-12
 
     def test_divisor_image_path_invariant_mod_gamma(self, spec_a):
         from nodal_theta.abel_jacobi import trace_path
