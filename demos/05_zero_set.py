@@ -4,7 +4,8 @@ zero-set picture for curve points, plus the SVG rendering via the CLI.
 Two facts shown side by side: inverting the corrected map places every curve
 point in the zero set at machine precision (though the corrected criterion
 holds identically in the second coordinate, so it cannot separate off-curve
-points), while inverting the uncorrected map leaves order-one residuals.
+points), while the uncorrected map leaves order-one residuals or, as on
+every point below, has no preimage at all.
 """
 
 import pathlib
@@ -14,7 +15,7 @@ import numpy as np
 
 from nodal_theta.branches import beta_k, select_epsilon, zero_set_residual
 from nodal_theta.cli import main
-from nodal_theta.errors import JacobianSingular, NewtonDivergence
+from nodal_theta.errors import NewtonDivergence, NoPreimage
 from nodal_theta.inversion import kappa_vector, riemann_constants
 from nodal_theta.presets import CONFIG_A_TEXT, config_a
 
@@ -35,7 +36,9 @@ for s, t in [(0.2, 0.7), (0.8, 0.3), (0.55, 0.85)]:
     rc = zero_set_residual(P, spec, eps, _kappa_cache=kap)
     try:
         rl = f"{zero_set_residual(P, spec, eps, use_correction=False, _kappa_cache=kap):.3e}"
-    except (NewtonDivergence, JacobianSingular):
+    except NoPreimage:
+        rl = "no_preimage"
+    except NewtonDivergence:
         rl = "diverged"
     print(f"   P = {P:.3f}: corrected {rc:.3e} | uncorrected {rl}")
 

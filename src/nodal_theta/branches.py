@@ -2,18 +2,23 @@
 containment check for the curve image.
 
 beta_k inverts the map d(eps) on its k-th sheet: sheets differ by (0, 1) in
-c, matching the integer period of the map in c2.  The transcendental map
-d(eps) is
-inverted by 1-d complex Newton in c2 on
+c, matching the integer period of the map in c2.  Both readings of the map
+invert in closed form on one node chart (inversion.DMap) of (c1, eps), on
+which c2 enters only through w = e(-c2).  On the chart
+h3 = d/dt log(t*T_c(p2 + t)), so with G0 = beta_coeff
 
-    F(c2) = c1*r1 + H3(eps; (c1, c2))/(2*pi*i) - (u2 - kappa2),
+    exp(H3(eps; c)) = 1 + eps*h2(eps; c2)/c_minus1(c2)
+                    = 1 + eps*alpha2(eps)/G0 + eps*alpha1(eps)/(G0*w).
 
-started from the closed-form solution of the t -> 0 linearization; one
-node chart (inversion.DMap) of (c1, eps) serves every trial c2.  The
-branch-corrected map d_corr(eps) (see inversion.branch_correction) is affine
-in c2 and inverts in closed form from the same chart's branch-cut terms; it
-is the corrected inverse that places the curve image inside the zero set of
-the generalized theta function, so zero_set_residual uses it by default.
+The stated map d2(c2) = c1*r1 + H3(eps; c)/(2*pi*i) = v therefore forces
+exp(H3) = e(v - c1*r1), which is linear in 1/w: there is one candidate w*,
+and so one candidate c2* mod 1.  H3 is the continuous log along [0, eps],
+so d2(c2*) - v is an integer up to quadrature error, and a nonzero integer
+certifies that v has no preimage.  The branch-corrected map d_corr(eps)
+(see inversion.branch_correction) is affine in c2 and inverts from the same
+chart's branch-cut terms; it is the corrected inverse that places the curve
+image inside the zero set of the generalized theta function, so
+zero_set_residual uses it by default.
 """
 
 from __future__ import annotations
@@ -22,14 +27,9 @@ import numpy as np
 
 from .abel_jacobi import phi
 from .curve import NodalCurveSpec, derive_periods
-from .errors import (
-    JacobianSingular,
-    NewtonDivergence,
-    NoValidEpsilon,
-    QuadratureFailure,
-)
+from .errors import NewtonDivergence, NoPreimage, NoValidEpsilon, QuadratureFailure
 from .inversion import DMap, kappa_vector, riemann_constants, sample_generic_c
-from .theta import TWO_PI_I, big_theta
+from .theta import TWO_PI_I, big_theta, e_func
 
 _PERIOD_FRACTIONS = (
     0.5,
@@ -104,14 +104,17 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
     """Inverse of the inversion map on the k-th sheet: the c with
     d(eps)(c) = u - kappa(eps), where consecutive sheets differ by (0, 1).
 
-    With use_correction the branch-corrected map (affine in c2 up to its
-    integer branch) is inverted in closed form; both maps are invariant
-    under c -> c + (0,1), so round trips close modulo (0,1), which the
-    period group absorbs and the generalized theta function does not see.
-    Without the correction, the H3-quadrature map is inverted by complex
-    Newton in c2 from the linearized initial guess; NewtonDivergence or
-    JacobianSingular signals that u lies off the sheet (or near the critical
-    set), which callers treat as a skipped sample.
+    Both maps are invariant under c -> c + (0,1), so round trips close
+    modulo (0,1), which the period group absorbs and the generalized theta
+    function does not see.  With use_correction the branch-corrected map
+    (affine in c2 up to its integer branch) is inverted in closed form.
+    Without it, the stated map is solved in closed form for e(-c2) (see the
+    module docstring) and one H3 quadrature checks the candidate.  NoPreimage
+    means no c2 exists: the candidate misses by a nonzero integer, e(-c2)
+    has no finite nonzero value, or a zero of T_c lies on the chart ray at
+    the candidate.  Otherwise plain Newton polishes the candidate onto a
+    root of the computed map, |F| < newton_tol, in one or two steps;
+    NewtonDivergence means the polish failed, which is a defect.
     """
     k1, k2 = _kappa(spec, eps) if _kappa_cache is None else _kappa_cache
     c1 = complex(u[0]) - k1
@@ -127,55 +130,30 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
         c2 = v - c1 * r1 - dm.branch_log(np.log(dm.beta_coeff)) / TWO_PI_I + k
         return (c1, complex(c2))
 
-    # linearized start: H3 ~ eps * h3(0; c), affine in e(c2)
-    P_lin = dm.alpha1(0.0) / dm.beta_coeff
-    R_lin = dm.h3_zero_defect
-    target = (v - c1 * r1) * TWO_PI_I / eps
-    arg = (target - R_lin) / P_lin
-    if arg == 0:
-        raise NewtonDivergence("linearized start has no solution for e(c2)")
-    c2_lin = complex(np.log(arg) / TWO_PI_I) + k
-
-    def F_and_slope(c2):
-        return dm.d2(c2) - v, dm.d2_dc2(c2)
-
-    starts = (c2_lin, c2_lin + 0.25, c2_lin - 0.25, c2_lin + 0.25j, c2_lin - 0.25j)
-    last_err: Exception | None = None
+    # exp(H3) = e(v - c1 r1) is linear in 1/w, w = e(-c2)
+    num = eps * complex(dm.alpha1(eps))
+    den = dm.beta_coeff * (e_func(v - c1 * r1) - 1.0) - eps * dm.alpha2(eps)[0]
+    if num == 0 or den == 0:
+        raise NoPreimage("the closed-form e(-c2) has no finite nonzero value")
+    c2 = complex(-np.log(num / den) / TWO_PI_I) + k
     try:
-        for c2 in starts:
-            try:
-                f_cur, dF = F_and_slope(c2)
-                for _ in range(max_iters):
-                    if abs(f_cur) < newton_tol:
-                        return (c1, c2)
-                    if abs(dF) < 1e-10:
-                        raise JacobianSingular("dH3/dc2 below floor during Newton")
-                    step = f_cur / dF
-                    # trust region: cap the step, backtrack while |F| grows
-                    if abs(step) > 0.7:
-                        step *= 0.7 / abs(step)
-                    for _ in range(8):
-                        f_new, dF_new = F_and_slope(c2 - step)
-                        if abs(f_new) < abs(f_cur) or abs(step) < newton_tol:
-                            break
-                        step *= 0.5
-                    else:
-                        raise NewtonDivergence("backtracking stalled; u off the sheet")
-                    c2 = c2 - step
-                    f_cur, dF = f_new, dF_new
-                else:
-                    raise NewtonDivergence(f"no convergence within {max_iters} iterations")
-            except (NewtonDivergence, JacobianSingular, QuadratureFailure) as exc:
-                # a quadrature blowup means the trial c2 put a zero of the
-                # pullback on the chart ray: the iterate left the sheet
-                last_err = exc
-                continue
-        if isinstance(last_err, JacobianSingular):
-            raise last_err
-        raise NewtonDivergence(f"all starts failed: {last_err}") from last_err
+        try:
+            f = dm.d2(c2) - v
+        except QuadratureFailure as exc:
+            raise NoPreimage(f"a zero of T_c lies on the chart ray at the only candidate: {exc}") from exc
+        miss = round(f.real)
+        if miss != 0:
+            raise NoPreimage(f"the only candidate misses d2 = v by the integer {miss}")
+        for _ in range(max_iters):
+            if abs(f) < newton_tol:
+                return (c1, c2)
+            c2 -= f / dm.d2_dc2(c2)
+            f = dm.d2(c2) - v
+        raise NewtonDivergence(f"Newton polish of the closed-form root stalled at |F| = {abs(f):.2e}")
     finally:
-        # the caught tracebacks hold this frame, and so dm, in reference
-        # cycles until a full collection: drop the node memo now
+        # a raised exception holds this frame, and so dm, until it is
+        # dropped (in a reference cycle, until a full collection): drop the
+        # node memo now
         dm.coeffs.clear()
 
 

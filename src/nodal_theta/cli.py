@@ -32,6 +32,7 @@ from .errors import (
     JacobianSingular,
     NewtonDivergence,
     NodalThetaError,
+    NoPreimage,
     ZeroCollision,
 )
 from .inversion import (
@@ -398,11 +399,13 @@ def cmd_thm66(cfg: RunConfig, out_dir: Path) -> bool:
             corr = zero_set_residual(P, spec, eps_w, _kappa_cache=kap)
         except (NewtonDivergence, JacobianSingular) as exc:
             return (None, None, type(exc).__name__)
-        lit: float | None
+        lit: float | str
         try:
             lit = zero_set_residual(P, spec, eps_w, use_correction=False, _kappa_cache=kap)
-        except (NewtonDivergence, JacobianSingular):
-            lit = None
+        except NoPreimage:
+            lit = "no_preimage"
+        except NewtonDivergence:
+            lit = "diverged"
         return (corr, lit, None)
 
     rows: list[list] = []
@@ -415,7 +418,7 @@ def cmd_thm66(cfg: RunConfig, out_dir: Path) -> bool:
             rows.append([idx, P, "skipped:" + err, ""])
             continue
         oks.append(corr < cfg.tol_congruence)
-        rows.append([idx, P, corr, lit if lit is not None else "diverged"])
+        rows.append([idx, P, corr, lit])
 
     # spot checks: sheet independence and the off-curve control
     P0 = pts[0]

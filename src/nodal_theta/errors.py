@@ -40,7 +40,15 @@ class DegenerateC(NodalThetaError):
 
 
 class NewtonDivergence(NodalThetaError):
-    """Newton iteration left its basin or failed to converge within max_iters."""
+    """Newton iteration failed to converge within max_iters.  In the stated
+    inverse (branches.beta_k) this is a defect: its polish starts from the
+    closed-form root."""
+
+
+class NoPreimage(NewtonDivergence):
+    """The stated map d(eps) has no c2 over the target: its closed-form
+    candidate misses by a nonzero integer, has no finite value, or puts a
+    zero of T_c on the chart ray."""
 
 
 class JacobianSingular(NodalThetaError):

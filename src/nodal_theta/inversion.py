@@ -455,9 +455,11 @@ class RiemannConstants:
     alpha_phi2_integral: complex
 
 
+@lru_cache(maxsize=16)
 def riemann_constants(spec: NodalCurveSpec, eps: float, quad_tol: float | None = None) -> RiemannConstants:
     """kappa1 = -tau/2 - phi1(Q0) + phi1(P2) + int_alpha phi1 dz and
-    kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz."""
+    kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz.
+    Cached per (spec, eps, quad_tol)."""
     tol = spec.quad_tol if quad_tol is None else quad_tol
     r1, _, _ = derive_periods(spec)
     diff = third_kind(spec)

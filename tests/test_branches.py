@@ -2,10 +2,11 @@
 
 The corrected inverse places the curve image in the zero set at machine
 precision but does so through an identity that holds for every argument
-(the test pins this vacuity explicitly); Newton inversion of the
-uncorrected map leaves an order-one residual on the curve.  Both facts are
-asserted, since together they summarize what the containment statement
-actually delivers numerically.
+(the test pins this vacuity explicitly); the closed-form inverse of the
+uncorrected map leaves an order-one residual on the curve, or certifies that
+the curve point has no preimage.  Both facts are asserted, since together
+they summarize what the containment statement actually delivers
+numerically.
 """
 
 import gc
@@ -13,6 +14,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nodal_theta import branches
 from nodal_theta.abel_jacobi import phi
@@ -22,8 +25,8 @@ from nodal_theta.branches import (
     select_epsilon,
     zero_set_residual,
 )
-from nodal_theta.curve import derive_periods
-from nodal_theta.errors import JacobianSingular, NewtonDivergence, NoValidEpsilon
+from nodal_theta.curve import NodalCurveSpec, derive_periods
+from nodal_theta.errors import DegenerateC, NoPreimage, NoValidEpsilon, QuadratureFailure
 from nodal_theta.inversion import (
     DMap,
     d_map,
@@ -78,25 +81,66 @@ class TestSelectEpsilon:
 
 class TestBetaK:
     def test_round_trip_literal(self, spec_ab):
-        # u built in range, inverse by Newton on the H3 map
+        # u = d(c) + kappa has the preimage c by construction: every draw inverts
         spec = spec_ab
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         rng = np.random.default_rng(11)
-        done = 0
-        while done < 3:
+        for _ in range(3):
             c, _ = sample_generic_c(spec, rng)
             d = d_map(EPS_SEL, c, spec)
             u = (d[0] + kap[0], d[1] + kap[1])
-            try:
-                c_back = beta_k(u, spec, EPS_SEL, use_correction=False, _kappa_cache=kap)
-            except (NewtonDivergence, JacobianSingular):
-                continue
+            c_back = beta_k(u, spec, EPS_SEL, use_correction=False, _kappa_cache=kap)
             d_back = d_map(EPS_SEL, c_back, spec)
             assert abs(d_back[1] - (u[1] - kap[1])) < 1e-9
             assert abs(d_back[0] - (u[0] - kap[0])) < 1e-12
             # left inverse up to the integer sheet
             assert frac_norm(c_back[1] - c[1]) < 1e-9
-            done += 1
+
+    def test_closed_form_identity(self, spec_ab):
+        # h3 = d/dt log(t T_c(p2 + t)) on the chart, so exp(H3) is known in
+        # closed form: the identity the stated inverse is solved from.  The
+        # bound is 1e-8, not 1e-10: below |t| = 1e-3 alpha2 is a truncated
+        # Taylor polynomial whose error (up to 1.9e-9 here) the integrand carries
+        rng = np.random.default_rng(19)
+        for _ in range(12):
+            c, _ = sample_generic_c(spec_ab, rng)
+            dm = DMap(spec_ab, c[0], EPS_SEL)
+            want = 1.0 + dm.eps * dm.h2(dm.eps, c[1]) / dm.c_minus1(c[1])
+            assert abs(np.exp(dm.H3(c[1])) - want) < 1e-8 * abs(want)
+
+    def test_preimage_inside_the_cut_reach(self, spec_b):
+        # |e(-c2)| = 0.109 lies inside the reach of the cut (0.257), where
+        # the former trust-region Newton search diverged
+        eps = 0.04
+        kap = kappa_vector(riemann_constants(spec_b, eps), spec_b, "half_tau")
+        u = (0.7059590429868869 + 0.05188252772662516j, 0.3597683344481428 - 0.07903089891655135j)
+        c = beta_k(u, spec_b, eps, use_correction=False, _kappa_cache=kap)
+        assert frac_norm(c[1] - (0.05708958941645002 - 0.35243719946798296j)) < 1e-9
+
+    @given(
+        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
+        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
+        c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)),
+    )
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_round_trip_literal_on_generated_specs(self, tau, q0, coords, c):
+        tau, q0 = complex(*tau), complex(*q0)
+        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+        try:
+            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
+        except ValueError:
+            assume(False)
+        c = (c[0] + c[1] * tau, complex(c[2], c[3]))
+        eps = spec.eps / 2
+        kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
+        try:
+            d = d_map(eps, c, spec)
+        except (DegenerateC, QuadratureFailure):
+            assume(False)
+        u = (d[0] + kap[0], d[1] + kap[1])
+        c_back = beta_k(u, spec, eps, use_correction=False, _kappa_cache=kap)
+        assert frac_norm(c_back[1] - c[1]) < 1e-9
 
     def test_round_trip_corrected_mod_sheet(self, spec_ab):
         spec = spec_ab
@@ -180,14 +224,14 @@ class TestZeroSet:
                 vals.append(
                     zero_set_residual(P, spec, EPS_SEL, use_correction=False, _kappa_cache=kap)
                 )
-            except (NewtonDivergence, JacobianSingular):
+            except NoPreimage:
                 continue
         assert vals and min(vals) > 1e-3
 
     def test_node_memo_released_after_newton_divergence(self, spec_a, kappa_a, monkeypatch):
-        # the exceptions beta_k catches keep its frame, and so its DMap, alive
-        # in reference cycles until a full collection; the node memo must not
-        # live on with them
+        # an exception out of beta_k keeps its frame, and so its DMap, alive
+        # until it is dropped, in reference cycles until a full collection;
+        # the node memo must not live on with them
         made = []
 
         class RecordingDMap(DMap):
@@ -198,7 +242,7 @@ class TestZeroSet:
         monkeypatch.setattr(branches, "DMap", RecordingDMap)
         gc.disable()
         try:
-            with pytest.raises(NewtonDivergence):
+            with pytest.raises(NoPreimage):
                 zero_set_residual(spec_a.point(0.22, 0.71), spec_a, EPS_SEL,
                                   use_correction=False, _kappa_cache=kappa_a)
         finally:

@@ -119,6 +119,12 @@ class TestCommands:
         assert "k_independence" in text
         assert "off_curve_control_corrected" in text
         assert text.splitlines()[-1].startswith("summary,pass")
+        # on config A the stated map misses every curve point by an integer:
+        # the stated column certifies that, rather than reporting a failed search
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        points = [row for row in rows if row[0].isdigit()]
+        assert len(points) == 20
+        assert all(row[3] == "no_preimage" for row in points)
 
     def test_zeroset_plot(self, cfg_a, tmp_path):
         out = tmp_path / "out"

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nodal_theta import inversion
 from nodal_theta.abel_jacobi import divisor_image, phi1, phi2
 from nodal_theta.curve import NodalCurveSpec, derive_periods, mod_gamma_decompose, period_group
 from nodal_theta.errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
@@ -569,6 +570,17 @@ class TestRiemannConstants:
         a = riemann_constants(spec_a, EPS_W, quad_tol=1e-10)
         b = riemann_constants(spec_a, EPS_W, quad_tol=1e-11)
         assert abs(a.kappa2 - b.kappa2) < 1e-9
+
+    def test_computed_once_per_radius(self, spec_a, monkeypatch):
+        # verify_thm51 reads the constants on every sample, and they depend
+        # only on (spec, eps): a(eps) is integrated once for the whole batch
+        calls = []
+        real = inversion.a_eps
+        monkeypatch.setattr(inversion, "a_eps", lambda *args: calls.append(args) or real(*args))
+        riemann_constants.cache_clear()
+        results, _ = run_thm51_batch(spec_a, 3, np.random.default_rng(71), eps=EPS_W)
+        assert len(results) == 3
+        assert len(calls) == 1
 
     def test_variant_vector_shift(self, spec_a):
         rc = riemann_constants(spec_a, EPS_W)
