@@ -50,6 +50,7 @@ from .theta import (
     psi,
     rho0_factor,
     theta_char,
+    theta_char_and_dz,
     theta_char_dz,
     translation_factor,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "riemann_constants",
     "select_epsilon",
     "theta_char",
+    "theta_char_and_dz",
     "theta_char_dz",
     "translation_factor",
     "verify_thm51",

@@ -20,14 +20,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .curve import NodalCurveSpec
+from .curve import NodalCurveSpec, derive_periods
 from .differentials import third_kind
 from .errors import BranchStepTooLarge, ContourThroughZero, PoleProximity
 from .quadrature import _log_change_sampled, integrate_segment
-from .theta import TWO_PI_I, theta_char
+from .theta import TWO_PI_I, e_func, theta_char
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,22 @@ def _theta_quotient(spec: NodalCurveSpec):
         )
 
     return q
+
+
+@lru_cache(maxsize=16)
+def _theta_quotient_at_z0(spec: NodalCurveSpec) -> complex:
+    return _theta_quotient(spec)(spec.z0)
+
+
+def e_phi2(spec: NodalCurveSpec, z):
+    """e(phi2(z)) by the branch-free identity
+
+        e(phi2(z)) = (Q(z)/Q(z0)) e(kappa_coeff (z - z0)),
+
+    single-valued on the cut curve; Q(z0) is computed once per spec."""
+    z = np.asarray(z, dtype=np.complex128) if isinstance(z, np.ndarray) else z
+    _, _, kappa = derive_periods(spec)
+    return _theta_quotient(spec)(z) / _theta_quotient_at_z0(spec) * e_func(kappa * (z - spec.z0))
 
 
 def trace_path(spec: NodalCurveSpec, vertices) -> BranchedPath:

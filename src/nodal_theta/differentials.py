@@ -21,7 +21,7 @@ import numpy as np
 from .curve import NodalCurveSpec, derive_periods
 from .errors import PoleAt
 from .quadrature import integrate_circle, integrate_polyline, integrate_segment
-from .theta import TWO_PI_I, theta_char, theta_char_dz, theta_char_dzk
+from .theta import TWO_PI_I, theta_char_and_dz, theta_char_dzk
 
 _ODD = (0.5, 0.5)
 _ELL_SWITCH = 1e-2  # |t| below which ell uses its Laurent expansion
@@ -76,10 +76,8 @@ class ThirdKindDifferential:
         out = np.empty_like(x_red)
         small = np.abs(x_red) < _ELL_SWITCH
         if np.any(~small):
-            xs = x_red[~small]
-            out[~small] = theta_char_dz(_ODD, xs, self.tau, self.policy) / theta_char(
-                _ODD, xs, self.tau, self.policy
-            )
+            th, thp = theta_char_and_dz(_ODD, x_red[~small], self.tau, self.policy)
+            out[~small] = thp / th
         if np.any(small):
             ts = x_red[small]
             if np.any(np.abs(ts) < 1e-12):
@@ -99,9 +97,8 @@ class ThirdKindDifferential:
         small = np.abs(t) < _ELL_SWITCH
         if np.any(~small):
             ts = t[~small]
-            out[~small] = theta_char_dz(_ODD, ts, self.tau, self.policy) / theta_char(
-                _ODD, ts, self.tau, self.policy
-            ) - 1.0 / ts
+            th, thp = theta_char_and_dz(_ODD, ts, self.tau, self.policy)
+            out[~small] = thp / th - 1.0 / ts
         if np.any(small):
             out[small] = self._ell_reg_small(t[small])
         return complex(out[0]) if scalar else out
@@ -115,7 +112,9 @@ class ThirdKindDifferential:
             red, _ = self._reduce(z_arr - p)
             if np.any(np.abs(red) < 1e-12):
                 raise PoleAt(f"eta evaluated at a pole (near {p:.6g} mod lattice)")
-        return (self.ell(z_arr - self.p1) - self.ell(z_arr - self.p2)) / TWO_PI_I + self.kappa_coeff
+        ell1, ell2 = self.ell(np.stack([z_arr - self.p1, z_arr - self.p2]))
+        out = (ell1 - ell2) / TWO_PI_I + self.kappa_coeff
+        return complex(out) if z_arr.ndim == 0 else out
 
     def h_at_p1(self, t):
         """Holomorphic part of eta at p1: eta(p1+t) - (1/2*pi*i)/t, chart z = p1 + t."""

@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .abel_jacobi import _theta_quotient, a_eps, divisor_image, phi1, phi2
+from .abel_jacobi import a_eps, divisor_image, e_phi2, phi1, phi2
 from .curve import (
     NodalCurveSpec,
     derive_periods,
@@ -44,7 +44,7 @@ from .curve import (
 from .differentials import third_kind
 from .errors import ContourThroughZero, DegenerateC, ZeroCollision
 from .quadrature import _N0, _N_MAX, integrate_segment, track_log_sampled, winding_number_sampled
-from .theta import TWO_PI_I, e_func, theta_char, theta_char_dz, theta_char_dzk
+from .theta import TWO_PI_I, e_func, theta_char, theta_char_and_dz, theta_char_dz, theta_char_dzk
 
 GENERICITY_TOL = 1e-3
 
@@ -88,23 +88,16 @@ class ThetaPullback:
         failed = genericity_failure(spec, self.c1)
         if failed is not None:
             raise DegenerateC(failed)
-        self.r1, self.r2, self.kappa = derive_periods(spec)
+        self.r1, self.r2, _ = derive_periods(spec)
         self._rchar = (-self.r1, self.r2)
-        self._q = _theta_quotient(spec)
-        self._q_at_z0 = self._q(spec.z0)
 
     # -- building blocks ----------------------------------------------------
-
-    def e_phi2(self, z):
-        """e(phi2(z)): single-valued, branch-free evaluation."""
-        z = np.asarray(z, dtype=np.complex128) if isinstance(z, np.ndarray) else z
-        return self._q(z) / self._q_at_z0 * e_func(self.kappa * (z - self.spec.z0))
 
     def value(self, P):
         """T_c(P) for scalars or arrays."""
         spec = self.spec
         x = (P - spec.z0) - self.c1
-        ew = self.e_phi2(P) * e_func(-self.c2)
+        ew = e_phi2(spec, P) * e_func(-self.c2)
         return (
             theta_char((0.0, 0.0), x, spec.tau, spec.policy)
             + theta_char(self._rchar, x, spec.tau, spec.policy) * ew
@@ -124,20 +117,21 @@ class ThetaPullback:
             self.spec.policy,
         )
 
-    def dvalue(self, P):
-        """dT_c/dz by the chain rule through the theta kernel and eta."""
+    def value_and_dvalue(self, P):
+        """(T_c(P), dT_c/dz(P)); the derivative by the chain rule through the
+        theta kernel and eta.  One pass per theta characteristic gives each
+        theta with its derivative; the value equals `value(P)` bit for bit."""
         spec = self.spec
-        diff = third_kind(spec)
         x = (P - spec.z0) - self.c1
-        ew = self.e_phi2(P) * e_func(-self.c2)
-        return (
-            theta_char_dz((0.0, 0.0), x, spec.tau, spec.policy)
-            + (
-                theta_char_dz(self._rchar, x, spec.tau, spec.policy)
-                + TWO_PI_I * diff.eta_coeff(P) * theta_char(self._rchar, x, spec.tau, spec.policy)
-            )
-            * ew
-        )
+        ew = e_phi2(spec, P) * e_func(-self.c2)
+        th0, th0p = theta_char_and_dz((0.0, 0.0), x, spec.tau, spec.policy)
+        thr, thrp = theta_char_and_dz(self._rchar, x, spec.tau, spec.policy)
+        eta = third_kind(spec).eta_coeff(P)
+        return th0 + thr * ew, th0p + (thrp + TWO_PI_I * eta * thr) * ew
+
+    def dvalue(self, P):
+        """dT_c/dz for scalars or arrays."""
+        return self.value_and_dvalue(P)[1]
 
 
 # -- zero counting and location ---------------------------------------------
@@ -162,17 +156,18 @@ def beta_dlog_integral(tp: ThetaPullback) -> complex:
     return d / TWO_PI_I
 
 
-def _newton_polish(tp: ThetaPullback, z: complex, tol: float = 1e-12, max_iter: int = 60) -> complex:
+def _newton_polish(tp: ThetaPullback, z: np.ndarray, tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
+    """Newton steps on T_c from the starts z, all in one array call per step,
+    until every step is below tol."""
     for _ in range(max_iter):
-        f = tp.value(z)
-        df = tp.dvalue(z)
-        if df == 0:
+        f, df = tp.value_and_dvalue(z)
+        if np.any(df == 0):
             raise ZeroCollision("vanishing derivative during Newton polish")
         step = f / df
         z = z - step
-        if abs(step) < tol:
+        if np.all(np.abs(step) < tol):
             return z
-    raise ZeroCollision(f"Newton polish did not converge near {z:.6g}")
+    raise ZeroCollision(f"Newton polish did not converge near {', '.join(f'{x:.6g}' for x in z)}")
 
 
 def _moment_roots(tp: ThetaPullback, a: complex):
@@ -195,7 +190,8 @@ def _moment_roots(tp: ThetaPullback, a: complex):
     scale = (1.0 - e_func(k[:, 0] * spec.tau)) / TWO_PI_I
 
     def sums(z):
-        return np.sum(e_func(k * z) * (tp.dvalue(z) / tp.value(z)), axis=1)
+        T, dT = tp.value_and_dvalue(z)
+        return np.sum(e_func(k * z) * (dT / T), axis=1)
 
     n = _N0
     acc = sums(a + np.arange(n) / n)
@@ -216,8 +212,9 @@ def _moment_roots(tp: ThetaPullback, a: complex):
 
 def locate_zeros(tp: ThetaPullback) -> tuple[complex, complex]:
     """The two zeros of T_c in the cell, from the moments of T'/T on the
-    line q0 (or, should they not converge there, on the line q0 + tau/2),
-    polished by Newton."""
+    line q0 (or, should they not converge there, on the line q0 + tau/2).
+    A Newton polish of both roots in one array call per step confirms that
+    each is a zero; from the moment roots that usually takes one step."""
     spec = tp.spec
     for a in (spec.q0, spec.q0 + 0.5 * spec.tau):
         w = _moment_roots(tp, a)
@@ -229,7 +226,8 @@ def locate_zeros(tp: ThetaPullback) -> tuple[complex, complex]:
     def cell(z):
         return reduce_to_cell(z, spec.q0, spec.tau)
 
-    q1, q2 = (cell(_newton_polish(tp, cell(cmath.log(x) / TWO_PI_I))) for x in w)
+    starts = np.array([cell(cmath.log(x) / TWO_PI_I) for x in w])
+    q1, q2 = (cell(complex(z)) for z in _newton_polish(tp, starts))
     if abs(q1 - q2) < 1e-6:
         raise ZeroCollision("zeros collided after polishing")
     for z in (q1, q2):
@@ -283,14 +281,11 @@ class DMap:
             raise DegenerateC(failed)
         self.spec = spec
         self.eps = float(eps)
-        self.r1, r2, kappa = derive_periods(spec)
+        self.r1, r2, _ = derive_periods(spec)
         self.diff = third_kind(spec)
         self.x2 = phi1(spec, spec.p2) - self.c1
         self._rchar = (-self.r1, r2)
-        # e(phi2) at the chart anchor t = eps, by the identity of ThetaPullback.e_phi2
-        q = _theta_quotient(spec)
-        z = spec.p2 + self.eps
-        self._e_phi2_eps = q(z) / q(spec.z0) * e_func(kappa * (z - spec.z0))
+        self._e_phi2_eps = e_phi2(spec, spec.p2 + self.eps)  # e(phi2) at the chart anchor t = eps
         self.g0 = complex(self.g(0.0))
         _, h1c = self.diff._h1_series()
         m, mp, mpp = (TWO_PI_I * h for h in (complex(h1c[0]), complex(h1c[1]), 2.0 * complex(h1c[2])))
@@ -330,8 +325,7 @@ class DMap:
         if np.any(~small):
             spec = self.spec
             ts = t[~small]
-            th = theta_char(self._rchar, self.x2 + ts, spec.tau, spec.policy)
-            thp = theta_char_dz(self._rchar, self.x2 + ts, spec.tau, spec.policy)
+            th, thp = theta_char_and_dz(self._rchar, self.x2 + ts, spec.tau, spec.policy)
             g = self.g(ts)
             dG = th * g - self._G_taylor[0]
             a2[~small] = dG / ts
@@ -345,7 +339,7 @@ class DMap:
 
     def mobius_coeffs(self, t):
         """(A, B, C, D) with h3 = (A + B e(-c2)) / (C + D e(-c2))."""
-        a1, a1p = self.alpha1(t), self.alpha1_prime(t)
+        a1, a1p = theta_char_and_dz((0.0, 0.0), self.x2 + t, self.spec.tau, self.spec.policy)
         a2, a2p = self.alpha2(t)
         A = a1 + t * a1p
         B = a2 + t * a2p

@@ -12,7 +12,8 @@ below the policy tolerance.  Each argument is moved by quasi-periodicity into
 the strip |Im z| <= Im(tau)/2, where the Gaussian centre of the terms lies
 within 1/2 of n + a = 0, so one cached window per (characteristic, tau,
 policy) holds the largest terms of every point and a point's value does not
-depend on the rest of its batch.
+depend on the rest of its batch.  theta_char_and_dz returns theta and its
+z-derivative from one window pass, each equal bit for bit to its own call.
 """
 
 from __future__ import annotations
@@ -140,15 +141,18 @@ def _window(a: float, b: float, tau: complex, policy: SeriesPolicy, deriv_order:
     return a_red, nk, coeffs
 
 
-def _theta_general(char, z, tau, policy: SeriesPolicy, deriv_order: int):
+def _theta_general(char, z, tau, policy: SeriesPolicy, orders: tuple[int, ...]):
     """z = w + q*tau with w in the strip, q = round(Im z / Im tau), and
     theta[a;b](z) = e(-q^2 tau/2 - q(w + b)) theta[a;b](w).  The terms
     e(nk w) come from one exponential per point and a recurrence from the
-    window centre, in one row per point that is summed on its own."""
+    window centre, in one row per point that is summed on its own.  One
+    pass returns the k-th z-derivative for each k in orders: the rows and
+    the prefactor are shared, and each k applies its own window coefficients
+    and (nk - q)^k to its own copy of the rows."""
     a, b = _char_ab(char)
     tau = _tau_value(tau)
     policy = policy or DEFAULT_POLICY
-    a_red, nk, coeffs = _window(a, b, tau, policy, deriv_order)
+    a_red, nk, _ = _window(a, b, tau, policy, orders[0])
     z_arr = np.asarray(z, dtype=np.complex128)
     zf = z_arr.ravel()
     q = np.rint(zf.imag / tau.imag)
@@ -164,13 +168,19 @@ def _theta_general(char, z, tau, policy: SeriesPolicy, deriv_order: int):
     rows[:, :mid] = (1.0 / step)[:, None]
     np.multiply.accumulate(rows[:, mid:], axis=1, out=rows[:, mid:])
     np.multiply.accumulate(rows[:, mid::-1], axis=1, out=rows[:, mid::-1])
-    # in-place products only on whole rows: numpy may round a length-1
-    # in-place complex product differently from a longer one
-    rows *= coeffs
-    if deriv_order:
-        rows *= (nk - q[:, None]) ** deriv_order
-    vals = rows.sum(axis=1) * np.exp(TWO_PI_I * ((a_red - q) * w - q * (0.5 * qt + b)))
-    return complex(vals[0]) if z_arr.ndim == 0 else vals.reshape(z_arr.shape)
+    prefactor = np.exp(TWO_PI_I * ((a_red - q) * w - q * (0.5 * qt + b)))
+    out = []
+    for i, k in enumerate(orders):
+        # the last order takes the rows themselves, so one order needs no copy;
+        # in-place products only on whole rows: numpy may round a length-1
+        # in-place complex product differently from a longer one
+        rk = rows if i == len(orders) - 1 else rows.copy()
+        rk *= _window(a, b, tau, policy, k)[2]
+        if k:
+            rk *= (nk - q[:, None]) ** k
+        vals = rk.sum(axis=1) * prefactor
+        out.append(complex(vals[0]) if z_arr.ndim == 0 else vals.reshape(z_arr.shape))
+    return out
 
 
 def theta_char(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
@@ -181,17 +191,23 @@ def theta_char(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
     policy.max_index terms per side, or if some |Im z| / Im tau exceeds
     100,000.
     """
-    return _theta_general(char, z, tau, policy, 0)
+    return _theta_general(char, z, tau, policy, (0,))[0]
 
 
 def theta_char_dz(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
     """Termwise z-derivative of theta_char."""
-    return _theta_general(char, z, tau, policy, 1)
+    return _theta_general(char, z, tau, policy, (1,))[0]
+
+
+def theta_char_and_dz(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
+    """(theta_char, theta_char_dz) from one window pass; each equals its own
+    call bit for bit.  For callers that need both at the same points."""
+    return tuple(_theta_general(char, z, tau, policy, (0, 1)))
 
 
 def theta_char_dzk(char, z, tau, k: int, policy: SeriesPolicy = DEFAULT_POLICY):
     """k-th termwise z-derivative; used for local expansions near theta zeros."""
-    return _theta_general(char, z, tau, policy, k)
+    return _theta_general(char, z, tau, policy, (k,))[0]
 
 
 def translation_factor(char, p: int, q: int, z, tau):

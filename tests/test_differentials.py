@@ -97,10 +97,15 @@ class TestEtaCoeff:
             eta_coeff(spec_a, spec_a.p1)
 
     def test_vectorized_matches_scalar(self, spec_a):
-        zs = np.array([0.2 + 0.7j, 0.9 + 0.1j, 0.6 + 0.85j])
+        # bit for bit, inside and outside the Laurent switch of ell
+        near = np.exp(2j * np.pi * np.arange(8) / 8)
+        zs = np.concatenate(
+            [[0.2 + 0.7j, 0.9 + 0.1j, 0.6 + 0.85j], spec_a.p1 + 0.005 * near, spec_a.p2 + 0.02 * near]
+        )
         vec = eta_coeff(spec_a, zs)
-        scal = np.array([eta_coeff(spec_a, z) for z in zs])
-        assert np.max(np.abs(vec - scal)) < 1e-13
+        scal = [eta_coeff(spec_a, complex(z)) for z in zs]
+        assert all(type(v) is complex for v in scal)
+        assert np.array_equal(vec, np.array(scal))
 
 
 class TestLocalData:

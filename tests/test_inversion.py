@@ -17,8 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodal_theta import inversion
-from nodal_theta.abel_jacobi import divisor_image, phi1, phi2
+from nodal_theta import inversion, theta
+from nodal_theta.abel_jacobi import divisor_image, e_phi2, phi1, phi2
 from nodal_theta.curve import NodalCurveSpec, derive_periods, mod_gamma_decompose, period_group
 from nodal_theta.errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
 from nodal_theta.quadrature import integrate_segment, winding_number_sampled
@@ -128,6 +128,62 @@ class TestPullback:
             assert genericity_failure(spec, c1_bad) == name
             with pytest.raises(DegenerateC, match=re.escape(name)):
                 ThetaPullback((c1_bad, 0.1), spec)
+
+
+class TestValueAndDerivative:
+    """ThetaPullback.value_and_dvalue, on the line q0 where the zero moments
+    are taken."""
+
+    @staticmethod
+    def moment_line(spec, n=64):
+        return spec.q0 + np.arange(n) / n
+
+    def test_value_is_value_bit_for_bit(self, spec_ab):
+        tp = generic_tp(spec_ab)
+        z = self.moment_line(spec_ab)
+        T, dT = tp.value_and_dvalue(z)
+        assert np.array_equal(T, tp.value(z))
+        assert np.array_equal(dT, tp.dvalue(z))
+        T, dT = tp.value_and_dvalue(complex(z[5]))
+        assert type(T) is complex and type(dT) is complex
+        assert T == tp.value(complex(z[5]))
+
+    def test_derivative_matches_richardson_difference(self, spec_ab):
+        tp = generic_tp(spec_ab)
+        z = self.moment_line(spec_ab)
+        _, dT = tp.value_and_dvalue(z)
+        h = 1e-3
+        d1 = (tp.value(z + h) - tp.value(z - h)) / (2 * h)
+        d2 = (tp.value(z + h / 2) - tp.value(z - h / 2)) / h
+        fd = (4 * d2 - d1) / 3.0
+        assert np.max(np.abs(dT - fd) / np.abs(dT)) < 1e-8
+
+    def test_five_kernel_passes(self, spec_ab, monkeypatch):
+        # e(phi2) (2), theta00 with theta00' (1), theta_r with theta_r' (1), eta (1)
+        tp = generic_tp(spec_ab)
+        z = self.moment_line(spec_ab, 32)
+        tp.value_and_dvalue(z)  # warm-up: per-spec caches
+        calls = []
+        kernel = theta._theta_general
+
+        def counted(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(theta, "_theta_general", counted)
+        tp.value_and_dvalue(z)
+        assert len(calls) == 5
+
+    def test_batched_polish_confirms_both_zeros(self, spec_ab):
+        tp = generic_tp(spec_ab)
+        w = inversion._moment_roots(tp, spec_ab.q0)
+        starts = np.array([cmath.log(x) / TWO_PI_I for x in w])
+        for z in (starts, starts + np.array([1e-3, -1e-3j])):
+            polished = inversion._newton_polish(tp, z)
+            assert polished.shape == (2,)
+            assert np.all(np.abs(tp.value(polished)) < 1e-10)
+        with pytest.raises(ZeroCollision, match="did not converge"):
+            inversion._newton_polish(tp, starts + np.array([1e-3, -1e-3j]), max_iter=1)
 
 
 def zero_sum_gap(tp, q1, q2):
@@ -364,7 +420,7 @@ class TestGFunction:
         for k in range(8):
             t = (EPS_W / 2) * cmath.exp(2j * math.pi * k / 8)
             lhs = dm.g(t) / t
-            rhs = tp.e_phi2(spec_ab.p2 + t)
+            rhs = e_phi2(spec_ab, spec_ab.p2 + t)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
     def test_g_finite_nonzero_at_origin(self, spec_ab):

@@ -23,6 +23,7 @@ from nodal_theta.theta import (
     psi,
     rho0_factor,
     theta_char,
+    theta_char_and_dz,
     theta_char_dz,
     theta_char_dzk,
     translation_factor,
@@ -122,6 +123,8 @@ class TestThetaChar:
             theta_char((0.0, 0.0), 0.1 + 1e6j, 1j)
         with pytest.raises(NonConvergent):
             theta_char_dz((0.5, 0.5), np.array([0.2, 0.3 - 2e5j]), 0.3 + 0.8j)
+        with pytest.raises(NonConvergent):
+            theta_char_and_dz((0.5, 0.5), np.array([0.2, 0.3 - 2e5j]), 0.3 + 0.8j)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
@@ -155,13 +158,21 @@ def theta_mpmath(char, z, tau, k, n_max=30):
 CHARS = [(0.0, 0.0), (0.5, 0.5), (0.25, -0.4), (-1.3, 0.7)]
 
 
+def fused_value(char, z, tau):
+    return theta_char_and_dz(char, z, tau)[0]
+
+
+def fused_dz(char, z, tau):
+    return theta_char_and_dz(char, z, tau)[1]
+
+
 class TestFixedWindowKernel:
     """Each point's value depends on that point only, and matches a
     high-precision oracle."""
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("char", CHARS)
-    @pytest.mark.parametrize("func", [theta_char, theta_char_dz])
+    @pytest.mark.parametrize("func", [theta_char, theta_char_dz, fused_value, fused_dz])
     def test_batch_invariance(self, tau, char, func):
         rng = np.random.default_rng(43)
         zs = rng.uniform(-1.5, 1.5, 200) + 1j * np.linspace(-2.0, 3.0, 200)
@@ -171,6 +182,21 @@ class TestFixedWindowKernel:
         assert np.array_equal(alone, batch)
         for m in (1, 3, 5, 7, 33, 64):
             assert np.array_equal(func(char, zs[:m], tau), batch[:m])
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("char", CHARS)
+    def test_fused_pass_equals_single_calls(self, tau, char):
+        rng = np.random.default_rng(53)
+        zs = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-2.0, 3.0, 40)
+        for z in (zs, zs.reshape(5, 8)):
+            value, deriv = theta_char_and_dz(char, z, tau)
+            assert np.array_equal(value, theta_char(char, z, tau))
+            assert np.array_equal(deriv, theta_char_dz(char, z, tau))
+        for z in (complex(zs[0]), np.asarray(zs[0])):
+            value, deriv = theta_char_and_dz(char, z, tau)
+            assert type(value) is complex and type(deriv) is complex
+            assert value == theta_char(char, z, tau)
+            assert deriv == theta_char_dz(char, z, tau)
 
     @pytest.mark.parametrize("k", [0, 1, 3, 7])
     def test_matches_mpmath_oracle(self, k):
