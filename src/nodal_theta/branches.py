@@ -7,18 +7,17 @@ invert in closed form on one node chart (inversion.DMap) of (c1, eps), on
 which c2 enters only through w = e(-c2).  On the chart
 h3 = d/dt log(t*T_c(p2 + t)), so with G0 = beta_coeff
 
-    exp(H3(eps; c)) = 1 + eps*h2(eps; c2)/c_minus1(c2)
-                    = 1 + eps*alpha2(eps)/G0 + eps*alpha1(eps)/(G0*w).
+    exp(H3(eps; c)) = f(eps) = (eps*alpha1(eps)/w + G(eps))/G0.
 
 The stated map d2(c2) = c1*r1 + H3(eps; c)/(2*pi*i) = v therefore forces
-exp(H3) = e(v - c1*r1), which is linear in 1/w: there is one candidate w*,
-and so one candidate c2* mod 1.  H3 is the continuous log along [0, eps],
-so d2(c2*) - v is an integer up to quadrature error, and a nonzero integer
-certifies that v has no preimage.  The branch-corrected map d_corr(eps)
-(see inversion.branch_correction) is affine in c2 and inverts from the same
-chart's branch-cut terms; it is the corrected inverse that places the curve
-image inside the zero set of the generalized theta function, so
-zero_set_residual uses it by default.
+f(eps) = e(v - c1*r1), which is linear in 1/w: there is one candidate w*,
+and so one candidate c2* mod 1.  DMap.d2 reads H3 as the continuous log of
+f along [0, eps], so d2(c2*) - v is an integer up to rounding, and a
+nonzero integer certifies that v has no preimage.  The branch-corrected
+map d_corr(eps) (see inversion.branch_correction) is affine in c2 and
+inverts from the same chart's branch-cut terms; it is the corrected
+inverse that places the curve image inside the zero set of the generalized
+theta function, so zero_set_residual uses it by default.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .abel_jacobi import phi
 from .curve import NodalCurveSpec, derive_periods
-from .errors import NewtonDivergence, NoPreimage, NoValidEpsilon, QuadratureFailure
+from .errors import ContourThroughZero, NewtonDivergence, NoPreimage, NoValidEpsilon
 from .inversion import DMap, kappa_vector, riemann_constants, sample_generic_c
 from .theta import TWO_PI_I, big_theta, e_func
 
@@ -99,8 +98,8 @@ def _kappa(spec: NodalCurveSpec, eps: float):
 
 
 def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
-           newton_tol: float = 1e-12, max_iters: int = 50,
-           use_correction: bool = True, _kappa_cache=None) -> tuple[complex, complex]:
+           newton_tol: float = 1e-12, use_correction: bool = True,
+           _kappa_cache=None) -> tuple[complex, complex]:
     """Inverse of the inversion map on the k-th sheet: the c with
     d(eps)(c) = u - kappa(eps), where consecutive sheets differ by (0, 1).
 
@@ -109,12 +108,12 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
     function does not see.  With use_correction the branch-corrected map
     (affine in c2 up to its integer branch) is inverted in closed form.
     Without it, the stated map is solved in closed form for e(-c2) (see the
-    module docstring) and one H3 quadrature checks the candidate.  NoPreimage
-    means no c2 exists: the candidate misses by a nonzero integer, e(-c2)
-    has no finite nonzero value, or a zero of T_c lies on the chart ray at
-    the candidate.  Otherwise plain Newton polishes the candidate onto a
-    root of the computed map, |F| < newton_tol, in one or two steps;
-    NewtonDivergence means the polish failed, which is a defect.
+    module docstring), and the closed-form d2 at the candidate gives its
+    integer miss.  NoPreimage means no c2 exists: the candidate misses by a
+    nonzero integer, e(-c2) has no finite nonzero value, or a zero of T_c
+    lies on the chart ray at the candidate.  Otherwise the candidate is a
+    root of the computed map, |d2(c2*) - v| < newton_tol; NewtonDivergence
+    means it is not, which is a defect.
     """
     k1, k2 = _kappa(spec, eps) if _kappa_cache is None else _kappa_cache
     c1 = complex(u[0]) - k1
@@ -130,31 +129,22 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
         c2 = v - c1 * r1 - dm.branch_log(np.log(dm.beta_coeff)) / TWO_PI_I + k
         return (c1, complex(c2))
 
-    # exp(H3) = e(v - c1 r1) is linear in 1/w, w = e(-c2)
+    # f(eps) = e(v - c1 r1) is linear in 1/w, w = e(-c2)
     num = eps * complex(dm.alpha1(eps))
-    den = dm.beta_coeff * (e_func(v - c1 * r1) - 1.0) - eps * dm.alpha2(eps)[0]
+    den = dm.beta_coeff * e_func(v - c1 * r1) - complex(dm.G(eps))
     if num == 0 or den == 0:
         raise NoPreimage("the closed-form e(-c2) has no finite nonzero value")
     c2 = complex(-np.log(num / den) / TWO_PI_I) + k
     try:
-        try:
-            f = dm.d2(c2) - v
-        except QuadratureFailure as exc:
-            raise NoPreimage(f"a zero of T_c lies on the chart ray at the only candidate: {exc}") from exc
-        miss = round(f.real)
-        if miss != 0:
-            raise NoPreimage(f"the only candidate misses d2 = v by the integer {miss}")
-        for _ in range(max_iters):
-            if abs(f) < newton_tol:
-                return (c1, c2)
-            c2 -= f / dm.d2_dc2(c2)
-            f = dm.d2(c2) - v
-        raise NewtonDivergence(f"Newton polish of the closed-form root stalled at |F| = {abs(f):.2e}")
-    finally:
-        # a raised exception holds this frame, and so dm, until it is
-        # dropped (in a reference cycle, until a full collection): drop the
-        # node memo now
-        dm.coeffs.clear()
+        f = dm.d2(c2) - v
+    except ContourThroughZero as exc:
+        raise NoPreimage(f"a zero of T_c lies on the chart ray at the only candidate: {exc}") from exc
+    miss = round(f.real)
+    if miss != 0:
+        raise NoPreimage(f"the only candidate misses d2 = v by the integer {miss}")
+    if abs(f) >= newton_tol:
+        raise NewtonDivergence(f"the closed-form root misses d2 = v by {abs(f):.2e}")
+    return (c1, c2)
 
 
 def zero_set_residual(P, spec: NodalCurveSpec, eps: float, path=None, k: int = 0,

@@ -29,7 +29,6 @@ from .differentials import period_integral
 from .errors import (
     ContourThroughZero,
     DegenerateC,
-    JacobianSingular,
     NewtonDivergence,
     NodalThetaError,
     NoPreimage,
@@ -291,7 +290,7 @@ def cmd_thm51(cfg: RunConfig, out_dir: Path) -> bool:
             ka = alpha_dlog_integral(tp)
             kb = beta_dlog_integral(tp) - (-0.5 * spec.tau - (phi1(spec, spec.q0) - tp.c1))
             return (res, round(ka.real), round(kb.real), None)
-        except (ContourThroughZero, ZeroCollision, DegenerateC, JacobianSingular) as exc:
+        except (ContourThroughZero, ZeroCollision, DegenerateC) as exc:
             return (None, 0, 0, type(exc).__name__)
 
     rows: list[list] = []

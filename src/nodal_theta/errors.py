@@ -40,9 +40,9 @@ class DegenerateC(NodalThetaError):
 
 
 class NewtonDivergence(NodalThetaError):
-    """Newton iteration failed to converge within max_iters.  In the stated
-    inverse (branches.beta_k) this is a defect: its polish starts from the
-    closed-form root."""
+    """Newton iteration failed to converge.  In the stated inverse
+    (branches.beta_k) this is a defect: the closed-form root misses the
+    computed map by more than newton_tol."""
 
 
 class NoPreimage(NewtonDivergence):

@@ -20,7 +20,8 @@ argument principle over the cell.  Their divisor image W satisfies
 which `verify_thm51` checks for both readings of the constant (-tau/2
 versus -tau in the first component), reporting the residual of each.  The
 Laurent data at p2, d(eps) and the branch-cut term all come from one node
-chart per (c1, eps), `DMap`, which takes c2 as an argument.
+chart per (c1, eps), `DMap`, which takes c2 as an argument; on it d(eps) is
+the log of one chart value, and the quadrature of h3 is its dual route.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .curve import (
     reduce_to_cell,
 )
 from .differentials import third_kind
-from .errors import ContourThroughZero, DegenerateC, ZeroCollision
+from .errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
 from .quadrature import _N0, _N_MAX, integrate_segment, track_log_sampled, winding_number_sampled
-from .theta import TWO_PI_I, e_func, theta_char, theta_char_and_dz, theta_char_dz, theta_char_dzk
+from .theta import TWO_PI_I, e_func, theta_char, theta_char_and_dz, theta_char_dz
 
 GENERICITY_TOL = 1e-3
 
@@ -57,6 +58,7 @@ def _theta_scale(tau: complex, char: tuple[float, float]) -> float:
     return float(np.max(np.abs(theta_char(char, zs, tau))))
 
 
+@lru_cache(maxsize=64)
 def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     """Name of the first genericity guard that the shift c1 fails, or None.
 
@@ -64,6 +66,7 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     chart needs theta[-r1;r2](phi1(p2) - c1) != 0 (the residue c_minus1) and
     theta00(phi1(p2) - c1) != 0 (the Moebius determinant).  Each counts as
     zero at or below GENERICITY_TOL times that theta's scale over one cell.
+    Cached per (spec, c1): the pullbacks and charts of one c1 share it.
     """
     r1, r2, _ = derive_periods(spec)
     x1 = phi1(spec, spec.p1) - c1
@@ -138,8 +141,17 @@ class ThetaPullback:
 
 
 def count_zeros(tp: ThetaPullback) -> int:
-    """Number of zeros of T_c: boundary winding plus one for the pole at p2."""
-    return winding_number_sampled(tp.value, tp.spec.corners) + 1
+    """Number of zeros of T_c: boundary winding plus one for the pole at p2.
+
+    Should the walk along the cell boundary pass through a zero, the cell
+    translated by (1 + tau)/2 is walked instead; every fundamental cell holds
+    one translate of p2, so the + 1 holds there too."""
+    corners = tp.spec.corners
+    try:
+        return winding_number_sampled(tp.value, corners) + 1
+    except ContourThroughZero:
+        shift = 0.5 * (1.0 + tp.spec.tau)
+        return winding_number_sampled(tp.value, [z + shift for z in corners]) + 1
 
 
 def alpha_dlog_integral(tp: ThetaPullback) -> complex:
@@ -245,32 +257,30 @@ def _moebius(abcd, ec):
     return (A + B * ec) / (C + D * ec)
 
 
-def _moebius_dc2(abcd, ec):
-    """c2-derivative of _moebius, with ec = e(-c2)."""
-    A, B, C, D = abcd
-    return TWO_PI_I * ec * (A * D - B * C) / (C + D * ec) ** 2
-
-
 class DMap:
     """The node chart z = p2 + t of T_c for one (c1, eps), and the second
     component of d(eps)(c) as a function of c2.
 
-    T_c(t) = c_minus1/t + h2(t), h3 = T'/T + 1/t = (h2 + h2' t)/(c_minus1 + h2 t),
-    and h3 = (A + B e(-c2))/(C + D e(-c2)) with A..D independent of c2.  The
-    chart holds what does not depend on c2 (the factor g anchored at eps,
-    alpha1, alpha2, beta_coeff = G(0), and theta00(phi1(p1) - c1) on first
-    use); everything that does takes c2 as an argument.  H3 / d2 and
-    dH3_dc2 / d2_dc2 read A..D from a memo keyed by the quadrature node
-    array, so each node array is evaluated once whatever c2 is; h3 and
-    dh3_dc2 evaluate them afresh.
+    With w = e(-c2), G(t) = theta[-r1;r2](x2 + t) g(t) and G0 = G(0) =
+    beta_coeff, the chart reads t T_c(p2 + t) = c_minus1 f(t), where
+    c_minus1 = G0 w and
+
+        f(t) = (t alpha1(t)/w + G(t))/G0,   f(0) = 1.
+
+    So T_c(t) = c_minus1/t + h2(t), and h3 = T'/T + 1/t = f'/f =
+    (A + B w)/(C + D w) with (A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G)
+    independent of c2.  Its integral H3(eps) is therefore Log f(eps) + 2*pi*i*n,
+    n the winding of f along [0, eps]: `d2` and `d2_dc2` are these closed
+    forms, and `H3`, the quadrature of h3, is their dual route.  The chart
+    holds what does not depend on c2 (the factor g anchored at eps,
+    beta_coeff = G0, G'(0), and theta00(phi1(p1) - c1) on first use);
+    everything that does takes c2 as an argument.
 
     `h3_zero` is the value h3(0; c) implied by the definitions; the shorter
     closed form lacking the derivative term (`h3_zero_no_derivative`) is kept
     for comparison, and its deviation is exactly `h3_zero_defect`.  The
     genericity guard runs once, at construction.
     """
-
-    _SMALL_T = 1e-3
 
     def __init__(self, spec: NodalCurveSpec, c1, eps: float):
         if eps <= 0 or eps >= spec.eps * 1.0001:
@@ -288,17 +298,9 @@ class DMap:
         self._e_phi2_eps = e_phi2(spec, spec.p2 + self.eps)  # e(phi2) at the chart anchor t = eps
         self.g0 = complex(self.g(0.0))
         _, h1c = self.diff._h1_series()
-        m, mp, mpp = (TWO_PI_I * h for h in (complex(h1c[0]), complex(h1c[1]), 2.0 * complex(h1c[2])))
-        l0, l1, l2, l3 = (theta_char_dzk(self._rchar, self.x2, spec.tau, k, spec.policy) for k in range(4))
-        g0 = self.g0
-        self._G_taylor = (
-            l0 * g0,
-            (l1 + m * l0) * g0,
-            (l2 + 2 * m * l1 + (m * m + mp) * l0) * g0,
-            (l3 + 3 * m * l2 + 3 * (m * m + mp) * l1 + (m**3 + 3 * m * mp + mpp) * l0) * g0,
-        )
-        self.beta_coeff = self._G_taylor[0]
-        self.coeffs: dict[bytes, tuple] = {}  # node array bytes -> (A, B, C, D)
+        th, thp = theta_char_and_dz(self._rchar, self.x2, spec.tau, spec.policy)
+        self.beta_coeff = th * self.g0
+        self._dG0 = (thp + TWO_PI_I * complex(h1c[0]) * th) * self.g0
 
     # -- chart factor g and the Moebius coefficients --------------------------
 
@@ -313,58 +315,44 @@ class DMap:
     def alpha1_prime(self, t):
         return theta_char_dz((0.0, 0.0), self.x2 + t, self.spec.tau, self.spec.policy)
 
+    def G(self, t):
+        """G(t) = theta[-r1;r2](x2 + t) g(t), the residue factor of the chart."""
+        return theta_char(self._rchar, self.x2 + t, self.spec.tau, self.spec.policy) * self.g(t)
+
+    def _G_and_dG(self, t):
+        """(G, G') with G' = (theta_r' + 2*pi*i*h1 theta_r) g; one pass gives theta_r and theta_r'."""
+        th, thp = theta_char_and_dz(self._rchar, self.x2 + t, self.spec.tau, self.spec.policy)
+        g = self.g(t)
+        return th * g, (thp + TWO_PI_I * self.diff.h1_at_p2(t) * th) * g
+
     def alpha2(self, t):
-        """alpha2 = (G(t) - G(0))/t and alpha2', extended through t = 0, with
-        G(t) = theta[-r1;r2](x2 + t) g(t).  theta_r, theta_r', g and h1 are
-        evaluated once on the nodes away from 0."""
-        t = np.asarray(t, dtype=np.complex128)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        a2, a2p = np.empty_like(t), np.empty_like(t)
-        small = np.abs(t) < self._SMALL_T
-        if np.any(~small):
-            spec = self.spec
-            ts = t[~small]
-            th, thp = theta_char_and_dz(self._rchar, self.x2 + ts, spec.tau, spec.policy)
-            g = self.g(ts)
-            dG = th * g - self._G_taylor[0]
-            a2[~small] = dG / ts
-            a2p[~small] = ((thp + TWO_PI_I * self.diff.h1_at_p2(ts) * th) * g * ts - dG) / (ts * ts)
-        if np.any(small):
-            ts = t[small]
-            _, g1, g2, g3 = self._G_taylor
-            a2[small] = g1 + ts * (g2 / 2.0 + ts * (g3 / 6.0))
-            a2p[small] = g2 / 2.0 + ts * (g3 / 3.0)
-        return (complex(a2[0]), complex(a2p[0])) if scalar else (a2, a2p)
+        """alpha2 = (G(t) - G(0))/t and alpha2', for t != 0."""
+        G, dG = self._G_and_dG(t)
+        rise = G - self.beta_coeff
+        return rise / t, (dG * t - rise) / (t * t)
 
     def mobius_coeffs(self, t):
-        """(A, B, C, D) with h3 = (A + B e(-c2)) / (C + D e(-c2))."""
+        """(A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G), so that
+        h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t."""
         a1, a1p = theta_char_and_dz((0.0, 0.0), self.x2 + t, self.spec.tau, self.spec.policy)
-        a2, a2p = self.alpha2(t)
-        A = a1 + t * a1p
-        B = a2 + t * a2p
-        C = t * a1
-        D = self.beta_coeff + t * a2
-        return A, B, C, D
-
-    def _abcd(self, t):
-        key = t.tobytes()
-        abcd = self.coeffs.get(key)
-        if abcd is None:
-            abcd = self.coeffs[key] = self.mobius_coeffs(t)
-        return abcd
+        G, dG = self._G_and_dG(t)
+        return a1 + t * a1p, dG, t * a1, G
 
     @property
     def h3_zero_defect(self) -> complex:
         """Gap between the two closed forms of h3(0; c):
         theta_r'/theta_r(x2) + 2*pi*i*h1(0)."""
-        return complex(self._G_taylor[1] / self._G_taylor[0])
+        return complex(self._dG0 / self.beta_coeff)
 
     # -- c2-dependent quantities ----------------------------------------------
 
     def c_minus1(self, c2) -> complex:
         """Residue of T_c at p2: G(0) e(-c2)."""
         return self.beta_coeff * e_func(-complex(c2))
+
+    def f(self, t, c2):
+        """f(t) = t T_c(p2 + t)/c_minus1 = (t alpha1(t)/w + G(t))/G0, w = e(-c2); f(0) = 1."""
+        return (t * self.alpha1(t) * e_func(complex(c2)) + self.G(t)) / self.beta_coeff
 
     def h2(self, t, c2):
         return self.alpha1(t) + self.alpha2(t)[0] * e_func(-complex(c2))
@@ -375,14 +363,10 @@ class DMap:
     def h3(self, t, c2):
         return _moebius(self.mobius_coeffs(t), e_func(-complex(c2)))
 
-    def dh3_dc2(self, t, c2):
-        """Analytic partial derivative of h3 with respect to c2."""
-        return _moebius_dc2(self.mobius_coeffs(t), e_func(-complex(c2)))
-
     def h3_zero(self, c2) -> complex:
         """h3(0; c) implied by the definitions (includes the derivative term)."""
         ec = e_func(-complex(c2))
-        return complex((self.alpha1(0.0) + self._G_taylor[1] * ec) / (self.beta_coeff * ec))
+        return complex((self.alpha1(0.0) + self._dG0 * ec) / (self.beta_coeff * ec))
 
     def h3_zero_no_derivative(self, c2) -> complex:
         """Shorter closed form theta00(x2) e(c2) / (theta_r(x2) g(0)); deviates
@@ -390,27 +374,30 @@ class DMap:
         return complex(self.alpha1(0.0) * e_func(complex(c2)) / self.beta_coeff)
 
     def H3(self, c2, t=None) -> complex:
-        """Integral of h3 along the straight segment from 0 to t (default eps)."""
+        """Quadrature of h3 along the straight segment from 0 to t (default
+        eps): the dual route of the closed form in d2."""
         t = self.eps if t is None else t
         if t == 0:
             return 0.0 + 0.0j
         ec = e_func(-complex(c2))
-        return integrate_segment(lambda s: _moebius(self._abcd(s), ec), 0.0, complex(t), self.spec.quad_tol)
-
-    def dH3_dc2(self, c2) -> complex:
-        """Integral of dh3/dc2 along the straight segment from 0 to eps."""
-        ec = e_func(-complex(c2))
         return integrate_segment(
-            lambda s: _moebius_dc2(self._abcd(s), ec), 0.0, complex(self.eps), self.spec.quad_tol
+            lambda s: _moebius(self.mobius_coeffs(s), ec), 0.0, complex(t), self.spec.quad_tol
         )
 
     def d2(self, c2) -> complex:
-        """c1*r1 + H3(eps; (c1, c2))/(2*pi*i)."""
-        return self.c1 * self.r1 + self.H3(c2) / TWO_PI_I
+        """c1*r1 + H3(eps; (c1, c2))/(2*pi*i) with H3 = Log f(eps) + 2*pi*i*n:
+        n comes from the continuous log of f along [0, eps], tracked from
+        f(0) = 1.  Raises ContourThroughZero when a zero of T_c lies on that
+        segment."""
+        d, f_eps = track_log_sampled(lambda t: self.f(t, c2), 0j, complex(self.eps))
+        log_f = complex(np.log(f_eps))
+        n = round((d - log_f).imag / (2 * math.pi))
+        return self.c1 * self.r1 + log_f / TWO_PI_I + n
 
     def d2_dc2(self, c2) -> complex:
-        """dH3/dc2 (eps; (c1, c2))/(2*pi*i)."""
-        return self.dH3_dc2(c2) / TWO_PI_I
+        """dH3/dc2 (eps; (c1, c2))/(2*pi*i) = eps alpha1(eps) / (eps alpha1(eps) + w G(eps))."""
+        a = self.eps * complex(self.alpha1(self.eps))
+        return a / (a + e_func(-complex(c2)) * complex(self.G(self.eps)))
 
     @cached_property
     def theta00_p1(self) -> complex:
@@ -515,13 +502,12 @@ def branch_correction(dm: DMap, c2) -> complex:
     returned representative uses principal logs of the closed form
 
         A = (1/2*pi*i) [Log theta00(phi1(P1)-c1) - Log c_minus1 + log eps
-                        - Log(1 + eps*h2(eps)/c_minus1)]
+                        - Log f(eps)]
 
-    on the chart dm of (c1, eps).
+    on the chart dm of (c1, eps), where f(eps) = eps T_c(p2 + eps)/c_minus1.
     """
-    c_minus1 = dm.c_minus1(c2)
-    tail = np.log(1.0 + dm.eps * dm.h2(dm.eps, c2) / c_minus1)
-    return complex((dm.branch_log(np.log(c_minus1)) - tail) / TWO_PI_I)
+    tail = np.log(dm.f(dm.eps, c2))
+    return complex((dm.branch_log(np.log(dm.c_minus1(c2))) - tail) / TWO_PI_I)
 
 
 def branch_correction_tracked(tp: ThetaPullback, eps: float) -> complex:
@@ -556,13 +542,13 @@ def d_map_corrected(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, compl
 
 
 def jacobian_consistency_check(dm: DMap, c2, rel_tol: float = 1e-5) -> float:
-    """Double-entry check of dH3/dc2 at (dm.c1, c2): quadrature of the
-    analytic derivative against a Richardson-extrapolated central difference
-    of H3 on the same chart.  Returns the relative disagreement and raises
-    JacobianSingular beyond rel_tol."""
+    """Double-entry check of dH3/dc2 at (dm.c1, c2): the closed form
+    2*pi*i*d2_dc2 against a Richardson-extrapolated central difference of
+    the H3 quadrature on the same chart.  Returns the relative disagreement
+    and raises JacobianSingular beyond rel_tol."""
     from .errors import JacobianSingular
 
-    analytic = dm.dH3_dc2(c2)
+    analytic = TWO_PI_I * dm.d2_dc2(c2)
     h = 1e-3
     d1 = (dm.H3(c2 + h) - dm.H3(c2 - h)) / (2 * h)
     d2 = (dm.H3(c2 + h / 2) - dm.H3(c2 - h / 2)) / h
@@ -609,14 +595,18 @@ class Thm51Result:
         return min(self.residual_half_tau, self.residual_full_tau)
 
 
-def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None,
-                 check_jacobian: bool = True) -> Thm51Result:
+def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None) -> Thm51Result:
     """Check W = phi(Q1) + phi(Q2) == d(eps)(c) + kappa(eps) mod Gamma.
 
     Residuals are reported for both candidate constants (-tau/2 and -tau in
     the first component) and both congruence forms (stated, and with the
     branch-cut term A(eps, c) added to the second component).  Only the
     corrected form closes; see branch_correction.
+
+    The closed-form d2 is checked against its dual route, one quadrature of
+    h3: they must agree within spec.quad_tol (the quadrature's error budget;
+    its accepted panel tolerances sum to at most quad_tol), else
+    QuadratureFailure.
     """
     eps_w = spec.eps / 2 if eps is None else eps
     tp = c if isinstance(c, ThetaPullback) else ThetaPullback(c, spec)
@@ -625,9 +615,10 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None,
     w = divisor_image(spec, list(zeros))
     dm = DMap(spec, tp.c1, eps_w)
     d_val = (dm.c1, dm.d2(tp.c2))
+    h3_gap = abs(dm.H3(tp.c2) - TWO_PI_I * (d_val[1] - dm.c1 * dm.r1))
+    if h3_gap > spec.quad_tol:
+        raise QuadratureFailure(f"H3 quadrature misses the closed-form d2 by {h3_gap:.3e}")
     corr = branch_correction(dm, tp.c2)
-    if check_jacobian:
-        jacobian_consistency_check(dm, tp.c2)
     rc = riemann_constants(spec, eps_w)
     pg = period_group(spec)
     res = {}
