@@ -52,7 +52,8 @@ class NoPreimage(NewtonDivergence):
 
 
 class JacobianSingular(NodalThetaError):
-    """The derivative driving a Newton step dropped below the singularity floor."""
+    """The closed-form c2-derivative of the d-map and its finite-difference
+    dual route disagree (inversion.jacobian_consistency_check)."""
 
 
 class NoValidEpsilon(NodalThetaError):
