@@ -30,5 +30,5 @@ for name, center, local in (("p1", spec.p1, h_at_p1), ("p2", spec.p2, h1_at_p2))
 # decimal instance data makes r1, r2 rationally related (17*0.31 = 31*0.17),
 # so the bounded search finds the relation; True needs genuinely
 # incommensurate periods
-print("irrationality diagnostic for (r1, r2):", is_toroidal(r1, r2, bound=50, tol=1e-9))
+print("irrationality diagnostic for (r1, r2):", is_toroidal(r1, r2))
 print("   control with rational pair (0, 0.3):", is_toroidal(0.0, 0.3))

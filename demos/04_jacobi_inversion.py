@@ -3,20 +3,21 @@ divisor-image congruence.
 
 The headline numbers: the congruence in its textbook shape misses by an
 order-one branch-cut term; adding the analyzed correction closes it to
-~1e-11, and settles that the constant carries -tau/2 (not -tau) in its
+~1e-15, and settles that the constant carries -tau/2 (not -tau) in its
 first component.
 """
 
 import numpy as np
 
 from nodal_theta.inversion import (
+    THM51_SKIPS,
     DMap,
     ThetaPullback,
     branch_correction,
     count_zeros,
     locate_zeros,
-    run_thm51_batch,
     sample_generic_c,
+    verify_thm51,
 )
 from nodal_theta.presets import config_a
 
@@ -33,12 +34,18 @@ print(f"residuals: {abs(tp.value(q1)):.2e}, {abs(tp.value(q2)):.2e}")
 print(f"branch-cut term A(eps, c) = {branch_correction(DMap(spec, c[0], 0.05), c[1]):.8f}")
 
 print("\ncongruence residuals over generic shifts (eps = 0.05):")
-results, resampled = run_thm51_batch(spec, 5, rng, eps=0.05)
+results, skipped = [], 0
+while len(results) < 5:
+    c, _ = sample_generic_c(spec, rng)
+    try:
+        results.append(verify_thm51(c, spec, eps=0.05))
+    except THM51_SKIPS:
+        skipped += 1
 print(" sample | stated -tau/2 | stated -tau | corrected -tau/2 | corrected -tau")
 for k, r in enumerate(results):
     print(
         f"   {k}    |   {r.residual_half_tau:9.3e} | {r.residual_full_tau:9.3e} |"
         f"    {r.corrected_residual_half_tau:9.3e}   |  {r.corrected_residual_full_tau:9.3e}"
     )
-print(f"(degenerate draws resampled: {resampled})")
+print(f"(degenerate draws skipped: {skipped})")
 print("closing form: corrected congruence with the -tau/2 constant")

@@ -17,7 +17,6 @@ from .abel_jacobi import (
 from .branches import beta_k, select_epsilon, zero_set_residual
 from .curve import (
     GammaDecomposition,
-    LatticeRep,
     NodalCurveSpec,
     PeriodGroup,
     congruent_mod_gamma,
@@ -42,8 +41,6 @@ from .inversion import (
 )
 from .theta import (
     DEFAULT_POLICY,
-    Characteristic,
-    ModularParameter,
     SeriesPolicy,
     big_theta,
     e_func,
@@ -58,12 +55,9 @@ from .theta import (
 __all__ = [
     "AbelJacobiValue",
     "BranchedPath",
-    "Characteristic",
     "DEFAULT_POLICY",
     "DMap",
     "GammaDecomposition",
-    "LatticeRep",
-    "ModularParameter",
     "NodalCurveSpec",
     "PeriodGroup",
     "RiemannConstants",

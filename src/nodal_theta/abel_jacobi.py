@@ -78,7 +78,7 @@ def _path_clears_poles(spec: NodalCurveSpec, vertices, margin: float) -> bool:
 
 
 def _require_inside(spec: NodalCurveSpec, P: complex):
-    if not spec.contains(P, slack=1e-9):
+    if not spec.contains(P):
         raise ValueError(f"point {P:.6g} lies outside the closed fundamental cell")
 
 
@@ -251,15 +251,15 @@ def phi2_radial_anchor(spec: NodalCurveSpec, eps: float) -> complex:
     )
 
 
-def a_eps(spec: NodalCurveSpec, eps: float, quad_tol: float | None = None) -> complex:
+def a_eps(spec: NodalCurveSpec, eps: float) -> complex:
     """Mean of phi2 over the circle p2 + eps*e(u), branch continued from u=0.
 
     The start value at u = 0 is the radial continuation of the default-path
     branch (see phi2_radial_anchor).  Writing phi2(u) = phi2(p2+eps) - u + I(u)
     with I the accumulated integral of the holomorphic part h1, the double
-    integral collapses to a single quadrature of (1 - v) h1 along the circle.
+    integral collapses to a single quadrature of (1 - v) h1 along the circle,
+    to spec.quad_tol.
     """
-    tol = spec.quad_tol if quad_tol is None else quad_tol
     diff = third_kind(spec)
     base = phi2_radial_anchor(spec, eps)
 
@@ -268,7 +268,7 @@ def a_eps(spec: NodalCurveSpec, eps: float, quad_tol: float | None = None) -> co
         t = eps * np.exp(TWO_PI_I * v)
         return (1.0 - v) * diff.h1_at_p2(t) * TWO_PI_I * t
 
-    tail = integrate_segment(integrand, 0.0, 1.0, tol)
+    tail = integrate_segment(integrand, 0.0, 1.0, spec.quad_tol)
     return base - 0.5 + tail
 
 

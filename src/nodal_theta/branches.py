@@ -30,6 +30,13 @@ from .errors import ContourThroughZero, NewtonDivergence, NoPreimage, NoValidEps
 from .inversion import DMap, kappa_vector, riemann_constants, sample_generic_c
 from .theta import TWO_PI_I, big_theta, e_func
 
+# estimate_u20_radius: draws of c1, and the determinant floor relative to scale
+_U20_N_C1, _U20_DET_FLOOR = 10, 1e-6
+# select_epsilon: draws of c, and the least move of d(eps) under a rational shift
+_SELECT_N_C, _SEP_TOL = 10, 1e-4
+# |d2(c2*) - v| below which the stated closed-form root is accepted
+_NEWTON_TOL = 1e-12
+
 _PERIOD_FRACTIONS = (
     0.5,
     1.0 / 3.0, 2.0 / 3.0,
@@ -38,12 +45,11 @@ _PERIOD_FRACTIONS = (
 )
 
 
-def estimate_u20_radius(spec: NodalCurveSpec, rng: np.random.Generator | None = None,
-                        n_c1: int = 10, det_floor: float = 1e-6) -> float:
+def estimate_u20_radius(spec: NodalCurveSpec, rng: np.random.Generator | None = None) -> float:
     """Largest tested radius on which the Moebius determinant stays bounded
-    below by det_floor * scale, sampled over chart circles and generic c."""
+    below by _U20_DET_FLOOR * scale, sampled over chart circles and generic c."""
     rng = np.random.default_rng(1905) if rng is None else rng
-    cs = [sample_generic_c(spec, rng)[0] for _ in range(n_c1)]
+    cs = [sample_generic_c(spec, rng)[0] for _ in range(_U20_N_C1)]
     dms = [DMap(spec, c[0], spec.eps / 2) for c in cs]
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
     best = 0.0
@@ -55,7 +61,7 @@ def estimate_u20_radius(spec: NodalCurveSpec, rng: np.random.Generator | None = 
                 A, B, C, D = dm.mobius_coeffs(rho * angles)
                 dets.append(np.min(np.abs(A * D - B * C)))
                 scales.append(np.max(np.abs(A * D) + np.abs(B * C)))
-        if min(dets) > det_floor * max(scales):
+        if min(dets) > _U20_DET_FLOOR * max(scales):
             best = r
             break
     if best == 0.0:
@@ -63,15 +69,14 @@ def estimate_u20_radius(spec: NodalCurveSpec, rng: np.random.Generator | None = 
     return best
 
 
-def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | None = None,
-                   n_c: int = 10, sep_tol: float = 1e-4) -> float:
+def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | None = None) -> float:
     """First candidate radius whose map d(eps) shows no period in {0} x (Q \\ Z).
 
     Candidates at or above the determinant-bound radius are skipped.  For
     each remaining candidate, d(eps)(c + (0, s)) is compared against
     d(eps)(c) for the fraction grid s in {1/2, 1/3, 2/3, 1/4, 3/4, 1/5, ...,
-    4/5} and n_c generic draws of c; the candidate is accepted when every
-    comparison moves by more than sep_tol.
+    4/5} and _SELECT_N_C generic draws of c; the candidate is accepted when
+    every comparison moves by more than _SEP_TOL.
     """
     rng = np.random.default_rng(1106) if rng is None else rng
     u20 = estimate_u20_radius(spec, rng)
@@ -80,12 +85,12 @@ def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | 
         raise NoValidEpsilon(
             f"no candidate below the determinant-bound radius {u20:.4g}"
         )
-    cs = [sample_generic_c(spec, rng)[0] for _ in range(n_c)]
+    cs = [sample_generic_c(spec, rng)[0] for _ in range(_SELECT_N_C)]
     for eps in usable:
         for c in cs:
             dm = DMap(spec, c[0], eps)
             base = dm.d2(c[1])
-            if any(abs(dm.d2(c[1] + s) - base) <= sep_tol for s in _PERIOD_FRACTIONS):
+            if any(abs(dm.d2(c[1] + s) - base) <= _SEP_TOL for s in _PERIOD_FRACTIONS):
                 break
         else:
             return eps
@@ -97,8 +102,7 @@ def _kappa(spec: NodalCurveSpec, eps: float):
     return kappa_vector(rc, spec, "half_tau")
 
 
-def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
-           newton_tol: float = 1e-12, use_correction: bool = True,
+def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool = True,
            _kappa_cache=None) -> tuple[complex, complex]:
     """Inverse of the inversion map on the k-th sheet: the c with
     d(eps)(c) = u - kappa(eps), where consecutive sheets differ by (0, 1).
@@ -112,7 +116,7 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
     integer miss.  NoPreimage means no c2 exists: the candidate misses by a
     nonzero integer, e(-c2) has no finite nonzero value, or a zero of T_c
     lies on the chart ray at the candidate.  Otherwise the candidate is a
-    root of the computed map, |d2(c2*) - v| < newton_tol; NewtonDivergence
+    root of the computed map, |d2(c2*) - v| < _NEWTON_TOL; NewtonDivergence
     means it is not, which is a defect.
     """
     k1, k2 = _kappa(spec, eps) if _kappa_cache is None else _kappa_cache
@@ -142,7 +146,7 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0,
     miss = round(f.real)
     if miss != 0:
         raise NoPreimage(f"the only candidate misses d2 = v by the integer {miss}")
-    if abs(f) >= newton_tol:
+    if abs(f) >= _NEWTON_TOL:
         raise NewtonDivergence(f"the closed-form root misses d2 = v by {abs(f):.2e}")
     return (c1, c2)
 

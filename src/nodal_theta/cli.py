@@ -26,15 +26,9 @@ from .abel_jacobi import phi, phi1
 from .branches import beta_k, select_epsilon, zero_set_residual
 from .curve import NodalCurveSpec, derive_periods, is_toroidal
 from .differentials import period_integral
-from .errors import (
-    ContourThroughZero,
-    DegenerateC,
-    NewtonDivergence,
-    NodalThetaError,
-    NoPreimage,
-    ZeroCollision,
-)
+from .errors import NewtonDivergence, NodalThetaError, NoPreimage
 from .inversion import (
+    THM51_SKIPS,
     ThetaPullback,
     alpha_dlog_integral,
     beta_dlog_integral,
@@ -69,8 +63,10 @@ class RunConfig:
                 raise ConfigError(f"run.{name} must be at least {low}, got {value}")
         if self.tol_congruence <= 0:
             raise ConfigError(f"tol.congruence must be positive, got {self.tol_congruence}")
-        if min(self.eps_candidates) <= 0:
-            raise ConfigError(f"curve.eps_candidates must be positive, got {self.eps_candidates}")
+        if not all(0 < e < self.spec.eps for e in self.eps_candidates):
+            raise ConfigError(
+                f"curve.eps_candidates must lie in (0, curve.eps = {self.spec.eps:g}), got {self.eps_candidates}"
+            )
 
 
 def _parse_complex(text: str) -> complex:
@@ -268,9 +264,9 @@ def cmd_periods(cfg: RunConfig, out_dir: Path) -> bool:
         rows.append([f"period_{contour}", val.real, val.imag, target, err, err < 1e-8])
         ok &= err < 1e-8
     rows.append(["cut_periods_real", abs(period_integral(spec, "alpha").imag), abs(period_integral(spec, "beta").imag), 0.0, 0.0, True])
-    flag = is_toroidal(r1, r2, bound=50, tol=1e-9)
+    flag = is_toroidal(r1, r2)
     rows.append(["toroidal_diagnostic_r1_r2", r1, r2, 0.0, 0.0, flag])
-    control = is_toroidal(0.0, 0.3, bound=50, tol=1e-9)
+    control = is_toroidal(0.0, 0.3)
     rows.append(["toroidal_control_rational", 0.0, 0.3, 0.0, 0.0, not control])
     ok &= not control
     write_csv(out_dir / "periods.csv", ["test", "a", "b", "target", "error", "pass"], rows)
@@ -290,7 +286,7 @@ def cmd_thm51(cfg: RunConfig, out_dir: Path) -> bool:
             ka = alpha_dlog_integral(tp)
             kb = beta_dlog_integral(tp) - (-0.5 * spec.tau - (phi1(spec, spec.q0) - tp.c1))
             return (res, round(ka.real), round(kb.real), None)
-        except (ContourThroughZero, ZeroCollision, DegenerateC) as exc:
+        except THM51_SKIPS as exc:
             return (None, 0, 0, type(exc).__name__)
 
     rows: list[list] = []

@@ -20,17 +20,8 @@ import numpy as np
 
 from .theta import SeriesPolicy
 
-
-@dataclass(frozen=True)
-class LatticeRep:
-    """Generators (1, tau) of the base lattice."""
-
-    tau: complex
-
-    def __post_init__(self):
-        if complex(self.tau).imag <= 0:
-            raise ValueError("Im(tau) must be positive")
-        object.__setattr__(self, "tau", complex(self.tau))
+_CONTAINS_SLACK = 1e-9  # lattice-coordinate slack of NodalCurveSpec.contains
+_TOROIDAL_BOUND, _TOROIDAL_TOL = 50, 1e-9  # search box and integer tolerance of is_toroidal
 
 
 @dataclass(frozen=True)
@@ -160,8 +151,10 @@ class NodalCurveSpec:
     def point(self, s: float, t: float) -> complex:
         return self.q0 + s + t * self.tau
 
-    def contains(self, z: complex, slack: float = 1e-9) -> bool:
+    def contains(self, z: complex) -> bool:
+        """z lies in the closed fundamental cell, up to _CONTAINS_SLACK in lattice coordinates."""
         s, t = lattice_coords(z, self.q0, self.tau)
+        slack = _CONTAINS_SLACK
         return -slack <= s <= 1 + slack and -slack <= t <= 1 + slack
 
     def pole_translates(self) -> list[complex]:
@@ -232,20 +225,19 @@ def congruent_mod_gamma(v, w, pg: PeriodGroup, tol: float = 1e-6) -> bool:
     return mod_gamma_decompose(diff, pg).residual_norm < tol
 
 
-def is_toroidal(r1: float, r2: float, bound: int = 50, tol: float = 1e-9) -> bool:
+def is_toroidal(r1: float, r2: float) -> bool:
     """Bounded search for a rational relation p*r1 + q*r2 in Z.
 
-    Returns False as soon as some (p, q) != 0 with |p|, |q| <= bound lands
-    within tol of an integer; True means only that no relation was found up
+    Returns False as soon as some (p, q) != 0 with |p|, |q| <= 50 lands
+    within 1e-9 of an integer; True means only that no relation was found up
     to the bound (a diagnostic, not a proof of toroidality).
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    bound = _TOROIDAL_BOUND
     for p in range(-bound, bound + 1):
         for q in range(-bound, bound + 1):
             if p == 0 and q == 0:
                 continue
             x = p * r1 + q * r2
-            if abs(x - round(x)) < tol:
+            if abs(x - round(x)) < _TOROIDAL_TOL:
                 return False
     return True

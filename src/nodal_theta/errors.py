@@ -27,7 +27,7 @@ class PoleProximity(NodalThetaError):
 
 class ContourThroughZero(NodalThetaError):
     """A contour (winding, log tracking or moment line) runs too close to a
-    zero; the caller should resample."""
+    zero; the thm51 suite skips and counts such a sample (THM51_SKIPS)."""
 
 
 class ZeroCollision(NodalThetaError):
@@ -42,7 +42,7 @@ class DegenerateC(NodalThetaError):
 class NewtonDivergence(NodalThetaError):
     """Newton iteration failed to converge.  In the stated inverse
     (branches.beta_k) this is a defect: the closed-form root misses the
-    computed map by more than newton_tol."""
+    computed map by 1e-12 or more."""
 
 
 class NoPreimage(NewtonDivergence):

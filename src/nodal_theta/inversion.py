@@ -48,6 +48,17 @@ from .quadrature import _N0, _N_MAX, integrate_segment, track_log_sampled, windi
 from .theta import TWO_PI_I, e_func, theta_char, theta_char_and_dz, theta_char_dz
 
 GENERICITY_TOL = 1e-3
+# Newton polish of the located zeros: step tolerance and iteration cap
+_POLISH_TOL, _POLISH_MAX_ITER = 1e-12, 60
+# relative disagreement at which jacobian_consistency_check raises
+_JACOBIAN_REL_TOL = 1e-5
+# draws of sample_generic_c before it gives up
+_MAX_TRIES = 64
+
+# What a thm51 sample may raise on a non-generic draw of c: a contour through
+# a zero, a zero inside an excluded disk, or a failed genericity guard.  The
+# CLI skips and counts such samples.
+THM51_SKIPS = (ContourThroughZero, ZeroCollision, DegenerateC)
 
 
 @lru_cache(maxsize=16)
@@ -63,20 +74,17 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     """Name of the first genericity guard that the shift c1 fails, or None.
 
     T_c needs theta00(phi1(p1) - c1) != 0 (its value at p1), and the node
-    chart needs theta[-r1;r2](phi1(p2) - c1) != 0 (the residue c_minus1) and
-    theta00(phi1(p2) - c1) != 0 (the Moebius determinant).  Each counts as
-    zero at or below GENERICITY_TOL times that theta's scale over one cell.
-    Cached per (spec, c1): the pullbacks and charts of one c1 share it.
+    chart needs theta00(phi1(p2) - c1) != 0 (the Moebius determinant).  Each
+    counts as zero at or below GENERICITY_TOL times theta00's scale over one
+    cell.  The chart's residue c_minus1 needs theta[-r1;r2](phi1(p2) - c1)
+    != 0 too, but since r2 - r1 tau = p1 - p2 that theta is
+    e(r1^2 tau/2 - r1 (x2 + r2)) theta00(phi1(p1) - c1), x2 = phi1(p2) - c1,
+    so the p1 guard covers it.  Cached per (spec, c1): the pullbacks and
+    charts of one c1 share it.
     """
-    r1, r2, _ = derive_periods(spec)
-    x1 = phi1(spec, spec.p1) - c1
-    x2 = phi1(spec, spec.p2) - c1
-    for name, char, x in (
-        ("theta00(phi1(p1) - c1)", (0.0, 0.0), x1),
-        ("theta[-r1;r2](phi1(p2) - c1)", (-r1, r2), x2),
-        ("theta00(phi1(p2) - c1)", (0.0, 0.0), x2),
-    ):
-        if abs(theta_char(char, x, spec.tau, spec.policy)) <= GENERICITY_TOL * _theta_scale(spec.tau, char):
+    scale = GENERICITY_TOL * _theta_scale(spec.tau, (0.0, 0.0))
+    for name, point in (("theta00(phi1(p1) - c1)", spec.p1), ("theta00(phi1(p2) - c1)", spec.p2)):
+        if abs(theta_char((0.0, 0.0), phi1(spec, point) - c1, spec.tau, spec.policy)) <= scale:
             return name
     return None
 
@@ -132,10 +140,6 @@ class ThetaPullback:
         eta = third_kind(spec).eta_coeff(P)
         return th0 + thr * ew, th0p + (thrp + TWO_PI_I * eta * thr) * ew
 
-    def dvalue(self, P):
-        """dT_c/dz for scalars or arrays."""
-        return self.value_and_dvalue(P)[1]
-
 
 # -- zero counting and location ---------------------------------------------
 
@@ -168,16 +172,16 @@ def beta_dlog_integral(tp: ThetaPullback) -> complex:
     return d / TWO_PI_I
 
 
-def _newton_polish(tp: ThetaPullback, z: np.ndarray, tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
+def _newton_polish(tp: ThetaPullback, z: np.ndarray) -> np.ndarray:
     """Newton steps on T_c from the starts z, all in one array call per step,
-    until every step is below tol."""
-    for _ in range(max_iter):
+    until every step is below _POLISH_TOL."""
+    for _ in range(_POLISH_MAX_ITER):
         f, df = tp.value_and_dvalue(z)
         if np.any(df == 0):
             raise ZeroCollision("vanishing derivative during Newton polish")
         step = f / df
         z = z - step
-        if np.all(np.abs(step) < tol):
+        if np.all(np.abs(step) < _POLISH_TOL):
             return z
     raise ZeroCollision(f"Newton polish did not converge near {', '.join(f'{x:.6g}' for x in z)}")
 
@@ -437,11 +441,11 @@ class RiemannConstants:
 
 
 @lru_cache(maxsize=16)
-def riemann_constants(spec: NodalCurveSpec, eps: float, quad_tol: float | None = None) -> RiemannConstants:
+def riemann_constants(spec: NodalCurveSpec, eps: float) -> RiemannConstants:
     """kappa1 = -tau/2 - phi1(Q0) + phi1(P2) + int_alpha phi1 dz and
-    kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz.
-    Cached per (spec, eps, quad_tol)."""
-    tol = spec.quad_tol if quad_tol is None else quad_tol
+    kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz, each
+    integral to spec.quad_tol.  Cached per (spec, eps)."""
+    tol = spec.quad_tol
     r1, _, _ = derive_periods(spec)
     diff = third_kind(spec)
 
@@ -458,7 +462,7 @@ def riemann_constants(spec: NodalCurveSpec, eps: float, quad_tol: float | None =
 
     i_phi2 = phi2_q0 + integrate_segment(phi2_integrand, 0.0, 1.0, tol)
 
-    a_val = a_eps(spec, eps, tol)
+    a_val = a_eps(spec, eps)
     phi1_q0 = phi1(spec, spec.q0)
     phi1_p2 = phi1(spec, spec.p2)
     kappa1 = -0.5 * spec.tau - phi1_q0 + phi1_p2 + i_phi1
@@ -541,11 +545,11 @@ def d_map_corrected(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, compl
     return (dm.c1, complex(dm.c1 * dm.r1 + dm.branch_log(np.log(dm.c_minus1(c[1]))) / TWO_PI_I))
 
 
-def jacobian_consistency_check(dm: DMap, c2, rel_tol: float = 1e-5) -> float:
+def jacobian_consistency_check(dm: DMap, c2) -> float:
     """Double-entry check of dH3/dc2 at (dm.c1, c2): the closed form
     2*pi*i*d2_dc2 against a Richardson-extrapolated central difference of
     the H3 quadrature on the same chart.  Returns the relative disagreement
-    and raises JacobianSingular beyond rel_tol."""
+    and raises JacobianSingular beyond _JACOBIAN_REL_TOL."""
     from .errors import JacobianSingular
 
     analytic = TWO_PI_I * dm.d2_dc2(c2)
@@ -554,9 +558,9 @@ def jacobian_consistency_check(dm: DMap, c2, rel_tol: float = 1e-5) -> float:
     d2 = (dm.H3(c2 + h / 2) - dm.H3(c2 - h / 2)) / h
     fd = (4 * d2 - d1) / 3.0
     rel = abs(analytic - fd) / max(1e-30, abs(analytic))
-    if rel > rel_tol:
+    if rel > _JACOBIAN_REL_TOL:
         raise JacobianSingular(
-            f"dH3/dc2 dual-route disagreement {rel:.3e} exceeds {rel_tol:g}"
+            f"dH3/dc2 dual-route disagreement {rel:.3e} exceeds {_JACOBIAN_REL_TOL:g}"
         )
     return rel
 
@@ -651,37 +655,15 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None) -> Thm51Resu
     )
 
 
-def run_thm51_batch(spec: NodalCurveSpec, n_samples: int, rng: np.random.Generator,
-                    eps: float | None = None, max_draws: int = 200):
-    """verify_thm51 over n_samples generic draws of c, resampling degenerate
-    draws (guard failures, contour hits, zeros inside the excluded disks).
-
-    Returns (results, n_resampled)."""
-    results: list[Thm51Result] = []
-    resampled = 0
-    draws = 0
-    while len(results) < n_samples:
-        if draws >= max_draws:
-            raise DegenerateC(f"exceeded {max_draws} draws for {n_samples} samples")
-        draws += 1
-        try:
-            c, rejected = sample_generic_c(spec, rng)
-            resampled += rejected
-            results.append(verify_thm51(c, spec, eps=eps))
-        except (DegenerateC, ContourThroughZero, ZeroCollision):
-            resampled += 1
-    return results, resampled
-
-
-def sample_generic_c(spec: NodalCurveSpec, rng: np.random.Generator, max_tries: int = 64):
+def sample_generic_c(spec: NodalCurveSpec, rng: np.random.Generator):
     """Draw c from the fundamental box, rejecting shifts that fail
     genericity_failure.  Returns (c, n_rejected)."""
     rejected = 0
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         s, t = rng.uniform(0.0, 1.0, size=2)
         c1 = s + t * spec.tau
         c2 = complex(rng.uniform(0.0, 1.0), rng.uniform(-0.25, 0.25))
         if genericity_failure(spec, c1) is None:
             return (c1, c2), rejected
         rejected += 1
-    raise DegenerateC(f"no generic c found in {max_tries} draws")
+    raise DegenerateC(f"no generic c found in {_MAX_TRIES} draws")

@@ -19,6 +19,9 @@ from .errors import ContourThroughZero, QuadratureFailure
 _MAX_DEPTH = 13
 # samples per segment of the sampled log trackers: first try and cap
 _N0, _N_MAX = 32, 1 << 14
+# bound on |Log ratio| per tracked step, least step of the scalar tracker,
+# and the largest distance from an integer that a winding total snaps across
+_MAX_RATIO_LOG, _MIN_STEP, _SNAP_TOL = 0.9, 1e-9, 0.1
 
 
 @lru_cache(maxsize=32)
@@ -63,25 +66,24 @@ def integrate_polyline(f, vertices, tol: float = 1e-10) -> complex:
     )
 
 
-def integrate_circle(f, center, radius: float, tol: float = 1e-10, u0: float = 0.0, u1: float = 1.0) -> complex:
-    """Integral of f dz along the arc center + radius*e(u), u in [u0, u1]."""
+def integrate_circle(f, center, radius: float, tol: float = 1e-10) -> complex:
+    """Integral of f dz along the circle center + radius*e(u), u in [0, 1]."""
 
     def g(u):
         u = np.asarray(u)
         z = center + radius * np.exp(2j * np.pi * u)
         return f(z) * (2j * np.pi * radius * np.exp(2j * np.pi * u))
 
-    return integrate_segment(g, u0, u1, tol)
+    return integrate_segment(g, 0.0, 1.0, tol)
 
 
-def track_log(f, a: complex, b: complex, f_a: complex | None = None,
-              max_ratio_log: float = 0.9, min_step: float = 1e-9):
+def track_log(f, a: complex, b: complex, f_a: complex | None = None):
     """Continuous continuation of log f along the segment [a, b].
 
     Returns (delta_log, f_b): the accumulated change of log f and the value
     f(b).  The first step is 1/_N0 of the segment, as in the sampled
     tracker; steps are halved until each consecutive value ratio satisfies
-    |Log ratio| < max_ratio_log, so the tracked argument never jumps by a
+    |Log ratio| <= _MAX_RATIO_LOG, so the tracked argument never jumps by a
     half turn.  Raises ContourThroughZero when halving bottoms out, which
     indicates f vanishes on or very near the segment.  Kept as the scalar
     oracle of the sampled trackers.
@@ -101,9 +103,9 @@ def track_log(f, a: complex, b: complex, f_a: complex | None = None,
             if f_next != 0:
                 ratio = f_next / f_prev
                 dlog = cmath.log(ratio)
-                if abs(dlog) <= max_ratio_log:
+                if abs(dlog) <= _MAX_RATIO_LOG:
                     break
-            if step * abs(b - a) < min_step:
+            if step * abs(b - a) < _MIN_STEP:
                 raise ContourThroughZero(
                     f"log tracking stalled near {z_next:.6g}; zero on or near contour"
                 )
@@ -120,28 +122,28 @@ def _closed(vertices) -> list:
     return verts if verts[0] == verts[-1] else verts + [verts[0]]
 
 
-def _snap_winding(total: complex, snap_tol: float) -> int:
+def _snap_winding(total: complex) -> int:
     """The integer total/(2*pi*i); raises ContourThroughZero when total is
-    farther than snap_tol from one, which signals a zero on the contour."""
+    farther than _SNAP_TOL from one, which signals a zero on the contour."""
     w = total.imag / (2 * np.pi)
     w_int = round(w)
-    if abs(w - w_int) > snap_tol or abs(total.real) > snap_tol:
+    if abs(w - w_int) > _SNAP_TOL or abs(total.real) > _SNAP_TOL:
         raise ContourThroughZero(
             f"winding integral {total/(2j*np.pi):.6g} is not an integer"
         )
     return int(w_int)
 
 
-def _track_edges(f_vec, edges, n0: int, n_max: int):
+def _track_edges(f_vec, edges):
     """(delta_log, f(b)) along each segment (a, b) of `edges`.
 
-    Every pending segment is sampled at n points in one f_vec call; a segment
-    is done once every consecutive ratio has |Log| < 0.9, and the others are
-    sampled again at 2n, up to n_max.
+    Every pending segment is sampled at n = _N0 points in one f_vec call; a
+    segment is done once every consecutive ratio has |Log| < _MAX_RATIO_LOG,
+    and the others are sampled again at 2n, up to _N_MAX.
     """
     out = [None] * len(edges)
     pending = list(range(len(edges)))
-    n = n0
+    n = _N0
     while pending:
         ts = np.linspace(0.0, 1.0, n + 1)
         vals = f_vec(np.concatenate([edges[k][0] + ts * (edges[k][1] - edges[k][0]) for k in pending]))
@@ -149,10 +151,10 @@ def _track_edges(f_vec, edges, n0: int, n_max: int):
         for k, seg in zip(pending, vals.reshape(len(pending), n + 1)):
             if seg.all():
                 dlogs = np.log(seg[1:] / seg[:-1])
-                if np.abs(dlogs).max() < 0.9:
+                if np.abs(dlogs).max() < _MAX_RATIO_LOG:
                     out[k] = (complex(dlogs.sum()), complex(seg[-1]))
                     continue
-            if n >= n_max:
+            if n >= _N_MAX:
                 a, b = edges[k]
                 raise ContourThroughZero(f"sampled log tracking failed on [{a:.6g}, {b:.6g}] at n={n}")
             failed.append(k)
@@ -161,14 +163,14 @@ def _track_edges(f_vec, edges, n0: int, n_max: int):
     return out
 
 
-def track_log_sampled(f_vec, a: complex, b: complex, n0: int = _N0, n_max: int = _N_MAX):
+def track_log_sampled(f_vec, a: complex, b: complex):
     """Continuous log change of a vectorized integrand along [a, b].
 
     Samples the segment at n points, doubling n until every consecutive
     ratio has |Log| < 0.9.  Much faster than scalar stepping when f is
     vectorized, e.g. theta-based integrands on contour walks.
     """
-    return _track_edges(f_vec, [(a, b)], n0, n_max)[0]
+    return _track_edges(f_vec, [(a, b)])[0]
 
 
 def _log_change_sampled(f_vec, vertices) -> complex:
@@ -178,20 +180,20 @@ def _log_change_sampled(f_vec, vertices) -> complex:
     are resampled, so each edge ends at the n track_log_sampled gives it.
     """
     verts = list(vertices)
-    tracks = _track_edges(f_vec, list(zip(verts[:-1], verts[1:])), _N0, _N_MAX)
+    tracks = _track_edges(f_vec, list(zip(verts[:-1], verts[1:])))
     return sum((d for d, _ in tracks), 0.0 + 0.0j)
 
 
-def winding_number_sampled(f_vec, vertices, snap_tol: float = 0.1) -> int:
+def winding_number_sampled(f_vec, vertices) -> int:
     """Winding of a vectorized function around 0 along a closed polyline."""
-    return _snap_winding(_log_change_sampled(f_vec, _closed(vertices)), snap_tol)
+    return _snap_winding(_log_change_sampled(f_vec, _closed(vertices)))
 
 
-def winding_number(f, vertices, snap_tol: float = 0.1) -> int:
+def winding_number(f, vertices) -> int:
     """Winding of f around 0 along the closed polyline `vertices`.
 
     The continuous log change over a closed contour is 2*pi*i times an
-    integer; values farther than snap_tol from an integer signal a zero
+    integer; values farther than 0.1 from an integer signal a zero
     sitting on the contour and raise ContourThroughZero.
     """
     verts = _closed(vertices)
@@ -199,4 +201,4 @@ def winding_number(f, vertices, snap_tol: float = 0.1) -> int:
     for a, b in zip(verts[:-1], verts[1:]):
         d, f_cur = track_log(f, a, b, f_a=f_cur)
         total += d
-    return _snap_winding(total, snap_tol)
+    return _snap_winding(total)

@@ -30,51 +30,20 @@ TWO_PI_I = 2j * math.pi
 
 # cap on the strip shift |q|; protects against absurd Im(z)/Im(tau)
 _MAX_SHIFT = 100_000
-
-
-@dataclass(frozen=True)
-class ModularParameter:
-    """Modular parameter of the underlying lattice; requires Im(tau) > 0."""
-
-    tau: complex
-
-    def __post_init__(self):
-        tau = complex(self.tau)
-        if not (np.isfinite(tau.real) and np.isfinite(tau.imag)):
-            raise ValueError("tau must be finite")
-        if tau.imag <= 0.0:
-            raise ValueError(f"Im(tau) must be positive, got {tau.imag}")
-        object.__setattr__(self, "tau", tau)
-
-
-@dataclass(frozen=True)
-class Characteristic:
-    """Real characteristic pair [a; b] of a theta series."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("characteristics must be finite")
+# cap on the half-width of the summation window
+_MAX_INDEX = 64
 
 
 @dataclass(frozen=True)
 class SeriesPolicy:
-    """Truncation control for all theta series.
-
-    abs_tol bounds the omitted tail, max_index bounds the half-width of the
-    summation window.
-    """
+    """Truncation control for all theta series: abs_tol bounds the omitted
+    tail."""
 
     abs_tol: float = 1e-14
-    max_index: int = 64
 
     def __post_init__(self):
         if not (0.0 < self.abs_tol < 1.0):
             raise ValueError("abs_tol must lie in (0, 1)")
-        if self.max_index < 1:
-            raise ValueError("max_index must be >= 1")
 
 
 DEFAULT_POLICY = SeriesPolicy()
@@ -88,8 +57,6 @@ def e_func(x):
 
 
 def _tau_value(tau) -> complex:
-    if isinstance(tau, ModularParameter):
-        return tau.tau
     tau = complex(tau)
     if tau.imag <= 0.0:
         raise ValueError(f"Im(tau) must be positive, got {tau.imag}")
@@ -97,8 +64,6 @@ def _tau_value(tau) -> complex:
 
 
 def _char_ab(char) -> tuple[float, float]:
-    if isinstance(char, Characteristic):
-        return char.a, char.b
     a, b = char
     return float(a), float(b)
 
@@ -117,11 +82,11 @@ def _halfwidth(a_red: float, im_tau: float, policy: SeriesPolicy) -> int:
             break
     w = n - a_red - 1.0
     if not (w > 0.0 and math.exp(-math.pi * im_tau * w * w) < target):
-        # even n = max_index cannot meet the bound for this tau
-        n = policy.max_index + 1
-    if n > policy.max_index:
+        # even n = _MAX_INDEX cannot meet the bound for this tau
+        n = _MAX_INDEX + 1
+    if n > _MAX_INDEX:
         raise NonConvergent(
-            f"series needs half-width {n} > max_index {policy.max_index} "
+            f"series needs half-width {n} > {_MAX_INDEX} "
             f"(Im tau = {im_tau:g}, abs_tol = {policy.abs_tol:g})"
         )
     return n
@@ -186,10 +151,9 @@ def _theta_general(char, z, tau, policy: SeriesPolicy, orders: tuple[int, ...]):
 def theta_char(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
     """theta[a;b](z, tau) truncated so the omitted tail is below policy.abs_tol.
 
-    char may be a Characteristic or an (a, b) pair; z may be a scalar or an
-    ndarray.  Raises NonConvergent if the tail bound cannot be met within
-    policy.max_index terms per side, or if some |Im z| / Im tau exceeds
-    100,000.
+    char is an (a, b) pair; z may be a scalar or an ndarray.  Raises
+    NonConvergent if the tail bound cannot be met within 64 terms per side,
+    or if some |Im z| / Im tau exceeds 100,000.
     """
     return _theta_general(char, z, tau, policy, (0,))[0]
 

@@ -1,6 +1,7 @@
 import pytest
 
 from nodal_theta.curve import NodalCurveSpec
+from nodal_theta.inversion import THM51_SKIPS, sample_generic_c, verify_thm51
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +35,22 @@ def spec_b() -> NodalCurveSpec:
 @pytest.fixture(scope="session", params=["a", "b"])
 def spec_ab(request, spec_a, spec_b) -> NodalCurveSpec:
     return spec_a if request.param == "a" else spec_b
+
+
+@pytest.fixture(scope="session")
+def thm51_samples():
+    """verify_thm51 on generic draws of c until n samples close.  A draw
+    raising one of THM51_SKIPS is skipped and counted, as the thm51 suite
+    does.  Returns (results, n_skipped)."""
+
+    def draw(spec, n, rng, eps):
+        results, skipped = [], 0
+        while len(results) < n:
+            c, _ = sample_generic_c(spec, rng)
+            try:
+                results.append(verify_thm51(c, spec, eps=eps))
+            except THM51_SKIPS:
+                skipped += 1
+        return results, skipped
+
+    return draw

@@ -29,6 +29,12 @@ MALFORMED = {
         "thm51", ("curve.eps_candidates = 0.05 0.04 0.03", "curve.eps_candidates = -0.05 0.04"), []
     ),
     "congruence_tol_zero": ("thm51", ("tol.congruence = 1e-6", "tol.congruence = 0"), []),
+    "eps_candidates_above_eps": (
+        "thm51", ("curve.eps_candidates = 0.05 0.04 0.03", "curve.eps_candidates = 0.08 0.07"), []
+    ),
+    "eps_candidate_at_eps": (
+        "thm51", ("curve.eps_candidates = 0.05 0.04 0.03", "curve.eps_candidates = 0.06"), []
+    ),
 }
 
 

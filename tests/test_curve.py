@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodal_theta.curve import (
-    LatticeRep,
     NodalCurveSpec,
     PeriodGroup,
     congruent_mod_gamma,
@@ -140,7 +139,7 @@ class TestIsToroidal:
             if (p, q) != (0, 0)
         )
         assert not found
-        assert is_toroidal(r1, r2, bound=50, tol=1e-9) is True
+        assert is_toroidal(r1, r2) is True
 
 
 class TestSpecValidation:
@@ -183,10 +182,6 @@ class TestSpecValidation:
         s, t = lattice_coords(z, 0.1, tau)
         assert 0.1 + s + t * tau == pytest.approx(z)
         assert reduce_to_cell(z + 3 - 2 * tau, 0.1, tau) == pytest.approx(z)
-
-    def test_lattice_rep_validation(self):
-        with pytest.raises(ValueError):
-            LatticeRep(tau=1.0 + 0.0j)
 
     def test_period_group_generators_shape(self, spec_a):
         pg = period_group(spec_a)

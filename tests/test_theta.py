@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from nodal_theta.errors import NonConvergent
 from nodal_theta.theta import (
-    Characteristic,
-    ModularParameter,
     SeriesPolicy,
     big_theta,
     e_func,
@@ -32,7 +30,7 @@ from nodal_theta.theta import (
 
 def theta_bruteforce(char, z, tau, n_max=40):
     """Independent oracle: direct summation over |n| <= n_max."""
-    a, b = (char.a, char.b) if isinstance(char, Characteristic) else char
+    a, b = char
     total = 0.0 + 0.0j
     for n in range(-n_max, n_max + 1):
         total += cmath.exp(2j * cmath.pi * (0.5 * (n + a) ** 2 * tau + (n + a) * (z + b)))
@@ -116,7 +114,7 @@ class TestThetaChar:
 
     def test_nonconvergent_for_tiny_im_tau(self):
         with pytest.raises(NonConvergent):
-            theta_char((0.0, 0.0), 0.1, 1e-3j, SeriesPolicy(abs_tol=1e-14, max_index=64))
+            theta_char((0.0, 0.0), 0.1, 1e-3j, SeriesPolicy(abs_tol=1e-14))
 
     def test_nonconvergent_for_huge_im_z(self):
         with pytest.raises(NonConvergent):
@@ -129,14 +127,10 @@ class TestThetaChar:
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             theta_char((0.0, 0.0), 0.0, 1.0 - 0.5j)
-        with pytest.raises(ValueError):
-            ModularParameter(0.5 + 0.0j)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             SeriesPolicy(abs_tol=2.0)
-        with pytest.raises(ValueError):
-            SeriesPolicy(max_index=0)
 
 
 def theta_mpmath(char, z, tau, k, n_max=30):
