@@ -393,10 +393,14 @@ class DMap:
         n comes from the continuous log of f along [0, eps], tracked from
         f(0) = 1.  Raises ContourThroughZero when a zero of T_c lies on that
         segment."""
+        return self.d2_and_log_f(c2)[0]
+
+    def d2_and_log_f(self, c2) -> tuple[complex, complex]:
+        """(d2(c2), Log f(eps)), with f(eps) the last sample of d2's log walk."""
         d, f_eps = track_log_sampled(lambda t: self.f(t, c2), 0j, complex(self.eps))
         log_f = complex(np.log(f_eps))
         n = round((d - log_f).imag / (2 * math.pi))
-        return self.c1 * self.r1 + log_f / TWO_PI_I + n
+        return self.c1 * self.r1 + log_f / TWO_PI_I + n, log_f
 
     def d2_dc2(self, c2) -> complex:
         """dH3/dc2 (eps; (c1, c2))/(2*pi*i) = eps alpha1(eps) / (eps alpha1(eps) + w G(eps))."""
@@ -491,7 +495,7 @@ def kappa_vector(rc: RiemannConstants, spec: NodalCurveSpec, variant: str):
 # -- the inversion congruence -------------------------------------------------
 
 
-def branch_correction(dm: DMap, c2) -> complex:
+def branch_correction(dm: DMap, c2, log_f=None) -> complex:
     """Branch-cut contribution A(eps, c) missing from the naive argument
     principle for the two-component period map.
 
@@ -509,9 +513,11 @@ def branch_correction(dm: DMap, c2) -> complex:
                         - Log f(eps)]
 
     on the chart dm of (c1, eps), where f(eps) = eps T_c(p2 + eps)/c_minus1.
+    log_f is Log f(eps) where the caller has it (DMap.d2_and_log_f).
     """
-    tail = np.log(dm.f(dm.eps, c2))
-    return complex((dm.branch_log(np.log(dm.c_minus1(c2))) - tail) / TWO_PI_I)
+    if log_f is None:
+        log_f = np.log(dm.f(dm.eps, c2))
+    return complex((dm.branch_log(np.log(dm.c_minus1(c2))) - log_f) / TWO_PI_I)
 
 
 def branch_correction_tracked(tp: ThetaPullback, eps: float) -> complex:
@@ -618,11 +624,12 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None) -> Thm51Resu
     zeros = locate_zeros(tp)
     w = divisor_image(spec, list(zeros))
     dm = DMap(spec, tp.c1, eps_w)
-    d_val = (dm.c1, dm.d2(tp.c2))
-    h3_gap = abs(dm.H3(tp.c2) - TWO_PI_I * (d_val[1] - dm.c1 * dm.r1))
+    d2, log_f = dm.d2_and_log_f(tp.c2)
+    d_val = (dm.c1, d2)
+    h3_gap = abs(dm.H3(tp.c2) - TWO_PI_I * (d2 - dm.c1 * dm.r1))
     if h3_gap > spec.quad_tol:
         raise QuadratureFailure(f"H3 quadrature misses the closed-form d2 by {h3_gap:.3e}")
-    corr = branch_correction(dm, tp.c2)
+    corr = branch_correction(dm, tp.c2, log_f)
     rc = riemann_constants(spec, eps_w)
     pg = period_group(spec)
     res = {}

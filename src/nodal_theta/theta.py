@@ -11,9 +11,13 @@ The series is truncated when the Gaussian tail exp(-pi*Im(tau)*(n+a)^2) drops
 below the policy tolerance.  Each argument is moved by quasi-periodicity into
 the strip |Im z| <= Im(tau)/2, where the Gaussian centre of the terms lies
 within 1/2 of n + a = 0, so one cached window per (characteristic, tau,
-policy) holds the largest terms of every point and a point's value does not
-depend on the rest of its batch.  theta_char_and_dz returns theta and its
-z-derivative from one window pass, each equal bit for bit to its own call.
+policy) holds the largest terms of every point.  A batch is summed in blocks
+of at most _BLOCK points: each block's terms form a (window, points) array
+that is built and summed down the window axis, so memory stays
+O(points + window * _BLOCK) and each point's sum runs in the same order
+whatever else is in its batch; a value equals its scalar call bit for bit.
+theta_char_and_dz returns theta and its z-derivative from one window pass,
+each equal bit for bit to its own call.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ TWO_PI_I = 2j * math.pi
 _MAX_SHIFT = 100_000
 # cap on the half-width of the summation window
 _MAX_INDEX = 64
+# most points per block of the window pass: its terms array holds at most
+# (2 * half-width + 3) * _BLOCK values
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -93,59 +100,80 @@ def _halfwidth(a_red: float, im_tau: float, policy: SeriesPolicy) -> int:
 
 
 @lru_cache(maxsize=64)
-def _window(a: float, b: float, tau: complex, policy: SeriesPolicy, deriv_order: int):
-    """(a_red, nk, coeffs) for arguments in the strip: nk = n + a for n in
+def _window(a: float, b: float, tau: complex, policy: SeriesPolicy, orders: tuple[int, ...]):
+    """(a_red, nk, ((k, coeffs_k) for k in orders)) for arguments in the
+    strip, as read-only (W, 1) columns: nk = n + a for n in
     [-floor(a) - N - 1, -floor(a) + N + 1], centred on nk = a_red, and the
-    read-only tau-only factors coeffs = (2 pi i)^k e(nk^2 tau/2 + nk b)."""
+    tau-only factors coeffs_k = (2 pi i)^k e(nk^2 tau/2 + nk b)."""
     a_red = a - math.floor(a)
     n_half = _halfwidth(a_red, tau.imag, policy)
-    nk = a_red + np.arange(-n_half - 1, n_half + 2, dtype=np.float64)
-    coeffs = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * b)) * TWO_PI_I**deriv_order
+    nk = a_red + np.arange(-n_half - 1, n_half + 2, dtype=np.float64)[:, None]
     nk.flags.writeable = False
-    coeffs.flags.writeable = False
-    return a_red, nk, coeffs
+    coeffs = []
+    for k in orders:
+        ck = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * b)) * TWO_PI_I**k
+        ck.flags.writeable = False
+        coeffs.append((k, ck))
+    return a_red, nk, tuple(coeffs)
+
+
+def _block_pass(z, q, tau, b, window):
+    """Each order's values at the points z = w + q*tau of one block: the
+    terms e(nk w) fill a (W, points) array from one exponential per point
+    and two recurrences down the window axis, outward from its centre, and
+    each order sums its own copy down that axis."""
+    a_red, nk, coeffs = window
+    qt = q * tau
+    w = z - qt
+    step = np.exp(TWO_PI_I * w)
+    mid = len(nk) // 2
+    terms = np.empty((len(nk), len(w)), dtype=np.complex128)
+    terms[mid] = 1.0
+    terms[mid + 1:] = step
+    terms[:mid] = 1.0 / step
+    np.multiply.accumulate(terms[mid:], axis=0, out=terms[mid:])
+    np.multiply.accumulate(terms[mid::-1], axis=0, out=terms[mid::-1])
+    prefactor = np.exp(TWO_PI_I * ((a_red - q) * w - q * (0.5 * qt + b)))
+    out = []
+    for i, (k, ck) in enumerate(coeffs):
+        # the last order takes the terms themselves, so one order needs no copy
+        tk = terms if i == len(coeffs) - 1 else terms.copy()
+        tk *= ck
+        if k:
+            tk *= (nk - q) ** k
+        out.append(tk.sum(axis=0) * prefactor)
+    return out
 
 
 def _theta_general(char, z, tau, policy: SeriesPolicy, orders: tuple[int, ...]):
     """z = w + q*tau with w in the strip, q = round(Im z / Im tau), and
-    theta[a;b](z) = e(-q^2 tau/2 - q(w + b)) theta[a;b](w).  The terms
-    e(nk w) come from one exponential per point and a recurrence from the
-    window centre, in one row per point that is summed on its own.  One
-    pass returns the k-th z-derivative for each k in orders: the rows and
-    the prefactor are shared, and each k applies its own window coefficients
-    and (nk - q)^k to its own copy of the rows."""
+    theta[a;b](z) = e(-q^2 tau/2 - q(w + b)) theta[a;b](w).  One pass
+    returns the k-th z-derivative for each k in orders.  The points are
+    split evenly into blocks of at most _BLOCK, each summed by _block_pass,
+    so a pass holds O(points + W * _BLOCK) values.  A point's value does
+    not depend on its batch: numpy sums a (W, B) block row by row for every
+    B >= 2, and no block holds a single point."""
     a, b = _char_ab(char)
     tau = _tau_value(tau)
-    policy = policy or DEFAULT_POLICY
-    a_red, nk, _ = _window(a, b, tau, policy, orders[0])
+    window = _window(a, b, tau, policy or DEFAULT_POLICY, orders)
     z_arr = np.asarray(z, dtype=np.complex128)
     zf = z_arr.ravel()
+    if zf.size == 1:
+        # a (W, 1) block would be summed pairwise: a lone point goes as two
+        zf = zf.repeat(2)
     q = np.rint(zf.imag / tau.imag)
     if zf.size and not np.abs(q).max() <= _MAX_SHIFT:
         raise NonConvergent(f"strip shift beyond {_MAX_SHIFT} periods (Im z / Im tau too large)")
-    qt = q * tau
-    w = zf - qt
-    step = np.exp(TWO_PI_I * w)
-    mid = len(nk) // 2
-    rows = np.empty((zf.size, len(nk)), dtype=np.complex128)
-    rows[:, mid] = 1.0
-    rows[:, mid + 1:] = step[:, None]
-    rows[:, :mid] = (1.0 / step)[:, None]
-    np.multiply.accumulate(rows[:, mid:], axis=1, out=rows[:, mid:])
-    np.multiply.accumulate(rows[:, mid::-1], axis=1, out=rows[:, mid::-1])
-    prefactor = np.exp(TWO_PI_I * ((a_red - q) * w - q * (0.5 * qt + b)))
-    out = []
-    for i, k in enumerate(orders):
-        # the last order takes the rows themselves, so one order needs no copy;
-        # in-place products only on whole rows: numpy may round a length-1
-        # in-place complex product differently from a longer one
-        rk = rows if i == len(orders) - 1 else rows.copy()
-        rk *= _window(a, b, tau, policy, k)[2]
-        if k:
-            rk *= (nk - q[:, None]) ** k
-        vals = rk.sum(axis=1) * prefactor
-        out.append(complex(vals[0]) if z_arr.ndim == 0 else vals.reshape(z_arr.shape))
-    return out
+    if zf.size <= _BLOCK:
+        vals = _block_pass(zf, q, tau, b, window)
+    else:
+        n_blocks = -(-zf.size // _BLOCK)
+        cuts = [i * zf.size // n_blocks for i in range(n_blocks + 1)]
+        blocks = [_block_pass(zf[lo:hi], q[lo:hi], tau, b, window) for lo, hi in zip(cuts, cuts[1:])]
+        vals = [np.concatenate(v) for v in zip(*blocks)]
+    if z_arr.ndim == 0:
+        return [complex(v[0]) for v in vals]
+    return [v[:z_arr.size].reshape(z_arr.shape) for v in vals]
 
 
 def theta_char(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):

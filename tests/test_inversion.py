@@ -176,6 +176,22 @@ class TestValueAndDerivative:
         fd = (4 * d2 - d1) / 3.0
         assert np.max(np.abs(dT - fd) / np.abs(dT)) < 1e-8
 
+    def test_value_four_kernel_passes(self, spec_ab, monkeypatch):
+        # e(phi2) (2), theta00 (1), theta_r (1)
+        tp = generic_tp(spec_ab)
+        z = self.moment_line(spec_ab, 32)
+        tp.value(z)  # warm-up: per-spec caches
+        calls = []
+        kernel = theta._theta_general
+
+        def counted(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(theta, "_theta_general", counted)
+        tp.value(z)
+        assert len(calls) == 4
+
     def test_five_kernel_passes(self, spec_ab, monkeypatch):
         # e(phi2) (2), theta00 with theta00' (1), theta_r with theta_r' (1), eta (1)
         tp = generic_tp(spec_ab)
@@ -554,6 +570,15 @@ class TestDMap:
         b = branch_correction_tracked(tp, EPS_W)
         diff = a - b
         assert abs(diff - round(diff.real)) < 1e-10
+
+    def test_correction_reuses_the_walk_end(self, spec_ab):
+        # Log f(eps) from d2's walk agrees with a fresh evaluation of f(eps)
+        dm = chart(generic_tp(spec_ab))
+        c2 = 0.3 - 0.1j
+        d2, log_f = dm.d2_and_log_f(c2)
+        assert d2 == dm.d2(c2)
+        assert abs(log_f - np.log(dm.f(dm.eps, c2))) < 1e-15
+        assert abs(branch_correction(dm, c2, log_f) - branch_correction(dm, c2)) < 1e-15
 
     @staticmethod
     def pole_c2(dm, frac=0.37):

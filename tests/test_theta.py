@@ -6,6 +6,7 @@ where stated, frozen literals computed from that oracle.
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodal_theta import theta
 from nodal_theta.errors import NonConvergent
 from nodal_theta.theta import (
     SeriesPolicy,
@@ -191,6 +193,39 @@ class TestFixedWindowKernel:
             assert type(value) is complex and type(deriv) is complex
             assert value == theta_char(char, z, tau)
             assert deriv == theta_char_dz(char, z, tau)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("func", [theta_char, theta_char_dz, fused_value, fused_dz])
+    def test_batch_invariance_across_blocks(self, tau, func):
+        # batches that fill one block, split into two or three, and whose
+        # first points are also evaluated as batches of 1, 2 and 3
+        block = theta._BLOCK
+        rng = np.random.default_rng(59)
+        n = 2 * block + 1
+        zs = rng.uniform(-1.5, 1.5, n) + 1j * np.linspace(-2.0, 3.0, n)
+        rng.shuffle(zs)
+        char = (-1.3, 0.7)
+        alone = np.array([func(char, complex(z), tau) for z in zs])
+        for m in (block - 1, block, block + 1, n):
+            batch = func(char, zs[:m], tau)
+            assert np.array_equal(batch, alone[:m])
+            for p in (1, 2, 3):
+                assert np.array_equal(func(char, zs[:p], tau), batch[:p])
+
+    @pytest.mark.parametrize("func", [theta_char, theta_char_and_dz])
+    def test_kernel_memory_is_bounded(self, func):
+        # 65,536 points and a 13-term window: one (points, window) array of
+        # the terms would alone take 13 MiB; blocks of _BLOCK points do not
+        rng = np.random.default_rng(61)
+        zs = rng.uniform(-1.5, 1.5, 65_536) + 1j * rng.uniform(-1.2, 1.2, 65_536)
+        func((0.25, -0.4), zs, 0.3 + 0.8j)  # warm-up: the cached window
+        tracemalloc.start()
+        try:
+            func((0.25, -0.4), zs, 0.3 + 0.8j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     @pytest.mark.parametrize("k", [0, 1, 3, 7])
     def test_matches_mpmath_oracle(self, k):
