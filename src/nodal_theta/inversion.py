@@ -495,7 +495,7 @@ def kappa_vector(rc: RiemannConstants, spec: NodalCurveSpec, variant: str):
 # -- the inversion congruence -------------------------------------------------
 
 
-def branch_correction(dm: DMap, c2, log_f=None) -> complex:
+def branch_correction(dm: DMap, c2, log_f) -> complex:
     """Branch-cut contribution A(eps, c) missing from the naive argument
     principle for the two-component period map.
 
@@ -513,10 +513,8 @@ def branch_correction(dm: DMap, c2, log_f=None) -> complex:
                         - Log f(eps)]
 
     on the chart dm of (c1, eps), where f(eps) = eps T_c(p2 + eps)/c_minus1.
-    log_f is Log f(eps) where the caller has it (DMap.d2_and_log_f).
+    log_f is Log f(eps), as DMap.d2_and_log_f returns it with d2.
     """
-    if log_f is None:
-        log_f = np.log(dm.f(dm.eps, c2))
     return complex((dm.branch_log(np.log(dm.c_minus1(c2))) - log_f) / TWO_PI_I)
 
 

@@ -173,7 +173,9 @@ def test_criterion_05_inversion_congruence(spec_a, thm51_samples):
     variants = {r.variant_used for r in results}
     # the branch-cut term itself double-checked by the tracked route
     tp = ThetaPullback(results[0].c, spec_a)
-    d = branch_correction(DMap(spec_a, tp.c1, 0.05), tp.c2) - branch_correction_tracked(tp, 0.05)
+    dm = DMap(spec_a, tp.c1, 0.05)
+    log_f = dm.d2_and_log_f(tp.c2)[1]
+    d = branch_correction(dm, tp.c2, log_f) - branch_correction_tracked(tp, 0.05)
     routes_agree = abs(d - round(d.real)) < 1e-8
     dt = time.time() - t0
     ok_corrected = max(cor) < 1e-6 and variants == {"half_tau"} and routes_agree and dt < 180
