@@ -44,8 +44,6 @@ from .theta import (
     SeriesPolicy,
     big_theta,
     e_func,
-    psi,
-    rho0_factor,
     theta_char,
     theta_char_and_dz,
     theta_char_dz,
@@ -88,8 +86,6 @@ __all__ = [
     "phi",
     "phi1",
     "phi2",
-    "psi",
-    "rho0_factor",
     "riemann_constants",
     "select_epsilon",
     "theta_char",

@@ -11,8 +11,8 @@ as phi2 = (log Q(P) - log Q(z0)) / (2*pi*i) + kappa_coeff * (P - z0).
 
 The default path is the straight segment from z0, with a deterministic
 detour through the cell midpoint when the segment comes too close to an
-identified point.  Near p1 and p2 the chart helpers continue phi2 with the
-pole term split off analytically.
+identified point.  Near p2 the chart continues phi2 with the pole term split
+off analytically.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def loop_increment(spec: NodalCurveSpec, vertices) -> complex:
     return complex(_log_change_sampled(_theta_quotient(spec), verts) / TWO_PI_I)
 
 
-# -- chart continuations near the identified points -------------------------
+# -- the chart continuation near p2 and the circle average -------------------
 
 
 def phi2_chart_p2(spec: NodalCurveSpec, t) -> complex:
@@ -220,56 +220,17 @@ def phi2_chart_p2(spec: NodalCurveSpec, t) -> complex:
     return vals
 
 
-def phi2_chart_p1(spec: NodalCurveSpec, t) -> complex:
-    """phi2(p1 + t) for |t| < delta, pole term split off analytically."""
-    diff = third_kind(spec)
-    b0 = spec.delta
-    base = phi2(spec, spec.p1 + b0)
-    t_c = complex(t)
-    hol = integrate_segment(diff.h_at_p1, b0, t_c, spec.quad_tol)
-    return base + (cmath.log(t_c) - math.log(b0)) / TWO_PI_I + hol
-
-
-def phi2_radial_anchor(spec: NodalCurveSpec, eps: float) -> complex:
-    """phi2(p2 + eps) continued radially inward from the default-path value
-    at the U2 radius.
-
-    This extension is continuous in eps, whereas the default path itself can
-    switch to a detour (and another integer branch) once the endpoint enters
-    the path safety margin.
-    """
-    diff = third_kind(spec)
-    a0 = spec.eps
-    base = phi2(spec, spec.p2 + a0)
-    if eps == a0:
-        return base
-    return (
-        base
-        - (math.log(eps) - math.log(a0)) / TWO_PI_I
-        + diff.h1_primitive(eps)
-        - diff.h1_primitive(a0)
-    )
-
-
 def a_eps(spec: NodalCurveSpec, eps: float) -> complex:
     """Mean of phi2 over the circle p2 + eps*e(u), branch continued from u=0.
 
-    The start value at u = 0 is the radial continuation of the default-path
-    branch (see phi2_radial_anchor).  Writing phi2(u) = phi2(p2+eps) - u + I(u)
-    with I the accumulated integral of the holomorphic part h1, the double
-    integral collapses to a single quadrature of (1 - v) h1 along the circle,
-    to spec.quad_tol.
+    On the circle phi2 = phi2_chart_p2(eps) - u + P(eps e(u)) - P(eps), P the
+    primitive of h1 with P(0) = 0, which averages to 0 over the circle.  So
+    a(eps) = phi2_chart_p2(eps) - P(eps) - 1/2 = a(eps0) - log(eps/eps0)/(2 pi i).
+    The start value at u = 0, the radial continuation of the default-path
+    branch, is continuous in eps; the default path itself can switch to a
+    detour (and another integer branch) near p2.
     """
-    diff = third_kind(spec)
-    base = phi2_radial_anchor(spec, eps)
-
-    def integrand(v):
-        v = np.asarray(v)
-        t = eps * np.exp(TWO_PI_I * v)
-        return (1.0 - v) * diff.h1_at_p2(t) * TWO_PI_I * t
-
-    tail = integrate_segment(integrand, 0.0, 1.0, spec.quad_tol)
-    return base - 0.5 + tail
+    return phi2_chart_p2(spec, eps) - third_kind(spec).h1_primitive(eps) - 0.5
 
 
 def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float) -> complex:
@@ -284,7 +245,7 @@ def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float) -> complex
     base = a_eps(spec, eps)
     diff = third_kind(spec)
     continued = (
-        phi2_radial_anchor(spec, eps)
+        phi2_chart_p2(spec, eps)
         - u0
         + integrate_segment(
             lambda v: diff.h1_at_p2(eps * np.exp(TWO_PI_I * np.asarray(v)))
@@ -304,7 +265,7 @@ def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float) -> complex
 def a_eps_bruteforce(spec: NodalCurveSpec, eps: float, n: int = 256) -> complex:
     """Direct trapezoid double-quadrature oracle for a_eps (slow, test use)."""
     diff = third_kind(spec)
-    base = phi2_radial_anchor(spec, eps)
+    base = phi2_chart_p2(spec, eps)
     us = np.linspace(0.0, 1.0, n + 1)
     t = eps * np.exp(TWO_PI_I * us)
     deriv = diff.h1_at_p2(t) * TWO_PI_I * t

@@ -151,7 +151,7 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
     return (c1, c2)
 
 
-def zero_set_residual(P, spec: NodalCurveSpec, eps: float, path=None, k: int = 0,
+def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
                       use_correction: bool = True, _kappa_cache=None) -> float:
     """|Theta(phi(P) - beta_k(phi(P)))|: distance of the curve point's image
     from the zero set cut out by the branch inverses.
@@ -162,7 +162,7 @@ def zero_set_residual(P, spec: NodalCurveSpec, eps: float, path=None, k: int = 0
     value is independent of k because the generalized theta function is
     invariant under (0, 1).
     """
-    u = phi(spec, P, path).as_tuple()
+    u = phi(spec, P).as_tuple()
     c = beta_k(u, spec, eps, k=k, use_correction=use_correction, _kappa_cache=_kappa_cache)
     r1, r2, _ = derive_periods(spec)
     val = big_theta(u[0] - c[0], u[1] - c[1], spec.tau, r1, r2, spec.policy)

@@ -16,8 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .theta import SeriesPolicy
 
 _CONTAINS_SLACK = 1e-9  # lattice-coordinate slack of NodalCurveSpec.contains
@@ -31,13 +29,6 @@ class PeriodGroup:
     r1: float
     r2: float
     tau: complex
-
-    @property
-    def generators(self) -> np.ndarray:
-        """Generators as columns of a 2x3 complex matrix."""
-        return np.array(
-            [[0.0, 1.0, self.tau], [1.0, self.r1, self.r2]], dtype=np.complex128
-        )
 
 
 @dataclass(frozen=True)

@@ -106,12 +106,8 @@ class ThirdKindDifferential:
     # -- the differential and its local data -------------------------------
 
     def eta_coeff(self, z):
-        """dz-coefficient of eta; raises PoleAt within 1e-12 of p1, p2 mod L."""
+        """dz-coefficient of eta; ell raises PoleAt within 1e-12 of p1, p2 mod L."""
         z_arr = np.asarray(z, dtype=np.complex128)
-        for p in (self.p1, self.p2):
-            red, _ = self._reduce(z_arr - p)
-            if np.any(np.abs(red) < 1e-12):
-                raise PoleAt(f"eta evaluated at a pole (near {p:.6g} mod lattice)")
         ell1, ell2 = self.ell(np.stack([z_arr - self.p1, z_arr - self.p2]))
         out = (ell1 - ell2) / TWO_PI_I + self.kappa_coeff
         return complex(out) if z_arr.ndim == 0 else out

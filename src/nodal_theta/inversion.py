@@ -44,8 +44,15 @@ from .curve import (
 )
 from .differentials import third_kind
 from .errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
-from .quadrature import _N0, _N_MAX, integrate_segment, track_log_sampled, winding_number_sampled
-from .theta import TWO_PI_I, e_func, theta_char, theta_char_and_dz, theta_char_dz
+from .quadrature import (
+    _N0,
+    _N_MAX,
+    _log_change_sampled,
+    integrate_segment,
+    track_log_sampled,
+    winding_number_sampled,
+)
+from .theta import TWO_PI_I, e_func, theta_char, theta_char_and_dz
 
 GENERICITY_TOL = 1e-3
 # Newton polish of the located zeros: step tolerance and iteration cap
@@ -271,14 +278,14 @@ class DMap:
 
         f(t) = (t alpha1(t)/w + G(t))/G0,   f(0) = 1.
 
-    So T_c(t) = c_minus1/t + h2(t), and h3 = T'/T + 1/t = f'/f =
-    (A + B w)/(C + D w) with (A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G)
-    independent of c2.  Its integral H3(eps) is therefore Log f(eps) + 2*pi*i*n,
-    n the winding of f along [0, eps]: `d2` and `d2_dc2` are these closed
-    forms, and `H3`, the quadrature of h3, is their dual route.  The chart
-    holds what does not depend on c2 (the factor g anchored at eps,
-    beta_coeff = G0, G'(0), and theta00(phi1(p1) - c1) on first use);
-    everything that does takes c2 as an argument.
+    So h3 = T'/T + 1/t = f'/f = (A + B w)/(C + D w) with (A, B, C, D) =
+    (alpha1 + t alpha1', G', t alpha1, G) independent of c2.  Its integral
+    H3(eps) is therefore Log f(eps) + 2*pi*i*n, n the winding of f along
+    [0, eps]: `d2` and `d2_dc2` are these closed forms, and `H3`, the
+    quadrature of h3, is their dual route.  The chart holds what does not
+    depend on c2 (the factor g anchored at eps, beta_coeff = G0, and, on
+    first use, G'(0)/G0 and theta00(phi1(p1) - c1)); everything that does
+    takes c2 as an argument.
 
     `h3_zero` is the value h3(0; c) implied by the definitions; the shorter
     closed form lacking the derivative term (`h3_zero_no_derivative`) is kept
@@ -301,10 +308,7 @@ class DMap:
         self._rchar = (-self.r1, r2)
         self._e_phi2_eps = e_phi2(spec, spec.p2 + self.eps)  # e(phi2) at the chart anchor t = eps
         self.g0 = complex(self.g(0.0))
-        _, h1c = self.diff._h1_series()
-        th, thp = theta_char_and_dz(self._rchar, self.x2, spec.tau, spec.policy)
-        self.beta_coeff = th * self.g0
-        self._dG0 = (thp + TWO_PI_I * complex(h1c[0]) * th) * self.g0
+        self.beta_coeff = theta_char(self._rchar, self.x2, spec.tau, spec.policy) * self.g0
 
     # -- chart factor g and the Moebius coefficients --------------------------
 
@@ -316,9 +320,6 @@ class DMap:
     def alpha1(self, t):
         return theta_char((0.0, 0.0), self.x2 + t, self.spec.tau, self.spec.policy)
 
-    def alpha1_prime(self, t):
-        return theta_char_dz((0.0, 0.0), self.x2 + t, self.spec.tau, self.spec.policy)
-
     def G(self, t):
         """G(t) = theta[-r1;r2](x2 + t) g(t), the residue factor of the chart."""
         return theta_char(self._rchar, self.x2 + t, self.spec.tau, self.spec.policy) * self.g(t)
@@ -329,12 +330,6 @@ class DMap:
         g = self.g(t)
         return th * g, (thp + TWO_PI_I * self.diff.h1_at_p2(t) * th) * g
 
-    def alpha2(self, t):
-        """alpha2 = (G(t) - G(0))/t and alpha2', for t != 0."""
-        G, dG = self._G_and_dG(t)
-        rise = G - self.beta_coeff
-        return rise / t, (dG * t - rise) / (t * t)
-
     def mobius_coeffs(self, t):
         """(A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G), so that
         h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t."""
@@ -342,11 +337,14 @@ class DMap:
         G, dG = self._G_and_dG(t)
         return a1 + t * a1p, dG, t * a1, G
 
-    @property
+    @cached_property
     def h3_zero_defect(self) -> complex:
-        """Gap between the two closed forms of h3(0; c):
-        theta_r'/theta_r(x2) + 2*pi*i*h1(0)."""
-        return complex(self._dG0 / self.beta_coeff)
+        """Gap between the two closed forms of h3(0; c), G'(0)/G(0) =
+        theta_r'/theta_r(x2) + 2*pi*i*h1(0); computed on first use."""
+        spec = self.spec
+        th, thp = theta_char_and_dz(self._rchar, self.x2, spec.tau, spec.policy)
+        _, h1c = self.diff._h1_series()
+        return complex(thp / th + TWO_PI_I * h1c[0])
 
     # -- c2-dependent quantities ----------------------------------------------
 
@@ -358,19 +356,13 @@ class DMap:
         """f(t) = t T_c(p2 + t)/c_minus1 = (t alpha1(t)/w + G(t))/G0, w = e(-c2); f(0) = 1."""
         return (t * self.alpha1(t) * e_func(complex(c2)) + self.G(t)) / self.beta_coeff
 
-    def h2(self, t, c2):
-        return self.alpha1(t) + self.alpha2(t)[0] * e_func(-complex(c2))
-
-    def h2_prime(self, t, c2):
-        return self.alpha1_prime(t) + self.alpha2(t)[1] * e_func(-complex(c2))
-
     def h3(self, t, c2):
         return _moebius(self.mobius_coeffs(t), e_func(-complex(c2)))
 
     def h3_zero(self, c2) -> complex:
-        """h3(0; c) implied by the definitions (includes the derivative term)."""
-        ec = e_func(-complex(c2))
-        return complex((self.alpha1(0.0) + self._dG0 * ec) / (self.beta_coeff * ec))
+        """h3(0; c) = G'(0)/G(0) + alpha1(0)/(G(0) w) implied by the
+        definitions (includes the derivative term)."""
+        return self.h3_zero_no_derivative(c2) + self.h3_zero_defect
 
     def h3_zero_no_derivative(self, c2) -> complex:
         """Shorter closed form theta00(x2) e(c2) / (theta_r(x2) g(0)); deviates
@@ -447,16 +439,13 @@ class RiemannConstants:
 @lru_cache(maxsize=16)
 def riemann_constants(spec: NodalCurveSpec, eps: float) -> RiemannConstants:
     """kappa1 = -tau/2 - phi1(Q0) + phi1(P2) + int_alpha phi1 dz and
-    kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz, each
-    integral to spec.quad_tol.  Cached per (spec, eps)."""
-    tol = spec.quad_tol
+    kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz.  Only
+    int_alpha phi2 dz is a quadrature (to spec.quad_tol): int_alpha phi1 dz =
+    q0 + 1/2 - z0, and a(eps) is closed too, its -log(eps)/(2*pi*i) cancelling
+    the +log(eps)/(2*pi*i) of d_map_corrected.  Cached per (spec, eps)."""
     r1, _, _ = derive_periods(spec)
     diff = third_kind(spec)
-
-    def phi1_integrand(s):
-        return (spec.q0 + s) - spec.z0
-
-    i_phi1 = integrate_segment(phi1_integrand, 0.0, 1.0, tol)
+    i_phi1 = spec.q0 + 0.5 - spec.z0
 
     # int_alpha phi2 dz = phi2(q0) + int_0^1 (1 - x) eta(q0 + x) dx
     phi2_q0 = phi2(spec, spec.q0)
@@ -464,7 +453,7 @@ def riemann_constants(spec: NodalCurveSpec, eps: float) -> RiemannConstants:
     def phi2_integrand(x):
         return (1.0 - x) * diff.eta_coeff(spec.q0 + x)
 
-    i_phi2 = phi2_q0 + integrate_segment(phi2_integrand, 0.0, 1.0, tol)
+    i_phi2 = phi2_q0 + integrate_segment(phi2_integrand, 0.0, 1.0, spec.quad_tol)
 
     a_val = a_eps(spec, eps)
     phi1_q0 = phi1(spec, spec.q0)
@@ -527,14 +516,9 @@ def branch_correction_tracked(tp: ThetaPullback, eps: float) -> complex:
     theta_f = cmath.phase(d_hat)
     if theta_f > 0:
         theta_f -= 2 * math.pi
-    n_arc = 48
-    angs = np.linspace(0.0, theta_f, n_arc + 1)
+    angs = np.linspace(0.0, theta_f, 49)
     pts = [spec.p2 + eps * cmath.exp(1j * a) for a in angs] + [spec.p1]
-    total = 0.0 + 0.0j
-    for k in range(len(pts) - 1):
-        d, _ = track_log_sampled(tp.value, pts[k], pts[k + 1])
-        total += d
-    return complex(total / TWO_PI_I)
+    return complex(_log_change_sampled(tp.value, pts) / TWO_PI_I)
 
 
 def d_map_corrected(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
@@ -591,11 +575,6 @@ class Thm51Result:
     corrected_residual_full_tau: float
     variant_used: str
     coeffs: tuple[int, int, int]
-
-    @property
-    def residual(self) -> float:
-        """Residual of the closing (corrected) variant."""
-        return min(self.corrected_residual_half_tau, self.corrected_residual_full_tau)
 
     @property
     def literal_residual(self) -> float:

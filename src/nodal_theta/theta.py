@@ -212,22 +212,6 @@ def translation_factor(char, p: int, q: int, z, tau):
     return e_func(-0.5 * q * q * tau - q * (z + b) + a * p)
 
 
-def rho0_factor(gen: str, z, tau):
-    """Elementary theta factor on the lattice generators: 1 on `one`,
-    e(-tau/2 - z) on `tau`."""
-    tau = _tau_value(tau)
-    if gen == "one":
-        return 1.0 + 0.0j if not isinstance(z, np.ndarray) else np.ones_like(z, dtype=np.complex128)
-    if gen == "tau":
-        return e_func(-0.5 * tau - z)
-    raise ValueError(f"gen must be 'one' or 'tau', got {gen!r}")
-
-
-def psi(p: int, q: int, r1: float, r2: float):
-    """Unit character e(p*r1 + q*r2) attached to the real period entries."""
-    return e_func(p * r1 + q * r2)
-
-
 def big_theta(z, w, tau, r1: float, r2: float, policy: SeriesPolicy = DEFAULT_POLICY):
     """Two-variable generalized theta function
 

@@ -95,12 +95,13 @@ class TestBetaK:
 
     def test_closed_form_identity(self, spec_ab):
         # h3 = d/dt log(t T_c(p2 + t)) on the chart, so exp(H3) is known in
-        # closed form: the identity the stated inverse is solved from
+        # closed form, f(eps) = eps T_c(p2 + eps)/c_minus1: the identity the
+        # stated inverse is solved from
         rng = np.random.default_rng(19)
         for _ in range(12):
             c, _ = sample_generic_c(spec_ab, rng)
             dm = DMap(spec_ab, c[0], EPS_SEL)
-            want = 1.0 + dm.eps * dm.h2(dm.eps, c[1]) / dm.c_minus1(c[1])
+            want = dm.f(dm.eps, c[1])
             assert abs(np.exp(dm.H3(c[1])) - want) < 1e-12 * abs(want)
 
     def test_stated_inverse_runs_without_quadrature(self, spec_ab, monkeypatch):

@@ -13,7 +13,6 @@ from nodal_theta.curve import (
     is_toroidal,
     lattice_coords,
     mod_gamma_decompose,
-    period_group,
     reduce_to_cell,
 )
 
@@ -182,9 +181,3 @@ class TestSpecValidation:
         s, t = lattice_coords(z, 0.1, tau)
         assert 0.1 + s + t * tau == pytest.approx(z)
         assert reduce_to_cell(z + 3 - 2 * tau, 0.1, tau) == pytest.approx(z)
-
-    def test_period_group_generators_shape(self, spec_a):
-        pg = period_group(spec_a)
-        gens = pg.generators
-        assert gens.shape == (2, 3)
-        assert gens[0, 1] == 1.0 and gens[1, 0] == 1.0

@@ -419,18 +419,14 @@ class TestLaurentData:
         assert abs(gap - dm.h3_zero_defect) < 1e-8
 
     def test_h2_is_pullback_minus_pole(self, spec_ab):
+        # the regular part h2 = T_c - c_minus1/t of the pullback at p2 is
+        # c_minus1 (f(t) - 1)/t on the chart
         tp = generic_tp(spec_ab)
         dm = chart(tp)
+        cm1 = dm.c_minus1(tp.c2)
         for t in (EPS_W / 2, EPS_W / 3 * cmath.exp(1.2j)):
-            direct = tp.value(spec_ab.p2 + t) - dm.c_minus1(tp.c2) / t
-            assert abs(dm.h2(t, tp.c2) - direct) < 1e-9
-
-    def test_h2_prime_finite_difference(self, spec_ab):
-        tp = generic_tp(spec_ab)
-        dm = chart(tp)
-        t, h = EPS_W / 2, 1e-6
-        fd = (dm.h2(t + h, tp.c2) - dm.h2(t - h, tp.c2)) / (2 * h)
-        assert abs(dm.h2_prime(t, tp.c2) - fd) < 1e-6 * max(1.0, abs(fd))
+            direct = tp.value(spec_ab.p2 + t) - cm1 / t
+            assert abs(cm1 * (dm.f(t, tp.c2) - 1.0) / t - direct) < 1e-9
 
 
 class TestGFunction:
@@ -636,6 +632,16 @@ class TestRiemannConstants:
         b = riemann_constants(spec_a, EPS_W / 2)
         assert a.kappa1 == b.kappa1
 
+    def test_corrected_map_plus_kappa2_is_epsilon_free(self, spec_ab):
+        # a(eps) carries -log(eps)/(2*pi*i) and the corrected map
+        # +log(eps)/(2*pi*i): their sum does not depend on the radius
+        c, _ = sample_generic_c(spec_ab, np.random.default_rng(83))
+        sums = [
+            d_map_corrected(eps, c, spec_ab)[1] + riemann_constants(spec_ab, eps).kappa2
+            for eps in (0.05, 0.04, 0.03, 0.01)
+        ]
+        assert max(abs(s - sums[0]) for s in sums) < 1e-14
+
     def test_refinement_stability(self, spec_a):
         a = riemann_constants(dataclasses.replace(spec_a, quad_tol=1e-10), EPS_W)
         b = riemann_constants(dataclasses.replace(spec_a, quad_tol=1e-11), EPS_W)
@@ -643,7 +649,7 @@ class TestRiemannConstants:
 
     def test_computed_once_per_radius(self, spec_a, monkeypatch, thm51_samples):
         # verify_thm51 reads the constants on every sample, and they depend
-        # only on (spec, eps): a(eps) is integrated once for the whole batch
+        # only on (spec, eps): a(eps) is computed once for the whole batch
         calls = []
         real = inversion.a_eps
         monkeypatch.setattr(inversion, "a_eps", lambda *args: calls.append(args) or real(*args))

@@ -20,8 +20,6 @@ from nodal_theta.theta import (
     SeriesPolicy,
     big_theta,
     e_func,
-    psi,
-    rho0_factor,
     theta_char,
     theta_char_and_dz,
     theta_char_dz,
@@ -303,40 +301,6 @@ class TestTranslation:
             rhs = fac * theta_char((a, b), z, tau)
             worst = max(worst, abs(lhs - rhs) / max(1e-30, abs(rhs)))
         assert worst < 1e-10
-
-
-class TestRho0AndPsi:
-    def test_rho0_on_one(self):
-        assert rho0_factor("one", 0.123 + 4.5j, 1j) == pytest.approx(1.0)
-
-    def test_rho0_on_tau(self):
-        got = rho0_factor("tau", 0.0, 1j)
-        assert abs(got - e_func(-0.5j)) < 1e-14
-
-    def test_rho0_consistent_with_translation(self):
-        z = -0.4 + 0.27j
-        assert abs(rho0_factor("tau", z, 1j) - translation_factor((0.0, 0.0), 0, 1, z, 1j)) < 1e-14
-
-    def test_rho0_rejects_unknown_generator(self):
-        with pytest.raises(ValueError):
-            rho0_factor("two", 0.0, 1j)
-
-    def test_psi_identity(self):
-        assert psi(0, 0, 0.3, 0.7) == pytest.approx(1.0)
-
-    def test_psi_single_generator(self):
-        r1 = -0.2
-        assert abs(psi(1, 0, r1, 0.55) - e_func(r1)) < 1e-14
-
-    @given(
-        st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8),
-        st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_psi_homomorphism(self, p, q, pp, qq, r1, r2):
-        lhs = psi(p + pp, q + qq, r1, r2)
-        rhs = psi(p, q, r1, r2) * psi(pp, qq, r1, r2)
-        assert abs(lhs - rhs) < 1e-12
 
 
 class TestBigTheta:
