@@ -40,8 +40,6 @@ from .inversion import (
     verify_thm51,
 )
 from .theta import (
-    DEFAULT_POLICY,
-    SeriesPolicy,
     big_theta,
     e_func,
     theta_char,
@@ -53,13 +51,11 @@ from .theta import (
 __all__ = [
     "AbelJacobiValue",
     "BranchedPath",
-    "DEFAULT_POLICY",
     "DMap",
     "GammaDecomposition",
     "NodalCurveSpec",
     "PeriodGroup",
     "RiemannConstants",
-    "SeriesPolicy",
     "ThetaPullback",
     "ThirdKindDifferential",
     "Thm51Result",

@@ -108,9 +108,7 @@ def _theta_quotient(spec: NodalCurveSpec):
     odd = (0.5, 0.5)
 
     def q(z):
-        return theta_char(odd, z - spec.p1, spec.tau, spec.policy) / theta_char(
-            odd, z - spec.p2, spec.tau, spec.policy
-        )
+        return theta_char(odd, z - spec.p1, spec.tau) / theta_char(odd, z - spec.p2, spec.tau)
 
     return q
 

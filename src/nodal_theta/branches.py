@@ -165,5 +165,5 @@ def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
     u = phi(spec, P).as_tuple()
     c = beta_k(u, spec, eps, k=k, use_correction=use_correction, _kappa_cache=_kappa_cache)
     r1, r2, _ = derive_periods(spec)
-    val = big_theta(u[0] - c[0], u[1] - c[1], spec.tau, r1, r2, spec.policy)
+    val = big_theta(u[0] - c[0], u[1] - c[1], spec.tau, r1, r2)
     return abs(val)

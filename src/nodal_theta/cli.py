@@ -38,7 +38,7 @@ from .inversion import (
     sample_generic_c,
     verify_thm51,
 )
-from .theta import SeriesPolicy, big_theta, e_func, theta_char, theta_char_dz, translation_factor
+from .theta import big_theta, e_func, theta_char, theta_char_dz, translation_factor
 
 
 class ConfigError(NodalThetaError):
@@ -51,14 +51,12 @@ class RunConfig:
     eps_candidates: tuple[float, ...]
     tol_congruence: float = 1e-6
     samples: int = 10
-    grid: int = 6
     seed: int = 20260808
     out_dir: str = "out"
 
     def __post_init__(self):
         # also runs on dataclasses.replace, so command-line overrides are checked
-        for name, value, low in (("samples", self.samples, 1), ("grid", self.grid, 1),
-                                 ("seed", self.seed, 0)):
+        for name, value, low in (("samples", self.samples, 1), ("seed", self.seed, 0)):
             if value < low:
                 raise ConfigError(f"run.{name} must be at least {low}, got {value}")
         if self.tol_congruence <= 0:
@@ -90,8 +88,8 @@ def _parse_float(text: str) -> float:
 _CONFIG_KEYS = frozenset({
     "curve.tau", "curve.p1", "curve.p2", "curve.z0", "curve.q0",
     "curve.delta", "curve.eps", "curve.eps_candidates",
-    "tol.series", "tol.quad", "tol.congruence",
-    "run.samples", "run.grid", "run.seed", "run.out_dir",
+    "tol.quad", "tol.congruence",
+    "run.samples", "run.seed", "run.out_dir",
 })
 
 
@@ -134,7 +132,6 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{exc} for {key!r}") from exc
 
     try:
-        policy = SeriesPolicy(abs_tol=get_float("tol.series", 1e-14))
         spec = NodalCurveSpec(
             tau=_parse_complex(need("curve.tau")),
             p1=_parse_complex(need("curve.p1")),
@@ -143,7 +140,6 @@ def parse_config(path: str | Path) -> RunConfig:
             q0=_parse_complex(entries.get("curve.q0", "0,0")),
             delta=get_float("curve.delta"),
             eps=get_float("curve.eps"),
-            policy=policy,
             quad_tol=get_float("tol.quad", 1e-10),
         )
     except (ValueError, NodalThetaError) as exc:
@@ -155,7 +151,6 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"bad eps candidate list {cand_text!r}: {exc}") from exc
     try:
         samples = int(entries.get("run.samples", "10"))
-        grid = int(entries.get("run.grid", "6"))
         seed = int(entries.get("run.seed", "20260808"))
     except ValueError as exc:
         raise ConfigError(f"bad integer in run.* keys: {exc}") from exc
@@ -164,7 +159,6 @@ def parse_config(path: str | Path) -> RunConfig:
         eps_candidates=candidates,
         tol_congruence=get_float("tol.congruence", 1e-6),
         samples=samples,
-        grid=grid,
         seed=seed,
         out_dir=entries.get("run.out_dir", "out"),
     )
@@ -208,19 +202,19 @@ def cmd_identities(cfg: RunConfig, out_dir: Path) -> bool:
             a, b = rng.uniform(-1.0, 1.0, size=2)
             p, q = (int(v) for v in rng.integers(-3, 4, size=2))
             fac = translation_factor((a, b), p, q, z, tau)
-            lhs = theta_char((a, b), z + p + q * tau, tau, spec.policy)
-            rhs = fac * theta_char((a, b), z, tau, spec.policy)
+            lhs = theta_char((a, b), z + p + q * tau, tau)
+            rhs = fac * theta_char((a, b), z, tau)
             worst = max(worst, abs(lhs - rhs) / max(1e-30, abs(rhs)))
     rows.append(["quasi_periodicity", worst, worst < 1e-10])
 
     worst = 0.0
     for _ in range(20):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        d = abs(theta_char((0.0, 0.0), -z, spec.tau, spec.policy) - theta_char((0.0, 0.0), z, spec.tau, spec.policy))
+        d = abs(theta_char((0.0, 0.0), -z, spec.tau) - theta_char((0.0, 0.0), z, spec.tau))
         worst = max(worst, d)
     rows.append(["evenness", worst, worst < 1e-12])
 
-    odd = abs(theta_char((0.5, 0.5), 0.0, spec.tau, spec.policy))
+    odd = abs(theta_char((0.5, 0.5), 0.0, spec.tau))
     rows.append(["odd_characteristic_vanishing", odd, odd < 1e-12])
 
     r1, r2, _ = derive_periods(spec)
@@ -228,10 +222,10 @@ def cmd_identities(cfg: RunConfig, out_dir: Path) -> bool:
     for _ in range(25):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8))
         w = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8))
-        base = big_theta(z, w, spec.tau, r1, r2, spec.policy)
-        v1 = big_theta(z + 1, w + r1, spec.tau, r1, r2, spec.policy)
-        vt = big_theta(z + spec.tau, w + r2, spec.tau, r1, r2, spec.policy)
-        vw = big_theta(z, w + 1, spec.tau, r1, r2, spec.policy)
+        base = big_theta(z, w, spec.tau, r1, r2)
+        v1 = big_theta(z + 1, w + r1, spec.tau, r1, r2)
+        vt = big_theta(z + spec.tau, w + r2, spec.tau, r1, r2)
+        vw = big_theta(z, w + 1, spec.tau, r1, r2)
         worst_z1 = max(worst_z1, abs(v1 - base) / max(1e-30, abs(base)))
         worst_zt = max(worst_zt, abs(vt - e_func(-0.5 * spec.tau - z) * base) / max(1e-30, abs(base)))
         worst_w = max(worst_w, abs(vw - base) / max(1e-30, abs(base)))
@@ -243,8 +237,8 @@ def cmd_identities(cfg: RunConfig, out_dir: Path) -> bool:
     h = 1e-5
     for _ in range(10):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8))
-        fd = (theta_char((0.3, -0.2), z + h, spec.tau, spec.policy) - theta_char((0.3, -0.2), z - h, spec.tau, spec.policy)) / (2 * h)
-        an = theta_char_dz((0.3, -0.2), z, spec.tau, spec.policy)
+        fd = (theta_char((0.3, -0.2), z + h, spec.tau) - theta_char((0.3, -0.2), z - h, spec.tau)) / (2 * h)
+        an = theta_char_dz((0.3, -0.2), z, spec.tau)
         worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
     rows.append(["derivative_vs_finite_difference", worst, worst < 1e-7])
 
@@ -370,6 +364,10 @@ def cmd_thm51(cfg: RunConfig, out_dir: Path) -> bool:
     return summary_ok
 
 
+# side of the first curve-point grid of thm66; grown until it holds enough points
+_THM66_GRID = 6
+
+
 def cmd_thm66(cfg: RunConfig, out_dir: Path) -> bool:
     spec = cfg.spec
     n_target = max(20, cfg.samples)
@@ -378,7 +376,7 @@ def cmd_thm66(cfg: RunConfig, out_dir: Path) -> bool:
     kap = kappa_vector(riemann_constants(spec, eps_w), spec, "half_tau")
 
     pts: list[complex] = []
-    n_grid = cfg.grid
+    n_grid = _THM66_GRID
     while len(pts) < n_target:
         pts.clear()
         for s in np.linspace(0.08, 0.92, n_grid):
@@ -424,7 +422,7 @@ def cmd_thm66(cfg: RunConfig, out_dir: Path) -> bool:
     u_off = (u[0], u[1] + 0.37 + 0.21j)
     c_off = beta_k(u_off, spec, eps_w, _kappa_cache=kap)
     r1v, r2v, _ = derive_periods(spec)
-    off = abs(big_theta(u_off[0] - c_off[0], u_off[1] - c_off[1], spec.tau, r1v, r2v, spec.policy))
+    off = abs(big_theta(u_off[0] - c_off[0], u_off[1] - c_off[1], spec.tau, r1v, r2v))
     # the corrected containment holds identically, so the control cannot
     # separate: reported, not asserted
     rows.append(["off_curve_control_corrected", u_off[1], off, "vacuous_identity"])

@@ -14,9 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
-
-from .theta import SeriesPolicy
+from dataclasses import dataclass
 
 _CONTAINS_SLACK = 1e-9  # lattice-coordinate slack of NodalCurveSpec.contains
 _TOROIDAL_BOUND, _TOROIDAL_TOL = 50, 1e-9  # search box and integer tolerance of is_toroidal
@@ -93,7 +91,6 @@ class NodalCurveSpec:
     q0: complex = 0.0 + 0.0j
     delta: float = 0.05
     eps: float = 0.05
-    policy: SeriesPolicy = field(default_factory=SeriesPolicy)
     quad_tol: float = 1e-10
 
     def __post_init__(self):

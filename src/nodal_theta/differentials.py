@@ -35,14 +35,13 @@ class ThirdKindDifferential:
         self.tau = spec.tau
         self.p1 = spec.p1
         self.p2 = spec.p2
-        self.policy = spec.policy
         self.r1, self.r2, self.kappa_coeff = derive_periods(spec)
         # odd theta Taylor data at its zero: theta11(t) = a1 t + a3 t^3 + ...
-        tau, pol = self.tau, self.policy
-        a1 = theta_char_dzk(_ODD, 0.0, tau, 1, pol)
-        a3 = theta_char_dzk(_ODD, 0.0, tau, 3, pol) / 6.0
-        a5 = theta_char_dzk(_ODD, 0.0, tau, 5, pol) / 120.0
-        a7 = theta_char_dzk(_ODD, 0.0, tau, 7, pol) / 5040.0
+        tau = self.tau
+        a1 = theta_char_dzk(_ODD, 0.0, tau, 1)
+        a3 = theta_char_dzk(_ODD, 0.0, tau, 3) / 6.0
+        a5 = theta_char_dzk(_ODD, 0.0, tau, 5) / 120.0
+        a7 = theta_char_dzk(_ODD, 0.0, tau, 7) / 5040.0
         u, v, w = a3 / a1, a5 / a1, a7 / a1
         # ell(t) - 1/t = c1 t + c3 t^3 + c5 t^5 + O(t^7)
         self._ell_reg_coeffs = (
@@ -76,7 +75,7 @@ class ThirdKindDifferential:
         out = np.empty_like(x_red)
         small = np.abs(x_red) < _ELL_SWITCH
         if np.any(~small):
-            th, thp = theta_char_and_dz(_ODD, x_red[~small], self.tau, self.policy)
+            th, thp = theta_char_and_dz(_ODD, x_red[~small], self.tau)
             out[~small] = thp / th
         if np.any(small):
             ts = x_red[small]
@@ -97,7 +96,7 @@ class ThirdKindDifferential:
         small = np.abs(t) < _ELL_SWITCH
         if np.any(~small):
             ts = t[~small]
-            th, thp = theta_char_and_dz(_ODD, ts, self.tau, self.policy)
+            th, thp = theta_char_and_dz(_ODD, ts, self.tau)
             out[~small] = thp / th - 1.0 / ts
         if np.any(small):
             out[small] = self._ell_reg_small(t[small])

@@ -52,7 +52,7 @@ from .quadrature import (
     track_log_sampled,
     winding_number_sampled,
 )
-from .theta import TWO_PI_I, e_func, theta_char, theta_char_and_dz
+from .theta import TWO_PI_I, big_theta, e_func, theta_char, theta_char_and_dz
 
 GENERICITY_TOL = 1e-3
 # Newton polish of the located zeros: step tolerance and iteration cap
@@ -91,7 +91,7 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     """
     scale = GENERICITY_TOL * _theta_scale(spec.tau, (0.0, 0.0))
     for name, point in (("theta00(phi1(p1) - c1)", spec.p1), ("theta00(phi1(p2) - c1)", spec.p2)):
-        if abs(theta_char((0.0, 0.0), phi1(spec, point) - c1, spec.tau, spec.policy)) <= scale:
+        if abs(theta_char((0.0, 0.0), phi1(spec, point) - c1, spec.tau)) <= scale:
             return name
     return None
 
@@ -116,24 +116,12 @@ class ThetaPullback:
         spec = self.spec
         x = (P - spec.z0) - self.c1
         ew = e_phi2(spec, P) * e_func(-self.c2)
-        return (
-            theta_char((0.0, 0.0), x, spec.tau, spec.policy)
-            + theta_char(self._rchar, x, spec.tau, spec.policy) * ew
-        )
+        return theta_char((0.0, 0.0), x, spec.tau) + theta_char(self._rchar, x, spec.tau) * ew
 
-    def value_from_phi(self, P, path=None):
+    def value_from_phi(self, P):
         """T_c(P) through the tracked period map (dual route, for tests)."""
-        from .theta import big_theta
-
-        val = phi2(self.spec, P, path)
-        return big_theta(
-            phi1(self.spec, P) - self.c1,
-            val - self.c2,
-            self.spec.tau,
-            self.r1,
-            self.r2,
-            self.spec.policy,
-        )
+        spec = self.spec
+        return big_theta(phi1(spec, P) - self.c1, phi2(spec, P) - self.c2, spec.tau, self.r1, self.r2)
 
     def value_and_dvalue(self, P):
         """(T_c(P), dT_c/dz(P)); the derivative by the chain rule through the
@@ -142,8 +130,8 @@ class ThetaPullback:
         spec = self.spec
         x = (P - spec.z0) - self.c1
         ew = e_phi2(spec, P) * e_func(-self.c2)
-        th0, th0p = theta_char_and_dz((0.0, 0.0), x, spec.tau, spec.policy)
-        thr, thrp = theta_char_and_dz(self._rchar, x, spec.tau, spec.policy)
+        th0, th0p = theta_char_and_dz((0.0, 0.0), x, spec.tau)
+        thr, thrp = theta_char_and_dz(self._rchar, x, spec.tau)
         eta = third_kind(spec).eta_coeff(P)
         return th0 + thr * ew, th0p + (thrp + TWO_PI_I * eta * thr) * ew
 
@@ -308,7 +296,7 @@ class DMap:
         self._rchar = (-self.r1, r2)
         self._e_phi2_eps = e_phi2(spec, spec.p2 + self.eps)  # e(phi2) at the chart anchor t = eps
         self.g0 = complex(self.g(0.0))
-        self.beta_coeff = theta_char(self._rchar, self.x2, spec.tau, spec.policy) * self.g0
+        self.beta_coeff = theta_char(self._rchar, self.x2, spec.tau) * self.g0
 
     # -- chart factor g and the Moebius coefficients --------------------------
 
@@ -318,22 +306,22 @@ class DMap:
         return self._e_phi2_eps * self.eps * np.exp(TWO_PI_I * (prim(t) - prim(self.eps)))
 
     def alpha1(self, t):
-        return theta_char((0.0, 0.0), self.x2 + t, self.spec.tau, self.spec.policy)
+        return theta_char((0.0, 0.0), self.x2 + t, self.spec.tau)
 
     def G(self, t):
         """G(t) = theta[-r1;r2](x2 + t) g(t), the residue factor of the chart."""
-        return theta_char(self._rchar, self.x2 + t, self.spec.tau, self.spec.policy) * self.g(t)
+        return theta_char(self._rchar, self.x2 + t, self.spec.tau) * self.g(t)
 
     def _G_and_dG(self, t):
         """(G, G') with G' = (theta_r' + 2*pi*i*h1 theta_r) g; one pass gives theta_r and theta_r'."""
-        th, thp = theta_char_and_dz(self._rchar, self.x2 + t, self.spec.tau, self.spec.policy)
+        th, thp = theta_char_and_dz(self._rchar, self.x2 + t, self.spec.tau)
         g = self.g(t)
         return th * g, (thp + TWO_PI_I * self.diff.h1_at_p2(t) * th) * g
 
     def mobius_coeffs(self, t):
         """(A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G), so that
         h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t."""
-        a1, a1p = theta_char_and_dz((0.0, 0.0), self.x2 + t, self.spec.tau, self.spec.policy)
+        a1, a1p = theta_char_and_dz((0.0, 0.0), self.x2 + t, self.spec.tau)
         G, dG = self._G_and_dG(t)
         return a1 + t * a1p, dG, t * a1, G
 
@@ -342,7 +330,7 @@ class DMap:
         """Gap between the two closed forms of h3(0; c), G'(0)/G(0) =
         theta_r'/theta_r(x2) + 2*pi*i*h1(0); computed on first use."""
         spec = self.spec
-        th, thp = theta_char_and_dz(self._rchar, self.x2, spec.tau, spec.policy)
+        th, thp = theta_char_and_dz(self._rchar, self.x2, spec.tau)
         _, h1c = self.diff._h1_series()
         return complex(thp / th + TWO_PI_I * h1c[0])
 
@@ -403,7 +391,7 @@ class DMap:
     def theta00_p1(self) -> complex:
         """theta00(phi1(p1) - c1), the value of T_c at p1 (read by branch_log only)."""
         spec = self.spec
-        return theta_char((0.0, 0.0), phi1(spec, spec.p1) - self.c1, spec.tau, spec.policy)
+        return theta_char((0.0, 0.0), phi1(spec, spec.p1) - self.c1, spec.tau)
 
     def branch_log(self, log_pole) -> complex:
         """Log theta00(phi1(p1) - c1) - log_pole + log eps, the part of the
@@ -582,7 +570,7 @@ class Thm51Result:
         return min(self.residual_half_tau, self.residual_full_tau)
 
 
-def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None) -> Thm51Result:
+def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     """Check W = phi(Q1) + phi(Q2) == d(eps)(c) + kappa(eps) mod Gamma.
 
     Residuals are reported for both candidate constants (-tau/2 and -tau in
@@ -595,19 +583,18 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float | None = None) -> Thm51Resu
     its accepted panel tolerances sum to at most quad_tol), else
     QuadratureFailure.
     """
-    eps_w = spec.eps / 2 if eps is None else eps
     tp = c if isinstance(c, ThetaPullback) else ThetaPullback(c, spec)
     n = count_zeros(tp)
     zeros = locate_zeros(tp)
     w = divisor_image(spec, list(zeros))
-    dm = DMap(spec, tp.c1, eps_w)
+    dm = DMap(spec, tp.c1, eps)
     d2, log_f = dm.d2_and_log_f(tp.c2)
     d_val = (dm.c1, d2)
     h3_gap = abs(dm.H3(tp.c2) - TWO_PI_I * (d2 - dm.c1 * dm.r1))
     if h3_gap > spec.quad_tol:
         raise QuadratureFailure(f"H3 quadrature misses the closed-form d2 by {h3_gap:.3e}")
     corr = branch_correction(dm, tp.c2, log_f)
-    rc = riemann_constants(spec, eps_w)
+    rc = riemann_constants(spec, eps)
     pg = period_group(spec)
     res = {}
     decs = {}

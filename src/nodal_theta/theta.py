@@ -8,14 +8,15 @@ Conventions used everywhere in this package:
     Theta(z, w)         = theta[0;0](z) + theta[-r1;r2](z) e(w)
 
 The series is truncated when the Gaussian tail exp(-pi*Im(tau)*(n+a)^2) drops
-below the policy tolerance.  Each argument is moved by quasi-periodicity into
-the strip |Im z| <= Im(tau)/2, where the Gaussian centre of the terms lies
-within 1/2 of n + a = 0, so one cached window per (characteristic, tau,
-policy) holds the largest terms of every point.  A batch is summed in blocks
-of at most _BLOCK points: each block's terms form a (window, points) array
-that is built and summed down the window axis, so memory stays
-O(points + window * _BLOCK) and each point's sum runs in the same order
-whatever else is in its batch; a value equals its scalar call bit for bit.
+below the fixed bound _ABS_TOL = 1e-14 on the omitted tail.  Each argument is
+moved by quasi-periodicity into the strip |Im z| <= Im(tau)/2, where the
+Gaussian centre of the terms lies within 1/2 of n + a = 0, so one cached
+window per (characteristic, tau) holds the largest terms of every point.
+A batch is summed in blocks of at most _BLOCK points: each block's terms
+form a (window, points) array that is built and summed down the window axis,
+so memory stays O(points + window * _BLOCK) and each point's sum runs in the
+same order whatever else is in its batch; a value equals its scalar call bit
+for bit.
 theta_char_and_dz returns theta and its z-derivative from one window pass,
 each equal bit for bit to its own call.
 """
@@ -23,7 +24,6 @@ each equal bit for bit to its own call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,21 +39,8 @@ _MAX_INDEX = 64
 # most points per block of the window pass: its terms array holds at most
 # (2 * half-width + 3) * _BLOCK values
 _BLOCK = 2048
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation control for all theta series: abs_tol bounds the omitted
-    tail."""
-
-    abs_tol: float = 1e-14
-
-    def __post_init__(self):
-        if not (0.0 < self.abs_tol < 1.0):
-            raise ValueError("abs_tol must lie in (0, 1)")
-
-
-DEFAULT_POLICY = SeriesPolicy()
+# bound on the omitted tail of every theta series
+_ABS_TOL = 1e-14
 
 
 def e_func(x):
@@ -75,9 +62,9 @@ def _char_ab(char) -> tuple[float, float]:
     return float(a), float(b)
 
 
-def _halfwidth(a_red: float, im_tau: float, policy: SeriesPolicy) -> int:
-    """Minimal N with exp(-pi*Im(tau)*(N - a_red - 1)^2) < abs_tol/4."""
-    target = policy.abs_tol / 4.0
+def _halfwidth(a_red: float, im_tau: float) -> int:
+    """Minimal N with exp(-pi*Im(tau)*(N - a_red - 1)^2) < _ABS_TOL/4."""
+    target = _ABS_TOL / 4.0
     # closed-form candidate, then walk down to the minimal admissible N
     width = math.sqrt(max(0.0, -math.log(target) / (math.pi * im_tau)))
     n = max(1, math.ceil(a_red + 1.0 + width))
@@ -94,19 +81,19 @@ def _halfwidth(a_red: float, im_tau: float, policy: SeriesPolicy) -> int:
     if n > _MAX_INDEX:
         raise NonConvergent(
             f"series needs half-width {n} > {_MAX_INDEX} "
-            f"(Im tau = {im_tau:g}, abs_tol = {policy.abs_tol:g})"
+            f"(Im tau = {im_tau:g}, abs_tol = {_ABS_TOL:g})"
         )
     return n
 
 
 @lru_cache(maxsize=64)
-def _window(a: float, b: float, tau: complex, policy: SeriesPolicy, orders: tuple[int, ...]):
+def _window(a: float, b: float, tau: complex, orders: tuple[int, ...]):
     """(a_red, nk, ((k, coeffs_k) for k in orders)) for arguments in the
     strip, as read-only (W, 1) columns: nk = n + a for n in
     [-floor(a) - N - 1, -floor(a) + N + 1], centred on nk = a_red, and the
     tau-only factors coeffs_k = (2 pi i)^k e(nk^2 tau/2 + nk b)."""
     a_red = a - math.floor(a)
-    n_half = _halfwidth(a_red, tau.imag, policy)
+    n_half = _halfwidth(a_red, tau.imag)
     nk = a_red + np.arange(-n_half - 1, n_half + 2, dtype=np.float64)[:, None]
     nk.flags.writeable = False
     coeffs = []
@@ -145,7 +132,7 @@ def _block_pass(z, q, tau, b, window):
     return out
 
 
-def _theta_general(char, z, tau, policy: SeriesPolicy, orders: tuple[int, ...]):
+def _theta_general(char, z, tau, orders: tuple[int, ...]):
     """z = w + q*tau with w in the strip, q = round(Im z / Im tau), and
     theta[a;b](z) = e(-q^2 tau/2 - q(w + b)) theta[a;b](w).  One pass
     returns the k-th z-derivative for each k in orders.  The points are
@@ -155,7 +142,7 @@ def _theta_general(char, z, tau, policy: SeriesPolicy, orders: tuple[int, ...]):
     B >= 2, and no block holds a single point."""
     a, b = _char_ab(char)
     tau = _tau_value(tau)
-    window = _window(a, b, tau, policy or DEFAULT_POLICY, orders)
+    window = _window(a, b, tau, orders)
     z_arr = np.asarray(z, dtype=np.complex128)
     zf = z_arr.ravel()
     if zf.size == 1:
@@ -176,30 +163,30 @@ def _theta_general(char, z, tau, policy: SeriesPolicy, orders: tuple[int, ...]):
     return [v[:z_arr.size].reshape(z_arr.shape) for v in vals]
 
 
-def theta_char(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
-    """theta[a;b](z, tau) truncated so the omitted tail is below policy.abs_tol.
+def theta_char(char, z, tau):
+    """theta[a;b](z, tau) truncated so the omitted tail is below 1e-14.
 
     char is an (a, b) pair; z may be a scalar or an ndarray.  Raises
     NonConvergent if the tail bound cannot be met within 64 terms per side,
     or if some |Im z| / Im tau exceeds 100,000.
     """
-    return _theta_general(char, z, tau, policy, (0,))[0]
+    return _theta_general(char, z, tau, (0,))[0]
 
 
-def theta_char_dz(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
+def theta_char_dz(char, z, tau):
     """Termwise z-derivative of theta_char."""
-    return _theta_general(char, z, tau, policy, (1,))[0]
+    return _theta_general(char, z, tau, (1,))[0]
 
 
-def theta_char_and_dz(char, z, tau, policy: SeriesPolicy = DEFAULT_POLICY):
+def theta_char_and_dz(char, z, tau):
     """(theta_char, theta_char_dz) from one window pass; each equals its own
     call bit for bit.  For callers that need both at the same points."""
-    return tuple(_theta_general(char, z, tau, policy, (0, 1)))
+    return tuple(_theta_general(char, z, tau, (0, 1)))
 
 
-def theta_char_dzk(char, z, tau, k: int, policy: SeriesPolicy = DEFAULT_POLICY):
+def theta_char_dzk(char, z, tau, k: int):
     """k-th termwise z-derivative; used for local expansions near theta zeros."""
-    return _theta_general(char, z, tau, policy, (k,))[0]
+    return _theta_general(char, z, tau, (k,))[0]
 
 
 def translation_factor(char, p: int, q: int, z, tau):
@@ -212,7 +199,7 @@ def translation_factor(char, p: int, q: int, z, tau):
     return e_func(-0.5 * q * q * tau - q * (z + b) + a * p)
 
 
-def big_theta(z, w, tau, r1: float, r2: float, policy: SeriesPolicy = DEFAULT_POLICY):
+def big_theta(z, w, tau, r1: float, r2: float):
     """Two-variable generalized theta function
 
         Theta(z, w) = theta[0;0](z, tau) + theta[-r1; r2](z, tau) e(w).
@@ -220,4 +207,4 @@ def big_theta(z, w, tau, r1: float, r2: float, policy: SeriesPolicy = DEFAULT_PO
     Quasi-periodic under the rank-3 period group generated by (0,1), (1,r1)
     and (tau, r2).
     """
-    return theta_char((0.0, 0.0), z, tau, policy) + theta_char((-r1, r2), z, tau, policy) * e_func(w)
+    return theta_char((0.0, 0.0), z, tau) + theta_char((-r1, r2), z, tau) * e_func(w)

@@ -253,7 +253,7 @@ class TestZeroSet:
         u_off = (u[0], u[1] + 0.37 + 0.21j)  # not the image of any curve point
         c_off = beta_k(u_off, spec, EPS_SEL, _kappa_cache=kap)
         r1v, r2v, _ = derive_periods(spec)
-        res = abs(big_theta(u_off[0] - c_off[0], u_off[1] - c_off[1], spec.tau, r1v, r2v, spec.policy))
+        res = abs(big_theta(u_off[0] - c_off[0], u_off[1] - c_off[1], spec.tau, r1v, r2v))
         assert res < 1e-6  # would exceed 1e-3 if the containment were sharp
 
     def test_r2_minus_r1_tau_reproduces_node_offset(self, spec_ab):

@@ -14,7 +14,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # (command, config line replaced as (old, new) or None, extra arguments)
 MALFORMED = {
-    "grid_negative": ("thm66", ("run.grid = 6", "run.grid = -3"), []),
+    "removed_key_tol_series": ("thm51", ("tol.quad = 1e-10", "tol.series = 1e-14\ntol.quad = 1e-10"), []),
+    "removed_key_run_grid": ("thm66", ("run.samples = 10", "run.samples = 10\nrun.grid = 6"), []),
     "seed_negative": ("thm51", ("run.seed = 20260808", "run.seed = -1"), []),
     "seed_flag_negative": ("thm51", None, ["--seed", "-1"]),
     "samples_negative": ("thm51", ("run.samples = 10", "run.samples = -2"), []),

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from nodal_theta import theta
 from nodal_theta.errors import NonConvergent
 from nodal_theta.theta import (
-    SeriesPolicy,
     big_theta,
     e_func,
     theta_char,
@@ -114,7 +113,7 @@ class TestThetaChar:
 
     def test_nonconvergent_for_tiny_im_tau(self):
         with pytest.raises(NonConvergent):
-            theta_char((0.0, 0.0), 0.1, 1e-3j, SeriesPolicy(abs_tol=1e-14))
+            theta_char((0.0, 0.0), 0.1, 1e-3j)
 
     def test_nonconvergent_for_huge_im_z(self):
         with pytest.raises(NonConvergent):
@@ -127,10 +126,6 @@ class TestThetaChar:
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             theta_char((0.0, 0.0), 0.0, 1.0 - 0.5j)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SeriesPolicy(abs_tol=2.0)
 
 
 def theta_mpmath(char, z, tau, k, n_max=30):
