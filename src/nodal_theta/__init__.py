@@ -45,6 +45,7 @@ from .theta import (
     theta_char,
     theta_char_and_dz,
     theta_char_dz,
+    theta_chars,
     translation_factor,
 )
 
@@ -87,6 +88,7 @@ __all__ = [
     "theta_char",
     "theta_char_and_dz",
     "theta_char_dz",
+    "theta_chars",
     "translation_factor",
     "verify_thm51",
     "zero_set_residual",

@@ -147,7 +147,12 @@ def trace_path(spec: NodalCurveSpec, vertices) -> BranchedPath:
     return BranchedPath(vertices=verts, branch_state=complex(phi2_val))
 
 
+@lru_cache(maxsize=16)
 def default_path(spec: NodalCurveSpec, P: complex) -> BranchedPath:
+    """The traced default path to P.  Cached per (spec, P), so that callers
+    that evaluate phi at one point twice (as the corrected and the stated
+    inverse of one curve point do) walk its log once; BranchedPath is
+    frozen, so the callers may share it."""
     return trace_path(spec, default_path_vertices(spec, P))
 
 

@@ -134,8 +134,9 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
         return (c1, complex(c2))
 
     # f(eps) = e(v - c1 r1) is linear in 1/w, w = e(-c2)
-    num = eps * complex(dm.alpha1(eps))
-    den = dm.beta_coeff * e_func(v - c1 * r1) - complex(dm.G(eps))
+    alpha1, G = dm.alpha1_and_G(eps)
+    num = eps * complex(alpha1)
+    den = dm.beta_coeff * e_func(v - c1 * r1) - complex(G)
     if num == 0 or den == 0:
         raise NoPreimage("the closed-form e(-c2) has no finite nonzero value")
     c2 = complex(-np.log(num / den) / TWO_PI_I) + k

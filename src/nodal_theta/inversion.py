@@ -52,7 +52,7 @@ from .quadrature import (
     track_log_sampled,
     winding_number_sampled,
 )
-from .theta import TWO_PI_I, big_theta, e_func, theta_char, theta_char_and_dz
+from .theta import TWO_PI_I, big_theta, e_func, theta_char, theta_char_and_dz, theta_chars
 
 GENERICITY_TOL = 1e-3
 # Newton polish of the located zeros: step tolerance and iteration cap
@@ -116,7 +116,8 @@ class ThetaPullback:
         spec = self.spec
         x = (P - spec.z0) - self.c1
         ew = e_phi2(spec, P) * e_func(-self.c2)
-        return theta_char((0.0, 0.0), x, spec.tau) + theta_char(self._rchar, x, spec.tau) * ew
+        (th0,), (thr,) = theta_chars(((0.0, 0.0), self._rchar), x, spec.tau)
+        return th0 + thr * ew
 
     def value_from_phi(self, P):
         """T_c(P) through the tracked period map (dual route, for tests)."""
@@ -125,13 +126,12 @@ class ThetaPullback:
 
     def value_and_dvalue(self, P):
         """(T_c(P), dT_c/dz(P)); the derivative by the chain rule through the
-        theta kernel and eta.  One pass per theta characteristic gives each
-        theta with its derivative; the value equals `value(P)` bit for bit."""
+        theta kernel and eta.  One window pass gives both thetas with their
+        derivatives; the value equals `value(P)` bit for bit."""
         spec = self.spec
         x = (P - spec.z0) - self.c1
         ew = e_phi2(spec, P) * e_func(-self.c2)
-        th0, th0p = theta_char_and_dz((0.0, 0.0), x, spec.tau)
-        thr, thrp = theta_char_and_dz(self._rchar, x, spec.tau)
+        (th0, th0p), (thr, thrp) = theta_chars(((0.0, 0.0), self._rchar), x, spec.tau, (0, 1))
         eta = third_kind(spec).eta_coeff(P)
         return th0 + thr * ew, th0p + (thrp + TWO_PI_I * eta * thr) * ew
 
@@ -305,24 +305,21 @@ class DMap:
         prim = self.diff.h1_primitive
         return self._e_phi2_eps * self.eps * np.exp(TWO_PI_I * (prim(t) - prim(self.eps)))
 
-    def alpha1(self, t):
-        return theta_char((0.0, 0.0), self.x2 + t, self.spec.tau)
-
-    def G(self, t):
-        """G(t) = theta[-r1;r2](x2 + t) g(t), the residue factor of the chart."""
-        return theta_char(self._rchar, self.x2 + t, self.spec.tau) * self.g(t)
-
-    def _G_and_dG(self, t):
-        """(G, G') with G' = (theta_r' + 2*pi*i*h1 theta_r) g; one pass gives theta_r and theta_r'."""
-        th, thp = theta_char_and_dz(self._rchar, self.x2 + t, self.spec.tau)
-        g = self.g(t)
-        return th * g, (thp + TWO_PI_I * self.diff.h1_at_p2(t) * th) * g
+    def alpha1_and_G(self, t):
+        """(alpha1(t), G(t)) = (theta00(x2 + t), theta[-r1;r2](x2 + t) g(t)),
+        the chart's two theta factors, from one window pass; G is the residue
+        factor of the chart."""
+        (a1,), (th,) = theta_chars(((0.0, 0.0), self._rchar), self.x2 + t, self.spec.tau)
+        return a1, th * self.g(t)
 
     def mobius_coeffs(self, t):
         """(A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G), so that
-        h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t."""
-        a1, a1p = theta_char_and_dz((0.0, 0.0), self.x2 + t, self.spec.tau)
-        G, dG = self._G_and_dG(t)
+        h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t.
+        G' = (theta_r' + 2*pi*i*h1 theta_r) g, and one window pass gives
+        both thetas with their derivatives."""
+        (a1, a1p), (th, thp) = theta_chars(((0.0, 0.0), self._rchar), self.x2 + t, self.spec.tau, (0, 1))
+        g = self.g(t)
+        G, dG = th * g, (thp + TWO_PI_I * self.diff.h1_at_p2(t) * th) * g
         return a1 + t * a1p, dG, t * a1, G
 
     @cached_property
@@ -342,7 +339,8 @@ class DMap:
 
     def f(self, t, c2):
         """f(t) = t T_c(p2 + t)/c_minus1 = (t alpha1(t)/w + G(t))/G0, w = e(-c2); f(0) = 1."""
-        return (t * self.alpha1(t) * e_func(complex(c2)) + self.G(t)) / self.beta_coeff
+        a1, G = self.alpha1_and_G(t)
+        return (t * a1 * e_func(complex(c2)) + G) / self.beta_coeff
 
     def h3(self, t, c2):
         return _moebius(self.mobius_coeffs(t), e_func(-complex(c2)))
@@ -355,7 +353,8 @@ class DMap:
     def h3_zero_no_derivative(self, c2) -> complex:
         """Shorter closed form theta00(x2) e(c2) / (theta_r(x2) g(0)); deviates
         from h3_zero by h3_zero_defect."""
-        return complex(self.alpha1(0.0) * e_func(complex(c2)) / self.beta_coeff)
+        alpha1 = theta_char((0.0, 0.0), self.x2, self.spec.tau)
+        return complex(alpha1 * e_func(complex(c2)) / self.beta_coeff)
 
     def H3(self, c2, t=None) -> complex:
         """Quadrature of h3 along the straight segment from 0 to t (default
@@ -384,8 +383,9 @@ class DMap:
 
     def d2_dc2(self, c2) -> complex:
         """dH3/dc2 (eps; (c1, c2))/(2*pi*i) = eps alpha1(eps) / (eps alpha1(eps) + w G(eps))."""
-        a = self.eps * complex(self.alpha1(self.eps))
-        return a / (a + e_func(-complex(c2)) * complex(self.G(self.eps)))
+        a1, G = self.alpha1_and_G(self.eps)
+        a = self.eps * complex(a1)
+        return a / (a + e_func(-complex(c2)) * complex(G))
 
     @cached_property
     def theta00_p1(self) -> complex:

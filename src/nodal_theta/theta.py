@@ -12,13 +12,23 @@ below the fixed bound _ABS_TOL = 1e-14 on the omitted tail.  Each argument is
 moved by quasi-periodicity into the strip |Im z| <= Im(tau)/2, where the
 Gaussian centre of the terms lies within 1/2 of n + a = 0, so one cached
 window per (characteristic, tau) holds the largest terms of every point.
-A batch is summed in blocks of at most _BLOCK points: each block's terms
-form a (window, points) array that is built and summed down the window axis,
-so memory stays O(points + window * _BLOCK) and each point's sum runs in the
-same order whatever else is in its batch; a value equals its scalar call bit
-for bit.
-theta_char_and_dz returns theta and its z-derivative from one window pass,
-each equal bit for bit to its own call.
+
+The window's powers are held as a paired table t[j] = (e(j w), e(-j w)),
+j = 0..N+1, built from t[1] = (e(w), e(-w)) by one product per row; the
+window's cached coefficients are laid out the same way, with the duplicate
+centre entry weighted 0, and a value is the table weighted by them and
+summed down its rows from the centre outward.  A batch is summed in blocks
+of at most _BLOCK points, so memory stays O(points + window * _BLOCK), and
+each point's sum runs in the same order whatever else is in its batch: a
+value equals its scalar call bit for bit.
+
+One pass serves every characteristic and derivative order wanted at one
+argument: theta_chars shares the strip shift, the exponential of the step
+and one table sized to the widest window, and a narrower window sums the
+table's leading rows, so each value equals its single-characteristic call
+bit for bit.  Each characteristic keeps its own automorphy prefactor.
+theta_char_and_dz is the one-characteristic case with orders (0, 1), and
+big_theta and the pulled-back Theta take both of their thetas from one pass.
 """
 
 from __future__ import annotations
@@ -36,8 +46,9 @@ TWO_PI_I = 2j * math.pi
 _MAX_SHIFT = 100_000
 # cap on the half-width of the summation window
 _MAX_INDEX = 64
-# most points per block of the window pass: its terms array holds at most
-# (2 * half-width + 3) * _BLOCK values
+# most points per block of the window pass: its table of powers holds
+# 2 * (half-width + 2) * _BLOCK values, and a pass with more than one output
+# holds one more array of that size
 _BLOCK = 2048
 # bound on the omitted tail of every theta series
 _ABS_TOL = 1e-14
@@ -88,76 +99,86 @@ def _halfwidth(a_red: float, im_tau: float) -> int:
 
 @lru_cache(maxsize=64)
 def _window(a: float, b: float, tau: complex, orders: tuple[int, ...]):
-    """(a_red, nk, ((k, coeffs_k) for k in orders)) for arguments in the
-    strip, as read-only (W, 1) columns: nk = n + a for n in
-    [-floor(a) - N - 1, -floor(a) + N + 1], centred on nk = a_red, and the
-    tau-only factors coeffs_k = (2 pi i)^k e(nk^2 tau/2 + nk b)."""
+    """(a_red, b, nk, ((k, coeffs_k) for k in orders)) for arguments in the
+    strip, as read-only (N + 2, 2, 1) tables laid out as the power table of
+    _block_pass: nk[j] = (a_red + j, a_red - j) for j = 0..N+1, and the
+    tau-only factors coeffs_k = (2 pi i)^k e(nk^2 tau/2 + nk b), whose
+    duplicate centre entry coeffs_k[0, 1] is weighted 0."""
     a_red = a - math.floor(a)
     n_half = _halfwidth(a_red, tau.imag)
-    nk = a_red + np.arange(-n_half - 1, n_half + 2, dtype=np.float64)[:, None]
+    j = np.arange(n_half + 2, dtype=np.float64)
+    nk = np.stack([a_red + j, a_red - j], axis=1)[:, :, None]
     nk.flags.writeable = False
     coeffs = []
     for k in orders:
         ck = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * b)) * TWO_PI_I**k
+        ck[0, 1] = 0.0
         ck.flags.writeable = False
         coeffs.append((k, ck))
-    return a_red, nk, tuple(coeffs)
+    return a_red, b, nk, tuple(coeffs)
 
 
-def _block_pass(z, q, tau, b, window):
-    """Each order's values at the points z = w + q*tau of one block: the
-    terms e(nk w) fill a (W, points) array from one exponential per point
-    and two recurrences down the window axis, outward from its centre, and
-    each order sums its own copy down that axis."""
-    a_red, nk, coeffs = window
+def _block_pass(z, q, tau, windows, out):
+    """Writes each window's values at the points z = w + q*tau of one block
+    into the rows of out, one row per window and order.  The powers e(j w)
+    and e(-j w), j = 0..N+1, fill a paired (N + 2, 2, points) table from
+    one exponential per point and one product per row, sized to the widest
+    window; a window of half-width N weights the table's leading N + 2 rows
+    and sums them down the row axis."""
     qt = q * tau
     w = z - qt
-    step = np.exp(TWO_PI_I * w)
-    mid = len(nk) // 2
-    terms = np.empty((len(nk), len(w)), dtype=np.complex128)
-    terms[mid] = 1.0
-    terms[mid + 1:] = step
-    terms[:mid] = 1.0 / step
-    np.multiply.accumulate(terms[mid:], axis=0, out=terms[mid:])
-    np.multiply.accumulate(terms[mid::-1], axis=0, out=terms[mid::-1])
-    prefactor = np.exp(TWO_PI_I * ((a_red - q) * w - q * (0.5 * qt + b)))
-    out = []
-    for i, (k, ck) in enumerate(coeffs):
-        # the last order takes the terms themselves, so one order needs no copy
-        tk = terms if i == len(coeffs) - 1 else terms.copy()
-        tk *= ck
-        if k:
-            tk *= (nk - q) ** k
-        out.append(tk.sum(axis=0) * prefactor)
-    return out
+    powers = np.empty((max([len(nk) for _, _, nk, _ in windows]), 2, len(w)), dtype=np.complex128)
+    powers[0] = 1.0
+    powers[1, 0] = np.exp(TWO_PI_I * w)
+    powers[1, 1] = 1.0 / powers[1, 0]
+    for j in range(2, len(powers)):
+        np.multiply(powers[j - 1], powers[1], out=powers[j])
+    n_out = len(windows) * len(windows[0][3])
+    # the last output is weighted in the table itself, so one output needs no copy
+    spare = np.empty_like(powers) if n_out > 1 else powers
+    i = 0
+    for a_red, b, nk, coeffs in windows:
+        rows = len(nk)
+        prefactor = np.exp(TWO_PI_I * ((a_red - q) * w - q * (0.5 * qt + b)))
+        for k, ck in coeffs:
+            tk = (powers if i == n_out - 1 else spare)[:rows]
+            np.multiply(powers[:rows], ck, out=tk)
+            if k:
+                tk *= (nk - q) ** k
+            np.multiply(tk.reshape(2 * rows, -1).sum(axis=0), prefactor, out=out[i])
+            i += 1
 
 
-def _theta_general(char, z, tau, orders: tuple[int, ...]):
-    """z = w + q*tau with w in the strip, q = round(Im z / Im tau), and
-    theta[a;b](z) = e(-q^2 tau/2 - q(w + b)) theta[a;b](w).  One pass
-    returns the k-th z-derivative for each k in orders.  The points are
+def _theta_general(chars, z, tau, orders: tuple[int, ...]):
+    """For each characteristic in chars and then each k in orders, the k-th
+    z-derivative at z, in one flat list, from one window pass.
+
+    z = w + q*tau with w in the strip, q = round(Im z / Im tau), and
+    theta[a;b](z) = e(-q^2 tau/2 - q(w + b)) theta[a;b](w).  The points are
     split evenly into blocks of at most _BLOCK, each summed by _block_pass,
     so a pass holds O(points + W * _BLOCK) values.  A point's value does
-    not depend on its batch: numpy sums a (W, B) block row by row for every
-    B >= 2, and no block holds a single point."""
-    a, b = _char_ab(char)
+    not depend on its batch: numpy sums a (rows, B) block row by row for
+    every B >= 2, and no block holds a single point.  Nor does it depend on
+    the other characteristics: each sums the same leading rows of the
+    table, whatever its width."""
     tau = _tau_value(tau)
-    window = _window(a, b, tau, orders)
+    windows = [_window(*_char_ab(char), tau, orders) for char in chars]
     z_arr = np.asarray(z, dtype=np.complex128)
     zf = z_arr.ravel()
     if zf.size == 1:
-        # a (W, 1) block would be summed pairwise: a lone point goes as two
+        # a (rows, 1) block would be summed pairwise: a lone point goes as two
         zf = zf.repeat(2)
     q = np.rint(zf.imag / tau.imag)
     if zf.size and not np.abs(q).max() <= _MAX_SHIFT:
         raise NonConvergent(f"strip shift beyond {_MAX_SHIFT} periods (Im z / Im tau too large)")
+    vals = np.empty((len(windows) * len(orders), zf.size), dtype=np.complex128)
     if zf.size <= _BLOCK:
-        vals = _block_pass(zf, q, tau, b, window)
+        _block_pass(zf, q, tau, windows, vals)
     else:
         n_blocks = -(-zf.size // _BLOCK)
         cuts = [i * zf.size // n_blocks for i in range(n_blocks + 1)]
-        blocks = [_block_pass(zf[lo:hi], q[lo:hi], tau, b, window) for lo, hi in zip(cuts, cuts[1:])]
-        vals = [np.concatenate(v) for v in zip(*blocks)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            _block_pass(zf[lo:hi], q[lo:hi], tau, windows, vals[:, lo:hi])
     if z_arr.ndim == 0:
         return [complex(v[0]) for v in vals]
     return [v[:z_arr.size].reshape(z_arr.shape) for v in vals]
@@ -170,23 +191,33 @@ def theta_char(char, z, tau):
     NonConvergent if the tail bound cannot be met within 64 terms per side,
     or if some |Im z| / Im tau exceeds 100,000.
     """
-    return _theta_general(char, z, tau, (0,))[0]
+    return _theta_general((char,), z, tau, (0,))[0]
 
 
 def theta_char_dz(char, z, tau):
     """Termwise z-derivative of theta_char."""
-    return _theta_general(char, z, tau, (1,))[0]
+    return _theta_general((char,), z, tau, (1,))[0]
 
 
 def theta_char_and_dz(char, z, tau):
     """(theta_char, theta_char_dz) from one window pass; each equals its own
     call bit for bit.  For callers that need both at the same points."""
-    return tuple(_theta_general(char, z, tau, (0, 1)))
+    return tuple(_theta_general((char,), z, tau, (0, 1)))
 
 
 def theta_char_dzk(char, z, tau, k: int):
     """k-th termwise z-derivative; used for local expansions near theta zeros."""
-    return _theta_general(char, z, tau, (k,))[0]
+    return _theta_general((char,), z, tau, (k,))[0]
+
+
+def theta_chars(chars, z, tau, orders: tuple[int, ...] = (0,)):
+    """((d^k/dz^k theta[char](z) for k in orders) for char in chars): every
+    characteristic's values at the same z from one window pass, sharing the
+    strip shift, the step exponential and the table of powers.  Each value
+    equals its single-characteristic call bit for bit."""
+    vals = _theta_general(tuple(chars), z, tau, tuple(orders))
+    n = len(orders)
+    return tuple(tuple(vals[i:i + n]) for i in range(0, len(vals), n))
 
 
 def translation_factor(char, p: int, q: int, z, tau):
@@ -207,4 +238,5 @@ def big_theta(z, w, tau, r1: float, r2: float):
     Quasi-periodic under the rank-3 period group generated by (0,1), (1,r1)
     and (tau, r2).
     """
-    return theta_char((0.0, 0.0), z, tau) + theta_char((-r1, r2), z, tau) * e_func(w)
+    (th0,), (thr,) = theta_chars(((0.0, 0.0), (-r1, r2)), z, tau)
+    return th0 + thr * e_func(w)

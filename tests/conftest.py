@@ -1,5 +1,6 @@
 import pytest
 
+from nodal_theta import theta
 from nodal_theta.curve import NodalCurveSpec
 from nodal_theta.inversion import THM51_SKIPS, sample_generic_c, verify_thm51
 
@@ -54,3 +55,18 @@ def thm51_samples():
         return results, skipped
 
     return draw
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """The characteristics of every theta kernel pass made while the test
+    runs, one tuple per pass, in order."""
+    calls = []
+    kernel = theta._theta_general
+
+    def counted(chars, *args):
+        calls.append(chars)
+        return kernel(chars, *args)
+
+    monkeypatch.setattr(theta, "_theta_general", counted)
+    return calls

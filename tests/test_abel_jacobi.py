@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nodal_theta import abel_jacobi
 from nodal_theta.abel_jacobi import (
     _theta_quotient,
     a_eps,
@@ -57,6 +58,17 @@ class TestPhi1:
 class TestPhi2:
     def test_base_point_is_zero(self, spec_ab):
         assert abs(phi2(spec_ab, spec_ab.z0)) < 1e-14
+
+    def test_default_path_walked_once_per_point(self, spec_a, monkeypatch):
+        # the corrected and the stated inverse of one curve point share a walk
+        walks = []
+        walk = abel_jacobi.trace_path
+        monkeypatch.setattr(abel_jacobi, "trace_path", lambda *args: walks.append(args) or walk(*args))
+        default_path.cache_clear()
+        P = spec_a.point(0.37, 0.61)
+        first = phi(spec_a, P)
+        assert phi(spec_a, P) == first
+        assert len(walks) == 1
 
     def test_matches_quadrature_of_eta(self, spec_ab):
         spec = spec_ab

@@ -80,7 +80,9 @@ class TestConfigParsing:
             parse_config(p)
 
     @pytest.mark.parametrize(
-        "name, text, make_spec", [("a", CONFIG_A_TEXT, config_a), ("b", CONFIG_B_TEXT, config_b)]
+        "name, text, make_spec",
+        [("a", CONFIG_A_TEXT, config_a), ("b", CONFIG_B_TEXT, config_b)],
+        ids=["a", "b"],
     )
     def test_demo_config_matches_preset(self, name, text, make_spec):
         path = DEMOS / f"config_{name}.cfg"

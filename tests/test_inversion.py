@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodal_theta import inversion, theta
+from nodal_theta import inversion
 from nodal_theta.abel_jacobi import divisor_image, e_phi2, phi1, phi2
 from nodal_theta.curve import NodalCurveSpec, derive_periods, lattice_coords, mod_gamma_decompose, period_group
 from nodal_theta.branches import beta_k
@@ -176,37 +176,23 @@ class TestValueAndDerivative:
         fd = (4 * d2 - d1) / 3.0
         assert np.max(np.abs(dT - fd) / np.abs(dT)) < 1e-8
 
-    def test_value_four_kernel_passes(self, spec_ab, monkeypatch):
-        # e(phi2) (2), theta00 (1), theta_r (1)
+    def test_value_kernel_passes(self, spec_ab, kernel_passes):
+        # e(phi2) (2), theta00 with theta_r (1)
         tp = generic_tp(spec_ab)
         z = self.moment_line(spec_ab, 32)
         tp.value(z)  # warm-up: per-spec caches
-        calls = []
-        kernel = theta._theta_general
-
-        def counted(*args):
-            calls.append(args[0])
-            return kernel(*args)
-
-        monkeypatch.setattr(theta, "_theta_general", counted)
+        kernel_passes.clear()
         tp.value(z)
-        assert len(calls) == 4
+        assert len(kernel_passes) == 3
 
-    def test_five_kernel_passes(self, spec_ab, monkeypatch):
-        # e(phi2) (2), theta00 with theta00' (1), theta_r with theta_r' (1), eta (1)
+    def test_value_and_dvalue_kernel_passes(self, spec_ab, kernel_passes):
+        # e(phi2) (2), theta00 and theta_r with their derivatives (1), eta (1)
         tp = generic_tp(spec_ab)
         z = self.moment_line(spec_ab, 32)
         tp.value_and_dvalue(z)  # warm-up: per-spec caches
-        calls = []
-        kernel = theta._theta_general
-
-        def counted(*args):
-            calls.append(args[0])
-            return kernel(*args)
-
-        monkeypatch.setattr(theta, "_theta_general", counted)
+        kernel_passes.clear()
         tp.value_and_dvalue(z)
-        assert len(calls) == 5
+        assert len(kernel_passes) == 4
 
     def test_batched_polish_confirms_both_zeros(self, spec_ab, monkeypatch):
         tp = generic_tp(spec_ab)
@@ -535,6 +521,15 @@ class TestH3Map:
 
 
 class TestDMap:
+    def test_f_one_kernel_pass(self, spec_ab, kernel_passes):
+        # alpha1 and G share one window pass
+        tp = generic_tp(spec_ab)
+        dm = chart(tp)
+        dm.f(dm.eps, tp.c2)  # warm-up: per-spec caches
+        kernel_passes.clear()
+        dm.f(dm.eps, tp.c2)
+        assert kernel_passes == [((0.0, 0.0), dm._rchar)]
+
     def test_first_component_identity(self, spec_a):
         rng = np.random.default_rng(47)
         c, _ = sample_generic_c(spec_a, rng)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodal_theta import theta
+from nodal_theta.curve import derive_periods
 from nodal_theta.errors import NonConvergent
 from nodal_theta.theta import (
     big_theta,
@@ -23,6 +24,7 @@ from nodal_theta.theta import (
     theta_char_and_dz,
     theta_char_dz,
     theta_char_dzk,
+    theta_chars,
     translation_factor,
 )
 
@@ -226,12 +228,53 @@ class TestFixedWindowKernel:
         worst = 0.0
         for tau in TAUS:
             zs = rng.uniform(-1.5, 1.5, 6) + 1j * rng.uniform(-2.0, 3.0, 6)
-            for char in CHARS:
+            shared = theta_chars(CHARS, zs, tau, (k,))
+            for char, (got_shared,) in zip(CHARS, shared):
                 got = theta_char_dzk(char, zs, tau, k)
-                for z, g in zip(zs, got):
+                for z, g, gs in zip(zs, got, got_shared):
                     ref = theta_mpmath(char, z, tau, k)
-                    worst = max(worst, abs(g - ref) / max(1.0, abs(ref)))
+                    worst = max(worst, abs(g - ref) / max(1.0, abs(ref)), abs(gs - ref) / max(1.0, abs(ref)))
         assert worst <= 2e-14
+
+
+class TestSharedWindowPass:
+    """theta_chars: several characteristics at one argument from one pass,
+    each value equal to its single-characteristic call."""
+
+    @pytest.fixture
+    def char_sets(self, spec_b):
+        # config B's pair (theta00, theta[-r1;r2]), in both orders, and three
+        # characteristics of one half-width
+        r1, r2, _ = derive_periods(spec_b)
+        pair = ((0.0, 0.0), (-r1, r2))
+        return [pair, pair[::-1], ((0.5, 0.5), (0.25, -0.4), (-1.3, 0.7))]
+
+    def test_config_b_pair_has_unequal_half_widths(self, spec_b, char_sets):
+        widths = [theta._halfwidth(a - math.floor(a), spec_b.tau.imag) for a, _ in char_sets[0]]
+        assert widths == [5, 6]
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1), (0, 1, 3)])
+    def test_each_value_equals_its_single_call(self, tau, orders, char_sets):
+        block = theta._BLOCK
+        rng = np.random.default_rng(67)
+        n = block + 1
+        zs = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-2.0, 3.0, n)
+        args = [complex(zs[0]), np.asarray(zs[1]), zs[:24].reshape(4, 6)]
+        args += [zs[:m] for m in (1, 2, 3, block - 1, block + 1)]
+        for chars in char_sets:
+            for z in args:
+                shared = theta_chars(chars, z, tau, orders)
+                assert len(shared) == len(chars)
+                for char, values in zip(chars, shared):
+                    assert len(values) == len(orders)
+                    for k, got in zip(orders, values):
+                        want = theta_char_dzk(char, z, tau, k)
+                        if np.ndim(z) == 0:
+                            assert type(got) is complex and got == want
+                        else:
+                            assert got.shape == np.shape(z)
+                            assert np.array_equal(got, want)
 
 
 class TestDerivative:
@@ -320,6 +363,10 @@ class TestBigTheta:
         lhs = self._theta2(z, w + 1.0, tau)
         rhs = self._theta2(z, w, tau)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+    def test_one_kernel_pass(self, kernel_passes):
+        self._theta2(0.1 + 0.2j, 0.3, 1j)
+        assert kernel_passes == [((0.0, 0.0), (-self.R1, self.R2))]
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_shift_by_tau_r2(self, tau):
