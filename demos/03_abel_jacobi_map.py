@@ -1,5 +1,5 @@
-"""The two-component period map on the cut curve: branch tracking, loop
-monodromy and the jump relations across the two cuts.
+"""The two-component period map on the cut curve: the closed form of the
+second component, loop monodromy and the jump relations across the two cuts.
 """
 
 import cmath
@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from nodal_theta.abel_jacobi import a_eps, default_path, loop_increment, phi, phi1, phi2
+from nodal_theta.abel_jacobi import a_eps, loop_increment, phi, phi1, phi2
 from nodal_theta.curve import derive_periods
 from nodal_theta.presets import config_a
 
@@ -16,8 +16,7 @@ r1, r2, _ = derive_periods(spec)
 
 print("phi(base point) =", phi(spec, spec.z0).as_tuple())
 P = spec.point(0.7, 0.6)
-path = default_path(spec, P)
-print(f"phi({P:.3f}) = ({phi1(spec, P):.6f}, {path.branch_state:.6f}) along {len(path.vertices)-1} segment(s)")
+print(f"phi({P:.3f}) = ({phi1(spec, P):.6f}, {phi2(spec, P):.6f}) by the closed form, cut on [p1, p2]")
 
 def circle(center, radius, n=24):
     return [center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n + 1)]

@@ -6,9 +6,7 @@ divisor-image congruence with its branch-cut correction."""
 
 from .abel_jacobi import (
     AbelJacobiValue,
-    BranchedPath,
     a_eps,
-    default_path,
     divisor_image,
     phi,
     phi1,
@@ -51,7 +49,6 @@ from .theta import (
 
 __all__ = [
     "AbelJacobiValue",
-    "BranchedPath",
     "DMap",
     "GammaDecomposition",
     "NodalCurveSpec",
@@ -68,7 +65,6 @@ __all__ = [
     "count_zeros",
     "d_map",
     "d_map_corrected",
-    "default_path",
     "derive_periods",
     "divisor_image",
     "e_func",

@@ -1,18 +1,24 @@
-"""Two-component period map on the cut curve, with explicit branch tracking.
+"""Two-component period map on the cut curve.
 
 phi1(P) = P - z0 is the elliptic Abel map.  phi2(P) integrates the
-third-kind differential from the base point along a path inside the closed
-fundamental parallelogram; its value is computed from the continuous
-continuation of log of the odd-theta quotient
+third-kind differential eta = (1/2 pi i) dlog Q + kappa_coeff dz from the
+base point, Q the odd-theta quotient
 
-    Q(z) = theta[1/2;1/2](z - p1) / theta[1/2;1/2](z - p2)
+    Q(z) = theta[1/2;1/2](z - p1) / theta[1/2;1/2](z - p2).
 
-as phi2 = (log Q(P) - log Q(z0)) / (2*pi*i) + kappa_coeff * (P - z0).
+theta[1/2;1/2] vanishes only on the lattice, so on the closed cell Q has
+its one zero at p1 and its one pole at p2, and R(z) = Q(z) (z - p2)/(z - p1)
+has neither (Jacobi triple product: Mumford, Tata Lectures on Theta I,
+ch. I par. 14; DLMF 20.5).  phi2 is the closed form
 
-The default path is the straight segment from z0, with a deterministic
-detour through the cell midpoint when the segment comes too close to an
-identified point.  Near p2 the chart continues phi2 with the pole term split
-off analytically.
+    phi2(z) = [Log((z - p1)/(z - p2)) + log R(z) - L(z0)] / (2 pi i) + kappa_coeff (z - z0),
+
+L the bracket's first two terms.  The principal Log of the first term
+jumps only where (z - p1)/(z - p2) is negative real, so phi2's one cut
+inside the cell is the segment [p1, p2].  log R is the continuous branch
+on the cell: a per-spec table of arg R on a node grid of the cell gives
+each point the integer that lifts its principal Log R.  Near p2 the chart
+continues phi2 with the pole term split off analytically.
 """
 
 from __future__ import annotations
@@ -24,11 +30,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import NodalCurveSpec, derive_periods
+from .curve import NodalCurveSpec, derive_periods, lattice_coords
 from .differentials import third_kind
-from .errors import BranchStepTooLarge, ContourThroughZero, PoleProximity
+from .errors import LogBranchUnresolved, PoleAt
 from .quadrature import _log_change_sampled, integrate_segment
 from .theta import TWO_PI_I, e_func, theta_char
+
+_ODD = (0.5, 0.5)
+# nodes per side of the first arg R table, and the most a retry may double to
+_ARG_NODES, _ARG_NODES_MAX = 33, 257
+# largest change of arg R accepted between neighbouring nodes of the table
+_ARG_STEP = math.pi / 4
 
 
 @dataclass(frozen=True)
@@ -40,75 +52,16 @@ class AbelJacobiValue:
         return (self.phi1, self.phi2)
 
 
-@dataclass(frozen=True)
-class BranchedPath:
-    """Polyline from the base point together with the phi2 value its branch
-    continuation assigns to the endpoint."""
-
-    vertices: tuple[complex, ...]
-    branch_state: complex
-
-    @property
-    def endpoint(self) -> complex:
-        return self.vertices[-1]
-
-
-def _segment_point_distance(a: complex, b: complex, p: complex) -> float:
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    u = ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom
-    u = min(1.0, max(0.0, u))
-    return abs(p - (a + u * ab))
-
-
-def path_margin(spec: NodalCurveSpec) -> float:
-    return min(spec.delta, spec.eps) / 4.0
-
-
-def _path_clears_poles(spec: NodalCurveSpec, vertices, margin: float) -> bool:
-    poles = spec.pole_translates()
-    for k in range(len(vertices) - 1):
-        a, b = vertices[k], vertices[k + 1]
-        for p in poles:
-            if _segment_point_distance(a, b, p) < margin:
-                return False
-    return True
-
-
 def _require_inside(spec: NodalCurveSpec, P: complex):
     if not spec.contains(P):
         raise ValueError(f"point {P:.6g} lies outside the closed fundamental cell")
 
 
-def default_path_vertices(spec: NodalCurveSpec, P: complex) -> tuple[complex, ...]:
-    """Straight segment z0 -> P, or a deterministic detour when it grazes a pole."""
-    _require_inside(spec, P)
-    margin = path_margin(spec)
-    straight = (spec.z0, P)
-    if _path_clears_poles(spec, straight, margin):
-        return straight
-    center = spec.point(0.5, 0.5)
-    for waypoint in (
-        center,
-        center + 0.2 + 0.2 * spec.tau,
-        center - 0.2 - 0.2 * spec.tau,
-        center + 0.2 - 0.2 * spec.tau,
-        center - 0.2 + 0.2 * spec.tau,
-    ):
-        cand = (spec.z0, waypoint, P)
-        if _path_clears_poles(spec, cand, margin):
-            return cand
-    raise PoleProximity(f"no admissible path from {spec.z0:.6g} to {P:.6g}")
-
-
 def _theta_quotient(spec: NodalCurveSpec):
     """The odd-theta quotient Q; vectorized in z."""
-    odd = (0.5, 0.5)
 
     def q(z):
-        return theta_char(odd, z - spec.p1, spec.tau) / theta_char(odd, z - spec.p2, spec.tau)
+        return theta_char(_ODD, z - spec.p1, spec.tau) / theta_char(_ODD, z - spec.p2, spec.tau)
 
     return q
 
@@ -129,31 +82,58 @@ def e_phi2(spec: NodalCurveSpec, z):
     return _theta_quotient(spec)(z) / _theta_quotient_at_z0(spec) * e_func(kappa * (z - spec.z0))
 
 
-def trace_path(spec: NodalCurveSpec, vertices) -> BranchedPath:
-    """Continue phi2 along the polyline and record the endpoint value."""
-    verts = tuple(complex(v) for v in vertices)
-    if abs(verts[0] - spec.z0) > 1e-12:
-        raise ValueError("paths must start at the base point z0")
-    for v in verts:
-        _require_inside(spec, v)
-    if not _path_clears_poles(spec, verts, path_margin(spec)):
-        raise PoleProximity("path runs inside the pole safety margin")
-    try:
-        total = _log_change_sampled(_theta_quotient(spec), verts)
-    except ContourThroughZero as exc:
-        raise BranchStepTooLarge(str(exc)) from exc
-    kappa = third_kind(spec).kappa_coeff
-    phi2_val = total / TWO_PI_I + kappa * (verts[-1] - verts[0])
-    return BranchedPath(vertices=verts, branch_state=complex(phi2_val))
+def _ratio_and_r(spec: NodalCurveSpec, z: np.ndarray):
+    """(z - p1)/(z - p2) and R(z) at the points of the 1-d array z, with
+    theta[1/2;1/2](z - p1) and theta[1/2;1/2](z - p2) from one kernel pass."""
+    d1, d2 = z - spec.p1, z - spec.p2
+    if not (d1.all() and d2.all()):
+        raise PoleAt("phi2 evaluated at an identified point")
+    th = theta_char(_ODD, np.concatenate((d1, d2)), spec.tau)
+    return d1 / d2, (th[: len(z)] * d2) / (th[len(z):] * d1)
 
 
 @lru_cache(maxsize=16)
-def default_path(spec: NodalCurveSpec, P: complex) -> BranchedPath:
-    """The traced default path to P.  Cached per (spec, P), so that callers
-    that evaluate phi at one point twice (as the corrected and the stated
-    inverse of one curve point do) walk its log once; BranchedPath is
-    frozen, so the callers may share it."""
-    return trace_path(spec, default_path_vertices(spec, P))
+def _arg_table(spec: NodalCurveSpec) -> np.ndarray:
+    """Continuous arg R at the nodes q0 + (i + j tau)/(n - 1), i, j < n.
+
+    arg R is unwrapped columns-first and rows-first; the table is accepted
+    when the two agree and no step between neighbouring nodes reaches
+    _ARG_STEP, else the grid is refined.  A node within an eighth of the
+    spacing of p1 or p2 moves a quarter spacing along 1: R is analytic
+    there, but the two factors of R it is computed from are not."""
+    n = _ARG_NODES
+    while n <= _ARG_NODES_MAX:
+        h = 1.0 / (n - 1)
+        u = np.linspace(0.0, 1.0, n)
+        nodes = (spec.q0 + u[:, None] + u[None, :] * spec.tau).ravel()
+        for p in (spec.p1, spec.p2):
+            nodes[np.abs(nodes - p) < h / 8] += h / 4
+        arg = np.angle(_ratio_and_r(spec, nodes)[1]).reshape(n, n)
+        table = np.unwrap(np.unwrap(arg, axis=0), axis=1)
+        other = np.unwrap(np.unwrap(arg, axis=1), axis=0)
+        steps = max(np.abs(np.diff(table, axis=0)).max(), np.abs(np.diff(table, axis=1)).max())
+        if np.abs(table - other).max() < math.pi and steps < _ARG_STEP:
+            return table
+        n = 2 * n - 1
+    raise LogBranchUnresolved(f"arg R not resolved on a {_ARG_NODES_MAX}-node grid of the cell")
+
+
+def _log_q(spec: NodalCurveSpec, z: np.ndarray) -> np.ndarray:
+    """Log((z - p1)/(z - p2)) + log R(z) at the cell points of the 1-d array
+    z; log R takes its integer from the nearest node of _arg_table."""
+    table = _arg_table(spec)
+    last = len(table) - 1
+    s, t = lattice_coords(z, spec.q0, spec.tau)
+    ratio, r = _ratio_and_r(spec, z)
+    log_r = np.log(r)
+    nearest = table[np.rint(s * last).astype(int), np.rint(t * last).astype(int)]
+    turns = np.rint((nearest - log_r.imag) / (2.0 * math.pi))
+    return np.log(ratio) + log_r + TWO_PI_I * turns
+
+
+@lru_cache(maxsize=16)
+def _log_q_at_z0(spec: NodalCurveSpec) -> complex:
+    return complex(_log_q(spec, np.array([spec.z0]))[0])
 
 
 def phi1(spec: NodalCurveSpec, P: complex) -> complex:
@@ -162,35 +142,28 @@ def phi1(spec: NodalCurveSpec, P: complex) -> complex:
     return complex(P) - spec.z0
 
 
-def phi2(spec: NodalCurveSpec, P: complex, path: BranchedPath | None = None) -> complex:
-    """Second period-map component along the given (or default) path."""
-    if path is None:
-        path = default_path(spec, P)
-    elif abs(path.endpoint - complex(P)) > 1e-10:
-        raise ValueError("path endpoint does not match P")
-    return path.branch_state
+def phi2(spec: NodalCurveSpec, P):
+    """Second period-map component by the closed form, for a cell point or
+    an array of them; one kernel pass once the spec's table and L(z0) are
+    cached.  Raises PoleAt at p1 and p2."""
+    z = np.asarray(P, dtype=np.complex128)
+    zf = z.ravel()
+    for p in zf:
+        _require_inside(spec, p)
+    _, _, kappa = derive_periods(spec)
+    vals = (_log_q(spec, zf) - _log_q_at_z0(spec)) / TWO_PI_I + kappa * (zf - spec.z0)
+    return complex(vals[0]) if z.ndim == 0 else vals.reshape(z.shape)
 
 
-def phi(spec: NodalCurveSpec, P: complex, path: BranchedPath | None = None) -> AbelJacobiValue:
-    return AbelJacobiValue(phi1=phi1(spec, P), phi2=phi2(spec, P, path))
+def phi(spec: NodalCurveSpec, P: complex) -> AbelJacobiValue:
+    return AbelJacobiValue(phi1=phi1(spec, P), phi2=phi2(spec, P))
 
 
 def divisor_image(spec: NodalCurveSpec, points) -> tuple[complex, complex]:
-    """Componentwise sum of phi over a finite list of points.
-
-    Entries are either points or (point, BranchedPath) pairs.
-    """
-    w1 = 0.0 + 0.0j
-    w2 = 0.0 + 0.0j
-    for entry in points:
-        if isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[1], BranchedPath):
-            pt, path = entry
-        else:
-            pt, path = entry, None
-        val = phi(spec, pt, path)
-        w1 += val.phi1
-        w2 += val.phi2
-    return (w1, w2)
+    """Componentwise sum of phi over a finite list of points, with phi2 of
+    all of them from one call."""
+    z = np.asarray(points, dtype=np.complex128)
+    return complex(np.sum(z - spec.z0)), complex(np.sum(phi2(spec, z)))
 
 
 def loop_increment(spec: NodalCurveSpec, vertices) -> complex:
@@ -207,7 +180,7 @@ def loop_increment(spec: NodalCurveSpec, vertices) -> complex:
 def phi2_chart_p2(spec: NodalCurveSpec, t) -> complex:
     """phi2(p2 + t) for |t| < eps, pole term split off analytically.
 
-    The branch starts from the default-path value at the chart anchor
+    The branch starts from the closed-form value at the chart anchor
     t = eps on the positive real axis and continues radially after sweeping
     the principal argument of t, so it is deterministic for all t off the
     chart's negative real axis.
@@ -229,9 +202,8 @@ def a_eps(spec: NodalCurveSpec, eps: float) -> complex:
     On the circle phi2 = phi2_chart_p2(eps) - u + P(eps e(u)) - P(eps), P the
     primitive of h1 with P(0) = 0, which averages to 0 over the circle.  So
     a(eps) = phi2_chart_p2(eps) - P(eps) - 1/2 = a(eps0) - log(eps/eps0)/(2 pi i).
-    The start value at u = 0, the radial continuation of the default-path
-    branch, is continuous in eps; the default path itself can switch to a
-    detour (and another integer branch) near p2.
+    The start value at u = 0, the radial continuation of the closed form's
+    branch, is continuous in eps.
     """
     return phi2_chart_p2(spec, eps) - third_kind(spec).h1_primitive(eps) - 0.5
 

@@ -16,6 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 _CONTAINS_SLACK = 1e-9  # lattice-coordinate slack of NodalCurveSpec.contains
 _TOROIDAL_BOUND, _TOROIDAL_TOL = 50, 1e-9  # search box and integer tolerance of is_toroidal
 
@@ -42,9 +44,9 @@ class GammaDecomposition:
         return math.hypot(abs(rz), abs(rw))
 
 
-def lattice_coords(z: complex, q0: complex, tau: complex) -> tuple[float, float]:
-    """Coordinates (s, t) with z = q0 + s + t*tau."""
-    w = complex(z) - complex(q0)
+def lattice_coords(z, q0: complex, tau: complex):
+    """Coordinates (s, t) with z = q0 + s + t*tau; z a scalar or an ndarray."""
+    w = (z if isinstance(z, np.ndarray) else complex(z)) - complex(q0)
     t = w.imag / tau.imag
     s = w.real - t * tau.real
     return s, t

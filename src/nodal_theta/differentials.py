@@ -21,7 +21,7 @@ import numpy as np
 from .curve import NodalCurveSpec, derive_periods
 from .errors import PoleAt
 from .quadrature import integrate_circle, integrate_polyline, integrate_segment
-from .theta import TWO_PI_I, theta_char_and_dz, theta_char_dzk
+from .theta import TWO_PI_I, theta_char_and_dz, theta_chars
 
 _ODD = (0.5, 0.5)
 _ELL_SWITCH = 1e-2  # |t| below which ell uses its Laurent expansion
@@ -37,12 +37,8 @@ class ThirdKindDifferential:
         self.p2 = spec.p2
         self.r1, self.r2, self.kappa_coeff = derive_periods(spec)
         # odd theta Taylor data at its zero: theta11(t) = a1 t + a3 t^3 + ...
-        tau = self.tau
-        a1 = theta_char_dzk(_ODD, 0.0, tau, 1)
-        a3 = theta_char_dzk(_ODD, 0.0, tau, 3) / 6.0
-        a5 = theta_char_dzk(_ODD, 0.0, tau, 5) / 120.0
-        a7 = theta_char_dzk(_ODD, 0.0, tau, 7) / 5040.0
-        u, v, w = a3 / a1, a5 / a1, a7 / a1
+        ((a1, d3, d5, d7),) = theta_chars((_ODD,), 0.0, self.tau, (1, 3, 5, 7))
+        u, v, w = d3 / 6.0 / a1, d5 / 120.0 / a1, d7 / 5040.0 / a1
         # ell(t) - 1/t = c1 t + c3 t^3 + c5 t^5 + O(t^7)
         self._ell_reg_coeffs = (
             2.0 * u,

@@ -17,12 +17,9 @@ class QuadratureFailure(NodalThetaError):
     """Adaptive quadrature exhausted its refinement budget."""
 
 
-class BranchStepTooLarge(NodalThetaError):
-    """A path step changed the tracked argument by more than the continuity bound."""
-
-
-class PoleProximity(NodalThetaError):
-    """A path passes closer to an identified point than the safety margin."""
+class LogBranchUnresolved(NodalThetaError):
+    """No continuous arg of R(z) = Q(z)(z - p2)/(z - p1) was resolved on the
+    node grid of the cell, up to its largest grid (abel_jacobi._arg_table)."""
 
 
 class ContourThroughZero(NodalThetaError):

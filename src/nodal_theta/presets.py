@@ -1,9 +1,8 @@
 """Shipped example instances.
 
 Both place the base point on the line through the identified points (outside
-the segment between them), which keeps the default-path branch free of cut
-slips along the parallelogram edges, and both leave the node disks small
-enough that generic shifts rarely park a zero inside them.
+the segment between them), and both leave the node disks small enough that
+generic shifts rarely park a zero inside them.
 """
 
 from .curve import NodalCurveSpec

@@ -205,11 +205,6 @@ def theta_char_and_dz(char, z, tau):
     return tuple(_theta_general((char,), z, tau, (0, 1)))
 
 
-def theta_char_dzk(char, z, tau, k: int):
-    """k-th termwise z-derivative; used for local expansions near theta zeros."""
-    return _theta_general((char,), z, tau, (k,))[0]
-
-
 def theta_chars(chars, z, tau, orders: tuple[int, ...] = (0,)):
     """((d^k/dz^k theta[char](z) for k in orders) for char in chars): every
     characteristic's values at the same z from one window pass, sharing the

@@ -5,28 +5,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nodal_theta import abel_jacobi
 from nodal_theta.abel_jacobi import (
+    _arg_table,
     _theta_quotient,
     a_eps,
     a_eps_bruteforce,
-    default_path,
-    default_path_vertices,
     divisor_image,
     e_phi2,
     loop_increment,
-    phi,
     phi1,
     phi2,
     phi2_chart_p2,
-    trace_path,
 )
-from nodal_theta.curve import derive_periods
+from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import third_kind
-from nodal_theta.errors import PoleProximity
+from nodal_theta.errors import ContourThroughZero, LogBranchUnresolved, PoleAt
 from nodal_theta.quadrature import integrate_polyline, track_log
 from nodal_theta.theta import TWO_PI_I
+
+# generated admissible specs, drawn as in test_branches: tau, q0 and the
+# lattice coordinates of p1, p2, z0 (z0 need not lie on the line p1 p2)
+GENERATED_SPECS = dict(
+    tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
+    q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
+)
+
+
+def generated_spec(tau, q0, coords) -> NodalCurveSpec:
+    tau, q0 = complex(*tau), complex(*q0)
+    p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+    try:
+        return NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
+    except ValueError:
+        assume(False)
 
 
 def circle_poly(center, radius, n=24):
@@ -41,6 +57,48 @@ def phi2_scalar(spec, verts):
         d, f_cur = track_log(q, a, b, f_a=f_cur)
         total += d
     return total / TWO_PI_I + third_kind(spec).kappa_coeff * (verts[-1] - verts[0])
+
+
+def _cross(u: complex, v: complex) -> float:
+    return u.real * v.imag - u.imag * v.real
+
+
+def crosses_cut(spec, a: complex, b: complex) -> bool:
+    """The segment [a, b] meets phi2's cut, the segment [p1, p2]."""
+    p, q = spec.p1, spec.p2
+    return (
+        _cross(b - a, p - a) * _cross(b - a, q - a) <= 0
+        and _cross(q - p, a - p) * _cross(q - p, b - p) <= 0
+    )
+
+
+def pole_distance(spec, a: complex, b: complex) -> float:
+    """Distance from the segment [a, b] to the nearer of p1 and p2."""
+    poles = (spec.p1, spec.p2)
+    u = np.clip([((p - a) * (b - a).conjugate()).real / max(abs(b - a) ** 2, 1e-300) for p in poles], 0, 1)
+    return min(abs(p - (a + x * (b - a))) for p, x in zip(poles, u))
+
+
+def assert_matches_scalar_oracle(spec, points) -> int:
+    """The closed form against the scalar walk along the straight segment
+    (z0, P): equal mod 1 within 1e-12, and equal outright where the segment
+    neither crosses [p1, p2] nor comes within min(delta, eps)/4 of a pole.
+    Returns the number of points compared (a segment through a pole is
+    skipped)."""
+    margin = min(spec.delta, spec.eps) / 4
+    vals = phi2(spec, np.asarray(points))
+    n = 0
+    for P, val in zip(points, vals):
+        try:
+            gap = val - phi2_scalar(spec, (spec.z0, P))
+        except ContourThroughZero:
+            continue
+        turns = round(gap.real)
+        assert abs(gap - turns) < 1e-12, (P, gap)
+        if not crosses_cut(spec, spec.z0, P) and pole_distance(spec, spec.z0, P) >= margin:
+            assert turns == 0, (P, gap)
+        n += 1
+    return n
 
 
 class TestPhi1:
@@ -59,16 +117,21 @@ class TestPhi2:
     def test_base_point_is_zero(self, spec_ab):
         assert abs(phi2(spec_ab, spec_ab.z0)) < 1e-14
 
-    def test_default_path_walked_once_per_point(self, spec_a, monkeypatch):
-        # the corrected and the stated inverse of one curve point share a walk
-        walks = []
-        walk = abel_jacobi.trace_path
-        monkeypatch.setattr(abel_jacobi, "trace_path", lambda *args: walks.append(args) or walk(*args))
-        default_path.cache_clear()
-        P = spec_a.point(0.37, 0.61)
-        first = phi(spec_a, P)
-        assert phi(spec_a, P) == first
-        assert len(walks) == 1
+    def test_one_kernel_pass_per_call(self, spec_a, kernel_passes):
+        # once a spec's arg R table and L(z0) are cached, phi2 reads both odd
+        # thetas of any batch from one pass, and divisor_image makes one call
+        phi2(spec_a, spec_a.point(0.37, 0.61))
+        kernel_passes.clear()
+        phi2(spec_a, np.array([spec_a.point(s, 0.3) for s in (0.1, 0.2, 0.6, 0.9)]))
+        assert kernel_passes == [((0.5, 0.5),)]
+        kernel_passes.clear()
+        divisor_image(spec_a, [spec_a.point(0.2, 0.8), spec_a.point(0.9, 0.6)])
+        assert kernel_passes == [((0.5, 0.5),)]
+
+    def test_batch_equals_scalar_calls(self, spec_ab):
+        spec = spec_ab
+        pts = np.array([spec.point(s, t) for s in (0.0, 0.3, 0.61) for t in (0.1, 0.5, 1.0)])
+        assert np.array_equal(phi2(spec, pts.reshape(3, 3)).ravel(), [phi2(spec, P) for P in pts])
 
     def test_matches_quadrature_of_eta(self, spec_ab):
         spec = spec_ab
@@ -77,9 +140,10 @@ class TestPhi2:
         count = 0
         while count < 50:
             P = spec.point(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
-            verts = default_path_vertices(spec, P)
+            if crosses_cut(spec, spec.z0, P) or pole_distance(spec, spec.z0, P) < min(spec.delta, spec.eps) / 4:
+                continue
             count += 1
-            quad = integrate_polyline(diff.eta_coeff, verts, 1e-12)
+            quad = integrate_polyline(diff.eta_coeff, (spec.z0, P), 1e-12)
             assert abs(phi2(spec, P) - quad) < 1e-9
 
     def test_path_independence_within_cut_domain(self, spec_ab):
@@ -87,8 +151,8 @@ class TestPhi2:
         P = spec.point(0.85, 0.9)
         direct = phi2(spec, P)
         center = spec.point(0.5, 0.82)
-        detour = trace_path(spec, (spec.z0, center, P))
-        assert abs(direct - detour.branch_state) < 1e-9
+        detour = phi2_scalar(spec, (spec.z0, center, P))
+        assert abs(direct - detour) < 1e-9
 
     def test_gamma1_loop_adds_one(self, spec_ab):
         spec = spec_ab
@@ -100,25 +164,58 @@ class TestPhi2:
         inc = loop_increment(spec, circle_poly(spec.p2, spec.eps))
         assert abs(inc + 1.0) < 1e-8
 
-    def test_pole_proximity_raises(self, spec_a):
-        with pytest.raises(PoleProximity):
-            trace_path(spec_a, (spec_a.z0, spec_a.p1))
+    def test_identified_points_raise(self, spec_ab):
+        for p in (spec_ab.p1, spec_ab.p2):
+            with pytest.raises(PoleAt):
+                phi2(spec_ab, p)
 
-    def test_sampled_walk_matches_scalar_oracle(self, spec_ab):
-        # every cell point of a 40 x 40 grid that admits a default path; a
-        # different integer branch would show as a gap of about 1
+    def test_poles_on_table_nodes(self):
+        # p1 and p2 sit exactly on nodes of the 33 x 33 table; their nodes
+        # move off them, and the closed form keeps the oracle's branch
+        spec = NodalCurveSpec(tau=1j, p1=0.75 + 0.5j, p2=0.25 + 0.5j, z0=0.5 + 0.125j)
+        assert np.isfinite(_arg_table(spec)).all()
+        grid = np.linspace(0.0, 1.0, 12)
+        assert assert_matches_scalar_oracle(spec, [spec.point(s, t) for s in grid for t in grid]) > 100
+
+    def test_principal_log_r_jumps_inside_the_cell(self):
+        # p1 and p2 near opposite edges: the principal Arg R jumps by about
+        # 2 pi between neighbouring nodes, so the integer of log R must come
+        # from the table; the principal Log R alone misses the oracle by 1
+        tau, q0 = -0.23 + 1.05j, 0.29 - 0.6j
+        spec = NodalCurveSpec(
+            tau=tau, p1=q0 + 0.08 + 0.94 * tau, p2=q0 + 0.79 + 0.16 * tau, z0=q0 + 0.81 + 0.28 * tau, q0=q0
+        )
+        grid = np.linspace(0.0, 1.0, 20)
+        points = [spec.point(s, t) for s in grid for t in grid]
+        arg_r = np.angle(abel_jacobi._ratio_and_r(spec, np.array(points))[1]).reshape(20, 20)
+        assert np.abs(np.diff(arg_r, axis=1)).max() > 6.0
+        assert assert_matches_scalar_oracle(spec, points) == 400
+
+    def test_unresolved_table_raises(self, spec_a, monkeypatch):
+        # no grid up to the cap meets the step bound: a named error, no fallback
+        monkeypatch.setattr(abel_jacobi, "_ARG_STEP", 0.0)
+        monkeypatch.setattr(abel_jacobi, "_ARG_NODES_MAX", 65)
+        with pytest.raises(LogBranchUnresolved):
+            _arg_table.__wrapped__(spec_a)
+
+    def test_closed_form_matches_scalar_oracle(self, spec_ab):
+        # a 40 x 40 grid of the cell; a different integer branch would show
+        # as a gap of about 1
         spec = spec_ab
-        n_points = 0
-        for s in np.linspace(0.0, 1.0, 40):
-            for t in np.linspace(0.0, 1.0, 40):
-                try:
-                    verts = default_path_vertices(spec, spec.point(s, t))
-                except PoleProximity:
-                    continue
-                gap = trace_path(spec, verts).branch_state - phi2_scalar(spec, verts)
-                assert abs(gap) < 1e-12, (s, t, gap)
-                n_points += 1
-        assert n_points > 1500
+        grid = np.linspace(0.0, 1.0, 40)
+        points = [spec.point(s, t) for s in grid for t in grid]
+        assert assert_matches_scalar_oracle(spec, points) > 1500
+
+    @given(
+        **GENERATED_SPECS,
+        cell_coords=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=6, max_size=6),
+    )
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_closed_form_matches_scalar_oracle_on_generated_specs(self, tau, q0, coords, cell_coords):
+        spec = generated_spec(tau, q0, coords)
+        points = [spec.point(s, t) for s, t in cell_coords]
+        assume(all(min(abs(P - spec.p1), abs(P - spec.p2)) > 1e-6 for P in points))
+        assert assert_matches_scalar_oracle(spec, points) > 0
 
 
 class TestTranslationIncrements:
@@ -172,6 +269,20 @@ class TestCutJumps:
             assert abs(d1) < 1e-8 and abs(d2) < 1e-8
 
 
+    @given(**GENERATED_SPECS)
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_cut_relations_on_generated_specs(self, tau, q0, coords):
+        # no integer slack: phi2's only cut inside the cell is [p1, p2], so
+        # the relations hold exactly, wherever the base point lies
+        spec = generated_spec(tau, q0, coords)
+        r1, r2, _ = derive_periods(spec)
+        u = np.linspace(0.0, 1.0, 9)
+        bottom = spec.q0 + u
+        right = spec.q0 + 1 + u * spec.tau
+        assert np.abs(phi2(spec, bottom + spec.tau) - phi2(spec, bottom) - r2).max() < 1e-14
+        assert np.abs(phi2(spec, right - 1) - phi2(spec, right) + r1).max() < 1e-14
+
+
 class TestDivisorImage:
     def test_double_base_point(self, spec_ab):
         w = divisor_image(spec_ab, [spec_ab.z0, spec_ab.z0])
@@ -182,13 +293,6 @@ class TestDivisorImage:
         A = spec.point(0.2, 0.8)
         B = spec.point(0.9, 0.6)
         assert divisor_image(spec, [A, B]) == divisor_image(spec, [B, A])
-
-    def test_accepts_explicit_paths(self, spec_a):
-        spec = spec_a
-        P = spec.point(0.8, 0.15)
-        path = default_path(spec, P)
-        via_pair = divisor_image(spec, [(P, path)])
-        assert via_pair[1] == pytest.approx(path.branch_state)
 
 
 class TestPoleCharts:

@@ -128,12 +128,18 @@ class TestCommands:
         assert "k_independence" in text
         assert "off_curve_control_corrected" in text
         assert text.splitlines()[-1].startswith("summary,pass")
-        # on config A the stated map misses every curve point by an integer:
-        # the stated column certifies that, rather than reporting a failed search
+        # on config A the stated map misses 19 of the 20 curve points by an
+        # integer: the stated column certifies that, rather than reporting a
+        # failed search.  Row 19 (0.584+0.416j) lies 0.0066 below the cut
+        # [p1, p2]; its stated miss is 0 on phi2's closed-form sheet, so the
+        # column states its residual (a walk that detoured round the other
+        # side of the cut read a miss of -1 there).
         rows = [line.split(",") for line in text.splitlines()[1:]]
         points = [row for row in rows if row[0].isdigit()]
         assert len(points) == 20
-        assert all(row[3] == "no_preimage" for row in points)
+        assert all(row[3] == "no_preimage" for row in points[:19])
+        assert abs(complex(points[19][1]) - (0.584 + 0.416j)) < 1e-12
+        assert abs(float(points[19][3]) - 1.0212534701644509) < 1e-12
 
     def test_zeroset_plot(self, cfg_a, tmp_path):
         out = tmp_path / "out"
