@@ -6,15 +6,15 @@ lattice shifts, and the rank-3 automorphy of the two-variable function.
 
 import numpy as np
 
-from nodal_theta import big_theta, e_func, theta_char, theta_char_dz, translation_factor
+from nodal_theta import big_theta, e_func, theta_char, theta_chars, translation_factor
 
 tau = 1j
 
 print("classical value: theta[0;0](0, i) =", theta_char((0.0, 0.0), 0.0, tau))
 print("odd characteristic vanishes:      |theta[1/2;1/2](0, i)| =",
       abs(theta_char((0.5, 0.5), 0.0, tau)))
-print("derivative at the odd zero:       theta'[1/2;1/2](0, i) =",
-      theta_char_dz((0.5, 0.5), 0.0, tau))
+((odd_dz,),) = theta_chars(((0.5, 0.5),), 0.0, tau, (1,))
+print("derivative at the odd zero:       theta'[1/2;1/2](0, i) =", odd_dz)
 
 z = 0.31 + 0.22j
 for (p, q) in [(1, 0), (0, 1), (2, -1)]:

@@ -41,8 +41,6 @@ from .theta import (
     big_theta,
     e_func,
     theta_char,
-    theta_char_and_dz,
-    theta_char_dz,
     theta_chars,
     translation_factor,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "riemann_constants",
     "select_epsilon",
     "theta_char",
-    "theta_char_and_dz",
-    "theta_char_dz",
     "theta_chars",
     "translation_factor",
     "verify_thm51",

@@ -229,7 +229,6 @@ def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float) -> complex
             * np.exp(TWO_PI_I * np.asarray(v)),
             0.0,
             u0,
-            spec.quad_tol,
         )
     )
     restarted = phi2_chart_p2(spec, eps * cmath.exp(2j * math.pi * u0))

@@ -97,11 +97,6 @@ def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | 
     raise NoValidEpsilon(f"all candidates {list(candidates)} show a rational period")
 
 
-def _kappa(spec: NodalCurveSpec, eps: float):
-    rc = riemann_constants(spec, eps)
-    return kappa_vector(rc, spec, "half_tau")
-
-
 def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool = True,
            _kappa_cache=None) -> tuple[complex, complex]:
     """Inverse of the inversion map on the k-th sheet: the c with
@@ -119,7 +114,9 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
     root of the computed map, |d2(c2*) - v| < _NEWTON_TOL; NewtonDivergence
     means it is not, which is a defect.
     """
-    k1, k2 = _kappa(spec, eps) if _kappa_cache is None else _kappa_cache
+    if _kappa_cache is None:
+        _kappa_cache = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
+    k1, k2 = _kappa_cache
     c1 = complex(u[0]) - k1
     v = complex(u[1]) - k2
     r1, _, _ = derive_periods(spec)

@@ -93,7 +93,6 @@ class NodalCurveSpec:
     q0: complex = 0.0 + 0.0j
     delta: float = 0.05
     eps: float = 0.05
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -103,8 +102,6 @@ class NodalCurveSpec:
             raise ValueError("Im(tau) must be positive")
         if not all(math.isfinite(r) and r > 0 for r in (self.delta, self.eps)):
             raise ValueError("disk radii must be positive and finite")
-        if not (math.isfinite(self.quad_tol) and self.quad_tol > 0):
-            raise ValueError("quad_tol must be positive and finite")
         q0 = complex(self.q0)
         p1 = reduce_to_cell(complex(self.p1), q0, tau)
         p2 = reduce_to_cell(complex(self.p2), q0, tau)
@@ -116,7 +113,6 @@ class NodalCurveSpec:
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "quad_tol", float(self.quad_tol))
         self._validate()
 
     def _validate(self):

@@ -21,7 +21,7 @@ import numpy as np
 from .curve import NodalCurveSpec, derive_periods
 from .errors import PoleAt
 from .quadrature import integrate_circle, integrate_polyline, integrate_segment
-from .theta import TWO_PI_I, theta_char_and_dz, theta_chars
+from .theta import TWO_PI_I, theta_chars
 
 _ODD = (0.5, 0.5)
 _ELL_SWITCH = 1e-2  # |t| below which ell uses its Laurent expansion
@@ -71,7 +71,7 @@ class ThirdKindDifferential:
         out = np.empty_like(x_red)
         small = np.abs(x_red) < _ELL_SWITCH
         if np.any(~small):
-            th, thp = theta_char_and_dz(_ODD, x_red[~small], self.tau)
+            ((th, thp),) = theta_chars((_ODD,), x_red[~small], self.tau, (0, 1))
             out[~small] = thp / th
         if np.any(small):
             ts = x_red[small]
@@ -92,7 +92,7 @@ class ThirdKindDifferential:
         small = np.abs(t) < _ELL_SWITCH
         if np.any(~small):
             ts = t[~small]
-            th, thp = theta_char_and_dz(_ODD, ts, self.tau)
+            ((th, thp),) = theta_chars((_ODD,), ts, self.tau, (0, 1))
             out[~small] = thp / th - 1.0 / ts
         if np.any(small):
             out[small] = self._ell_reg_small(t[small])
@@ -145,9 +145,7 @@ class ThirdKindDifferential:
             # outside the safe series zone, integrate directly
             scalar = t.ndim == 0
             ts = np.atleast_1d(t)
-            vals = np.array(
-                [integrate_segment(self.h1_at_p2, 0.0, tv, self.spec.quad_tol) for tv in ts]
-            )
+            vals = np.array([integrate_segment(self.h1_at_p2, 0.0, tv) for tv in ts])
             return complex(vals[0]) if scalar else vals.reshape(np.shape(t))
         k = np.arange(len(coeffs))
         powers = np.power.outer(np.atleast_1d(t), k + 1)
@@ -180,14 +178,13 @@ def period_integral(spec: NodalCurveSpec, contour: str) -> complex:
     (the values are residues, hence radius-independent); alpha and beta are
     the parallelogram edges q0 -> q0+1 and q0 -> q0+tau.
     """
-    tol = spec.quad_tol
     diff = third_kind(spec)
     if contour == "gamma1":
-        return integrate_circle(diff.eta_coeff, spec.p1, spec.delta / 2, tol)
+        return integrate_circle(diff.eta_coeff, spec.p1, spec.delta / 2)
     if contour == "gamma2":
-        return integrate_circle(diff.eta_coeff, spec.p2, spec.eps / 2, tol)
+        return integrate_circle(diff.eta_coeff, spec.p2, spec.eps / 2)
     if contour == "alpha":
-        return integrate_polyline(diff.eta_coeff, [spec.q0, spec.q0 + 1], tol)
+        return integrate_polyline(diff.eta_coeff, [spec.q0, spec.q0 + 1])
     if contour == "beta":
-        return integrate_polyline(diff.eta_coeff, [spec.q0, spec.q0 + spec.tau], tol)
+        return integrate_polyline(diff.eta_coeff, [spec.q0, spec.q0 + spec.tau])
     raise ValueError(f"unknown contour {contour!r}")

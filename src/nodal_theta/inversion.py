@@ -47,12 +47,13 @@ from .errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroColl
 from .quadrature import (
     _N0,
     _N_MAX,
+    _QUAD_TOL,
     _log_change_sampled,
     integrate_segment,
     track_log_sampled,
     winding_number_sampled,
 )
-from .theta import TWO_PI_I, big_theta, e_func, theta_char, theta_char_and_dz, theta_chars
+from .theta import TWO_PI_I, big_theta, e_func, theta_char, theta_chars
 
 GENERICITY_TOL = 1e-3
 # Newton polish of the located zeros: step tolerance and iteration cap
@@ -193,7 +194,7 @@ def _moment_roots(tp: ThetaPullback, a: complex):
 
     with p2' the representative of p2 in the strip.  The integrand is
     1-periodic, so the trapezoid rule converges spectrally; n doubles from
-    _N0 until both moments agree within quad_tol (relative), up to _N_MAX.
+    _N0 until both moments agree within _QUAD_TOL (relative), up to _N_MAX.
     """
     spec = tp.spec
     p2 = spec.p2 if lattice_coords(spec.p2, a, spec.tau)[1] >= 0 else spec.p2 + spec.tau
@@ -211,7 +212,7 @@ def _moment_roots(tp: ThetaPullback, a: complex):
         acc = acc + sums(a + (np.arange(n) + 0.5) / n)
         n *= 2
         m, m_prev = scale * acc / n, m
-        if np.max(np.abs(m - m_prev)) <= spec.quad_tol * np.max(np.abs(m)):
+        if np.max(np.abs(m - m_prev)) <= _QUAD_TOL * np.max(np.abs(m)):
             s1 = m[0] + e_func(p2)
             s2 = m[1] + e_func(2 * p2)
             prod = (s1 * s1 - s2) / 2
@@ -327,7 +328,7 @@ class DMap:
         """Gap between the two closed forms of h3(0; c), G'(0)/G(0) =
         theta_r'/theta_r(x2) + 2*pi*i*h1(0); computed on first use."""
         spec = self.spec
-        th, thp = theta_char_and_dz(self._rchar, self.x2, spec.tau)
+        ((th, thp),) = theta_chars((self._rchar,), self.x2, spec.tau, (0, 1))
         _, h1c = self.diff._h1_series()
         return complex(thp / th + TWO_PI_I * h1c[0])
 
@@ -363,9 +364,7 @@ class DMap:
         if t == 0:
             return 0.0 + 0.0j
         ec = e_func(-complex(c2))
-        return integrate_segment(
-            lambda s: _moebius(self.mobius_coeffs(s), ec), 0.0, complex(t), self.spec.quad_tol
-        )
+        return integrate_segment(lambda s: _moebius(self.mobius_coeffs(s), ec), 0.0, complex(t))
 
     def d2(self, c2) -> complex:
         """c1*r1 + H3(eps; (c1, c2))/(2*pi*i) with H3 = Log f(eps) + 2*pi*i*n:
@@ -428,7 +427,7 @@ class RiemannConstants:
 def riemann_constants(spec: NodalCurveSpec, eps: float) -> RiemannConstants:
     """kappa1 = -tau/2 - phi1(Q0) + phi1(P2) + int_alpha phi1 dz and
     kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz.  Only
-    int_alpha phi2 dz is a quadrature (to spec.quad_tol): int_alpha phi1 dz =
+    int_alpha phi2 dz is a quadrature (to _QUAD_TOL): int_alpha phi1 dz =
     q0 + 1/2 - z0, and a(eps) is closed too, its -log(eps)/(2*pi*i) cancelling
     the +log(eps)/(2*pi*i) of d_map_corrected.  Cached per (spec, eps)."""
     r1, _, _ = derive_periods(spec)
@@ -441,7 +440,7 @@ def riemann_constants(spec: NodalCurveSpec, eps: float) -> RiemannConstants:
     def phi2_integrand(x):
         return (1.0 - x) * diff.eta_coeff(spec.q0 + x)
 
-    i_phi2 = phi2_q0 + integrate_segment(phi2_integrand, 0.0, 1.0, spec.quad_tol)
+    i_phi2 = phi2_q0 + integrate_segment(phi2_integrand, 0.0, 1.0)
 
     a_val = a_eps(spec, eps)
     phi1_q0 = phi1(spec, spec.q0)
@@ -579,8 +578,8 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     corrected form closes; see branch_correction.
 
     The closed-form d2 is checked against its dual route, one quadrature of
-    h3: they must agree within spec.quad_tol (the quadrature's error budget;
-    its accepted panel tolerances sum to at most quad_tol), else
+    h3: they must agree within _QUAD_TOL (the quadrature's error budget;
+    its accepted panel tolerances sum to at most _QUAD_TOL), else
     QuadratureFailure.
     """
     tp = c if isinstance(c, ThetaPullback) else ThetaPullback(c, spec)
@@ -591,7 +590,7 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     d2, log_f = dm.d2_and_log_f(tp.c2)
     d_val = (dm.c1, d2)
     h3_gap = abs(dm.H3(tp.c2) - TWO_PI_I * (d2 - dm.c1 * dm.r1))
-    if h3_gap > spec.quad_tol:
+    if h3_gap > _QUAD_TOL:
         raise QuadratureFailure(f"H3 quadrature misses the closed-form d2 by {h3_gap:.3e}")
     corr = branch_correction(dm, tp.c2, log_f)
     rc = riemann_constants(spec, eps)

@@ -17,8 +17,6 @@ curve.q0 = 0,0
 curve.delta = 0.06
 curve.eps = 0.06
 curve.eps_candidates = 0.05 0.04 0.03
-tol.quad = 1e-10
-tol.congruence = 1e-6
 run.samples = 10
 run.seed = 20260808
 run.out_dir = out
@@ -34,8 +32,6 @@ curve.q0 = 0,0
 curve.delta = 0.06
 curve.eps = 0.06
 curve.eps_candidates = 0.045 0.035 0.025
-tol.quad = 1e-10
-tol.congruence = 1e-6
 run.samples = 10
 run.seed = 20260808
 run.out_dir = out

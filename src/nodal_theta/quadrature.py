@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ContourThroughZero, QuadratureFailure
 
+# absolute error budget of one integral; integrate_segment halves it per split
+_QUAD_TOL = 1e-10
 _MAX_DEPTH = 13
 # samples per segment of the sampled log trackers: first try and cap
 _N0, _N_MAX = 32, 1 << 14
@@ -38,7 +40,7 @@ def _panel(f, a: complex, b: complex, n: int) -> complex:
     return half * complex(np.sum(w * vals))
 
 
-def integrate_segment(f, a, b, tol: float = 1e-10, depth: int = 0) -> complex:
+def integrate_segment(f, a, b, tol: float = _QUAD_TOL, depth: int = 0) -> complex:
     """Adaptive Gauss-Legendre integral of a vectorized complex integrand
     along the straight segment [a, b]."""
     coarse = _panel(f, a, b, 24)
@@ -55,7 +57,7 @@ def integrate_segment(f, a, b, tol: float = 1e-10, depth: int = 0) -> complex:
     )
 
 
-def integrate_polyline(f, vertices, tol: float = 1e-10) -> complex:
+def integrate_polyline(f, vertices, tol: float = _QUAD_TOL) -> complex:
     """Integral of f dz along the polyline through `vertices`."""
     verts = list(vertices)
     if len(verts) < 2:
@@ -66,7 +68,7 @@ def integrate_polyline(f, vertices, tol: float = 1e-10) -> complex:
     )
 
 
-def integrate_circle(f, center, radius: float, tol: float = 1e-10) -> complex:
+def integrate_circle(f, center, radius: float, tol: float = _QUAD_TOL) -> complex:
     """Integral of f dz along the circle center + radius*e(u), u in [0, 1]."""
 
     def g(u):

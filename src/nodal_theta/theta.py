@@ -27,8 +27,9 @@ argument: theta_chars shares the strip shift, the exponential of the step
 and one table sized to the widest window, and a narrower window sums the
 table's leading rows, so each value equals its single-characteristic call
 bit for bit.  Each characteristic keeps its own automorphy prefactor.
-theta_char_and_dz is the one-characteristic case with orders (0, 1), and
-big_theta and the pulled-back Theta take both of their thetas from one pass.
+A derivative is one more order of the same pass: theta_chars((char,), z,
+tau, (0, 1)) gives theta and theta' together.  big_theta and the pulled-back
+Theta take both of their thetas from one pass.
 """
 
 from __future__ import annotations
@@ -192,17 +193,6 @@ def theta_char(char, z, tau):
     or if some |Im z| / Im tau exceeds 100,000.
     """
     return _theta_general((char,), z, tau, (0,))[0]
-
-
-def theta_char_dz(char, z, tau):
-    """Termwise z-derivative of theta_char."""
-    return _theta_general((char,), z, tau, (1,))[0]
-
-
-def theta_char_and_dz(char, z, tau):
-    """(theta_char, theta_char_dz) from one window pass; each equals its own
-    call bit for bit.  For callers that need both at the same points."""
-    return tuple(_theta_general((char,), z, tau, (0, 1)))
 
 
 def theta_chars(chars, z, tau, orders: tuple[int, ...] = (0,)):

@@ -14,22 +14,21 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # (command, config line replaced as (old, new) or None, extra arguments)
 MALFORMED = {
-    "removed_key_tol_series": ("thm51", ("tol.quad = 1e-10", "tol.series = 1e-14\ntol.quad = 1e-10"), []),
+    "removed_key_tol_series": ("thm51", ("run.samples = 10", "tol.series = 1e-14\nrun.samples = 10"), []),
+    "removed_key_tol_quad": ("thm51", ("run.samples = 10", "tol.quad = 1e-10\nrun.samples = 10"), []),
+    "removed_key_tol_congruence": ("thm51", ("run.samples = 10", "tol.congruence = 1e-6\nrun.samples = 10"), []),
     "removed_key_run_grid": ("thm66", ("run.samples = 10", "run.samples = 10\nrun.grid = 6"), []),
     "seed_negative": ("thm51", ("run.seed = 20260808", "run.seed = -1"), []),
     "seed_flag_negative": ("thm51", None, ["--seed", "-1"]),
     "samples_negative": ("thm51", ("run.samples = 10", "run.samples = -2"), []),
     "samples_flag_zero": ("thm51", None, ["--samples", "0"]),
     "eps_nan": ("thm51", ("curve.eps = 0.06", "curve.eps = nan"), []),
-    "quad_tol_nan": ("thm51", ("tol.quad = 1e-10", "tol.quad = nan"), []),
-    "congruence_tol_nan": ("thm51", ("tol.congruence = 1e-6", "tol.congruence = nan"), []),
     "eps_candidate_nan": (
         "thm51", ("curve.eps_candidates = 0.05 0.04 0.03", "curve.eps_candidates = 0.05 nan"), []
     ),
     "eps_candidate_negative": (
         "thm51", ("curve.eps_candidates = 0.05 0.04 0.03", "curve.eps_candidates = -0.05 0.04"), []
     ),
-    "congruence_tol_zero": ("thm51", ("tol.congruence = 1e-6", "tol.congruence = 0"), []),
     "eps_candidates_above_eps": (
         "thm51", ("curve.eps_candidates = 0.05 0.04 0.03", "curve.eps_candidates = 0.08 0.07"), []
     ),
@@ -88,6 +87,13 @@ class TestConfigParsing:
         path = DEMOS / f"config_{name}.cfg"
         assert path.read_bytes() == text.encode("utf-8")
         assert parse_config(path).spec == make_spec()
+
+    def test_readme_config_block_matches_preset(self):
+        # the README lists the config keys by example, so it must not drift
+        readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+        blocks = readme.split("```\n")[1::2]
+        body = CONFIG_A_TEXT.split("\n", 1)[1]
+        assert body in blocks
 
 
 class TestCommands:
@@ -169,12 +175,12 @@ class TestCommands:
 
     def test_unknown_key_exits_2(self, cfg_a, tmp_path):
         p = tmp_path / "typo.cfg"
-        p.write_text(cfg_a.read_text().replace("tol.congruence =", "tol.congruense ="))
+        p.write_text(cfg_a.read_text().replace("run.seed =", "run.sede ="))
         assert main(["identities", "--config", str(p)]) == 2
 
     def test_repeated_key_exits_2(self, cfg_a, tmp_path):
         p = tmp_path / "twice.cfg"
-        p.write_text(cfg_a.read_text() + "tol.congruence = 1e-9\n")
+        p.write_text(cfg_a.read_text() + "run.seed = 7\n")
         assert main(["identities", "--config", str(p)]) == 2
 
     def test_broken_config_exits_2(self, tmp_path):

@@ -166,7 +166,7 @@ class TestSpecValidation:
             NodalCurveSpec(tau=1j, p1=0.5 + 0.5j, p2=0.2 + 0.2j, z0=0.5 + 0.5j)
 
     @pytest.mark.parametrize("field", [
-        {"eps": math.nan}, {"delta": math.inf}, {"quad_tol": math.nan},
+        {"eps": math.nan}, {"delta": math.inf},
         {"tau": complex(math.nan, 1.0)}, {"p1": complex(0.5, math.nan)},
     ])
     def test_rejects_non_finite(self, field):

@@ -9,7 +9,6 @@ Independent oracles used here:
 """
 
 import cmath
-import dataclasses
 import math
 import re
 
@@ -23,7 +22,8 @@ from nodal_theta.abel_jacobi import _theta_quotient, divisor_image, e_phi2, phi1
 from nodal_theta.curve import NodalCurveSpec, derive_periods, lattice_coords, mod_gamma_decompose, period_group
 from nodal_theta.branches import beta_k
 from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, ZeroCollision
-from nodal_theta.quadrature import _log_change_sampled, winding_number_sampled
+from nodal_theta.differentials import third_kind
+from nodal_theta.quadrature import _log_change_sampled, integrate_segment, winding_number_sampled
 from nodal_theta.inversion import (
     THM51_SKIPS,
     DMap,
@@ -611,13 +611,14 @@ class TestDMap:
     @pytest.mark.parametrize("eps", [0.05, 0.03])
     def test_quadrature_meets_closed_form_at_fine_tolerance(self, spec_a, eps):
         # the integrand of H3 is the exact log-derivative down to t = 0, so
-        # the adaptive rule converges at quad_tol = 1e-12 on a draw where an
+        # the adaptive rule converges at tol = 1e-12 on a draw where an
         # integrand with a switch near t = 1e-3 could not
         rng = np.random.default_rng(19)
         for _ in range(11):
             c, _ = sample_generic_c(spec_a, rng)
-        dm = DMap(dataclasses.replace(spec_a, quad_tol=1e-12), c[0], eps)
-        assert abs(dm.H3(c[1]) - TWO_PI_I * (dm.d2(c[1]) - dm.c1 * dm.r1)) < 1e-13
+        dm = DMap(spec_a, c[0], eps)
+        h3_fine = integrate_segment(lambda t: dm.h3(t, c[1]), 0.0, complex(eps), 1e-12)
+        assert abs(h3_fine - TWO_PI_I * (dm.d2(c[1]) - dm.c1 * dm.r1)) < 1e-13
 
 
 class TestRiemannConstants:
@@ -642,9 +643,14 @@ class TestRiemannConstants:
         assert max(abs(s - sums[0]) for s in sums) < 1e-14
 
     def test_refinement_stability(self, spec_a):
-        a = riemann_constants(dataclasses.replace(spec_a, quad_tol=1e-10), EPS_W)
-        b = riemann_constants(dataclasses.replace(spec_a, quad_tol=1e-11), EPS_W)
-        assert abs(a.kappa2 - b.kappa2) < 1e-9
+        # kappa2's one quadrature, int_alpha phi2 dz, redone at a tenth of
+        # the package's tolerance moves kappa2 by less than 1e-9
+        eta = third_kind(spec_a).eta_coeff
+        finer = phi2(spec_a, spec_a.q0) + integrate_segment(
+            lambda x: (1.0 - x) * eta(spec_a.q0 + x), 0.0, 1.0, 1e-11
+        )
+        rc = riemann_constants(spec_a, EPS_W)
+        assert abs(rc.alpha_phi2_integral - finer) < 1e-9
 
     def test_computed_once_per_radius(self, spec_a, monkeypatch, thm51_samples):
         # verify_thm51 reads the constants on every sample, and they depend

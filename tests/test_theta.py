@@ -21,11 +21,19 @@ from nodal_theta.theta import (
     big_theta,
     e_func,
     theta_char,
-    theta_char_and_dz,
-    theta_char_dz,
     theta_chars,
     translation_factor,
 )
+
+
+def theta_char_dz(char, z, tau):
+    """theta'[char](z): one characteristic at derivative order 1."""
+    return theta_chars((char,), z, tau, (1,))[0][0]
+
+
+def theta_char_and_dz(char, z, tau):
+    """(theta, theta') of one characteristic from one pass."""
+    return theta_chars((char,), z, tau, (0, 1))[0]
 
 
 def theta_bruteforce(char, z, tau, n_max=40):
