@@ -31,12 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import NodalCurveSpec, derive_periods, lattice_coords
-from .differentials import third_kind
+from .differentials import odd_chars, third_kind
 from .errors import LogBranchUnresolved, PoleAt
 from .quadrature import _log_change_sampled, integrate_segment
-from .theta import TWO_PI_I, e_func, theta_char
+from .theta import TWO_PI_I, theta_chars
 
-_ODD = (0.5, 0.5)
 # nodes per side of the first arg R table, and the most a retry may double to
 _ARG_NODES, _ARG_NODES_MAX = 33, 257
 # largest change of arg R accepted between neighbouring nodes of the table
@@ -57,18 +56,22 @@ def _require_inside(spec: NodalCurveSpec, P: complex):
         raise ValueError(f"point {P:.6g} lies outside the closed fundamental cell")
 
 
-def _theta_quotient(spec: NodalCurveSpec):
-    """The odd-theta quotient Q; vectorized in z."""
-
-    def q(z):
-        return theta_char(_ODD, z - spec.p1, spec.tau) / theta_char(_ODD, z - spec.p2, spec.tau)
-
-    return q
-
-
 @lru_cache(maxsize=16)
-def _theta_quotient_at_z0(spec: NodalCurveSpec) -> complex:
-    return _theta_quotient(spec)(spec.z0)
+def _q_at_z0(spec: NodalCurveSpec) -> complex:
+    (th1,), (th2,) = theta_chars(odd_chars(spec), spec.z0, spec.tau)
+    return th1 / th2
+
+
+def e_phi2_from(spec: NodalCurveSpec, z, th1, th2, c2=0.0):
+    """e(phi2(z) - c2) at the points z of a 1-d array from th1, th2, the
+    odd thetas at z - p1 and z - p2 (a pass of odd_chars at z); written
+    into th1, with one array of scratch."""
+    ez = (z - spec.z0) * (TWO_PI_I * derive_periods(spec)[2])
+    ez -= TWO_PI_I * c2
+    th1 /= th2
+    th1 *= np.exp(ez, out=ez)
+    th1 /= _q_at_z0(spec)
+    return th1
 
 
 def e_phi2(spec: NodalCurveSpec, z):
@@ -76,10 +79,13 @@ def e_phi2(spec: NodalCurveSpec, z):
 
         e(phi2(z)) = (Q(z)/Q(z0)) e(kappa_coeff (z - z0)),
 
-    single-valued on the cut curve; Q(z0) is computed once per spec."""
-    z = np.asarray(z, dtype=np.complex128) if isinstance(z, np.ndarray) else z
-    _, _, kappa = derive_periods(spec)
-    return _theta_quotient(spec)(z) / _theta_quotient_at_z0(spec) * e_func(kappa * (z - spec.z0))
+    single-valued on the cut curve; both odd thetas of Q come from one
+    kernel pass at z, and Q(z0) is computed once per spec."""
+    z = np.asarray(z, dtype=np.complex128)
+    zf = z.reshape(-1)
+    (th1,), (th2,) = theta_chars(odd_chars(spec), zf, spec.tau)
+    out = e_phi2_from(spec, zf, th1, th2)
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def _ratio_and_r(spec: NodalCurveSpec, z: np.ndarray):
@@ -88,8 +94,8 @@ def _ratio_and_r(spec: NodalCurveSpec, z: np.ndarray):
     d1, d2 = z - spec.p1, z - spec.p2
     if not (d1.all() and d2.all()):
         raise PoleAt("phi2 evaluated at an identified point")
-    th = theta_char(_ODD, np.concatenate((d1, d2)), spec.tau)
-    return d1 / d2, (th[: len(z)] * d2) / (th[len(z):] * d1)
+    (th1,), (th2,) = theta_chars(odd_chars(spec), z, spec.tau)
+    return d1 / d2, (th1 * d2) / (th2 * d1)
 
 
 @lru_cache(maxsize=16)
@@ -171,7 +177,7 @@ def loop_increment(spec: NodalCurveSpec, vertices) -> complex:
     verts = [complex(v) for v in vertices]
     if abs(verts[0] - verts[-1]) > 1e-12:
         verts.append(verts[0])
-    return complex(_log_change_sampled(_theta_quotient(spec), verts) / TWO_PI_I)
+    return complex(_log_change_sampled(lambda z: e_phi2(spec, z), verts) / TWO_PI_I)
 
 
 # -- the chart continuation near p2 and the circle average -------------------

@@ -7,9 +7,10 @@ p2 (residue -1/(2*pi*i)), unit period around p1, and real cut periods
     eta(z) = (1/2*pi*i) [ ell(z - p1) - ell(z - p2) ] + kappa_coeff
 
 with ell = theta'[1/2;1/2]/theta[1/2;1/2] and kappa_coeff chosen so both cut
-periods are real (see `curve.derive_periods`).  Near the poles the local
-data h, h1 (the holomorphic parts in the translation charts z = p_i + t) are
-evaluated with explicit pole cancellation.
+periods are real (see `curve.derive_periods`); both odd thetas come from
+one kernel pass at z.  Near the poles the local data h, h1 (the holomorphic parts
+in the translation charts z = p_i + t) are evaluated with explicit pole
+cancellation.
 """
 
 from __future__ import annotations
@@ -18,13 +19,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import NodalCurveSpec, derive_periods
+from .curve import NodalCurveSpec, derive_periods, lattice_coords
 from .errors import PoleAt
 from .quadrature import integrate_circle, integrate_polyline, integrate_segment
 from .theta import TWO_PI_I, theta_chars
 
 _ODD = (0.5, 0.5)
 _ELL_SWITCH = 1e-2  # |t| below which ell uses its Laurent expansion
+
+
+def odd_chars(spec: NodalCurveSpec):
+    """theta[1/2;1/2](z - p1) and theta[1/2;1/2](z - p2) as characteristics
+    at z: theta[a;b](z - s) = theta[a; b - s](z)."""
+    return ((0.5, 0.5 - spec.p1), (0.5, 0.5 - spec.p2))
 
 
 class ThirdKindDifferential:
@@ -36,6 +43,7 @@ class ThirdKindDifferential:
         self.p1 = spec.p1
         self.p2 = spec.p2
         self.r1, self.r2, self.kappa_coeff = derive_periods(spec)
+        self._poles = np.array([[self.p1], [self.p2]])
         # odd theta Taylor data at its zero: theta11(t) = a1 t + a3 t^3 + ...
         ((a1, d3, d5, d7),) = theta_chars((_ODD,), 0.0, self.tau, (1, 3, 5, 7))
         u, v, w = d3 / 6.0 / a1, d5 / 120.0 / a1, d7 / 5040.0 / a1
@@ -49,73 +57,68 @@ class ThirdKindDifferential:
 
     # -- log-derivative of the odd theta function --------------------------
 
-    def _reduce(self, x):
-        """x = x_red + m + n*tau with x_red near the zero at the origin."""
-        x = np.asarray(x, dtype=np.complex128)
-        t = np.imag(x) / self.tau.imag
-        n = np.round(t)
-        s = np.real(x) - n * self.tau.real
-        m = np.round(s)
-        return x - m - n * self.tau, n
-
     def _ell_reg_small(self, t):
         c1, c3, c5 = self._ell_reg_coeffs
         t2 = t * t
         return t * (c1 + t2 * (c3 + t2 * c5))
 
-    def ell(self, x):
-        """theta'[1/2;1/2]/theta[1/2;1/2](x); Laurent form near the zeros."""
-        x_red, n = self._reduce(x)
-        x_red = np.atleast_1d(x_red)
-        n = np.atleast_1d(n)
-        out = np.empty_like(x_red)
+    def _ell(self, x, th, thp):
+        """ell = theta11'/theta11 at the points x of an array, from theta11
+        and theta11' there; where x lies within _ELL_SWITCH of a lattice
+        point x0, the Laurent form at x0 instead."""
+        s, t = lattice_coords(x, 0.0, self.tau)
+        n = np.rint(t)
+        x_red = x - np.rint(s) - n * self.tau
         small = np.abs(x_red) < _ELL_SWITCH
-        if np.any(~small):
-            ((th, thp),) = theta_chars((_ODD,), x_red[~small], self.tau, (0, 1))
-            out[~small] = thp / th
-        if np.any(small):
-            ts = x_red[small]
-            if np.any(np.abs(ts) < 1e-12):
-                raise PoleAt("ell evaluated at a lattice point")
-            out[small] = 1.0 / ts + self._ell_reg_small(ts)
-        out = out - TWO_PI_I * n
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return complex(out[0])
-        return out.reshape(np.shape(x))
+        if not small.any():
+            return thp / th
+        ts = x_red[small]
+        if np.any(np.abs(ts) < 1e-12):
+            raise PoleAt("ell evaluated at a lattice point")
+        out = thp / th
+        out[small] = 1.0 / ts + self._ell_reg_small(ts) - TWO_PI_I * n[small]
+        return out
 
-    def ell_reg(self, t):
-        """ell(t) - 1/t, stable for small |t| (no lattice reduction)."""
-        t = np.asarray(t, dtype=np.complex128)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty_like(t)
+    def _pole_part(self, t, d, shifted, at_t):
+        """(ell(d + t) - ell(t) + 1/t) / (2 pi i) at the points t of a 1-d
+        array, from (theta, theta') of (1/2, 1/2 + d) and of theta11 at t;
+        ell(t) - 1/t is stable for small |t| (no lattice reduction)."""
         small = np.abs(t) < _ELL_SWITCH
-        if np.any(~small):
-            ts = t[~small]
-            ((th, thp),) = theta_chars((_ODD,), ts, self.tau, (0, 1))
-            out[~small] = thp / th - 1.0 / ts
-        if np.any(small):
-            out[small] = self._ell_reg_small(t[small])
-        return complex(out[0]) if scalar else out
+        reg = np.empty_like(t)
+        reg[~small] = at_t[1][~small] / at_t[0][~small] - 1.0 / t[~small]
+        reg[small] = self._ell_reg_small(t[small])
+        return (self._ell(d + t, *shifted) - reg) / TWO_PI_I
+
+    def _chart(self, t, d):
+        t = np.asarray(t, dtype=np.complex128)
+        tf = t.reshape(-1)
+        out = self._pole_part(tf, d, *theta_chars(((0.5, 0.5 + d), _ODD), tf, self.tau, (0, 1)))
+        return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     # -- the differential and its local data -------------------------------
 
+    def eta_from(self, z, odd1, odd2):
+        """eta at the points z of a 1-d array from (theta, theta') of the two
+        odd_chars at z; raises PoleAt within 1e-12 of p1, p2 mod L."""
+        ell1, ell2 = self._ell(z - self._poles, *(np.stack(pair) for pair in zip(odd1, odd2)))
+        return (ell1 - ell2) / TWO_PI_I + self.kappa_coeff
+
     def eta_coeff(self, z):
-        """dz-coefficient of eta; ell raises PoleAt within 1e-12 of p1, p2 mod L."""
-        z_arr = np.asarray(z, dtype=np.complex128)
-        ell1, ell2 = self.ell(np.stack([z_arr - self.p1, z_arr - self.p2]))
-        out = (ell1 - ell2) / TWO_PI_I + self.kappa_coeff
-        return complex(out) if z_arr.ndim == 0 else out
+        """dz-coefficient of eta, from one kernel pass of both odd thetas."""
+        z = np.asarray(z, dtype=np.complex128)
+        zf = z.reshape(-1)
+        out = self.eta_from(zf, *theta_chars(odd_chars(self.spec), zf, self.tau, (0, 1)))
+        return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
     def h_at_p1(self, t):
-        """Holomorphic part of eta at p1: eta(p1+t) - (1/2*pi*i)/t, chart z = p1 + t."""
-        t = np.asarray(t, dtype=np.complex128)
-        return (self.ell_reg(t) - self.ell(self.p1 - self.p2 + t)) / TWO_PI_I + self.kappa_coeff
+        """Holomorphic part of eta at p1: eta(p1+t) - (1/2*pi*i)/t, chart
+        z = p1 + t; one kernel pass at t."""
+        return self.kappa_coeff - self._chart(t, self.p1 - self.p2)
 
     def h1_at_p2(self, t):
-        """Holomorphic part of eta at p2: eta(p2+t) + (1/2*pi*i)/t, chart z = p2 + t."""
-        t = np.asarray(t, dtype=np.complex128)
-        return (self.ell(self.p2 - self.p1 + t) - self.ell_reg(t)) / TWO_PI_I + self.kappa_coeff
+        """Holomorphic part of eta at p2: eta(p2+t) + (1/2*pi*i)/t, chart
+        z = p2 + t; one kernel pass at t."""
+        return self._chart(t, self.p2 - self.p1) + self.kappa_coeff
 
     # -- power series cache for h1 on the p2 chart -------------------------
 

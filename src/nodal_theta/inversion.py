@@ -9,7 +9,8 @@ The pullback
 is single-valued on the cut curve because integer ambiguities of phi2 are
 killed by e(.).  It is evaluated through the exact branch-free identity
 e(phi2(z)) = (Q(z)/Q(z0)) e(kappa*(z - z0)) with Q the odd-theta quotient,
-which also makes grid evaluation cheap.  T_c has a simple pole at p2 and
+which also makes grid evaluation cheap: its four thetas are one kernel
+pass at z.  T_c has a simple pole at p2 and
 exactly two zeros.  `count_zeros` counts them by the winding of T_c along
 the cell boundary; `locate_zeros` finds them from the first two moments of
 T'/T on one period line, where the quasi-periodicity of T_c reduces the
@@ -33,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .abel_jacobi import a_eps, divisor_image, e_phi2, phi1, phi2
+from .abel_jacobi import a_eps, divisor_image, e_phi2, e_phi2_from, phi1, phi2
 from .curve import (
     NodalCurveSpec,
     derive_periods,
@@ -42,7 +43,7 @@ from .curve import (
     period_group,
     reduce_to_cell,
 )
-from .differentials import third_kind
+from .differentials import odd_chars, third_kind
 from .errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
 from .quadrature import (
     _N0,
@@ -78,6 +79,12 @@ def _theta_scale(tau: complex, char: tuple[float, float]) -> float:
 
 
 @lru_cache(maxsize=64)
+def _guard_thetas(spec: NodalCurveSpec, c1) -> tuple[complex, complex]:
+    """theta00(phi1(p1) - c1) and theta00(phi1(p2) - c1): one pass at -c1."""
+    ((th_p1,), (th_p2,)) = theta_chars(((0.0, phi1(spec, spec.p1)), (0.0, phi1(spec, spec.p2))), -c1, spec.tau)
+    return th_p1, th_p2
+
+
 def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     """Name of the first genericity guard that the shift c1 fails, or None.
 
@@ -87,12 +94,12 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     cell.  The chart's residue c_minus1 needs theta[-r1;r2](phi1(p2) - c1)
     != 0 too, but since r2 - r1 tau = p1 - p2 that theta is
     e(r1^2 tau/2 - r1 (x2 + r2)) theta00(phi1(p1) - c1), x2 = phi1(p2) - c1,
-    so the p1 guard covers it.  Cached per (spec, c1): the pullbacks and
-    charts of one c1 share it.
+    so the p1 guard covers it.  Both thetas are cached per (spec, c1), so
+    the pullbacks and charts of one c1 share them.
     """
     scale = GENERICITY_TOL * _theta_scale(spec.tau, (0.0, 0.0))
-    for name, point in (("theta00(phi1(p1) - c1)", spec.p1), ("theta00(phi1(p2) - c1)", spec.p2)):
-        if abs(theta_char((0.0, 0.0), phi1(spec, point) - c1, spec.tau)) <= scale:
+    for name, value in zip(("theta00(phi1(p1) - c1)", "theta00(phi1(p2) - c1)"), _guard_thetas(spec, c1)):
+        if abs(value) <= scale:
             return name
     return None
 
@@ -108,17 +115,20 @@ class ThetaPullback:
         if failed is not None:
             raise DegenerateC(failed)
         self.r1, self.r2, _ = derive_periods(spec)
-        self._rchar = (-self.r1, self.r2)
+        # theta00, theta[-r1;r2] at z - z0 - c1 and the odd pair, all at z
+        s = spec.z0 + self.c1
+        self._chars = ((0.0, -s), (-self.r1, self.r2 - s)) + odd_chars(spec)
 
     # -- building blocks ----------------------------------------------------
 
     def value(self, P):
-        """T_c(P) for scalars or arrays."""
-        spec = self.spec
-        x = (P - spec.z0) - self.c1
-        ew = e_phi2(spec, P) * e_func(-self.c2)
-        (th0,), (thr,) = theta_chars(((0.0, 0.0), self._rchar), x, spec.tau)
-        return th0 + thr * ew
+        """T_c(P) for scalars or arrays: one kernel pass, combined in place."""
+        z = np.asarray(P, dtype=np.complex128)
+        zf = z.reshape(-1)
+        (th0,), (thr,), (th1,), (th2,) = theta_chars(self._chars, zf, self.spec.tau)
+        thr *= e_phi2_from(self.spec, zf, th1, th2, self.c2)
+        th0 += thr
+        return complex(th0[0]) if z.ndim == 0 else th0.reshape(z.shape)
 
     def value_from_phi(self, P):
         """T_c(P) through the tracked period map (dual route, for tests)."""
@@ -127,14 +137,15 @@ class ThetaPullback:
 
     def value_and_dvalue(self, P):
         """(T_c(P), dT_c/dz(P)); the derivative by the chain rule through the
-        theta kernel and eta.  One window pass gives both thetas with their
-        derivatives; the value equals `value(P)` bit for bit."""
-        spec = self.spec
-        x = (P - spec.z0) - self.c1
-        ew = e_phi2(spec, P) * e_func(-self.c2)
-        (th0, th0p), (thr, thrp) = theta_chars(((0.0, 0.0), self._rchar), x, spec.tau, (0, 1))
-        eta = third_kind(spec).eta_coeff(P)
-        return th0 + thr * ew, th0p + (thrp + TWO_PI_I * eta * thr) * ew
+        theta kernel and eta.  One window pass gives all four thetas with
+        their derivatives; the value equals `value(P)` bit for bit."""
+        z = np.asarray(P, dtype=np.complex128)
+        zf = z.reshape(-1)
+        (th0, th0p), (thr, thrp), odd1, odd2 = theta_chars(self._chars, zf, self.spec.tau, (0, 1))
+        eta = third_kind(self.spec).eta_from(zf, odd1, odd2)
+        ew = e_phi2_from(self.spec, zf, odd1[0], odd2[0], self.c2)
+        T, dT = th0 + thr * ew, th0p + (thrp + TWO_PI_I * eta * thr) * ew
+        return (complex(T[0]), complex(dT[0])) if z.ndim == 0 else (T.reshape(z.shape), dT.reshape(z.shape))
 
 
 # -- zero counting and location ---------------------------------------------
@@ -273,8 +284,7 @@ class DMap:
     [0, eps]: `d2` and `d2_dc2` are these closed forms, and `H3`, the
     quadrature of h3, is their dual route.  The chart holds what does not
     depend on c2 (the factor g anchored at eps, beta_coeff = G0, and, on
-    first use, G'(0)/G0 and theta00(phi1(p1) - c1)); everything that does
-    takes c2 as an argument.
+    first use, G'(0)/G0); everything that does takes c2 as an argument.
 
     `h3_zero` is the value h3(0; c) implied by the definitions; the shorter
     closed form lacking the derivative term (`h3_zero_no_derivative`) is kept
@@ -295,6 +305,8 @@ class DMap:
         self.diff = third_kind(spec)
         self.x2 = phi1(spec, spec.p2) - self.c1
         self._rchar = (-self.r1, r2)
+        # theta00, theta_r at x2 + t and the odd thetas of h1, all at t
+        self._t_chars = ((0.0, self.x2), (-self.r1, r2 + self.x2), (0.5, 0.5 + spec.p2 - spec.p1), (0.5, 0.5))
         self._e_phi2_eps = e_phi2(spec, spec.p2 + self.eps)  # e(phi2) at the chart anchor t = eps
         self.g0 = complex(self.g(0.0))
         self.beta_coeff = theta_char(self._rchar, self.x2, spec.tau) * self.g0
@@ -316,12 +328,15 @@ class DMap:
     def mobius_coeffs(self, t):
         """(A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G), so that
         h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t.
-        G' = (theta_r' + 2*pi*i*h1 theta_r) g, and one window pass gives
-        both thetas with their derivatives."""
-        (a1, a1p), (th, thp) = theta_chars(((0.0, 0.0), self._rchar), self.x2 + t, self.spec.tau, (0, 1))
-        g = self.g(t)
-        G, dG = th * g, (thp + TWO_PI_I * self.diff.h1_at_p2(t) * th) * g
-        return a1 + t * a1p, dG, t * a1, G
+        G' = (theta_r' + 2*pi*i*h1 theta_r) g, and one window pass at t
+        gives all four thetas with their derivatives."""
+        t = np.asarray(t, dtype=np.complex128)
+        tf = t.reshape(-1)
+        (a1, a1p), (th, thp), *odd = theta_chars(self._t_chars, tf, self.spec.tau, (0, 1))
+        g = self.g(tf)
+        h1 = self.diff._pole_part(tf, self.spec.p2 - self.spec.p1, *odd) + self.diff.kappa_coeff
+        G, dG = th * g, (thp + TWO_PI_I * h1 * th) * g
+        return tuple(complex(v[0]) if t.ndim == 0 else v.reshape(t.shape) for v in (a1 + tf * a1p, dG, tf * a1, G))
 
     @cached_property
     def h3_zero_defect(self) -> complex:
@@ -386,18 +401,13 @@ class DMap:
         a = self.eps * complex(a1)
         return a / (a + e_func(-complex(c2)) * complex(G))
 
-    @cached_property
-    def theta00_p1(self) -> complex:
-        """theta00(phi1(p1) - c1), the value of T_c at p1 (read by branch_log only)."""
-        spec = self.spec
-        return theta_char((0.0, 0.0), phi1(spec, spec.p1) - self.c1, spec.tau)
-
     def branch_log(self, log_pole) -> complex:
         """Log theta00(phi1(p1) - c1) - log_pole + log eps, the part of the
-        branch-cut term A(eps, c) that the corrected map keeps; log_pole is a
+        branch-cut term A(eps, c) that the corrected map keeps, with the
+        genericity guard's theta00(phi1(p1) - c1); log_pole is a
         log of the pole coefficient (Log c_minus1, or Log beta_coeff where c2
         is solved for)."""
-        return np.log(self.theta00_p1) - log_pole + math.log(self.eps)
+        return np.log(_guard_thetas(self.spec, self.c1)[0]) - log_pole + math.log(self.eps)
 
 
 def d_map(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:

@@ -1,5 +1,5 @@
-"""Classical theta functions with real characteristics and the two-variable
-generalized theta function.
+"""Classical theta functions with characteristics [a;b], a real and b
+complex, and the two-variable generalized theta function.
 
 Conventions used everywhere in this package:
 
@@ -7,11 +7,16 @@ Conventions used everywhere in this package:
     theta[a;b](z, tau)  = sum_n e( (1/2)(n+a)^2 tau + (n+a)(z+b) ),  Im tau > 0
     Theta(z, w)         = theta[0;0](z) + theta[-r1;r2](z) e(w)
 
+A complex b reads a theta at a constant shift of its argument,
+theta[a; b - s](z) = theta[a;b](z - s).
+
 The series is truncated when the Gaussian tail exp(-pi*Im(tau)*(n+a)^2) drops
 below the fixed bound _ABS_TOL = 1e-14 on the omitted tail.  Each argument is
-moved by quasi-periodicity into the strip |Im z| <= Im(tau)/2, where the
-Gaussian centre of the terms lies within 1/2 of n + a = 0, so one cached
-window per (characteristic, tau) holds the largest terms of every point.
+moved by quasi-periodicity into the strip |Im z| <= Im(tau)/2, and each b to
+b = beta - m*tau with beta in it, m joining the strip shift; the Gaussian
+centre of the terms then lies within 1/2 of n + a = 0, or within 1 for a
+complex beta, whose window is one row wider.  So one cached window per
+(characteristic, tau) holds the largest terms of every point.
 
 The window's powers are held as a paired table t[j] = (e(j w), e(-j w)),
 j = 0..N+1, built from t[1] = (e(w), e(-w)) by one product per row; the
@@ -26,10 +31,11 @@ One pass serves every characteristic and derivative order wanted at one
 argument: theta_chars shares the strip shift, the exponential of the step
 and one table sized to the widest window, and a narrower window sums the
 table's leading rows, so each value equals its single-characteristic call
-bit for bit.  Each characteristic keeps its own automorphy prefactor.
+bit for bit.  One exponential gives every characteristic its own
+automorphy prefactor.
 A derivative is one more order of the same pass: theta_chars((char,), z,
-tau, (0, 1)) gives theta and theta' together.  big_theta and the pulled-back
-Theta take both of their thetas from one pass.
+tau, (0, 1)) gives theta and theta' together.  big_theta takes both of its
+thetas from one pass, and the pulled-back Theta all four of its own.
 """
 
 from __future__ import annotations
@@ -69,83 +75,82 @@ def _tau_value(tau) -> complex:
     return tau
 
 
-def _char_ab(char) -> tuple[float, float]:
-    a, b = char
-    return float(a), float(b)
-
-
 def _halfwidth(a_red: float, im_tau: float) -> int:
     """Minimal N with exp(-pi*Im(tau)*(N - a_red - 1)^2) < _ABS_TOL/4."""
-    target = _ABS_TOL / 4.0
-    # closed-form candidate, then walk down to the minimal admissible N
-    width = math.sqrt(max(0.0, -math.log(target) / (math.pi * im_tau)))
-    n = max(1, math.ceil(a_red + 1.0 + width))
-    while n > 1:
-        w = (n - 1) - a_red - 1.0
-        if w > 0.0 and math.exp(-math.pi * im_tau * w * w) < target:
-            n -= 1
-        else:
-            break
-    w = n - a_red - 1.0
-    if not (w > 0.0 and math.exp(-math.pi * im_tau * w * w) < target):
-        # even n = _MAX_INDEX cannot meet the bound for this tau
-        n = _MAX_INDEX + 1
-    if n > _MAX_INDEX:
-        raise NonConvergent(
-            f"series needs half-width {n} > {_MAX_INDEX} "
-            f"(Im tau = {im_tau:g}, abs_tol = {_ABS_TOL:g})"
-        )
-    return n
+    for n in range(1, _MAX_INDEX + 1):
+        w = n - a_red - 1.0
+        if w > 0.0 and math.exp(-math.pi * im_tau * w * w) < _ABS_TOL / 4.0:
+            return n
+    raise NonConvergent(f"series needs half-width > {_MAX_INDEX} (Im tau = {im_tau:g}, abs_tol = {_ABS_TOL:g})")
 
 
 @lru_cache(maxsize=64)
-def _window(a: float, b: float, tau: complex, orders: tuple[int, ...]):
-    """(a_red, b, nk, ((k, coeffs_k) for k in orders)) for arguments in the
-    strip, as read-only (N + 2, 2, 1) tables laid out as the power table of
-    _block_pass: nk[j] = (a_red + j, a_red - j) for j = 0..N+1, and the
-    tau-only factors coeffs_k = (2 pi i)^k e(nk^2 tau/2 + nk b), whose
-    duplicate centre entry coeffs_k[0, 1] is weighted 0."""
+def _window(a: float, b: complex, tau: complex, orders: tuple[int, ...]):
+    """(a_red, beta, m, nk, ((k, coeffs_k) for k in orders)), b = beta - m*tau
+    with |Im beta| <= Im(tau)/2, for arguments in the strip, as read-only
+    (N + 2, 2, 1) tables laid out as the power table of _block_pass:
+    nk[j] = (a_red + j, a_red - j) for j = 0..N+1, and the point-free factors
+    coeffs_k = (2 pi i)^k e(nk^2 tau/2 + nk beta), whose duplicate centre
+    entry coeffs_k[0, 1] is weighted 0.  A complex beta gets one more row."""
     a_red = a - math.floor(a)
-    n_half = _halfwidth(a_red, tau.imag)
+    m = -round(b.imag / tau.imag)
+    beta = b + m * tau if m else b
+    n_half = _halfwidth(a_red, tau.imag) + (beta.imag != 0.0)
     j = np.arange(n_half + 2, dtype=np.float64)
     nk = np.stack([a_red + j, a_red - j], axis=1)[:, :, None]
     nk.flags.writeable = False
+    base = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * beta))
     coeffs = []
     for k in orders:
-        ck = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * b)) * TWO_PI_I**k
+        ck = base * TWO_PI_I**k
         ck[0, 1] = 0.0
         ck.flags.writeable = False
         coeffs.append((k, ck))
-    return a_red, b, nk, tuple(coeffs)
+    return a_red, beta, float(m), nk, tuple(coeffs)
 
 
-def _block_pass(z, q, tau, windows, out):
+@lru_cache(maxsize=64)
+def _window_set(chars: tuple, tau: complex, orders: tuple[int, ...]):
+    """(windows, a_red, beta, m, rows, max |m|) of one pass: each _window,
+    their a_red, beta and m as (W, 1) columns, and the widest window's rows."""
+    windows = tuple(_window(a, b, tau, orders) for a, b in chars)
+    a_red, beta, m = (np.array(col)[:, None] for col in zip(*[win[:3] for win in windows]))
+    return windows, a_red, beta, m, max(len(win[3]) for win in windows), max(abs(win[2]) for win in windows)
+
+
+def _block_pass(z, tau, window_set, out):
     """Writes each window's values at the points z = w + q*tau of one block
     into the rows of out, one row per window and order.  The powers e(j w)
     and e(-j w), j = 0..N+1, fill a paired (N + 2, 2, points) table from
     one exponential per point and one product per row, sized to the widest
     window; a window of half-width N weights the table's leading N + 2 rows
-    and sums them down the row axis."""
-    qt = q * tau
-    w = z - qt
-    powers = np.empty((max([len(nk) for _, _, nk, _ in windows]), 2, len(w)), dtype=np.complex128)
+    and sums them down the row axis.  Its prefactor, all from one
+    exponential, is e((a_red - Q) w - Q (Q tau/2 + beta)) with Q = q - m."""
+    windows, a_red, beta, m, n_rows, max_m = window_set
+    q = np.rint(z.imag / tau.imag)
+    if len(q) and not np.abs(q).max() + max_m <= _MAX_SHIFT:
+        raise NonConvergent(f"strip shift beyond {_MAX_SHIFT} periods (Im z / Im tau too large)")
+    w = z - q * tau
+    powers = np.empty((n_rows, 2, len(w)), dtype=np.complex128)
     powers[0] = 1.0
     powers[1, 0] = np.exp(TWO_PI_I * w)
     powers[1, 1] = 1.0 / powers[1, 0]
     for j in range(2, len(powers)):
         np.multiply(powers[j - 1], powers[1], out=powers[j])
-    n_out = len(windows) * len(windows[0][3])
+    shift = q - m
+    prefactors = (a_red - shift) * w - shift * (0.5 * (shift * tau) + beta)
+    np.exp(TWO_PI_I * prefactors, out=prefactors)
+    n_out = len(windows) * len(windows[0][4])
     # the last output is weighted in the table itself, so one output needs no copy
     spare = np.empty_like(powers) if n_out > 1 else powers
     i = 0
-    for a_red, b, nk, coeffs in windows:
+    for (_, _, _, nk, coeffs), qm, prefactor in zip(windows, shift, prefactors):
         rows = len(nk)
-        prefactor = np.exp(TWO_PI_I * ((a_red - q) * w - q * (0.5 * qt + b)))
         for k, ck in coeffs:
             tk = (powers if i == n_out - 1 else spare)[:rows]
             np.multiply(powers[:rows], ck, out=tk)
             if k:
-                tk *= (nk - q) ** k
+                tk *= (nk - qm) if k == 1 else (nk - qm) ** k
             np.multiply(tk.reshape(2 * rows, -1).sum(axis=0), prefactor, out=out[i])
             i += 1
 
@@ -155,7 +160,8 @@ def _theta_general(chars, z, tau, orders: tuple[int, ...]):
     z-derivative at z, in one flat list, from one window pass.
 
     z = w + q*tau with w in the strip, q = round(Im z / Im tau), and
-    theta[a;b](z) = e(-q^2 tau/2 - q(w + b)) theta[a;b](w).  The points are
+    b = beta - m*tau with beta in the strip (_window), so with Q = q - m
+    theta[a;b](z) = e(-Q^2 tau/2 - Q(w + beta)) theta[a;beta](w).  The points are
     split evenly into blocks of at most _BLOCK, each summed by _block_pass,
     so a pass holds O(points + W * _BLOCK) values.  A point's value does
     not depend on its batch: numpy sums a (rows, B) block row by row for
@@ -163,23 +169,17 @@ def _theta_general(chars, z, tau, orders: tuple[int, ...]):
     the other characteristics: each sums the same leading rows of the
     table, whatever its width."""
     tau = _tau_value(tau)
-    windows = [_window(*_char_ab(char), tau, orders) for char in chars]
+    window_set = _window_set(tuple((float(a), complex(b)) for a, b in chars), tau, orders)
     z_arr = np.asarray(z, dtype=np.complex128)
     zf = z_arr.ravel()
     if zf.size == 1:
         # a (rows, 1) block would be summed pairwise: a lone point goes as two
         zf = zf.repeat(2)
-    q = np.rint(zf.imag / tau.imag)
-    if zf.size and not np.abs(q).max() <= _MAX_SHIFT:
-        raise NonConvergent(f"strip shift beyond {_MAX_SHIFT} periods (Im z / Im tau too large)")
-    vals = np.empty((len(windows) * len(orders), zf.size), dtype=np.complex128)
-    if zf.size <= _BLOCK:
-        _block_pass(zf, q, tau, windows, vals)
-    else:
-        n_blocks = -(-zf.size // _BLOCK)
-        cuts = [i * zf.size // n_blocks for i in range(n_blocks + 1)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            _block_pass(zf[lo:hi], q[lo:hi], tau, windows, vals[:, lo:hi])
+    vals = np.empty((len(chars) * len(orders), zf.size), dtype=np.complex128)
+    n_blocks = -(-zf.size // _BLOCK)
+    cuts = [i * zf.size // n_blocks for i in range(n_blocks + 1)] if n_blocks else []
+    for lo, hi in zip(cuts, cuts[1:]):
+        _block_pass(zf[lo:hi], tau, window_set, vals[:, lo:hi])
     if z_arr.ndim == 0:
         return [complex(v[0]) for v in vals]
     return [v[:z_arr.size].reshape(z_arr.shape) for v in vals]
@@ -188,9 +188,9 @@ def _theta_general(chars, z, tau, orders: tuple[int, ...]):
 def theta_char(char, z, tau):
     """theta[a;b](z, tau) truncated so the omitted tail is below 1e-14.
 
-    char is an (a, b) pair; z may be a scalar or an ndarray.  Raises
-    NonConvergent if the tail bound cannot be met within 64 terms per side,
-    or if some |Im z| / Im tau exceeds 100,000.
+    char is an (a, b) pair, b maybe complex; z a scalar or an ndarray.
+    Raises NonConvergent if the tail bound cannot be met within 64 terms
+    per side, or if a strip shift of z and b exceeds 100,000 periods.
     """
     return _theta_general((char,), z, tau, (0,))[0]
 
@@ -199,7 +199,7 @@ def theta_chars(chars, z, tau, orders: tuple[int, ...] = (0,)):
     """((d^k/dz^k theta[char](z) for k in orders) for char in chars): every
     characteristic's values at the same z from one window pass, sharing the
     strip shift, the step exponential and the table of powers.  Each value
-    equals its single-characteristic call bit for bit."""
+    equals its single-characteristic call bit for bit; b may be complex."""
     vals = _theta_general(tuple(chars), z, tau, tuple(orders))
     n = len(orders)
     return tuple(tuple(vals[i:i + n]) for i in range(0, len(vals), n))
@@ -210,7 +210,7 @@ def translation_factor(char, p: int, q: int, z, tau):
 
         theta[a;b](z + p + q*tau) = e(-q^2 tau/2 - q(z+b) + a p) theta[a;b](z)
     """
-    a, b = _char_ab(char)
+    a, b = char
     tau = _tau_value(tau)
     return e_func(-0.5 * q * q * tau - q * (z + b) + a * p)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nodal_theta import abel_jacobi
 from nodal_theta.abel_jacobi import (
     _arg_table,
-    _theta_quotient,
     a_eps,
     a_eps_bruteforce,
     divisor_image,
@@ -22,10 +21,10 @@ from nodal_theta.abel_jacobi import (
     phi2_chart_p2,
 )
 from nodal_theta.curve import NodalCurveSpec, derive_periods
-from nodal_theta.differentials import third_kind
+from nodal_theta.differentials import odd_chars, third_kind
 from nodal_theta.errors import ContourThroughZero, LogBranchUnresolved, PoleAt
 from nodal_theta.quadrature import integrate_polyline, track_log
-from nodal_theta.theta import TWO_PI_I
+from nodal_theta.theta import TWO_PI_I, theta_char
 
 # generated admissible specs, drawn as in test_branches: tau, q0 and the
 # lattice coordinates of p1, p2, z0 (z0 need not lie on the line p1 p2)
@@ -49,9 +48,15 @@ def circle_poly(center, radius, n=24):
     return [center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n + 1)]
 
 
+def theta_quotient(spec):
+    """Q(z) = theta11(z - p1)/theta11(z - p2), each theta at its shifted
+    argument: a route apart from the package's one pass at z."""
+    return lambda z: theta_char((0.5, 0.5), z - spec.p1, spec.tau) / theta_char((0.5, 0.5), z - spec.p2, spec.tau)
+
+
 def phi2_scalar(spec, verts):
     """phi2 along the polyline by the scalar step-halving log tracker."""
-    q = _theta_quotient(spec)
+    q = theta_quotient(spec)
     total, f_cur = 0.0 + 0.0j, q(verts[0])
     for a, b in zip(verts[:-1], verts[1:]):
         d, f_cur = track_log(q, a, b, f_a=f_cur)
@@ -123,10 +128,14 @@ class TestPhi2:
         phi2(spec_a, spec_a.point(0.37, 0.61))
         kernel_passes.clear()
         phi2(spec_a, np.array([spec_a.point(s, 0.3) for s in (0.1, 0.2, 0.6, 0.9)]))
-        assert kernel_passes == [((0.5, 0.5),)]
+        assert kernel_passes == [odd_chars(spec_a)]
         kernel_passes.clear()
         divisor_image(spec_a, [spec_a.point(0.2, 0.8), spec_a.point(0.9, 0.6)])
-        assert kernel_passes == [((0.5, 0.5),)]
+        assert kernel_passes == [odd_chars(spec_a)]
+        # e(phi2): Q's two odd thetas at z, once Q(z0) is cached
+        kernel_passes.clear()
+        e_phi2(spec_a, np.array([spec_a.point(s, 0.7) for s in (0.1, 0.2, 0.6, 0.9)]))
+        assert kernel_passes == [odd_chars(spec_a)]
 
     def test_batch_equals_scalar_calls(self, spec_ab):
         spec = spec_ab
@@ -225,10 +234,7 @@ class TestTranslationIncrements:
     def test_alpha_translation(self, spec_ab):
         spec = spec_ab
         r1, _, kappa = derive_periods(spec)
-        from nodal_theta.abel_jacobi import _theta_quotient
-        from nodal_theta.quadrature import track_log
-
-        q = _theta_quotient(spec)
+        q = theta_quotient(spec)
         d, _ = track_log(q, spec.z0, spec.z0 + 1.0)
         inc = d / (2j * math.pi) + kappa
         assert abs(inc - r1) < 1e-8
@@ -236,10 +242,7 @@ class TestTranslationIncrements:
     def test_beta_translation(self, spec_ab):
         spec = spec_ab
         _, r2, kappa = derive_periods(spec)
-        from nodal_theta.abel_jacobi import _theta_quotient
-        from nodal_theta.quadrature import track_log
-
-        q = _theta_quotient(spec)
+        q = theta_quotient(spec)
         d, _ = track_log(q, spec.z0, spec.z0 + spec.tau)
         inc = d / (2j * math.pi) + kappa * spec.tau
         assert abs(inc - r2) < 1e-8

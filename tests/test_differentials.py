@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from nodal_theta.differentials import (
     eta_coeff,
     h1_at_p2,
     h_at_p1,
+    odd_chars,
     period_integral,
     third_kind,
 )
@@ -24,6 +26,19 @@ from nodal_theta.quadrature import (
 )
 
 TWO_PI_I = 2j * math.pi
+
+
+def ell_mpmath(x, tau, n_max=30):
+    """theta11'/theta11 at x by termwise sums at 40 digits."""
+    with mpmath.workdps(40):
+        x, tau = mpmath.mpc(x.real, x.imag), mpmath.mpc(tau.real, tau.imag)
+        th = dth = mpmath.mpc(0)
+        for n in range(-n_max, n_max + 1):
+            na = n + mpmath.mpf(0.5)
+            term = mpmath.exp(2j * mpmath.pi * (na * na * tau / 2 + na * (x + mpmath.mpf(0.5))))
+            th += term
+            dth += 2j * mpmath.pi * na * term
+        return dth / th
 
 
 class TestQuadratureEngine:
@@ -106,6 +121,31 @@ class TestEtaCoeff:
         scal = [eta_coeff(spec_a, complex(z)) for z in zs]
         assert all(type(v) is complex for v in scal)
         assert np.array_equal(vec, np.array(scal))
+
+    def test_one_kernel_pass(self, spec_a, kernel_passes):
+        # theta11 at z - p1 and at z - p2 as characteristics at z, each with
+        # its derivative
+        zs = np.array([0.2 + 0.7j, 0.9 + 0.1j, 0.6 + 0.85j, spec_a.p1 + 0.005])
+        eta_coeff(spec_a, zs)  # warm-up: the spec's differential
+        kernel_passes.clear()
+        eta_coeff(spec_a, zs)
+        assert kernel_passes == [odd_chars(spec_a)]
+
+    def test_matches_mpmath_just_outside_the_laurent_switch(self, spec_ab):
+        # |z - p_i| in [1e-2, 3e-2]: ell is theta'/theta there, read at z
+        # with the pole's shift folded into the characteristic
+        spec = spec_ab
+        kappa = derive_periods(spec)[2]
+        rng = np.random.default_rng(71)
+        r = rng.uniform(1e-2, 3e-2, 12) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 12))
+        zs = np.concatenate([spec.p1 + r[:6], spec.p2 + r[6:]])
+        worst = 0.0
+        for z, got in zip(zs, eta_coeff(spec, zs)):
+            with mpmath.workdps(40):
+                want = (ell_mpmath(z - spec.p1, spec.tau) - ell_mpmath(z - spec.p2, spec.tau)) / (2j * mpmath.pi)
+                want = complex(want + kappa)
+            worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-12
 
 
 class TestLocalData:

@@ -128,6 +128,8 @@ class TestThetaChar:
         with pytest.raises(NonConvergent):
             theta_char((0.0, 0.0), 0.1 + 1e6j, 1j)
         with pytest.raises(NonConvergent):
+            theta_char((0.0, 1e6j), 0.1, 1j)
+        with pytest.raises(NonConvergent):
             theta_char_dz((0.5, 0.5), np.array([0.2, 0.3 - 2e5j]), 0.3 + 0.8j)
         with pytest.raises(NonConvergent):
             theta_char_and_dz((0.5, 0.5), np.array([0.2, 0.3 - 2e5j]), 0.3 + 0.8j)
@@ -139,9 +141,11 @@ class TestThetaChar:
 
 def theta_mpmath(char, z, tau, k, n_max=30):
     """Independent oracle at 40 digits: termwise k-th derivative summed over
-    |n| <= n_max (the tail is below 1e-300 for the arguments used)."""
+    |n| <= n_max (the tail is below 1e-300 for the arguments used); b may be
+    complex."""
     with mpmath.workdps(40):
-        a, b = mpmath.mpf(char[0]), mpmath.mpf(char[1])
+        b = complex(char[1])
+        a, b = mpmath.mpf(char[0]), mpmath.mpc(b.real, b.imag)
         z = mpmath.mpc(z.real, z.imag)
         tau = mpmath.mpc(tau.real, tau.imag)
         total = mpmath.mpc(0)
@@ -154,6 +158,12 @@ def theta_mpmath(char, z, tau, k, n_max=30):
 
 
 CHARS = [(0.0, 0.0), (0.5, 0.5), (0.25, -0.4), (-1.3, 0.7)]
+
+
+def complex_chars(tau):
+    """Characteristics with a complex b, |Im b| up to 1.5 Im(tau): a theta
+    at a constant shift of its argument, theta[a; b - s](z) = theta[a;b](z - s)."""
+    return [(a, b + 1j * s * tau.imag) for a, b, s in ((0.0, 0.3, 1.5), (0.5, -0.2, -1.5), (0.25, 0.1, 0.7), (-1.3, 0.7, -0.45))]
 
 
 def fused_value(char, z, tau):
@@ -206,13 +216,13 @@ class TestFixedWindowKernel:
         n = 2 * block + 1
         zs = rng.uniform(-1.5, 1.5, n) + 1j * np.linspace(-2.0, 3.0, n)
         rng.shuffle(zs)
-        char = (-1.3, 0.7)
-        alone = np.array([func(char, complex(z), tau) for z in zs])
-        for m in (block - 1, block, block + 1, n):
-            batch = func(char, zs[:m], tau)
-            assert np.array_equal(batch, alone[:m])
-            for p in (1, 2, 3):
-                assert np.array_equal(func(char, zs[:p], tau), batch[:p])
+        for char in ((-1.3, 0.7), (0.25, -0.4 + 1.2j)):
+            alone = np.array([func(char, complex(z), tau) for z in zs])
+            for m in (block - 1, block, block + 1, n):
+                batch = func(char, zs[:m], tau)
+                assert np.array_equal(batch, alone[:m])
+                for p in (1, 2, 3):
+                    assert np.array_equal(func(char, zs[:p], tau), batch[:p])
 
     @pytest.mark.parametrize("func", [theta_char, theta_char_and_dz])
     def test_kernel_memory_is_bounded(self, func):
@@ -235,8 +245,9 @@ class TestFixedWindowKernel:
         worst = 0.0
         for tau in TAUS:
             zs = rng.uniform(-1.5, 1.5, 6) + 1j * rng.uniform(-2.0, 3.0, 6)
-            shared = theta_chars(CHARS, zs, tau, (k,))
-            for char, (got_shared,) in zip(CHARS, shared):
+            chars = CHARS + complex_chars(tau)
+            shared = theta_chars(chars, zs, tau, (k,))
+            for char, (got_shared,) in zip(chars, shared):
                 ((got,),) = theta_chars((char,), zs, tau, (k,))
                 for z, g, gs in zip(zs, got, got_shared):
                     ref = theta_mpmath(char, z, tau, k)
@@ -250,11 +261,16 @@ class TestSharedWindowPass:
 
     @pytest.fixture
     def char_sets(self, spec_b):
-        # config B's pair (theta00, theta[-r1;r2]), in both orders, and three
-        # characteristics of one half-width
+        # config B's pair (theta00, theta[-r1;r2]), in both orders, three
+        # characteristics of one half-width, the four of a pullback T_c on
+        # config B (the pair shifted by z0 + c1, theta11 shifted by p1 and by
+        # p2), and real and complex b of unequal widths mixed
         r1, r2, _ = derive_periods(spec_b)
         pair = ((0.0, 0.0), (-r1, r2))
-        return [pair, pair[::-1], ((0.5, 0.5), (0.25, -0.4), (-1.3, 0.7))]
+        s = spec_b.z0 + (0.37 + 0.61 * spec_b.tau)
+        pullback = ((0.0, -s), (-r1, r2 - s), (0.5, 0.5 - spec_b.p1), (0.5, 0.5 - spec_b.p2))
+        mixed = ((0.5, 0.5), (0.25, -0.4 + 1.1j), (0.0, 0.0), (-1.3, 0.7 - 0.9j))
+        return [pair, pair[::-1], ((0.5, 0.5), (0.25, -0.4), (-1.3, 0.7)), pullback, mixed]
 
     def test_config_b_pair_has_unequal_half_widths(self, spec_b, char_sets):
         widths = [theta._halfwidth(a - math.floor(a), spec_b.tau.imag) for a, _ in char_sets[0]]
