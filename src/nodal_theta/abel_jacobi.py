@@ -18,7 +18,10 @@ jumps only where (z - p1)/(z - p2) is negative real, so phi2's one cut
 inside the cell is the segment [p1, p2].  log R is the continuous branch
 on the cell: a per-spec table of arg R on a node grid of the cell gives
 each point the integer that lifts its principal Log R.  Near p2 the chart
-continues phi2 with the pole term split off analytically.
+factor g(t) = t e(phi2(p2 + t)) is the same quotient with theta[1/2;1/2](t)
+replaced by the regular theta[1/2;1/2](t)/t, holomorphic and nonzero on the
+node disk; the chart continues phi2 with the pole term split off, and the
+integral of h1 = eta + (1/2 pi i)/t there is the log change of g.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .curve import NodalCurveSpec, derive_periods, lattice_coords
 from .differentials import odd_chars, third_kind
 from .errors import LogBranchUnresolved, PoleAt
-from .quadrature import _log_change_sampled, integrate_segment
+from .quadrature import _log_change_sampled, integrate_segment, track_log_sampled
 from .theta import TWO_PI_I, theta_chars
 
 # nodes per side of the first arg R table, and the most a retry may double to
@@ -86,6 +89,30 @@ def e_phi2(spec: NodalCurveSpec, z):
     (th1,), (th2,) = theta_chars(odd_chars(spec), zf, spec.tau)
     out = e_phi2_from(spec, zf, th1, th2)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+
+
+def chart_g_from(spec: NodalCurveSpec, t, th1, th2):
+    """g(t) = t e(phi2(p2 + t)) at the points t of a 1-d array from th1, th2,
+    the odd thetas at z - p1 and z - p2 for z = p2 + t (a pass of odd_chars
+    at z): e_phi2_from with theta11(t) read as theta11(t)/t, so g is finite
+    at t = 0.  Written into th1."""
+    return e_phi2_from(spec, spec.p2 + t, th1, third_kind(spec).odd_over_t(t, th2))
+
+
+def chart_g(spec: NodalCurveSpec, t):
+    """g(t) = t e(phi2(p2 + t)) for a chart point or an array of them, from
+    one kernel pass of the odd pair at p2 + t."""
+    t = np.asarray(t, dtype=np.complex128)
+    tf = t.reshape(-1)
+    (th1,), (th2,) = theta_chars(odd_chars(spec), spec.p2 + tf, spec.tau)
+    out = chart_g_from(spec, tf, th1, th2)
+    return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+
+@lru_cache(maxsize=16)
+def _chart_g0(spec: NodalCurveSpec) -> complex:
+    """g(0) = theta11(p2 - p1) e(kappa_coeff (p2 - z0)) / (theta11'(0) Q(z0))."""
+    return chart_g(spec, 0.0)
 
 
 def _ratio_and_r(spec: NodalCurveSpec, z: np.ndarray):
@@ -184,34 +211,31 @@ def loop_increment(spec: NodalCurveSpec, vertices) -> complex:
 
 
 def phi2_chart_p2(spec: NodalCurveSpec, t) -> complex:
-    """phi2(p2 + t) for |t| < eps, pole term split off analytically.
+    """phi2(p2 + t) = (log g(t) - log t)/(2 pi i) for |t| <= eps.
 
     The branch starts from the closed-form value at the chart anchor
-    t = eps on the positive real axis and continues radially after sweeping
-    the principal argument of t, so it is deterministic for all t off the
+    t = eps on the positive real axis, continues log g along [eps, t] and
+    takes the principal Log t, so it is deterministic for all t off the
     chart's negative real axis.
     """
-    diff = third_kind(spec)
+    t = complex(t)
     a0 = spec.eps
-    base = phi2(spec, spec.p2 + a0)
-    t = np.asarray(t, dtype=np.complex128)
-    logs = np.log(t)  # principal branch per entry
-    vals = base - (logs - math.log(a0)) / TWO_PI_I + diff.h1_primitive(t) - diff.h1_primitive(a0)
-    if t.ndim == 0:
-        return complex(vals)
-    return vals
+    d_log_g, _ = track_log_sampled(lambda s: chart_g(spec, s), complex(a0), t)
+    return phi2(spec, spec.p2 + a0) + (d_log_g - cmath.log(t) + math.log(a0)) / TWO_PI_I
 
 
 def a_eps(spec: NodalCurveSpec, eps: float) -> complex:
     """Mean of phi2 over the circle p2 + eps*e(u), branch continued from u=0.
 
-    On the circle phi2 = phi2_chart_p2(eps) - u + P(eps e(u)) - P(eps), P the
+    On the circle phi2 = phi2(p2 + eps) - u + P(eps e(u)) - P(eps), P the
     primitive of h1 with P(0) = 0, which averages to 0 over the circle.  So
-    a(eps) = phi2_chart_p2(eps) - P(eps) - 1/2 = a(eps0) - log(eps/eps0)/(2 pi i).
-    The start value at u = 0, the radial continuation of the closed form's
-    branch, is continuous in eps.
+    a(eps) = phi2(p2 + eps) - P(eps) - 1/2 = a(eps0) - log(eps/eps0)/(2 pi i),
+    with 2 pi i P(eps) the log change of g along [0, eps].  The start value
+    at u = 0, the closed form, is continuous in eps while the cut [p1, p2]
+    does not leave p2 along the positive real axis.
     """
-    return phi2_chart_p2(spec, eps) - third_kind(spec).h1_primitive(eps) - 0.5
+    d_log_g, _ = track_log_sampled(lambda s: chart_g(spec, s), 0j, complex(eps))
+    return phi2(spec, spec.p2 + eps) - d_log_g / TWO_PI_I - 0.5
 
 
 def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float) -> complex:

@@ -143,15 +143,6 @@ class NodalCurveSpec:
         slack = _CONTAINS_SLACK
         return -slack <= s <= 1 + slack and -slack <= t <= 1 + slack
 
-    def pole_translates(self) -> list[complex]:
-        """p1, p2 and their lattice translates adjacent to the cell."""
-        out = []
-        for base in (self.p1, self.p2):
-            for m in (-1, 0, 1):
-                for n in (-1, 0, 1):
-                    out.append(base + m + n * self.tau)
-        return out
-
 
 def derive_periods(spec: NodalCurveSpec) -> tuple[float, float, float]:
     """Closed-form cut periods (r1, r2) and the dz-coefficient of the

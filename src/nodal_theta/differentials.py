@@ -10,7 +10,9 @@ with ell = theta'[1/2;1/2]/theta[1/2;1/2] and kappa_coeff chosen so both cut
 periods are real (see `curve.derive_periods`); both odd thetas come from
 one kernel pass at z.  Near the poles the local data h, h1 (the holomorphic parts
 in the translation charts z = p_i + t) are evaluated with explicit pole
-cancellation.
+cancellation.  The Taylor data of theta[1/2;1/2] at 0 give ell its Laurent
+form and theta[1/2;1/2](t)/t its value near 0.  h1 has no power series:
+its integral is the log change of g(t) = t e(phi2(p2 + t)) (abel_jacobi).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .curve import NodalCurveSpec, derive_periods, lattice_coords
 from .errors import PoleAt
-from .quadrature import integrate_circle, integrate_polyline, integrate_segment
+from .quadrature import integrate_circle, integrate_polyline
 from .theta import TWO_PI_I, theta_chars
 
 _ODD = (0.5, 0.5)
@@ -46,14 +48,15 @@ class ThirdKindDifferential:
         self._poles = np.array([[self.p1], [self.p2]])
         # odd theta Taylor data at its zero: theta11(t) = a1 t + a3 t^3 + ...
         ((a1, d3, d5, d7),) = theta_chars((_ODD,), 0.0, self.tau, (1, 3, 5, 7))
-        u, v, w = d3 / 6.0 / a1, d5 / 120.0 / a1, d7 / 5040.0 / a1
+        # so theta11(t)/t = a1 + a3 t^2 + a5 t^4 + a7 t^6 + O(t^8)
+        self._odd_over_t_coeffs = (a1, d3 / 6.0, d5 / 120.0, d7 / 5040.0)
+        u, v, w = (b / a1 for b in self._odd_over_t_coeffs[1:])
         # ell(t) - 1/t = c1 t + c3 t^3 + c5 t^5 + O(t^7)
         self._ell_reg_coeffs = (
             2.0 * u,
             4.0 * v - 2.0 * u * u,
             6.0 * w - 6.0 * u * v + 2.0 * u**3,
         )
-        self._h1_cache: tuple[float, np.ndarray] | None = None
 
     # -- log-derivative of the odd theta function --------------------------
 
@@ -61,6 +64,17 @@ class ThirdKindDifferential:
         c1, c3, c5 = self._ell_reg_coeffs
         t2 = t * t
         return t * (c1 + t2 * (c3 + t2 * c5))
+
+    def odd_over_t(self, t, th):
+        """theta11(t)/t at the points t of a 1-d array from theta11 there;
+        within _ELL_SWITCH of 0 from its Taylor data, so regular at t = 0."""
+        small = np.abs(t) < _ELL_SWITCH
+        out = np.empty_like(t)
+        out[~small] = th[~small] / t[~small]
+        a1, a3, a5, a7 = self._odd_over_t_coeffs
+        t2 = t[small] * t[small]
+        out[small] = a1 + t2 * (a3 + t2 * (a5 + t2 * a7))
+        return out
 
     def _ell(self, x, th, thp):
         """ell = theta11'/theta11 at the points x of an array, from theta11
@@ -119,41 +133,6 @@ class ThirdKindDifferential:
         """Holomorphic part of eta at p2: eta(p2+t) + (1/2*pi*i)/t, chart
         z = p2 + t; one kernel pass at t."""
         return self._chart(t, self.p2 - self.p1) + self.kappa_coeff
-
-    # -- power series cache for h1 on the p2 chart -------------------------
-
-    def _h1_series(self) -> tuple[float, np.ndarray]:
-        """Taylor coefficients of h1 at 0, sampled on a circle well inside the
-        annulus of analyticity; used to make repeated integrals of h1 cheap."""
-        if self._h1_cache is None:
-            translates = [
-                p for p in self.spec.pole_translates() if abs(p - self.p2) > 1e-12
-            ]
-            d_min = min(abs(p - self.p2) for p in translates)
-            rho = min(0.55 * d_min, 6.0 * self.spec.eps)
-            m = 128
-            u = np.arange(m) / m
-            samples = self.h1_at_p2(rho * np.exp(2j * np.pi * u))
-            coeffs = np.fft.fft(samples) / m
-            coeffs = coeffs / rho ** np.arange(m)
-            # aliasing floor: trailing coefficients are meaningless noise
-            self._h1_cache = (rho, coeffs[: m // 2])
-        return self._h1_cache
-
-    def h1_primitive(self, t):
-        """Antiderivative of h1 with value 0 at t = 0, valid for |t| < rho/2."""
-        rho, coeffs = self._h1_series()
-        t = np.asarray(t, dtype=np.complex128)
-        if np.any(np.abs(t) > 0.5 * rho):
-            # outside the safe series zone, integrate directly
-            scalar = t.ndim == 0
-            ts = np.atleast_1d(t)
-            vals = np.array([integrate_segment(self.h1_at_p2, 0.0, tv) for tv in ts])
-            return complex(vals[0]) if scalar else vals.reshape(np.shape(t))
-        k = np.arange(len(coeffs))
-        powers = np.power.outer(np.atleast_1d(t), k + 1)
-        vals = powers @ (coeffs / (k + 1))
-        return complex(vals[0]) if np.asarray(t).ndim == 0 else vals.reshape(np.shape(t))
 
 
 @lru_cache(maxsize=8)

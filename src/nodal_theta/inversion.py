@@ -21,8 +21,9 @@ argument principle over the cell.  Their divisor image W satisfies
 which `verify_thm51` checks for both readings of the constant (-tau/2
 versus -tau in the first component), reporting the residual of each.  The
 Laurent data at p2, d(eps) and the branch-cut term all come from one node
-chart per (c1, eps), `DMap`, which takes c2 as an argument; on it d(eps) is
-the log of one chart value, and the quadrature of h3 is its dual route.
+chart per (c1, eps), `DMap`, which takes c2 as an argument and reads T_c's
+four thetas at p2 + t; on it d(eps) is the log of one chart value, and the
+quadrature of h3 is its dual route.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .abel_jacobi import a_eps, divisor_image, e_phi2, e_phi2_from, phi1, phi2
+from .abel_jacobi import _chart_g0, a_eps, chart_g_from, divisor_image, e_phi2_from, phi1, phi2
 from .curve import (
     NodalCurveSpec,
     derive_periods,
@@ -104,6 +105,15 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     return None
 
 
+def _pullback_chars(spec: NodalCurveSpec, c1: complex) -> tuple:
+    """theta00 and theta[-r1;r2] at z - z0 - c1 and the odd pair, all as
+    characteristics at z: T_c's four thetas, which the node chart of c1
+    reads at z = p2 + t."""
+    r1, r2, _ = derive_periods(spec)
+    s = spec.z0 + c1
+    return ((0.0, -s), (-r1, r2 - s)) + odd_chars(spec)
+
+
 class ThetaPullback:
     """T_c for one shift c = (c1, c2) on a given curve instance."""
 
@@ -115,9 +125,7 @@ class ThetaPullback:
         if failed is not None:
             raise DegenerateC(failed)
         self.r1, self.r2, _ = derive_periods(spec)
-        # theta00, theta[-r1;r2] at z - z0 - c1 and the odd pair, all at z
-        s = spec.z0 + self.c1
-        self._chars = ((0.0, -s), (-self.r1, self.r2 - s)) + odd_chars(spec)
+        self._chars = _pullback_chars(spec, self.c1)
 
     # -- building blocks ----------------------------------------------------
 
@@ -272,9 +280,9 @@ class DMap:
     """The node chart z = p2 + t of T_c for one (c1, eps), and the second
     component of d(eps)(c) as a function of c2.
 
-    With w = e(-c2), G(t) = theta[-r1;r2](x2 + t) g(t) and G0 = G(0) =
-    beta_coeff, the chart reads t T_c(p2 + t) = c_minus1 f(t), where
-    c_minus1 = G0 w and
+    With w = e(-c2), g(t) = t e(phi2(p2 + t)) (`chart_g_from`), G(t) =
+    theta[-r1;r2](x2 + t) g(t) and G0 = G(0) = beta_coeff, the chart reads
+    t T_c(p2 + t) = c_minus1 f(t), where c_minus1 = G0 w and
 
         f(t) = (t alpha1(t)/w + G(t))/G0,   f(0) = 1.
 
@@ -283,8 +291,9 @@ class DMap:
     H3(eps) is therefore Log f(eps) + 2*pi*i*n, n the winding of f along
     [0, eps]: `d2` and `d2_dc2` are these closed forms, and `H3`, the
     quadrature of h3, is their dual route.  The chart holds what does not
-    depend on c2 (the factor g anchored at eps, beta_coeff = G0, and, on
-    first use, G'(0)/G0); everything that does takes c2 as an argument.
+    depend on c2 (beta_coeff = G0 and, on first use, G'(0)/G0); everything
+    that does takes c2 as an argument.  One pass of T_c's own four thetas
+    at p2 + t gives alpha1, theta[-r1;r2] and the odd pair of g.
 
     `h3_zero` is the value h3(0; c) implied by the definitions; the shorter
     closed form lacking the derivative term (`h3_zero_no_derivative`) is kept
@@ -305,36 +314,31 @@ class DMap:
         self.diff = third_kind(spec)
         self.x2 = phi1(spec, spec.p2) - self.c1
         self._rchar = (-self.r1, r2)
-        # theta00, theta_r at x2 + t and the odd thetas of h1, all at t
-        self._t_chars = ((0.0, self.x2), (-self.r1, r2 + self.x2), (0.5, 0.5 + spec.p2 - spec.p1), (0.5, 0.5))
-        self._e_phi2_eps = e_phi2(spec, spec.p2 + self.eps)  # e(phi2) at the chart anchor t = eps
-        self.g0 = complex(self.g(0.0))
-        self.beta_coeff = theta_char(self._rchar, self.x2, spec.tau) * self.g0
+        self._chars = _pullback_chars(spec, self.c1)
+        self.beta_coeff = theta_char(self._rchar, self.x2, spec.tau) * _chart_g0(spec)
 
-    # -- chart factor g and the Moebius coefficients --------------------------
-
-    def g(self, t):
-        """g(t) = e(phi2(p2 + eps)) * eps * e(int_eps^t h1), so e(phi2(p2+t)) = g(t)/t."""
-        prim = self.diff.h1_primitive
-        return self._e_phi2_eps * self.eps * np.exp(TWO_PI_I * (prim(t) - prim(self.eps)))
+    # -- the chart's theta factors and the Moebius coefficients ---------------
 
     def alpha1_and_G(self, t):
         """(alpha1(t), G(t)) = (theta00(x2 + t), theta[-r1;r2](x2 + t) g(t)),
-        the chart's two theta factors, from one window pass; G is the residue
-        factor of the chart."""
-        (a1,), (th,) = theta_chars(((0.0, 0.0), self._rchar), self.x2 + t, self.spec.tau)
-        return a1, th * self.g(t)
+        the chart's two theta factors, from one window pass at p2 + t; G is
+        the residue factor of the chart."""
+        t = np.asarray(t, dtype=np.complex128)
+        tf = t.reshape(-1)
+        (a1,), (th,), (th1,), (th2,) = theta_chars(self._chars, self.spec.p2 + tf, self.spec.tau)
+        th *= chart_g_from(self.spec, tf, th1, th2)
+        return tuple(complex(v[0]) if t.ndim == 0 else v.reshape(t.shape) for v in (a1, th))
 
     def mobius_coeffs(self, t):
         """(A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G), so that
         h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t.
-        G' = (theta_r' + 2*pi*i*h1 theta_r) g, and one window pass at t
+        G' = (theta_r' + 2*pi*i*h1 theta_r) g, and one window pass at p2 + t
         gives all four thetas with their derivatives."""
         t = np.asarray(t, dtype=np.complex128)
         tf = t.reshape(-1)
-        (a1, a1p), (th, thp), *odd = theta_chars(self._t_chars, tf, self.spec.tau, (0, 1))
-        g = self.g(tf)
-        h1 = self.diff._pole_part(tf, self.spec.p2 - self.spec.p1, *odd) + self.diff.kappa_coeff
+        (a1, a1p), (th, thp), odd1, odd2 = theta_chars(self._chars, self.spec.p2 + tf, self.spec.tau, (0, 1))
+        h1 = self.diff._pole_part(tf, self.spec.p2 - self.spec.p1, odd1, odd2) + self.diff.kappa_coeff
+        g = chart_g_from(self.spec, tf, odd1[0], odd2[0])
         G, dG = th * g, (thp + TWO_PI_I * h1 * th) * g
         return tuple(complex(v[0]) if t.ndim == 0 else v.reshape(t.shape) for v in (a1 + tf * a1p, dG, tf * a1, G))
 
@@ -344,8 +348,7 @@ class DMap:
         theta_r'/theta_r(x2) + 2*pi*i*h1(0); computed on first use."""
         spec = self.spec
         ((th, thp),) = theta_chars((self._rchar,), self.x2, spec.tau, (0, 1))
-        _, h1c = self.diff._h1_series()
-        return complex(thp / th + TWO_PI_I * h1c[0])
+        return complex(thp / th + TWO_PI_I * self.diff.h1_at_p2(0.0))
 
     # -- c2-dependent quantities ----------------------------------------------
 

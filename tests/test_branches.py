@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodal_theta import differentials, inversion
+from nodal_theta import abel_jacobi, inversion
 from nodal_theta.abel_jacobi import phi
 from nodal_theta.branches import (
     beta_k,
@@ -113,7 +113,7 @@ class TestBetaK:
             raise AssertionError("integrate_segment reached")
 
         monkeypatch.setattr(inversion, "integrate_segment", refuse)
-        monkeypatch.setattr(differentials, "integrate_segment", refuse)
+        monkeypatch.setattr(abel_jacobi, "integrate_segment", refuse)
         candidates = [0.05, 0.04, 0.03] if spec.tau == 1j else [0.045, 0.035, 0.025]
         assert select_epsilon(spec, candidates) == candidates[0]
         c, _ = sample_generic_c(spec, np.random.default_rng(11))

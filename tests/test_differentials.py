@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nodal_theta.abel_jacobi import chart_g
 from nodal_theta.curve import derive_periods
 from nodal_theta.differentials import (
     eta_coeff,
@@ -22,6 +23,7 @@ from nodal_theta.quadrature import (
     integrate_polyline,
     integrate_segment,
     track_log,
+    track_log_sampled,
     winding_number,
 )
 
@@ -177,12 +179,13 @@ class TestLocalData:
         assert abs(h1_at_p2(spec, t) - direct) < 1e-12
 
     def test_h1_primitive_matches_quadrature(self, spec_ab):
+        # 2 pi i times the primitive of h1 is the log change of g(t) = t e(phi2(p2 + t))
         spec = spec_ab
         diff = third_kind(spec)
-        for t in (spec.eps / 2, spec.eps * cmath.exp(2.1j) / 3):
-            series = diff.h1_primitive(t) - diff.h1_primitive(spec.eps / 2)
+        for t in (spec.eps / 2, spec.eps * cmath.exp(2.1j) / 3, spec.eps * cmath.exp(-0.8j)):
+            d_log_g, _ = track_log_sampled(lambda s: chart_g(spec, s), spec.eps / 2, t)
             quad = integrate_segment(diff.h1_at_p2, spec.eps / 2, t, 1e-12)
-            assert abs(series - quad) < 1e-10
+            assert abs(d_log_g / TWO_PI_I - quad) < 1e-10
 
 
 class TestPeriodNormalization:
