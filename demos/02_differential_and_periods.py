@@ -2,13 +2,15 @@
 points: period normalization and the local pole data at the node charts.
 """
 
+from pathlib import Path
+
 import numpy as np
 
+from nodal_theta.cli import parse_config
 from nodal_theta.curve import derive_periods, is_toroidal
 from nodal_theta.differentials import eta_coeff, h1_at_p2, h_at_p1, period_integral
-from nodal_theta.presets import config_a
 
-spec = config_a()
+spec = parse_config(Path(__file__).with_name("config_a.cfg")).spec
 r1, r2, kappa = derive_periods(spec)
 print(f"instance: tau={spec.tau}, p1={spec.p1}, p2={spec.p2}")
 print(f"closed-form cut periods: r1={r1}, r2={r2}  (dz coefficient {kappa})")

@@ -4,14 +4,15 @@ second component, loop monodromy and the jump relations across the two cuts.
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 
 from nodal_theta.abel_jacobi import a_eps, loop_increment, phi, phi1, phi2
+from nodal_theta.cli import parse_config
 from nodal_theta.curve import derive_periods
-from nodal_theta.presets import config_a
 
-spec = config_a()
+spec = parse_config(Path(__file__).with_name("config_a.cfg")).spec
 r1, r2, _ = derive_periods(spec)
 
 print("phi(base point) =", phi(spec, spec.z0).as_tuple())

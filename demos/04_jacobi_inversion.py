@@ -7,8 +7,11 @@ order-one branch-cut term; adding the analyzed correction closes it to
 first component.
 """
 
+from pathlib import Path
+
 import numpy as np
 
+from nodal_theta.cli import parse_config
 from nodal_theta.inversion import (
     THM51_SKIPS,
     DMap,
@@ -19,9 +22,8 @@ from nodal_theta.inversion import (
     sample_generic_c,
     verify_thm51,
 )
-from nodal_theta.presets import config_a
 
-spec = config_a()
+spec = parse_config(Path(__file__).with_name("config_a.cfg")).spec
 rng = np.random.default_rng(20260808)
 
 c, _ = sample_generic_c(spec, rng)

@@ -11,16 +11,15 @@ every point below, has no preimage at all.
 import pathlib
 import tempfile
 
-import numpy as np
-
 from nodal_theta.branches import beta_k, select_epsilon, zero_set_residual
-from nodal_theta.cli import main
+from nodal_theta.cli import main, parse_config
 from nodal_theta.errors import NewtonDivergence, NoPreimage
 from nodal_theta.inversion import kappa_vector, riemann_constants
-from nodal_theta.presets import CONFIG_A_TEXT, config_a
 
-spec = config_a()
-eps = select_epsilon(spec, [0.05, 0.04, 0.03])
+config = pathlib.Path(__file__).with_name("config_a.cfg")
+cfg = parse_config(config)
+spec = cfg.spec
+eps = select_epsilon(spec, cfg.eps_candidates)
 print("selected working radius:", eps)
 kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
 print(f"constants: kappa1 = {kap[0]:.8f}, kappa2 = {kap[1]:.8f}")
@@ -43,9 +42,7 @@ for s, t in [(0.2, 0.7), (0.8, 0.3), (0.55, 0.85)]:
     print(f"   P = {P:.3f}: corrected {rc:.3e} | uncorrected {rl}")
 
 with tempfile.TemporaryDirectory() as tmp:
-    cfg = pathlib.Path(tmp) / "a.cfg"
-    cfg.write_text(CONFIG_A_TEXT)
-    main(["zeroset-plot", "--config", str(cfg), "--out", tmp, "--seed", "7"])
+    main(["zeroset-plot", "--config", str(config), "--out", tmp, "--seed", "7"])
     svg = (pathlib.Path(tmp) / "zeroset.svg").read_text()
     print(f"\nSVG rendering: {len(svg)} bytes, markers:",
           svg.count('class="zero-marker"'), "zeros,", svg.count('class="node-marker"'), "nodes")

@@ -452,7 +452,7 @@ def cmd_zeroset_plot(cfg: RunConfig, out_dir: Path) -> bool:
     lo, hi = float(np.percentile(vals, 2)), float(np.percentile(vals, 98))
 
     width = height = 640.0
-    corners = [spec.q0, spec.q0 + 1, spec.q0 + 1 + spec.tau, spec.q0 + spec.tau]
+    corners = spec.corners
     xs = [z.real for z in corners]
     ys = [z.imag for z in corners]
     x0, x1 = min(xs) - 0.05, max(xs) + 0.05

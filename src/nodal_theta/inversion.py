@@ -11,10 +11,13 @@ killed by e(.).  It is evaluated through the exact branch-free identity
 e(phi2(z)) = (Q(z)/Q(z0)) e(kappa*(z - z0)) with Q the odd-theta quotient,
 which also makes grid evaluation cheap: its four thetas are one kernel
 pass at z.  T_c has a simple pole at p2 and
-exactly two zeros.  `count_zeros` counts them by the winding of T_c along
-the cell boundary; `locate_zeros` finds them from the first two moments of
-T'/T on one period line, where the quasi-periodicity of T_c reduces the
-argument principle over the cell.  Their divisor image W satisfies
+exactly two zeros.  Each pullback walks log T_c along its cell boundary
+once, and the walk serves four readers: `count_zeros` counts the zeros by
+its winding, `alpha_dlog_integral` and `beta_dlog_integral` read its bottom
+and left edges, and `locate_zeros` finds the zeros from the first two
+moments of log T_c along its bottom edge, where the quasi-periodicity of T_c
+reduces the argument principle over the cell.  Their divisor image W
+satisfies
 
     W == d(eps)(c) + kappa(eps)   mod Gamma,
 
@@ -47,13 +50,13 @@ from .curve import (
 from .differentials import odd_chars, third_kind
 from .errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
 from .quadrature import (
-    _N0,
     _N_MAX,
     _QUAD_TOL,
     _log_change_sampled,
+    _snap_winding,
+    _track_edges,
     integrate_segment,
     track_log_sampled,
-    winding_number_sampled,
 )
 from .theta import TWO_PI_I, big_theta, e_func, theta_char, theta_chars
 
@@ -126,6 +129,7 @@ class ThetaPullback:
             raise DegenerateC(failed)
         self.r1, self.r2, _ = derive_periods(spec)
         self._chars = _pullback_chars(spec, self.c1)
+        self._walks = {}
 
     # -- building blocks ----------------------------------------------------
 
@@ -155,6 +159,26 @@ class ThetaPullback:
         T, dT = th0 + thr * ew, th0p + (thrp + TWO_PI_I * eta * thr) * ew
         return (complex(T[0]), complex(dT[0])) if z.ndim == 0 else (T.reshape(z.shape), dT.reshape(z.shape))
 
+    def _cell_walk(self, fallback: bool = False):
+        """(a, edges): the log walk of T_c along the cell at a = q0, or at
+        a = q0 + (1 + tau)/2 for the fallback cell.  The edges are bottom
+        (a, a+1), right (a+1, a+1+tau), top (a+tau, a+1+tau) and left
+        (a, a+tau), each as quadrature._track_edges returns it.  Each cell is
+        walked once; its ContourThroughZero is kept and raised again."""
+        walk = self._walks.get(fallback)
+        if walk is None:
+            tau = self.spec.tau
+            a = self.spec.q0 + (0.5 * (1.0 + tau) if fallback else 0.0)
+            edges = [(a, a + 1.0), (a + 1.0, a + 1.0 + tau), (a + tau, a + 1.0 + tau), (a, a + tau)]
+            try:
+                walk = (a, _track_edges(self.value, edges))
+            except ContourThroughZero as exc:
+                walk = exc.with_traceback(None)
+            self._walks[fallback] = walk
+        if isinstance(walk, ContourThroughZero):
+            raise walk
+        return walk
+
 
 # -- zero counting and location ---------------------------------------------
 
@@ -162,29 +186,26 @@ class ThetaPullback:
 def count_zeros(tp: ThetaPullback) -> int:
     """Number of zeros of T_c: boundary winding plus one for the pole at p2.
 
-    Should the walk along the cell boundary pass through a zero, the cell
-    translated by (1 + tau)/2 is walked instead; every fundamental cell holds
-    one translate of p2, so the + 1 holds there too."""
-    corners = tp.spec.corners
+    The winding is the cell walk's bottom + right - top - left.  Should the
+    walk pass through a zero, the fallback cell, translated by (1 + tau)/2,
+    is walked instead; every fundamental cell holds one translate of p2, so
+    the + 1 holds there too."""
     try:
-        return winding_number_sampled(tp.value, corners) + 1
+        _, edges = tp._cell_walk()
     except ContourThroughZero:
-        shift = 0.5 * (1.0 + tp.spec.tau)
-        return winding_number_sampled(tp.value, [z + shift for z in corners]) + 1
+        _, edges = tp._cell_walk(fallback=True)
+    (b, _), (r, _), (t, _), (l, _) = edges
+    return _snap_winding(b + r - t - l) + 1
 
 
 def alpha_dlog_integral(tp: ThetaPullback) -> complex:
     """(1/2*pi*i) * integral of dlog T_c along the bottom edge q0 -> q0+1."""
-    spec = tp.spec
-    d, _ = track_log_sampled(tp.value, spec.q0, spec.q0 + 1.0)
-    return d / TWO_PI_I
+    return tp._cell_walk()[1][0][0] / TWO_PI_I
 
 
 def beta_dlog_integral(tp: ThetaPullback) -> complex:
     """(1/2*pi*i) * integral of dlog T_c along the left edge q0 -> q0+tau."""
-    spec = tp.spec
-    d, _ = track_log_sampled(tp.value, spec.q0, spec.q0 + spec.tau)
-    return d / TWO_PI_I
+    return tp._cell_walk()[1][3][0] / TWO_PI_I
 
 
 def _newton_polish(tp: ThetaPullback, z: np.ndarray) -> np.ndarray:
@@ -201,58 +222,71 @@ def _newton_polish(tp: ThetaPullback, z: np.ndarray) -> np.ndarray:
     raise ZeroCollision(f"Newton polish did not converge near {', '.join(f'{x:.6g}' for x in z)}")
 
 
-def _moment_roots(tp: ThetaPullback, a: complex):
-    """(e(q1), e(q2)) for the zeros q1, q2 of T_c in the strip between the
-    lines a and a + tau, or None when the moments do not converge.
+def _power_sums(tp: ThetaPullback, fallback: bool = False):
+    """(e(q1) + e(q2), e(2 q1) + e(2 q2)) for the zeros q1, q2 of T_c in the
+    strip above the bottom edge (a, a + 1) of the cell walk, or None when the
+    walk or the moments fail there.
 
     T_c is 1-periodic and T'/T drops by 2*pi*i from a line to its tau
     translate, so the argument principle over the cell collapses onto the
-    line a: for k = 1, 2
+    line a.  Integrated by parts against the continuous log the walk tracked,
+    for k = 1, 2
 
-        e(k q1) + e(k q2) - e(k p2') = (1 - e(k tau))/(2 pi i) * int_a^{a+1} e(k z) T'/T dz
+        e(k q1) + e(k q2) - e(k p2') = k (e(k tau) - 1) int_a^{a+1} e(k z) L(z) dz
 
-    with p2' the representative of p2 in the strip.  The integrand is
-    1-periodic, so the trapezoid rule converges spectrally; n doubles from
-    _N0 until both moments agree within _QUAD_TOL (relative), up to _N_MAX.
+    with p2' the representative of p2 in the strip, D the edge's log change
+    and L(z) = log T_c(z) - (z - a) D, which is 1-periodic.  So the
+    trapezoid rule converges spectrally.  It starts from the walk's n
+    samples, and n doubles, with value-only passes at the midpoints that
+    continue log T_c from their left neighbours, until both moments agree
+    within _QUAD_TOL (relative), up to _N_MAX.
     """
+    try:
+        a, edges = tp._cell_walk(fallback)
+    except ContourThroughZero:
+        return None
     spec = tp.spec
     p2 = spec.p2 if lattice_coords(spec.p2, a, spec.tau)[1] >= 0 else spec.p2 + spec.tau
     k = np.array([[1.0], [2.0]])
-    scale = (1.0 - e_func(k[:, 0] * spec.tau)) / TWO_PI_I
+    scale = k[:, 0] * (e_func(k[:, 0] * spec.tau) - 1.0)
+    D, T = edges[0]
+    n = len(T) - 1
+    T = T[:-1]
+    ell = np.concatenate(([0.0], np.cumsum(np.log(T[1:] / T[:-1]))))
 
-    def sums(z):
-        T, dT = tp.value_and_dvalue(z)
-        return np.sum(e_func(k * z) * (dT / T), axis=1)
+    def sums(x, ell_x):
+        return np.sum(e_func(k * (a + x)) * (ell_x - x * D), axis=1)
 
-    n = _N0
-    acc = sums(a + np.arange(n) / n)
+    acc = sums(np.arange(n) / n, ell)
     m = scale * acc / n
     while n < _N_MAX:
-        acc = acc + sums(a + (np.arange(n) + 0.5) / n)
+        x = (np.arange(n) + 0.5) / n
+        T_mid = tp.value(a + x)
+        ell_mid = ell + np.log(T_mid / T)
+        acc = acc + sums(x, ell_mid)
+        T = np.column_stack((T, T_mid)).ravel()
+        ell = np.column_stack((ell, ell_mid)).ravel()
         n *= 2
         m, m_prev = scale * acc / n, m
         if np.max(np.abs(m - m_prev)) <= _QUAD_TOL * np.max(np.abs(m)):
-            s1 = m[0] + e_func(p2)
-            s2 = m[1] + e_func(2 * p2)
-            prod = (s1 * s1 - s2) / 2
-            r = cmath.sqrt(2 * s2 - s1 * s1)
-            w1 = max((s1 + r) / 2, (s1 - r) / 2, key=abs)
-            return w1, prod / w1
+            return m[0] + e_func(p2), m[1] + e_func(2 * p2)
     return None
 
 
 def locate_zeros(tp: ThetaPullback) -> tuple[complex, complex]:
-    """The two zeros of T_c in the cell, from the moments of T'/T on the
-    line q0 (or, should they not converge there, on the line q0 + tau/2).
+    """The two zeros of T_c in the cell, from the moments of log T_c along
+    the cell walk's bottom edge, the line q0 (or, should the walk or the
+    moments fail there, along the fallback cell's, the line q0 + tau/2).
     A Newton polish of both roots in one array call per step confirms that
     each is a zero; from the moment roots that usually takes one step."""
     spec = tp.spec
-    for a in (spec.q0, spec.q0 + 0.5 * spec.tau):
-        w = _moment_roots(tp, a)
-        if w is not None:
-            break
-    else:
-        raise ContourThroughZero("moments of T'/T did not converge on the lines q0 and q0 + tau/2")
+    s = _power_sums(tp) or _power_sums(tp, fallback=True)
+    if s is None:
+        raise ContourThroughZero("the walk or the moments of log T_c failed on the lines q0 and q0 + tau/2")
+    s1, s2 = s
+    r = cmath.sqrt(2 * s2 - s1 * s1)
+    w1 = max((s1 + r) / 2, (s1 - r) / 2, key=abs)
+    w = (w1, (s1 * s1 - s2) / 2 / w1)
 
     def cell(z):
         return reduce_to_cell(z, spec.q0, spec.tau)

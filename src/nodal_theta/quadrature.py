@@ -137,11 +137,15 @@ def _snap_winding(total: complex) -> int:
 
 
 def _track_edges(f_vec, edges):
-    """(delta_log, f(b)) along each segment (a, b) of `edges`.
+    """(delta_log, samples) along each segment (a, b) of `edges`: the
+    continuous log change and the n + 1 values f(a + j (b - a)/n), j = 0..n,
+    it was read from, so samples[-1] is f(b).
 
     Every pending segment is sampled at n = _N0 points in one f_vec call; a
     segment is done once every consecutive ratio has |Log| < _MAX_RATIO_LOG,
-    and the others are sampled again at 2n, up to _N_MAX.
+    and the others are sampled again at 2n, up to _N_MAX.  One walk over
+    several edges thus serves several readers: an edge's log change does not
+    depend on which other edges were walked with it.
     """
     out = [None] * len(edges)
     pending = list(range(len(edges)))
@@ -154,7 +158,7 @@ def _track_edges(f_vec, edges):
             if seg.all():
                 dlogs = np.log(seg[1:] / seg[:-1])
                 if np.abs(dlogs).max() < _MAX_RATIO_LOG:
-                    out[k] = (complex(dlogs.sum()), complex(seg[-1]))
+                    out[k] = (complex(dlogs.sum()), seg)
                     continue
             if n >= _N_MAX:
                 a, b = edges[k]
@@ -172,7 +176,8 @@ def track_log_sampled(f_vec, a: complex, b: complex):
     ratio has |Log| < 0.9.  Much faster than scalar stepping when f is
     vectorized, e.g. theta-based integrands on contour walks.
     """
-    return _track_edges(f_vec, [(a, b)])[0]
+    d, seg = _track_edges(f_vec, [(a, b)])[0]
+    return d, complex(seg[-1])
 
 
 def _log_change_sampled(f_vec, vertices) -> complex:

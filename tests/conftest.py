@@ -1,41 +1,41 @@
+from pathlib import Path
+
 import pytest
 
 from nodal_theta import theta
+from nodal_theta.cli import RunConfig, parse_config
 from nodal_theta.curve import NodalCurveSpec
 from nodal_theta.inversion import THM51_SKIPS, sample_generic_c, verify_thm51
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
 
 @pytest.fixture(scope="session")
-def spec_a() -> NodalCurveSpec:
+def presets() -> dict[str, RunConfig]:
+    """The shipped presets, read from demos/config_a.cfg and config_b.cfg."""
+    return {name: parse_config(DEMOS / f"config_{name}.cfg") for name in ("a", "b")}
+
+
+@pytest.fixture(scope="session")
+def spec_a(presets) -> NodalCurveSpec:
     """Square lattice instance; z0, p2, p1 are collinear with p1 - p2 = 0.31 + 0.17i."""
-    return NodalCurveSpec(
-        tau=1j,
-        p1=0.76 + 0.52j,
-        p2=0.45 + 0.35j,
-        z0=0.14 + 0.18j,
-        q0=0.0,
-        delta=0.06,
-        eps=0.06,
-    )
+    return presets["a"].spec
 
 
 @pytest.fixture(scope="session")
-def spec_b() -> NodalCurveSpec:
+def spec_b(presets) -> NodalCurveSpec:
     """Oblique lattice instance, same collinear placement idea."""
-    return NodalCurveSpec(
-        tau=0.3 + 0.8j,
-        p1=0.745 + 0.23j,
-        p2=0.535 + 0.36j,
-        z0=0.304 + 0.503j,
-        q0=0.0,
-        delta=0.06,
-        eps=0.06,
-    )
+    return presets["b"].spec
 
 
 @pytest.fixture(scope="session", params=["a", "b"])
-def spec_ab(request, spec_a, spec_b) -> NodalCurveSpec:
-    return spec_a if request.param == "a" else spec_b
+def cfg_ab(request, presets) -> RunConfig:
+    return presets[request.param]
+
+
+@pytest.fixture(scope="session")
+def spec_ab(cfg_ab) -> NodalCurveSpec:
+    return cfg_ab.spec
 
 
 @pytest.fixture(scope="session")

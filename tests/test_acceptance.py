@@ -15,6 +15,7 @@ module docstrings of nodal_theta.inversion and nodal_theta.branches.
 
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,9 +40,9 @@ from nodal_theta.inversion import (
     riemann_constants,
     sample_generic_c,
 )
-from nodal_theta.presets import CONFIG_A_TEXT
 from nodal_theta.theta import big_theta, e_func, theta_char, translation_factor
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 REPORT: list[str] = []
 
 
@@ -292,10 +293,10 @@ def test_criterion_08_branch_inversion(spec_ab, preset):
     assert ok
 
 
-def test_criterion_09_zero_set_containment(spec_ab, preset):
+def test_criterion_09_zero_set_containment(cfg_ab, preset):
     t0 = time.time()
-    spec = spec_ab
-    eps_w = select_epsilon(spec, (0.05, 0.04, 0.03) if spec.tau == 1j else (0.045, 0.035, 0.025))
+    spec = cfg_ab.spec
+    eps_w = select_epsilon(spec, cfg_ab.eps_candidates)
     kap = kappa_vector(riemann_constants(spec, eps_w), spec, "half_tau")
     pts = []
     for s in np.linspace(0.08, 0.92, 6):
@@ -343,8 +344,7 @@ def test_criterion_09_zero_set_containment(spec_ab, preset):
 
 def test_criterion_10_cli_suite_deterministic(tmp_path):
     t0 = time.time()
-    cfg = tmp_path / "a.cfg"
-    cfg.write_text(CONFIG_A_TEXT)
+    cfg = DEMOS / "config_a.cfg"
     outs = []
     for tag in ("o1", "o2"):
         out = tmp_path / tag

@@ -104,9 +104,9 @@ class TestBetaK:
             want = dm.f(dm.eps, c[1])
             assert abs(np.exp(dm.H3(c[1])) - want) < 1e-12 * abs(want)
 
-    def test_stated_inverse_runs_without_quadrature(self, spec_ab, monkeypatch):
+    def test_stated_inverse_runs_without_quadrature(self, cfg_ab, monkeypatch):
         # d2 and its inverse are closed forms: no integrate_segment on their path
-        spec = spec_ab
+        spec = cfg_ab.spec
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
 
         def refuse(*args, **kwargs):
@@ -114,7 +114,7 @@ class TestBetaK:
 
         monkeypatch.setattr(inversion, "integrate_segment", refuse)
         monkeypatch.setattr(abel_jacobi, "integrate_segment", refuse)
-        candidates = [0.05, 0.04, 0.03] if spec.tau == 1j else [0.045, 0.035, 0.025]
+        candidates = cfg_ab.eps_candidates
         assert select_epsilon(spec, candidates) == candidates[0]
         c, _ = sample_generic_c(spec, np.random.default_rng(11))
         d = d_map(EPS_SEL, c, spec)

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from nodal_theta.cli import ConfigError, main, parse_config
-from nodal_theta.presets import CONFIG_A_TEXT, CONFIG_B_TEXT, config_a, config_b
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+CONFIG_A_TEXT, CONFIG_B_TEXT = ((DEMOS / f"config_{n}.cfg").read_text(encoding="utf-8") for n in "ab")
 
 
 # (command, config line replaced as (old, new) or None, extra arguments)
@@ -39,10 +39,8 @@ MALFORMED = {
 
 
 @pytest.fixture()
-def cfg_a(tmp_path):
-    p = tmp_path / "a.cfg"
-    p.write_text(CONFIG_A_TEXT)
-    return p
+def cfg_a():
+    return DEMOS / "config_a.cfg"
 
 
 class TestConfigParsing:
@@ -77,16 +75,6 @@ class TestConfigParsing:
         p.write_text(CONFIG_A_TEXT.replace("curve.p1 = 0.76,0.52", "curve.p1 = 0.45,0.35"))
         with pytest.raises(ConfigError):
             parse_config(p)
-
-    @pytest.mark.parametrize(
-        "name, text, make_spec",
-        [("a", CONFIG_A_TEXT, config_a), ("b", CONFIG_B_TEXT, config_b)],
-        ids=["a", "b"],
-    )
-    def test_demo_config_matches_preset(self, name, text, make_spec):
-        path = DEMOS / f"config_{name}.cfg"
-        assert path.read_bytes() == text.encode("utf-8")
-        assert parse_config(path).spec == make_spec()
 
     def test_readme_config_block_matches_preset(self):
         # the README lists the config keys by example, so it must not drift
