@@ -13,7 +13,9 @@ The stated map d2(c2) = c1*r1 + H3(eps; c)/(2*pi*i) = v therefore forces
 f(eps) = e(v - c1*r1), which is linear in 1/w: there is one candidate w*,
 and so one candidate c2* mod 1.  DMap.d2 reads H3 as the continuous log of
 f along [0, eps], so d2(c2*) - v is an integer up to rounding, and a
-nonzero integer certifies that v has no preimage.  The branch-corrected
+nonzero integer certifies that v has no preimage.  The same identity
+chooses the radius: c2 -> c2 + s moves d2 by Log(f_s/f_0)/(2*pi*i) up to an
+integer, so select_epsilon needs no log walk.  The branch-corrected
 map d_corr(eps) (see inversion.branch_correction) is affine in c2 and
 inverts from the same chart's branch-cut terms; it is the corrected
 inverse that places the curve image inside the zero set of the generalized
@@ -52,31 +54,31 @@ def estimate_u20_radius(spec: NodalCurveSpec, rng: np.random.Generator | None = 
     cs = [sample_generic_c(spec, rng)[0] for _ in range(_U20_N_C1)]
     dms = [DMap(spec, c[0], spec.eps / 2) for c in cs]
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
-    best = 0.0
     for frac in np.linspace(0.95, 0.15, 17):
         r = frac * spec.eps
-        dets, scales = [], []
-        for dm in dms:
-            for rho in (r, 0.75 * r, 0.5 * r, 0.25 * r):
-                A, B, C, D = dm.mobius_coeffs(rho * angles)
-                dets.append(np.min(np.abs(A * D - B * C)))
-                scales.append(np.max(np.abs(A * D) + np.abs(B * C)))
-        if min(dets) > _U20_DET_FLOOR * max(scales):
-            best = r
-            break
-    if best == 0.0:
-        raise NoValidEpsilon("Moebius determinant bound fails on every tested radius")
-    return best
+        # one pass per chart: 8 points on each of the circles r, 3r/4, r/2, r/4
+        points = np.outer(r * np.array([1.0, 0.75, 0.5, 0.25]), angles)
+        A, B, C, D = np.stack([dm.mobius_coeffs(points) for dm in dms], axis=1)
+        if np.min(np.abs(A * D - B * C)) > _U20_DET_FLOOR * np.max(np.abs(A * D) + np.abs(B * C)):
+            return r
+    raise NoValidEpsilon("Moebius determinant bound fails on every tested radius")
+
+
+def _period_moves(spec: NodalCurveSpec, c, eps: np.ndarray) -> np.ndarray:
+    """Log(f_s/f_0) for each shift s in _PERIOD_FRACTIONS (rows) and radius in
+    eps (columns), f_s = f(eps) at c2 + s, from one chart pass."""
+    a1, G = DMap(spec, c[0], eps[0]).alpha1_and_G(eps)
+    f = eps * a1 * e_func(c[1] + np.array((0.0,) + _PERIOD_FRACTIONS)[:, None]) + G
+    return np.log(f[1:] / f[0])
 
 
 def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | None = None) -> float:
     """First candidate radius whose map d(eps) shows no period in {0} x (Q \\ Z).
 
-    Candidates at or above the determinant-bound radius are skipped.  For
-    each remaining candidate, d(eps)(c + (0, s)) is compared against
-    d(eps)(c) for the fraction grid s in {1/2, 1/3, 2/3, 1/4, 3/4, 1/5, ...,
-    4/5} and _SELECT_N_C generic draws of c; the candidate is accepted when
-    every comparison moves by more than _SEP_TOL.
+    Candidates at or above the determinant-bound radius are skipped.  A
+    candidate is kept when |x| = |Log(f_s/f_0)/(2*pi*i)| exceeds _SEP_TOL for
+    every s in _PERIOD_FRACTIONS and _SELECT_N_C generic draws of c.  A log
+    walk of d2 reads x + j, j an integer, and |x + j| >= |x| as |Re x| <= 1/2.
     """
     rng = np.random.default_rng(1106) if rng is None else rng
     u20 = estimate_u20_radius(spec, rng)
@@ -86,14 +88,10 @@ def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | 
             f"no candidate below the determinant-bound radius {u20:.4g}"
         )
     cs = [sample_generic_c(spec, rng)[0] for _ in range(_SELECT_N_C)]
-    for eps in usable:
-        for c in cs:
-            dm = DMap(spec, c[0], eps)
-            base = dm.d2(c[1])
-            if any(abs(dm.d2(c[1] + s) - base) <= _SEP_TOL for s in _PERIOD_FRACTIONS):
-                break
-        else:
-            return eps
+    eps = np.array(usable, dtype=float)
+    kept = np.all([np.abs(_period_moves(spec, c, eps)) > 2 * np.pi * _SEP_TOL for c in cs], axis=(0, 1))
+    if kept.any():
+        return usable[int(np.argmax(kept))]
     raise NoValidEpsilon(f"all candidates {list(candidates)} show a rational period")
 
 

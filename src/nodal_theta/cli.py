@@ -27,7 +27,7 @@ from .abel_jacobi import phi, phi1
 from .branches import beta_k, select_epsilon, zero_set_residual
 from .curve import NodalCurveSpec, derive_periods, is_toroidal
 from .differentials import period_integral
-from .errors import NewtonDivergence, NodalThetaError, NoPreimage
+from .errors import DegenerateC, NewtonDivergence, NodalThetaError, NoPreimage
 from .inversion import (
     THM51_SKIPS,
     ThetaPullback,
@@ -387,7 +387,7 @@ def cmd_thm66(cfg: RunConfig, out_dir: Path) -> bool:
     def run_one(P):
         try:
             corr = zero_set_residual(P, spec, eps_w, _kappa_cache=kap)
-        except NewtonDivergence as exc:
+        except DegenerateC as exc:
             return (None, None, type(exc).__name__)
         lit: float | str
         try:
@@ -400,18 +400,22 @@ def cmd_thm66(cfg: RunConfig, out_dir: Path) -> bool:
 
     rows: list[list] = []
     oks: list[bool] = []
-    skipped = 0
+    done: list[complex] = []
     for idx, P in enumerate(pts):
         corr, lit, err = run_one(P)
         if err is not None:
-            skipped += 1
             rows.append([idx, P, "skipped:" + err, ""])
             continue
+        done.append(P)
         oks.append(corr < cfg.tol_congruence)
         rows.append([idx, P, corr, lit])
+    skipped = len(pts) - len(done)
+    if not done:
+        raise DegenerateC(f"every one of the {len(pts)} curve points is skipped")
 
-    # spot checks: sheet independence and the off-curve control
-    P0 = pts[0]
+    # spot checks on the first point not skipped: sheet independence and the
+    # off-curve control
+    P0 = done[0]
     r0 = zero_set_residual(P0, spec, eps_w, k=0, _kappa_cache=kap)
     r1_ = zero_set_residual(P0, spec, eps_w, k=1, _kappa_cache=kap)
     rows.append(["k_independence", P0, abs(r0 - r1_), abs(r0 - r1_) < 1e-9])

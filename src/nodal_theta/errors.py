@@ -37,9 +37,10 @@ class DegenerateC(NodalThetaError):
 
 
 class NewtonDivergence(NodalThetaError):
-    """Newton iteration failed to converge.  In the stated inverse
-    (branches.beta_k) this is a defect: the closed-form root misses the
-    computed map by 1e-12 or more."""
+    """The closed-form root of the stated inverse (branches.beta_k) misses
+    the computed map d2 by 1e-12 (_NEWTON_TOL) or more, which is a defect.
+    No Newton iteration raises it or its subclass NoPreimage; the name stays
+    because callers catch it."""
 
 
 class NoPreimage(NewtonDivergence):

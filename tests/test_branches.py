@@ -14,16 +14,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodal_theta import abel_jacobi, inversion
+from nodal_theta import abel_jacobi, inversion, quadrature
 from nodal_theta.abel_jacobi import phi
 from nodal_theta.branches import (
+    _PERIOD_FRACTIONS,
+    _SELECT_N_C,
+    _period_moves,
     beta_k,
     estimate_u20_radius,
     select_epsilon,
     zero_set_residual,
 )
-from nodal_theta.curve import NodalCurveSpec, derive_periods
-from nodal_theta.errors import DegenerateC, NoPreimage, NoValidEpsilon, QuadratureFailure
+from nodal_theta.curve import NodalCurveSpec, derive_periods, reduce_to_cell
+from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, NoValidEpsilon, QuadratureFailure
 from nodal_theta.inversion import (
     DMap,
     d_map,
@@ -32,13 +35,26 @@ from nodal_theta.inversion import (
     riemann_constants,
     sample_generic_c,
 )
-from nodal_theta.theta import big_theta
+from nodal_theta.theta import TWO_PI_I, big_theta
 
 EPS_SEL = 0.05  # pinned outcome of select_epsilon on the shipped configs
 
 
 def frac_norm(x: complex) -> float:
     return abs(x - round(x.real))
+
+
+def assert_moves_match_walk(spec, c, eps):
+    """select_epsilon's closed-form moves x = _period_moves/(2 pi i) against
+    the walked moves d2(c2 + s) - d2(c2) of DMap.d2, its dual route: they
+    agree mod 1, and |x| never exceeds the walked move."""
+    closed = _period_moves(spec, c, eps) / TWO_PI_I
+    for j, e in enumerate(eps):
+        dm = DMap(spec, c[0], e)
+        base = dm.d2(c[1])
+        walked = np.array([dm.d2(c[1] + s) - base for s in _PERIOD_FRACTIONS])
+        assert np.all(np.abs(closed[:, j]) <= np.abs(walked) + 1e-12)
+        assert max(frac_norm(w - x) for w, x in zip(walked, closed[:, j])) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +88,64 @@ class TestSelectEpsilon:
 
     def test_no_valid_epsilon_raises(self, spec_a):
         with pytest.raises(NoValidEpsilon):
-            # the full U2 radius sits beyond the determinant-bound radius
+            # spec.eps is never usable: the determinant scan starts at 0.95 * spec.eps
             select_epsilon(spec_a, [spec_a.eps])
+
+    def test_rational_period_rejects_a_radius(self, cfg_ab):
+        # at eps = 1e-4 the term eps alpha1 e(c2) of f(eps) is too small for
+        # any shift of c2 to move d2 by _SEP_TOL
+        spec, cand0 = cfg_ab.spec, cfg_ab.eps_candidates[0]
+        assert select_epsilon(spec, [1e-4, cand0]) == cand0
+        with pytest.raises(NoValidEpsilon, match="show a rational period"):
+            select_epsilon(spec, [1e-4])
+
+    def test_closed_form_moves_match_the_walk(self, cfg_ab):
+        # the draws of c that select_epsilon makes at its default seed
+        spec = cfg_ab.spec
+        rng = np.random.default_rng(1106)
+        estimate_u20_radius(spec, rng)
+        for _ in range(_SELECT_N_C):
+            assert_moves_match_walk(spec, sample_generic_c(spec, rng)[0], np.array(cfg_ab.eps_candidates))
+
+    @given(
+        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
+        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
+        c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)),
+    )
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_closed_form_moves_match_the_walk_on_generated_specs(self, tau, q0, coords, c):
+        tau, q0 = complex(*tau), complex(*q0)
+        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+        try:
+            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
+        except ValueError:
+            assume(False)
+        c = (c[0] + c[1] * tau, complex(c[2], c[3]))
+        try:
+            assert_moves_match_walk(spec, c, np.array([spec.eps / 2, spec.eps / 4]))
+        except (DegenerateC, ContourThroughZero):
+            assume(False)
+
+    # measured 40; walking d2 at c2 and at the nine shifts for each draw and
+    # candidate made 160
+    PASS_BUDGET = 40
+
+    def test_kernel_pass_budget(self, cfg_ab, kernel_passes, monkeypatch):
+        # warm, 40 passes: per draw of c, one chart build and one
+        # mobius_coeffs pass in the determinant scan, one chart build and one
+        # alpha1_and_G pass in the period test
+        spec = cfg_ab.spec
+        select_epsilon(spec, cfg_ab.eps_candidates)  # warm-up: per-spec and per-c1 caches
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a log walk of d2 reached")
+
+        monkeypatch.setattr(DMap, "d2", refuse)
+        monkeypatch.setattr(quadrature, "_track_edges", refuse)
+        kernel_passes.clear()
+        assert select_epsilon(spec, cfg_ab.eps_candidates) == cfg_ab.eps_candidates[0]
+        assert len(kernel_passes) <= self.PASS_BUDGET
 
 
 class TestBetaK:
@@ -217,6 +289,16 @@ class TestZeroSet:
         assert len(pts) >= 20
         for P in pts:
             assert zero_set_residual(P, spec, EPS_SEL, _kappa_cache=kap) < 1e-6
+
+    def test_degenerate_shift_at_the_constructed_point(self, spec_ab):
+        # c1 = phi1(P) - kappa1 puts theta00(phi1(p1) - c1) = theta00(p1 - P + kappa1)
+        # on its zero (1 + tau)/2 at this point of the cell, just outside the
+        # thm66 grid box: 0.07+0.69i on config A, 0.976+0.087i on config B
+        spec = spec_ab
+        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
+        P = reduce_to_cell(spec.p1 + kap[0] - (1 + spec.tau) / 2, spec.q0, spec.tau)
+        with pytest.raises(DegenerateC, match="phi1\\(p1\\)"):
+            zero_set_residual(P, spec, EPS_SEL, _kappa_cache=kap)
 
     def test_k_independence(self, spec_ab):
         spec = spec_ab

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from nodal_theta import cli
 from nodal_theta.cli import ConfigError, main, parse_config
+from nodal_theta.errors import DegenerateC
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 CONFIG_A_TEXT, CONFIG_B_TEXT = ((DEMOS / f"config_{n}.cfg").read_text(encoding="utf-8") for n in "ab")
@@ -134,6 +136,30 @@ class TestCommands:
         assert all(row[3] == "no_preimage" for row in points[:19])
         assert abs(complex(points[19][1]) - (0.584 + 0.416j)) < 1e-12
         assert abs(float(points[19][3]) - 1.0212534701644509) < 1e-12
+
+    def test_thm66_skips_a_degenerate_point(self, cfg_a, tmp_path, monkeypatch):
+        # the first grid point is made to fail the genericity guard, as
+        # 0.07+0.69i does just outside the grid box: its row is skipped and
+        # counted, and the spot checks run on the next point
+        seen = []
+        residual = cli.zero_set_residual
+
+        def degenerate_first(P, *args, **kwargs):
+            seen.append(P)
+            if P == seen[0]:
+                raise DegenerateC("theta00(phi1(p1) - c1)")
+            return residual(P, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "zero_set_residual", degenerate_first)
+        out = tmp_path / "out"
+        assert main(["thm66", "--config", str(cfg_a), "--out", str(out), "--samples", "20"]) == 0
+        with open(out / "thm66.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][0] == "0" and rows[1][2:] == ["skipped:DegenerateC", ""]
+        assert sum(row[2].startswith("skipped:") for row in rows[1:]) == 1
+        spot = next(row for row in rows if row[0] == "k_independence")
+        assert spot[1] == rows[2][1] and spot[3] == "true"
+        assert rows[-1][:3] == ["summary", "pass", "skipped=1"]
 
     def test_zeroset_plot(self, cfg_a, tmp_path):
         out = tmp_path / "out"
