@@ -16,10 +16,10 @@ f along [0, eps], so d2(c2*) - v is an integer up to rounding, and a
 nonzero integer certifies that v has no preimage.  The same identity
 chooses the radius: c2 -> c2 + s moves d2 by Log(f_s/f_0)/(2*pi*i) up to an
 integer, so select_epsilon needs no log walk.  The branch-corrected
-map d_corr(eps) (see inversion.branch_correction) is affine in c2 and
-inverts from the same chart's branch-cut terms; it is the corrected
-inverse that places the curve image inside the zero set of the generalized
-theta function, so zero_set_residual uses it by default.
+map is the translation d_corr(eps)(c) = c + (0, sigma(eps)) mod (0, 1)
+(see inversion.corrected_shift), so its inverse needs no chart; it is the
+corrected inverse that places the curve image inside the zero set of the
+generalized theta function, so zero_set_residual uses it by default.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .abel_jacobi import phi
 from .curve import NodalCurveSpec, derive_periods
 from .errors import ContourThroughZero, NewtonDivergence, NoPreimage, NoValidEpsilon
-from .inversion import DMap, kappa_vector, riemann_constants, sample_generic_c
+from .inversion import DMap, _require_generic, corrected_shift, kappa_vector, riemann_constants, sample_generic_c
 from .theta import TWO_PI_I, big_theta, e_func
 
 # estimate_u20_radius: draws of c1, and the determinant floor relative to scale
@@ -102,32 +102,27 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
 
     Both maps are invariant under c -> c + (0,1), so round trips close
     modulo (0,1), which the period group absorbs and the generalized theta
-    function does not see.  With use_correction the branch-corrected map
-    (affine in c2 up to its integer branch) is inverted in closed form.
-    Without it, the stated map is solved in closed form for e(-c2) (see the
-    module docstring), and the closed-form d2 at the candidate gives its
-    integer miss.  NoPreimage means no c2 exists: the candidate misses by a
-    nonzero integer, e(-c2) has no finite nonzero value, or a zero of T_c
-    lies on the chart ray at the candidate.  Otherwise the candidate is a
-    root of the computed map, |d2(c2*) - v| < _NEWTON_TOL; NewtonDivergence
-    means it is not, which is a defect.
+    function does not see.  With use_correction the branch-corrected map,
+    the translation c + (0, sigma(eps)), is inverted with no chart:
+    c = (u1 - kappa1, u2 - kappa2 - sigma + k).  Without it, the stated map
+    is solved in closed form for e(-c2) (see the module docstring), and the
+    closed-form d2 at the candidate gives its integer miss.  NoPreimage
+    means no c2 exists: the candidate misses by a nonzero integer, e(-c2)
+    has no finite nonzero value, or a zero of T_c lies on the chart ray at
+    the candidate.  Otherwise the candidate is a root of the computed map,
+    |d2(c2*) - v| < _NEWTON_TOL; NewtonDivergence means it is not, a defect.
     """
     if _kappa_cache is None:
         _kappa_cache = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
     k1, k2 = _kappa_cache
     c1 = complex(u[0]) - k1
     v = complex(u[1]) - k2
-    r1, _, _ = derive_periods(spec)
-
+    if use_correction:
+        sigma = corrected_shift(spec, eps)
+        return (_require_generic(spec, c1), complex(v - sigma + k))
     # c2 enters the map only through e(-c2): one DMap serves every trial c2
     dm = DMap(spec, c1, eps)
-
-    if use_correction:
-        # d2_corr = c1 r1 + c2 + (Log th00(x1) - Log beta + log eps)/(2 pi i),
-        # with beta = theta_r(phi1(p2) - c1) * g(0) = c_minus1 e(c2)
-        c2 = v - c1 * r1 - dm.branch_log(np.log(dm.beta_coeff)) / TWO_PI_I + k
-        return (c1, complex(c2))
-
+    r1, _, _ = derive_periods(spec)
     # f(eps) = e(v - c1 r1) is linear in 1/w, w = e(-c2)
     alpha1, G = dm.alpha1_and_G(eps)
     num = eps * complex(alpha1)
@@ -152,11 +147,13 @@ def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
     """|Theta(phi(P) - beta_k(phi(P)))|: distance of the curve point's image
     from the zero set cut out by the branch inverses.
 
-    With the branch-corrected inverse this vanishes for points of the curve
-    (zero-set containment); the uncorrected inverse leaves an order-one
-    residual, which quantifies the branch-cut defect of the stated map.  The
-    value is independent of k because the generalized theta function is
-    invariant under (0, 1).
+    With the branch-corrected inverse this is |Theta(kappa1, kappa2 +
+    sigma(eps))| up to rounding at every u (see inversion.corrected_shift),
+    and that value vanishes: the zero-set containment holds, but for every
+    u, not only for curve images.  The uncorrected inverse leaves an
+    order-one residual, which quantifies the branch-cut defect of the stated
+    map.  The value is independent of k because the generalized theta
+    function is invariant under (0, 1).
     """
     u = phi(spec, P).as_tuple()
     c = beta_k(u, spec, eps, k=k, use_correction=use_correction, _kappa_cache=_kappa_cache)

@@ -120,13 +120,10 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"missing config key {key!r}")
         return entries[key]
 
-    def get_float(key: str, default: float | None = None) -> float:
-        if key not in entries:
-            if default is None:
-                raise ConfigError(f"missing config key {key!r}")
-            return default
+    def get_float(key: str) -> float:
+        text = need(key)
         try:
-            return _parse_float(entries[key])
+            return _parse_float(text)
         except ConfigError as exc:
             raise ConfigError(f"{exc} for {key!r}") from exc
 
@@ -147,18 +144,13 @@ def parse_config(path: str | Path) -> RunConfig:
         candidates = tuple(_parse_float(tok) for tok in cand_text.split()) if cand_text else (spec.eps / 2,)
     except ConfigError as exc:
         raise ConfigError(f"bad eps candidate list {cand_text!r}: {exc}") from exc
+    # only the run.* keys present are passed, so RunConfig owns the defaults
+    run = {key[4:]: val for key, val in entries.items() if key.startswith("run.")}
     try:
-        samples = int(entries.get("run.samples", "10"))
-        seed = int(entries.get("run.seed", "20260808"))
+        run.update({name: int(run[name]) for name in ("samples", "seed") if name in run})
     except ValueError as exc:
         raise ConfigError(f"bad integer in run.* keys: {exc}") from exc
-    return RunConfig(
-        spec=spec,
-        eps_candidates=candidates,
-        samples=samples,
-        seed=seed,
-        out_dir=entries.get("run.out_dir", "out"),
-    )
+    return RunConfig(spec=spec, eps_candidates=candidates, **run)
 
 
 def _fmt(x) -> str:

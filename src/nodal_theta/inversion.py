@@ -23,10 +23,12 @@ satisfies
 
 which `verify_thm51` checks for both readings of the constant (-tau/2
 versus -tau in the first component), reporting the residual of each.  The
-Laurent data at p2, d(eps) and the branch-cut term all come from one node
-chart per (c1, eps), `DMap`, which takes c2 as an argument and reads T_c's
-four thetas at p2 + t; on it d(eps) is the log of one chart value, and the
-quadrature of h3 is its dual route.
+Laurent data at p2 and the stated d(eps) come from one node chart per
+(c1, eps), `DMap`, which takes c2 as an argument and reads T_c's four
+thetas at p2 + t; on it d(eps) is the log of one chart value, and the
+quadrature of h3 is its dual route.  The branch-corrected map needs no
+chart: it is the translation d_corr(eps)(c) = c + (0, sigma(eps)) mod (0, 1)
+(`corrected_shift`).
 """
 
 from __future__ import annotations
@@ -96,16 +98,43 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     chart needs theta00(phi1(p2) - c1) != 0 (the Moebius determinant).  Each
     counts as zero at or below GENERICITY_TOL times theta00's scale over one
     cell.  The chart's residue c_minus1 needs theta[-r1;r2](phi1(p2) - c1)
-    != 0 too, but since r2 - r1 tau = p1 - p2 that theta is
-    e(r1^2 tau/2 - r1 (x2 + r2)) theta00(phi1(p1) - c1), x2 = phi1(p2) - c1,
-    so the p1 guard covers it.  Both thetas are cached per (spec, c1), so
-    the pullbacks and charts of one c1 share them.
+    != 0 too, which is the p1 guard (see corrected_shift).  Both thetas are
+    cached per (spec, c1), so the pullbacks and charts of one c1 share them.
     """
     scale = GENERICITY_TOL * _theta_scale(spec.tau, (0.0, 0.0))
     for name, value in zip(("theta00(phi1(p1) - c1)", "theta00(phi1(p2) - c1)"), _guard_thetas(spec, c1)):
         if abs(value) <= scale:
             return name
     return None
+
+
+def _require_generic(spec: NodalCurveSpec, c1) -> complex:
+    """c1 as a complex number; DegenerateC names the first genericity guard
+    it fails."""
+    c1 = complex(c1)
+    failed = genericity_failure(spec, c1)
+    if failed is not None:
+        raise DegenerateC(failed)
+    return c1
+
+
+def _chart_radius(spec: NodalCurveSpec, eps) -> float:
+    """eps as a float; ValueError unless it lies in (0, spec.eps]."""
+    if eps <= 0 or eps >= spec.eps * 1.0001:
+        raise ValueError("chart radius eps must lie in (0, spec.eps]")
+    return float(eps)
+
+
+def corrected_shift(spec: NodalCurveSpec, eps: float) -> complex:
+    """sigma(eps) = r1 (p2 - z0 + r2) - r1^2 tau/2 - (Log g(0) - log eps)/(2*pi*i),
+    the translation of the branch-corrected map: d_corr(eps)(c) = c + (0, sigma)
+    mod (0, 1).  On the node chart of c1, d_corr = c1 r1 + (Log theta00(x1) -
+    Log c_minus1 + log eps)/(2*pi*i) with c_minus1 = theta[-r1;r2](x2) g(0) e(-c2),
+    x1 = phi1(p1) - c1 and x2 = phi1(p2) - c1.  As r2 - r1 tau = p1 - p2,
+    theta[-r1;r2](x2) = e(r1^2 tau/2 - r1 (x2 + r2)) theta00(x1): c cancels but for c2."""
+    r1, r2, _ = derive_periods(spec)
+    log_eps = math.log(_chart_radius(spec, eps))
+    return r1 * (spec.p2 - spec.z0 + r2) - r1 * r1 * spec.tau / 2 - (cmath.log(_chart_g0(spec)) - log_eps) / TWO_PI_I
 
 
 def _pullback_chars(spec: NodalCurveSpec, c1: complex) -> tuple:
@@ -121,12 +150,9 @@ class ThetaPullback:
     """T_c for one shift c = (c1, c2) on a given curve instance."""
 
     def __init__(self, c, spec: NodalCurveSpec):
-        self.c1 = complex(c[0])
+        self.c1 = _require_generic(spec, c[0])
         self.c2 = complex(c[1])
         self.spec = spec
-        failed = genericity_failure(spec, self.c1)
-        if failed is not None:
-            raise DegenerateC(failed)
         self.r1, self.r2, _ = derive_periods(spec)
         self._chars = _pullback_chars(spec, self.c1)
         self._walks = {}
@@ -336,14 +362,9 @@ class DMap:
     """
 
     def __init__(self, spec: NodalCurveSpec, c1, eps: float):
-        if eps <= 0 or eps >= spec.eps * 1.0001:
-            raise ValueError("chart radius eps must lie in (0, spec.eps]")
-        self.c1 = complex(c1)
-        failed = genericity_failure(spec, self.c1)
-        if failed is not None:
-            raise DegenerateC(failed)
+        self.eps = _chart_radius(spec, eps)
+        self.c1 = _require_generic(spec, c1)
         self.spec = spec
-        self.eps = float(eps)
         self.r1, r2, _ = derive_periods(spec)
         self.diff = third_kind(spec)
         self.x2 = phi1(spec, spec.p2) - self.c1
@@ -438,14 +459,6 @@ class DMap:
         a = self.eps * complex(a1)
         return a / (a + e_func(-complex(c2)) * complex(G))
 
-    def branch_log(self, log_pole) -> complex:
-        """Log theta00(phi1(p1) - c1) - log_pole + log eps, the part of the
-        branch-cut term A(eps, c) that the corrected map keeps, with the
-        genericity guard's theta00(phi1(p1) - c1); log_pole is a
-        log of the pole coefficient (Log c_minus1, or Log beta_coeff where c2
-        is solved for)."""
-        return np.log(_guard_thetas(self.spec, self.c1)[0]) - log_pole + math.log(self.eps)
-
 
 def d_map(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
     """d(eps)(c) = (c1, c1*r1 + H3(eps; c)/(2*pi*i))."""
@@ -529,16 +542,17 @@ def branch_correction(dm: DMap, c2, log_f) -> complex:
         A = (1/2*pi*i) * [log T_c(P1) - log T_c(p2 + eps)]
 
     to the divisor-image congruence.  A is well defined modulo 1 (path and
-    branch choices shift it by integers, absorbed by the period group).  The
-    returned representative uses principal logs of the closed form
+    branch choices shift it by integers, absorbed by the period group).
+    d(eps)(c) + (0, A) is the translation c + (0, sigma(eps)) (see
+    corrected_shift), so on the chart dm of (c1, eps)
 
-        A = (1/2*pi*i) [Log theta00(phi1(P1)-c1) - Log c_minus1 + log eps
-                        - Log f(eps)]
+        A = c2 + sigma(eps) - c1 r1 - Log f(eps)/(2*pi*i),
 
-    on the chart dm of (c1, eps), where f(eps) = eps T_c(p2 + eps)/c_minus1.
-    log_f is Log f(eps), as DMap.d2_and_log_f returns it with d2.
+    returned with Re A in [-1/2, 1/2).  f(eps) = eps T_c(p2 + eps)/c_minus1,
+    and log_f is Log f(eps), as DMap.d2_and_log_f returns it with d2.
     """
-    return complex((dm.branch_log(np.log(dm.c_minus1(c2))) - log_f) / TWO_PI_I)
+    a = complex(c2) + corrected_shift(dm.spec, dm.eps) - dm.c1 * dm.r1 - complex(log_f) / TWO_PI_I
+    return a - math.floor(a.real + 0.5)
 
 
 def branch_correction_tracked(tp: ThetaPullback, eps: float) -> complex:
@@ -556,15 +570,15 @@ def branch_correction_tracked(tp: ThetaPullback, eps: float) -> complex:
 
 
 def d_map_corrected(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
-    """Branch-corrected inversion map: d(eps)(c) + (0, A(eps, c)).
-
-    Collapses to the closed form (c1, c1*r1 + (1/2*pi*i)[Log theta00(phi1(P1)-c1)
-    - Log c_minus1 + log eps]), which is affine in c2 with unit slope; the
-    congruence W == d_corr(eps)(c) + kappa(eps) mod Gamma closes numerically,
-    whereas the uncorrected form leaves exactly the A(eps, c) defect.
+    """Branch-corrected inversion map d(eps)(c) + (0, A(eps, c)), which is
+    the translation (c1, c2 + sigma(eps)) mod (0, 1) (see corrected_shift);
+    the congruence W == d_corr(eps)(c) + kappa(eps) mod Gamma closes
+    numerically, whereas the uncorrected form leaves exactly the A(eps, c)
+    defect.  Raises ValueError and DegenerateC where the chart of (c1, eps)
+    would.
     """
-    dm = DMap(spec, c[0], eps)
-    return (dm.c1, complex(dm.c1 * dm.r1 + dm.branch_log(np.log(dm.c_minus1(c[1]))) / TWO_PI_I))
+    sigma = corrected_shift(spec, eps)
+    return (_require_generic(spec, c[0]), complex(c[1]) + sigma)
 
 
 def jacobian_consistency_check(dm: DMap, c2) -> float:
@@ -622,7 +636,9 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     Residuals are reported for both candidate constants (-tau/2 and -tau in
     the first component) and both congruence forms (stated, and with the
     branch-cut term A(eps, c) added to the second component).  Only the
-    corrected form closes; see branch_correction.
+    corrected form closes.  Its residual is read from
+    W - c - (0, sigma(eps)) - kappa (see corrected_shift); `correction` is
+    A(eps, c) on the chart of the stated d-value (see branch_correction).
 
     The closed-form d2 is checked against its dual route, one quadrature of
     h3: they must agree within _QUAD_TOL (the quadrature's error budget;
@@ -639,19 +655,14 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     h3_gap = abs(dm.H3(tp.c2) - TWO_PI_I * (d2 - dm.c1 * dm.r1))
     if h3_gap > _QUAD_TOL:
         raise QuadratureFailure(f"H3 quadrature misses the closed-form d2 by {h3_gap:.3e}")
-    corr = branch_correction(dm, tp.c2, log_f)
+    d_corr = (tp.c1, tp.c2 + corrected_shift(spec, eps))
     rc = riemann_constants(spec, eps)
     pg = period_group(spec)
-    res = {}
-    decs = {}
+    res, decs = {}, {}
     for variant in ("half_tau", "full_tau"):
         k1, k2 = kappa_vector(rc, spec, variant)
-        for corrected in (False, True):
-            vec = (
-                w[0] - d_val[0] - k1,
-                w[1] - d_val[1] - k2 - (corr if corrected else 0.0),
-            )
-            dec = mod_gamma_decompose(vec, pg)
+        for corrected, d in ((False, d_val), (True, d_corr)):
+            dec = mod_gamma_decompose((w[0] - d[0] - k1, w[1] - d[1] - k2), pg)
             res[(variant, corrected)] = dec.residual_norm
             decs[(variant, corrected)] = dec
     variant = min(("half_tau", "full_tau"), key=lambda v: res[(v, True)])
@@ -662,7 +673,7 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
         zeros=zeros,
         w=w,
         d_value=d_val,
-        correction=corr,
+        correction=branch_correction(dm, tp.c2, log_f),
         residual_half_tau=res[("half_tau", False)],
         residual_full_tau=res[("full_tau", False)],
         corrected_residual_half_tau=res[("half_tau", True)],

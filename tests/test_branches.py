@@ -29,13 +29,14 @@ from nodal_theta.curve import NodalCurveSpec, derive_periods, reduce_to_cell
 from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, NoValidEpsilon, QuadratureFailure
 from nodal_theta.inversion import (
     DMap,
+    corrected_shift,
     d_map,
     d_map_corrected,
     kappa_vector,
     riemann_constants,
     sample_generic_c,
 )
-from nodal_theta.theta import TWO_PI_I, big_theta
+from nodal_theta.theta import TWO_PI_I, big_theta, theta_char
 
 EPS_SEL = 0.05  # pinned outcome of select_epsilon on the shipped configs
 
@@ -272,20 +273,81 @@ class TestBetaK:
                 assert errs[i + 1] / errs[i] ** 2 < 1e4
 
 
+def grid_points(spec, n=6, margin=0.02):
+    """The first curve-point grid of the thm66 suite."""
+    pts = []
+    for s in np.linspace(0.08, 0.92, n):
+        for t in np.linspace(0.08, 0.92, n):
+            P = spec.point(s, t)
+            if abs(P - spec.p1) > spec.delta + margin and abs(P - spec.p2) > spec.eps + margin:
+                pts.append(P)
+    return pts
+
+
+def assert_finding_3(spec, eps):
+    """The corrected zero-set check is one value: kappa2 + sigma does not
+    depend on the radius, Theta(kappa1, kappa2 + sigma) vanishes, and the
+    corrected residual reads that value at every thm66 grid point."""
+    r1, r2, _ = derive_periods(spec)
+    shifted = [riemann_constants(spec, e).kappa2 + corrected_shift(spec, e) for e in eps * np.array([1, 0.8, 0.6, 0.2])]
+    assert max(abs(x - shifted[0]) for x in shifted) < 1e-14
+    kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
+    value = abs(big_theta(kap[0], kap[1] + corrected_shift(spec, eps), spec.tau, r1, r2))
+    assert value <= 1e-12 * abs(theta_char((0.0, 0.0), kap[0], spec.tau))
+    checked = 0
+    for P in grid_points(spec):
+        try:
+            residual = zero_set_residual(P, spec, eps, _kappa_cache=kap)
+        except DegenerateC:
+            continue
+        assert abs(residual - value) < 1e-13
+        checked += 1
+    assert checked
+
+
 class TestZeroSet:
-    def grid_points(self, spec, n=6, margin=0.02):
-        pts = []
-        for s in np.linspace(0.08, 0.92, n):
-            for t in np.linspace(0.08, 0.92, n):
-                P = spec.point(s, t)
-                if abs(P - spec.p1) > spec.delta + margin and abs(P - spec.p2) > spec.eps + margin:
-                    pts.append(P)
-        return pts
+    def test_finding_3_is_one_identity(self, spec_ab):
+        assert_finding_3(spec_ab, EPS_SEL)
+
+    @given(
+        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
+        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
+    )
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_finding_3_is_one_identity_on_generated_specs(self, tau, q0, coords):
+        tau, q0 = complex(*tau), complex(*q0)
+        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+        try:
+            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
+        except ValueError:
+            assume(False)
+        assert_finding_3(spec, spec.eps / 2)
+
+    def test_corrected_routes_build_no_chart(self, cfg_ab, kernel_passes, monkeypatch):
+        # a corrected residual at a fresh point makes 3 kernel passes: phi2,
+        # the genericity guard and Theta; a chart would add its own pass
+        spec = cfg_ab.spec
+        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
+        P0, P1 = grid_points(spec)[:2]
+        inversion._guard_thetas.cache_clear()  # so that P1's shift c1 is fresh
+        zero_set_residual(P0, spec, EPS_SEL, _kappa_cache=kap)  # warm-up: per-spec caches
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a node chart was built")
+
+        monkeypatch.setattr(DMap, "__init__", refuse)
+        kernel_passes.clear()
+        zero_set_residual(P1, spec, EPS_SEL, _kappa_cache=kap)
+        assert len(kernel_passes) == 3
+        u = phi(spec, P0).as_tuple()
+        c = beta_k(u, spec, EPS_SEL, _kappa_cache=kap)
+        d_map_corrected(EPS_SEL, c, spec)
 
     def test_curve_contained_with_corrected_inverse(self, spec_ab):
         spec = spec_ab
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
-        pts = self.grid_points(spec)[:20]
+        pts = grid_points(spec)[:20]
         assert len(pts) >= 20
         for P in pts:
             assert zero_set_residual(P, spec, EPS_SEL, _kappa_cache=kap) < 1e-6
@@ -314,7 +376,7 @@ class TestZeroSet:
         spec = spec_b
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         vals = []
-        for P in self.grid_points(spec)[:8]:
+        for P in grid_points(spec)[:8]:
             try:
                 vals.append(
                     zero_set_residual(P, spec, EPS_SEL, use_correction=False, _kappa_cache=kap)

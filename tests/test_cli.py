@@ -1,6 +1,7 @@
 """Config ingestion, report emission, determinism, exit codes."""
 
 import csv
+import dataclasses
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -59,6 +60,16 @@ class TestConfigParsing:
         p.write_text("# leading comment\n\n" + CONFIG_B_TEXT.replace("run.samples = 10", "run.samples = 3  # tail"))
         cfg = parse_config(p)
         assert cfg.samples == 3
+
+    def test_absent_run_keys_take_the_run_config_defaults(self, tmp_path):
+        # the parser passes only the run.* keys present, so a change to a
+        # RunConfig field default reaches config files that leave it out
+        p = tmp_path / "c.cfg"
+        p.write_text("".join(ln for ln in CONFIG_A_TEXT.splitlines(True) if not ln.startswith("run.")))
+        cfg = parse_config(p)
+        defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig) if f.name in ("samples", "seed", "out_dir")}
+        assert len(defaults) == 3
+        assert {name: getattr(cfg, name) for name in defaults} == defaults
 
     def test_missing_key_raises(self, tmp_path):
         p = tmp_path / "bad.cfg"

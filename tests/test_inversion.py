@@ -5,6 +5,7 @@ Independent oracles used here:
   - mean-value sampling of T'/T + 1/t over chart circles (holomorphic h3);
   - Richardson extrapolation of t * T(p2 + t) for the residue;
   - continued-log tracking of T along explicit contours;
+  - the node-chart formula of the corrected map, against its translation form;
   - finite differences for every analytic derivative.
 """
 
@@ -779,6 +780,78 @@ class TestDMap:
         dm = DMap(spec_a, c[0], eps)
         h3_fine = integrate_segment(lambda t: dm.h3(t, c[1]), 0.0, complex(eps), 1e-12)
         assert abs(h3_fine - TWO_PI_I * (dm.d2(c[1]) - dm.c1 * dm.r1)) < 1e-13
+
+
+def chart_corrected_d2(spec, c, eps):
+    """The corrected map's second component on the node chart of (c1, eps),
+    the route the translation replaced: c1 r1 + (Log theta00(phi1(p1) - c1)
+    - Log c_minus1(c2) + log eps)/(2 pi i)."""
+    dm = DMap(spec, c[0], eps)
+    th = theta_char((0.0, 0.0), phi1(spec, spec.p1) - dm.c1, spec.tau)
+    return dm.c1 * dm.r1 + (cmath.log(th) - cmath.log(dm.c_minus1(c[1])) + math.log(eps)) / TWO_PI_I
+
+
+def frac_norm(x):
+    return abs(x - round(x.real))
+
+
+class TestCorrectedTranslation:
+    def test_translation_matches_the_chart(self, spec_ab):
+        # d_corr(eps)(c) = c + (0, sigma(eps)) against the chart formula, mod 1
+        rng = np.random.default_rng(97)
+        for _ in range(8):
+            c, _ = sample_generic_c(spec_ab, rng)
+            for eps in (0.05, 0.04, 0.03, 0.02):
+                d = d_map_corrected(eps, c, spec_ab)
+                assert d[0] == c[0]
+                assert frac_norm(d[1] - chart_corrected_d2(spec_ab, c, eps)) < 1e-13
+
+    @given(
+        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
+        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
+        c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_translation_matches_the_chart_on_generated_specs(self, tau, q0, coords, c):
+        tau, q0 = complex(*tau), complex(*q0)
+        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+        try:
+            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
+        except ValueError:
+            assume(False)
+        c = (c[0] + c[1] * tau, complex(c[2], c[3]))
+        for eps in (spec.eps / 2, spec.eps / 4):
+            try:
+                want = chart_corrected_d2(spec, c, eps)
+            except DegenerateC:
+                assume(False)
+            assert frac_norm(d_map_corrected(eps, c, spec)[1] - want) < 1e-13
+
+    def test_branch_correction_is_the_reduced_difference(self, spec_ab):
+        # A = d_corr - d mod 1, with Re A in [-1/2, 1/2)
+        rng = np.random.default_rng(101)
+        for _ in range(6):
+            c, _ = sample_generic_c(spec_ab, rng)
+            dm = DMap(spec_ab, c[0], EPS_W)
+            d2, log_f = dm.d2_and_log_f(c[1])
+            a = branch_correction(dm, c[1], log_f)
+            assert -0.5 <= a.real < 0.5
+            assert frac_norm(a - (chart_corrected_d2(spec_ab, c, EPS_W) - d2)) < 1e-13
+
+    @pytest.mark.parametrize("factor", [0.0, 2.0])
+    def test_radius_outside_the_chart_raises(self, spec_ab, factor):
+        spec, eps = spec_ab, factor * spec_ab.eps
+        c, _ = sample_generic_c(spec, np.random.default_rng(89))
+        kap = kappa_vector(riemann_constants(spec, EPS_W), spec, "half_tau")
+        u = (c[0] + kap[0], c[1] + kap[1])
+        for call in (
+            lambda: DMap(spec, c[0], eps),
+            lambda: d_map_corrected(eps, c, spec),
+            lambda: beta_k(u, spec, eps, _kappa_cache=kap),
+        ):
+            with pytest.raises(ValueError, match=re.escape("chart radius eps must lie in (0, spec.eps]")):
+                call()
 
 
 class TestRiemannConstants:
