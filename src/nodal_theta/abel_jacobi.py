@@ -20,13 +20,12 @@ on the cell: a per-spec table of arg R on a node grid of the cell gives
 each point the integer that lifts its principal Log R.  Near p2 the chart
 factor g(t) = t e(phi2(p2 + t)) is the same quotient with theta[1/2;1/2](t)
 replaced by the regular theta[1/2;1/2](t)/t, holomorphic and nonzero on the
-node disk; the chart continues phi2 with the pole term split off, and the
-integral of h1 = eta + (1/2 pi i)/t there is the log change of g.
+node disk, and the integral of h1 = eta + (1/2 pi i)/t there is the log
+change of g, which the circle average a_eps reads.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +35,7 @@ import numpy as np
 from .curve import NodalCurveSpec, derive_periods, lattice_coords
 from .differentials import odd_chars, third_kind
 from .errors import LogBranchUnresolved, PoleAt
-from .quadrature import _log_change_sampled, integrate_segment, track_log_sampled
+from .quadrature import _log_change_sampled, track_log_sampled
 from .theta import TWO_PI_I, theta_chars
 
 # nodes per side of the first arg R table, and the most a retry may double to
@@ -207,21 +206,7 @@ def loop_increment(spec: NodalCurveSpec, vertices) -> complex:
     return complex(_log_change_sampled(lambda z: e_phi2(spec, z), verts) / TWO_PI_I)
 
 
-# -- the chart continuation near p2 and the circle average -------------------
-
-
-def phi2_chart_p2(spec: NodalCurveSpec, t) -> complex:
-    """phi2(p2 + t) = (log g(t) - log t)/(2 pi i) for |t| <= eps.
-
-    The branch starts from the closed-form value at the chart anchor
-    t = eps on the positive real axis, continues log g along [eps, t] and
-    takes the principal Log t, so it is deterministic for all t off the
-    chart's negative real axis.
-    """
-    t = complex(t)
-    a0 = spec.eps
-    d_log_g, _ = track_log_sampled(lambda s: chart_g(spec, s), complex(a0), t)
-    return phi2(spec, spec.p2 + a0) + (d_log_g - cmath.log(t) + math.log(a0)) / TWO_PI_I
+# -- the circle average at p2 -------------------------------------------------
 
 
 def a_eps(spec: NodalCurveSpec, eps: float) -> complex:
@@ -236,43 +221,3 @@ def a_eps(spec: NodalCurveSpec, eps: float) -> complex:
     """
     d_log_g, _ = track_log_sampled(lambda s: chart_g(spec, s), 0j, complex(eps))
     return phi2(spec, spec.p2 + eps) - d_log_g / TWO_PI_I - 0.5
-
-
-def a_eps_branch_restart(spec: NodalCurveSpec, eps: float, u0: float) -> complex:
-    """a_eps recomputed with the branch discarded at angle u0 and restarted
-    from the principal chart value there.
-
-    The restart shifts the tail of the integrand by the constant branch gap,
-    so the result moves by (gap) * (1 - u0); the gap is an integer because
-    both branches continue the same multivalued function.  Probes the
-    documented branch sensitivity of the circle average.
-    """
-    base = a_eps(spec, eps)
-    diff = third_kind(spec)
-    continued = (
-        phi2_chart_p2(spec, eps)
-        - u0
-        + integrate_segment(
-            lambda v: diff.h1_at_p2(eps * np.exp(TWO_PI_I * np.asarray(v)))
-            * TWO_PI_I
-            * eps
-            * np.exp(TWO_PI_I * np.asarray(v)),
-            0.0,
-            u0,
-        )
-    )
-    restarted = phi2_chart_p2(spec, eps * cmath.exp(2j * math.pi * u0))
-    gap = complex(restarted - continued)
-    return base + gap * (1.0 - u0)
-
-
-def a_eps_bruteforce(spec: NodalCurveSpec, eps: float, n: int = 256) -> complex:
-    """Direct trapezoid double-quadrature oracle for a_eps (slow, test use)."""
-    diff = third_kind(spec)
-    base = phi2_chart_p2(spec, eps)
-    us = np.linspace(0.0, 1.0, n + 1)
-    t = eps * np.exp(TWO_PI_I * us)
-    deriv = diff.h1_at_p2(t) * TWO_PI_I * t
-    inner = np.concatenate(([0.0], np.cumsum(0.5 * (deriv[1:] + deriv[:-1]) * np.diff(us))))
-    phi2_u = base - us + inner
-    return np.trapezoid(phi2_u, us)

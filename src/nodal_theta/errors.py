@@ -51,7 +51,9 @@ class NoPreimage(NewtonDivergence):
 
 class JacobianSingular(NodalThetaError):
     """The closed-form c2-derivative of the d-map and its finite-difference
-    dual route disagree (inversion.jacobian_consistency_check)."""
+    dual route disagree.  The package raises it nowhere: the test oracle
+    jacobian_consistency_check (tests/oracles.py) raises it, and perfbench's
+    skip tuples still name it."""
 
 
 class NoValidEpsilon(NodalThetaError):

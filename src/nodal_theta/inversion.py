@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,19 +54,16 @@ from .errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroColl
 from .quadrature import (
     _N_MAX,
     _QUAD_TOL,
-    _log_change_sampled,
     _snap_winding,
     _track_edges,
     integrate_segment,
     track_log_sampled,
 )
-from .theta import TWO_PI_I, big_theta, e_func, theta_char, theta_chars
+from .theta import TWO_PI_I, e_func, theta_char, theta_chars
 
 GENERICITY_TOL = 1e-3
 # Newton polish of the located zeros: step tolerance and iteration cap
 _POLISH_TOL, _POLISH_MAX_ITER = 1e-12, 60
-# relative disagreement at which jacobian_consistency_check raises
-_JACOBIAN_REL_TOL = 1e-5
 # draws of sample_generic_c before it gives up
 _MAX_TRIES = 64
 
@@ -167,11 +164,6 @@ class ThetaPullback:
         thr *= e_phi2_from(self.spec, zf, th1, th2, self.c2)
         th0 += thr
         return complex(th0[0]) if z.ndim == 0 else th0.reshape(z.shape)
-
-    def value_from_phi(self, P):
-        """T_c(P) through the tracked period map (dual route, for tests)."""
-        spec = self.spec
-        return big_theta(phi1(spec, P) - self.c1, phi2(spec, P) - self.c2, spec.tau, self.r1, self.r2)
 
     def value_and_dvalue(self, P):
         """(T_c(P), dT_c/dz(P)); the derivative by the chain rule through the
@@ -349,16 +341,14 @@ class DMap:
     So h3 = T'/T + 1/t = f'/f = (A + B w)/(C + D w) with (A, B, C, D) =
     (alpha1 + t alpha1', G', t alpha1, G) independent of c2.  Its integral
     H3(eps) is therefore Log f(eps) + 2*pi*i*n, n the winding of f along
-    [0, eps]: `d2` and `d2_dc2` are these closed forms, and `H3`, the
-    quadrature of h3, is their dual route.  The chart holds what does not
-    depend on c2 (beta_coeff = G0 and, on first use, G'(0)/G0); everything
-    that does takes c2 as an argument.  One pass of T_c's own four thetas
-    at p2 + t gives alpha1, theta[-r1;r2] and the odd pair of g.
-
-    `h3_zero` is the value h3(0; c) implied by the definitions; the shorter
-    closed form lacking the derivative term (`h3_zero_no_derivative`) is kept
-    for comparison, and its deviation is exactly `h3_zero_defect`.  The
-    genericity guard runs once, at construction.
+    [0, eps]: `d2` is this closed form, and `H3`, the quadrature of h3 over
+    [0, eps], is its dual route, which verify_thm51 checks on every sample.
+    The chart holds what does not depend on c2 (beta_coeff = G0); what does
+    takes c2 as an argument.  One pass of T_c's own four thetas at p2 + t
+    gives alpha1, theta[-r1;r2] and the odd pair of g.  The genericity
+    guard runs once, at construction.  The residue c_minus1, h3 itself, its
+    value at the node and the c2-derivative of d2 are test oracles
+    (tests/oracles.py).
     """
 
     def __init__(self, spec: NodalCurveSpec, c1, eps: float):
@@ -367,10 +357,9 @@ class DMap:
         self.spec = spec
         self.r1, r2, _ = derive_periods(spec)
         self.diff = third_kind(spec)
-        self.x2 = phi1(spec, spec.p2) - self.c1
-        self._rchar = (-self.r1, r2)
         self._chars = _pullback_chars(spec, self.c1)
-        self.beta_coeff = theta_char(self._rchar, self.x2, spec.tau) * _chart_g0(spec)
+        x2 = phi1(spec, spec.p2) - self.c1
+        self.beta_coeff = theta_char((-self.r1, r2), x2, spec.tau) * _chart_g0(spec)
 
     # -- the chart's theta factors and the Moebius coefficients ---------------
 
@@ -397,47 +386,18 @@ class DMap:
         G, dG = th * g, (thp + TWO_PI_I * h1 * th) * g
         return tuple(complex(v[0]) if t.ndim == 0 else v.reshape(t.shape) for v in (a1 + tf * a1p, dG, tf * a1, G))
 
-    @cached_property
-    def h3_zero_defect(self) -> complex:
-        """Gap between the two closed forms of h3(0; c), G'(0)/G(0) =
-        theta_r'/theta_r(x2) + 2*pi*i*h1(0); computed on first use."""
-        spec = self.spec
-        ((th, thp),) = theta_chars((self._rchar,), self.x2, spec.tau, (0, 1))
-        return complex(thp / th + TWO_PI_I * self.diff.h1_at_p2(0.0))
-
     # -- c2-dependent quantities ----------------------------------------------
-
-    def c_minus1(self, c2) -> complex:
-        """Residue of T_c at p2: G(0) e(-c2)."""
-        return self.beta_coeff * e_func(-complex(c2))
 
     def f(self, t, c2):
         """f(t) = t T_c(p2 + t)/c_minus1 = (t alpha1(t)/w + G(t))/G0, w = e(-c2); f(0) = 1."""
         a1, G = self.alpha1_and_G(t)
         return (t * a1 * e_func(complex(c2)) + G) / self.beta_coeff
 
-    def h3(self, t, c2):
-        return _moebius(self.mobius_coeffs(t), e_func(-complex(c2)))
-
-    def h3_zero(self, c2) -> complex:
-        """h3(0; c) = G'(0)/G(0) + alpha1(0)/(G(0) w) implied by the
-        definitions (includes the derivative term)."""
-        return self.h3_zero_no_derivative(c2) + self.h3_zero_defect
-
-    def h3_zero_no_derivative(self, c2) -> complex:
-        """Shorter closed form theta00(x2) e(c2) / (theta_r(x2) g(0)); deviates
-        from h3_zero by h3_zero_defect."""
-        alpha1 = theta_char((0.0, 0.0), self.x2, self.spec.tau)
-        return complex(alpha1 * e_func(complex(c2)) / self.beta_coeff)
-
-    def H3(self, c2, t=None) -> complex:
-        """Quadrature of h3 along the straight segment from 0 to t (default
-        eps): the dual route of the closed form in d2."""
-        t = self.eps if t is None else t
-        if t == 0:
-            return 0.0 + 0.0j
+    def H3(self, c2) -> complex:
+        """Quadrature of h3 along the straight segment [0, eps]: the dual
+        route of the closed form in d2."""
         ec = e_func(-complex(c2))
-        return integrate_segment(lambda s: _moebius(self.mobius_coeffs(s), ec), 0.0, complex(t))
+        return integrate_segment(lambda s: _moebius(self.mobius_coeffs(s), ec), 0.0, complex(self.eps))
 
     def d2(self, c2) -> complex:
         """c1*r1 + H3(eps; (c1, c2))/(2*pi*i) with H3 = Log f(eps) + 2*pi*i*n:
@@ -453,12 +413,6 @@ class DMap:
         n = round((d - log_f).imag / (2 * math.pi))
         return self.c1 * self.r1 + log_f / TWO_PI_I + n, log_f
 
-    def d2_dc2(self, c2) -> complex:
-        """dH3/dc2 (eps; (c1, c2))/(2*pi*i) = eps alpha1(eps) / (eps alpha1(eps) + w G(eps))."""
-        a1, G = self.alpha1_and_G(self.eps)
-        a = self.eps * complex(a1)
-        return a / (a + e_func(-complex(c2)) * complex(G))
-
 
 def d_map(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
     """d(eps)(c) = (c1, c1*r1 + H3(eps; c)/(2*pi*i))."""
@@ -471,14 +425,13 @@ def d_map(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class RiemannConstants:
-    """Generalized Riemann constants; `kappa_vector` produces the two
-    candidate readings (-tau/2 from the definition, -tau from the final
-    display of the congruence derivation)."""
+    """Generalized Riemann constants at one radius eps; `kappa_vector`
+    produces the two candidate readings (-tau/2 from the definition, -tau
+    from the final display of the congruence derivation), and the integrals
+    of phi1 dz and phi2 dz along the alpha edge that they are built from."""
 
     kappa1: complex
     kappa2: complex
-    eps: float
-    a_value: complex
     alpha_phi1_integral: complex
     alpha_phi2_integral: complex
 
@@ -489,7 +442,10 @@ def riemann_constants(spec: NodalCurveSpec, eps: float) -> RiemannConstants:
     kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz.  Only
     int_alpha phi2 dz is a quadrature (to _QUAD_TOL): int_alpha phi1 dz =
     q0 + 1/2 - z0, and a(eps) is closed too, its -log(eps)/(2*pi*i) cancelling
-    the +log(eps)/(2*pi*i) of d_map_corrected.  Cached per (spec, eps)."""
+    the +log(eps)/(2*pi*i) of d_map_corrected.  Cached per (spec, eps).
+    Raises ValueError, before any other work, unless eps lies in
+    (0, spec.eps]."""
+    _chart_radius(spec, eps)
     r1, _, _ = derive_periods(spec)
     diff = third_kind(spec)
     i_phi1 = spec.q0 + 0.5 - spec.z0
@@ -502,16 +458,13 @@ def riemann_constants(spec: NodalCurveSpec, eps: float) -> RiemannConstants:
 
     i_phi2 = phi2_q0 + integrate_segment(phi2_integrand, 0.0, 1.0)
 
-    a_val = a_eps(spec, eps)
     phi1_q0 = phi1(spec, spec.q0)
     phi1_p2 = phi1(spec, spec.p2)
     kappa1 = -0.5 * spec.tau - phi1_q0 + phi1_p2 + i_phi1
-    kappa2 = (-0.5 * spec.tau - phi1_q0) * r1 + a_val + i_phi2
+    kappa2 = (-0.5 * spec.tau - phi1_q0) * r1 + a_eps(spec, eps) + i_phi2
     return RiemannConstants(
         kappa1=kappa1,
         kappa2=kappa2,
-        eps=eps,
-        a_value=a_val,
         alpha_phi1_integral=i_phi1,
         alpha_phi2_integral=i_phi2,
     )
@@ -555,20 +508,6 @@ def branch_correction(dm: DMap, c2, log_f) -> complex:
     return a - math.floor(a.real + 0.5)
 
 
-def branch_correction_tracked(tp: ThetaPullback, eps: float) -> complex:
-    """A(eps, c) by continued-log tracking of T_c from p2+eps to p1 (clockwise
-    chart arc to the p1 direction, then the straight ray).  Independent route
-    used to validate the closed form; equals branch_correction mod 1."""
-    spec = tp.spec
-    d_hat = (spec.p1 - spec.p2) / abs(spec.p1 - spec.p2)
-    theta_f = cmath.phase(d_hat)
-    if theta_f > 0:
-        theta_f -= 2 * math.pi
-    angs = np.linspace(0.0, theta_f, 49)
-    pts = [spec.p2 + eps * cmath.exp(1j * a) for a in angs] + [spec.p1]
-    return complex(_log_change_sampled(tp.value, pts) / TWO_PI_I)
-
-
 def d_map_corrected(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
     """Branch-corrected inversion map d(eps)(c) + (0, A(eps, c)), which is
     the translation (c1, c2 + sigma(eps)) mod (0, 1) (see corrected_shift);
@@ -581,29 +520,9 @@ def d_map_corrected(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, compl
     return (_require_generic(spec, c[0]), complex(c[1]) + sigma)
 
 
-def jacobian_consistency_check(dm: DMap, c2) -> float:
-    """Double-entry check of dH3/dc2 at (dm.c1, c2): the closed form
-    2*pi*i*d2_dc2 against a Richardson-extrapolated central difference of
-    the H3 quadrature on the same chart.  Returns the relative disagreement
-    and raises JacobianSingular beyond _JACOBIAN_REL_TOL."""
-    from .errors import JacobianSingular
-
-    analytic = TWO_PI_I * dm.d2_dc2(c2)
-    h = 1e-3
-    d1 = (dm.H3(c2 + h) - dm.H3(c2 - h)) / (2 * h)
-    d2 = (dm.H3(c2 + h / 2) - dm.H3(c2 - h / 2)) / h
-    fd = (4 * d2 - d1) / 3.0
-    rel = abs(analytic - fd) / max(1e-30, abs(analytic))
-    if rel > _JACOBIAN_REL_TOL:
-        raise JacobianSingular(
-            f"dH3/dc2 dual-route disagreement {rel:.3e} exceeds {_JACOBIAN_REL_TOL:g}"
-        )
-    return rel
-
-
 @dataclass(frozen=True)
 class Thm51Result:
-    """Divisor-image congruence residuals.
+    """Divisor-image congruence residuals of one shift c.
 
     residual_half_tau / residual_full_tau follow the stated constant
     (first component -tau/2 resp. -tau); the corrected_* fields add the
@@ -615,19 +534,11 @@ class Thm51Result:
     n_zeros: int
     zeros: tuple[complex, complex]
     w: tuple[complex, complex]
-    d_value: tuple[complex, complex]
-    correction: complex
     residual_half_tau: float
     residual_full_tau: float
     corrected_residual_half_tau: float
     corrected_residual_full_tau: float
     variant_used: str
-    coeffs: tuple[int, int, int]
-
-    @property
-    def literal_residual(self) -> float:
-        """Best stated-form residual (no branch correction)."""
-        return min(self.residual_half_tau, self.residual_full_tau)
 
 
 def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
@@ -636,50 +547,45 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     Residuals are reported for both candidate constants (-tau/2 and -tau in
     the first component) and both congruence forms (stated, and with the
     branch-cut term A(eps, c) added to the second component).  Only the
-    corrected form closes.  Its residual is read from
-    W - c - (0, sigma(eps)) - kappa (see corrected_shift); `correction` is
-    A(eps, c) on the chart of the stated d-value (see branch_correction).
+    corrected form closes.  The stated residual reads d(eps)(c) from the
+    node chart (DMap.d2); the corrected one reads W - c - (0, sigma(eps)) -
+    kappa (see corrected_shift).  Raises ValueError, before any other work,
+    unless eps lies in (0, spec.eps].
 
     The closed-form d2 is checked against its dual route, one quadrature of
     h3: they must agree within _QUAD_TOL (the quadrature's error budget;
     its accepted panel tolerances sum to at most _QUAD_TOL), else
     QuadratureFailure.
     """
+    _chart_radius(spec, eps)
     tp = c if isinstance(c, ThetaPullback) else ThetaPullback(c, spec)
     n = count_zeros(tp)
     zeros = locate_zeros(tp)
     w = divisor_image(spec, list(zeros))
     dm = DMap(spec, tp.c1, eps)
-    d2, log_f = dm.d2_and_log_f(tp.c2)
-    d_val = (dm.c1, d2)
+    d2 = dm.d2(tp.c2)
     h3_gap = abs(dm.H3(tp.c2) - TWO_PI_I * (d2 - dm.c1 * dm.r1))
     if h3_gap > _QUAD_TOL:
         raise QuadratureFailure(f"H3 quadrature misses the closed-form d2 by {h3_gap:.3e}")
     d_corr = (tp.c1, tp.c2 + corrected_shift(spec, eps))
     rc = riemann_constants(spec, eps)
     pg = period_group(spec)
-    res, decs = {}, {}
+    res = {}
     for variant in ("half_tau", "full_tau"):
         k1, k2 = kappa_vector(rc, spec, variant)
-        for corrected, d in ((False, d_val), (True, d_corr)):
+        for corrected, d in ((False, (dm.c1, d2)), (True, d_corr)):
             dec = mod_gamma_decompose((w[0] - d[0] - k1, w[1] - d[1] - k2), pg)
             res[(variant, corrected)] = dec.residual_norm
-            decs[(variant, corrected)] = dec
-    variant = min(("half_tau", "full_tau"), key=lambda v: res[(v, True)])
-    dec = decs[(variant, True)]
     return Thm51Result(
         c=(tp.c1, tp.c2),
         n_zeros=n,
         zeros=zeros,
         w=w,
-        d_value=d_val,
-        correction=branch_correction(dm, tp.c2, log_f),
         residual_half_tau=res[("half_tau", False)],
         residual_full_tau=res[("full_tau", False)],
         corrected_residual_half_tau=res[("half_tau", True)],
         corrected_residual_full_tau=res[("full_tau", True)],
-        variant_used=variant,
-        coeffs=(dec.m, dec.p, dec.q),
+        variant_used=min(("half_tau", "full_tau"), key=lambda v: res[(v, True)]),
     )
 
 

@@ -1,15 +1,16 @@
 """Complex line integrals and continuous-argument tracking.
 
 Integrands here are analytic along the contours, so composite Gauss-Legendre
-panels converge spectrally; a panel is accepted when doubling its node count
-moves the value by less than the local tolerance.  The log tracker continues
-log f(z) along a contour by summing principal logs of consecutive ratios,
-halving steps until each ratio stays well inside the right half plane.
+panels converge spectrally; a panel is accepted when its 24- and 48-node
+sums, read from one call of the integrand on both node sets, agree within
+the local tolerance.  The sampled log tracker continues log f(z) along a
+segment by summing principal logs of ratios of consecutive samples, and
+doubles the samples until each ratio stays well inside the right half
+plane.
 """
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 
 import numpy as np
@@ -21,30 +22,33 @@ _QUAD_TOL = 1e-10
 _MAX_DEPTH = 13
 # samples per segment of the sampled log trackers: first try and cap
 _N0, _N_MAX = 32, 1 << 14
-# bound on |Log ratio| per tracked step, least step of the scalar tracker,
-# and the largest distance from an integer that a winding total snaps across
-_MAX_RATIO_LOG, _MIN_STEP, _SNAP_TOL = 0.9, 1e-9, 0.1
+# bound on |Log ratio| per tracked step, and the largest distance from an
+# integer that a winding total snaps across
+_MAX_RATIO_LOG, _SNAP_TOL = 0.9, 0.1
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    """The 24 and then the 48 Gauss-Legendre nodes on [-1, 1] in one array,
+    and the weights of each rule."""
+    (x24, w24), (x48, w48) = (np.polynomial.legendre.leggauss(n) for n in (24, 48))
+    return np.concatenate((x24, x48)), w24, w48
 
 
-def _panel(f, a: complex, b: complex, n: int) -> complex:
-    x, w = _gl_nodes(n)
+def _panel(f, a: complex, b: complex) -> tuple[complex, complex]:
+    """(coarse, fine): the 24- and 48-node Gauss-Legendre sums of f over
+    [a, b], from one call of f on both node sets."""
+    x, w24, w48 = _gl_nodes()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     vals = f(mid + half * x)
-    return half * complex(np.sum(w * vals))
+    return half * complex(np.sum(w24 * vals[:24])), half * complex(np.sum(w48 * vals[24:]))
 
 
 def integrate_segment(f, a, b, tol: float = _QUAD_TOL, depth: int = 0) -> complex:
     """Adaptive Gauss-Legendre integral of a vectorized complex integrand
     along the straight segment [a, b]."""
-    coarse = _panel(f, a, b, 24)
-    fine = _panel(f, a, b, 48)
+    coarse, fine = _panel(f, a, b)
     if abs(fine - coarse) <= max(tol, 1e-16 * abs(fine)):
         return fine
     if depth >= _MAX_DEPTH:
@@ -77,51 +81,6 @@ def integrate_circle(f, center, radius: float, tol: float = _QUAD_TOL) -> comple
         return f(z) * (2j * np.pi * radius * np.exp(2j * np.pi * u))
 
     return integrate_segment(g, 0.0, 1.0, tol)
-
-
-def track_log(f, a: complex, b: complex, f_a: complex | None = None):
-    """Continuous continuation of log f along the segment [a, b].
-
-    Returns (delta_log, f_b): the accumulated change of log f and the value
-    f(b).  The first step is 1/_N0 of the segment, as in the sampled
-    tracker; steps are halved until each consecutive value ratio satisfies
-    |Log ratio| <= _MAX_RATIO_LOG, so the tracked argument never jumps by a
-    half turn.  Raises ContourThroughZero when halving bottoms out, which
-    indicates f vanishes on or very near the segment.  Kept as the scalar
-    oracle of the sampled trackers.
-    """
-    f_a = f(a) if f_a is None else f_a
-    if f_a == 0:
-        raise ContourThroughZero(f"f({a:.6g}) = 0 on contour")
-    total = 0.0 + 0.0j
-    t = 0.0
-    step = 1.0 / _N0
-    f_prev = f_a
-    while t < 1.0:
-        step = min(step, 1.0 - t)
-        while True:
-            z_next = a + (t + step) * (b - a)
-            f_next = f(z_next)
-            if f_next != 0:
-                ratio = f_next / f_prev
-                dlog = cmath.log(ratio)
-                if abs(dlog) <= _MAX_RATIO_LOG:
-                    break
-            if step * abs(b - a) < _MIN_STEP:
-                raise ContourThroughZero(
-                    f"log tracking stalled near {z_next:.6g}; zero on or near contour"
-                )
-            step *= 0.5
-        total += dlog
-        t += step
-        f_prev = f_next
-        step *= 1.6  # cautious growth after a comfortable step
-    return total, f_prev
-
-
-def _closed(vertices) -> list:
-    verts = list(vertices)
-    return verts if verts[0] == verts[-1] else verts + [verts[0]]
 
 
 def _snap_winding(total: complex) -> int:
@@ -189,23 +148,3 @@ def _log_change_sampled(f_vec, vertices) -> complex:
     verts = list(vertices)
     tracks = _track_edges(f_vec, list(zip(verts[:-1], verts[1:])))
     return sum((d for d, _ in tracks), 0.0 + 0.0j)
-
-
-def winding_number_sampled(f_vec, vertices) -> int:
-    """Winding of a vectorized function around 0 along a closed polyline."""
-    return _snap_winding(_log_change_sampled(f_vec, _closed(vertices)))
-
-
-def winding_number(f, vertices) -> int:
-    """Winding of f around 0 along the closed polyline `vertices`.
-
-    The continuous log change over a closed contour is 2*pi*i times an
-    integer; values farther than 0.1 from an integer signal a zero
-    sitting on the contour and raise ContourThroughZero.
-    """
-    verts = _closed(vertices)
-    total, f_cur = 0.0 + 0.0j, f(verts[0])
-    for a, b in zip(verts[:-1], verts[1:]):
-        d, f_cur = track_log(f, a, b, f_a=f_cur)
-        total += d
-    return _snap_winding(total)

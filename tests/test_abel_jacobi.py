@@ -12,19 +12,18 @@ from nodal_theta import abel_jacobi
 from nodal_theta.abel_jacobi import (
     _arg_table,
     a_eps,
-    a_eps_bruteforce,
     divisor_image,
     e_phi2,
     loop_increment,
     phi1,
     phi2,
-    phi2_chart_p2,
 )
 from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import odd_chars, third_kind
 from nodal_theta.errors import ContourThroughZero, LogBranchUnresolved, PoleAt
-from nodal_theta.quadrature import integrate_polyline, track_log
+from nodal_theta.quadrature import integrate_polyline
 from nodal_theta.theta import TWO_PI_I, theta_char
+from oracles import a_eps_bruteforce, phi2_chart_p2, track_log
 
 # generated admissible specs, drawn as in test_branches: tau, q0 and the
 # lattice coordinates of p1, p2, z0 (z0 need not lie on the line p1 p2)
@@ -331,7 +330,7 @@ class TestPoleCharts:
         # restarting the branch at angle u0 moves the average by an exact
         # integer times the remaining arc length; pinned: gap 0 at u0=1/2,
         # gap 1 at u0=3/4 for this configuration
-        from nodal_theta.abel_jacobi import a_eps_branch_restart
+        from oracles import a_eps_branch_restart
 
         base = a_eps(spec_a, 0.03)
         r_half = a_eps_branch_restart(spec_a, 0.03, 0.5)

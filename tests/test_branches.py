@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodal_theta import abel_jacobi, inversion, quadrature
+from nodal_theta import inversion, quadrature
 from nodal_theta.abel_jacobi import phi
 from nodal_theta.branches import (
     _PERIOD_FRACTIONS,
@@ -37,6 +37,7 @@ from nodal_theta.inversion import (
     sample_generic_c,
 )
 from nodal_theta.theta import TWO_PI_I, big_theta, theta_char
+from oracles import d2_dc2
 
 EPS_SEL = 0.05  # pinned outcome of select_epsilon on the shipped configs
 
@@ -186,7 +187,7 @@ class TestBetaK:
             raise AssertionError("integrate_segment reached")
 
         monkeypatch.setattr(inversion, "integrate_segment", refuse)
-        monkeypatch.setattr(abel_jacobi, "integrate_segment", refuse)
+        monkeypatch.setattr(quadrature, "integrate_segment", refuse)
         candidates = cfg_ab.eps_candidates
         assert select_epsilon(spec, candidates) == candidates[0]
         c, _ = sample_generic_c(spec, np.random.default_rng(11))
@@ -265,7 +266,7 @@ class TestBetaK:
         c2 = c_star[1] + 0.05
         for _ in range(5):
             F = dm.d2(c2) - (u[1] - kappa_a[1])
-            c2 = c2 - F / dm.d2_dc2(c2)
+            c2 = c2 - F / d2_dc2(dm, c2)
             errs.append(abs(c2 - c_star[1]))
         # quadratic tail: error ratio e_{n+1}/e_n^2 stays bounded
         for i in (1, 2):

@@ -22,10 +22,9 @@ from nodal_theta.quadrature import (
     integrate_circle,
     integrate_polyline,
     integrate_segment,
-    track_log,
     track_log_sampled,
-    winding_number,
 )
+from oracles import track_log, winding_number
 
 TWO_PI_I = 2j * math.pi
 

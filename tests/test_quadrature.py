@@ -1,4 +1,5 @@
-"""Sampled winding numbers of the pulled-back theta function.
+"""Sampled winding numbers of the pulled-back theta function, and the
+integrand calls of a quadrature panel.
 
 `winding_number_sampled` samples every edge of a closed polyline in one
 vectorized call and resamples only the edges that fail the ratio test.
@@ -13,7 +14,8 @@ import pytest
 from nodal_theta.curve import lattice_coords
 from nodal_theta.errors import ContourThroughZero
 from nodal_theta.inversion import ThetaPullback, count_zeros, locate_zeros, sample_generic_c
-from nodal_theta.quadrature import track_log_sampled, winding_number, winding_number_sampled
+from nodal_theta.quadrature import integrate_segment, track_log_sampled
+from oracles import winding_number, winding_number_sampled
 
 
 def box(spec, s0, s1, t0, t1):
@@ -104,3 +106,12 @@ def test_resamples_only_failing_edges(pullback):
         assert rounds[k] == len(ref.calls)
     assert rounds[3] > 1  # the left edge is the last one
     assert min(rounds.values()) == 1
+
+
+def test_panel_calls_the_integrand_once():
+    # exp converges on the first panel: its 24- and 48-node sums come from
+    # one call on all 72 nodes
+    f = CountingF(np.exp)
+    got = integrate_segment(f, 0.0, 1.0 + 0.5j)
+    assert abs(got - (np.exp(1.0 + 0.5j) - 1.0)) < 1e-14
+    assert [len(z) for z in f.calls] == [72]
