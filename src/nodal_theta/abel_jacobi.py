@@ -64,12 +64,11 @@ def _q_at_z0(spec: NodalCurveSpec) -> complex:
     return th1 / th2
 
 
-def e_phi2_from(spec: NodalCurveSpec, z, th1, th2, c2=0.0):
-    """e(phi2(z) - c2) at the points z of a 1-d array from th1, th2, the
-    odd thetas at z - p1 and z - p2 (a pass of odd_chars at z); written
-    into th1, with one array of scratch."""
+def e_phi2_from(spec: NodalCurveSpec, z, th1, th2):
+    """e(phi2(z)) at the points z of a 1-d array from th1, th2, the odd
+    thetas at z - p1 and z - p2 (a pass of odd_chars at z); written into
+    th1, with one array of scratch."""
     ez = (z - spec.z0) * (TWO_PI_I * derive_periods(spec)[2])
-    ez -= TWO_PI_I * c2
     th1 /= th2
     th1 *= np.exp(ez, out=ez)
     th1 /= _q_at_z0(spec)

@@ -10,7 +10,8 @@ is single-valued on the cut curve because integer ambiguities of phi2 are
 killed by e(.).  It is evaluated through the exact branch-free identity
 e(phi2(z)) = (Q(z)/Q(z0)) e(kappa*(z - z0)) with Q the odd-theta quotient,
 which also makes grid evaluation cheap: its four thetas are one kernel
-pass at z.  T_c has a simple pole at p2 and
+pass at z, and their automorphy prefactors fold into theta00's, so a point
+takes two exponentials (`ThetaPullback`).  T_c has a simple pole at p2 and
 exactly two zeros.  Each pullback walks log T_c along its cell boundary
 once, and the walk serves four readers: `count_zeros` counts the zeros by
 its winding, `alpha_dlog_integral` and `beta_dlog_integral` read its bottom
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .abel_jacobi import _chart_g0, a_eps, chart_g_from, divisor_image, e_phi2_from, phi1, phi2
+from .abel_jacobi import _chart_g0, _q_at_z0, a_eps, chart_g_from, divisor_image, phi1, phi2
 from .curve import (
     NodalCurveSpec,
     derive_periods,
@@ -59,7 +60,7 @@ from .quadrature import (
     integrate_segment,
     track_log_sampled,
 )
-from .theta import TWO_PI_I, e_func, theta_char, theta_chars
+from .theta import TWO_PI_I, _reduce, _row_sums, _theta_pass, e_func, theta_char, theta_chars
 
 GENERICITY_TOL = 1e-3
 # Newton polish of the located zeros: step tolerance and iteration cap
@@ -143,8 +144,41 @@ def _pullback_chars(spec: NodalCurveSpec, c1: complex) -> tuple:
     return ((0.0, -s), (-r1, r2 - s)) + odd_chars(spec)
 
 
+def _odd_pair_factor(spec: NodalCurveSpec, chars: tuple, c2: complex) -> tuple[int, complex]:
+    """(M, G) such that, at z = w + q*tau, the automorphy prefactors of T_c's
+    four thetas (theta._row_sums) combine as
+
+        P_r P_1 e(r1 (z - z0) - c2) / (P_2 P_0 Q(z0)) = e(M w) G.
+
+    With P_i = e((a_i - Q_i) w - Q_i (Q_i tau/2 + beta_i)) and Q_i = q - m_i
+    for chars = (theta00, theta_r, odd at p1, odd at p2) (_pullback_chars):
+    the coefficient of w is M = a_r + r1 + m_r + m_1 - m_2 - m_0, an integer
+    because kappa = r1 (curve.derive_periods), a_r = -r1 mod 1, a_0 = 0 and
+    the odd pair shares a = 1/2; the Q^2 terms cancel; and the coefficient
+    of q is b_0 + b_2 - b_r - b_1 + r1 tau = p1 - p2 - (r2 - r1 tau) = 0.
+    So G = e(h_r + h_1 - h_2 - h_0 - r1 z0 - c2)/Q(z0), h_i = m_i beta_i -
+    m_i^2 tau/2, the exponent's value at q = 0."""
+    r1, _, _ = derive_periods(spec)
+    reduced = [_reduce(a, b, spec.tau) for a, b in chars]
+    (_, _, m_0), (a_r, _, m_r), (_, _, m_1), (_, _, m_2) = reduced
+    h_0, h_r, h_1, h_2 = (m * beta - m * m * spec.tau / 2 for _, beta, m in reduced)
+    power = round(a_r + r1) + m_r + m_1 - m_2 - m_0
+    return power, cmath.exp(TWO_PI_I * (h_r + h_1 - h_2 - h_0 - r1 * spec.z0 - c2)) / _q_at_z0(spec)
+
+
 class ThetaPullback:
-    """T_c for one shift c = (c1, c2) on a given curve instance."""
+    """T_c for one shift c = (c1, c2) on a given curve instance.
+
+    T_c(z) = theta00(x) + theta_r(x) e(phi2(z) - c2), x = z - z0 - c1, with
+    e(phi2(z)) = (Q(z)/Q(z0)) e(r1 (z - z0)), is summed from the row sums S_i
+    of its four thetas (theta00 and theta_r at x, theta11 at z - p1 and at
+    z - p2) in one kernel pass at z: theta_i = P_i S_i, and the prefactors
+    other than theta00's combine to the table's e(w)^M times a constant
+    (_odd_pair_factor), so
+
+        T_c = P_0 (S_0 + e(M w) G S_r S_1/S_2)
+
+    takes two exponentials per point, e(w) and P_0."""
 
     def __init__(self, c, spec: NodalCurveSpec):
         self.c1 = _require_generic(spec, c[0])
@@ -152,30 +186,55 @@ class ThetaPullback:
         self.spec = spec
         self.r1, self.r2, _ = derive_periods(spec)
         self._chars = _pullback_chars(spec, self.c1)
+        self._power, self._scale = _odd_pair_factor(spec, self._chars, self.c2)
         self._walks = {}
 
     # -- building blocks ----------------------------------------------------
 
+    def _block(self, z, tau, window_set, out):
+        """T_c, and dT_c/dz when out has two rows, at the points z of one
+        block.  dT_c is the quotient rule on the pass's order-1 sums D_i,
+        theta_i' = P_i D_i:
+
+            dT_c = P_0 (D_0 + e(M w) G [(D_r S_1 + S_r D_1 + 2 pi i r1 S_r S_1) S_2 - S_r S_1 D_2] / S_2^2),
+
+        which divides by neither S_r nor S_1, so it holds at the zero p1 of S_1."""
+        n = len(out)
+        sums = np.empty((4 * n, len(z)), dtype=np.complex128)
+        w, x, shift = _row_sums(z, tau, window_set, sums)
+        _, _, beta, _, _, _ = window_set
+        # theta00's prefactor: a = 0
+        p_0 = np.exp(-TWO_PI_I * shift[0] * (w + beta[0, 0] + shift[0] * (0.5 * tau)))
+        xg = x**self._power
+        xg *= self._scale
+        s_0, s_r, s_1, s_2 = sums[::n]
+        u = s_r * s_1
+        t = u / s_2
+        t *= xg
+        t += s_0
+        np.multiply(t, p_0, out=out[0])
+        if n == 2:
+            d_0, d_r, d_1, d_2 = sums[1::2]
+            dt = d_r * s_1 + s_r * d_1 + (TWO_PI_I * self.r1) * u
+            dt *= s_2
+            dt -= u * d_2
+            dt /= s_2 * s_2
+            dt *= xg
+            dt += d_0
+            np.multiply(dt, p_0, out=out[1])
+
     def value(self, P):
-        """T_c(P) for scalars or arrays: one kernel pass, combined in place."""
-        z = np.asarray(P, dtype=np.complex128)
-        zf = z.reshape(-1)
-        (th0,), (thr,), (th1,), (th2,) = theta_chars(self._chars, zf, self.spec.tau)
-        thr *= e_phi2_from(self.spec, zf, th1, th2, self.c2)
-        th0 += thr
-        return complex(th0[0]) if z.ndim == 0 else th0.reshape(z.shape)
+        """T_c(P) for scalars or arrays: one kernel pass."""
+        z, (T,) = _theta_pass(self._chars, P, self.spec.tau, (0,), 1, self._block)
+        return complex(T[0]) if z.ndim == 0 else T[:z.size].reshape(z.shape)
 
     def value_and_dvalue(self, P):
-        """(T_c(P), dT_c/dz(P)); the derivative by the chain rule through the
-        theta kernel and eta.  One window pass gives all four thetas with
+        """(T_c(P), dT_c/dz(P)) from one kernel pass of the four thetas with
         their derivatives; the value equals `value(P)` bit for bit."""
-        z = np.asarray(P, dtype=np.complex128)
-        zf = z.reshape(-1)
-        (th0, th0p), (thr, thrp), odd1, odd2 = theta_chars(self._chars, zf, self.spec.tau, (0, 1))
-        eta = third_kind(self.spec).eta_from(zf, odd1, odd2)
-        ew = e_phi2_from(self.spec, zf, odd1[0], odd2[0], self.c2)
-        T, dT = th0 + thr * ew, th0p + (thrp + TWO_PI_I * eta * thr) * ew
-        return (complex(T[0]), complex(dT[0])) if z.ndim == 0 else (T.reshape(z.shape), dT.reshape(z.shape))
+        z, (T, dT) = _theta_pass(self._chars, P, self.spec.tau, (0, 1), 2, self._block)
+        if z.ndim == 0:
+            return complex(T[0]), complex(dT[0])
+        return T[:z.size].reshape(z.shape), dT[:z.size].reshape(z.shape)
 
     def _cell_walk(self, fallback: bool = False):
         """(a, edges): the log walk of T_c along the cell at a = q0, or at

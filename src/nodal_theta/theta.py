@@ -10,13 +10,14 @@ Conventions used everywhere in this package:
 A complex b reads a theta at a constant shift of its argument,
 theta[a; b - s](z) = theta[a;b](z - s).
 
-The series is truncated when the Gaussian tail exp(-pi*Im(tau)*(n+a)^2) drops
-below the fixed bound _ABS_TOL = 1e-14 on the omitted tail.  Each argument is
-moved by quasi-periodicity into the strip |Im z| <= Im(tau)/2, and each b to
-b = beta - m*tau with beta in it, m joining the strip shift; the Gaussian
-centre of the terms then lies within 1/2 of n + a = 0, or within 1 for a
-complex beta, whose window is one row wider.  So one cached window per
-(characteristic, tau) holds the largest terms of every point.
+Each argument is moved by quasi-periodicity into the strip
+|Im z| <= Im(tau)/2, and each b to b = beta - m*tau with beta in it, m
+joining the strip shift; the Gaussian centre of the terms then lies within
+1/2 of n + a = 0, or within 1 for a complex beta.  So one cached window
+per (characteristic, tau) holds the largest terms of every point.  The
+window is sized by the first term it omits: at the worst such centre,
+weighted as in a 7th derivative, that term is below _ABS_TOL/4 = 2.5e-15
+(_halfwidth), whatever the derivative orders of the pass.
 
 The window's powers are held as a paired table t[j] = (e(j w), e(-j w)),
 j = 0..N+1, built from t[1] = (e(w), e(-w)) by one product per row; the
@@ -28,14 +29,18 @@ each point's sum runs in the same order whatever else is in its batch: a
 value equals its scalar call bit for bit.
 
 One pass serves every characteristic and derivative order wanted at one
-argument: theta_chars shares the strip shift, the exponential of the step
-and one table sized to the widest window, and a narrower window sums the
-table's leading rows, so each value equals its single-characteristic call
-bit for bit.  One exponential gives every characteristic its own
-automorphy prefactor.
+argument: it shares the strip shift, the exponential of the step and one
+table sized to the widest window, and a narrower window sums the table's
+leading rows.  A pass gives each window's row sums (_row_sums); theta_chars
+multiplies them by the automorphy prefactors, all from one exponential, so
+each value equals its single-characteristic call bit for bit.  Other
+combinations of the same sums apply their prefactors their own way: the
+pulled-back Theta (inversion.ThetaPullback) folds those of its four thetas
+into theta00's, and takes two exponentials per point, the table's e(w)
+and that prefactor.
 A derivative is one more order of the same pass: theta_chars((char,), z,
 tau, (0, 1)) gives theta and theta' together.  big_theta takes both of its
-thetas from one pass, and the pulled-back Theta all four of its own.
+thetas from one pass.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ _MAX_INDEX = 64
 _BLOCK = 2048
 # bound on the omitted tail of every theta series
 _ABS_TOL = 1e-14
+# highest z-derivative order whose omitted tail the window bounds: the
+# Taylor data of theta11 in differentials reads orders 1, 3, 5 and 7
+_MAX_ORDER = 7
 
 
 def e_func(x):
@@ -75,27 +83,43 @@ def _tau_value(tau) -> complex:
     return tau
 
 
-def _halfwidth(a_red: float, im_tau: float) -> int:
-    """Minimal N with exp(-pi*Im(tau)*(N - a_red - 1)^2) < _ABS_TOL/4."""
+def _halfwidth(a_red: float, im_tau: float, centre: float) -> int:
+    """Minimal N for which the first term the window omits, at |n + a| =
+    N + 2 - a_red, is below _ABS_TOL/4 when weighted by (2 pi (N + 3 - a_red))^k
+    as in a k-th derivative, k = _MAX_ORDER, wherever the Gaussian centre of
+    the terms lies within `centre` of n + a = 0:
+
+        (2 pi (N + 3 - a))^k exp(-pi Im(tau) ((N + 2 - a - centre)^2 - centre^2)) < _ABS_TOL/4.
+
+    The bound holds for every order up to _MAX_ORDER, so a window does not
+    depend on the orders of its pass."""
     for n in range(1, _MAX_INDEX + 1):
-        w = n - a_red - 1.0
-        if w > 0.0 and math.exp(-math.pi * im_tau * w * w) < _ABS_TOL / 4.0:
+        v = n + 2.0 - a_red - centre
+        weight = (2.0 * math.pi * (n + 3.0 - a_red)) ** _MAX_ORDER
+        if v > 0.0 and weight * math.exp(-math.pi * im_tau * (v * v - centre * centre)) < _ABS_TOL / 4.0:
             return n
     raise NonConvergent(f"series needs half-width > {_MAX_INDEX} (Im tau = {im_tau:g}, abs_tol = {_ABS_TOL:g})")
+
+
+def _reduce(a: float, b: complex, tau: complex):
+    """(a_red, beta, m): a_red = a mod 1, and b = beta - m*tau with
+    |Im beta| <= Im(tau)/2; theta[a;b] = theta[a_red;b]."""
+    a_red = a - math.floor(a)
+    m = -round(b.imag / tau.imag)
+    return a_red, (b + m * tau if m else b), m
 
 
 @lru_cache(maxsize=64)
 def _window(a: float, b: complex, tau: complex, orders: tuple[int, ...]):
     """(a_red, beta, m, nk, ((k, coeffs_k) for k in orders)), b = beta - m*tau
     with |Im beta| <= Im(tau)/2, for arguments in the strip, as read-only
-    (N + 2, 2, 1) tables laid out as the power table of _block_pass:
+    (N + 2, 2, 1) tables laid out as the power table of _row_sums:
     nk[j] = (a_red + j, a_red - j) for j = 0..N+1, and the point-free factors
     coeffs_k = (2 pi i)^k e(nk^2 tau/2 + nk beta), whose duplicate centre
-    entry coeffs_k[0, 1] is weighted 0.  A complex beta gets one more row."""
-    a_red = a - math.floor(a)
-    m = -round(b.imag / tau.imag)
-    beta = b + m * tau if m else b
-    n_half = _halfwidth(a_red, tau.imag) + (beta.imag != 0.0)
+    entry coeffs_k[0, 1] is weighted 0.  The Gaussian centre of the terms
+    lies within 1/2 of 0 for a real beta and within 1 for a complex one."""
+    a_red, beta, m = _reduce(a, b, tau)
+    n_half = _halfwidth(a_red, tau.imag, 1.0 if beta.imag else 0.5)
     j = np.arange(n_half + 2, dtype=np.float64)
     nk = np.stack([a_red + j, a_red - j], axis=1)[:, :, None]
     nk.flags.writeable = False
@@ -118,56 +142,72 @@ def _window_set(chars: tuple, tau: complex, orders: tuple[int, ...]):
     return windows, a_red, beta, m, max(len(win[3]) for win in windows), max(abs(win[2]) for win in windows)
 
 
-def _block_pass(z, tau, window_set, out):
-    """Writes each window's values at the points z = w + q*tau of one block
-    into the rows of out, one row per window and order.  The powers e(j w)
-    and e(-j w), j = 0..N+1, fill a paired (N + 2, 2, points) table from
-    one exponential per point and one product per row, sized to the widest
-    window; a window of half-width N weights the table's leading N + 2 rows
-    and sums them down the row axis.  Its prefactor, all from one
-    exponential, is e((a_red - Q) w - Q (Q tau/2 + beta)) with Q = q - m."""
+def _row_sums(z, tau, window_set, out):
+    """Writes each window's row sums at the points z = w + q*tau of one block
+    into the rows of out, one row per window and order, and returns (w, x,
+    shift): w, x = e(w) and the (W, points) strip shifts Q = q - m.  The
+    k-th z-derivative of a window's theta is its prefactor
+    e((a_red - Q) w - Q (Q tau/2 + beta)) times its sum of order k.
+
+    The powers e(j w) and e(-j w), j = 0..N+1, fill a paired (N + 2, 2,
+    points) table from one exponential per point and one product per row,
+    sized to the widest window; a window of half-width N weights the table's
+    leading N + 2 rows and sums them down the row axis."""
     windows, a_red, beta, m, n_rows, max_m = window_set
     q = np.rint(z.imag / tau.imag)
     if len(q) and not np.abs(q).max() + max_m <= _MAX_SHIFT:
         raise NonConvergent(f"strip shift beyond {_MAX_SHIFT} periods (Im z / Im tau too large)")
     w = z - q * tau
+    x = np.exp(TWO_PI_I * w)
     powers = np.empty((n_rows, 2, len(w)), dtype=np.complex128)
     powers[0] = 1.0
-    powers[1, 0] = np.exp(TWO_PI_I * w)
-    powers[1, 1] = 1.0 / powers[1, 0]
+    powers[1, 0] = x
+    powers[1, 1] = 1.0 / x
     for j in range(2, len(powers)):
         np.multiply(powers[j - 1], powers[1], out=powers[j])
     shift = q - m
-    prefactors = (a_red - shift) * w - shift * (0.5 * (shift * tau) + beta)
-    np.exp(TWO_PI_I * prefactors, out=prefactors)
-    n_out = len(windows) * len(windows[0][4])
+    n_out = len(out)
     # the last output is weighted in the table itself, so one output needs no copy
     spare = np.empty_like(powers) if n_out > 1 else powers
     i = 0
-    for (_, _, _, nk, coeffs), qm, prefactor in zip(windows, shift, prefactors):
+    for (_, _, _, nk, coeffs), qm in zip(windows, shift):
         rows = len(nk)
         for k, ck in coeffs:
             tk = (powers if i == n_out - 1 else spare)[:rows]
             np.multiply(powers[:rows], ck, out=tk)
             if k:
                 tk *= (nk - qm) if k == 1 else (nk - qm) ** k
-            np.multiply(tk.reshape(2 * rows, -1).sum(axis=0), prefactor, out=out[i])
+            tk.reshape(2 * rows, -1).sum(axis=0, out=out[i])
             i += 1
+    return w, x, shift
 
 
-def _theta_general(chars, z, tau, orders: tuple[int, ...]):
-    """For each characteristic in chars and then each k in orders, the k-th
-    z-derivative at z, in one flat list, from one window pass.
+def _block_pass(z, tau, window_set, out):
+    """Each window's values at the points z of one block, in the rows of
+    out: its row sums times its prefactor, all prefactors from one
+    exponential per point."""
+    w, _, shift = _row_sums(z, tau, window_set, out)
+    _, a_red, beta, _, _, _ = window_set
+    prefactors = (a_red - shift) * w - shift * (0.5 * (shift * tau) + beta)
+    np.exp(TWO_PI_I * prefactors, out=prefactors)
+    n_orders = len(out) // len(prefactors)
+    for i, row in enumerate(out):
+        row *= prefactors[i // n_orders]
+
+
+def _theta_pass(chars, z, tau, orders: tuple[int, ...], n_out: int, block):
+    """One window pass of chars at z: (z as an array, an (n_out, points)
+    array that block(z_block, tau, window_set, out_block) fills block by
+    block).  With one point the array has two columns, both that point's.
 
     z = w + q*tau with w in the strip, q = round(Im z / Im tau), and
-    b = beta - m*tau with beta in the strip (_window), so with Q = q - m
-    theta[a;b](z) = e(-Q^2 tau/2 - Q(w + beta)) theta[a;beta](w).  The points are
-    split evenly into blocks of at most _BLOCK, each summed by _block_pass,
-    so a pass holds O(points + W * _BLOCK) values.  A point's value does
-    not depend on its batch: numpy sums a (rows, B) block row by row for
-    every B >= 2, and no block holds a single point.  Nor does it depend on
-    the other characteristics: each sums the same leading rows of the
-    table, whatever its width."""
+    b = beta - m*tau with beta in the strip (_window).  The points are
+    split evenly into blocks of at most _BLOCK, so a pass holds
+    O(points + W * _BLOCK) values.  A point's row sums do not depend on its
+    batch: numpy sums a (rows, B) block row by row for every B >= 2, and no
+    block holds a single point.  Nor do they depend on the other
+    characteristics: each sums the same leading rows of the table, whatever
+    its width."""
     tau = _tau_value(tau)
     window_set = _window_set(tuple((float(a), complex(b)) for a, b in chars), tau, orders)
     z_arr = np.asarray(z, dtype=np.complex128)
@@ -175,11 +215,19 @@ def _theta_general(chars, z, tau, orders: tuple[int, ...]):
     if zf.size == 1:
         # a (rows, 1) block would be summed pairwise: a lone point goes as two
         zf = zf.repeat(2)
-    vals = np.empty((len(chars) * len(orders), zf.size), dtype=np.complex128)
+    vals = np.empty((n_out, zf.size), dtype=np.complex128)
     n_blocks = -(-zf.size // _BLOCK)
     cuts = [i * zf.size // n_blocks for i in range(n_blocks + 1)] if n_blocks else []
     for lo, hi in zip(cuts, cuts[1:]):
-        _block_pass(zf[lo:hi], tau, window_set, vals[:, lo:hi])
+        block(zf[lo:hi], tau, window_set, vals[:, lo:hi])
+    return z_arr, vals
+
+
+def _theta_general(chars, z, tau, orders: tuple[int, ...]):
+    """For each characteristic in chars and then each k in orders, the k-th
+    z-derivative at z, in one flat list, from one window pass (_theta_pass):
+    with Q = q - m, theta[a;b](z) = e(-Q^2 tau/2 - Q(w + beta)) theta[a;beta](w)."""
+    z_arr, vals = _theta_pass(chars, z, tau, orders, len(chars) * len(orders), _block_pass)
     if z_arr.ndim == 0:
         return [complex(v[0]) for v in vals]
     return [v[:z_arr.size].reshape(z_arr.shape) for v in vals]

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from nodal_theta import theta
+from nodal_theta import inversion, theta
 from nodal_theta.cli import RunConfig, parse_config
 from nodal_theta.curve import NodalCurveSpec
 from nodal_theta.inversion import THM51_SKIPS, sample_generic_c, verify_thm51
@@ -60,13 +60,16 @@ def thm51_samples():
 @pytest.fixture
 def kernel_passes(monkeypatch):
     """The characteristics of every theta kernel pass made while the test
-    runs, one tuple per pass, in order."""
+    runs, one tuple per pass, in order.  Every pass goes through
+    theta._theta_pass: theta_chars' passes from theta, the fused pass of
+    ThetaPullback.value and value_and_dvalue as inversion._theta_pass."""
     calls = []
-    kernel = theta._theta_general
+    kernel = theta._theta_pass
 
     def counted(chars, *args):
         calls.append(chars)
         return kernel(chars, *args)
 
-    monkeypatch.setattr(theta, "_theta_general", counted)
+    monkeypatch.setattr(theta, "_theta_pass", counted)
+    monkeypatch.setattr(inversion, "_theta_pass", counted)
     return calls

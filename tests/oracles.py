@@ -9,7 +9,8 @@ routes.
   `a_eps_bruteforce` and `a_eps_branch_restart` recompute the circle
   average a(eps) from it;
 - the pullback: `value_from_phi` evaluates T_c through the period map
-  instead of the branch-free quotient;
+  instead of the branch-free quotient, and `pullback_terms` sums T_c and
+  its derivative from four thetas instead of their combined row sums;
 - the node chart (`inversion.DMap`): its residue `c_minus1`, `h3` itself,
   the criterion-6 facts `h3_zero`, `h3_zero_no_derivative` and
   `h3_zero_defect`, and `d2_dc2` with its finite-difference dual route
@@ -27,7 +28,7 @@ import math
 
 import numpy as np
 
-from nodal_theta.abel_jacobi import a_eps, chart_g, phi1, phi2
+from nodal_theta.abel_jacobi import a_eps, chart_g, e_phi2_from, phi1, phi2
 from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import third_kind
 from nodal_theta.errors import ContourThroughZero, JacobianSingular
@@ -112,6 +113,21 @@ def value_from_phi(tp: ThetaPullback, P):
     """T_c(P) through the tracked period map."""
     spec = tp.spec
     return big_theta(phi1(spec, P) - tp.c1, phi2(spec, P) - tp.c2, spec.tau, tp.r1, tp.r2)
+
+
+def pullback_terms(tp: ThetaPullback, z):
+    """The two terms of T_c and of dT_c/dz at the points z of a 1-d array,
+    by the four-theta route: ((theta00, theta_r e(phi2 - c2)), (theta00',
+    (theta_r' + 2 pi i eta theta_r) e(phi2 - c2))), with all four thetas and
+    their derivatives from one theta_chars pass, e(phi2) from e_phi2_from
+    and eta from eta_from.  The package sums T_c from the row sums of the
+    same four thetas, with their automorphy prefactors combined
+    (inversion.ThetaPullback)."""
+    spec = tp.spec
+    (th0, th0p), (thr, thrp), odd1, odd2 = theta_chars(tp._chars, z, spec.tau, (0, 1))
+    eta = third_kind(spec).eta_from(z, odd1, odd2)
+    ew = e_phi2_from(spec, z, odd1[0], odd2[0]) * e_func(-tp.c2)
+    return (th0, thr * ew), (th0p, (thrp + TWO_PI_I * eta * thr) * ew)
 
 
 def _x2_and_rchar(dm: DMap):

@@ -226,8 +226,9 @@ class TestFixedWindowKernel:
 
     @pytest.mark.parametrize("func", [theta_char, theta_char_and_dz])
     def test_kernel_memory_is_bounded(self, func):
-        # 65,536 points and a 13-term window: one (points, window) array of
-        # the terms would alone take 13 MiB; blocks of _BLOCK points do not
+        # 65,536 points and an 11-term window: one (points, window) array of
+        # the terms would alone take 11 MiB, and the same pass unblocked
+        # peaks at 16.5 MiB; blocks of _BLOCK points do not
         rng = np.random.default_rng(61)
         zs = rng.uniform(-1.5, 1.5, 65_536) + 1j * rng.uniform(-1.2, 1.2, 65_536)
         func((0.25, -0.4), zs, 0.3 + 0.8j)  # warm-up: the cached window
@@ -254,6 +255,24 @@ class TestFixedWindowKernel:
                     worst = max(worst, abs(g - ref) / max(1.0, abs(ref)), abs(gs - ref) / max(1.0, abs(ref)))
         assert worst <= 2e-14
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 7])
+    def test_matches_mpmath_oracle_where_the_window_bound_binds(self, k):
+        # points on both strip edges, Im w = +-Im(tau)/2, and b real or with
+        # Im beta = +-Im(tau)/2: the Gaussian centre of the terms lies 1/2 or
+        # 1 from n + a = 0, as far as the window allows; a runs over the
+        # characteristics of both presets' pullbacks
+        worst = 0.0
+        for tau in TAUS:
+            h = tau.imag / 2
+            zs = np.array([x + s * h * 1j for x in (-0.6, 0.0, 0.37, 0.81) for s in (-1, 1)])
+            for a in (0.0, 0.17, 0.5, 0.8375):
+                for b in (0.3, 0.3 + h * 1j, 0.3 - h * 1j):
+                    ((got,),) = theta_chars(((a, b),), zs, tau, (k,))
+                    for z, g in zip(zs, got):
+                        ref = theta_mpmath((a, b), z, tau, k)
+                        worst = max(worst, abs(g - ref) / max(1.0, abs(ref)))
+        assert worst <= 2e-14
+
 
 class TestSharedWindowPass:
     """theta_chars: several characteristics at one argument from one pass,
@@ -273,8 +292,9 @@ class TestSharedWindowPass:
         return [pair, pair[::-1], ((0.5, 0.5), (0.25, -0.4), (-1.3, 0.7)), pullback, mixed]
 
     def test_config_b_pair_has_unequal_half_widths(self, spec_b, char_sets):
-        widths = [theta._halfwidth(a - math.floor(a), spec_b.tau.imag) for a, _ in char_sets[0]]
-        assert widths == [5, 6]
+        # both b are real: the Gaussian centre lies within 1/2 of 0
+        widths = [theta._halfwidth(a - math.floor(a), spec_b.tau.imag, 0.5) for a, _ in char_sets[0]]
+        assert widths == [4, 5]
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1), (0, 1, 3)])
