@@ -202,9 +202,8 @@ class ThetaPullback:
         n = len(out)
         sums = np.empty((4 * n, len(z)), dtype=np.complex128)
         w, x, shift = _row_sums(z, tau, window_set, sums)
-        _, _, beta, _, _, _ = window_set
         # theta00's prefactor: a = 0
-        p_0 = np.exp(-TWO_PI_I * shift[0] * (w + beta[0, 0] + shift[0] * (0.5 * tau)))
+        p_0 = np.exp(-TWO_PI_I * shift[0] * (w + window_set.beta[0, 0] + shift[0] * (0.5 * tau)))
         xg = x**self._power
         xg *= self._scale
         s_0, s_r, s_1, s_2 = sums[::n]

@@ -22,22 +22,32 @@ weighted as in a 7th derivative, that term is below _ABS_TOL/4 = 2.5e-15
 The window's powers are held as a paired table t[j] = (e(j w), e(-j w)),
 j = 0..N+1, built from t[1] = (e(w), e(-w)) by one product per row; the
 window's cached coefficients are laid out the same way, with the duplicate
-centre entry weighted 0, and a value is the table weighted by them and
-summed down its rows from the centre outward.  A batch is summed in blocks
-of at most _BLOCK points, so memory stays O(points + window * _BLOCK), and
-each point's sum runs in the same order whatever else is in its batch: a
-value equals its scalar call bit for bit.
+centre entry weighted 0.  The coefficient rows of every window of a pass
+form one matrix (_window_set), so a block's row sums of all its windows are
+one matrix product with the table: one zgemm per block.  A batch is summed
+in blocks of at most _BLOCK points, so memory stays O(points + window *
+_BLOCK).  Its points are padded, by repeating the last, to a multiple of
+_COLUMNS = 8, and blocks are cut at multiples of 8.  With OpenBLAS's zgemm
+a column's result then does not depend on the block's size or on its
+position in the block (measured with OpenBLAS 0.3.31's Haswell kernel:
+blocks of a multiple of 4 columns always agree with a 2,048-column product,
+blocks of a multiple of 2 differ in half the cases; the batch-invariance
+tests assert the consequence), and no elementwise step runs on a single
+column, which numpy rounds differently from a longer array.  The matrix
+has at least two rows, since numpy sends a one-row product to gemv.  So
+each point's value does not depend on what else is in its batch: a value
+equals its scalar call bit for bit.
 
 One pass serves every characteristic and derivative order wanted at one
 argument: it shares the strip shift, the exponential of the step and one
-table sized to the widest window, and a narrower window sums the table's
-leading rows.  A pass gives each window's row sums (_row_sums); theta_chars
-multiplies them by the automorphy prefactors, all from one exponential, so
-each value equals its single-characteristic call bit for bit.  Other
-combinations of the same sums apply their prefactors their own way: the
-pulled-back Theta (inversion.ThetaPullback) folds those of its four thetas
-into theta00's, and takes two exponentials per point, the table's e(w)
-and that prefactor.
+table sized to the widest window, whose rows a narrower window's
+coefficients pad with zeros.  A pass gives each window's row sums
+(_row_sums); theta_chars multiplies them by the automorphy prefactors, all
+from one exponential, so each value equals its single-characteristic call
+bit for bit.  Other combinations of the same sums apply their prefactors
+their own way: the pulled-back Theta (inversion.ThetaPullback) folds those
+of its four thetas into theta00's, and takes two exponentials per point,
+the table's e(w) and that prefactor.
 A derivative is one more order of the same pass: theta_chars((char,), z,
 tau, (0, 1)) gives theta and theta' together.  big_theta takes both of its
 thetas from one pass.
@@ -47,6 +57,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +70,13 @@ _MAX_SHIFT = 100_000
 # cap on the half-width of the summation window
 _MAX_INDEX = 64
 # most points per block of the window pass: its table of powers holds
-# 2 * (half-width + 2) * _BLOCK values, and a pass with more than one output
-# holds one more array of that size
+# 2 * (half-width + 2) * _BLOCK values
 _BLOCK = 2048
+# a pass's points are padded to a multiple of this many, and its blocks cut
+# at multiples of it: OpenBLAS's zgemm then computes a column the same way
+# at any position and block size (a multiple of 4 suffices on its Haswell
+# kernel, a multiple of 2 does not)
+_COLUMNS = 8
 # bound on the omitted tail of every theta series
 _ABS_TOL = 1e-14
 # highest z-derivative order whose omitted tail the window bounds: the
@@ -110,36 +125,56 @@ def _reduce(a: float, b: complex, tau: complex):
 
 
 @lru_cache(maxsize=64)
-def _window(a: float, b: complex, tau: complex, orders: tuple[int, ...]):
-    """(a_red, beta, m, nk, ((k, coeffs_k) for k in orders)), b = beta - m*tau
-    with |Im beta| <= Im(tau)/2, for arguments in the strip, as read-only
-    (N + 2, 2, 1) tables laid out as the power table of _row_sums:
-    nk[j] = (a_red + j, a_red - j) for j = 0..N+1, and the point-free factors
-    coeffs_k = (2 pi i)^k e(nk^2 tau/2 + nk beta), whose duplicate centre
-    entry coeffs_k[0, 1] is weighted 0.  The Gaussian centre of the terms
-    lies within 1/2 of 0 for a real beta and within 1 for a complex one."""
+def _window(a: float, b: complex, tau: complex):
+    """(a_red, beta, m, nk, coeffs), b = beta - m*tau with |Im beta| <=
+    Im(tau)/2, for arguments in the strip, as read-only (N + 2, 2, 1) tables
+    laid out as the power table of _row_sums: nk[j] = (a_red + j, a_red - j)
+    for j = 0..N+1, and the point-free factors coeffs = e(nk^2 tau/2 +
+    nk beta), whose duplicate centre entry coeffs[0, 1] is weighted 0.  The
+    Gaussian centre of the terms lies within 1/2 of 0 for a real beta and
+    within 1 for a complex one."""
     a_red, beta, m = _reduce(a, b, tau)
     n_half = _halfwidth(a_red, tau.imag, 1.0 if beta.imag else 0.5)
     j = np.arange(n_half + 2, dtype=np.float64)
     nk = np.stack([a_red + j, a_red - j], axis=1)[:, :, None]
+    coeffs = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * beta))
+    coeffs[0, 1] = 0.0
     nk.flags.writeable = False
-    base = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * beta))
-    coeffs = []
-    for k in orders:
-        ck = base * TWO_PI_I**k
-        ck[0, 1] = 0.0
-        ck.flags.writeable = False
-        coeffs.append((k, ck))
-    return a_red, beta, float(m), nk, tuple(coeffs)
+    coeffs.flags.writeable = False
+    return a_red, beta, float(m), nk, coeffs
+
+
+class _WindowSet(NamedTuple):
+    """The point-free data of one pass (_window_set)."""
+
+    windows: tuple  # each characteristic's _window
+    orders: tuple  # the derivative orders of the pass
+    n_mom: int  # moments per window: 2 if any order is above 0, else 1
+    matrix: np.ndarray  # (rows, 2 * n_rows) coefficients of _row_sums' product
+    a_red: np.ndarray  # (W, 1) columns
+    beta: np.ndarray
+    m: np.ndarray
+    n_rows: int  # the widest window's table rows
+    max_m: float  # max |m|
 
 
 @lru_cache(maxsize=64)
 def _window_set(chars: tuple, tau: complex, orders: tuple[int, ...]):
-    """(windows, a_red, beta, m, rows, max |m|) of one pass: each _window,
-    their a_red, beta and m as (W, 1) columns, and the widest window's rows."""
-    windows = tuple(_window(a, b, tau, orders) for a, b in chars)
+    """The _WindowSet of a pass of chars at orders: each _window, and one
+    coefficient matrix with a row (2 pi i nk)^i coeffs, zero-padded to the
+    widest window's 2 (N + 2) table rows, for each window and moment
+    i = 0..min(max(orders), 1).  The matrix has at least two rows: numpy
+    sends a one-row product to gemv, which rounds differently."""
+    windows = tuple(_window(a, b, tau) for a, b in chars)
+    n_rows = max(len(win[3]) for win in windows)
+    n_mom = min(max(orders), 1) + 1
+    matrix = np.zeros((max(len(windows) * n_mom, 2), 2 * n_rows), dtype=np.complex128)
+    for i, (_, _, _, nk, coeffs) in enumerate(windows):
+        for k in range(n_mom):
+            matrix[i * n_mom + k, :coeffs.size] = ((TWO_PI_I * nk) ** k * coeffs).ravel()
+    matrix.flags.writeable = False
     a_red, beta, m = (np.array(col)[:, None] for col in zip(*[win[:3] for win in windows]))
-    return windows, a_red, beta, m, max(len(win[3]) for win in windows), max(abs(win[2]) for win in windows)
+    return _WindowSet(windows, orders, n_mom, matrix, a_red, beta, m, n_rows, max(abs(win[2]) for win in windows))
 
 
 def _row_sums(z, tau, window_set, out):
@@ -151,9 +186,12 @@ def _row_sums(z, tau, window_set, out):
 
     The powers e(j w) and e(-j w), j = 0..N+1, fill a paired (N + 2, 2,
     points) table from one exponential per point and one product per row,
-    sized to the widest window; a window of half-width N weights the table's
-    leading N + 2 rows and sums them down the row axis."""
-    windows, a_red, beta, m, n_rows, max_m = window_set
+    sized to the widest window.  One matrix product of the window set's
+    matrix with the table gives every window's moments
+    M_i = sum (2 pi i nk)^i coeffs t: order 0 is M_0, order 1 is
+    M_1 - 2 pi i Q M_0, and a higher order k weights the table by
+    (2 pi i (nk - Q))^k coeffs and sums it down its rows."""
+    windows, orders, n_mom, matrix, _, _, m, n_rows, max_m = window_set
     q = np.rint(z.imag / tau.imag)
     if len(q) and not np.abs(q).max() + max_m <= _MAX_SHIFT:
         raise NonConvergent(f"strip shift beyond {_MAX_SHIFT} periods (Im z / Im tau too large)")
@@ -163,21 +201,23 @@ def _row_sums(z, tau, window_set, out):
     powers[0] = 1.0
     powers[1, 0] = x
     powers[1, 1] = 1.0 / x
-    for j in range(2, len(powers)):
+    for j in range(2, n_rows):
         np.multiply(powers[j - 1], powers[1], out=powers[j])
+    sums = matrix @ powers.reshape(2 * n_rows, -1)
     shift = q - m
-    n_out = len(out)
-    # the last output is weighted in the table itself, so one output needs no copy
-    spare = np.empty_like(powers) if n_out > 1 else powers
     i = 0
-    for (_, _, _, nk, coeffs), qm in zip(windows, shift):
-        rows = len(nk)
-        for k, ck in coeffs:
-            tk = (powers if i == n_out - 1 else spare)[:rows]
-            np.multiply(powers[:rows], ck, out=tk)
-            if k:
-                tk *= (nk - qm) if k == 1 else (nk - qm) ** k
-            tk.reshape(2 * rows, -1).sum(axis=0, out=out[i])
+    for j, ((_, _, _, nk, coeffs), qm) in enumerate(zip(windows, shift)):
+        m_0 = sums[j * n_mom]
+        for k in orders:
+            if k == 0:
+                out[i] = m_0
+            elif k == 1:
+                np.subtract(sums[j * n_mom + 1], TWO_PI_I * qm * m_0, out=out[i])
+            else:
+                rows = len(nk)
+                tk = powers[:rows] * (TWO_PI_I**k * coeffs)
+                tk *= (nk - qm) ** k
+                tk.reshape(2 * rows, -1).sum(axis=0, out=out[i])
             i += 1
     return w, x, shift
 
@@ -187,10 +227,9 @@ def _block_pass(z, tau, window_set, out):
     out: its row sums times its prefactor, all prefactors from one
     exponential per point."""
     w, _, shift = _row_sums(z, tau, window_set, out)
-    _, a_red, beta, _, _, _ = window_set
-    prefactors = (a_red - shift) * w - shift * (0.5 * (shift * tau) + beta)
+    prefactors = (window_set.a_red - shift) * w - shift * (0.5 * (shift * tau) + window_set.beta)
     np.exp(TWO_PI_I * prefactors, out=prefactors)
-    n_orders = len(out) // len(prefactors)
+    n_orders = len(window_set.orders)
     for i, row in enumerate(out):
         row *= prefactors[i // n_orders]
 
@@ -198,26 +237,34 @@ def _block_pass(z, tau, window_set, out):
 def _theta_pass(chars, z, tau, orders: tuple[int, ...], n_out: int, block):
     """One window pass of chars at z: (z as an array, an (n_out, points)
     array that block(z_block, tau, window_set, out_block) fills block by
-    block).  With one point the array has two columns, both that point's.
+    block).
 
     z = w + q*tau with w in the strip, q = round(Im z / Im tau), and
     b = beta - m*tau with beta in the strip (_window).  The points are
-    split evenly into blocks of at most _BLOCK, so a pass holds
-    O(points + W * _BLOCK) values.  A point's row sums do not depend on its
-    batch: numpy sums a (rows, B) block row by row for every B >= 2, and no
-    block holds a single point.  Nor do they depend on the other
-    characteristics: each sums the same leading rows of the table, whatever
-    its width."""
+    padded with copies of the last to a multiple of _COLUMNS, so the array
+    may have up to _COLUMNS - 1 more columns than z has points, and split
+    evenly into blocks of at most _BLOCK cut at multiples of _COLUMNS, so a
+    pass holds O(points + W * _BLOCK) values.  The padding repeats a real
+    point, so block meets no value that the points themselves do not give.
+    A point's row sums do not depend on its batch: the matrix product of
+    _row_sums computes a column the same way wherever it lies in a block of
+    a multiple of _COLUMNS columns, and every elementwise step runs on at
+    least _COLUMNS columns.  Nor do they depend on the other
+    characteristics: a row of the product does not depend on the other
+    rows, or on the zeros that pad a narrower window to the widest."""
     tau = _tau_value(tau)
     window_set = _window_set(tuple((float(a), complex(b)) for a, b in chars), tau, orders)
     z_arr = np.asarray(z, dtype=np.complex128)
     zf = z_arr.ravel()
-    if zf.size == 1:
-        # a (rows, 1) block would be summed pairwise: a lone point goes as two
-        zf = zf.repeat(2)
+    groups = -(-zf.size // _COLUMNS)
+    if groups * _COLUMNS > zf.size:
+        padded = np.empty(groups * _COLUMNS, dtype=np.complex128)
+        padded[:zf.size] = zf
+        padded[zf.size:] = zf[-1]
+        zf = padded
     vals = np.empty((n_out, zf.size), dtype=np.complex128)
     n_blocks = -(-zf.size // _BLOCK)
-    cuts = [i * zf.size // n_blocks for i in range(n_blocks + 1)] if n_blocks else []
+    cuts = [i * groups // n_blocks * _COLUMNS for i in range(n_blocks + 1)] if n_blocks else []
     for lo, hi in zip(cuts, cuts[1:]):
         block(zf[lo:hi], tau, window_set, vals[:, lo:hi])
     return z_arr, vals

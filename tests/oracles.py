@@ -8,6 +8,9 @@ routes.
 - the period map: `phi2_chart_p2` continues phi2 into the node disk, and
   `a_eps_bruteforce` and `a_eps_branch_restart` recompute the circle
   average a(eps) from it;
+- the theta kernel: `row_sums_elementwise` sums each window's terms
+  elementwise, one window at a time, where the package takes every
+  window's row sums from one matrix product;
 - the pullback: `value_from_phi` evaluates T_c through the period map
   instead of the branch-free quotient, and `pullback_terms` sums T_c and
   its derivative from four thetas instead of their combined row sums;
@@ -41,7 +44,7 @@ from nodal_theta.quadrature import (
     integrate_segment,
     track_log_sampled,
 )
-from nodal_theta.theta import TWO_PI_I, big_theta, e_func, theta_char, theta_chars
+from nodal_theta.theta import TWO_PI_I, _window, big_theta, e_func, theta_char, theta_chars
 
 # least step of the scalar log tracker
 _MIN_STEP = 1e-9
@@ -104,6 +107,38 @@ def a_eps_bruteforce(spec: NodalCurveSpec, eps: float, n: int = 256) -> complex:
     inner = np.concatenate(([0.0], np.cumsum(0.5 * (deriv[1:] + deriv[:-1]) * np.diff(us))))
     phi2_u = base - us + inner
     return np.trapezoid(phi2_u, us)
+
+
+# -- the theta kernel ------------------------------------------------------------
+
+
+def row_sums_elementwise(chars, z, tau: complex, orders):
+    """(sums, scales): the row sums of theta._row_sums at the points z of a
+    1-d array, one row per characteristic and order, and beside each the sum
+    of the moduli of the terms that the package's matrix product rounds.
+    This is the kernel's route before it took one matrix product per block:
+    the same paired table of powers t[j] = (e(j w), e(-j w)), weighted by
+    (2 pi i (nk - Q))^k coeffs elementwise and summed down its rows, one
+    window at a time.  The scale of order 0 is sum |coeffs t|, that of order
+    1 is sum 2 pi (|nk| + |Q|) |coeffs t|, since the package forms order 1
+    as M_1 - 2 pi i Q M_0."""
+    q = np.rint(z.imag / tau.imag)
+    x = np.exp(TWO_PI_I * (z - q * tau))
+    windows = [_window(float(a), complex(b), tau) for a, b in chars]
+    powers = np.empty((max(len(win[3]) for win in windows), 2, len(z)), dtype=np.complex128)
+    powers[0] = 1.0
+    powers[1] = x, 1.0 / x
+    for j in range(2, len(powers)):
+        powers[j] = powers[j - 1] * powers[1]
+    sums, scales = [], []
+    for _, _, m, nk, coeffs in windows:
+        terms = powers[:len(nk)] * coeffs
+        shift = q - m
+        for k in orders:
+            sums.append((terms * (TWO_PI_I * (nk - shift)) ** k).reshape(-1, len(z)).sum(axis=0))
+            weight = 2 * math.pi * (np.abs(nk) + np.abs(shift)) if k else 1.0
+            scales.append((np.abs(terms) * weight**k).reshape(-1, len(z)).sum(axis=0))
+    return np.array(sums), np.array(scales)
 
 
 # -- the pullback and its node chart -------------------------------------------

@@ -11,8 +11,12 @@ Independent oracles used here:
 
 import cmath
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -60,6 +64,9 @@ from oracles import (
 )
 
 EPS_W = 0.03  # working radius used throughout (half the U2 radius)
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+SRC = ROOT / "src"
 
 
 def generic_tp(spec, seed=101):
@@ -268,8 +275,8 @@ class TestValueAndDerivative:
     def test_memory_is_bounded(self, spec_ab, method):
         # the 12 MiB that theta_char is held to on as many points: the row
         # sums and prefactors live per block of theta._BLOCK points, and the
-        # output alone takes 1 MiB per row.  The same pass unblocked peaks
-        # at 33-50 MiB on the presets
+        # output alone takes 1 MiB per row.  Blocked, the pass peaks at
+        # 1.9-3.2 MiB on the presets; unblocked, at 25-38 MiB
         spec = spec_ab
         u = (np.arange(256) + 0.5) / 256
         grid = spec.q0 + u[:, None] + u[None, :] * spec.tau
@@ -284,20 +291,50 @@ class TestValueAndDerivative:
         assert peak < 12 * 2**20
 
     def test_repeated_calls_build_no_window(self, spec_ab):
+        # windows are cached per (a, b, tau), not per derivative order: value
+        # builds T_c's four, value_and_dvalue then builds only its window set
         tp = generic_tp(spec_ab)
         z = self.moment_line(spec_ab, 32)
-        tp.value(z)
-        tp.value_and_dvalue(z)
 
         def builds():
             return theta._window.cache_info().misses, theta._window_set.cache_info().misses
 
-        before = builds()
+        theta._window.cache_clear()
+        theta._window_set.cache_clear()
+        tp.value(z)
+        assert builds() == (4, 1)
+        tp.value_and_dvalue(z)
+        assert builds() == (4, 2)
         for _ in range(3):
             tp.value(z)
             tp.value(complex(z[3]))
             tp.value_and_dvalue(z[:5])
-        assert builds() == before
+        assert builds() == (4, 2)
+
+    def test_value_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the kernel's one zgemm per block may run on several OpenBLAS
+        # threads, and the CLI does not pin their count
+        script = tmp_path / "hash_values.py"
+        script.write_text(
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from nodal_theta.cli import parse_config\n"
+            "from nodal_theta.inversion import ThetaPullback, sample_generic_c\n"
+            f"spec = parse_config({str(DEMOS / 'config_b.cfg')!r}).spec\n"
+            "c, _ = sample_generic_c(spec, np.random.default_rng(101))\n"
+            "tp = ThetaPullback(c, spec)\n"
+            "u = (np.arange(256) + 0.5) / 256\n"
+            "grid = spec.q0 + u[:, None] + u[None, :] * spec.tau\n"
+            "T, dT = tp.value_and_dvalue(grid)\n"
+            "print(hashlib.sha256(tp.value(grid).tobytes() + T.tobytes() + dT.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+            run = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     def test_batched_polish_confirms_both_zeros(self, spec_ab, monkeypatch):
         tp = generic_tp(spec_ab)
@@ -714,14 +751,14 @@ class TestMobius:
         assert kernel_passes == [tp._chars]
 
     def test_chart_reuses_the_pullback_windows(self, spec_ab):
-        # the chart's passes read the characteristics and derivative orders
-        # of the pullback's value and value_and_dvalue: no new series window
+        # the chart's passes read the pullback's four characteristics, and a
+        # window is cached per (a, b, tau) whatever the orders of its pass:
+        # after value, the chart's order-(0, 1) passes build no new window
         spec = spec_ab
         c, _ = sample_generic_c(spec, np.random.default_rng(37))
         tp = ThetaPullback(c, spec)
         z = spec.p2 + EPS_W * np.exp(2j * np.pi * np.arange(8) / 8)
         tp.value(z)
-        tp.value_and_dvalue(z)
         dm = DMap(spec, tp.c1, EPS_W)
         misses = theta._window.cache_info().misses
         dm.f(z - spec.p2, tp.c2)

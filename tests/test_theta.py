@@ -11,12 +11,13 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nodal_theta import theta
-from nodal_theta.curve import derive_periods
+from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.errors import NonConvergent
+from nodal_theta.inversion import _pullback_chars, sample_generic_c
 from nodal_theta.theta import (
     big_theta,
     e_func,
@@ -24,6 +25,7 @@ from nodal_theta.theta import (
     theta_chars,
     translation_factor,
 )
+from oracles import row_sums_elementwise
 
 
 def theta_char_dz(char, z, tau):
@@ -188,7 +190,8 @@ class TestFixedWindowKernel:
         batch = func(char, zs, tau)
         alone = np.array([func(char, complex(z), tau) for z in zs])
         assert np.array_equal(alone, batch)
-        for m in (1, 3, 5, 7, 33, 64):
+        # around the padding of a pass to a multiple of theta._COLUMNS points
+        for m in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64):
             assert np.array_equal(func(char, zs[:m], tau), batch[:m])
 
     @pytest.mark.parametrize("tau", TAUS)
@@ -228,7 +231,8 @@ class TestFixedWindowKernel:
     def test_kernel_memory_is_bounded(self, func):
         # 65,536 points and an 11-term window: one (points, window) array of
         # the terms would alone take 11 MiB, and the same pass unblocked
-        # peaks at 16.5 MiB; blocks of _BLOCK points do not
+        # peaks at 18 MiB (20 MiB with the derivative); blocks of _BLOCK
+        # points peak at 1.5 MiB (2.6 MiB)
         rng = np.random.default_rng(61)
         zs = rng.uniform(-1.5, 1.5, 65_536) + 1j * rng.uniform(-1.2, 1.2, 65_536)
         func((0.25, -0.4), zs, 0.3 + 0.8j)  # warm-up: the cached window
@@ -272,6 +276,58 @@ class TestFixedWindowKernel:
                         ref = theta_mpmath((a, b), z, tau, k)
                         worst = max(worst, abs(g - ref) / max(1.0, abs(ref)))
         assert worst <= 2e-14
+
+
+class TestMatrixProductRowSums:
+    """_row_sums takes every window's row sums of a block from one matrix
+    product; the elementwise route (oracles.row_sums_elementwise) sums each
+    window's weighted table on its own.  They agree within (K + 2) eps of
+    the sum of the moduli of the terms, K = 2 (N + 2) the widest window's
+    table entries: each route's recursive sum of K products lies within
+    about (K + 1) u of the exact sum on that scale, u = eps/2."""
+
+    @staticmethod
+    def assert_matches_elementwise(chars, zs, tau):
+        window_set = theta._window_set(chars, tau, (0, 1))
+        got = np.empty((2 * len(chars), len(zs)), dtype=np.complex128)
+        theta._row_sums(zs, tau, window_set, got)
+        want, scale = row_sums_elementwise(chars, zs, tau, (0, 1))
+        bound = (2 * window_set.n_rows + 2) * np.finfo(np.float64).eps
+        assert np.all(np.abs(got - want) <= bound * scale)
+
+    @staticmethod
+    def edge_points(rng, tau, n=24):
+        # both strip edges, Im w = +-Im(tau)/2, in the strips q = -1, 0, 2
+        x = rng.uniform(-1.0, 2.0, n)
+        return np.concatenate([x + s * 0.5j * tau.imag + q * tau for s in (-1, 1) for q in (-1, 0, 2)])
+
+    def test_matches_the_elementwise_route_on_the_presets(self, spec_ab):
+        # T_c's four characteristics, and complex b with m = -2, 2, -1, 0,
+        # so the strip shifts Q = q - m are nonzero
+        tau = spec_ab.tau
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            c, _ = sample_generic_c(spec_ab, rng)
+            zs = self.edge_points(rng, tau)
+            for chars in (_pullback_chars(spec_ab, c[0]), tuple(complex_chars(tau))):
+                self.assert_matches_elementwise(chars, zs, tau)
+
+    @given(
+        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
+        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
+        c1=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_matches_the_elementwise_route_on_generated_specs(self, tau, q0, coords, c1):
+        tau, q0 = complex(*tau), complex(*q0)
+        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+        try:
+            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
+        except ValueError:
+            assume(False)
+        zs = self.edge_points(np.random.default_rng(73), tau)
+        self.assert_matches_elementwise(_pullback_chars(spec, c1[0] + c1[1] * tau), zs, tau)
 
 
 class TestSharedWindowPass:
