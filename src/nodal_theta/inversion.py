@@ -10,8 +10,9 @@ is single-valued on the cut curve because integer ambiguities of phi2 are
 killed by e(.).  It is evaluated through the exact branch-free identity
 e(phi2(z)) = (Q(z)/Q(z0)) e(kappa*(z - z0)) with Q the odd-theta quotient,
 which also makes grid evaluation cheap: its four thetas are one kernel
-pass at z, and their automorphy prefactors fold into theta00's, so a point
-takes two exponentials (`ThetaPullback`).  T_c has a simple pole at p2 and
+pass at z, and their automorphy prefactors fold into theta00's, which with
+the rest is read from powers of the pass's e(w), so a point takes one
+exponential (`ThetaPullback`).  T_c has a simple pole at p2 and
 exactly two zeros.  Each pullback walks log T_c along its cell boundary
 once, and the walk serves four readers: `count_zeros` counts the zeros by
 its winding, `alpha_dlog_integral` and `beta_dlog_integral` read its bottom
@@ -176,9 +177,13 @@ class ThetaPullback:
     other than theta00's combine to the table's e(w)^M times a constant
     (_odd_pair_factor), so
 
-        T_c = P_0 (S_0 + e(M w) G S_r S_1/S_2)
+        T_c = P_0 (S_0 + e(M w) G S_r S_1/S_2).
 
-    takes two exponentials per point, e(w) and P_0."""
+    theta00's prefactor is P_0 = e(-w)^Q C(Q), with Q = Q_0 = q - m_0 its
+    strip shift and C(Q) = e(-Q beta_0 - Q^2 tau/2) one scalar exponential
+    per distinct Q, cached per pullback; e(-w)^Q is numpy's elementwise
+    integer power of the table's e(-w), and e(M w) the table's row |M|.  So
+    a point takes one exponential, the table's e(w)."""
 
     def __init__(self, c, spec: NodalCurveSpec):
         self.c1 = _require_generic(spec, c[0])
@@ -187,9 +192,25 @@ class ThetaPullback:
         self.r1, self.r2, _ = derive_periods(spec)
         self._chars = _pullback_chars(spec, self.c1)
         self._power, self._scale = _odd_pair_factor(spec, self._chars, self.c2)
+        _, self._beta_0, _ = _reduce(*self._chars[0], spec.tau)
+        # C(Q) for Q = _shift_lo, _shift_lo + 1, ..., over the shifts met so far
+        self._shift_lo, self._constants = 0, np.ones(1, dtype=np.complex128)
         self._walks = {}
 
     # -- building blocks ----------------------------------------------------
+
+    def _theta00_constants(self, shift):
+        """C(Q) = e(-Q beta_0 - Q^2 tau/2) at each strip shift Q of theta00,
+        read from the pullback's table of the shifts met so far, which grows
+        to take in new ones; each entry is one scalar exponential."""
+        lo, hi = np.minimum.reduce(shift), np.maximum.reduce(shift)
+        if lo < self._shift_lo or hi >= self._shift_lo + len(self._constants):
+            lo = int(min(lo, self._shift_lo))
+            hi = int(max(hi, self._shift_lo + len(self._constants) - 1))
+            tau, beta = self.spec.tau, self._beta_0
+            self._shift_lo = lo
+            self._constants = np.array([cmath.exp(-TWO_PI_I * q * (beta + 0.5 * q * tau)) for q in range(lo, hi + 1)])
+        return self._constants[(shift - self._shift_lo).astype(np.intp)]
 
     def _block(self, z, tau, window_set, out):
         """T_c, and dT_c/dz when out has two rows, at the points z of one
@@ -201,11 +222,13 @@ class ThetaPullback:
         which divides by neither S_r nor S_1, so it holds at the zero p1 of S_1."""
         n = len(out)
         sums = np.empty((4 * n, len(z)), dtype=np.complex128)
-        w, x, shift = _row_sums(z, tau, window_set, sums)
-        # theta00's prefactor: a = 0
-        p_0 = np.exp(-TWO_PI_I * shift[0] * (w + window_set.beta[0, 0] + shift[0] * (0.5 * tau)))
-        xg = x**self._power
-        xg *= self._scale
+        _, powers, shift = _row_sums(z, tau, window_set, sums)
+        p_0 = np.power(powers[1, 1], shift[0])
+        p_0 *= self._theta00_constants(shift[0])
+        # e(M w): row |M| of the table, its e(-j w) half for M < 0
+        m = self._power
+        xg = powers[abs(m), int(m < 0)] if abs(m) < len(powers) else powers[1, 0] ** m
+        xg = xg * self._scale
         s_0, s_r, s_1, s_2 = sums[::n]
         u = s_r * s_1
         t = u / s_2

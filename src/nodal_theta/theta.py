@@ -27,27 +27,33 @@ form one matrix (_window_set), so a block's row sums of all its windows are
 one matrix product with the table: one zgemm per block.  A batch is summed
 in blocks of at most _BLOCK points, so memory stays O(points + window *
 _BLOCK).  Its points are padded, by repeating the last, to a multiple of
-_COLUMNS = 8, and blocks are cut at multiples of 8.  With OpenBLAS's zgemm
-a column's result then does not depend on the block's size or on its
-position in the block (measured with OpenBLAS 0.3.31's Haswell kernel:
-blocks of a multiple of 4 columns always agree with a 2,048-column product,
-blocks of a multiple of 2 differ in half the cases; the batch-invariance
-tests assert the consequence), and no elementwise step runs on a single
-column, which numpy rounds differently from a longer array.  The matrix
-has at least two rows, since numpy sends a one-row product to gemv.  So
-each point's value does not depend on what else is in its batch: a value
-equals its scalar call bit for bit.
+_COLUMNS = 8, and blocks are cut at multiples of 8.  No elementwise step
+then runs on a single column, which numpy rounds differently from a longer
+array, and the matrix has at least two rows, since numpy sends a one-row
+product to gemv.
+
+Bit for bit.  On the zgemm kernels of OpenBLAS 0.3.31's SkylakeX and
+Prescott cores (the one that numpy's DYNAMIC_ARCH build picks on an
+AVX-512 CPU, and the portable one, which reports itself as Katmai), a
+column's result depends neither on the block's size, nor on its position
+in the block, nor on the other rows of the matrix, at one thread or more.
+On those cores each point's value does not depend on what else is in its
+batch, or on the other characteristics and orders of its pass: a value
+equals its scalar call bit for bit, which the tests marked bitwise assert
+under both cores.  The Haswell and SandyBridge kernels break it in the last
+bit (on Haswell a row's result moves with the other rows of the matrix):
+there the values keep their error bounds, but not the same bits.
 
 One pass serves every characteristic and derivative order wanted at one
 argument: it shares the strip shift, the exponential of the step and one
 table sized to the widest window, whose rows a narrower window's
-coefficients pad with zeros.  A pass gives each window's row sums
-(_row_sums); theta_chars multiplies them by the automorphy prefactors, all
-from one exponential, so each value equals its single-characteristic call
-bit for bit.  Other combinations of the same sums apply their prefactors
-their own way: the pulled-back Theta (inversion.ThetaPullback) folds those
-of its four thetas into theta00's, and takes two exponentials per point,
-the table's e(w) and that prefactor.
+coefficients pad with zeros.  A pass gives each window's row sums and the
+block's power table (_row_sums); theta_chars multiplies the sums by the
+automorphy prefactors, all from one exponential.  Other combinations of
+the same sums apply their prefactors their own way: the pulled-back Theta
+(inversion.ThetaPullback) folds those of its four thetas into theta00's,
+reads that prefactor and e(M w) from powers of the table's e(w), and so
+takes one exponential per point, the table's e(w).
 A derivative is one more order of the same pass: theta_chars((char,), z,
 tau, (0, 1)) gives theta and theta' together.  big_theta takes both of its
 thetas from one pass.
@@ -74,8 +80,8 @@ _MAX_INDEX = 64
 _BLOCK = 2048
 # a pass's points are padded to a multiple of this many, and its blocks cut
 # at multiples of it: OpenBLAS's zgemm then computes a column the same way
-# at any position and block size (a multiple of 4 suffices on its Haswell
-# kernel, a multiple of 2 does not)
+# at any position and block size on its SkylakeX and Prescott kernels
+# (measured on SkylakeX: a multiple of 4 suffices, a multiple of 2 does not)
 _COLUMNS = 8
 # bound on the omitted tail of every theta series
 _ABS_TOL = 1e-14
@@ -179,18 +185,21 @@ def _window_set(chars: tuple, tau: complex, orders: tuple[int, ...]):
 
 def _row_sums(z, tau, window_set, out):
     """Writes each window's row sums at the points z = w + q*tau of one block
-    into the rows of out, one row per window and order, and returns (w, x,
-    shift): w, x = e(w) and the (W, points) strip shifts Q = q - m.  The
-    k-th z-derivative of a window's theta is its prefactor
+    into the rows of out, one row per window and order, and returns (w,
+    powers, shift): w, the (N + 2, 2, points) power table below, whose row
+    powers[1, 0] is x = e(w), and the (W, points) strip shifts Q = q - m.
+    The k-th z-derivative of a window's theta is its prefactor
     e((a_red - Q) w - Q (Q tau/2 + beta)) times its sum of order k.
 
-    The powers e(j w) and e(-j w), j = 0..N+1, fill a paired (N + 2, 2,
-    points) table from one exponential per point and one product per row,
-    sized to the widest window.  One matrix product of the window set's
-    matrix with the table gives every window's moments
-    M_i = sum (2 pi i nk)^i coeffs t: order 0 is M_0, order 1 is
-    M_1 - 2 pi i Q M_0, and a higher order k weights the table by
-    (2 pi i (nk - Q))^k coeffs and sums it down its rows."""
+    The powers powers[j] = (e(j w), e(-j w)), j = 0..N+1, fill the table
+    from one exponential per point and one product per row, sized to the
+    widest window.  One matrix product of the window set's matrix with the
+    table gives every window's moments M_i = sum (2 pi i nk)^i coeffs t:
+    order 0 is M_0, order 1 is M_1 - 2 pi i Q M_0, and a higher order k
+    weights the table by (2 pi i (nk - Q))^k coeffs and sums it down its
+    rows.  When out wants exactly the matrix's rows, as for orders (0,) of
+    two or more windows and (0, 1), the product is written straight into it,
+    and order 1 is taken from M_1 in place for every window at once."""
     windows, orders, n_mom, matrix, _, _, m, n_rows, max_m = window_set
     q = np.rint(z.imag / tau.imag)
     if len(q) and not np.abs(q).max() + max_m <= _MAX_SHIFT:
@@ -203,8 +212,14 @@ def _row_sums(z, tau, window_set, out):
     powers[1, 1] = 1.0 / x
     for j in range(2, n_rows):
         np.multiply(powers[j - 1], powers[1], out=powers[j])
-    sums = matrix @ powers.reshape(2 * n_rows, -1)
     shift = q - m
+    table = powers.reshape(2 * n_rows, -1)
+    if orders in ((0,), (0, 1)) and len(out) == len(matrix):
+        np.matmul(matrix, table, out=out)
+        if orders == (0, 1):
+            out[1::2] -= TWO_PI_I * shift * out[::2]
+        return w, powers, shift
+    sums = matrix @ table
     i = 0
     for j, ((_, _, _, nk, coeffs), qm) in enumerate(zip(windows, shift)):
         m_0 = sums[j * n_mom]
@@ -219,7 +234,7 @@ def _row_sums(z, tau, window_set, out):
                 tk *= (nk - qm) ** k
                 tk.reshape(2 * rows, -1).sum(axis=0, out=out[i])
             i += 1
-    return w, x, shift
+    return w, powers, shift
 
 
 def _block_pass(z, tau, window_set, out):

@@ -136,6 +136,7 @@ class TestPhi2:
         e_phi2(spec_a, np.array([spec_a.point(s, 0.7) for s in (0.1, 0.2, 0.6, 0.9)]))
         assert kernel_passes == [odd_chars(spec_a)]
 
+    @pytest.mark.bitwise
     def test_batch_equals_scalar_calls(self, spec_ab):
         spec = spec_ab
         pts = np.array([spec.point(s, t) for s in (0.0, 0.3, 0.61) for t in (0.1, 0.5, 1.0)])

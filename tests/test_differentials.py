@@ -112,6 +112,7 @@ class TestEtaCoeff:
         with pytest.raises(PoleAt):
             eta_coeff(spec_a, spec_a.p1)
 
+    @pytest.mark.bitwise
     def test_vectorized_matches_scalar(self, spec_a):
         # bit for bit, inside and outside the Laurent switch of ell
         near = np.exp(2j * np.pi * np.arange(8) / 8)

@@ -21,7 +21,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nodal_theta import inversion, theta
@@ -73,6 +73,24 @@ def generic_tp(spec, seed=101):
     rng = np.random.default_rng(seed)
     c, _ = sample_generic_c(spec, rng)
     return ThetaPullback(c, spec)
+
+
+def generated_pullback(tau, q0, coords, c):
+    """The pullback of a generated spec: tau and q0 as (re, im) pairs, the
+    lattice coordinates of p1, p2 and z0 from q0, and c = (c1 in lattice
+    coordinates, c2 as (re, im))."""
+    tau, q0 = complex(*tau), complex(*q0)
+    p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+    spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
+    return ThetaPullback((c[0] + c[1] * tau, complex(c[2], c[3])), spec)
+
+
+# generated specs whose odd-pair power M (inversion._odd_pair_factor) is 0
+# and 1, the only values met on the presets and on random specs
+ODD_PAIR_POWER_EXAMPLES = {
+    0: dict(tau=(0.01, 1.36), q0=(-0.71, 0.9), coords=[(0.33, 0.43), (0.79, 0.42), (0.54, 0.07)], c=(0.75, 0.54, 0.33, 0.14)),
+    1: dict(tau=(-0.2, 0.96), q0=(-0.73, -0.19), coords=[(0.23, 0.29), (0.73, 0.3), (0.49, 0.93)], c=(0.96, 0.72, 0.54, -0.11)),
+}
 
 
 def chart(tp):
@@ -183,6 +201,7 @@ class TestValueAndDerivative:
     def moment_line(spec, n=64):
         return spec.q0 + np.arange(n) / n
 
+    @pytest.mark.bitwise
     def test_value_is_value_bit_for_bit(self, spec_ab):
         tp = generic_tp(spec_ab)
         z = self.moment_line(spec_ab)
@@ -239,6 +258,7 @@ class TestValueAndDerivative:
         ring = np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
         return np.concatenate([p + r * ring for p in (spec.p1, spec.p2) for r in (0.05, 0.01)])
 
+    @pytest.mark.bitwise
     def test_fused_sum_matches_the_four_theta_route(self, spec_ab):
         spec = spec_ab
         u = np.arange(64) / 63
@@ -251,25 +271,93 @@ class TestValueAndDerivative:
             for z in [grid, *shifted, self.near_the_poles(spec)]:
                 self.assert_matches_four_theta_route(tp, z)
 
+    @pytest.mark.bitwise
     @given(
         tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
         q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
         coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
         c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)),
     )
+    @example(**ODD_PAIR_POWER_EXAMPLES[0])
+    @example(**ODD_PAIR_POWER_EXAMPLES[1])
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_fused_sum_matches_the_four_theta_route_on_generated_specs(self, tau, q0, coords, c):
-        tau, q0 = complex(*tau), complex(*q0)
-        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
         try:
-            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
-            tp = ThetaPullback((c[0] + c[1] * tau, complex(c[2], c[3])), spec)
+            tp = generated_pullback(tau, q0, coords, c)
         except (ValueError, DegenerateC):
             assume(False)
+        spec = tp.spec
         u = np.arange(16) / 15
         grid = (spec.q0 + u[:, None] + u[None, :] * spec.tau).ravel()
         for z in (grid, grid - spec.tau, grid + spec.tau, self.near_the_poles(spec)):
             self.assert_matches_four_theta_route(tp, z)
+
+    def test_examples_pin_both_odd_pair_powers(self):
+        for power, args in ODD_PAIR_POWER_EXAMPLES.items():
+            assert generated_pullback(**args)._power == power
+
+    @staticmethod
+    def across_periods(spec):
+        # eight cell points shifted by q = -6..6 periods tau: theta00's
+        # prefactor e(-w)^Q C(Q) meets 13 strip shifts Q
+        cell = spec.q0 + np.array([0.1, 0.35, 0.6, 0.85]) + np.array([[0.2], [0.7]]) * spec.tau
+        return (cell.ravel() + np.arange(-6, 7)[:, None] * spec.tau).ravel()
+
+    def test_prefactor_matches_the_four_theta_route_across_periods(self, spec_ab):
+        for seed in (101, 102):
+            self.assert_matches_four_theta_route(generic_tp(spec_ab, seed), self.across_periods(spec_ab))
+
+    @pytest.mark.bitwise
+    def test_values_across_periods_equal_their_scalar_calls(self, spec_ab):
+        tp = generic_tp(spec_ab)
+        z = self.across_periods(spec_ab)
+        T, dT = tp.value_and_dvalue(z)
+        V = tp.value(z)
+        for i, p in enumerate(z):
+            assert tp.value(complex(p)) == V[i]
+            assert tp.value_and_dvalue(complex(p)) == (T[i], dT[i])
+
+    def test_odd_pair_power_reads_the_table_or_falls_back(self, spec_ab):
+        # e(M w) is row |M| of the block's power table, from its e(-j w) half
+        # for M < 0, and x**M past the table's last row.  With M changed, the
+        # pass still gives T - theta00 = P_0 e(M w) G S_r S_1/S_2, so it
+        # moves by e((M' - M) w); w = z in the strip q = 0
+        tp = generic_tp(spec_ab)
+        spec = spec_ab
+        z = spec.q0 + np.linspace(0.05, 0.95, 16) + 0.02 * spec.tau
+        th00 = theta_char(tp._chars[0], z, spec.tau)
+        base = tp.value(z) - th00
+        n_rows = theta._window_set(tp._chars, spec.tau, (0,)).n_rows
+        power = tp._power
+        for m in (-n_rows - 1, -n_rows, -2, -1, 0, 1, 2, n_rows - 1, n_rows, n_rows + 2):
+            tp._power = m
+            want = base * e_func((m - power) * z)
+            got = tp.value(z) - th00
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(th00), np.abs(want)))
+
+    def test_one_array_exponential_per_point(self, spec_ab, monkeypatch):
+        # the table's e(w) is the pass's only array exponential: theta00's
+        # prefactor is e(-w)^Q times a scalar C(Q) per strip shift Q, and
+        # e(M w) a row of the table
+        spec = spec_ab
+        tp = generic_tp(spec)
+        u = (np.arange(64) + 0.5) / 64
+        grid = spec.q0 + u[:, None] + u[None, :] * spec.tau
+        padded = -(-grid.size // theta._COLUMNS) * theta._COLUMNS
+        tp.value_and_dvalue(grid)  # warm-up: the windows and the constants C(Q)
+        tp.value(grid)
+        elements = []
+        exp = np.exp
+
+        def counted(x, *args, **kwargs):
+            elements.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        for evaluate in (tp.value, tp.value_and_dvalue):
+            elements.clear()
+            evaluate(grid)
+            assert sum(elements) == padded == 4096
 
     @pytest.mark.parametrize("method", ["value", "value_and_dvalue"])
     def test_memory_is_bounded(self, spec_ab, method):
@@ -311,6 +399,7 @@ class TestValueAndDerivative:
             tp.value_and_dvalue(z[:5])
         assert builds() == (4, 2)
 
+    @pytest.mark.bitwise
     def test_value_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the kernel's one zgemm per block may run on several OpenBLAS
         # threads, and the CLI does not pin their count
@@ -420,6 +509,7 @@ class TestCellWalk:
         beta_dlog_integral(tp)
         assert len(walks) == 1
 
+    @pytest.mark.bitwise
     def test_edge_integrals_are_the_single_edge_walks(self, spec_ab):
         # the same segments in the same direction: equal bit for bit
         rng = np.random.default_rng(43)

@@ -180,6 +180,7 @@ class TestFixedWindowKernel:
     """Each point's value depends on that point only, and matches a
     high-precision oracle."""
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("char", CHARS)
     @pytest.mark.parametrize("func", [theta_char, theta_char_dz, fused_value, fused_dz])
@@ -194,6 +195,7 @@ class TestFixedWindowKernel:
         for m in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64):
             assert np.array_equal(func(char, zs[:m], tau), batch[:m])
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("char", CHARS)
     def test_fused_pass_equals_single_calls(self, tau, char):
@@ -209,6 +211,7 @@ class TestFixedWindowKernel:
             assert value == theta_char(char, z, tau)
             assert deriv == theta_char_dz(char, z, tau)
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("func", [theta_char, theta_char_dz, fused_value, fused_dz])
     def test_batch_invariance_across_blocks(self, tau, func):
@@ -352,6 +355,7 @@ class TestSharedWindowPass:
         widths = [theta._halfwidth(a - math.floor(a), spec_b.tau.imag, 0.5) for a, _ in char_sets[0]]
         assert widths == [4, 5]
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1), (0, 1, 3)])
     def test_each_value_equals_its_single_call(self, tau, orders, char_sets):
