@@ -10,8 +10,9 @@ with ell = theta'[1/2;1/2]/theta[1/2;1/2] and kappa_coeff chosen so both cut
 periods are real (see `curve.derive_periods`); both odd thetas come from
 one kernel pass at z.  Near the poles the local data h, h1 (the holomorphic parts
 in the translation charts z = p_i + t) are evaluated with explicit pole
-cancellation.  The Taylor data of theta[1/2;1/2] at 0 give ell its Laurent
-form and theta[1/2;1/2](t)/t its value near 0.  h1 has no power series:
+cancellation.  The Taylor data of theta[1/2;1/2] at 0, summed from their own
+series (the kernel serves orders 0 and 1 only), give ell its Laurent form
+and theta[1/2;1/2](t)/t its value near 0.  h1 has no power series:
 its integral is the log change of g(t) = t e(phi2(p2 + t)) (abel_jacobi).
 """
 
@@ -22,12 +23,27 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import NodalCurveSpec, derive_periods, lattice_coords
-from .errors import PoleAt
+from .errors import NonConvergent, PoleAt
 from .quadrature import integrate_circle, integrate_polyline
-from .theta import TWO_PI_I, theta_chars
+from .theta import _ABS_TOL, _MAX_INDEX, TWO_PI_I, theta_chars
 
 _ODD = (0.5, 0.5)
 _ELL_SWITCH = 1e-2  # |t| below which ell uses its Laurent expansion
+
+
+def _odd_taylor(tau: complex) -> tuple[complex, ...]:
+    """theta11^(k)(0) = sum (2 pi i nu)^k e(nu^2 tau/2 + nu/2), k = 1, 3, 5, 7,
+    over nu = n + 1/2, |nu| < N + 1/2 for the least N <= 64 at which the
+    first omitted terms, weighted as in a 7th derivative, (2 pi (N + 1/2))^7
+    exp(-pi Im(tau) (N + 1/2)^2), are below _ABS_TOL/4 each."""
+    for n in range(1, _MAX_INDEX + 1):
+        if (2.0 * np.pi * (n + 0.5)) ** 7 * np.exp(-np.pi * tau.imag * (n + 0.5) ** 2) < _ABS_TOL / 4.0:
+            break
+    else:
+        raise NonConvergent(f"theta11's Taylor series needs more than {_MAX_INDEX} terms a side (Im tau = {tau.imag:g})")
+    nu = np.arange(-n, n) + 0.5
+    terms = np.exp(TWO_PI_I * (0.5 * nu * nu * tau + 0.5 * nu))
+    return tuple(complex(np.sum((TWO_PI_I * nu) ** k * terms)) for k in (1, 3, 5, 7))
 
 
 def odd_chars(spec: NodalCurveSpec):
@@ -47,7 +63,7 @@ class ThirdKindDifferential:
         self.r1, self.r2, self.kappa_coeff = derive_periods(spec)
         self._poles = np.array([[self.p1], [self.p2]])
         # odd theta Taylor data at its zero: theta11(t) = a1 t + a3 t^3 + ...
-        ((a1, d3, d5, d7),) = theta_chars((_ODD,), 0.0, self.tau, (1, 3, 5, 7))
+        a1, d3, d5, d7 = _odd_taylor(self.tau)
         # so theta11(t)/t = a1 + a3 t^2 + a5 t^4 + a7 t^6 + O(t^8)
         self._odd_over_t_coeffs = (a1, d3 / 6.0, d5 / 120.0, d7 / 5040.0)
         u, v, w = (b / a1 for b in self._odd_over_t_coeffs[1:])

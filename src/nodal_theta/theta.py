@@ -16,8 +16,10 @@ joining the strip shift; the Gaussian centre of the terms then lies within
 1/2 of n + a = 0, or within 1 for a complex beta.  So one cached window
 per (characteristic, tau) holds the largest terms of every point.  The
 window is sized by the first term it omits: at the worst such centre,
-weighted as in a 7th derivative, that term is below _ABS_TOL/4 = 2.5e-15
-(_halfwidth), whatever the derivative orders of the pass.
+weighted as in a first derivative, that term is below _ABS_TOL/4 =
+2.5e-15 (_halfwidth).  A pass serves derivative orders 0 and 1 only, all
+that the generalized theta and its pullback read; the Taylor data of
+theta11 come from their own series (differentials).
 
 The window's powers are held as a paired table t[j] = (e(j w), e(-j w)),
 j = 0..N+1, built from t[1] = (e(w), e(-w)) by one product per row; the
@@ -85,9 +87,6 @@ _BLOCK = 2048
 _COLUMNS = 8
 # bound on the omitted tail of every theta series
 _ABS_TOL = 1e-14
-# highest z-derivative order whose omitted tail the window bounds: the
-# Taylor data of theta11 in differentials reads orders 1, 3, 5 and 7
-_MAX_ORDER = 7
 
 
 def e_func(x):
@@ -106,17 +105,17 @@ def _tau_value(tau) -> complex:
 
 def _halfwidth(a_red: float, im_tau: float, centre: float) -> int:
     """Minimal N for which the first term the window omits, at |n + a| =
-    N + 2 - a_red, is below _ABS_TOL/4 when weighted by (2 pi (N + 3 - a_red))^k
-    as in a k-th derivative, k = _MAX_ORDER, wherever the Gaussian centre of
-    the terms lies within `centre` of n + a = 0:
+    N + 2 - a_red, is below _ABS_TOL/4 when weighted by 2 pi (N + 3 - a_red)
+    as in a first derivative, wherever the Gaussian centre of the terms lies
+    within `centre` of n + a = 0:
 
-        (2 pi (N + 3 - a))^k exp(-pi Im(tau) ((N + 2 - a - centre)^2 - centre^2)) < _ABS_TOL/4.
+        2 pi (N + 3 - a) exp(-pi Im(tau) ((N + 2 - a - centre)^2 - centre^2)) < _ABS_TOL/4.
 
-    The bound holds for every order up to _MAX_ORDER, so a window does not
-    depend on the orders of its pass."""
+    The bound holds for orders 0 and 1, so a window does not depend on the
+    orders of its pass."""
     for n in range(1, _MAX_INDEX + 1):
         v = n + 2.0 - a_red - centre
-        weight = (2.0 * math.pi * (n + 3.0 - a_red)) ** _MAX_ORDER
+        weight = 2.0 * math.pi * (n + 3.0 - a_red)
         if v > 0.0 and weight * math.exp(-math.pi * im_tau * (v * v - centre * centre)) < _ABS_TOL / 4.0:
             return n
     raise NonConvergent(f"series needs half-width > {_MAX_INDEX} (Im tau = {im_tau:g}, abs_tol = {_ABS_TOL:g})")
@@ -153,9 +152,7 @@ def _window(a: float, b: complex, tau: complex):
 class _WindowSet(NamedTuple):
     """The point-free data of one pass (_window_set)."""
 
-    windows: tuple  # each characteristic's _window
-    orders: tuple  # the derivative orders of the pass
-    n_mom: int  # moments per window: 2 if any order is above 0, else 1
+    orders: tuple  # the derivative orders of the pass: (0,), (1,) or (0, 1)
     matrix: np.ndarray  # (rows, 2 * n_rows) coefficients of _row_sums' product
     a_red: np.ndarray  # (W, 1) columns
     beta: np.ndarray
@@ -166,21 +163,21 @@ class _WindowSet(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _window_set(chars: tuple, tau: complex, orders: tuple[int, ...]):
-    """The _WindowSet of a pass of chars at orders: each _window, and one
-    coefficient matrix with a row (2 pi i nk)^i coeffs, zero-padded to the
-    widest window's 2 (N + 2) table rows, for each window and moment
-    i = 0..min(max(orders), 1).  The matrix has at least two rows: numpy
+    """The _WindowSet of a pass of chars at orders: one coefficient matrix
+    with a row (2 pi i nk)^i coeffs, zero-padded to the widest window's
+    2 (N + 2) table rows, for each _window and moment i = 0, and i = 1 too
+    when the pass wants order 1.  The matrix has at least two rows: numpy
     sends a one-row product to gemv, which rounds differently."""
     windows = tuple(_window(a, b, tau) for a, b in chars)
     n_rows = max(len(win[3]) for win in windows)
-    n_mom = min(max(orders), 1) + 1
+    n_mom = max(orders) + 1
     matrix = np.zeros((max(len(windows) * n_mom, 2), 2 * n_rows), dtype=np.complex128)
     for i, (_, _, _, nk, coeffs) in enumerate(windows):
         for k in range(n_mom):
             matrix[i * n_mom + k, :coeffs.size] = ((TWO_PI_I * nk) ** k * coeffs).ravel()
     matrix.flags.writeable = False
     a_red, beta, m = (np.array(col)[:, None] for col in zip(*[win[:3] for win in windows]))
-    return _WindowSet(windows, orders, n_mom, matrix, a_red, beta, m, n_rows, max(abs(win[2]) for win in windows))
+    return _WindowSet(orders, matrix, a_red, beta, m, n_rows, max(abs(win[2]) for win in windows))
 
 
 def _row_sums(z, tau, window_set, out):
@@ -188,19 +185,19 @@ def _row_sums(z, tau, window_set, out):
     into the rows of out, one row per window and order, and returns (w,
     powers, shift): w, the (N + 2, 2, points) power table below, whose row
     powers[1, 0] is x = e(w), and the (W, points) strip shifts Q = q - m.
-    The k-th z-derivative of a window's theta is its prefactor
+    The k-th z-derivative of a window's theta, k = 0 or 1, is its prefactor
     e((a_red - Q) w - Q (Q tau/2 + beta)) times its sum of order k.
 
     The powers powers[j] = (e(j w), e(-j w)), j = 0..N+1, fill the table
     from one exponential per point and one product per row, sized to the
     widest window.  One matrix product of the window set's matrix with the
     table gives every window's moments M_i = sum (2 pi i nk)^i coeffs t:
-    order 0 is M_0, order 1 is M_1 - 2 pi i Q M_0, and a higher order k
-    weights the table by (2 pi i (nk - Q))^k coeffs and sums it down its
-    rows.  When out wants exactly the matrix's rows, as for orders (0,) of
-    two or more windows and (0, 1), the product is written straight into it,
-    and order 1 is taken from M_1 in place for every window at once."""
-    windows, orders, n_mom, matrix, _, _, m, n_rows, max_m = window_set
+    order 0 is M_0 and order 1 is M_1 - 2 pi i Q M_0, taken in place for
+    every window at once.  The product goes straight into out when out
+    wants exactly the matrix's rows, as for orders (0, 1) and for (0,) of
+    two or more windows; otherwise into a scratch array of the matrix's
+    rows, from which the rows out wants are copied."""
+    orders, matrix, _, _, m, n_rows, max_m = window_set
     q = np.rint(z.imag / tau.imag)
     if len(q) and not np.abs(q).max() + max_m <= _MAX_SHIFT:
         raise NonConvergent(f"strip shift beyond {_MAX_SHIFT} periods (Im z / Im tau too large)")
@@ -213,27 +210,13 @@ def _row_sums(z, tau, window_set, out):
     for j in range(2, n_rows):
         np.multiply(powers[j - 1], powers[1], out=powers[j])
     shift = q - m
-    table = powers.reshape(2 * n_rows, -1)
-    if orders in ((0,), (0, 1)) and len(out) == len(matrix):
-        np.matmul(matrix, table, out=out)
-        if orders == (0, 1):
-            out[1::2] -= TWO_PI_I * shift * out[::2]
-        return w, powers, shift
-    sums = matrix @ table
-    i = 0
-    for j, ((_, _, _, nk, coeffs), qm) in enumerate(zip(windows, shift)):
-        m_0 = sums[j * n_mom]
-        for k in orders:
-            if k == 0:
-                out[i] = m_0
-            elif k == 1:
-                np.subtract(sums[j * n_mom + 1], TWO_PI_I * qm * m_0, out=out[i])
-            else:
-                rows = len(nk)
-                tk = powers[:rows] * (TWO_PI_I**k * coeffs)
-                tk *= (nk - qm) ** k
-                tk.reshape(2 * rows, -1).sum(axis=0, out=out[i])
-            i += 1
+    sums = out if len(out) == len(matrix) else np.empty((len(matrix), len(w)), dtype=np.complex128)
+    np.matmul(matrix, powers.reshape(2 * n_rows, -1), out=sums)
+    if orders != (0,):
+        sums[1::2] -= TWO_PI_I * shift * sums[::2]
+    if sums is not out:
+        # orders (1,), or (0,) of one window, whose matrix has a zero second row
+        out[:] = sums[1::2] if orders == (1,) else sums[:1]
     return w, powers, shift
 
 
@@ -285,16 +268,6 @@ def _theta_pass(chars, z, tau, orders: tuple[int, ...], n_out: int, block):
     return z_arr, vals
 
 
-def _theta_general(chars, z, tau, orders: tuple[int, ...]):
-    """For each characteristic in chars and then each k in orders, the k-th
-    z-derivative at z, in one flat list, from one window pass (_theta_pass):
-    with Q = q - m, theta[a;b](z) = e(-Q^2 tau/2 - Q(w + beta)) theta[a;beta](w)."""
-    z_arr, vals = _theta_pass(chars, z, tau, orders, len(chars) * len(orders), _block_pass)
-    if z_arr.ndim == 0:
-        return [complex(v[0]) for v in vals]
-    return [v[:z_arr.size].reshape(z_arr.shape) for v in vals]
-
-
 def theta_char(char, z, tau):
     """theta[a;b](z, tau) truncated so the omitted tail is below 1e-14.
 
@@ -302,16 +275,24 @@ def theta_char(char, z, tau):
     Raises NonConvergent if the tail bound cannot be met within 64 terms
     per side, or if a strip shift of z and b exceeds 100,000 periods.
     """
-    return _theta_general((char,), z, tau, (0,))[0]
+    return theta_chars((char,), z, tau)[0][0]
 
 
 def theta_chars(chars, z, tau, orders: tuple[int, ...] = (0,)):
-    """((d^k/dz^k theta[char](z) for k in orders) for char in chars): every
-    characteristic's values at the same z from one window pass, sharing the
-    strip shift, the step exponential and the table of powers.  Each value
-    equals its single-characteristic call bit for bit; b may be complex."""
-    vals = _theta_general(tuple(chars), z, tau, tuple(orders))
+    """((d^k/dz^k theta[char](z) for k in orders) for char in chars), orders
+    (0,), (1,) or (0, 1): every characteristic's values at the same z from
+    one window pass (_theta_pass), sharing the strip shift, the step
+    exponential and the table of powers.  With Q = q - m, theta[a;b](z) =
+    e(-Q^2 tau/2 - Q(w + beta)) theta[a;beta](w).  Each value equals its
+    single-characteristic call bit for bit; b may be complex.  Raises
+    ValueError for other orders."""
+    orders = tuple(orders)
+    if orders not in ((0,), (1,), (0, 1)):
+        raise ValueError(f"orders must be (0,), (1,) or (0, 1), got {orders}")
+    chars = tuple(chars)
     n = len(orders)
+    z_arr, vals = _theta_pass(chars, z, tau, orders, len(chars) * n, _block_pass)
+    vals = [complex(v[0]) if z_arr.ndim == 0 else v[:z_arr.size].reshape(z_arr.shape) for v in vals]
     return tuple(tuple(vals[i:i + n]) for i in range(0, len(vals), n))
 
 

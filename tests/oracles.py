@@ -8,9 +8,10 @@ routes.
 - the period map: `phi2_chart_p2` continues phi2 into the node disk, and
   `a_eps_bruteforce` and `a_eps_branch_restart` recompute the circle
   average a(eps) from it;
-- the theta kernel: `row_sums_elementwise` sums each window's terms
-  elementwise, one window at a time, where the package takes every
-  window's row sums from one matrix product;
+- the theta kernel: `theta_mpmath` sums a theta series or a derivative of
+  any order termwise at 40 digits, and `row_sums_elementwise` sums each
+  window's terms elementwise, one window at a time, where the package takes
+  every window's row sums from one matrix product;
 - the pullback: `value_from_phi` evaluates T_c through the period map
   instead of the branch-free quotient, and `pullback_terms` sums T_c and
   its derivative from four thetas instead of their combined row sums;
@@ -29,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 
 from nodal_theta.abel_jacobi import a_eps, chart_g, e_phi2_from, phi1, phi2
@@ -110,6 +112,24 @@ def a_eps_bruteforce(spec: NodalCurveSpec, eps: float, n: int = 256) -> complex:
 
 
 # -- the theta kernel ------------------------------------------------------------
+
+
+def theta_mpmath(char, z, tau, k, n_max=30):
+    """Independent oracle at 40 digits: termwise k-th derivative summed over
+    |n| <= n_max (the tail is below 1e-300 for the arguments used); b may be
+    complex."""
+    with mpmath.workdps(40):
+        b = complex(char[1])
+        a, b = mpmath.mpf(char[0]), mpmath.mpc(b.real, b.imag)
+        z = mpmath.mpc(z.real, z.imag)
+        tau = mpmath.mpc(tau.real, tau.imag)
+        total = mpmath.mpc(0)
+        for n in range(-n_max, n_max + 1):
+            na = n + a
+            total += (2j * mpmath.pi * na) ** k * mpmath.exp(
+                2j * mpmath.pi * (na * na * tau / 2 + na * (z + b))
+            )
+        return complex(total)
 
 
 def row_sums_elementwise(chars, z, tau: complex, orders):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from nodal_theta.abel_jacobi import chart_g
-from nodal_theta.curve import derive_periods
+from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import (
+    ThirdKindDifferential,
     eta_coeff,
     h1_at_p2,
     h_at_p1,
@@ -17,16 +18,18 @@ from nodal_theta.differentials import (
     period_integral,
     third_kind,
 )
-from nodal_theta.errors import PoleAt, QuadratureFailure
+from nodal_theta.errors import NonConvergent, PoleAt, QuadratureFailure
 from nodal_theta.quadrature import (
     integrate_circle,
     integrate_polyline,
     integrate_segment,
     track_log_sampled,
 )
-from oracles import track_log, winding_number
+from oracles import theta_mpmath, track_log, winding_number
 
 TWO_PI_I = 2j * math.pi
+# the lattices of tests/test_theta.py (those of the presets too) and two more
+TAUS = [1j, 0.3 + 0.8j, 0.1 + 0.6j, 1.4j]
 
 
 def ell_mpmath(x, tau, n_max=30):
@@ -148,6 +151,42 @@ class TestEtaCoeff:
                 want = complex(want + kappa)
             worst = max(worst, abs(got - want) / abs(want))
         assert worst <= 1e-12
+
+
+class TestTaylorData:
+    """theta11's Taylor data at 0, theta11(t)/t = a1 + a3 t^2 + a5 t^4 +
+    a7 t^6 + O(t^8), summed from their own series, against a termwise
+    40-digit oracle and Jacobi's theta11'(0) = -2 pi eta(tau)^3."""
+
+    @pytest.fixture(params=["a", "b", *TAUS])
+    def diff(self, request, presets):
+        p = request.param
+        if isinstance(p, str):
+            return third_kind(presets[p].spec)
+        return ThirdKindDifferential(NodalCurveSpec(tau=p, p1=0.25 + 0.5 * p, p2=0.75 + 0.5 * p, z0=0.5 + 0.25 * p))
+
+    def test_matches_mpmath(self, diff):
+        for j, got in enumerate(diff._odd_over_t_coeffs):
+            k = 2 * j + 1
+            want = theta_mpmath((0.5, 0.5), 0j, diff.tau, k) / math.factorial(k)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_a1_is_minus_two_pi_eta_cubed(self, diff):
+        with mpmath.workdps(40):
+            tau = mpmath.mpc(diff.tau.real, diff.tau.imag)
+            eta = mpmath.exp(2j * mpmath.pi * tau / 24) * mpmath.qp(mpmath.exp(2j * mpmath.pi * tau))
+            want = complex(-2 * mpmath.pi * eta**3)
+        assert abs(diff._odd_over_t_coeffs[0] - want) <= 1e-14 * abs(want)
+
+    def test_no_kernel_pass(self, spec_b, kernel_passes):
+        ThirdKindDifferential(spec_b)
+        assert kernel_passes == []
+
+    def test_nonconvergent_for_tiny_im_tau(self):
+        h = 5e-4
+        spec = NodalCurveSpec(tau=2j * h, p1=0.25 + 1j * h, p2=0.75 + 1j * h, z0=0.5 + 0.5j * h, delta=1e-4, eps=1e-4)
+        with pytest.raises(NonConvergent):
+            ThirdKindDifferential(spec)
 
 
 class TestLocalData:

@@ -364,7 +364,7 @@ class TestValueAndDerivative:
         # the 12 MiB that theta_char is held to on as many points: the row
         # sums and prefactors live per block of theta._BLOCK points, and the
         # output alone takes 1 MiB per row.  Blocked, the pass peaks at
-        # 1.9-3.2 MiB on the presets; unblocked, at 25-38 MiB
+        # 1.8-3.2 MiB on the presets; unblocked, at 24-31 MiB
         spec = spec_ab
         u = (np.arange(256) + 0.5) / 256
         grid = spec.q0 + u[:, None] + u[None, :] * spec.tau
