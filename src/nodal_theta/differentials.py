@@ -29,13 +29,21 @@ from .theta import _ABS_TOL, _MAX_INDEX, TWO_PI_I, theta_chars
 
 _ODD = (0.5, 0.5)
 _ELL_SWITCH = 1e-2  # |t| below which ell uses its Laurent expansion
+# largest share of |theta11'(0)| that the rounding of its series may take
+_TAYLOR_RTOL = 1e-8
 
 
 def _odd_taylor(tau: complex) -> tuple[complex, ...]:
     """theta11^(k)(0) = sum (2 pi i nu)^k e(nu^2 tau/2 + nu/2), k = 1, 3, 5, 7,
     over nu = n + 1/2, |nu| < N + 1/2 for the least N <= 64 at which the
     first omitted terms, weighted as in a 7th derivative, (2 pi (N + 1/2))^7
-    exp(-pi Im(tau) (N + 1/2)^2), are below _ABS_TOL/4 each."""
+    exp(-pi Im(tau) (N + 1/2)^2), are below _ABS_TOL/4 each.
+
+    a1 = theta11'(0) = -2 pi eta(tau)^3 is far smaller than its terms when
+    Im tau is small, and ThirdKindDifferential divides by it: NonConvergent
+    when its rounding bound, machine epsilon times the summed moduli of its
+    terms, exceeds _TAYLOR_RTOL |a1| (at tau = 0.01i the sum misses a1 by 26
+    times its size)."""
     for n in range(1, _MAX_INDEX + 1):
         if (2.0 * np.pi * (n + 0.5)) ** 7 * np.exp(-np.pi * tau.imag * (n + 0.5) ** 2) < _ABS_TOL / 4.0:
             break
@@ -43,7 +51,12 @@ def _odd_taylor(tau: complex) -> tuple[complex, ...]:
         raise NonConvergent(f"theta11's Taylor series needs more than {_MAX_INDEX} terms a side (Im tau = {tau.imag:g})")
     nu = np.arange(-n, n) + 0.5
     terms = np.exp(TWO_PI_I * (0.5 * nu * nu * tau + 0.5 * nu))
-    return tuple(complex(np.sum((TWO_PI_I * nu) ** k * terms)) for k in (1, 3, 5, 7))
+    moments = [(TWO_PI_I * nu) ** k * terms for k in (1, 3, 5, 7)]
+    a1 = complex(np.sum(moments[0]))
+    bound = np.finfo(np.float64).eps * np.sum(np.abs(moments[0]))
+    if not bound <= _TAYLOR_RTOL * abs(a1):
+        raise NonConvergent(f"theta11'(0) = {a1:.3g} is lost in the rounding of its series, {bound:.3g} (Im tau = {tau.imag:g})")
+    return (a1, *(complex(np.sum(moment)) for moment in moments[1:]))
 
 
 def odd_chars(spec: NodalCurveSpec):

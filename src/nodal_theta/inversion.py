@@ -167,6 +167,16 @@ def _odd_pair_factor(spec: NodalCurveSpec, chars: tuple, c2: complex) -> tuple[i
     return power, cmath.exp(TWO_PI_I * (h_r + h_1 - h_2 - h_0 - r1 * spec.z0 - c2)) / _q_at_z0(spec)
 
 
+def _table_power(powers, k: int):
+    """e(k w) at the points of a block, from the power table of
+    theta._row_sums: its row |k|, the e(-j w) half for k < 0, or past the
+    table an integer power of its row 1."""
+    half = int(k < 0)
+    if abs(k) < len(powers):
+        return powers[abs(k), half]
+    return np.power(powers[1, half], abs(k))
+
+
 class ThetaPullback:
     """T_c for one shift c = (c1, c2) on a given curve instance.
 
@@ -181,9 +191,14 @@ class ThetaPullback:
 
     theta00's prefactor is P_0 = e(-w)^Q C(Q), with Q = Q_0 = q - m_0 its
     strip shift and C(Q) = e(-Q beta_0 - Q^2 tau/2) one scalar exponential
-    per distinct Q, cached per pullback; e(-w)^Q is numpy's elementwise
-    integer power of the table's e(-w), and e(M w) the table's row |M|.  So
-    a point takes one exponential, the table's e(w)."""
+    per distinct Q, cached per pullback.  A block builds P_0 once per Q in
+    the range of its strip shifts: e(-w)^Q is the table's row |Q|, its
+    e(-j w) half for Q > 0 and its e(j w) half for Q < 0 (an integer power
+    of row 1 past the table), times the scalar C(Q); where the block spans
+    several strips, each point takes the P_0 of its own Q, so its bits
+    depend on that point alone.  e(M w) is the table's row |M|.  So a point
+    takes one exponential, the table's e(w).  The windows of a new c1 twist
+    cached tau-only Gaussians (theta._window)."""
 
     def __init__(self, c, spec: NodalCurveSpec):
         self.c1 = _require_generic(spec, c[0])
@@ -193,42 +208,40 @@ class ThetaPullback:
         self._chars = _pullback_chars(spec, self.c1)
         self._power, self._scale = _odd_pair_factor(spec, self._chars, self.c2)
         _, self._beta_0, _ = _reduce(*self._chars[0], spec.tau)
-        # C(Q) for Q = _shift_lo, _shift_lo + 1, ..., over the shifts met so far
-        self._shift_lo, self._constants = 0, np.ones(1, dtype=np.complex128)
+        self._constants = {}  # C(Q) by the strip shifts Q met so far
         self._walks = {}
 
     # -- building blocks ----------------------------------------------------
 
-    def _theta00_constants(self, shift):
-        """C(Q) = e(-Q beta_0 - Q^2 tau/2) at each strip shift Q of theta00,
-        read from the pullback's table of the shifts met so far, which grows
-        to take in new ones; each entry is one scalar exponential."""
-        lo, hi = np.minimum.reduce(shift), np.maximum.reduce(shift)
-        if lo < self._shift_lo or hi >= self._shift_lo + len(self._constants):
-            lo = int(min(lo, self._shift_lo))
-            hi = int(max(hi, self._shift_lo + len(self._constants) - 1))
+    def _theta00_prefactor(self, powers, shift: int):
+        """P_0 = e(-w)^Q C(Q) at every point of a block, for one strip shift
+        Q = shift of theta00: the table's e(-Q w) times the scalar C(Q),
+        which is one scalar exponential cached per pullback."""
+        c = self._constants.get(shift)
+        if c is None:
             tau, beta = self.spec.tau, self._beta_0
-            self._shift_lo = lo
-            self._constants = np.array([cmath.exp(-TWO_PI_I * q * (beta + 0.5 * q * tau)) for q in range(lo, hi + 1)])
-        return self._constants[(shift - self._shift_lo).astype(np.intp)]
+            c = self._constants[shift] = cmath.exp(-TWO_PI_I * shift * (beta + 0.5 * shift * tau))
+        return _table_power(powers, -shift) * c
 
     def _block(self, z, tau, window_set, out):
         """T_c, and dT_c/dz when out has two rows, at the points z of one
-        block.  dT_c is the quotient rule on the pass's order-1 sums D_i,
-        theta_i' = P_i D_i:
+        block.  P_0 is built once per strip shift Q of the block, from the
+        range of its strip numbers; where the block spans several strips,
+        each point takes the P_0 of its own Q.  dT_c is the quotient rule on
+        the pass's order-1 sums D_i, theta_i' = P_i D_i:
 
             dT_c = P_0 (D_0 + e(M w) G [(D_r S_1 + S_r D_1 + 2 pi i r1 S_r S_1) S_2 - S_r S_1 D_2] / S_2^2),
 
         which divides by neither S_r nor S_1, so it holds at the zero p1 of S_1."""
         n = len(out)
         sums = np.empty((4 * n, len(z)), dtype=np.complex128)
-        _, powers, shift = _row_sums(z, tau, window_set, sums)
-        p_0 = np.power(powers[1, 1], shift[0])
-        p_0 *= self._theta00_constants(shift[0])
-        # e(M w): row |M| of the table, its e(-j w) half for M < 0
-        m = self._power
-        xg = powers[abs(m), int(m < 0)] if abs(m) < len(powers) else powers[1, 0] ** m
-        xg = xg * self._scale
+        _, powers, q, lo, hi = _row_sums(z, tau, window_set, sums)
+        m_0 = window_set.m[0, 0]
+        lo, hi = int(lo - m_0), int(hi - m_0)
+        p_0 = self._theta00_prefactor(powers, lo)
+        for shift in range(lo + 1, hi + 1):
+            np.copyto(p_0, self._theta00_prefactor(powers, shift), where=q == shift + m_0)
+        xg = _table_power(powers, self._power) * self._scale
         s_0, s_r, s_1, s_2 = sums[::n]
         u = s_r * s_1
         t = u / s_2

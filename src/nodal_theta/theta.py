@@ -19,12 +19,19 @@ window is sized by the first term it omits: at the worst such centre,
 weighted as in a first derivative, that term is below _ABS_TOL/4 =
 2.5e-15 (_halfwidth).  A pass serves derivative orders 0 and 1 only, all
 that the generalized theta and its pullback read; the Taylor data of
-theta11 come from their own series (differentials).
+theta11 come from their own series (differentials).  A point that is not
+finite, or whose strip shift exceeds _MAX_SHIFT periods, raises
+NonConvergent before any block is summed.
 
-The window's powers are held as a paired table t[j] = (e(j w), e(-j w)),
-j = 0..N+1, built from t[1] = (e(w), e(-w)) by one product per row; the
-window's cached coefficients are laid out the same way, with the duplicate
-centre entry weighted 0.  The coefficient rows of every window of a pass
+The window's coefficients e(nk^2 tau/2 + nk beta) split into a tau-only
+Gaussian e(nk^2 tau/2), cached with nk and the half-width per (a mod 1,
+tau, centre) (_gaussian), and a twist e(nk beta) by the shift: a new b,
+as each new shift c1 of the pullback makes, costs one small exponential
+(_window).  The window's powers are held as a paired table t[j] =
+(e(j w), e(-j w)), j = 0..N+1: e(w) and e(-w) are written in place into
+row 1, and each further row is one product; the window's cached
+coefficients are laid out the same way, with the duplicate centre entry
+weighted 0.  The coefficient rows of every window of a pass
 form one matrix (_window_set), so a block's row sums of all its windows are
 one matrix product with the table: one zgemm per block.  A batch is summed
 in blocks of at most _BLOCK points, so memory stays O(points + window *
@@ -54,8 +61,9 @@ block's power table (_row_sums); theta_chars multiplies the sums by the
 automorphy prefactors, all from one exponential.  Other combinations of
 the same sums apply their prefactors their own way: the pulled-back Theta
 (inversion.ThetaPullback) folds those of its four thetas into theta00's,
-reads that prefactor and e(M w) from powers of the table's e(w), and so
-takes one exponential per point, the table's e(w).
+P_0 = e(-w)^Q C(Q), and builds it once per strip shift Q of a block from
+the table's row |Q| and one scalar C(Q); with e(M w), also a row of the
+table, a point takes one exponential, the table's e(w).
 A derivative is one more order of the same pass: theta_chars((char,), z,
 tau, (0, 1)) gives theta and theta' together.  big_theta takes both of its
 thetas from one pass.
@@ -130,21 +138,35 @@ def _reduce(a: float, b: complex, tau: complex):
 
 
 @lru_cache(maxsize=64)
-def _window(a: float, b: complex, tau: complex):
-    """(a_red, beta, m, nk, coeffs), b = beta - m*tau with |Im beta| <=
-    Im(tau)/2, for arguments in the strip, as read-only (N + 2, 2, 1) tables
-    laid out as the power table of _row_sums: nk[j] = (a_red + j, a_red - j)
-    for j = 0..N+1, and the point-free factors coeffs = e(nk^2 tau/2 +
-    nk beta), whose duplicate centre entry coeffs[0, 1] is weighted 0.  The
-    Gaussian centre of the terms lies within 1/2 of 0 for a real beta and
-    within 1 for a complex one."""
-    a_red, beta, m = _reduce(a, b, tau)
-    n_half = _halfwidth(a_red, tau.imag, 1.0 if beta.imag else 0.5)
+def _gaussian(a_red: float, tau: complex, centre: float):
+    """(nk, gauss): the tau-only part of every window of a_red whose
+    Gaussian centre lies within `centre` of n + a = 0, as read-only
+    (N + 2, 2, 1) tables laid out as the power table of _row_sums:
+    nk[j] = (a_red + j, a_red - j) for j = 0..N+1, N = _halfwidth(a_red,
+    Im tau, centre), and gauss = e(nk^2 tau/2), whose duplicate centre entry
+    gauss[0, 1] is weighted 0.  Every b of the characteristic shares it."""
+    n_half = _halfwidth(a_red, tau.imag, centre)
     j = np.arange(n_half + 2, dtype=np.float64)
     nk = np.stack([a_red + j, a_red - j], axis=1)[:, :, None]
-    coeffs = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * beta))
-    coeffs[0, 1] = 0.0
+    gauss = np.exp(TWO_PI_I * (0.5 * nk * nk * tau))
+    gauss[0, 1] = 0.0
     nk.flags.writeable = False
+    gauss.flags.writeable = False
+    return nk, gauss
+
+
+@lru_cache(maxsize=64)
+def _window(a: float, b: complex, tau: complex):
+    """(a_red, beta, m, nk, coeffs), b = beta - m*tau with |Im beta| <=
+    Im(tau)/2, for arguments in the strip: the _gaussian of a_red twisted by
+    one small exponential, coeffs = gauss e(nk beta), the point-free factors
+    e(nk^2 tau/2 + nk beta) as a read-only table.  The Gaussian centre of the
+    terms lies within 1/2 of 0 for a real beta and within 1 for a complex
+    one, so a new b of the same a_red builds no new Gaussian."""
+    a_red, beta, m = _reduce(a, b, tau)
+    nk, gauss = _gaussian(a_red, tau, 1.0 if beta.imag else 0.5)
+    coeffs = np.exp((TWO_PI_I * beta) * nk)
+    coeffs *= gauss
     coeffs.flags.writeable = False
     return a_red, beta, float(m), nk, coeffs
 
@@ -164,67 +186,74 @@ class _WindowSet(NamedTuple):
 @lru_cache(maxsize=64)
 def _window_set(chars: tuple, tau: complex, orders: tuple[int, ...]):
     """The _WindowSet of a pass of chars at orders: one coefficient matrix
-    with a row (2 pi i nk)^i coeffs, zero-padded to the widest window's
-    2 (N + 2) table rows, for each _window and moment i = 0, and i = 1 too
-    when the pass wants order 1.  The matrix has at least two rows: numpy
-    sends a one-row product to gemv, which rounds differently."""
+    with a row coeffs for each _window, followed by its moment-1 row
+    coeffs 2 pi i nk when the pass wants order 1, each zero-padded to the
+    widest window's 2 (N + 2) table rows.  The matrix has at least two rows:
+    numpy sends a one-row product to gemv, which rounds differently."""
     windows = tuple(_window(a, b, tau) for a, b in chars)
     n_rows = max(len(win[3]) for win in windows)
     n_mom = max(orders) + 1
     matrix = np.zeros((max(len(windows) * n_mom, 2), 2 * n_rows), dtype=np.complex128)
     for i, (_, _, _, nk, coeffs) in enumerate(windows):
-        for k in range(n_mom):
-            matrix[i * n_mom + k, :coeffs.size] = ((TWO_PI_I * nk) ** k * coeffs).ravel()
+        row = matrix[i * n_mom, :coeffs.size]
+        row[:] = coeffs.ravel()
+        if n_mom == 2:
+            np.multiply(row, TWO_PI_I * nk.ravel(), out=matrix[i * n_mom + 1, :coeffs.size])
     matrix.flags.writeable = False
-    a_red, beta, m = (np.array(col)[:, None] for col in zip(*[win[:3] for win in windows]))
-    return _WindowSet(orders, matrix, a_red, beta, m, n_rows, max(abs(win[2]) for win in windows))
+    a_red, beta, m = np.array([win[:3] for win in windows]).T[:, :, None]
+    return _WindowSet(orders, matrix, a_red.real, beta, m.real, n_rows, max(abs(win[2]) for win in windows))
 
 
 def _row_sums(z, tau, window_set, out):
     """Writes each window's row sums at the points z = w + q*tau of one block
     into the rows of out, one row per window and order, and returns (w,
-    powers, shift): w, the (N + 2, 2, points) power table below, whose row
-    powers[1, 0] is x = e(w), and the (W, points) strip shifts Q = q - m.
-    The k-th z-derivative of a window's theta, k = 0 or 1, is its prefactor
-    e((a_red - Q) w - Q (Q tau/2 + beta)) times its sum of order k.
+    powers, q, lo, hi): w, the (N + 2, 2, points) power table below, whose
+    row powers[1, 0] is x = e(w), the strip numbers q and their range
+    [lo, hi].  With the strip shifts Q = q - m, the k-th z-derivative of a
+    window's theta, k = 0 or 1, is its prefactor e((a_red - Q) w -
+    Q (Q tau/2 + beta)) times its sum of order k.
 
     The powers powers[j] = (e(j w), e(-j w)), j = 0..N+1, fill the table
     from one exponential per point and one product per row, sized to the
-    widest window.  One matrix product of the window set's matrix with the
-    table gives every window's moments M_i = sum (2 pi i nk)^i coeffs t:
-    order 0 is M_0 and order 1 is M_1 - 2 pi i Q M_0, taken in place for
-    every window at once.  The product goes straight into out when out
+    widest window; e(w) and e(-w) are written straight into its row 1.  One
+    matrix product of the window set's matrix with the table gives every
+    window's moments M_i = sum (2 pi i nk)^i coeffs t: order 0 is M_0 and
+    order 1 is M_1 - 2 pi i Q M_0, taken in place for every window at once;
+    Q is formed only there.  The product goes straight into out when out
     wants exactly the matrix's rows, as for orders (0, 1) and for (0,) of
     two or more windows; otherwise into a scratch array of the matrix's
     rows, from which the rows out wants are copied."""
     orders, matrix, _, _, m, n_rows, max_m = window_set
-    q = np.rint(z.imag / tau.imag)
-    if len(q) and not np.abs(q).max() + max_m <= _MAX_SHIFT:
+    q = np.divide(z.imag, tau.imag)
+    np.rint(q, out=q)
+    lo, hi = q.min(), q.max()
+    if not (hi + max_m <= _MAX_SHIFT and max_m - lo <= _MAX_SHIFT):
         raise NonConvergent(f"strip shift beyond {_MAX_SHIFT} periods (Im z / Im tau too large)")
     w = z - q * tau
-    x = np.exp(TWO_PI_I * w)
     powers = np.empty((n_rows, 2, len(w)), dtype=np.complex128)
     powers[0] = 1.0
-    powers[1, 0] = x
-    powers[1, 1] = 1.0 / x
+    x = powers[1, 0]
+    np.multiply(TWO_PI_I, w, out=x)
+    np.exp(x, out=x)
+    np.divide(1.0, x, out=powers[1, 1])
     for j in range(2, n_rows):
         np.multiply(powers[j - 1], powers[1], out=powers[j])
-    shift = q - m
     sums = out if len(out) == len(matrix) else np.empty((len(matrix), len(w)), dtype=np.complex128)
     np.matmul(matrix, powers.reshape(2 * n_rows, -1), out=sums)
     if orders != (0,):
-        sums[1::2] -= TWO_PI_I * shift * sums[::2]
+        sums[1::2] -= TWO_PI_I * (q - m) * sums[::2]
     if sums is not out:
         # orders (1,), or (0,) of one window, whose matrix has a zero second row
         out[:] = sums[1::2] if orders == (1,) else sums[:1]
-    return w, powers, shift
+    return w, powers, q, lo, hi
 
 
 def _block_pass(z, tau, window_set, out):
     """Each window's values at the points z of one block, in the rows of
     out: its row sums times its prefactor, all prefactors from one
     exponential per point."""
-    w, _, shift = _row_sums(z, tau, window_set, out)
+    w, _, q, _, _ = _row_sums(z, tau, window_set, out)
+    shift = q - window_set.m
     prefactors = (window_set.a_red - shift) * w - shift * (0.5 * (shift * tau) + window_set.beta)
     np.exp(TWO_PI_I * prefactors, out=prefactors)
     n_orders = len(window_set.orders)
@@ -254,6 +283,9 @@ def _theta_pass(chars, z, tau, orders: tuple[int, ...], n_out: int, block):
     window_set = _window_set(tuple((float(a), complex(b)) for a, b in chars), tau, orders)
     z_arr = np.asarray(z, dtype=np.complex128)
     zf = z_arr.ravel()
+    # both parts of every point finite: a NaN real part reaches no strip check
+    if not np.isfinite(zf.view(np.float64)).all():
+        raise NonConvergent("a point of the pass is not finite")
     groups = -(-zf.size // _COLUMNS)
     if groups * _COLUMNS > zf.size:
         padded = np.empty(groups * _COLUMNS, dtype=np.complex128)
@@ -273,7 +305,8 @@ def theta_char(char, z, tau):
 
     char is an (a, b) pair, b maybe complex; z a scalar or an ndarray.
     Raises NonConvergent if the tail bound cannot be met within 64 terms
-    per side, or if a strip shift of z and b exceeds 100,000 periods.
+    per side, if a strip shift of z and b exceeds 100,000 periods, or if a
+    point is not finite.
     """
     return theta_chars((char,), z, tau)[0][0]
 

@@ -11,7 +11,9 @@ routes.
 - the theta kernel: `theta_mpmath` sums a theta series or a derivative of
   any order termwise at 40 digits, and `row_sums_elementwise` sums each
   window's terms elementwise, one window at a time, where the package takes
-  every window's row sums from one matrix product;
+  every window's row sums from one matrix product, and
+  `window_coeffs_direct` takes a window's coefficients from one exponential
+  of their exponent, where the package twists a cached Gaussian;
 - the pullback: `value_from_phi` evaluates T_c through the period map
   instead of the branch-free quotient, and `pullback_terms` sums T_c and
   its derivative from four thetas instead of their combined row sums;
@@ -159,6 +161,17 @@ def row_sums_elementwise(chars, z, tau: complex, orders):
             weight = 2 * math.pi * (np.abs(nk) + np.abs(shift)) if k else 1.0
             scales.append((np.abs(terms) * weight**k).reshape(-1, len(z)).sum(axis=0))
     return np.array(sums), np.array(scales)
+
+
+def window_coeffs_direct(a: float, b: complex, tau: complex):
+    """The coefficients of theta._window(a, b, tau), e(nk^2 tau/2 + nk beta)
+    with the duplicate centre entry weighted 0, from one exponential of the
+    whole exponent: the kernel's route before it twisted a cached tau-only
+    Gaussian by e(nk beta)."""
+    _, beta, _, nk, _ = _window(a, b, tau)
+    coeffs = np.exp(TWO_PI_I * (0.5 * nk * nk * tau + nk * beta))
+    coeffs[0, 1] = 0.0
+    return coeffs
 
 
 # -- the pullback and its node chart -------------------------------------------

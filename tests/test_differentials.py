@@ -11,6 +11,7 @@ from nodal_theta.abel_jacobi import chart_g
 from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import (
     ThirdKindDifferential,
+    _odd_taylor,
     eta_coeff,
     h1_at_p2,
     h_at_p1,
@@ -181,6 +182,40 @@ class TestTaylorData:
     def test_no_kernel_pass(self, spec_b, kernel_passes):
         ThirdKindDifferential(spec_b)
         assert kernel_passes == []
+
+    # theta11^(k)(0), k = 1, 3, 5, 7, as _odd_taylor gave them before it
+    # guarded a1 against cancellation (TAUS[:2] are the presets' lattices)
+    UNGUARDED = {
+        1j: (-2.8486946039877874, 26.84831412062675, -152.42711321643978, -8492.614863611712),
+        0.3 + 0.8j: (
+            -3.2938681156615206 - 0.7262494351076557j,
+            35.23227651408711 + 2.7253588043771066j,
+            -589.7756326905354 + 367.7753133943375j,
+            27361.39499038338 - 38703.96250288773j,
+        ),
+        0.1 + 0.6j: (
+            -3.7036891287991187 - 0.1317775562274075j,
+            20.2456465825066 - 12.5568230633417j,
+            1252.2307189976523 + 1346.5313010266623j,
+            -142187.6141317956 - 119839.8149511932j,
+        ),
+        1.4j: (-2.0914669956885024, 20.566978795992835, -196.32835497625433, 1346.1359090393685),
+    }
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_guard_keeps_the_values(self, tau):
+        for got, want in zip(_odd_taylor(tau), self.UNGUARDED[tau]):
+            assert abs(got - want) <= 2 * np.finfo(np.float64).eps * abs(want)
+
+    def test_nonconvergent_where_a1_is_lost_in_rounding(self):
+        # at tau = 0.01i, a1 = -2 pi eta^3 is about 1e-29 while its terms
+        # reach about 10: the sum misses a1 by 26 times its size
+        with pytest.raises(NonConvergent, match="rounding"):
+            _odd_taylor(0.01j)
+        h = 0.005
+        spec = NodalCurveSpec(tau=2j * h, p1=0.25 + 1j * h, p2=0.75 + 1j * h, z0=0.5 + 0.5j * h, delta=1e-4, eps=1e-4)
+        with pytest.raises(NonConvergent):
+            ThirdKindDifferential(spec)
 
     def test_nonconvergent_for_tiny_im_tau(self):
         h = 5e-4

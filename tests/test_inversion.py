@@ -28,7 +28,7 @@ from nodal_theta import inversion, theta
 from nodal_theta.abel_jacobi import chart_g, divisor_image, e_phi2, phi1, phi2
 from nodal_theta.curve import NodalCurveSpec, derive_periods, lattice_coords, mod_gamma_decompose, period_group
 from nodal_theta.branches import beta_k
-from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, ZeroCollision
+from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, NonConvergent, ZeroCollision
 from nodal_theta.differentials import third_kind
 from nodal_theta.quadrature import _log_change_sampled, integrate_segment, track_log_sampled
 from nodal_theta.inversion import (
@@ -398,6 +398,32 @@ class TestValueAndDerivative:
             tp.value(complex(z[3]))
             tp.value_and_dvalue(z[:5])
         assert builds() == (4, 2)
+
+    def test_new_shifts_build_no_gaussian(self, spec_ab):
+        # each new c1 makes new characteristics, and so new windows; each
+        # window twists its characteristic's tau-only Gaussian, cached per
+        # (a mod 1, tau, centre), so after one pullback 50 new shifts build
+        # windows but no Gaussian
+        rng = np.random.default_rng(83)
+        z = self.moment_line(spec_ab, 32)
+        ThetaPullback(sample_generic_c(spec_ab, rng)[0], spec_ab).value_and_dvalue(z)
+        windows = theta._window.cache_info().misses
+        gaussians = theta._gaussian.cache_info().misses
+        for _ in range(50):
+            c, _ = sample_generic_c(spec_ab, rng)
+            ThetaPullback(c, spec_ab).value_and_dvalue(z)
+        assert theta._window.cache_info().misses >= windows + 100
+        assert theta._gaussian.cache_info().misses == gaussians
+
+    @pytest.mark.parametrize("point", [complex(math.nan, 0.0), complex(0.3, math.nan), complex(math.nan, math.nan), 0.3 + 1e6j, 0.3 - 1e6j])
+    def test_non_finite_and_far_points_raise(self, spec_ab, point):
+        # before any strip loop: a NaN strip number never reaches the loop
+        # over theta00's strip shifts
+        tp = generic_tp(spec_ab)
+        for z in (point, np.array([spec_ab.q0 + 0.3, point])):
+            for evaluate in (tp.value, tp.value_and_dvalue):
+                with pytest.raises(NonConvergent):
+                    evaluate(z)
 
     @pytest.mark.bitwise
     def test_value_bytes_do_not_depend_on_blas_threads(self, tmp_path):

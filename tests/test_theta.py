@@ -24,7 +24,7 @@ from nodal_theta.theta import (
     theta_chars,
     translation_factor,
 )
-from oracles import row_sums_elementwise, theta_mpmath
+from oracles import row_sums_elementwise, theta_mpmath, window_coeffs_direct
 
 
 def theta_char_dz(char, z, tau):
@@ -135,6 +135,15 @@ class TestThetaChar:
         with pytest.raises(NonConvergent):
             theta_char_and_dz((0.5, 0.5), np.array([0.2, 0.3 - 2e5j]), 0.3 + 0.8j)
 
+    @pytest.mark.parametrize("point", [complex(math.nan, 0.0), complex(0.3, math.nan), complex(math.nan, math.nan), complex(math.inf, 0.0), 0.3 + 1e6j, 0.3 - 1e6j])
+    def test_nonconvergent_for_non_finite_and_far_points(self, point):
+        # alone and beside finite points, at every order set: a NaN or far
+        # Im z fails the strip check, a non-finite Re z the finiteness check
+        for orders in ((0,), (1,), (0, 1)):
+            for z in (point, np.array([0.2, point, 0.4j])):
+                with pytest.raises(NonConvergent):
+                    theta_chars(((0.0, 0.0), (0.5, 0.5 + 0.2j)), z, 1j, orders)
+
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             theta_char((0.0, 0.0), 0.0, 1.0 - 0.5j)
@@ -194,22 +203,23 @@ class TestFixedWindowKernel:
 
     @pytest.mark.bitwise
     @pytest.mark.parametrize("tau", TAUS)
-    @pytest.mark.parametrize("func", [theta_char, theta_char_dz, fused_value, fused_dz])
+    @pytest.mark.parametrize("func", [theta_char, theta_char_dz, theta_char_and_dz])
     def test_batch_invariance_across_blocks(self, tau, func):
         # batches that fill one block, split into two or three, and whose
-        # first points are also evaluated as batches of 1, 2 and 3
+        # first points are also evaluated as batches of 1, 2 and 3; each
+        # output of func is a row: theta_char_and_dz gives two
         block = theta._BLOCK
         rng = np.random.default_rng(59)
         n = 2 * block + 1
         zs = rng.uniform(-1.5, 1.5, n) + 1j * np.linspace(-2.0, 3.0, n)
         rng.shuffle(zs)
         for char in ((-1.3, 0.7), (0.25, -0.4 + 1.2j)):
-            alone = np.array([func(char, complex(z), tau) for z in zs])
+            alone = np.array([func(char, complex(z), tau) for z in zs]).reshape(n, -1).T
             for m in (block - 1, block, block + 1, n):
-                batch = func(char, zs[:m], tau)
-                assert np.array_equal(batch, alone[:m])
+                batch = np.reshape(func(char, zs[:m], tau), (-1, m))
+                assert np.array_equal(batch, alone[:, :m])
                 for p in (1, 2, 3):
-                    assert np.array_equal(func(char, zs[:p], tau), batch[:p])
+                    assert np.array_equal(np.reshape(func(char, zs[:p], tau), (-1, p)), batch[:, :p])
 
     @pytest.mark.parametrize("func", [theta_char, theta_char_and_dz])
     def test_kernel_memory_is_bounded(self, func):
@@ -260,6 +270,27 @@ class TestFixedWindowKernel:
                         ref = theta_mpmath((a, b), z, tau, k)
                         worst = max(worst, abs(g - ref) / max(1.0, abs(ref)))
         assert worst <= 2e-14
+
+
+class TestWindows:
+    """A window twists its characteristic's cached tau-only Gaussian
+    e(nk^2 tau/2) by e(nk beta) (theta._window); the direct route takes one
+    exponential of the whole exponent (oracles.window_coeffs_direct).  Each
+    rounds its exponent, so they agree within 2 eps (1 + 2 pi (|nk^2 tau/2|
+    + |nk beta|)) relative; on both presets the largest difference measured
+    is half of that bound, and up to 41 eps of the coefficient."""
+
+    def test_shifted_windows_match_the_direct_exponential(self, spec_ab):
+        tau = spec_ab.tau
+        rng = np.random.default_rng(89)
+        eps = np.finfo(np.float64).eps
+        for _ in range(20):
+            c, _ = sample_generic_c(spec_ab, rng)
+            for a, b in _pullback_chars(spec_ab, c[0]) + tuple(complex_chars(tau)):
+                _, beta, _, nk, got = theta._window(float(a), complex(b), tau)
+                want = window_coeffs_direct(float(a), complex(b), tau)
+                bound = 2 * eps * (1 + 2 * np.pi * (0.5 * nk * nk * abs(tau) + np.abs(nk * beta))) * np.abs(want)
+                assert np.all(np.abs(got - want) <= bound)
 
 
 class TestMatrixProductRowSums:
