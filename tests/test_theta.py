@@ -203,7 +203,7 @@ class TestFixedWindowKernel:
 
     @pytest.mark.bitwise
     @pytest.mark.parametrize("tau", TAUS)
-    @pytest.mark.parametrize("func", [theta_char, theta_char_dz, theta_char_and_dz])
+    @pytest.mark.parametrize("func", [theta_char, theta_char_dz, fused_value, fused_dz, theta_char_and_dz])
     def test_batch_invariance_across_blocks(self, tau, func):
         # batches that fill one block, split into two or three, and whose
         # first points are also evaluated as batches of 1, 2 and 3; each
