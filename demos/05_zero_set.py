@@ -11,35 +11,29 @@ every point below, has no preimage at all.
 import pathlib
 import tempfile
 
-from nodal_theta.branches import beta_k, select_epsilon, zero_set_residual
+from nodal_theta.branches import beta_k, select_epsilon, thm66_point
 from nodal_theta.cli import main, parse_config
-from nodal_theta.errors import NewtonDivergence, NoPreimage
-from nodal_theta.inversion import kappa_vector, riemann_constants
+from nodal_theta.inversion import riemann_constants
 
 config = pathlib.Path(__file__).with_name("config_a.cfg")
 cfg = parse_config(config)
 spec = cfg.spec
 eps = select_epsilon(spec, cfg.eps_candidates)
 print("selected working radius:", eps)
-kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
-print(f"constants: kappa1 = {kap[0]:.8f}, kappa2 = {kap[1]:.8f}")
+rc = riemann_constants(spec, eps)
+print(f"constants: kappa1 = {rc.kappa1:.8f}, kappa2 = {rc.kappa2:.8f}")
 
 u = (0.25 + 0.15j, 0.4 + 0.1j)
-c0 = beta_k(u, spec, eps, k=0, _kappa_cache=kap)
-c1 = beta_k(u, spec, eps, k=1, _kappa_cache=kap)
+c0 = beta_k(u, spec, eps, k=0)
+c1 = beta_k(u, spec, eps, k=1)
 print(f"branch inverses at u: sheet 0 -> {c0[1]:.6f}, sheet 1 -> {c1[1]:.6f} (step {c1[1]-c0[1]:.3f})")
 
 print("\nzero-set residuals at curve sample points:")
 for s, t in [(0.2, 0.7), (0.8, 0.3), (0.55, 0.85)]:
     P = spec.point(s, t)
-    rc = zero_set_residual(P, spec, eps, _kappa_cache=kap)
-    try:
-        rl = f"{zero_set_residual(P, spec, eps, use_correction=False, _kappa_cache=kap):.3e}"
-    except NoPreimage:
-        rl = "no_preimage"
-    except NewtonDivergence:
-        rl = "diverged"
-    print(f"   P = {P:.3f}: corrected {rc:.3e} | uncorrected {rl}")
+    corr, stated = thm66_point(P, spec, eps)
+    stated = stated if isinstance(stated, str) else f"{stated:.3e}"
+    print(f"   P = {P:.3f}: corrected {corr:.3e} | uncorrected {stated}")
 
 with tempfile.TemporaryDirectory() as tmp:
     main(["zeroset-plot", "--config", str(config), "--out", tmp, "--seed", "7"])

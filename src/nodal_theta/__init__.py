@@ -12,7 +12,7 @@ from .abel_jacobi import (
     phi1,
     phi2,
 )
-from .branches import beta_k, select_epsilon, zero_set_residual
+from .branches import beta_k, select_epsilon, thm66_point, zero_set_residual
 from .curve import (
     GammaDecomposition,
     NodalCurveSpec,
@@ -81,6 +81,7 @@ __all__ = [
     "select_epsilon",
     "theta_char",
     "theta_chars",
+    "thm66_point",
     "translation_factor",
     "verify_thm51",
     "zero_set_residual",

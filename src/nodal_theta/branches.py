@@ -20,6 +20,8 @@ map is the translation d_corr(eps)(c) = c + (0, sigma(eps)) mod (0, 1)
 (see inversion.corrected_shift), so its inverse needs no chart; it is the
 corrected inverse that places the curve image inside the zero set of the
 generalized theta function, so zero_set_residual uses it by default.
+thm66_point is the thm66 suite's one sample: it takes phi(P) once and
+reports the residual of both inverses at P.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .abel_jacobi import phi
 from .curve import NodalCurveSpec, derive_periods
-from .errors import ContourThroughZero, NewtonDivergence, NoPreimage, NoValidEpsilon
+from .errors import ContourThroughZero, DegenerateC, NewtonDivergence, NoPreimage, NoValidEpsilon
 from .inversion import DMap, _require_generic, corrected_shift, kappa_vector, riemann_constants, sample_generic_c
 from .theta import TWO_PI_I, big_theta, e_func
 
@@ -38,6 +40,10 @@ _U20_N_C1, _U20_DET_FLOOR = 10, 1e-6
 _SELECT_N_C, _SEP_TOL = 10, 1e-4
 # |d2(c2*) - v| below which the stated closed-form root is accepted
 _NEWTON_TOL = 1e-12
+
+# What a thm66 point may raise: its shift c1 = phi1(P) - kappa1 fails a
+# genericity guard.  The CLI skips and counts such points.
+THM66_SKIPS = (DegenerateC,)
 
 _PERIOD_FRACTIONS = (
     0.5,
@@ -111,6 +117,9 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
     has no finite nonzero value, or a zero of T_c lies on the chart ray at
     the candidate.  Otherwise the candidate is a root of the computed map,
     |d2(c2*) - v| < _NEWTON_TOL; NewtonDivergence means it is not, a defect.
+    _kappa_cache, the half_tau kappa at eps, adds nothing, since
+    riemann_constants is cached per (spec, eps); it stays only because the
+    benchmark's workloads (perfbench/workloads.py) pass it.
     """
     if _kappa_cache is None:
         _kappa_cache = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
@@ -142,6 +151,12 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
     return (c1, c2)
 
 
+def theta_residual(u, c, spec: NodalCurveSpec) -> float:
+    """|Theta(u - c)|, which vanishes where u - c lies in the zero set."""
+    r1, r2, _ = derive_periods(spec)
+    return abs(big_theta(u[0] - c[0], u[1] - c[1], spec.tau, r1, r2))
+
+
 def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
                       use_correction: bool = True, _kappa_cache=None) -> float:
     """|Theta(phi(P) - beta_k(phi(P)))|: distance of the curve point's image
@@ -153,10 +168,25 @@ def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
     u, not only for curve images.  The uncorrected inverse leaves an
     order-one residual, which quantifies the branch-cut defect of the stated
     map.  The value is independent of k because the generalized theta
-    function is invariant under (0, 1).
+    function is invariant under (0, 1).  _kappa_cache is passed on to
+    beta_k, which says why it stays.
     """
     u = phi(spec, P).as_tuple()
-    c = beta_k(u, spec, eps, k=k, use_correction=use_correction, _kappa_cache=_kappa_cache)
-    r1, r2, _ = derive_periods(spec)
-    val = big_theta(u[0] - c[0], u[1] - c[1], spec.tau, r1, r2)
-    return abs(val)
+    return theta_residual(u, beta_k(u, spec, eps, k, use_correction, _kappa_cache), spec)
+
+
+def thm66_point(P, spec: NodalCurveSpec, eps: float) -> tuple[float, float | str]:
+    """(corrected, stated): the zero_set_residual of the curve point P under
+    the corrected and the stated inverse, from one phi(P).  stated is
+    "no_preimage" where the stated map has no preimage (NoPreimage) and
+    "diverged" where its root misses (NewtonDivergence).  THM66_SKIPS lists
+    what a point raises when its shift is not generic."""
+    u = phi(spec, P).as_tuple()
+    corrected = theta_residual(u, beta_k(u, spec, eps), spec)
+    try:
+        stated = theta_residual(u, beta_k(u, spec, eps, use_correction=False), spec)
+    except NoPreimage:
+        stated = "no_preimage"
+    except NewtonDivergence:
+        stated = "diverged"
+    return corrected, stated

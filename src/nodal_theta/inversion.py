@@ -23,8 +23,9 @@ satisfies
 
     W == d(eps)(c) + kappa(eps)   mod Gamma,
 
-which `verify_thm51` checks for both readings of the constant (-tau/2
-versus -tau in the first component), reporting the residual of each.  The
+which `verify_thm51`, the thm51 suite's sample, checks for both readings of
+the constant (-tau/2 versus -tau in the first component), reporting the
+residual of each and the edge integers read off the same walk.  The
 Laurent data at p2 and the stated d(eps) come from one node chart per
 (c1, eps), `DMap`, which takes c2 as an argument and reads T_c's four
 thetas at p2 + t; on it d(eps) is the log of one chart value, and the
@@ -621,7 +622,10 @@ class Thm51Result:
     residual_half_tau / residual_full_tau follow the stated constant
     (first component -tau/2 resp. -tau); the corrected_* fields add the
     branch-cut term A(eps, c) to the congruence.  variant_used names the
-    constant whose corrected residual closes.
+    constant whose corrected residual closes.  alpha_dlog_winding and
+    beta_dlog_offset are the integers by which the edge integrals miss their
+    displays: alpha_dlog_integral itself, and beta_dlog_integral minus
+    -tau/2 - (phi1(q0) - c1), each rounded.
     """
 
     c: tuple[complex, complex]
@@ -633,6 +637,8 @@ class Thm51Result:
     corrected_residual_half_tau: float
     corrected_residual_full_tau: float
     variant_used: str
+    alpha_dlog_winding: int
+    beta_dlog_offset: int
 
 
 def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
@@ -644,7 +650,9 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     corrected form closes.  The stated residual reads d(eps)(c) from the
     node chart (DMap.d2); the corrected one reads W - c - (0, sigma(eps)) -
     kappa (see corrected_shift).  Raises ValueError, before any other work,
-    unless eps lies in (0, spec.eps].
+    unless eps lies in (0, spec.eps].  This is the thm51 suite's sample: the
+    result carries the edge integers too, read off the walk that counted
+    the zeros, and THM51_SKIPS lists what a non-generic c raises.
 
     The closed-form d2 is checked against its dual route, one quadrature of
     h3: they must agree within _QUAD_TOL (the quadrature's error budget;
@@ -652,7 +660,7 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     QuadratureFailure.
     """
     _chart_radius(spec, eps)
-    tp = c if isinstance(c, ThetaPullback) else ThetaPullback(c, spec)
+    tp = ThetaPullback(c, spec)
     n = count_zeros(tp)
     zeros = locate_zeros(tp)
     w = divisor_image(spec, list(zeros))
@@ -670,6 +678,10 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
         for corrected, d in ((False, (dm.c1, d2)), (True, d_corr)):
             dec = mod_gamma_decompose((w[0] - d[0] - k1, w[1] - d[1] - k2), pg)
             res[(variant, corrected)] = dec.residual_norm
+    # after the residuals: where the walk at q0 failed and the zeros came
+    # from the fallback cell, the edges raise its ContourThroughZero here
+    alpha = alpha_dlog_integral(tp)
+    beta = beta_dlog_integral(tp) - (-0.5 * spec.tau - (phi1(spec, spec.q0) - tp.c1))
     return Thm51Result(
         c=(tp.c1, tp.c2),
         n_zeros=n,
@@ -680,6 +692,8 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
         corrected_residual_half_tau=res[("half_tau", True)],
         corrected_residual_full_tau=res[("full_tau", True)],
         variant_used=min(("half_tau", "full_tau"), key=lambda v: res[(v, True)]),
+        alpha_dlog_winding=round(alpha.real),
+        beta_dlog_offset=round(beta.real),
     )
 
 

@@ -1,9 +1,11 @@
+import csv
+import functools
 from pathlib import Path
 
 import pytest
 
 from nodal_theta import inversion, theta
-from nodal_theta.cli import RunConfig, parse_config
+from nodal_theta.cli import RunConfig, main, parse_config
 from nodal_theta.curve import NodalCurveSpec
 from nodal_theta.inversion import THM51_SKIPS, sample_generic_c, verify_thm51
 
@@ -36,6 +38,28 @@ def cfg_ab(request, presets) -> RunConfig:
 @pytest.fixture(scope="session")
 def spec_ab(cfg_ab) -> NodalCurveSpec:
     return cfg_ab.spec
+
+
+@pytest.fixture
+def preset(spec_ab, spec_a) -> str:
+    """Name of the preset that spec_ab stands for: "a" or "b"."""
+    return "a" if spec_ab is spec_a else "b"
+
+
+@pytest.fixture(scope="session")
+def cli_rows(tmp_path_factory):
+    """cli_rows("thm51", "a"): the rows below the header of a suite's CSV
+    report on a shipped preset, at the preset's own seed and sample count,
+    from one CLI run per (suite, preset) and session."""
+
+    @functools.cache
+    def read(command, preset):
+        out = tmp_path_factory.mktemp(f"{command}_{preset}")
+        main([command, "--config", str(DEMOS / f"config_{preset}.cfg"), "--out", str(out)])
+        with open(out / f"{command}.csv", newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))[1:]
+
+    return read
 
 
 @pytest.fixture(scope="session")

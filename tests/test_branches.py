@@ -23,10 +23,13 @@ from nodal_theta.branches import (
     beta_k,
     estimate_u20_radius,
     select_epsilon,
+    theta_residual,
+    thm66_point,
     zero_set_residual,
 )
 from nodal_theta.curve import NodalCurveSpec, derive_periods, reduce_to_cell
-from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, NoValidEpsilon, QuadratureFailure
+from nodal_theta.differentials import odd_chars
+from nodal_theta.errors import ContourThroughZero, DegenerateC, NewtonDivergence, NoPreimage, NoValidEpsilon, QuadratureFailure
 from nodal_theta.inversion import (
     DMap,
     corrected_shift,
@@ -329,29 +332,60 @@ class TestZeroSet:
         # a corrected residual at a fresh point makes 3 kernel passes: phi2,
         # the genericity guard and Theta; a chart would add its own pass
         spec = cfg_ab.spec
-        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         P0, P1 = grid_points(spec)[:2]
         inversion._guard_thetas.cache_clear()  # so that P1's shift c1 is fresh
-        zero_set_residual(P0, spec, EPS_SEL, _kappa_cache=kap)  # warm-up: per-spec caches
+        zero_set_residual(P0, spec, EPS_SEL)  # warm-up: per-spec caches
 
         def refuse(*args, **kwargs):
             raise AssertionError("a node chart was built")
 
         monkeypatch.setattr(DMap, "__init__", refuse)
         kernel_passes.clear()
-        zero_set_residual(P1, spec, EPS_SEL, _kappa_cache=kap)
+        zero_set_residual(P1, spec, EPS_SEL)
         assert len(kernel_passes) == 3
         u = phi(spec, P0).as_tuple()
-        c = beta_k(u, spec, EPS_SEL, _kappa_cache=kap)
+        c = beta_k(u, spec, EPS_SEL)
         d_map_corrected(EPS_SEL, c, spec)
+
+    def test_thm66_point_keeps_the_bits_of_two_residual_calls(self, cfg_ab, preset, cli_rows):
+        # on every CLI point: the corrected value, and the stated value or
+        # the name of its exception, as two zero_set_residual calls give them
+        spec = cfg_ab.spec
+        points = [complex(row[1]) for row in cli_rows("thm66", preset) if row[0].isdigit()]
+        assert len(points) == 20
+        for P in points:
+            try:
+                stated = zero_set_residual(P, spec, EPS_SEL, use_correction=False)
+            except NoPreimage:
+                stated = "no_preimage"
+            except NewtonDivergence:
+                stated = "diverged"
+            assert thm66_point(P, spec, EPS_SEL) == (zero_set_residual(P, spec, EPS_SEL), stated)
+
+    def test_thm66_point_takes_phi_once(self, cfg_ab, kernel_passes):
+        # with warm caches a point makes one kernel pass fewer than the two
+        # zero_set_residual calls: the second pass of phi2 at P
+        spec = cfg_ab.spec
+        P = grid_points(spec)[1]
+        thm66_point(P, spec, EPS_SEL)  # warm-up: per-spec and per-c1 caches
+        kernel_passes.clear()
+        zero_set_residual(P, spec, EPS_SEL)
+        try:
+            zero_set_residual(P, spec, EPS_SEL, use_correction=False)
+        except NewtonDivergence:
+            pass
+        two_calls = list(kernel_passes)
+        kernel_passes.clear()
+        thm66_point(P, spec, EPS_SEL)
+        assert len(kernel_passes) == len(two_calls) - 1
+        assert two_calls.count(odd_chars(spec)) == kernel_passes.count(odd_chars(spec)) + 1
 
     def test_curve_contained_with_corrected_inverse(self, spec_ab):
         spec = spec_ab
-        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         pts = grid_points(spec)[:20]
         assert len(pts) >= 20
         for P in pts:
-            assert zero_set_residual(P, spec, EPS_SEL, _kappa_cache=kap) < 1e-6
+            assert zero_set_residual(P, spec, EPS_SEL) < 1e-6
 
     def test_degenerate_shift_at_the_constructed_point(self, spec_ab):
         # c1 = phi1(P) - kappa1 puts theta00(phi1(p1) - c1) = theta00(p1 - P + kappa1)
@@ -365,23 +399,19 @@ class TestZeroSet:
 
     def test_k_independence(self, spec_ab):
         spec = spec_ab
-        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         P = spec.point(0.22, 0.71)
-        r0 = zero_set_residual(P, spec, EPS_SEL, k=0, _kappa_cache=kap)
-        r1_ = zero_set_residual(P, spec, EPS_SEL, k=1, _kappa_cache=kap)
+        r0 = zero_set_residual(P, spec, EPS_SEL, k=0)
+        r1_ = zero_set_residual(P, spec, EPS_SEL, k=1)
         assert abs(r0 - r1_) < 1e-9
 
     def test_curve_not_contained_with_stated_inverse(self, spec_b):
         # the H3-map inverse leaves an order-one residual on curve points:
         # the stated containment does not hold numerically
         spec = spec_b
-        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         vals = []
         for P in grid_points(spec)[:8]:
             try:
-                vals.append(
-                    zero_set_residual(P, spec, EPS_SEL, use_correction=False, _kappa_cache=kap)
-                )
+                vals.append(zero_set_residual(P, spec, EPS_SEL, use_correction=False))
             except NoPreimage:
                 continue
         assert vals and min(vals) > 1e-3
@@ -392,13 +422,10 @@ class TestZeroSet:
         # so off-curve controls cannot separate.  Root cause: r2 - r1*tau
         # equals p1 - p2 exactly, which makes the residual constant in c1 too.
         spec = spec_ab
-        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         P = spec.point(0.37, 0.44)
         u = phi(spec, P).as_tuple()
         u_off = (u[0], u[1] + 0.37 + 0.21j)  # not the image of any curve point
-        c_off = beta_k(u_off, spec, EPS_SEL, _kappa_cache=kap)
-        r1v, r2v, _ = derive_periods(spec)
-        res = abs(big_theta(u_off[0] - c_off[0], u_off[1] - c_off[1], spec.tau, r1v, r2v))
+        res = theta_residual(u_off, beta_k(u_off, spec, EPS_SEL), spec)
         assert res < 1e-6  # would exceed 1e-3 if the containment were sharp
 
     def test_r2_minus_r1_tau_reproduces_node_offset(self, spec_ab):

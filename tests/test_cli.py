@@ -9,7 +9,8 @@ import pytest
 
 from nodal_theta import cli
 from nodal_theta.cli import ConfigError, main, parse_config
-from nodal_theta.errors import DegenerateC
+from nodal_theta.errors import DegenerateC, ZeroCollision
+from nodal_theta.inversion import ThetaPullback, locate_zeros, sample_generic_c
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 CONFIG_A_TEXT, CONFIG_B_TEXT = ((DEMOS / f"config_{n}.cfg").read_text(encoding="utf-8") for n in "ab")
@@ -128,21 +129,17 @@ class TestCommands:
         assert any(row[1].startswith("skipped:") for row in rows[1:])
         assert [len(row) for row in rows] == [len(rows[0])] * len(rows)
 
-    def test_thm66_small_run(self, cfg_a, tmp_path):
-        out = tmp_path / "out"
-        assert main(["thm66", "--config", str(cfg_a), "--out", str(out), "--samples", "20"]) == 0
-        text = (out / "thm66.csv").read_text()
-        assert "k_independence" in text
-        assert "off_curve_control_corrected" in text
-        assert text.splitlines()[-1].startswith("summary,pass")
+    def test_thm66_small_run(self, cli_rows):
+        rows = cli_rows("thm66", "a")
+        assert [row[0] for row in rows[-3:]] == ["k_independence", "off_curve_control_corrected", "summary"]
+        assert rows[-1][1] == "pass"
         # on config A the stated map misses 19 of the 20 curve points by an
         # integer: the stated column certifies that, rather than reporting a
         # failed search.  Row 19 (0.584+0.416j) lies 0.0066 below the cut
         # [p1, p2]; its stated miss is 0 on phi2's closed-form sheet, so the
         # column states its residual (a walk that detoured round the other
         # side of the cut read a miss of -1 there).
-        rows = [line.split(",") for line in text.splitlines()[1:]]
-        points = [row for row in rows if row[0].isdigit()]
+        points = rows[:-3]
         assert len(points) == 20
         assert all(row[3] == "no_preimage" for row in points[:19])
         assert abs(complex(points[19][1]) - (0.584 + 0.416j)) < 1e-12
@@ -153,15 +150,15 @@ class TestCommands:
         # 0.07+0.69i does just outside the grid box: its row is skipped and
         # counted, and the spot checks run on the next point
         seen = []
-        residual = cli.zero_set_residual
+        point = cli.thm66_point
 
         def degenerate_first(P, *args, **kwargs):
             seen.append(P)
             if P == seen[0]:
                 raise DegenerateC("theta00(phi1(p1) - c1)")
-            return residual(P, *args, **kwargs)
+            return point(P, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "zero_set_residual", degenerate_first)
+        monkeypatch.setattr(cli, "thm66_point", degenerate_first)
         out = tmp_path / "out"
         assert main(["thm66", "--config", str(cfg_a), "--out", str(out), "--samples", "20"]) == 0
         with open(out / "thm66.csv", newline="") as fh:
@@ -180,6 +177,17 @@ class TestCommands:
         assert root.get("version") == "1.1"
         zeros = [e for e in root.iter() if e.get("class") == "zero-marker"]
         assert len(zeros) == 2
+
+    def test_zeroset_plot_draws_again_after_a_skipped_draw(self, spec_b, tmp_path):
+        # the first draw at seed 0 on config B puts a zero inside an excluded
+        # disk (ZeroCollision), as a thm51 sample would skip it
+        c, _ = sample_generic_c(spec_b, cli._rng(0))
+        with pytest.raises(ZeroCollision, match="excluded disk"):
+            locate_zeros(ThetaPullback(c, spec_b))
+        out = tmp_path / "out"
+        assert main(["zeroset-plot", "--config", str(DEMOS / "config_b.cfg"), "--out", str(out), "--seed", "0"]) == 0
+        root = ET.parse(out / "zeroset.svg").getroot()
+        assert sum(e.get("class") == "zero-marker" for e in root.iter()) == 2
 
     def test_determinism_fixed_seed(self, cfg_a, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

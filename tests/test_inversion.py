@@ -1165,6 +1165,14 @@ class TestInversionCongruence:
         verify_thm51(c, spec_ab, eps=EPS_W)
         assert 0 < len(kernel_passes) <= self.PASS_BUDGET[request.node.callspec.id]
 
+    def test_edge_integers_are_those_of_a_fresh_pullback(self, spec_ab, thm51_samples):
+        results, _ = thm51_samples(spec_ab, 4, np.random.default_rng(83), eps=EPS_W)
+        for r in results:
+            tp = ThetaPullback(r.c, spec_ab)
+            display = -0.5 * spec_ab.tau - (phi1(spec_ab, spec_ab.q0) - tp.c1)
+            assert r.alpha_dlog_winding == round(alpha_dlog_integral(tp).real)
+            assert r.beta_dlog_offset == round((beta_dlog_integral(tp) - display).real)
+
     def test_corrected_congruence_closes_half_tau(self, spec_ab, thm51_samples):
         rng = np.random.default_rng(67)
         results, _ = thm51_samples(spec_ab, 3, rng, eps=EPS_W)
@@ -1183,31 +1191,15 @@ class TestInversionCongruence:
         for r in results:
             assert literal_residual(r) > 1e-3
 
-    def test_residual_invariant_under_c2_integer_shift(self, spec_a):
-        rng = np.random.default_rng(73)
-        done = False
-        while not done:
-            try:
-                c, _ = sample_generic_c(spec_a, rng)
-                r0 = verify_thm51(c, spec_a, eps=EPS_W)
-                r1_ = verify_thm51((c[0], c[1] + 1.0), spec_a, eps=EPS_W)
-                done = True
-            except THM51_SKIPS:
-                continue
+    def test_residual_invariant_under_c2_integer_shift(self, spec_a, thm51_samples):
+        (r0,), _ = thm51_samples(spec_a, 1, np.random.default_rng(73), eps=EPS_W)
+        r1_ = verify_thm51((r0.c[0], r0.c[1] + 1.0), spec_a, eps=EPS_W)
         assert abs(r0.corrected_residual_half_tau - r1_.corrected_residual_half_tau) < 1e-9
 
-    def test_residual_stable_under_gamma_generator_shift(self, spec_a):
+    def test_residual_stable_under_gamma_generator_shift(self, spec_a, thm51_samples):
         # c -> c + (1, r1) leaves the pullback unchanged, hence the congruence
-        rng = np.random.default_rng(79)
+        (r0,), _ = thm51_samples(spec_a, 1, np.random.default_rng(79), eps=EPS_W)
         r1v, _, _ = derive_periods(spec_a)
-        done = False
-        while not done:
-            try:
-                c, _ = sample_generic_c(spec_a, rng)
-                r0 = verify_thm51(c, spec_a, eps=EPS_W)
-                r1_ = verify_thm51((c[0] + 1.0, c[1] + r1v), spec_a, eps=EPS_W)
-                done = True
-            except THM51_SKIPS:
-                continue
+        r1_ = verify_thm51((r0.c[0] + 1.0, r0.c[1] + r1v), spec_a, eps=EPS_W)
         assert r1_.corrected_residual_half_tau < 1e-6
         assert r0.variant_used == r1_.variant_used
