@@ -8,7 +8,7 @@ import numpy as np
 
 from nodal_theta.cli import parse_config
 from nodal_theta.curve import derive_periods, is_toroidal
-from nodal_theta.differentials import eta_coeff, h1_at_p2, h_at_p1, period_integral
+from nodal_theta.differentials import period_integral, third_kind
 
 spec = parse_config(Path(__file__).with_name("config_a.cfg")).spec
 r1, r2, kappa = derive_periods(spec)
@@ -23,11 +23,12 @@ print("note r2 - r1*tau reproduces the node offset p1 - p2 exactly:",
       r2 - r1 * spec.tau, "vs", spec.p1 - spec.p2)
 
 # simple poles with residues +-1/(2 pi i)
-for name, center, local in (("p1", spec.p1, h_at_p1), ("p2", spec.p2, h1_at_p2)):
+diff = third_kind(spec)
+for name, center, local in (("p1", spec.p1, diff.h_at_p1), ("p2", spec.p2, diff.h1_at_p2)):
     t = 1e-4
-    print(f"residue scale at {name}: |t*eta| = {abs(t * eta_coeff(spec, center + t)):.6f}"
+    print(f"residue scale at {name}: |t*eta| = {abs(t * diff.eta_coeff(center + t)):.6f}"
           f"  (1/(2 pi) = {1 / (2 * np.pi):.6f})")
-    print(f"holomorphic part at {name}: value at 0 = {local(spec, 0.0):.6f}")
+    print(f"holomorphic part at {name}: value at 0 = {local(0.0):.6f}")
 
 # decimal instance data makes r1, r2 rationally related (17*0.31 = 31*0.17),
 # so the bounded search finds the relation; True needs genuinely

@@ -15,7 +15,7 @@ from nodal_theta.curve import derive_periods
 spec = parse_config(Path(__file__).with_name("config_a.cfg")).spec
 r1, r2, _ = derive_periods(spec)
 
-print("phi(base point) =", phi(spec, spec.z0).as_tuple())
+print("phi(base point) =", phi(spec, spec.z0))
 P = spec.point(0.7, 0.6)
 print(f"phi({P:.3f}) = ({phi1(spec, P):.6f}, {phi2(spec, P):.6f}) by the closed form, cut on [p1, p2]")
 

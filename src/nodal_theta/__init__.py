@@ -4,14 +4,7 @@ differential, the two-component period map with branch tracking, zeros of
 the pulled-back theta function, generalized Riemann constants, and the
 divisor-image congruence with its branch-cut correction."""
 
-from .abel_jacobi import (
-    AbelJacobiValue,
-    a_eps,
-    divisor_image,
-    phi,
-    phi1,
-    phi2,
-)
+from .abel_jacobi import a_eps, divisor_image, phi, phi1, phi2
 from .branches import beta_k, select_epsilon, thm66_point, zero_set_residual
 from .curve import (
     GammaDecomposition,
@@ -23,7 +16,7 @@ from .curve import (
     mod_gamma_decompose,
     period_group,
 )
-from .differentials import ThirdKindDifferential, eta_coeff, h1_at_p2, h_at_p1, period_integral
+from .differentials import ThirdKindDifferential, period_integral, third_kind
 from .inversion import (
     DMap,
     RiemannConstants,
@@ -46,7 +39,6 @@ from .theta import (
 )
 
 __all__ = [
-    "AbelJacobiValue",
     "DMap",
     "GammaDecomposition",
     "NodalCurveSpec",
@@ -66,9 +58,6 @@ __all__ = [
     "derive_periods",
     "divisor_image",
     "e_func",
-    "eta_coeff",
-    "h1_at_p2",
-    "h_at_p1",
     "is_toroidal",
     "locate_zeros",
     "mod_gamma_decompose",
@@ -81,6 +70,7 @@ __all__ = [
     "select_epsilon",
     "theta_char",
     "theta_chars",
+    "third_kind",
     "thm66_point",
     "translation_factor",
     "verify_thm51",

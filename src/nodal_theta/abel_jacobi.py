@@ -27,8 +27,8 @@ change of g, which the circle average a_eps reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -42,15 +42,6 @@ from .theta import TWO_PI_I, theta_chars
 _ARG_NODES, _ARG_NODES_MAX = 33, 257
 # largest change of arg R accepted between neighbouring nodes of the table
 _ARG_STEP = math.pi / 4
-
-
-@dataclass(frozen=True)
-class AbelJacobiValue:
-    phi1: complex
-    phi2: complex
-
-    def as_tuple(self) -> tuple[complex, complex]:
-        return (self.phi1, self.phi2)
 
 
 def _require_inside(spec: NodalCurveSpec, P: complex):
@@ -186,8 +177,9 @@ def phi2(spec: NodalCurveSpec, P):
     return complex(vals[0]) if z.ndim == 0 else vals.reshape(z.shape)
 
 
-def phi(spec: NodalCurveSpec, P: complex) -> AbelJacobiValue:
-    return AbelJacobiValue(phi1=phi1(spec, P), phi2=phi2(spec, P))
+def phi(spec: NodalCurveSpec, P: complex) -> tuple[complex, complex]:
+    """The period map at a cell point: (phi1(P), phi2(P))."""
+    return phi1(spec, P), phi2(spec, P)
 
 
 def divisor_image(spec: NodalCurveSpec, points) -> tuple[complex, complex]:
@@ -208,6 +200,14 @@ def loop_increment(spec: NodalCurveSpec, vertices) -> complex:
 # -- the circle average at p2 -------------------------------------------------
 
 
+def _chart_radius(spec: NodalCurveSpec, eps) -> float:
+    """eps as a float; ValueError unless it is a real number in (0, spec.eps]
+    (a numpy complex would pass the comparisons and lose its imaginary part)."""
+    if not (isinstance(eps, Real) and 0 < eps < spec.eps * 1.0001):
+        raise ValueError("chart radius eps must lie in (0, spec.eps]")
+    return float(eps)
+
+
 def a_eps(spec: NodalCurveSpec, eps: float) -> complex:
     """Mean of phi2 over the circle p2 + eps*e(u), branch continued from u=0.
 
@@ -216,7 +216,9 @@ def a_eps(spec: NodalCurveSpec, eps: float) -> complex:
     a(eps) = phi2(p2 + eps) - P(eps) - 1/2 = a(eps0) - log(eps/eps0)/(2 pi i),
     with 2 pi i P(eps) the log change of g along [0, eps].  The start value
     at u = 0, the closed form, is continuous in eps while the cut [p1, p2]
-    does not leave p2 along the positive real axis.
+    does not leave p2 along the positive real axis.  Raises ValueError
+    unless eps lies in (0, spec.eps].
     """
+    eps = _chart_radius(spec, eps)
     d_log_g, _ = track_log_sampled(lambda s: chart_g(spec, s), 0j, complex(eps))
     return phi2(spec, spec.p2 + eps) - d_log_g / TWO_PI_I - 0.5

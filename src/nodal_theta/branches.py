@@ -171,7 +171,7 @@ def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
     function is invariant under (0, 1).  _kappa_cache is passed on to
     beta_k, which says why it stays.
     """
-    u = phi(spec, P).as_tuple()
+    u = phi(spec, P)
     return theta_residual(u, beta_k(u, spec, eps, k, use_correction, _kappa_cache), spec)
 
 
@@ -181,7 +181,7 @@ def thm66_point(P, spec: NodalCurveSpec, eps: float) -> tuple[float, float | str
     "no_preimage" where the stated map has no preimage (NoPreimage) and
     "diverged" where its root misses (NewtonDivergence).  THM66_SKIPS lists
     what a point raises when its shift is not generic."""
-    u = phi(spec, P).as_tuple()
+    u = phi(spec, P)
     corrected = theta_residual(u, beta_k(u, spec, eps), spec)
     try:
         stated = theta_residual(u, beta_k(u, spec, eps, use_correction=False), spec)

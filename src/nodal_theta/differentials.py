@@ -166,20 +166,9 @@ class ThirdKindDifferential:
 
 @lru_cache(maxsize=8)
 def third_kind(spec: NodalCurveSpec) -> ThirdKindDifferential:
+    """The spec's differential, built once: eta_coeff, h_at_p1 and h1_at_p2
+    are its methods."""
     return ThirdKindDifferential(spec)
-
-
-def eta_coeff(spec: NodalCurveSpec, z):
-    """Coefficient function of the normalized third-kind differential."""
-    return third_kind(spec).eta_coeff(z)
-
-
-def h_at_p1(spec: NodalCurveSpec, t):
-    return third_kind(spec).h_at_p1(t)
-
-
-def h1_at_p2(spec: NodalCurveSpec, t):
-    return third_kind(spec).h1_at_p2(t)
 
 
 def period_integral(spec: NodalCurveSpec, contour: str) -> complex:

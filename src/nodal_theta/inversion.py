@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .abel_jacobi import _chart_g0, _q_at_z0, a_eps, chart_g_from, divisor_image, phi1, phi2
+from .abel_jacobi import _chart_g0, _chart_radius, _q_at_z0, a_eps, chart_g_from, divisor_image, phi1, phi2
 from .curve import (
     NodalCurveSpec,
     derive_periods,
@@ -86,9 +86,9 @@ def _theta_scale(tau: complex, char: tuple[float, float]) -> float:
 
 @lru_cache(maxsize=64)
 def _guard_thetas(spec: NodalCurveSpec, c1) -> tuple[complex, complex]:
-    """theta00(phi1(p1) - c1) and theta00(phi1(p2) - c1): one pass at -c1."""
-    ((th_p1,), (th_p2,)) = theta_chars(((0.0, phi1(spec, spec.p1)), (0.0, phi1(spec, spec.p2))), -c1, spec.tau)
-    return th_p1, th_p2
+    """theta00(phi1(p1) - c1) and theta00(phi1(p2) - c1): one pass of the
+    single characteristic (0, 0) at the two points."""
+    return tuple(theta_char((0.0, 0.0), np.array([phi1(spec, spec.p1), phi1(spec, spec.p2)]) - c1, spec.tau))
 
 
 def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
@@ -98,8 +98,9 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     chart needs theta00(phi1(p2) - c1) != 0 (the Moebius determinant).  Each
     counts as zero at or below GENERICITY_TOL times theta00's scale over one
     cell.  The chart's residue c_minus1 needs theta[-r1;r2](phi1(p2) - c1)
-    != 0 too, which is the p1 guard (see corrected_shift).  Both thetas are
-    cached per (spec, c1), so the pullbacks and charts of one c1 share them.
+    != 0 too, which is the p1 guard (see corrected_shift).  Both thetas come
+    from one theta00 pass, cached per (spec, c1), so the pullbacks and
+    charts of one c1 share it.
     """
     scale = GENERICITY_TOL * _theta_scale(spec.tau, (0.0, 0.0))
     for name, value in zip(("theta00(phi1(p1) - c1)", "theta00(phi1(p2) - c1)"), _guard_thetas(spec, c1)):
@@ -116,13 +117,6 @@ def _require_generic(spec: NodalCurveSpec, c1) -> complex:
     if failed is not None:
         raise DegenerateC(failed)
     return c1
-
-
-def _chart_radius(spec: NodalCurveSpec, eps) -> float:
-    """eps as a float; ValueError unless it lies in (0, spec.eps]."""
-    if eps <= 0 or eps >= spec.eps * 1.0001:
-        raise ValueError("chart radius eps must lie in (0, spec.eps]")
-    return float(eps)
 
 
 def corrected_shift(spec: NodalCurveSpec, eps: float) -> complex:

@@ -3,6 +3,8 @@ import functools
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from nodal_theta import inversion, theta
 from nodal_theta.cli import RunConfig, main, parse_config
@@ -10,6 +12,31 @@ from nodal_theta.curve import NodalCurveSpec
 from nodal_theta.inversion import THM51_SKIPS, sample_generic_c, verify_thm51
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+# Generated admissible specs: tau and q0 as (re, im) pairs and the lattice
+# coordinates of p1, p2, z0 from q0 (z0 need not lie on the line p1 p2).  A
+# property adds its own shift c or c1 and builds the spec with generated_spec.
+GENERATED_SPECS = dict(
+    tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
+    q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
+)
+
+
+def generated_spec(tau, q0, coords) -> NodalCurveSpec:
+    """The spec of one GENERATED_SPECS draw; a draw that is not admissible
+    is rejected."""
+    tau, q0 = complex(*tau), complex(*q0)
+    p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+    try:
+        return NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
+    except ValueError:
+        assume(False)
+
+
+def frac_norm(x: complex) -> float:
+    """|x - n| for the integer n nearest to Re x: the distance mod 1."""
+    return abs(x - round(x.real))
 
 
 @pytest.fixture(scope="session")

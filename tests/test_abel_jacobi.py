@@ -23,25 +23,8 @@ from nodal_theta.differentials import odd_chars, third_kind
 from nodal_theta.errors import ContourThroughZero, LogBranchUnresolved, PoleAt
 from nodal_theta.quadrature import integrate_polyline
 from nodal_theta.theta import TWO_PI_I, theta_char
+from conftest import GENERATED_SPECS, generated_spec
 from oracles import a_eps_bruteforce, phi2_chart_p2, track_log
-
-# generated admissible specs, drawn as in test_branches: tau, q0 and the
-# lattice coordinates of p1, p2, z0 (z0 need not lie on the line p1 p2)
-GENERATED_SPECS = dict(
-    tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
-    q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-    coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
-)
-
-
-def generated_spec(tau, q0, coords) -> NodalCurveSpec:
-    tau, q0 = complex(*tau), complex(*q0)
-    p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
-    try:
-        return NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
-    except ValueError:
-        assume(False)
-
 
 def circle_poly(center, radius, n=24):
     return [center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n + 1)]
@@ -321,6 +304,15 @@ class TestPoleCharts:
         got = a_eps(spec, spec.eps / 2)
         brute = a_eps_bruteforce(spec, spec.eps / 2, n=4096)
         assert abs(got - brute) < 1e-7
+
+    # a(0.03) of each preset; OpenBLAS cores differ in its last bits
+    A_EPS_003 = {"a": -0.8993972314309875 - 0.3305782790396736j, "b": -0.08977386091931405 - 0.27032839393197283j}
+
+    def test_a_eps_checks_its_radius(self, spec_ab, preset):
+        for eps in (-0.01, 0.0, spec_ab.eps + 0.001, math.nan, 0.03 + 0.02j, np.complex128(0.03 + 0.02j)):
+            with pytest.raises(ValueError, match="chart radius eps must lie in"):
+                a_eps(spec_ab, eps)
+        assert abs(a_eps(spec_ab, 0.03) - self.A_EPS_003[preset]) < 1e-15
 
     def test_a_eps_deterministic_and_shift_free(self, spec_a):
         # the circle average has no dependence on the theta shift c at all,

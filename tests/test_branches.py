@@ -27,7 +27,7 @@ from nodal_theta.branches import (
     thm66_point,
     zero_set_residual,
 )
-from nodal_theta.curve import NodalCurveSpec, derive_periods, reduce_to_cell
+from nodal_theta.curve import derive_periods, reduce_to_cell
 from nodal_theta.differentials import odd_chars
 from nodal_theta.errors import ContourThroughZero, DegenerateC, NewtonDivergence, NoPreimage, NoValidEpsilon, QuadratureFailure
 from nodal_theta.inversion import (
@@ -40,13 +40,10 @@ from nodal_theta.inversion import (
     sample_generic_c,
 )
 from nodal_theta.theta import TWO_PI_I, big_theta, theta_char
+from conftest import GENERATED_SPECS, frac_norm, generated_spec
 from oracles import d2_dc2
 
 EPS_SEL = 0.05  # pinned outcome of select_epsilon on the shipped configs
-
-
-def frac_norm(x: complex) -> float:
-    return abs(x - round(x.real))
 
 
 def assert_moves_match_walk(spec, c, eps):
@@ -112,21 +109,11 @@ class TestSelectEpsilon:
         for _ in range(_SELECT_N_C):
             assert_moves_match_walk(spec, sample_generic_c(spec, rng)[0], np.array(cfg_ab.eps_candidates))
 
-    @given(
-        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
-        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
-        c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)),
-    )
+    @given(**GENERATED_SPECS, c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)))
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_closed_form_moves_match_the_walk_on_generated_specs(self, tau, q0, coords, c):
-        tau, q0 = complex(*tau), complex(*q0)
-        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
-        try:
-            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
-        except ValueError:
-            assume(False)
-        c = (c[0] + c[1] * tau, complex(c[2], c[3]))
+        spec = generated_spec(tau, q0, coords)
+        c = (c[0] + c[1] * spec.tau, complex(c[2], c[3]))
         try:
             assert_moves_match_walk(spec, c, np.array([spec.eps / 2, spec.eps / 4]))
         except (DegenerateC, ContourThroughZero):
@@ -207,21 +194,11 @@ class TestBetaK:
         c = beta_k(u, spec_b, eps, use_correction=False, _kappa_cache=kap)
         assert frac_norm(c[1] - (0.05708958941645002 - 0.35243719946798296j)) < 1e-9
 
-    @given(
-        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
-        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
-        c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)),
-    )
+    @given(**GENERATED_SPECS, c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)))
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_round_trip_literal_on_generated_specs(self, tau, q0, coords, c):
-        tau, q0 = complex(*tau), complex(*q0)
-        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
-        try:
-            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
-        except ValueError:
-            assume(False)
-        c = (c[0] + c[1] * tau, complex(c[2], c[3]))
+        spec = generated_spec(tau, q0, coords)
+        c = (c[0] + c[1] * spec.tau, complex(c[2], c[3]))
         eps = spec.eps / 2
         kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
         try:
@@ -313,19 +290,10 @@ class TestZeroSet:
     def test_finding_3_is_one_identity(self, spec_ab):
         assert_finding_3(spec_ab, EPS_SEL)
 
-    @given(
-        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
-        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
-    )
+    @given(**GENERATED_SPECS)
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_finding_3_is_one_identity_on_generated_specs(self, tau, q0, coords):
-        tau, q0 = complex(*tau), complex(*q0)
-        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
-        try:
-            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
-        except ValueError:
-            assume(False)
+        spec = generated_spec(tau, q0, coords)
         assert_finding_3(spec, spec.eps / 2)
 
     def test_corrected_routes_build_no_chart(self, cfg_ab, kernel_passes, monkeypatch):
@@ -343,7 +311,7 @@ class TestZeroSet:
         kernel_passes.clear()
         zero_set_residual(P1, spec, EPS_SEL)
         assert len(kernel_passes) == 3
-        u = phi(spec, P0).as_tuple()
+        u = phi(spec, P0)
         c = beta_k(u, spec, EPS_SEL)
         d_map_corrected(EPS_SEL, c, spec)
 
@@ -423,7 +391,7 @@ class TestZeroSet:
         # equals p1 - p2 exactly, which makes the residual constant in c1 too.
         spec = spec_ab
         P = spec.point(0.37, 0.44)
-        u = phi(spec, P).as_tuple()
+        u = phi(spec, P)
         u_off = (u[0], u[1] + 0.37 + 0.21j)  # not the image of any curve point
         res = theta_residual(u_off, beta_k(u_off, spec, EPS_SEL), spec)
         assert res < 1e-6  # would exceed 1e-3 if the containment were sharp

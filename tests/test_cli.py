@@ -112,6 +112,13 @@ class TestCommands:
         text = (out / "periods.csv").read_text()
         assert "period_gamma1" in text and "toroidal_diagnostic_r1_r2" in text
 
+    def test_periods_integrates_each_contour_once(self, cfg_a, tmp_path, monkeypatch):
+        # the cut_periods_real row reuses the alpha and beta integrals
+        contours, integral = [], cli.period_integral
+        monkeypatch.setattr(cli, "period_integral", lambda spec, c: contours.append(c) or integral(spec, c))
+        assert main(["periods", "--config", str(cfg_a), "--out", str(tmp_path)]) == 0
+        assert contours == ["gamma1", "gamma2", "alpha", "beta"]
+
     def test_thm51_small_run(self, cfg_a, tmp_path):
         out = tmp_path / "out"
         assert main(["thm51", "--config", str(cfg_a), "--out", str(out), "--samples", "2"]) == 0

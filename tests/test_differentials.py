@@ -12,9 +12,6 @@ from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import (
     ThirdKindDifferential,
     _odd_taylor,
-    eta_coeff,
-    h1_at_p2,
-    h_at_p1,
     odd_chars,
     period_integral,
     third_kind,
@@ -93,12 +90,12 @@ class TestEtaCoeff:
         r = 1e-4
         for k in range(8):
             t = r * cmath.exp(2j * math.pi * k / 8)
-            val = t * eta_coeff(spec, spec.p1 + t)
+            val = t * third_kind(spec).eta_coeff(spec.p1 + t)
             assert abs(abs(val) - 1.0 / (2 * math.pi)) < 1e-4
 
     def test_simple_pole_at_p2_with_sign(self, spec_a):
         t = 1e-5
-        val = t * eta_coeff(spec_a, spec_a.p2 + t)
+        val = t * third_kind(spec_a).eta_coeff(spec_a.p2 + t)
         assert abs(val - (-1.0 / TWO_PI_I)) < 1e-4
 
     def test_lattice_periodicity(self, spec_ab):
@@ -108,13 +105,13 @@ class TestEtaCoeff:
             z = spec.point(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
             if min(abs(z - spec.p1), abs(z - spec.p2)) < 0.1:
                 continue
-            base = eta_coeff(spec, z)
-            assert abs(eta_coeff(spec, z + 1) - base) < 1e-10
-            assert abs(eta_coeff(spec, z + spec.tau) - base) < 1e-10
+            base = third_kind(spec).eta_coeff(z)
+            assert abs(third_kind(spec).eta_coeff(z + 1) - base) < 1e-10
+            assert abs(third_kind(spec).eta_coeff(z + spec.tau) - base) < 1e-10
 
     def test_pole_raises(self, spec_a):
         with pytest.raises(PoleAt):
-            eta_coeff(spec_a, spec_a.p1)
+            third_kind(spec_a).eta_coeff(spec_a.p1)
 
     @pytest.mark.bitwise
     def test_vectorized_matches_scalar(self, spec_a):
@@ -123,8 +120,8 @@ class TestEtaCoeff:
         zs = np.concatenate(
             [[0.2 + 0.7j, 0.9 + 0.1j, 0.6 + 0.85j], spec_a.p1 + 0.005 * near, spec_a.p2 + 0.02 * near]
         )
-        vec = eta_coeff(spec_a, zs)
-        scal = [eta_coeff(spec_a, complex(z)) for z in zs]
+        vec = third_kind(spec_a).eta_coeff(zs)
+        scal = [third_kind(spec_a).eta_coeff(complex(z)) for z in zs]
         assert all(type(v) is complex for v in scal)
         assert np.array_equal(vec, np.array(scal))
 
@@ -132,9 +129,9 @@ class TestEtaCoeff:
         # theta11 at z - p1 and at z - p2 as characteristics at z, each with
         # its derivative
         zs = np.array([0.2 + 0.7j, 0.9 + 0.1j, 0.6 + 0.85j, spec_a.p1 + 0.005])
-        eta_coeff(spec_a, zs)  # warm-up: the spec's differential
+        third_kind(spec_a).eta_coeff(zs)  # warm-up: the spec's differential
         kernel_passes.clear()
-        eta_coeff(spec_a, zs)
+        third_kind(spec_a).eta_coeff(zs)
         assert kernel_passes == [odd_chars(spec_a)]
 
     def test_matches_mpmath_just_outside_the_laurent_switch(self, spec_ab):
@@ -146,7 +143,7 @@ class TestEtaCoeff:
         r = rng.uniform(1e-2, 3e-2, 12) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 12))
         zs = np.concatenate([spec.p1 + r[:6], spec.p2 + r[6:]])
         worst = 0.0
-        for z, got in zip(zs, eta_coeff(spec, zs)):
+        for z, got in zip(zs, third_kind(spec).eta_coeff(zs)):
             with mpmath.workdps(40):
                 want = (ell_mpmath(z - spec.p1, spec.tau) - ell_mpmath(z - spec.p2, spec.tau)) / (2j * mpmath.pi)
                 want = complex(want + kappa)
@@ -228,29 +225,29 @@ class TestLocalData:
     def test_h_continuity_at_origin(self, spec_ab):
         # Richardson-style check along t = 10^-k: h extends continuously to 0
         spec = spec_ab
-        h0 = h_at_p1(spec, 0.0)
+        h0 = third_kind(spec).h_at_p1(0.0)
         assert np.isfinite(h0).all()
-        h3v = h_at_p1(spec, 1e-3)
+        h3v = third_kind(spec).h_at_p1(1e-3)
         assert abs(h3v - h0) < 1e-2 * abs(h0) + 1e-6
 
     def test_h1_continuity_at_origin(self, spec_ab):
         spec = spec_ab
-        h0 = h1_at_p2(spec, 0.0)
+        h0 = third_kind(spec).h1_at_p2(0.0)
         assert np.isfinite(h0).all()
         for k in (3, 4, 5):
-            assert abs(h1_at_p2(spec, 10.0**-k) - h0) < 10.0 ** (-k + 1) + 1e-9
+            assert abs(third_kind(spec).h1_at_p2(10.0**-k) - h0) < 10.0 ** (-k + 1) + 1e-9
 
     def test_h_equals_eta_minus_pole_at_half_delta(self, spec_ab):
         spec = spec_ab
         t = spec.delta / 2
-        direct = eta_coeff(spec, spec.p1 + t) - 1.0 / (TWO_PI_I * t)
-        assert abs(h_at_p1(spec, t) - direct) < 1e-12
+        direct = third_kind(spec).eta_coeff(spec.p1 + t) - 1.0 / (TWO_PI_I * t)
+        assert abs(third_kind(spec).h_at_p1(t) - direct) < 1e-12
 
     def test_h1_equals_eta_plus_pole_at_half_eps(self, spec_ab):
         spec = spec_ab
         t = spec.eps / 2 * cmath.exp(0.7j)
-        direct = eta_coeff(spec, spec.p2 + t) + 1.0 / (TWO_PI_I * t)
-        assert abs(h1_at_p2(spec, t) - direct) < 1e-12
+        direct = third_kind(spec).eta_coeff(spec.p2 + t) + 1.0 / (TWO_PI_I * t)
+        assert abs(third_kind(spec).h1_at_p2(t) - direct) < 1e-12
 
     def test_h1_primitive_matches_quadrature(self, spec_ab):
         # 2 pi i times the primitive of h1 is the log change of g(t) = t e(phi2(p2 + t))

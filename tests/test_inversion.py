@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from nodal_theta import inversion, theta
 from nodal_theta.abel_jacobi import chart_g, divisor_image, e_phi2, phi1, phi2
-from nodal_theta.curve import NodalCurveSpec, derive_periods, lattice_coords, mod_gamma_decompose, period_group
+from nodal_theta.curve import derive_periods, lattice_coords, mod_gamma_decompose, period_group
 from nodal_theta.branches import beta_k
 from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, NonConvergent, ZeroCollision
 from nodal_theta.differentials import third_kind
@@ -49,6 +49,7 @@ from nodal_theta.inversion import (
     verify_thm51,
 )
 from nodal_theta.theta import TWO_PI_I, e_func, theta_char
+from conftest import GENERATED_SPECS, frac_norm, generated_spec
 from oracles import (
     branch_correction_tracked,
     c_minus1,
@@ -79,10 +80,8 @@ def generated_pullback(tau, q0, coords, c):
     """The pullback of a generated spec: tau and q0 as (re, im) pairs, the
     lattice coordinates of p1, p2 and z0 from q0, and c = (c1 in lattice
     coordinates, c2 as (re, im))."""
-    tau, q0 = complex(*tau), complex(*q0)
-    p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
-    spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
-    return ThetaPullback((c[0] + c[1] * tau, complex(c[2], c[3])), spec)
+    spec = generated_spec(tau, q0, coords)
+    return ThetaPullback((c[0] + c[1] * spec.tau, complex(c[2], c[3])), spec)
 
 
 # generated specs whose odd-pair power M (inversion._odd_pair_factor) is 0
@@ -172,6 +171,12 @@ class TestPullback:
             assert genericity_failure(spec, c1_bad) == name
             with pytest.raises(DegenerateC, match=re.escape(name)):
                 ThetaPullback((c1_bad, 0.1), spec)
+
+    def test_guard_makes_one_theta00_pass(self, spec_ab, kernel_passes):
+        # both guard thetas from one pass of theta00 itself at the two points
+        inversion._guard_thetas.cache_clear()
+        inversion._guard_thetas(spec_ab, 0.3 + 0.2j)
+        assert kernel_passes == [((0.0, 0.0),)]
 
     def test_residue_theta_is_a_multiple_of_the_p1_theta(self, spec_ab):
         """Why the guards need no theta[-r1;r2](phi1(p2) - c1) of their own.
@@ -272,12 +277,7 @@ class TestValueAndDerivative:
                 self.assert_matches_four_theta_route(tp, z)
 
     @pytest.mark.bitwise
-    @given(
-        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
-        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
-        c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)),
-    )
+    @given(**GENERATED_SPECS, c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)))
     @example(**ODD_PAIR_POWER_EXAMPLES[0])
     @example(**ODD_PAIR_POWER_EXAMPLES[1])
     @settings(max_examples=25, derandomize=True, deadline=None)
@@ -658,22 +658,12 @@ class TestZeroCounting:
         assert abs(q1 - zeros[0]) < 1e-13
         assert abs(q2 - zeros[1]) < 1e-13
 
-    @given(
-        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
-        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
-        c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)),
-    )
+    @given(**GENERATED_SPECS, c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.25, 0.25)))
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_zeros_on_generated_specs(self, tau, q0, coords, c):
-        tau, q0 = complex(*tau), complex(*q0)
-        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
+        spec = generated_spec(tau, q0, coords)
         try:
-            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
-        except ValueError:
-            assume(False)
-        try:
-            tp = ThetaPullback((c[0] + c[1] * tau, complex(c[2], c[3])), spec)
+            tp = ThetaPullback((c[0] + c[1] * spec.tau, complex(c[2], c[3])), spec)
             q1, q2 = locate_zeros(tp)
             gap = zero_sum_gap(tp, q1, q2)
         except THM51_SKIPS:
@@ -1030,10 +1020,6 @@ def chart_corrected_d2(spec, c, eps):
     return dm.c1 * dm.r1 + (cmath.log(th) - cmath.log(c_minus1(dm, c[1])) + math.log(eps)) / TWO_PI_I
 
 
-def frac_norm(x):
-    return abs(x - round(x.real))
-
-
 class TestCorrectedTranslation:
     def test_translation_matches_the_chart(self, spec_ab):
         # d_corr(eps)(c) = c + (0, sigma(eps)) against the chart formula, mod 1
@@ -1045,21 +1031,11 @@ class TestCorrectedTranslation:
                 assert d[0] == c[0]
                 assert frac_norm(d[1] - chart_corrected_d2(spec_ab, c, eps)) < 1e-13
 
-    @given(
-        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
-        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
-        c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
-    )
+    @given(**GENERATED_SPECS, c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0)))
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_translation_matches_the_chart_on_generated_specs(self, tau, q0, coords, c):
-        tau, q0 = complex(*tau), complex(*q0)
-        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
-        try:
-            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
-        except ValueError:
-            assume(False)
-        c = (c[0] + c[1] * tau, complex(c[2], c[3]))
+        spec = generated_spec(tau, q0, coords)
+        c = (c[0] + c[1] * spec.tau, complex(c[2], c[3]))
         for eps in (spec.eps / 2, spec.eps / 4):
             try:
                 want = chart_corrected_d2(spec, c, eps)

@@ -20,11 +20,8 @@ NOT_RUN_BY_THE_CLI = {
     "abel_jacobi.loop_increment",  # demo 03
     "quadrature._log_change_sampled",  # loop_increment's log walk
     "curve.congruent_mod_gamma",  # README API
-    "differentials.eta_coeff",  # demo 02
-    "differentials.h_at_p1",  # demo 02
-    "differentials.h1_at_p2",  # demo 02
-    "differentials.ThirdKindDifferential.h_at_p1",
-    "differentials.ThirdKindDifferential.h1_at_p2",
+    "differentials.ThirdKindDifferential.h_at_p1",  # demo 02
+    "differentials.ThirdKindDifferential.h1_at_p2",  # demo 02
     "differentials.ThirdKindDifferential._chart",  # the two methods above
     "inversion.d_map",  # README API
     "inversion.d_map_corrected",  # README API

@@ -10,11 +10,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodal_theta import theta
-from nodal_theta.curve import NodalCurveSpec, derive_periods
+from nodal_theta.curve import derive_periods
 from nodal_theta.errors import NonConvergent
 from nodal_theta.inversion import _pullback_chars, sample_generic_c
 from nodal_theta.theta import (
@@ -24,6 +24,7 @@ from nodal_theta.theta import (
     theta_chars,
     translation_factor,
 )
+from conftest import GENERATED_SPECS, generated_spec
 from oracles import row_sums_elementwise, theta_mpmath, window_coeffs_direct
 
 
@@ -327,22 +328,12 @@ class TestMatrixProductRowSums:
             for chars in (_pullback_chars(spec_ab, c[0]), tuple(complex_chars(tau))):
                 self.assert_matches_elementwise(chars, zs, tau)
 
-    @given(
-        tau=st.tuples(st.floats(-0.5, 0.5), st.floats(0.6, 1.4)),
-        q0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-        coords=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=3, max_size=3),
-        c1=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-    )
+    @given(**GENERATED_SPECS, c1=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_matches_the_elementwise_route_on_generated_specs(self, tau, q0, coords, c1):
-        tau, q0 = complex(*tau), complex(*q0)
-        p1, p2, z0 = (q0 + s + t * tau for s, t in coords)
-        try:
-            spec = NodalCurveSpec(tau=tau, p1=p1, p2=p2, z0=z0, q0=q0)
-        except ValueError:
-            assume(False)
-        zs = self.edge_points(np.random.default_rng(73), tau)
-        self.assert_matches_elementwise(_pullback_chars(spec, c1[0] + c1[1] * tau), zs, tau)
+        spec = generated_spec(tau, q0, coords)
+        zs = self.edge_points(np.random.default_rng(73), spec.tau)
+        self.assert_matches_elementwise(_pullback_chars(spec, c1[0] + c1[1] * spec.tau), zs, spec.tau)
 
 
 class TestSharedWindowPass:
