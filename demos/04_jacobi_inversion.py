@@ -34,7 +34,7 @@ q1, q2 = locate_zeros(tp)
 print(f"zeros: {q1:.10f}  and  {q2:.10f}")
 print(f"residuals: {abs(tp.value(q1)):.2e}, {abs(tp.value(q2)):.2e}")
 dm = DMap(spec, c[0], 0.05)
-print(f"branch-cut term A(eps, c) = {branch_correction(dm, c[1], dm.d2_and_log_f(c[1])[1]):.8f}")
+print(f"branch-cut term A(eps, c) = {branch_correction(dm, c[1], dm.d2(c[1])):.8f}")
 
 print("\ncongruence residuals over generic shifts (eps = 0.05):")
 results, skipped = [], 0

@@ -24,8 +24,6 @@ from .inversion import (
     Thm51Result,
     branch_correction,
     count_zeros,
-    d_map,
-    d_map_corrected,
     locate_zeros,
     riemann_constants,
     verify_thm51,
@@ -53,8 +51,6 @@ __all__ = [
     "branch_correction",
     "congruent_mod_gamma",
     "count_zeros",
-    "d_map",
-    "d_map_corrected",
     "derive_periods",
     "divisor_image",
     "e_func",

@@ -203,7 +203,7 @@ def loop_increment(spec: NodalCurveSpec, vertices) -> complex:
 def _chart_radius(spec: NodalCurveSpec, eps) -> float:
     """eps as a float; ValueError unless it is a real number in (0, spec.eps]
     (a numpy complex would pass the comparisons and lose its imaginary part)."""
-    if not (isinstance(eps, Real) and 0 < eps < spec.eps * 1.0001):
+    if not (isinstance(eps, Real) and 0 < eps <= spec.eps):
         raise ValueError("chart radius eps must lie in (0, spec.eps]")
     return float(eps)
 

@@ -72,9 +72,8 @@ def estimate_u20_radius(spec: NodalCurveSpec, rng: np.random.Generator | None = 
 
 def _period_moves(spec: NodalCurveSpec, c, eps: np.ndarray) -> np.ndarray:
     """Log(f_s/f_0) for each shift s in _PERIOD_FRACTIONS (rows) and radius in
-    eps (columns), f_s = f(eps) at c2 + s, from one chart pass."""
-    a1, G = DMap(spec, c[0], eps[0]).alpha1_and_G(eps)
-    f = eps * a1 * e_func(c[1] + np.array((0.0,) + _PERIOD_FRACTIONS)[:, None]) + G
+    eps (columns), f_s = DMap.f(eps) at c2 + s, from one chart pass."""
+    f = DMap(spec, c[0], eps[0]).f(eps, c[1] + np.array((0.0,) + _PERIOD_FRACTIONS)[:, None])
     return np.log(f[1:] / f[0])
 
 

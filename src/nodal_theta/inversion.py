@@ -28,10 +28,11 @@ the constant (-tau/2 versus -tau in the first component), reporting the
 residual of each and the edge integers read off the same walk.  The
 Laurent data at p2 and the stated d(eps) come from one node chart per
 (c1, eps), `DMap`, which takes c2 as an argument and reads T_c's four
-thetas at p2 + t; on it d(eps) is the log of one chart value, and the
-quadrature of h3 is its dual route.  The branch-corrected map needs no
-chart: it is the translation d_corr(eps)(c) = c + (0, sigma(eps)) mod (0, 1)
-(`corrected_shift`).
+thetas at p2 + t.  The stated map is d(eps)(c) = (c1, `DMap.d2`(c2)), the
+log of one chart value, and the quadrature of h3 is its dual route.  The
+branch-corrected map needs no chart: it is the translation d_corr(eps)(c)
+= c + (0, sigma(eps)) mod (0, 1), sigma = `corrected_shift(spec, eps)`,
+and the branch-cut term is their difference, A = c2 + sigma - d2 mod 1.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ THM51_SKIPS = (ContourThroughZero, ZeroCollision, DegenerateC)
 
 
 @lru_cache(maxsize=16)
-def _theta_scale(tau: complex, char: tuple[float, float]) -> float:
-    """Coarse-grid maximum of |theta[char]| over one fundamental cell."""
+def _theta_scale(tau: complex) -> float:
+    """Coarse-grid maximum of |theta00| over one fundamental cell."""
     s = np.linspace(0.0, 1.0, 12)
     zs = (s[:, None] + s[None, :] * tau).ravel()
-    return float(np.max(np.abs(theta_char(char, zs, tau))))
+    return float(np.max(np.abs(theta_char((0.0, 0.0), zs, tau))))
 
 
 @lru_cache(maxsize=64)
@@ -102,7 +103,7 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     from one theta00 pass, cached per (spec, c1), so the pullbacks and
     charts of one c1 share it.
     """
-    scale = GENERICITY_TOL * _theta_scale(spec.tau, (0.0, 0.0))
+    scale = GENERICITY_TOL * _theta_scale(spec.tau)
     for name, value in zip(("theta00(phi1(p1) - c1)", "theta00(phi1(p2) - c1)"), _guard_thetas(spec, c1)):
         if abs(value) <= scale:
             return name
@@ -478,9 +479,10 @@ class DMap:
     # -- c2-dependent quantities ----------------------------------------------
 
     def f(self, t, c2):
-        """f(t) = t T_c(p2 + t)/c_minus1 = (t alpha1(t)/w + G(t))/G0, w = e(-c2); f(0) = 1."""
+        """f(t) = t T_c(p2 + t)/c_minus1 = (t alpha1(t)/w + G(t))/G0, w = e(-c2); f(0) = 1.
+        t and c2 broadcast, and one window pass at p2 + t serves every c2."""
         a1, G = self.alpha1_and_G(t)
-        return (t * a1 * e_func(complex(c2)) + G) / self.beta_coeff
+        return (t * a1 * e_func(c2) + G) / self.beta_coeff
 
     def H3(self, c2) -> complex:
         """Quadrature of h3 along the straight segment [0, eps]: the dual
@@ -489,24 +491,15 @@ class DMap:
         return integrate_segment(lambda s: _moebius(self.mobius_coeffs(s), ec), 0.0, complex(self.eps))
 
     def d2(self, c2) -> complex:
-        """c1*r1 + H3(eps; (c1, c2))/(2*pi*i) with H3 = Log f(eps) + 2*pi*i*n:
-        n comes from the continuous log of f along [0, eps], tracked from
-        f(0) = 1.  Raises ContourThroughZero when a zero of T_c lies on that
-        segment."""
-        return self.d2_and_log_f(c2)[0]
-
-    def d2_and_log_f(self, c2) -> tuple[complex, complex]:
-        """(d2(c2), Log f(eps)), with f(eps) the last sample of d2's log walk."""
+        """c1*r1 + H3(eps; (c1, c2))/(2*pi*i), the stated map's second
+        component, with H3 = Log f(eps) + 2*pi*i*n: n comes from the
+        continuous log of f along [0, eps], tracked from f(0) = 1, whose
+        last sample is f(eps).  Raises ContourThroughZero when a zero of T_c
+        lies on that segment."""
         d, f_eps = track_log_sampled(lambda t: self.f(t, c2), 0j, complex(self.eps))
         log_f = complex(np.log(f_eps))
         n = round((d - log_f).imag / (2 * math.pi))
-        return self.c1 * self.r1 + log_f / TWO_PI_I + n, log_f
-
-
-def d_map(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
-    """d(eps)(c) = (c1, c1*r1 + H3(eps; c)/(2*pi*i))."""
-    dm = DMap(spec, c[0], eps)
-    return (dm.c1, dm.d2(c[1]))
+        return self.c1 * self.r1 + log_f / TWO_PI_I + n
 
 
 # -- generalized Riemann constants -------------------------------------------
@@ -531,7 +524,7 @@ def riemann_constants(spec: NodalCurveSpec, eps: float) -> RiemannConstants:
     kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz.  Only
     int_alpha phi2 dz is a quadrature (to _QUAD_TOL): int_alpha phi1 dz =
     q0 + 1/2 - z0, and a(eps) is closed too, its -log(eps)/(2*pi*i) cancelling
-    the +log(eps)/(2*pi*i) of d_map_corrected.  Cached per (spec, eps).
+    the +log(eps)/(2*pi*i) of corrected_shift.  Cached per (spec, eps).
     Raises ValueError, before any other work, unless eps lies in
     (0, spec.eps]."""
     _chart_radius(spec, eps)
@@ -573,7 +566,7 @@ def kappa_vector(rc: RiemannConstants, spec: NodalCurveSpec, variant: str):
 # -- the inversion congruence -------------------------------------------------
 
 
-def branch_correction(dm: DMap, c2, log_f) -> complex:
+def branch_correction(dm: DMap, c2, d2) -> complex:
     """Branch-cut contribution A(eps, c) missing from the naive argument
     principle for the two-component period map.
 
@@ -586,27 +579,16 @@ def branch_correction(dm: DMap, c2, log_f) -> complex:
     to the divisor-image congruence.  A is well defined modulo 1 (path and
     branch choices shift it by integers, absorbed by the period group).
     d(eps)(c) + (0, A) is the translation c + (0, sigma(eps)) (see
-    corrected_shift), so on the chart dm of (c1, eps)
+    corrected_shift), so A is the corrected map less the stated one: on the
+    chart dm of (c1, eps), with d2 = dm.d2(c2),
 
-        A = c2 + sigma(eps) - c1 r1 - Log f(eps)/(2*pi*i),
+        A = c2 + sigma(eps) - d2,
 
-    returned with Re A in [-1/2, 1/2).  f(eps) = eps T_c(p2 + eps)/c_minus1,
-    and log_f is Log f(eps), as DMap.d2_and_log_f returns it with d2.
+    returned with Re A in [-1/2, 1/2).  d2 = c1 r1 + Log f(eps)/(2*pi*i) + n,
+    f(eps) = eps T_c(p2 + eps)/c_minus1, and the reduction drops the integer n.
     """
-    a = complex(c2) + corrected_shift(dm.spec, dm.eps) - dm.c1 * dm.r1 - complex(log_f) / TWO_PI_I
+    a = complex(c2) + corrected_shift(dm.spec, dm.eps) - complex(d2)
     return a - math.floor(a.real + 0.5)
-
-
-def d_map_corrected(eps: float, c, spec: NodalCurveSpec) -> tuple[complex, complex]:
-    """Branch-corrected inversion map d(eps)(c) + (0, A(eps, c)), which is
-    the translation (c1, c2 + sigma(eps)) mod (0, 1) (see corrected_shift);
-    the congruence W == d_corr(eps)(c) + kappa(eps) mod Gamma closes
-    numerically, whereas the uncorrected form leaves exactly the A(eps, c)
-    defect.  Raises ValueError and DegenerateC where the chart of (c1, eps)
-    would.
-    """
-    sigma = corrected_shift(spec, eps)
-    return (_require_generic(spec, c[0]), complex(c[1]) + sigma)
 
 
 @dataclass(frozen=True)

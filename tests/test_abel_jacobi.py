@@ -309,9 +309,11 @@ class TestPoleCharts:
     A_EPS_003 = {"a": -0.8993972314309875 - 0.3305782790396736j, "b": -0.08977386091931405 - 0.27032839393197283j}
 
     def test_a_eps_checks_its_radius(self, spec_ab, preset):
-        for eps in (-0.01, 0.0, spec_ab.eps + 0.001, math.nan, 0.03 + 0.02j, np.complex128(0.03 + 0.02j)):
+        for eps in (-0.01, 0.0, spec_ab.eps * (1 + 1e-5), spec_ab.eps + 0.001, math.nan, 0.03 + 0.02j,
+                    np.complex128(0.03 + 0.02j)):
             with pytest.raises(ValueError, match="chart radius eps must lie in"):
                 a_eps(spec_ab, eps)
+        assert np.isfinite(a_eps(spec_ab, spec_ab.eps))
         assert abs(a_eps(spec_ab, 0.03) - self.A_EPS_003[preset]) < 1e-15
 
     def test_a_eps_deterministic_and_shift_free(self, spec_a):

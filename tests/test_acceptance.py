@@ -34,7 +34,6 @@ from nodal_theta.inversion import (
     beta_dlog_integral,
     branch_correction,
     count_zeros,
-    d_map,
     kappa_vector,
     riemann_constants,
     sample_generic_c,
@@ -190,8 +189,7 @@ def test_criterion_05_inversion_congruence(spec_ab, preset, cli_rows):
     # the branch-cut term itself double-checked by the tracked route
     tp = ThetaPullback(results[0].c, spec)
     dm = DMap(spec, tp.c1, eps_w)
-    log_f = dm.d2_and_log_f(tp.c2)[1]
-    d = branch_correction(dm, tp.c2, log_f) - branch_correction_tracked(tp, eps_w)
+    d = branch_correction(dm, tp.c2, dm.d2(tp.c2)) - branch_correction_tracked(tp, eps_w)
     routes_agree = abs(d - round(d.real)) < 1e-8
     dt = time.time() - t0
     ok_corrected = max(cor) < 1e-6 and variants == {"half_tau"} and routes_agree and dt < 180
@@ -263,11 +261,10 @@ def test_criterion_07_periodicity_structure(spec_ab, preset):
     worst_half = np.inf
     for _ in range(3):
         c, _ = sample_generic_c(spec, rng)
-        a = d_map(0.03, c, spec)
-        b = d_map(0.03, (c[0], c[1] + 1.0), spec)
-        worst_int = max(worst_int, abs(a[1] - b[1]))
-        h = d_map(0.03, (c[0], c[1] + 0.5), spec)
-        worst_half = min(worst_half, abs(a[1] - h[1]))
+        dm = DMap(spec, c[0], 0.03)
+        a, b, h = dm.d2(c[1]), dm.d2(c[1] + 1.0), dm.d2(c[1] + 0.5)
+        worst_int = max(worst_int, abs(a - b))
+        worst_half = min(worst_half, abs(a - h))
     ok = worst_int < 1e-10 and worst_half > 1e-4
     verdict(7, ok, f"d-map periodicity: integer shift {worst_int:.2e}, half shift {worst_half:.2e}", preset)
     assert ok
@@ -282,11 +279,11 @@ def test_criterion_08_branch_inversion(spec_ab, preset):
     for _ in range(3):
         # u = d(c) + kappa has the preimage c by construction: every draw inverts
         c, _ = sample_generic_c(spec, rng)
-        d = d_map(eps_w, c, spec)
-        u = (d[0] + kap[0], d[1] + kap[1])
+        dm = DMap(spec, c[0], eps_w)
+        u = (dm.c1 + kap[0], dm.d2(c[1]) + kap[1])
         c_back = beta_k(u, spec, eps_w, use_correction=False, _kappa_cache=kap)
-        d_back = d_map(eps_w, c_back, spec)
-        worst_rt = max(worst_rt, abs(d_back[1] - (u[1] - kap[1])))
+        d_back = DMap(spec, c_back[0], eps_w).d2(c_back[1])
+        worst_rt = max(worst_rt, abs(d_back - (u[1] - kap[1])))
     u = (0.25 + 0.15j, 0.4 + 0.1j)
     c0 = beta_k(u, spec, eps_w, k=0, _kappa_cache=kap)
     c1 = beta_k(u, spec, eps_w, k=1, _kappa_cache=kap)

@@ -33,8 +33,6 @@ from nodal_theta.errors import ContourThroughZero, DegenerateC, NewtonDivergence
 from nodal_theta.inversion import (
     DMap,
     corrected_shift,
-    d_map,
-    d_map_corrected,
     kappa_vector,
     riemann_constants,
     sample_generic_c,
@@ -77,16 +75,15 @@ class TestSelectEpsilon:
         rng = np.random.default_rng(5)
         c, _ = sample_generic_c(spec_ab, rng)
         for eps in (0.05, 0.04):
-            a = d_map(eps, c, spec_ab)
-            b = d_map(eps, (c[0], c[1] + 1.0), spec_ab)
-            assert abs(a[1] - b[1]) < 1e-10 * max(1.0, abs(a[1]))
+            dm = DMap(spec_ab, c[0], eps)
+            a, b = dm.d2(c[1]), dm.d2(c[1] + 1.0)
+            assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
     def test_half_shift_separates(self, spec_ab):
         rng = np.random.default_rng(7)
         c, _ = sample_generic_c(spec_ab, rng)
-        a = d_map(EPS_SEL, c, spec_ab)
-        b = d_map(EPS_SEL, (c[0], c[1] + 0.5), spec_ab)
-        assert abs(a[1] - b[1]) > 1e-4
+        dm = DMap(spec_ab, c[0], EPS_SEL)
+        assert abs(dm.d2(c[1]) - dm.d2(c[1] + 0.5)) > 1e-4
 
     def test_no_valid_epsilon_raises(self, spec_a):
         with pytest.raises(NoValidEpsilon):
@@ -148,12 +145,12 @@ class TestBetaK:
         rng = np.random.default_rng(11)
         for _ in range(3):
             c, _ = sample_generic_c(spec, rng)
-            d = d_map(EPS_SEL, c, spec)
-            u = (d[0] + kap[0], d[1] + kap[1])
+            dm = DMap(spec, c[0], EPS_SEL)
+            u = (dm.c1 + kap[0], dm.d2(c[1]) + kap[1])
             c_back = beta_k(u, spec, EPS_SEL, use_correction=False, _kappa_cache=kap)
-            d_back = d_map(EPS_SEL, c_back, spec)
-            assert abs(d_back[1] - (u[1] - kap[1])) < 1e-9
-            assert abs(d_back[0] - (u[0] - kap[0])) < 1e-12
+            d_back = DMap(spec, c_back[0], EPS_SEL).d2(c_back[1])
+            assert abs(d_back - (u[1] - kap[1])) < 1e-9
+            assert abs(c_back[0] - (u[0] - kap[0])) < 1e-12
             # left inverse up to the integer sheet
             assert frac_norm(c_back[1] - c[1]) < 1e-9
 
@@ -181,8 +178,8 @@ class TestBetaK:
         candidates = cfg_ab.eps_candidates
         assert select_epsilon(spec, candidates) == candidates[0]
         c, _ = sample_generic_c(spec, np.random.default_rng(11))
-        d = d_map(EPS_SEL, c, spec)
-        c_back = beta_k((d[0] + kap[0], d[1] + kap[1]), spec, EPS_SEL, use_correction=False, _kappa_cache=kap)
+        dm = DMap(spec, c[0], EPS_SEL)
+        c_back = beta_k((dm.c1 + kap[0], dm.d2(c[1]) + kap[1]), spec, EPS_SEL, use_correction=False, _kappa_cache=kap)
         assert frac_norm(c_back[1] - c[1]) < 1e-9
 
     def test_preimage_inside_the_cut_reach(self, spec_b):
@@ -202,10 +199,11 @@ class TestBetaK:
         eps = spec.eps / 2
         kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
         try:
-            d = d_map(eps, c, spec)
+            dm = DMap(spec, c[0], eps)
+            d2 = dm.d2(c[1])
         except (DegenerateC, QuadratureFailure):
             assume(False)
-        u = (d[0] + kap[0], d[1] + kap[1])
+        u = (dm.c1 + kap[0], d2 + kap[1])
         c_back = beta_k(u, spec, eps, use_correction=False, _kappa_cache=kap)
         assert frac_norm(c_back[1] - c[1]) < 1e-9
 
@@ -214,11 +212,10 @@ class TestBetaK:
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         rng = np.random.default_rng(13)
         c, _ = sample_generic_c(spec, rng)
-        d = d_map_corrected(EPS_SEL, c, spec)
-        u = (d[0] + kap[0], d[1] + kap[1])
+        sigma = corrected_shift(spec, EPS_SEL)
+        u = (c[0] + kap[0], c[1] + sigma + kap[1])
         c_back = beta_k(u, spec, EPS_SEL, use_correction=True, _kappa_cache=kap)
-        d_back = d_map_corrected(EPS_SEL, c_back, spec)
-        assert frac_norm(d_back[1] - (u[1] - kap[1])) < 1e-9
+        assert frac_norm(c_back[1] + sigma - (u[1] - kap[1])) < 1e-9
         assert frac_norm(c_back[1] - c[1]) < 1e-9
 
     def test_sheets_differ_by_unit_step(self, spec_ab, request):
@@ -238,8 +235,8 @@ class TestBetaK:
         spec = spec_a
         rng = np.random.default_rng(17)
         c, _ = sample_generic_c(spec, rng)
-        d = d_map(EPS_SEL, c, spec)
-        u = (d[0] + kappa_a[0], d[1] + kappa_a[1])
+        dm = DMap(spec, c[0], EPS_SEL)
+        u = (dm.c1 + kappa_a[0], dm.d2(c[1]) + kappa_a[1])
         c_star = beta_k(u, spec, EPS_SEL, use_correction=False, _kappa_cache=kappa_a)
         dm = DMap(spec, c_star[0], EPS_SEL)
         errs = []
@@ -312,8 +309,8 @@ class TestZeroSet:
         zero_set_residual(P1, spec, EPS_SEL)
         assert len(kernel_passes) == 3
         u = phi(spec, P0)
-        c = beta_k(u, spec, EPS_SEL)
-        d_map_corrected(EPS_SEL, c, spec)
+        beta_k(u, spec, EPS_SEL)
+        corrected_shift(spec, EPS_SEL)
 
     def test_thm66_point_keeps_the_bits_of_two_residual_calls(self, cfg_ab, preset, cli_rows):
         # on every CLI point: the corrected value, and the stated value or

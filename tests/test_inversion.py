@@ -38,9 +38,8 @@ from nodal_theta.inversion import (
     alpha_dlog_integral,
     beta_dlog_integral,
     branch_correction,
+    corrected_shift,
     count_zeros,
-    d_map,
-    d_map_corrected,
     genericity_failure,
     kappa_vector,
     locate_zeros,
@@ -923,19 +922,25 @@ class TestDMap:
         kernel_passes.clear()
         dm.f(dm.eps, tp.c2)
         assert kernel_passes == [tp._chars]
+        # an array of c2 shares the same one pass and matches the scalar calls
+        c2s = tp.c2 + np.linspace(0.0, 0.9, 10)
+        kernel_passes.clear()
+        fs = dm.f(dm.eps, c2s)
+        assert kernel_passes == [tp._chars]
+        scalar = np.array([dm.f(dm.eps, c2) for c2 in c2s])
+        assert np.all(np.abs(fs - scalar) <= 1e-15 * np.abs(scalar))
 
     def test_first_component_identity(self, spec_a):
         rng = np.random.default_rng(47)
         c, _ = sample_generic_c(spec_a, rng)
-        d = d_map(EPS_W, c, spec_a)
-        assert d[0] == c[0]
+        assert DMap(spec_a, c[0], EPS_W).c1 == c[0]
 
     def test_integer_shift_invariance(self, spec_ab):
         rng = np.random.default_rng(53)
         c, _ = sample_generic_c(spec_ab, rng)
-        a = d_map(EPS_W, c, spec_ab)
-        b = d_map(EPS_W, (c[0], c[1] + 1.0), spec_ab)
-        assert abs(a[1] - b[1]) < 1e-10 * max(1.0, abs(a[1]))
+        dm = DMap(spec_ab, c[0], EPS_W)
+        a, b = dm.d2(c[1]), dm.d2(c[1] + 1.0)
+        assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
     def test_corrected_map_matches_quadrature_route(self, spec_ab):
         # closed form vs H3 quadrature plus tracked branch correction, mod 1
@@ -943,7 +948,7 @@ class TestDMap:
         c, _ = sample_generic_c(spec_ab, rng)
         tp = ThetaPullback(c, spec_ab)
         quad = chart(tp).d2(tp.c2) + branch_correction_tracked(tp, EPS_W)
-        closed = d_map_corrected(EPS_W, c, spec_ab)[1]
+        closed = c[1] + corrected_shift(spec_ab, EPS_W)
         diff = quad - closed
         assert abs(diff - round(diff.real)) < 1e-9
 
@@ -952,21 +957,20 @@ class TestDMap:
         c, _ = sample_generic_c(spec_ab, rng)
         tp = ThetaPullback(c, spec_ab)
         dm = chart(tp)
-        a = branch_correction(dm, tp.c2, dm.d2_and_log_f(tp.c2)[1])
+        a = branch_correction(dm, tp.c2, dm.d2(tp.c2))
         b = branch_correction_tracked(tp, EPS_W)
         diff = a - b
         assert abs(diff - round(diff.real)) < 1e-10
 
     def test_correction_reuses_the_walk_end(self, spec_ab):
-        # Log f(eps) from d2's walk agrees with a fresh evaluation of f(eps)
+        # A = c2 + sigma - d2, with d2 from the end of d2's walk, against
+        # c2 + sigma - c1 r1 - Log f(eps)/(2 pi i) from a fresh f(eps)
         dm = chart(generic_tp(spec_ab))
         c2 = 0.3 - 0.1j
-        d2, log_f = dm.d2_and_log_f(c2)
-        assert d2 == dm.d2(c2)
-        log_f_scalar = np.log(dm.f(dm.eps, c2))
-        assert abs(log_f - log_f_scalar) < 1e-15
-        a = branch_correction(dm, c2, log_f)
-        assert abs(a - branch_correction(dm, c2, log_f_scalar)) < 1e-15
+        a = branch_correction(dm, c2, dm.d2(c2))
+        log_f = np.log(dm.f(dm.eps, c2))
+        want = c2 + corrected_shift(dm.spec, dm.eps) - dm.c1 * dm.r1 - log_f / TWO_PI_I
+        assert abs(a - (want - math.floor(want.real + 0.5))) < 1e-15
 
     @staticmethod
     def pole_c2(dm, frac=0.37):
@@ -1027,9 +1031,8 @@ class TestCorrectedTranslation:
         for _ in range(8):
             c, _ = sample_generic_c(spec_ab, rng)
             for eps in (0.05, 0.04, 0.03, 0.02):
-                d = d_map_corrected(eps, c, spec_ab)
-                assert d[0] == c[0]
-                assert frac_norm(d[1] - chart_corrected_d2(spec_ab, c, eps)) < 1e-13
+                d2 = c[1] + corrected_shift(spec_ab, eps)
+                assert frac_norm(d2 - chart_corrected_d2(spec_ab, c, eps)) < 1e-13
 
     @given(**GENERATED_SPECS, c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0)))
     @settings(max_examples=25, derandomize=True, deadline=None)
@@ -1041,7 +1044,7 @@ class TestCorrectedTranslation:
                 want = chart_corrected_d2(spec, c, eps)
             except DegenerateC:
                 assume(False)
-            assert frac_norm(d_map_corrected(eps, c, spec)[1] - want) < 1e-13
+            assert frac_norm(c[1] + corrected_shift(spec, eps) - want) < 1e-13
 
     def test_branch_correction_is_the_reduced_difference(self, spec_ab):
         # A = d_corr - d mod 1, with Re A in [-1/2, 1/2)
@@ -1049,8 +1052,8 @@ class TestCorrectedTranslation:
         for _ in range(6):
             c, _ = sample_generic_c(spec_ab, rng)
             dm = DMap(spec_ab, c[0], EPS_W)
-            d2, log_f = dm.d2_and_log_f(c[1])
-            a = branch_correction(dm, c[1], log_f)
+            d2 = dm.d2(c[1])
+            a = branch_correction(dm, c[1], d2)
             assert -0.5 <= a.real < 0.5
             assert frac_norm(a - (chart_corrected_d2(spec_ab, c, EPS_W) - d2)) < 1e-13
 
@@ -1062,7 +1065,7 @@ class TestCorrectedTranslation:
         u = (c[0] + kap[0], c[1] + kap[1])
         for call in (
             lambda: DMap(spec, c[0], eps),
-            lambda: d_map_corrected(eps, c, spec),
+            lambda: corrected_shift(spec, eps),
             lambda: beta_k(u, spec, eps, _kappa_cache=kap),
             lambda: riemann_constants(spec, eps),
             lambda: beta_k(u, spec, eps),
@@ -1088,7 +1091,7 @@ class TestRiemannConstants:
         # +log(eps)/(2*pi*i): their sum does not depend on the radius
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(83))
         sums = [
-            d_map_corrected(eps, c, spec_ab)[1] + riemann_constants(spec_ab, eps).kappa2
+            c[1] + corrected_shift(spec_ab, eps) + riemann_constants(spec_ab, eps).kappa2
             for eps in (0.05, 0.04, 0.03, 0.01)
         ]
         assert max(abs(s - sums[0]) for s in sums) < 1e-14

@@ -1,8 +1,10 @@
 """The package's public surface, and what the CLI runs of it."""
 
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +25,6 @@ NOT_RUN_BY_THE_CLI = {
     "differentials.ThirdKindDifferential.h_at_p1",  # demo 02
     "differentials.ThirdKindDifferential.h1_at_p2",  # demo 02
     "differentials.ThirdKindDifferential._chart",  # the two methods above
-    "inversion.d_map",  # README API
-    "inversion.d_map_corrected",  # README API
     "inversion.branch_correction",  # demo 04, README finding 1
 }
 
@@ -68,6 +68,24 @@ def defined_functions(path: Path) -> set[str]:
 
     walk(ast.parse(path.read_text(encoding="utf-8")), path.stem + ".")
     return names
+
+
+# A README API bullet: "* `name`, `name` (`nodal_theta.module`): ...".
+_API_BULLET = re.compile(r"^\* ((?:`\w+`,?\s+)+)\(`nodal_theta\.(\w+)`\)", re.MULTILINE)
+
+
+def test_readme_api_names_resolve():
+    # every name an API bullet lists is an attribute of the module it names
+    bullets = _API_BULLET.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+    modules = {module for _, module in bullets}
+    assert modules == {"theta", "curve", "differentials", "abel_jacobi", "inversion", "branches"}
+    missing = [
+        f"{module}.{name}"
+        for names, module in bullets
+        for name in re.findall(r"`(\w+)`", names)
+        if not hasattr(importlib.import_module(f"nodal_theta.{module}"), name)
+    ]
+    assert not missing, f"named in a README API bullet but not defined: {missing}"
 
 
 def test_every_export_resolves():
