@@ -34,10 +34,9 @@ from .errors import ContourThroughZero, DegenerateC, NewtonDivergence, NoPreimag
 from .inversion import DMap, _require_generic, corrected_shift, kappa_vector, riemann_constants, sample_generic_c
 from .theta import TWO_PI_I, big_theta, e_func
 
-# estimate_u20_radius: draws of c1, and the determinant floor relative to scale
-_U20_N_C1, _U20_DET_FLOOR = 10, 1e-6
-# select_epsilon: draws of c, and the least move of d(eps) under a rational shift
-_SELECT_N_C, _SEP_TOL = 10, 1e-4
+# select_epsilon: draws of c, one node chart each; the Moebius determinant
+# floor relative to scale; the least move of d(eps) under a rational shift
+_N_CHARTS, _U20_DET_FLOOR, _SEP_TOL = 10, 1e-6, 1e-4
 # |d2(c2*) - v| below which the stated closed-form root is accepted
 _NEWTON_TOL = 1e-12
 
@@ -53,15 +52,13 @@ _PERIOD_FRACTIONS = (
 )
 
 
-def estimate_u20_radius(spec: NodalCurveSpec, rng: np.random.Generator | None = None) -> float:
+def estimate_u20_radius(dms) -> float:
     """Largest tested radius on which the Moebius determinant stays bounded
-    below by _U20_DET_FLOOR * scale, sampled over chart circles and generic c."""
-    rng = np.random.default_rng(1905) if rng is None else rng
-    cs = [sample_generic_c(spec, rng)[0] for _ in range(_U20_N_C1)]
-    dms = [DMap(spec, c[0], spec.eps / 2) for c in cs]
+    below by _U20_DET_FLOOR * scale, sampled over circles of the node charts
+    dms (DMap objects of one spec, built at any radius)."""
     angles = np.exp(2j * np.pi * np.arange(8) / 8)
     for frac in np.linspace(0.95, 0.15, 17):
-        r = frac * spec.eps
+        r = frac * dms[0].spec.eps
         # one pass per chart: 8 points on each of the circles r, 3r/4, r/2, r/4
         points = np.outer(r * np.array([1.0, 0.75, 0.5, 0.25]), angles)
         A, B, C, D = np.stack([dm.mobius_coeffs(points) for dm in dms], axis=1)
@@ -70,31 +67,36 @@ def estimate_u20_radius(spec: NodalCurveSpec, rng: np.random.Generator | None = 
     raise NoValidEpsilon("Moebius determinant bound fails on every tested radius")
 
 
-def _period_moves(spec: NodalCurveSpec, c, eps: np.ndarray) -> np.ndarray:
+def _period_moves(dm: DMap, c2, eps: np.ndarray) -> np.ndarray:
     """Log(f_s/f_0) for each shift s in _PERIOD_FRACTIONS (rows) and radius in
-    eps (columns), f_s = DMap.f(eps) at c2 + s, from one chart pass."""
-    f = DMap(spec, c[0], eps[0]).f(eps, c[1] + np.array((0.0,) + _PERIOD_FRACTIONS)[:, None])
+    eps (columns), f_s = dm.f(eps) at c2 + s, from one pass of the chart dm;
+    DMap.f does not read the radius dm was built at."""
+    f = dm.f(eps, c2 + np.array((0.0,) + _PERIOD_FRACTIONS)[:, None])
     return np.log(f[1:] / f[0])
 
 
 def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | None = None) -> float:
     """First candidate radius whose map d(eps) shows no period in {0} x (Q \\ Z).
 
-    Candidates at or above the determinant-bound radius are skipped.  A
-    candidate is kept when |x| = |Log(f_s/f_0)/(2*pi*i)| exceeds _SEP_TOL for
-    every s in _PERIOD_FRACTIONS and _SELECT_N_C generic draws of c.  A log
-    walk of d2 reads x + j, j an integer, and |x + j| >= |x| as |Re x| <= 1/2.
+    Draws _N_CHARTS generic c and builds one node chart per draw; both
+    tests read those charts.  Candidates at or above their determinant-bound
+    radius (estimate_u20_radius) are skipped.  A candidate is kept when
+    |x| = |Log(f_s/f_0)/(2*pi*i)| exceeds _SEP_TOL for every s in
+    _PERIOD_FRACTIONS and every draw.  A log walk of d2 reads x + j, j an
+    integer, and |x + j| >= |x| as |Re x| <= 1/2.
     """
     rng = np.random.default_rng(1106) if rng is None else rng
-    u20 = estimate_u20_radius(spec, rng)
+    cs = [sample_generic_c(spec, rng)[0] for _ in range(_N_CHARTS)]
+    dms = [DMap(spec, c1, spec.eps / 2) for c1, _ in cs]
+    u20 = estimate_u20_radius(dms)
     usable = [e for e in candidates if 0 < e < u20]
     if not usable:
         raise NoValidEpsilon(
             f"no candidate below the determinant-bound radius {u20:.4g}"
         )
-    cs = [sample_generic_c(spec, rng)[0] for _ in range(_SELECT_N_C)]
     eps = np.array(usable, dtype=float)
-    kept = np.all([np.abs(_period_moves(spec, c, eps)) > 2 * np.pi * _SEP_TOL for c in cs], axis=(0, 1))
+    moves = [_period_moves(dm, c2, eps) for dm, (_, c2) in zip(dms, cs)]
+    kept = np.all(np.abs(moves) > 2 * np.pi * _SEP_TOL, axis=(0, 1))
     if kept.any():
         return usable[int(np.argmax(kept))]
     raise NoValidEpsilon(f"all candidates {list(candidates)} show a rational period")

@@ -90,7 +90,7 @@ def parse_config(path: str | Path) -> RunConfig:
     entries: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()

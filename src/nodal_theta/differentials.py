@@ -11,13 +11,15 @@ periods are real (see `curve.derive_periods`); both odd thetas come from
 one kernel pass at z.  Near the poles the local data h, h1 (the holomorphic parts
 in the translation charts z = p_i + t) are evaluated with explicit pole
 cancellation.  The Taylor data of theta[1/2;1/2] at 0, summed from their own
-series (the kernel serves orders 0 and 1 only), give ell its Laurent form
-and theta[1/2;1/2](t)/t its value near 0.  h1 has no power series:
-its integral is the log change of g(t) = t e(phi2(p2 + t)) (abel_jacobi).
+series (the kernel serves orders 0 and 1 only), give o(t) =
+theta[1/2;1/2](t)/t near 0 as one series, and ell(t) - 1/t = o'(t)/o(t)
+there.  h1 has no power series: its integral is the log change of g(t) =
+t e(phi2(p2 + t)) (abel_jacobi).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +37,8 @@ _TAYLOR_RTOL = 1e-8
 
 def _odd_taylor(tau: complex) -> tuple[complex, ...]:
     """theta11^(k)(0) = sum (2 pi i nu)^k e(nu^2 tau/2 + nu/2), k = 1, 3, 5, 7,
-    over nu = n + 1/2, |nu| < N + 1/2 for the least N <= 64 at which the
-    first omitted terms, weighted as in a 7th derivative, (2 pi (N + 1/2))^7
+    9, over nu = n + 1/2, |nu| < N + 1/2 for the least N <= 64 at which the
+    first omitted terms, weighted as in a 9th derivative, (2 pi (N + 1/2))^9
     exp(-pi Im(tau) (N + 1/2)^2), are below _ABS_TOL/4 each.
 
     a1 = theta11'(0) = -2 pi eta(tau)^3 is far smaller than its terms when
@@ -45,13 +47,13 @@ def _odd_taylor(tau: complex) -> tuple[complex, ...]:
     terms, exceeds _TAYLOR_RTOL |a1| (at tau = 0.01i the sum misses a1 by 26
     times its size)."""
     for n in range(1, _MAX_INDEX + 1):
-        if (2.0 * np.pi * (n + 0.5)) ** 7 * np.exp(-np.pi * tau.imag * (n + 0.5) ** 2) < _ABS_TOL / 4.0:
+        if (2.0 * np.pi * (n + 0.5)) ** 9 * np.exp(-np.pi * tau.imag * (n + 0.5) ** 2) < _ABS_TOL / 4.0:
             break
     else:
         raise NonConvergent(f"theta11's Taylor series needs more than {_MAX_INDEX} terms a side (Im tau = {tau.imag:g})")
     nu = np.arange(-n, n) + 0.5
     terms = np.exp(TWO_PI_I * (0.5 * nu * nu * tau + 0.5 * nu))
-    moments = [(TWO_PI_I * nu) ** k * terms for k in (1, 3, 5, 7)]
+    moments = [(TWO_PI_I * nu) ** k * terms for k in (1, 3, 5, 7, 9)]
     a1 = complex(np.sum(moments[0]))
     bound = np.finfo(np.float64).eps * np.sum(np.abs(moments[0]))
     if not bound <= _TAYLOR_RTOL * abs(a1):
@@ -75,24 +77,19 @@ class ThirdKindDifferential:
         self.p2 = spec.p2
         self.r1, self.r2, self.kappa_coeff = derive_periods(spec)
         self._poles = np.array([[self.p1], [self.p2]])
-        # odd theta Taylor data at its zero: theta11(t) = a1 t + a3 t^3 + ...
-        a1, d3, d5, d7 = _odd_taylor(self.tau)
-        # so theta11(t)/t = a1 + a3 t^2 + a5 t^4 + a7 t^6 + O(t^8)
-        self._odd_over_t_coeffs = (a1, d3 / 6.0, d5 / 120.0, d7 / 5040.0)
-        u, v, w = (b / a1 for b in self._odd_over_t_coeffs[1:])
-        # ell(t) - 1/t = c1 t + c3 t^3 + c5 t^5 + O(t^7)
-        self._ell_reg_coeffs = (
-            2.0 * u,
-            4.0 * v - 2.0 * u * u,
-            6.0 * w - 6.0 * u * v + 2.0 * u**3,
-        )
+        # odd theta Taylor data at its zero, theta11(t) = a1 t + a3 t^3 + ...,
+        # so o(t) = theta11(t)/t = a1 + a3 t^2 + ... + a9 t^8 + O(t^10)
+        self._odd_over_t_coeffs = tuple(d / math.factorial(k) for d, k in zip(_odd_taylor(self.tau), (1, 3, 5, 7, 9)))
 
     # -- log-derivative of the odd theta function --------------------------
 
-    def _ell_reg_small(self, t):
-        c1, c3, c5 = self._ell_reg_coeffs
+    def _odd_series(self, t):
+        """(o(t), ell(t) - 1/t) for small |t| from the one Taylor series of
+        o(t) = theta11(t)/t: ell(t) - 1/t = o'(t)/o(t), its log-derivative."""
+        a1, a3, a5, a7, a9 = self._odd_over_t_coeffs
         t2 = t * t
-        return t * (c1 + t2 * (c3 + t2 * c5))
+        o = a1 + t2 * (a3 + t2 * (a5 + t2 * (a7 + t2 * a9)))
+        return o, t * (2.0 * a3 + t2 * (4.0 * a5 + t2 * (6.0 * a7 + t2 * 8.0 * a9))) / o
 
     def odd_over_t(self, t, th):
         """theta11(t)/t at the points t of a 1-d array from theta11 there;
@@ -100,9 +97,7 @@ class ThirdKindDifferential:
         small = np.abs(t) < _ELL_SWITCH
         out = np.empty_like(t)
         out[~small] = th[~small] / t[~small]
-        a1, a3, a5, a7 = self._odd_over_t_coeffs
-        t2 = t[small] * t[small]
-        out[small] = a1 + t2 * (a3 + t2 * (a5 + t2 * a7))
+        out[small] = self._odd_series(t[small])[0]
         return out
 
     def _ell(self, x, th, thp):
@@ -119,7 +114,7 @@ class ThirdKindDifferential:
         if np.any(np.abs(ts) < 1e-12):
             raise PoleAt("ell evaluated at a lattice point")
         out = thp / th
-        out[small] = 1.0 / ts + self._ell_reg_small(ts) - TWO_PI_I * n[small]
+        out[small] = 1.0 / ts + self._odd_series(ts)[1] - TWO_PI_I * n[small]
         return out
 
     def _pole_part(self, t, d, shifted, at_t):
@@ -129,7 +124,7 @@ class ThirdKindDifferential:
         small = np.abs(t) < _ELL_SWITCH
         reg = np.empty_like(t)
         reg[~small] = at_t[1][~small] / at_t[0][~small] - 1.0 / t[~small]
-        reg[small] = self._ell_reg_small(t[small])
+        reg[small] = self._odd_series(t[small])[1]
         return (self._ell(d + t, *shifted) - reg) / TWO_PI_I
 
     def _chart(self, t, d):

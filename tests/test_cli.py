@@ -228,6 +228,12 @@ class TestCommands:
         p.write_text("curve.tau 0,1\n")
         assert main(["identities", "--config", str(p)]) == 2
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "latin1.cfg"
+        p.write_bytes(b"curve.tau = 0,1\n# caf\xe9\n")
+        assert main(["periods", "--config", str(p)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, edit, extra", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_input_exits_2(self, cfg_a, tmp_path, capsys, command, edit, extra):
         text = cfg_a.read_text()

@@ -10,6 +10,7 @@ import pytest
 from nodal_theta.abel_jacobi import chart_g
 from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import (
+    _ELL_SWITCH,
     ThirdKindDifferential,
     _odd_taylor,
     odd_chars,
@@ -23,6 +24,7 @@ from nodal_theta.quadrature import (
     integrate_segment,
     track_log_sampled,
 )
+from nodal_theta.theta import theta_chars
 from oracles import theta_mpmath, track_log, winding_number
 
 TWO_PI_I = 2j * math.pi
@@ -152,9 +154,9 @@ class TestEtaCoeff:
 
 
 class TestTaylorData:
-    """theta11's Taylor data at 0, theta11(t)/t = a1 + a3 t^2 + a5 t^4 +
-    a7 t^6 + O(t^8), summed from their own series, against a termwise
-    40-digit oracle and Jacobi's theta11'(0) = -2 pi eta(tau)^3."""
+    """theta11's Taylor data at 0, theta11(t)/t = a1 + a3 t^2 + ... + a9 t^8
+    + O(t^10), summed from their own series, against a termwise 40-digit
+    oracle and Jacobi's theta11'(0) = -2 pi eta(tau)^3."""
 
     @pytest.fixture(params=["a", "b", *TAUS])
     def diff(self, request, presets):
@@ -175,6 +177,19 @@ class TestTaylorData:
             eta = mpmath.exp(2j * mpmath.pi * tau / 24) * mpmath.qp(mpmath.exp(2j * mpmath.pi * tau))
             want = complex(-2 * mpmath.pi * eta**3)
         assert abs(diff._odd_over_t_coeffs[0] - want) <= 1e-14 * abs(want)
+
+    def test_ell_reg_is_the_log_derivative_of_the_series(self, diff):
+        # below _ELL_SWITCH, ell(t) - 1/t = o'(t)/o(t), o(t) = theta11(t)/t
+        # from the Taylor data: against the 40-digit oracle, and at the switch
+        # against the kernel's theta11'/theta11 - 1/t
+        t = 0.99 * _ELL_SWITCH * np.exp(2j * np.pi * np.arange(8) / 8)
+        for got, x in zip(diff._odd_series(t)[1], t):
+            with mpmath.workdps(40):
+                want = complex(ell_mpmath(x, diff.tau) - 1 / mpmath.mpc(x.real, x.imag))
+            assert abs(got - want) <= 1e-15
+        t = t / 0.99
+        ((th, thp),) = theta_chars(((0.5, 0.5),), t, diff.tau, (0, 1))
+        assert np.max(np.abs(diff._odd_series(t)[1] - (thp / th - 1 / t))) <= 1e-12
 
     def test_no_kernel_pass(self, spec_b, kernel_passes):
         ThirdKindDifferential(spec_b)
