@@ -80,21 +80,14 @@ def e_phi2(spec: NodalCurveSpec, z):
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
-def chart_g_from(spec: NodalCurveSpec, t, th1, th2):
-    """g(t) = t e(phi2(p2 + t)) at the points t of a 1-d array from th1, th2,
-    the odd thetas at z - p1 and z - p2 for z = p2 + t (a pass of odd_chars
-    at z): e_phi2_from with theta11(t) read as theta11(t)/t, so g is finite
-    at t = 0.  Written into th1."""
-    return e_phi2_from(spec, spec.p2 + t, th1, third_kind(spec).odd_over_t(t, th2))
-
-
 def chart_g(spec: NodalCurveSpec, t):
     """g(t) = t e(phi2(p2 + t)) for a chart point or an array of them, from
-    one kernel pass of the odd pair at p2 + t."""
+    one kernel pass of the odd pair at z = p2 + t: e_phi2_from with
+    theta11(t) read as theta11(t)/t, so g is finite at t = 0."""
     t = np.asarray(t, dtype=np.complex128)
     tf = t.reshape(-1)
     (th1,), (th2,) = theta_chars(odd_chars(spec), spec.p2 + tf, spec.tau)
-    out = chart_g_from(spec, tf, th1, th2)
+    out = e_phi2_from(spec, spec.p2 + tf, th1, third_kind(spec).odd_over_t(tf, th2))
     return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 

@@ -13,15 +13,18 @@ The stated map d2(c2) = c1*r1 + H3(eps; c)/(2*pi*i) = v therefore forces
 f(eps) = e(v - c1*r1), which is linear in 1/w: there is one candidate w*,
 and so one candidate c2* mod 1.  DMap.d2 reads H3 as the continuous log of
 f along [0, eps], so d2(c2*) - v is an integer up to rounding, and a
-nonzero integer certifies that v has no preimage.  The same identity
-chooses the radius: c2 -> c2 + s moves d2 by Log(f_s/f_0)/(2*pi*i) up to an
-integer, so select_epsilon needs no log walk.  The branch-corrected
-map is the translation d_corr(eps)(c) = c + (0, sigma(eps)) mod (0, 1)
-(see inversion.corrected_shift), so its inverse needs no chart; it is the
-corrected inverse that places the curve image inside the zero set of the
-generalized theta function, so zero_set_residual uses it by default.
-thm66_point is the thm66 suite's one sample: it takes phi(P) once and
-reports the residual of both inverses at P.
+nonzero integer certifies that v has no preimage.  Both read one pass of
+the chart: the candidate takes alpha1(eps) and G(eps) from the last
+sample of the chart's ray (DMap.ray), whose samples d2's walk reads.  The
+same identity chooses the radius: c2 -> c2 + s moves d2 by
+Log(f_s/f_0)/(2*pi*i) up to an integer, so select_epsilon needs no log
+walk.  The branch-corrected map is the translation d_corr(eps)(c) =
+c + (0, sigma(eps)) mod (0, 1) (see inversion.corrected_shift), so its
+inverse needs no chart; it is the corrected inverse that places the
+curve image inside the zero set of the generalized theta function, so
+zero_set_residual uses it by default.  thm66_point is the thm66 suite's
+one sample: it takes phi(P) once and reports the residual of both
+inverses at P.
 """
 
 from __future__ import annotations
@@ -112,8 +115,9 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
     function does not see.  With use_correction the branch-corrected map,
     the translation c + (0, sigma(eps)), is inverted with no chart:
     c = (u1 - kappa1, u2 - kappa2 - sigma + k).  Without it, the stated map
-    is solved in closed form for e(-c2) (see the module docstring), and the
-    closed-form d2 at the candidate gives its integer miss.  NoPreimage
+    is solved in closed form for e(-c2) (see the module docstring) from the
+    last sample of the chart's ray, and the closed-form d2 at the
+    candidate, a walk over that ray, gives its integer miss.  NoPreimage
     means no c2 exists: the candidate misses by a nonzero integer, e(-c2)
     has no finite nonzero value, or a zero of T_c lies on the chart ray at
     the candidate.  Otherwise the candidate is a root of the computed map,
@@ -132,11 +136,11 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
         return (_require_generic(spec, c1), complex(v - sigma + k))
     # c2 enters the map only through e(-c2): one DMap serves every trial c2
     dm = DMap(spec, c1, eps)
-    r1, _, _ = derive_periods(spec)
-    # f(eps) = e(v - c1 r1) is linear in 1/w, w = e(-c2)
-    alpha1, G = dm.alpha1_and_G(eps)
-    num = eps * complex(alpha1)
-    den = dm.beta_coeff * e_func(v - c1 * r1) - complex(G)
+    # f(eps) = e(v - c1 r1) is linear in 1/w, w = e(-c2); alpha1(eps) and
+    # G(eps) are the last sample of the ray that d2's walk reads
+    alpha1, G = (complex(x[-1]) for x in dm.ray())
+    num = eps * alpha1
+    den = dm.beta_coeff * e_func(v - c1 * dm.r1) - G
     if num == 0 or den == 0:
         raise NoPreimage("the closed-form e(-c2) has no finite nonzero value")
     c2 = complex(-np.log(num / den) / TWO_PI_I) + k

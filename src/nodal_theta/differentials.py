@@ -83,12 +83,18 @@ class ThirdKindDifferential:
 
     # -- log-derivative of the odd theta function --------------------------
 
-    def _odd_series(self, t):
-        """(o(t), ell(t) - 1/t) for small |t| from the one Taylor series of
-        o(t) = theta11(t)/t: ell(t) - 1/t = o'(t)/o(t), its log-derivative."""
+    def _odd_over_t_series(self, t):
+        """o(t) = theta11(t)/t for small |t| from its Taylor series."""
         a1, a3, a5, a7, a9 = self._odd_over_t_coeffs
         t2 = t * t
-        o = a1 + t2 * (a3 + t2 * (a5 + t2 * (a7 + t2 * a9)))
+        return a1 + t2 * (a3 + t2 * (a5 + t2 * (a7 + t2 * a9)))
+
+    def _odd_series(self, t):
+        """(o(t), ell(t) - 1/t) for small |t| from the one Taylor series of
+        o(t): ell(t) - 1/t = o'(t)/o(t), its log-derivative."""
+        _, a3, a5, a7, a9 = self._odd_over_t_coeffs
+        t2 = t * t
+        o = self._odd_over_t_series(t)
         return o, t * (2.0 * a3 + t2 * (4.0 * a5 + t2 * (6.0 * a7 + t2 * 8.0 * a9))) / o
 
     def odd_over_t(self, t, th):
@@ -97,7 +103,7 @@ class ThirdKindDifferential:
         small = np.abs(t) < _ELL_SWITCH
         out = np.empty_like(t)
         out[~small] = th[~small] / t[~small]
-        out[small] = self._odd_series(t[small])[0]
+        out[small] = self._odd_over_t_series(t[small])
         return out
 
     def _ell(self, x, th, thp):
@@ -117,20 +123,19 @@ class ThirdKindDifferential:
         out[small] = 1.0 / ts + self._odd_series(ts)[1] - TWO_PI_I * n[small]
         return out
 
-    def _pole_part(self, t, d, shifted, at_t):
-        """(ell(d + t) - ell(t) + 1/t) / (2 pi i) at the points t of a 1-d
-        array, from (theta, theta') of (1/2, 1/2 + d) and of theta11 at t;
-        ell(t) - 1/t is stable for small |t| (no lattice reduction)."""
-        small = np.abs(t) < _ELL_SWITCH
-        reg = np.empty_like(t)
-        reg[~small] = at_t[1][~small] / at_t[0][~small] - 1.0 / t[~small]
-        reg[small] = self._odd_series(t[small])[1]
-        return (self._ell(d + t, *shifted) - reg) / TWO_PI_I
-
     def _chart(self, t, d):
+        """(ell(d + t) - ell(t) + 1/t) / (2 pi i) at a chart point t or an
+        array of them, from one kernel pass of (theta, theta') of (1/2,
+        1/2 + d) and of theta11 at t; ell(t) - 1/t is stable for small |t|
+        (no lattice reduction)."""
         t = np.asarray(t, dtype=np.complex128)
         tf = t.reshape(-1)
-        out = self._pole_part(tf, d, *theta_chars(((0.5, 0.5 + d), _ODD), tf, self.tau, (0, 1)))
+        shifted, (th, thp) = theta_chars(((0.5, 0.5 + d), _ODD), tf, self.tau, (0, 1))
+        small = np.abs(tf) < _ELL_SWITCH
+        reg = np.empty_like(tf)
+        reg[~small] = thp[~small] / th[~small] - 1.0 / tf[~small]
+        reg[small] = self._odd_series(tf[small])[1]
+        out = (self._ell(d + tf, *shifted) - reg) / TWO_PI_I
         return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     # -- the differential and its local data -------------------------------

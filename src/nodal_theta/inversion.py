@@ -28,11 +28,12 @@ the constant (-tau/2 versus -tau in the first component), reporting the
 residual of each and the edge integers read off the same walk.  The
 Laurent data at p2 and the stated d(eps) come from one node chart per
 (c1, eps), `DMap`, which takes c2 as an argument and reads T_c's four
-thetas at p2 + t.  The stated map is d(eps)(c) = (c1, `DMap.d2`(c2)), the
-log of one chart value, and the quadrature of h3 is its dual route.  The
-branch-corrected map needs no chart: it is the translation d_corr(eps)(c)
-= c + (0, sigma(eps)) mod (0, 1), sigma = `corrected_shift(spec, eps)`,
-and the branch-cut term is their difference, A = c2 + sigma - d2 mod 1.
+thetas at p2 + t through the pullback's fused sum (`_FusedSum`).  The
+stated map is d(eps)(c) = (c1, `DMap.d2`(c2)), the log of one chart
+value, and the quadrature of h3 is its dual route.  The branch-corrected
+map needs no chart: it is the translation d_corr(eps)(c) = c + (0,
+sigma(eps)) mod (0, 1), sigma = `corrected_shift(spec, eps)`, and the
+branch-cut term is their difference, A = c2 + sigma - d2 mod 1.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .abel_jacobi import _chart_g0, _chart_radius, _q_at_z0, a_eps, chart_g_from, divisor_image, phi1, phi2
+from .abel_jacobi import _chart_g0, _chart_radius, _q_at_z0, a_eps, divisor_image, phi1, phi2
 from .curve import (
     NodalCurveSpec,
     derive_periods,
@@ -53,9 +54,10 @@ from .curve import (
     period_group,
     reduce_to_cell,
 )
-from .differentials import odd_chars, third_kind
+from .differentials import _ELL_SWITCH, odd_chars, third_kind
 from .errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
 from .quadrature import (
+    _N0,
     _N_MAX,
     _QUAD_TOL,
     _snap_winding,
@@ -63,7 +65,7 @@ from .quadrature import (
     integrate_segment,
     track_log_sampled,
 )
-from .theta import TWO_PI_I, _reduce, _row_sums, _theta_pass, e_func, theta_char, theta_chars
+from .theta import TWO_PI_I, _reduce, _row_sums, _theta_pass, e_func, theta_char
 
 GENERICITY_TOL = 1e-3
 # Newton polish of the located zeros: step tolerance and iteration cap
@@ -173,51 +175,71 @@ def _table_power(powers, k: int):
     return np.power(powers[1, half], abs(k))
 
 
-class ThetaPullback:
-    """T_c for one shift c = (c1, c2) on a given curve instance.
+class _FusedSum:
+    """T_c's four thetas for one shift c1 (_pullback_chars: theta00 and
+    theta_r at z - z0 - c1, theta11 at z - p1 and at z - p2), summed in one
+    kernel pass at z with their automorphy prefactors folded into theta00's.
 
-    T_c(z) = theta00(x) + theta_r(x) e(phi2(z) - c2), x = z - z0 - c1, with
-    e(phi2(z)) = (Q(z)/Q(z0)) e(r1 (z - z0)), is summed from the row sums S_i
-    of its four thetas (theta00 and theta_r at x, theta11 at z - p1 and at
-    z - p2) in one kernel pass at z: theta_i = P_i S_i, and the prefactors
-    other than theta00's combine to the table's e(w)^M times a constant
-    (_odd_pair_factor), so
+    theta_i = P_i S_i, S_i the row sums of theta._row_sums, and the
+    prefactors other than theta00's combine to the table's e(w)^M times a
+    constant G (_odd_pair_factor, at the c2 given).  theta00's prefactor is
+    P_0 = e(-w)^Q C(Q), with Q = Q_0 = q - m_0 its strip shift and C(Q) =
+    e(-Q beta_0 - Q^2 tau/2) one scalar exponential per distinct Q, cached
+    per object.  _prefactors builds P_0 once per Q in the range of a block's
+    strip shifts: e(-w)^Q is the table's row |Q|, its e(-j w) half for
+    Q > 0 and its e(j w) half for Q < 0 (an integer power of row 1 past the
+    table), times the scalar C(Q); where the block spans several strips,
+    each point takes the P_0 of its own Q, so its bits depend on that point
+    alone.  e(M w) is the table's row |M|.  So a point takes one
+    exponential, the table's e(w).  The windows of a new c1 twist cached
+    tau-only Gaussians (theta._window).  The pullback (ThetaPullback) and
+    the node chart (DMap) of c1 each sum their blocks on it."""
 
-        T_c = P_0 (S_0 + e(M w) G S_r S_1/S_2).
-
-    theta00's prefactor is P_0 = e(-w)^Q C(Q), with Q = Q_0 = q - m_0 its
-    strip shift and C(Q) = e(-Q beta_0 - Q^2 tau/2) one scalar exponential
-    per distinct Q, cached per pullback.  A block builds P_0 once per Q in
-    the range of its strip shifts: e(-w)^Q is the table's row |Q|, its
-    e(-j w) half for Q > 0 and its e(j w) half for Q < 0 (an integer power
-    of row 1 past the table), times the scalar C(Q); where the block spans
-    several strips, each point takes the P_0 of its own Q, so its bits
-    depend on that point alone.  e(M w) is the table's row |M|.  So a point
-    takes one exponential, the table's e(w).  The windows of a new c1 twist
-    cached tau-only Gaussians (theta._window)."""
-
-    def __init__(self, c, spec: NodalCurveSpec):
-        self.c1 = _require_generic(spec, c[0])
-        self.c2 = complex(c[1])
+    def __init__(self, spec: NodalCurveSpec, c1, c2):
+        self.c1 = _require_generic(spec, c1)
         self.spec = spec
         self.r1, self.r2, _ = derive_periods(spec)
         self._chars = _pullback_chars(spec, self.c1)
-        self._power, self._scale = _odd_pair_factor(spec, self._chars, self.c2)
+        self._power, self._scale = _odd_pair_factor(spec, self._chars, c2)
         _, self._beta_0, _ = _reduce(*self._chars[0], spec.tau)
         self._constants = {}  # C(Q) by the strip shifts Q met so far
-        self._walks = {}
-
-    # -- building blocks ----------------------------------------------------
 
     def _theta00_prefactor(self, powers, shift: int):
         """P_0 = e(-w)^Q C(Q) at every point of a block, for one strip shift
         Q = shift of theta00: the table's e(-Q w) times the scalar C(Q),
-        which is one scalar exponential cached per pullback."""
+        which is one scalar exponential cached per object."""
         c = self._constants.get(shift)
         if c is None:
             tau, beta = self.spec.tau, self._beta_0
             c = self._constants[shift] = cmath.exp(-TWO_PI_I * shift * (beta + 0.5 * shift * tau))
         return _table_power(powers, -shift) * c
+
+    def _prefactors(self, window_set, powers, q, lo, hi):
+        """(P_0, e(M w) G) at the points of one block, from its power table
+        and its strip numbers q in [lo, hi] (theta._row_sums)."""
+        m_0 = window_set.m[0, 0]
+        lo, hi = int(lo - m_0), int(hi - m_0)
+        p_0 = self._theta00_prefactor(powers, lo)
+        for shift in range(lo + 1, hi + 1):
+            np.copyto(p_0, self._theta00_prefactor(powers, shift), where=q == shift + m_0)
+        return p_0, _table_power(powers, self._power) * self._scale
+
+
+class ThetaPullback(_FusedSum):
+    """T_c for one shift c = (c1, c2) on a given curve instance.
+
+    T_c(z) = theta00(x) + theta_r(x) e(phi2(z) - c2), x = z - z0 - c1, with
+    e(phi2(z)) = (Q(z)/Q(z0)) e(r1 (z - z0)), is summed from the row sums S_i
+    of its four thetas in one kernel pass at z (_FusedSum), G at this c2:
+
+        T_c = P_0 (S_0 + e(M w) G S_r S_1/S_2)."""
+
+    def __init__(self, c, spec: NodalCurveSpec):
+        self.c2 = complex(c[1])
+        super().__init__(spec, c[0], self.c2)
+        self._walks = {}
+
+    # -- building blocks ----------------------------------------------------
 
     def _block(self, z, tau, window_set, out):
         """T_c, and dT_c/dz when out has two rows, at the points z of one
@@ -232,12 +254,7 @@ class ThetaPullback:
         n = len(out)
         sums = np.empty((4 * n, len(z)), dtype=np.complex128)
         _, powers, q, lo, hi = _row_sums(z, tau, window_set, sums)
-        m_0 = window_set.m[0, 0]
-        lo, hi = int(lo - m_0), int(hi - m_0)
-        p_0 = self._theta00_prefactor(powers, lo)
-        for shift in range(lo + 1, hi + 1):
-            np.copyto(p_0, self._theta00_prefactor(powers, shift), where=q == shift + m_0)
-        xg = _table_power(powers, self._power) * self._scale
+        p_0, xg = self._prefactors(window_set, powers, q, lo, hi)
         s_0, s_r, s_1, s_2 = sums[::n]
         u = s_r * s_1
         t = u / s_2
@@ -418,13 +435,13 @@ def _moebius(abcd, ec):
     return (A + B * ec) / (C + D * ec)
 
 
-class DMap:
+class DMap(_FusedSum):
     """The node chart z = p2 + t of T_c for one (c1, eps), and the second
     component of d(eps)(c) as a function of c2.
 
-    With w = e(-c2), g(t) = t e(phi2(p2 + t)) (`chart_g_from`), G(t) =
-    theta[-r1;r2](x2 + t) g(t) and G0 = G(0) = beta_coeff, the chart reads
-    t T_c(p2 + t) = c_minus1 f(t), where c_minus1 = G0 w and
+    With w = e(-c2), g(t) = t e(phi2(p2 + t)) (`abel_jacobi.chart_g`),
+    G(t) = theta[-r1;r2](x2 + t) g(t) and G0 = G(0) = beta_coeff, the chart
+    reads t T_c(p2 + t) = c_minus1 f(t), where c_minus1 = G0 w and
 
         f(t) = (t alpha1(t)/w + G(t))/G0,   f(0) = 1.
 
@@ -433,56 +450,122 @@ class DMap:
     H3(eps) is therefore Log f(eps) + 2*pi*i*n, n the winding of f along
     [0, eps]: `d2` is this closed form, and `H3`, the quadrature of h3 over
     [0, eps], is its dual route, which verify_thm51 checks on every sample.
-    The chart holds what does not depend on c2 (beta_coeff = G0); what does
-    takes c2 as an argument.  One pass of T_c's own four thetas at p2 + t
-    gives alpha1, theta[-r1;r2] and the odd pair of g.  The genericity
-    guard runs once, at construction.  The residue c_minus1, h3 itself, its
-    value at the node and the c2-derivative of d2 are test oracles
-    (tests/oracles.py).
+
+    The chart reads alpha1 and G from the pullback's fused sum of T_c's
+    four thetas at p2 + t (_FusedSum), with K its constant G at c2 = 0:
+
+        alpha1 = P_0 S_0,   G = P_0 e(M w) K S_r S_1 / V,   V = S_2/t,
+
+    and within _ELL_SWITCH of the node V = o(t)/P_2, o(t) = theta11(t)/t
+    from its Taylor series (ThirdKindDifferential._odd_over_t_series) and P_2
+    theta11's prefactor, so G is regular at t = 0.  A point takes one
+    exponential, and a point within _ELL_SWITCH one more, for P_2.  The
+    derivatives are the quotient rule on the order-1 sums D_i, as in
+    ThetaPullback._block, with L = V'/V = D_2/S_2 - 1/t (o'/o near the node):
+
+        G' = P_0 e(M w) K [D_r S_1 + S_r D_1 + 2 pi i r1 S_r S_1 - S_r S_1 L] / V,
+
+    which divides by neither S_r nor S_1.  The chart holds what does not
+    depend on c2: beta_coeff = G0, and alpha1 and G at the samples of d2's
+    walk along [0, eps] (`ray`), computed on first use; what depends on c2
+    takes it as an argument.  The genericity guard runs once, at
+    construction.  The residue c_minus1, h3 itself, its value at the node,
+    the c2-derivative of d2 and the four-theta route to the chart's
+    factors are test oracles (tests/oracles.py).
     """
 
     def __init__(self, spec: NodalCurveSpec, c1, eps: float):
         self.eps = _chart_radius(spec, eps)
-        self.c1 = _require_generic(spec, c1)
-        self.spec = spec
-        self.r1, r2, _ = derive_periods(spec)
+        super().__init__(spec, c1, 0.0)
         self.diff = third_kind(spec)
-        self._chars = _pullback_chars(spec, self.c1)
         x2 = phi1(spec, spec.p2) - self.c1
-        self.beta_coeff = theta_char((-self.r1, r2), x2, spec.tau) * _chart_g0(spec)
+        self.beta_coeff = theta_char((-self.r1, self.r2), x2, spec.tau) * _chart_g0(spec)
+        self._rays = {}  # (alpha1, G) on the walk's samples, by sample count
 
     # -- the chart's theta factors and the Moebius coefficients ---------------
+
+    def _block(self, z, tau, window_set, out):
+        """(alpha1, G), or (A, B, C, D) for orders (0, 1), at the chart points
+        z = p2 + t of one block, t = z - p2 (see the class docstring).  Every
+        step runs on the block's padded points, or on those of its points
+        that lie within _ELL_SWITCH of the node, so a point's values do not
+        depend on its batch."""
+        n = len(window_set.orders)
+        sums = np.empty((4 * n, len(z)), dtype=np.complex128)
+        w, powers, q, lo, hi = _row_sums(z, tau, window_set, sums)
+        p_0, xg = self._prefactors(window_set, powers, q, lo, hi)
+        xg *= p_0
+        s_0, s_r, s_1, s_2 = sums[::n]
+        t = z - self.spec.p2
+        small = np.abs(t) < _ELL_SWITCH
+        big = ~small
+        v = np.divide(s_2, t, out=np.empty_like(t), where=big)
+        if n == 2:
+            d_0, d_r, d_1, d_2 = sums[1::2]
+            ell = np.divide(d_2, s_2, out=np.empty_like(t), where=big)
+            ell -= np.divide(1.0, t, out=np.zeros_like(t), where=big)
+        if small.any():
+            # P_2 as theta._block_pass forms it, one exponential per point
+            shift = q[small] - window_set.m[3, 0]
+            p_2 = (window_set.a_red[3, 0] - shift) * w[small] - shift * (0.5 * (shift * tau) + window_set.beta[3, 0])
+            np.exp(TWO_PI_I * p_2, out=p_2)
+            if n == 1:
+                o = self.diff._odd_over_t_series(t[small])
+            else:
+                o, ell[small] = self.diff._odd_series(t[small])
+            v[small] = o / p_2
+        u = s_r * s_1
+        G = u / v
+        G *= xg
+        if n == 1:
+            np.multiply(s_0, p_0, out=out[0])
+            out[1] = G
+            return
+        alpha1 = s_0 * p_0
+        dG = d_r * s_1 + s_r * d_1 + (TWO_PI_I * self.r1) * u
+        dG -= u * ell
+        dG /= v
+        dG *= xg
+        out[0] = alpha1 + t * (d_0 * p_0)
+        out[1], out[2], out[3] = dG, t * alpha1, G
+
+    def _chart_pass(self, t, orders):
+        """The chart block's rows at a chart point t or an array of them,
+        from one window pass of the four thetas at p2 + t."""
+        t = np.asarray(t, dtype=np.complex128)
+        z, vals = _theta_pass(self._chars, self.spec.p2 + t, self.spec.tau, orders, 2 * len(orders), self._block)
+        return tuple(complex(v[0]) if z.ndim == 0 else v[:z.size].reshape(z.shape) for v in vals)
 
     def alpha1_and_G(self, t):
         """(alpha1(t), G(t)) = (theta00(x2 + t), theta[-r1;r2](x2 + t) g(t)),
         the chart's two theta factors, from one window pass at p2 + t; G is
         the residue factor of the chart."""
-        t = np.asarray(t, dtype=np.complex128)
-        tf = t.reshape(-1)
-        (a1,), (th,), (th1,), (th2,) = theta_chars(self._chars, self.spec.p2 + tf, self.spec.tau)
-        th *= chart_g_from(self.spec, tf, th1, th2)
-        return tuple(complex(v[0]) if t.ndim == 0 else v.reshape(t.shape) for v in (a1, th))
+        return self._chart_pass(t, (0,))
 
     def mobius_coeffs(self, t):
         """(A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G), so that
-        h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t.
-        G' = (theta_r' + 2*pi*i*h1 theta_r) g, and one window pass at p2 + t
-        gives all four thetas with their derivatives."""
-        t = np.asarray(t, dtype=np.complex128)
-        tf = t.reshape(-1)
-        (a1, a1p), (th, thp), odd1, odd2 = theta_chars(self._chars, self.spec.p2 + tf, self.spec.tau, (0, 1))
-        h1 = self.diff._pole_part(tf, self.spec.p2 - self.spec.p1, odd1, odd2) + self.diff.kappa_coeff
-        g = chart_g_from(self.spec, tf, odd1[0], odd2[0])
-        G, dG = th * g, (thp + TWO_PI_I * h1 * th) * g
-        return tuple(complex(v[0]) if t.ndim == 0 else v.reshape(t.shape) for v in (a1 + tf * a1p, dG, tf * a1, G))
+        h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t.  One
+        window pass at p2 + t gives all four thetas with their derivatives."""
+        return self._chart_pass(t, (0, 1))
+
+    def ray(self, n: int = _N0):
+        """(alpha1, G) at the n + 1 samples t_j = j eps/n of d2's walk along
+        [0, eps] (quadrature._track_edges), from one pass on first use and
+        kept on the chart: the last sample is t = eps."""
+        ray = self._rays.get(n)
+        if ray is None:
+            ray = self._rays[n] = self.alpha1_and_G(np.linspace(0.0, 1.0, n + 1) * complex(self.eps))
+        return ray
 
     # -- c2-dependent quantities ----------------------------------------------
 
+    def _f(self, t, alpha1, G, c2):
+        return (t * alpha1 * e_func(c2) + G) / self.beta_coeff
+
     def f(self, t, c2):
         """f(t) = t T_c(p2 + t)/c_minus1 = (t alpha1(t)/w + G(t))/G0, w = e(-c2); f(0) = 1.
-        t and c2 broadcast, and one window pass at p2 + t serves every c2."""
-        a1, G = self.alpha1_and_G(t)
-        return (t * a1 * e_func(c2) + G) / self.beta_coeff
+        t and c2 broadcast: one window pass at p2 + t serves every c2."""
+        return self._f(t, *self.alpha1_and_G(t), c2)
 
     def H3(self, c2) -> complex:
         """Quadrature of h3 along the straight segment [0, eps]: the dual
@@ -494,9 +577,10 @@ class DMap:
         """c1*r1 + H3(eps; (c1, c2))/(2*pi*i), the stated map's second
         component, with H3 = Log f(eps) + 2*pi*i*n: n comes from the
         continuous log of f along [0, eps], tracked from f(0) = 1, whose
-        last sample is f(eps).  Raises ContourThroughZero when a zero of T_c
-        lies on that segment."""
-        d, f_eps = track_log_sampled(lambda t: self.f(t, c2), 0j, complex(self.eps))
+        last sample is f(eps).  The walk reads f from the chart's ray, so
+        a c2 makes no kernel pass of its own.  Raises ContourThroughZero
+        when a zero of T_c lies on that segment."""
+        d, f_eps = track_log_sampled(lambda t: self._f(t, *self.ray(len(t) - 1), c2), 0j, complex(self.eps))
         log_f = complex(np.log(f_eps))
         n = round((d - log_f).imag / (2 * math.pi))
         return self.c1 * self.r1 + log_f / TWO_PI_I + n

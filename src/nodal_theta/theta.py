@@ -60,7 +60,8 @@ coefficients pad with zeros.  A pass gives each window's row sums and the
 block's power table (_row_sums); theta_chars multiplies the sums by the
 automorphy prefactors, all from one exponential.  Other combinations of
 the same sums apply their prefactors their own way: the pulled-back Theta
-(inversion.ThetaPullback) folds those of its four thetas into theta00's,
+(inversion.ThetaPullback) and its node chart (inversion.DMap) fold those
+of its four thetas into theta00's,
 P_0 = e(-w)^Q C(Q), and builds it once per strip shift Q of a block from
 the table's row |Q| and one scalar C(Q); with e(M w), also a row of the
 table, a point takes one exponential, the table's e(w).

@@ -37,7 +37,7 @@ import numpy as np
 
 from nodal_theta.abel_jacobi import a_eps, chart_g, e_phi2_from, phi1, phi2
 from nodal_theta.curve import NodalCurveSpec, derive_periods
-from nodal_theta.differentials import third_kind
+from nodal_theta.differentials import _ELL_SWITCH, third_kind
 from nodal_theta.errors import ContourThroughZero, JacobianSingular
 from nodal_theta.inversion import DMap, ThetaPullback, Thm51Result, _moebius
 from nodal_theta.quadrature import (
@@ -196,6 +196,35 @@ def pullback_terms(tp: ThetaPullback, z):
     eta = third_kind(spec).eta_from(z, odd1, odd2)
     ew = e_phi2_from(spec, z, odd1[0], odd2[0]) * e_func(-tp.c2)
     return (th0, thr * ew), (th0p, (thrp + TWO_PI_I * eta * thr) * ew)
+
+
+def chart_factors_four_theta(dm: DMap, t):
+    """(alpha1, G) of DMap.alpha1_and_G at the points t of a 1-d array by
+    the four-theta route: the chart's four thetas from one theta_chars pass,
+    each with its own automorphy prefactor, and g = t e(phi2(p2 + t)) from
+    the odd pair through e_phi2_from with theta11(t) read as theta11(t)/t.
+    The package folds the prefactors into theta00's (inversion.DMap)."""
+    spec = dm.spec
+    (a1,), (th,), (th1,), (th2,) = theta_chars(dm._chars, spec.p2 + t, spec.tau)
+    return a1, th * e_phi2_from(spec, spec.p2 + t, th1, dm.diff.odd_over_t(t, th2))
+
+
+def mobius_coeffs_four_theta(dm: DMap, t):
+    """(A, B, C, D) of DMap.mobius_coeffs at the points t of a 1-d array by
+    the four-theta route: alpha1 and theta_r with their derivatives from one
+    theta_chars pass, G' = (theta_r' + 2 pi i h1 theta_r) g, and h1 =
+    (ell(p2 - p1 + t) - ell(t) + 1/t)/(2 pi i) + kappa_coeff from the same
+    pass's odd pair, with ell(t) - 1/t from theta11's Taylor series for
+    small |t|."""
+    spec, diff = dm.spec, dm.diff
+    (a1, a1p), (th, thp), odd1, (th2, th2p) = theta_chars(dm._chars, spec.p2 + t, spec.tau, (0, 1))
+    small = np.abs(t) < _ELL_SWITCH
+    reg = np.empty_like(t)
+    reg[~small] = th2p[~small] / th2[~small] - 1.0 / t[~small]
+    reg[small] = diff._odd_series(t[small])[1]
+    h1 = (diff._ell(spec.p2 - spec.p1 + t, *odd1) - reg) / TWO_PI_I + diff.kappa_coeff
+    g = e_phi2_from(spec, spec.p2 + t, odd1[0], diff.odd_over_t(t, th2))
+    return a1 + t * a1p, (thp + TWO_PI_I * h1 * th) * g, t * a1, th * g
 
 
 def _x2_and_rchar(dm: DMap):

@@ -156,6 +156,22 @@ class TestBetaK:
             # left inverse up to the integer sheet
             assert frac_norm(c_back[1] - c[1]) < 1e-9
 
+    def test_stated_inverse_makes_one_chart_pass(self, cfg_ab, kernel_passes):
+        # at a fresh c1, with per-spec caches warm: the candidate reads the
+        # last sample of the ray that d2's walk then reads, so the chart's
+        # four thetas take one pass, where the candidate once took its own
+        spec = cfg_ab.spec
+        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
+        rng = np.random.default_rng(23)
+        targets = []
+        for _ in range(2):
+            c, _ = sample_generic_c(spec, rng)
+            targets.append((c[0] + kap[0], DMap(spec, c[0], EPS_SEL).d2(c[1]) + kap[1]))
+        beta_k(targets[0], spec, EPS_SEL, use_correction=False)  # warm-up: per-spec caches
+        kernel_passes.clear()
+        c1, _ = beta_k(targets[1], spec, EPS_SEL, use_correction=False)
+        assert kernel_passes.count(inversion._pullback_chars(spec, c1)) == 1
+
     def test_closed_form_identity(self, spec_ab):
         # h3 = d/dt log(t T_c(p2 + t)) on the chart, so exp(H3) is known in
         # closed form, f(eps) = eps T_c(p2 + eps)/c_minus1: the identity the

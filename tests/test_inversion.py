@@ -29,8 +29,9 @@ from nodal_theta.abel_jacobi import chart_g, divisor_image, e_phi2, phi1, phi2
 from nodal_theta.curve import derive_periods, lattice_coords, mod_gamma_decompose, period_group
 from nodal_theta.branches import beta_k
 from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, NonConvergent, ZeroCollision
-from nodal_theta.differentials import third_kind
-from nodal_theta.quadrature import _log_change_sampled, integrate_segment, track_log_sampled
+from nodal_theta.differentials import _ELL_SWITCH, third_kind
+from nodal_theta import quadrature
+from nodal_theta.quadrature import _gl_nodes, _log_change_sampled, integrate_segment, track_log_sampled
 from nodal_theta.inversion import (
     THM51_SKIPS,
     DMap,
@@ -52,12 +53,14 @@ from conftest import GENERATED_SPECS, frac_norm, generated_spec
 from oracles import (
     branch_correction_tracked,
     c_minus1,
+    chart_factors_four_theta,
     h3,
     h3_zero,
     h3_zero_defect,
     h3_zero_no_derivative,
     jacobian_consistency_check,
     literal_residual,
+    mobius_coeffs_four_theta,
     pullback_terms,
     value_from_phi,
     winding_number_sampled,
@@ -882,6 +885,109 @@ class TestMobius:
         assert min(dets) > 1e-6 * max(scales)
 
 
+def chart_points(spec, eps):
+    """The chart points the four-theta route is read at: t = 0, points with
+    |t| below 1e-2, the 33 samples of d2's walk along [0, eps], the 72
+    Gauss-Legendre nodes of [0, eps] and estimate_u20_radius's circles.
+    Each is snapped so that (p2 + t) - p2 = t: the fused block reads t as
+    z - p2, while the four-theta route evaluates its thetas at z = p2 + t
+    and multiplies by the t it was given, which at |t| = 1e-2 may differ
+    from z - p2 by 2e-14 relative on generated specs."""
+    ring = np.exp(2j * np.pi * np.arange(8) / 8)
+    nodes, _, _ = _gl_nodes()
+    circles = np.outer(np.linspace(0.95, 0.15, 17) * spec.eps, np.array([1.0, 0.75, 0.5, 0.25])).reshape(-1, 1) * ring
+    t = np.concatenate([
+        [0.0], np.outer([1e-6, 1e-3, 9.9e-3], ring).ravel(),
+        np.linspace(0.0, 1.0, 33) * eps,
+        0.5 * eps * (1.0 + nodes),
+        circles.ravel(),
+    ]).astype(np.complex128)
+    return (spec.p2 + t) - spec.p2
+
+
+def assert_chart_matches_four_theta(dm, t):
+    """alpha1_and_G and mobius_coeffs against oracles.chart_factors_four_theta
+    and mobius_coeffs_four_theta within 1e-14 of each coefficient's scale,
+    the largest modulus of its terms over the points t.  For B = G (U'/U -
+    L) that includes |G|/|t| beyond _ELL_SWITCH, where both routes read L =
+    ell(t) - 1/t as theta11'/theta11 - 1/t, two terms of size 1/|t|."""
+    want = chart_factors_four_theta(dm, t) + mobius_coeffs_four_theta(dm, t)
+    got = dm.alpha1_and_G(t) + dm.mobius_coeffs(t)
+    G = np.abs(want[1])
+    scales = [np.abs(w) for w in want]
+    scales[3] = scales[3] + G / np.where(np.abs(t) < _ELL_SWITCH, 1.0, np.abs(t))
+    for name, g, w, scale in zip(("alpha1", "G", "A", "B", "C", "D"), got, want, scales):
+        gap = np.max(np.abs(g - w)) / np.max(scale)
+        assert gap <= 1e-14, f"{name}: fused chart misses the four-theta route by {gap:.2e} of its scale"
+
+
+class TestFusedChart:
+    """The node chart's fused block (DMap._block) against the four-theta
+    route it replaced, and the bits of its values and of its ray."""
+
+    def test_matches_the_four_theta_route(self, spec_ab):
+        rng = np.random.default_rng(131)
+        for _ in range(3):
+            c, _ = sample_generic_c(spec_ab, rng)
+            for eps in (EPS_W, spec_ab.eps):
+                assert_chart_matches_four_theta(DMap(spec_ab, c[0], eps), chart_points(spec_ab, eps))
+
+    @given(**GENERATED_SPECS, c1=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_matches_the_four_theta_route_on_generated_specs(self, tau, q0, coords, c1):
+        spec = generated_spec(tau, q0, coords)
+        try:
+            dm = DMap(spec, c1[0] + c1[1] * spec.tau, spec.eps / 2)
+        except DegenerateC:
+            assume(False)
+        assert_chart_matches_four_theta(dm, chart_points(spec, dm.eps))
+
+    @pytest.mark.bitwise
+    def test_values_do_not_depend_on_the_batch(self, spec_ab):
+        # one point's values, alone and as the first, a middle and the last
+        # point of batches of 2 to 33 points, near and away from the node
+        dm = chart(generic_tp(spec_ab))
+        t = chart_points(spec_ab, EPS_W)[::6][:33]
+        assert np.any(np.abs(t) < _ELL_SWITCH) and np.any(np.abs(t) >= _ELL_SWITCH)
+        singles = [(dm.alpha1_and_G(p), dm.mobius_coeffs(p)) for p in t]
+        for n in (1, 2, 3, 8, 9, 33):
+            for lo in range(0, len(t) - n + 1, max(1, n - 1)):
+                batch = t[lo:lo + n]
+                factors, coeffs = dm.alpha1_and_G(batch), dm.mobius_coeffs(batch)
+                for i in range(n):
+                    one_factors, one_coeffs = singles[lo + i]
+                    assert tuple(v[i] for v in factors) == one_factors
+                    assert tuple(v[i] for v in coeffs) == one_coeffs
+
+    @pytest.mark.bitwise
+    def test_the_ray_ends_at_alpha1_and_G_of_eps(self, spec_ab):
+        dm = chart(generic_tp(spec_ab))
+        alpha1, G = dm.ray()
+        assert (alpha1[-1], G[-1]) == dm.alpha1_and_G(dm.eps)
+        # and D, the chart factor of mobius_coeffs, is G bit for bit
+        assert dm.mobius_coeffs(dm.eps)[3] == G[-1]
+
+    @pytest.mark.bitwise
+    def test_the_ray_samples_are_the_walks(self, spec_ab, monkeypatch):
+        # d2 reads f from the ray by sample count: the walk's points are
+        # the ray's, at every doubling the walk reaches
+        seen = []
+        track = quadrature._track_edges
+
+        def record(f_vec, edges):
+            return track(lambda t: seen.append(t.copy()) or f_vec(t), edges)
+
+        monkeypatch.setattr(quadrature, "_track_edges", record)
+        c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
+        dm = DMap(spec_ab, c[0], EPS_W)
+        dm.d2(TestDMap.pole_c2(dm) - 0.002)  # a zero of T_c just off the ray: the walk doubles
+        assert len(seen) > 1
+        for t in seen:
+            n = len(t) - 1
+            assert np.array_equal(t, np.linspace(0.0, 1.0, n + 1) * complex(dm.eps))
+            assert all(np.array_equal(a, b) for a, b in zip(dm.ray(n), dm.alpha1_and_G(t)))
+
+
 class TestH3Map:
     def test_h3_integral_zero_at_origin(self, spec_a):
         tp = generic_tp(spec_a)
@@ -929,6 +1035,19 @@ class TestDMap:
         assert kernel_passes == [tp._chars]
         scalar = np.array([dm.f(dm.eps, c2) for c2 in c2s])
         assert np.all(np.abs(fs - scalar) <= 1e-15 * np.abs(scalar))
+
+    def test_d2_reads_the_ray(self, spec_ab, kernel_passes):
+        # alpha1 and G at the walk's samples are kept on the chart: after
+        # the first d2, a d2 at another c2 whose walk needs no doubling
+        # makes no kernel pass, and gives the value of a fresh chart
+        tp = generic_tp(spec_ab)
+        dm = chart(tp)
+        dm.d2(tp.c2)
+        c2s = (tp.c2 + 0.3, 0.1 - 0.2j)
+        kernel_passes.clear()
+        values = [dm.d2(c2) for c2 in c2s]
+        assert kernel_passes == []
+        assert values == [chart(tp).d2(c2) for c2 in c2s]
 
     def test_first_component_identity(self, spec_a):
         rng = np.random.default_rng(47)
