@@ -60,6 +60,7 @@ from .quadrature import (
     _N0,
     _N_MAX,
     _QUAD_TOL,
+    _interleave,
     _snap_winding,
     _track_edges,
     integrate_segment,
@@ -550,12 +551,29 @@ class DMap(_FusedSum):
 
     def ray(self, n: int = _N0):
         """(alpha1, G) at the n + 1 samples t_j = j eps/n of d2's walk along
-        [0, eps] (quadrature._track_edges), from one pass on first use and
-        kept on the chart: the last sample is t = eps."""
+        [0, eps] (quadrature._track_edges), kept on the chart: the last
+        sample is t = eps.  ray(_N0) is one pass; ray(2n) is ray(n) with one
+        pass at the n new midpoints (i + 1/2) eps/n between its samples, as
+        the walk evaluates them when it doubles."""
         ray = self._rays.get(n)
         if ray is None:
-            ray = self._rays[n] = self.alpha1_and_G(np.linspace(0.0, 1.0, n + 1) * complex(self.eps))
+            eps = complex(self.eps)
+            if n > _N0 and n % 2 == 0:
+                m = n // 2
+                mids = self.alpha1_and_G((np.arange(m) + 0.5) / m * eps)
+                ray = tuple(_interleave(x, y) for x, y in zip(self.ray(m), mids))
+            else:
+                ray = self.alpha1_and_G(np.arange(n + 1) / n * eps)
+            self._rays[n] = ray
         return ray
+
+    def _ray_at(self, t):
+        """(alpha1, G) at the points t of one call of d2's walk: the n + 1
+        samples of ray(n) on its first call, and the n new midpoints of
+        ray(2n) on a doubling."""
+        if len(t) % 2:
+            return self.ray(len(t) - 1)
+        return tuple(x[1::2] for x in self.ray(2 * len(t)))
 
     # -- c2-dependent quantities ----------------------------------------------
 
@@ -577,10 +595,12 @@ class DMap(_FusedSum):
         """c1*r1 + H3(eps; (c1, c2))/(2*pi*i), the stated map's second
         component, with H3 = Log f(eps) + 2*pi*i*n: n comes from the
         continuous log of f along [0, eps], tracked from f(0) = 1, whose
-        last sample is f(eps).  The walk reads f from the chart's ray, so
-        a c2 makes no kernel pass of its own.  Raises ContourThroughZero
-        when a zero of T_c lies on that segment."""
-        d, f_eps = track_log_sampled(lambda t: self._f(t, *self.ray(len(t) - 1), c2), 0j, complex(self.eps))
+        last sample is f(eps).  The walk reads f from the chart's ray, its
+        first n + 1 samples and then the midpoints of each doubling, so a c2
+        makes no kernel pass of its own at a level of the ray that another
+        c2 has read.  Raises ContourThroughZero when a zero of T_c lies on
+        that segment."""
+        d, f_eps = track_log_sampled(lambda t: self._f(t, *self._ray_at(t), c2), 0j, complex(self.eps))
         log_f = complex(np.log(f_eps))
         n = round((d - log_f).imag / (2 * math.pi))
         return self.c1 * self.r1 + log_f / TWO_PI_I + n

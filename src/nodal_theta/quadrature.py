@@ -4,9 +4,9 @@ Integrands here are analytic along the contours, so composite Gauss-Legendre
 panels converge spectrally; a panel is accepted when its 24- and 48-node
 sums, read from one call of the integrand on both node sets, agree within
 the local tolerance.  The sampled log tracker continues log f(z) along a
-segment by summing principal logs of ratios of consecutive samples, and
-doubles the samples until each ratio stays well inside the right half
-plane.
+segment by summing principal logs of ratios of consecutive samples; until
+each ratio stays well inside the right half plane it doubles the samples,
+evaluating only the new midpoints, so each sample is evaluated once.
 """
 
 from __future__ import annotations
@@ -95,45 +95,63 @@ def _snap_winding(total: complex) -> int:
     return int(w_int)
 
 
+def _interleave(samples, mids):
+    """The n + 1 samples of the last axis of `samples` with the n values of
+    `mids` between them: 2n + 1 samples along that axis."""
+    out = np.empty(samples.shape[:-1] + (2 * samples.shape[-1] - 1,), dtype=np.result_type(samples, mids))
+    out[..., ::2] = samples
+    out[..., 1::2] = mids
+    return out
+
+
 def _track_edges(f_vec, edges):
     """(delta_log, samples) along each segment (a, b) of `edges`: the
     continuous log change and the n + 1 values f(a + j (b - a)/n), j = 0..n,
     it was read from, so samples[-1] is f(b).
 
-    Every pending segment is sampled at n = _N0 points in one f_vec call; a
-    segment is done once every consecutive ratio has |Log| < _MAX_RATIO_LOG,
-    and the others are sampled again at 2n, up to _N_MAX.  One walk over
-    several edges thus serves several readers: an edge's log change does not
-    depend on which other edges were walked with it.
+    Every segment is first sampled at n = _N0 points in one f_vec call; a
+    segment is done once every consecutive ratio has |Log| < _MAX_RATIO_LOG.
+    The others double n, up to _N_MAX, and f_vec is called only at their n
+    new midpoints a + (i + 1/2)(b - a)/n, which sit between the samples in
+    hand.  One walk over several edges thus serves several readers: an
+    edge's log change does not depend on which other edges were walked
+    with it.
     """
+    if not edges:
+        return []
+    a = np.array([e[0] for e in edges], dtype=np.complex128)[:, None]
+    step = np.array([e[1] - e[0] for e in edges], dtype=np.complex128)[:, None]
     out = [None] * len(edges)
-    pending = list(range(len(edges)))
+    pending = np.arange(len(edges))
     n = _N0
-    while pending:
-        ts = np.linspace(0.0, 1.0, n + 1)
-        vals = f_vec(np.concatenate([edges[k][0] + ts * (edges[k][1] - edges[k][0]) for k in pending]))
-        failed = []
-        for k, seg in zip(pending, vals.reshape(len(pending), n + 1)):
-            if seg.all():
-                dlogs = np.log(seg[1:] / seg[:-1])
-                if np.abs(dlogs).max() < _MAX_RATIO_LOG:
-                    out[k] = (complex(dlogs.sum()), seg)
-                    continue
-            if n >= _N_MAX:
-                a, b = edges[k]
-                raise ContourThroughZero(f"sampled log tracking failed on [{a:.6g}, {b:.6g}] at n={n}")
-            failed.append(k)
-        pending = failed
+    vals = f_vec((a + np.arange(n + 1) / n * step).ravel()).reshape(len(edges), n + 1)
+    while True:
+        # a zero sample fails its edge: its ratios are not finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dlogs = np.log(vals[:, 1:] / vals[:, :-1])
+            ok = np.abs(dlogs).max(axis=1) < _MAX_RATIO_LOG
+            sums = dlogs.sum(axis=1)
+        for k, d, seg, done in zip(pending, sums, vals, ok):
+            if done:
+                out[k] = (complex(d), seg)
+        if ok.all():
+            return out
+        pending, vals = pending[~ok], vals[~ok]
+        if n >= _N_MAX:
+            lo, hi = edges[pending[0]]
+            raise ContourThroughZero(f"sampled log tracking failed on [{lo:.6g}, {hi:.6g}] at n={n}")
+        mids = f_vec((a[pending] + (np.arange(n) + 0.5) / n * step[pending]).ravel())
+        vals = _interleave(vals, mids.reshape(len(pending), n))
         n *= 2
-    return out
 
 
 def track_log_sampled(f_vec, a: complex, b: complex):
     """Continuous log change of a vectorized integrand along [a, b].
 
-    Samples the segment at n points, doubling n until every consecutive
-    ratio has |Log| < 0.9.  Much faster than scalar stepping when f is
-    vectorized, e.g. theta-based integrands on contour walks.
+    Samples the segment at n points, doubling n, and evaluating only the
+    new midpoints, until every consecutive ratio has |Log| < 0.9.  Much
+    faster than scalar stepping when f is vectorized, e.g. theta-based
+    integrands on contour walks.
     """
     d, seg = _track_edges(f_vec, [(a, b)])[0]
     return d, complex(seg[-1])
@@ -143,7 +161,8 @@ def _log_change_sampled(f_vec, vertices) -> complex:
     """Continuous log change of a vectorized function along a polyline.
 
     All edges are sampled together, and only those failing the ratio test
-    are resampled, so each edge ends at the n track_log_sampled gives it.
+    are sampled again, at their new midpoints, so each edge ends at the n
+    track_log_sampled gives it.
     """
     verts = list(vertices)
     tracks = _track_edges(f_vec, list(zip(verts[:-1], verts[1:])))

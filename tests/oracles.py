@@ -24,7 +24,8 @@ routes.
 - the congruence: `branch_correction_tracked` tracks A(eps, c) along a
   contour, and `literal_residual` reads the best stated-form residual;
 - log tracking: the scalar step-halving `track_log` with `winding_number`,
-  and the sampled `winding_number_sampled`.
+  the sampled `winding_number_sampled`, and `track_edges_resampling`, the
+  sampled walk that evaluates every sample again at each doubling.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from nodal_theta.inversion import DMap, ThetaPullback, Thm51Result, _moebius
 from nodal_theta.quadrature import (
     _MAX_RATIO_LOG,
     _N0,
+    _N_MAX,
     _log_change_sampled,
     _snap_winding,
     integrate_segment,
@@ -352,6 +354,32 @@ def track_log(f, a: complex, b: complex, f_a: complex | None = None):
         f_prev = f_next
         step *= 1.6  # cautious growth after a comfortable step
     return total, f_prev
+
+
+def track_edges_resampling(f_vec, edges):
+    """The dual route of quadrature._track_edges: each round samples every
+    pending edge afresh at all n + 1 points a + j (b - a)/n, so a doubling
+    evaluates every sample again, and checks the edges one by one."""
+    out = [None] * len(edges)
+    pending = list(range(len(edges)))
+    n = _N0
+    while pending:
+        ts = np.linspace(0.0, 1.0, n + 1)
+        vals = f_vec(np.concatenate([edges[k][0] + ts * (edges[k][1] - edges[k][0]) for k in pending]))
+        failed = []
+        for k, seg in zip(pending, vals.reshape(len(pending), n + 1)):
+            if seg.all():
+                dlogs = np.log(seg[1:] / seg[:-1])
+                if np.abs(dlogs).max() < _MAX_RATIO_LOG:
+                    out[k] = (complex(dlogs.sum()), seg)
+                    continue
+            if n >= _N_MAX:
+                a, b = edges[k]
+                raise ContourThroughZero(f"sampled log tracking failed on [{a:.6g}, {b:.6g}] at n={n}")
+            failed.append(k)
+        pending = failed
+        n *= 2
+    return out
 
 
 def _closed(vertices) -> list:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nodal_theta import abel_jacobi
 from nodal_theta.abel_jacobi import (
     _arg_table,
+    _q_at_z0,
     a_eps,
     divisor_image,
     e_phi2,
@@ -106,8 +107,10 @@ class TestPhi2:
 
     def test_one_kernel_pass_per_call(self, spec_a, kernel_passes):
         # once a spec's arg R table and L(z0) are cached, phi2 reads both odd
-        # thetas of any batch from one pass, and divisor_image makes one call
+        # thetas of any batch from one pass, and divisor_image makes one call;
+        # Q(z0) is cached too, as the tests before this one may have evicted it
         phi2(spec_a, spec_a.point(0.37, 0.61))
+        _q_at_z0(spec_a)
         kernel_passes.clear()
         phi2(spec_a, np.array([spec_a.point(s, 0.3) for s in (0.1, 0.2, 0.6, 0.9)]))
         assert kernel_passes == [odd_chars(spec_a)]

@@ -11,7 +11,7 @@ numerically.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nodal_theta import inversion, quadrature
@@ -289,14 +289,17 @@ def assert_finding_3(spec, eps):
     assert max(abs(x - shifted[0]) for x in shifted) < 1e-14
     kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
     value = abs(big_theta(kap[0], kap[1] + corrected_shift(spec, eps), spec.tau, r1, r2))
-    assert value <= 1e-12 * abs(theta_char((0.0, 0.0), kap[0], spec.tau))
+    # both are rounding of zero at the scale of theta00(kappa1), which
+    # reaches 130 on generated specs
+    scale = abs(theta_char((0.0, 0.0), kap[0], spec.tau))
+    assert value <= 1e-12 * scale
     checked = 0
     for P in grid_points(spec):
         try:
             residual = zero_set_residual(P, spec, eps, _kappa_cache=kap)
         except DegenerateC:
             continue
-        assert abs(residual - value) < 1e-13
+        assert abs(residual - value) < 1e-14 * scale
         checked += 1
     assert checked
 
@@ -306,6 +309,8 @@ class TestZeroSet:
         assert_finding_3(spec_ab, EPS_SEL)
 
     @given(**GENERATED_SPECS)
+    # misses by 2.2e-13 at |theta00(kappa1)| = 127
+    @example(tau=(0.0, 1.25), q0=(0.0, 0.0), coords=[(0.5, 0.5), (0.5, 0.125), (0.5, 0.75)])
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_finding_3_is_one_identity_on_generated_specs(self, tau, q0, coords):
         spec = generated_spec(tau, q0, coords)

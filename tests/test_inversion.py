@@ -31,7 +31,7 @@ from nodal_theta.branches import beta_k
 from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, NonConvergent, ZeroCollision
 from nodal_theta.differentials import _ELL_SWITCH, third_kind
 from nodal_theta import quadrature
-from nodal_theta.quadrature import _gl_nodes, _log_change_sampled, integrate_segment, track_log_sampled
+from nodal_theta.quadrature import _N0, _gl_nodes, _log_change_sampled, integrate_segment, track_log_sampled
 from nodal_theta.inversion import (
     THM51_SKIPS,
     DMap,
@@ -969,22 +969,28 @@ class TestFusedChart:
 
     @pytest.mark.bitwise
     def test_the_ray_samples_are_the_walks(self, spec_ab, monkeypatch):
-        # d2 reads f from the ray by sample count: the walk's points are
-        # the ray's, at every doubling the walk reaches
-        seen = []
-        track = quadrature._track_edges
-
-        def record(f_vec, edges):
-            return track(lambda t: seen.append(t.copy()) or f_vec(t), edges)
-
-        monkeypatch.setattr(quadrature, "_track_edges", record)
+        # d2 reads f from the ray: each call of its walk is one chart pass
+        # at the walk's own points, so each chart point is evaluated once,
+        # and at every doubling the walk reaches, the ray holds alpha1 and G
+        # of all its samples
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
         dm = DMap(spec_ab, c[0], EPS_W)
-        dm.d2(TestDMap.pole_c2(dm) - 0.002)  # a zero of T_c just off the ray: the walk doubles
-        assert len(seen) > 1
-        for t in seen:
-            n = len(t) - 1
-            assert np.array_equal(t, np.linspace(0.0, 1.0, n + 1) * complex(dm.eps))
+        c2 = TestDMap.pole_c2(dm) - 0.002  # a zero of T_c just off the ray: the walk doubles
+        walk, passes = [], []
+        track, chart_pass = quadrature._track_edges, dm.alpha1_and_G
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_track_edges", lambda f_vec, edges: track(lambda t: walk.append(t.copy()) or f_vec(t), edges))
+            m.setattr(dm, "alpha1_and_G", lambda t: passes.append(np.copy(t)) or chart_pass(t))
+            d = dm.d2(c2)
+            n_walk = len(walk)
+            assert dm.d2(c2) == d  # a c2 whose levels are read makes no pass
+        assert n_walk > 1 and len(walk) == 2 * n_walk
+        assert len(passes) == n_walk
+        assert all(np.array_equal(t, u) for t, u in zip(walk, passes))
+        points = np.concatenate(passes)
+        assert len(np.unique(points)) == len(points)
+        for n in (_N0 << i for i in range(n_walk)):
+            t = np.linspace(0.0, 1.0, n + 1) * complex(dm.eps)
             assert all(np.array_equal(a, b) for a, b in zip(dm.ray(n), dm.alpha1_and_G(t)))
 
 

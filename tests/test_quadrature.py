@@ -1,21 +1,30 @@
-"""Sampled winding numbers of the pulled-back theta function, and the
-integrand calls of a quadrature panel.
+"""Sampled winding numbers of the pulled-back theta function, the sampled
+log walk, and the integrand calls of a quadrature panel.
 
 `winding_number_sampled` samples every edge of a closed polyline in one
-vectorized call and resamples only the edges that fail the ratio test.
-Oracles: the scalar step-halving `winding_number`, whose first step is
-1/32 of an edge as in the sampled loop, and `track_log_sampled` run edge by
-edge, which fixes the sample count each edge must end at.
+vectorized call and samples again, at their new midpoints only, the edges
+that fail the ratio test.  Oracles: the scalar step-halving
+`winding_number`, whose first step is 1/32 of an edge as in the sampled
+loop; `track_log_sampled` run edge by edge, which fixes the sample count
+each edge must end at; and `track_edges_resampling`, the walk that
+evaluates every sample again at each doubling, whose log changes and
+samples the walk keeps bit for bit.
 """
+
+import cmath
+import warnings
 
 import numpy as np
 import pytest
 
+from nodal_theta import quadrature
+from nodal_theta.abel_jacobi import a_eps
 from nodal_theta.curve import lattice_coords
 from nodal_theta.errors import ContourThroughZero
-from nodal_theta.inversion import ThetaPullback, count_zeros, locate_zeros, sample_generic_c
-from nodal_theta.quadrature import integrate_segment, track_log_sampled
-from oracles import winding_number, winding_number_sampled
+from nodal_theta.inversion import DMap, ThetaPullback, count_zeros, locate_zeros, sample_generic_c
+from nodal_theta.quadrature import _track_edges, integrate_segment, track_log_sampled
+from nodal_theta.theta import TWO_PI_I
+from oracles import track_edges_resampling, winding_number, winding_number_sampled
 
 
 def box(spec, s0, s1, t0, t1):
@@ -91,21 +100,111 @@ def test_resamples_only_failing_edges(pullback):
     w = winding_number_sampled(f, verts)
     assert w == winding_number(tp.value, verts)
 
+    # the first call holds the n0 + 1 samples of all four edges; each later
+    # call holds only the n new midpoints of each edge that still fails
     n0 = 32
+    edges = list(zip(verts[:-1], verts[1:]))
     assert len(f.calls) >= 2
-    assert len(f.calls[0]) == 4 * (n0 + 1)
-    rounds = {k: 0 for k in range(4)}
-    for i, pts in enumerate(f.calls):
+    assert np.array_equal(f.calls[0], np.concatenate([a + np.linspace(0.0, 1.0, n0 + 1) * (b - a) for a, b in edges]))
+    walked = [list(range(4))]
+    for i, pts in enumerate(f.calls[1:]):
         n = n0 << i
-        assert len(pts) % (n + 1) == 0
-        for chunk in np.split(pts, len(pts) // (n + 1)):
-            rounds[verts.index(chunk[0])] += 1
+        mids = [a + (np.arange(n) + 0.5) / n * (b - a) for a, b in edges]
+        assert len(pts) % n == 0
+        walked.append([next(k for k in walked[-1] if np.array_equal(chunk, mids[k])) for chunk in np.split(pts, len(pts) // n)])
+    rounds = [sum(k in ks for ks in walked) for k in range(4)]
     for k in range(4):
         ref = CountingF(tp.value)
         track_log_sampled(ref, verts[k], verts[k + 1])
         assert rounds[k] == len(ref.calls)
     assert rounds[3] > 1  # the left edge is the last one
-    assert min(rounds.values()) == 1
+    assert min(rounds) == 1
+
+
+def assert_same_walk(f_vec, edges, got):
+    """`got`, a walk of f_vec along `edges`, has the log changes and the
+    samples of the resampling walk, bit for bit."""
+    ref = track_edges_resampling(f_vec, edges)
+    assert len(got) == len(ref)
+    for (d, seg), (d_ref, seg_ref) in zip(got, ref):
+        assert d == d_ref
+        assert np.array_equal(seg, seg_ref)
+
+
+def recorded_walks(monkeypatch):
+    """(f_vec, edges, result) of every quadrature._track_edges call from now on."""
+    walks = []
+    track = quadrature._track_edges
+
+    def record(f_vec, edges):
+        walks.append((f_vec, edges, track(f_vec, edges)))
+        return walks[-1][2]
+
+    monkeypatch.setattr(quadrature, "_track_edges", record)
+    return walks
+
+
+@pytest.mark.bitwise
+class TestEachSampleOnce:
+    """The walk evaluates each sample once, and keeps the log changes and
+    the samples of the walk that evaluated every sample again."""
+
+    def test_cell_walks(self, spec_ab):
+        # the q0 cell and the fallback cell of five pullbacks
+        rng = np.random.default_rng(43)
+        tau = spec_ab.tau
+        for _ in range(5):
+            c, _ = sample_generic_c(spec_ab, rng)
+            tp = ThetaPullback(c, spec_ab)
+            for fallback in (False, True):
+                a, got = tp._cell_walk(fallback)
+                edges = [(a, a + 1.0), (a + 1.0, a + 1.0 + tau), (a + tau, a + 1.0 + tau), (a, a + tau)]
+                assert_same_walk(tp.value, edges, got)
+
+    def test_a_walk_that_doubles(self, pullback):
+        # the left edge of test_resamples_only_failing_edges
+        tp, zeros = pullback
+        spec = tp.spec
+        s, t = lattice_coords(zeros[0], spec.q0, spec.tau)
+        edges = [(spec.point(s - 2e-3, t + 0.1), spec.point(s - 2e-3, t - 0.1))]
+        f = CountingF(tp.value)
+        got = _track_edges(f, edges)
+        assert len(f.calls) > 1
+        assert sum(map(len, f.calls)) == len(got[0][1])  # each sample once
+        assert_same_walk(tp.value, edges, got)
+
+    def test_d2_walk_past_a_zero(self, spec_ab, monkeypatch):
+        # a zero of T_c just off the chart ray: d2's walk doubles, and reads
+        # the ray where the resampling walk reads f afresh
+        c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
+        dm = DMap(spec_ab, c[0], 0.03)
+        _, _, C, D = dm.mobius_coeffs(np.array([0.37 * dm.eps + 0j]))
+        c2 = complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I) - 0.002
+        walks = recorded_walks(monkeypatch)
+        dm.d2(c2)
+        (_, edges, got), = walks
+        assert len(got[0][1]) > 33
+        assert_same_walk(lambda t: dm.f(t, c2), edges, got)
+
+    def test_a_eps_walk(self, spec_ab, monkeypatch):
+        walks = recorded_walks(monkeypatch)
+        a_eps(spec_ab, spec_ab.eps / 2)
+        (f_vec, edges, got), = walks
+        assert_same_walk(f_vec, edges, got)
+
+    def test_a_walk_through_a_zero_raises_at_the_cap(self, pullback):
+        # the same message, and no RuntimeWarning on an exact zero sample
+        tp, zeros = pullback
+        z = zeros[0]
+        for f_vec, edges in ((tp.value, [(z - 0.01, z + 0.01)]), (lambda x: x, [(1.0 + 0j, 2.0 + 0j), (-1.0 + 0j, 1.0 + 0j)])):
+            with pytest.raises(ContourThroughZero) as ref:
+                track_edges_resampling(f_vec, edges)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContourThroughZero) as got:
+                    _track_edges(f_vec, edges)
+            assert str(got.value) == str(ref.value)
+            assert "at n=16384" in str(got.value)
 
 
 def test_panel_calls_the_integrand_once():
