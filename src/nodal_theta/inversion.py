@@ -156,14 +156,21 @@ def _odd_pair_factor(spec: NodalCurveSpec, chars: tuple, c2: complex) -> tuple[i
     because kappa = r1 (curve.derive_periods), a_r = -r1 mod 1, a_0 = 0 and
     the odd pair shares a = 1/2; the Q^2 terms cancel; and the coefficient
     of q is b_0 + b_2 - b_r - b_1 + r1 tau = p1 - p2 - (r2 - r1 tau) = 0.
-    So G = e(h_r + h_1 - h_2 - h_0 - r1 z0 - c2)/Q(z0), h_i = m_i beta_i -
-    m_i^2 tau/2, the exponent's value at q = 0."""
+    So G = e(h - r1 z0 - c2)/Q(z0), h = h_r + h_1 - h_2 - h_0 with h_i =
+    m_i beta_i - m_i^2 tau/2, the exponent's value at q = 0.  Where |m_i|
+    reaches 3 the terms reach about 8 and cancel to below 1, so h is summed
+    exactly: the tau/2 terms as the one integer K = m_r^2 + m_1^2 - m_2^2 -
+    m_0^2, and each m_i beta_i as |m_i| copies of +-beta_i, by math.fsum."""
     r1, _, _ = derive_periods(spec)
     reduced = [_reduce(a, b, spec.tau) for a, b in chars]
     (_, _, m_0), (a_r, _, m_r), (_, _, m_1), (_, _, m_2) = reduced
-    h_0, h_r, h_1, h_2 = (m * beta - m * m * spec.tau / 2 for _, beta, m in reduced)
+    k = m_r * m_r + m_1 * m_1 - m_2 * m_2 - m_0 * m_0
+    signs = (-1, 1, 1, -1)
+    terms = [math.copysign(1.0, s * m) * beta for s, (_, beta, m) in zip(signs, reduced) for _ in range(abs(m))]
+    terms += [math.copysign(0.5, -k) * spec.tau] * abs(k)
+    h = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     power = round(a_r + r1) + m_r + m_1 - m_2 - m_0
-    return power, cmath.exp(TWO_PI_I * (h_r + h_1 - h_2 - h_0 - r1 * spec.z0 - c2)) / _q_at_z0(spec)
+    return power, cmath.exp(TWO_PI_I * (h - r1 * spec.z0 - c2)) / _q_at_z0(spec)
 
 
 def _table_power(powers, k: int):

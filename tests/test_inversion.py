@@ -933,6 +933,9 @@ class TestFusedChart:
                 assert_chart_matches_four_theta(DMap(spec_ab, c[0], eps), chart_points(spec_ab, eps))
 
     @given(**GENERATED_SPECS, c1=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    # theta00 and theta_r reduce by m = 3: the fold constant's terms reach 8
+    # and cancel, and summed in order they missed by 1.8e-14 of the scale
+    @example(tau=(0.35, 1.15), q0=(0.95, 0.85), coords=[(0.45, 0.65), (0.5, 0.45), (0.9, 0.85)], c1=(0.9, 1.0))
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_matches_the_four_theta_route_on_generated_specs(self, tau, q0, coords, c1):
         spec = generated_spec(tau, q0, coords)

@@ -1,4 +1,5 @@
-"""The package's public surface, and what the CLI runs of it."""
+"""The package's public surface, what the CLI runs of it, and what it
+imports."""
 
 import ast
 import importlib
@@ -114,3 +115,47 @@ def test_the_cli_enters_every_function_but_the_named_api(tmp_path):
     assert NOT_RUN_BY_THE_CLI <= defined
     stale = sorted(NOT_RUN_BY_THE_CLI & entered)
     assert not stale, f"listed in NOT_RUN_BY_THE_CLI but entered by the CLI: {stale}"
+
+
+# The integrals of the suites in a fresh interpreter: the Riemann constants,
+# the alpha period and one thm51 sample on a preset.  Prints the modules of
+# numpy.polynomial that the process loaded.
+_FOOTPRINT = """
+import json, sys
+import numpy as np
+from nodal_theta import period_integral, riemann_constants, verify_thm51
+from nodal_theta.cli import parse_config
+from nodal_theta.inversion import sample_generic_c
+
+spec = parse_config(sys.argv[1]).spec
+riemann_constants(spec, spec.eps)
+period_integral(spec, "alpha")
+c, _ = sample_generic_c(spec, np.random.default_rng(1))
+verify_thm51(c, spec, spec.eps)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))))
+"""
+
+# numpy's polynomial package and its LAPACK bindings, and scipy
+_HEAVY_IMPORT = re.compile(r"\b(?:numpy|np)\.(?:polynomial|linalg)\b|\bscipy\b|from numpy import .*\b(?:polynomial|linalg)\b")
+
+
+def test_the_integrals_load_no_polynomial_package():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(ROOT / "demos" / "config_a.cfg")],
+        check=True,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert json.loads(run.stdout.splitlines()[-1]) == []
+
+
+def test_the_source_names_no_polynomial_or_lapack_module():
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if _HEAVY_IMPORT.search(line)
+    ]
+    assert not hits, hits

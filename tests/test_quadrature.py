@@ -1,5 +1,6 @@
 """Sampled winding numbers of the pulled-back theta function, the sampled
-log walk, and the integrand calls of a quadrature panel.
+log walk, the integrand calls of a quadrature panel, and the panel's
+Gauss-Legendre rules.
 
 `winding_number_sampled` samples every edge of a closed polyline in one
 vectorized call and samples again, at their new midpoints only, the edges
@@ -8,21 +9,24 @@ that fail the ratio test.  Oracles: the scalar step-halving
 loop; `track_log_sampled` run edge by edge, which fixes the sample count
 each edge must end at; and `track_edges_resampling`, the walk that
 evaluates every sample again at each doubling, whose log changes and
-samples the walk keeps bit for bit.
+samples the walk keeps bit for bit.  The rules' oracle is mpmath's own
+Gauss-Legendre nodes at 40 digits.
 """
 
 import cmath
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
 
 from nodal_theta import quadrature
 from nodal_theta.abel_jacobi import a_eps
 from nodal_theta.curve import lattice_coords
 from nodal_theta.errors import ContourThroughZero
 from nodal_theta.inversion import DMap, ThetaPullback, count_zeros, locate_zeros, sample_generic_c
-from nodal_theta.quadrature import _track_edges, integrate_segment, track_log_sampled
+from nodal_theta.quadrature import _gl_nodes, _track_edges, integrate_segment, track_log_sampled
 from nodal_theta.theta import TWO_PI_I
 from oracles import track_edges_resampling, winding_number, winding_number_sampled
 
@@ -214,3 +218,40 @@ def test_panel_calls_the_integrand_once():
     got = integrate_segment(f, 0.0, 1.0 + 0.5j)
     assert abs(got - (np.exp(1.0 + 0.5j) - 1.0)) < 1e-14
     assert [len(z) for z in f.calls] == [72]
+
+
+def gl_rule(n):
+    """(nodes, weights) of the n-point rule of _gl_nodes, n = 24 or 48."""
+    x, w24, w48 = _gl_nodes()
+    return (x[:24], w24) if n == 24 else (x[24:], w48)
+
+
+# mpmath's rule of degree d has 3 * 2^(d - 1) points
+@pytest.mark.parametrize("n, degree", [(24, 4), (48, 5)])
+def test_gl_rule_matches_mpmath(n, degree):
+    # nodes to 1e-16 absolute and weights to 1e-13 relative; numpy's
+    # leggauss misses the 48-point weights by 1.3e-12
+    x, w = gl_rule(n)
+    with mpmath.workdps(40):
+        ref = sorted(GaussLegendre(mpmath.mp).calc_nodes(degree, mpmath.mp.prec))
+        assert len(ref) == n
+        node_err = max(abs(mpmath.mpf(xi) - xr) for xi, (xr, _) in zip(x, ref))
+        weight_err = max(abs(mpmath.mpf(wi) - wr) / wr for wi, (_, wr) in zip(w, ref))
+    assert node_err < 1e-16
+    assert weight_err < 1e-13
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_gl_rule_is_symmetric(n):
+    x, w = gl_rule(n)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_gl_rule_integrates_polynomials_of_degree_below_2n(n):
+    x, w = gl_rule(n)
+    for k in range(2 * n):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(np.sum(w * x**k) - exact) < 1e-15, k
