@@ -97,13 +97,22 @@ def _chart_g0(spec: NodalCurveSpec) -> complex:
     return chart_g(spec, 0.0)
 
 
-def _ratio_and_r(spec: NodalCurveSpec, z: np.ndarray):
-    """(z - p1)/(z - p2) and R(z) at the points of the 1-d array z, with
-    theta[1/2;1/2](z - p1) and theta[1/2;1/2](z - p2) from one kernel pass."""
+def _node_offsets(spec: NodalCurveSpec, z: np.ndarray):
+    """(z - p1, z - p2) at the points of the 1-d array z, or PoleAt."""
     d1, d2 = z - spec.p1, z - spec.p2
     if not (d1.all() and d2.all()):
         raise PoleAt("phi2 evaluated at an identified point")
-    (th1,), (th2,) = theta_chars(odd_chars(spec), z, spec.tau)
+    return d1, d2
+
+
+def _ratio_and_r(spec: NodalCurveSpec, z: np.ndarray, odd=None):
+    """(z - p1)/(z - p2) and R(z) at the points of the 1-d array z, with
+    theta[1/2;1/2](z - p1) and theta[1/2;1/2](z - p2) from one kernel pass,
+    or from odd, the pair from a caller's pass."""
+    d1, d2 = _node_offsets(spec, z)
+    if odd is None:
+        odd = (th for th, in theta_chars(odd_chars(spec), z, spec.tau))
+    th1, th2 = odd
     return d1 / d2, (th1 * d2) / (th2 * d1)
 
 
@@ -133,13 +142,14 @@ def _arg_table(spec: NodalCurveSpec) -> np.ndarray:
     raise LogBranchUnresolved(f"arg R not resolved on a {_ARG_NODES_MAX}-node grid of the cell")
 
 
-def _log_q(spec: NodalCurveSpec, z: np.ndarray) -> np.ndarray:
+def _log_q(spec: NodalCurveSpec, z: np.ndarray, odd=None) -> np.ndarray:
     """Log((z - p1)/(z - p2)) + log R(z) at the cell points of the 1-d array
-    z; log R takes its integer from the nearest node of _arg_table."""
+    z, the odd pair as _ratio_and_r takes it; log R takes its integer from
+    the nearest node of _arg_table."""
     table = _arg_table(spec)
     last = len(table) - 1
     s, t = lattice_coords(z, spec.q0, spec.tau)
-    ratio, r = _ratio_and_r(spec, z)
+    ratio, r = _ratio_and_r(spec, z, odd)
     log_r = np.log(r)
     nearest = table[np.rint(s * last).astype(int), np.rint(t * last).astype(int)]
     turns = np.rint((nearest - log_r.imag) / (2.0 * math.pi))
@@ -157,6 +167,13 @@ def phi1(spec: NodalCurveSpec, P: complex) -> complex:
     return complex(P) - spec.z0
 
 
+def _phi2_at(spec: NodalCurveSpec, z: np.ndarray, odd=None) -> np.ndarray:
+    """phi2 at the cell points of the 1-d array z, the odd pair as
+    _ratio_and_r takes it."""
+    _, _, kappa = derive_periods(spec)
+    return (_log_q(spec, z, odd) - _log_q_at_z0(spec)) / TWO_PI_I + kappa * (z - spec.z0)
+
+
 def phi2(spec: NodalCurveSpec, P):
     """Second period-map component by the closed form, for a cell point or
     an array of them; one kernel pass once the spec's table and L(z0) are
@@ -165,8 +182,7 @@ def phi2(spec: NodalCurveSpec, P):
     zf = z.ravel()
     for p in zf:
         _require_inside(spec, p)
-    _, _, kappa = derive_periods(spec)
-    vals = (_log_q(spec, zf) - _log_q_at_z0(spec)) / TWO_PI_I + kappa * (zf - spec.z0)
+    vals = _phi2_at(spec, zf)
     return complex(vals[0]) if z.ndim == 0 else vals.reshape(z.shape)
 
 

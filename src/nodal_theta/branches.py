@@ -22,20 +22,23 @@ walk.  The branch-corrected map is the translation d_corr(eps)(c) =
 c + (0, sigma(eps)) mod (0, 1) (see inversion.corrected_shift), so its
 inverse needs no chart; it is the corrected inverse that places the
 curve image inside the zero set of the generalized theta function, so
-zero_set_residual uses it by default.  thm66_point is the thm66 suite's
-one sample: it takes phi(P) once and reports the residual of both
-inverses at P.
+zero_set_residual uses it by default, at one kernel pass per point that
+phi2, the genericity guard and Theta share.  thm66_point is the thm66
+suite's one sample: the residual of both inverses at P, from that pass,
+the stated chart's beta_coeff and ray passes, and a Theta pass where the
+stated inverse has a preimage.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .abel_jacobi import phi
+from .abel_jacobi import _node_offsets, _phi2_at, phi, phi1
 from .curve import NodalCurveSpec, derive_periods
+from .differentials import odd_chars
 from .errors import ContourThroughZero, DegenerateC, NewtonDivergence, NoPreimage, NoValidEpsilon
-from .inversion import DMap, _require_generic, corrected_shift, kappa_vector, riemann_constants, sample_generic_c
-from .theta import TWO_PI_I, big_theta, e_func
+from .inversion import DMap, _guard_thetas, _require_generic, corrected_shift, kappa_vector, riemann_constants, sample_generic_c
+from .theta import TWO_PI_I, big_theta, e_func, theta_chars
 
 # select_epsilon: draws of c, one node chart each; the Moebius determinant
 # floor relative to scale; the least move of d(eps) under a rational shift
@@ -162,6 +165,30 @@ def theta_residual(u, c, spec: NodalCurveSpec) -> float:
     return abs(big_theta(u[0] - c[0], u[1] - c[1], spec.tau, r1, r2))
 
 
+def _corrected_point(P, spec: NodalCurveSpec, eps: float, k: int = 0, _kappa_cache=None):
+    """(theta_residual(u, beta_k(u)), u), u = phi(P), from one pass at P,
+    phi1(p1) - c1, phi1(p2) - c1 and u1 - c1, u1 and c1 formed as beta_k
+    forms them: phi2 reads the odd pair at P, the guard (_guard_thetas)
+    theta00 at the middle two, and Theta theta00 and theta[-r1;r2] at the
+    last.  Each value equals its own call's bit for bit (theta), and the
+    errors come in that route's order: ValueError outside the cell and
+    PoleAt at p1 and p2 before the pass, DegenerateC after it."""
+    u1 = phi1(spec, P)
+    z = np.array([P], dtype=np.complex128)
+    _node_offsets(spec, z)
+    if _kappa_cache is None:
+        _kappa_cache = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
+    c1 = u1 - _kappa_cache[0]
+    r1, r2, _ = derive_periods(spec)
+    x = np.array([P, phi1(spec, spec.p1) - c1, phi1(spec, spec.p2) - c1, u1 - c1])
+    (th1,), (th2,), (th0,), (thr,) = theta_chars(odd_chars(spec) + ((0.0, 0.0), (-r1, r2)), x, spec.tau)
+    _guard_thetas(spec, c1, th0[1:3])
+    u = (u1, complex(_phi2_at(spec, z, (th1[:1], th2[:1]))[0]))
+    c = beta_k(u, spec, eps, k, True, _kappa_cache)
+    # Theta's sum as big_theta forms it from a scalar pass
+    return abs(complex(th0[3]) + complex(thr[3]) * e_func(u[1] - c[1])), u
+
+
 def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
                       use_correction: bool = True, _kappa_cache=None) -> float:
     """|Theta(phi(P) - beta_k(phi(P)))|: distance of the curve point's image
@@ -170,24 +197,30 @@ def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
     With the branch-corrected inverse this is |Theta(kappa1, kappa2 +
     sigma(eps))| up to rounding at every u (see inversion.corrected_shift),
     and that value vanishes: the zero-set containment holds, but for every
-    u, not only for curve images.  The uncorrected inverse leaves an
-    order-one residual, which quantifies the branch-cut defect of the stated
-    map.  The value is independent of k because the generalized theta
+    u, not only for curve images.  phi2, the genericity guard and Theta
+    read one kernel pass (_corrected_point).  The uncorrected inverse
+    leaves an order-one residual, which quantifies the branch-cut defect of
+    the stated map; phi2, its node chart and Theta read passes of their
+    own.  The value is independent of k because the generalized theta
     function is invariant under (0, 1).  _kappa_cache is passed on to
     beta_k, which says why it stays.
     """
+    if use_correction:
+        return _corrected_point(P, spec, eps, k, _kappa_cache)[0]
     u = phi(spec, P)
-    return theta_residual(u, beta_k(u, spec, eps, k, use_correction, _kappa_cache), spec)
+    return theta_residual(u, beta_k(u, spec, eps, k, False, _kappa_cache), spec)
 
 
 def thm66_point(P, spec: NodalCurveSpec, eps: float) -> tuple[float, float | str]:
     """(corrected, stated): the zero_set_residual of the curve point P under
-    the corrected and the stated inverse, from one phi(P).  stated is
-    "no_preimage" where the stated map has no preimage (NoPreimage) and
-    "diverged" where its root misses (NewtonDivergence).  THM66_SKIPS lists
-    what a point raises when its shift is not generic."""
-    u = phi(spec, P)
-    corrected = theta_residual(u, beta_k(u, spec, eps), spec)
+    the corrected and the stated inverse, from one phi(P).  phi(P), the
+    guard of the shift c1 that both inverses share and the corrected Theta
+    read one kernel pass (_corrected_point); the stated inverse's chart
+    reads its beta_coeff and ray passes, and its Theta one where it has a
+    preimage.  stated is "no_preimage" where the stated map has no preimage
+    (NoPreimage) and "diverged" where its root misses (NewtonDivergence).
+    THM66_SKIPS lists what a point raises when its shift is not generic."""
+    corrected, u = _corrected_point(P, spec, eps)
     try:
         stated = theta_residual(u, beta_k(u, spec, eps, use_correction=False), spec)
     except NoPreimage:

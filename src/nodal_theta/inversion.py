@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,11 +89,26 @@ def _theta_scale(tau: complex) -> float:
     return float(np.max(np.abs(theta_char((0.0, 0.0), zs, tau))))
 
 
-@lru_cache(maxsize=64)
-def _guard_thetas(spec: NodalCurveSpec, c1) -> tuple[complex, complex]:
-    """theta00(phi1(p1) - c1) and theta00(phi1(p2) - c1): one pass of the
-    single characteristic (0, 0) at the two points."""
-    return tuple(theta_char((0.0, 0.0), np.array([phi1(spec, spec.p1), phi1(spec, spec.p2)]) - c1, spec.tau))
+# the guard thetas by (spec, c1), least recently used first
+_GUARDS: OrderedDict = OrderedDict()
+_GUARD_ENTRIES = 64
+
+
+def _guard_thetas(spec: NodalCurveSpec, c1, values=None) -> tuple[complex, complex]:
+    """theta00(phi1(p1) - c1) and theta00(phi1(p2) - c1): values, from a pass
+    that holds them (branches._corrected_point), else stored, else one pass
+    of the single characteristic (0, 0) at the two points.  Stored per
+    (spec, c1), the least recently used going past _GUARD_ENTRIES."""
+    key = (spec, c1)
+    if values is None:
+        values = _GUARDS.get(key)
+    if values is None:
+        values = theta_char((0.0, 0.0), np.array([phi1(spec, spec.p1), phi1(spec, spec.p2)]) - c1, spec.tau)
+    _GUARDS[key] = values = tuple(values)
+    _GUARDS.move_to_end(key)
+    if len(_GUARDS) > _GUARD_ENTRIES:
+        _GUARDS.popitem(last=False)
+    return values
 
 
 def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
@@ -103,8 +119,8 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     counts as zero at or below GENERICITY_TOL times theta00's scale over one
     cell.  The chart's residue c_minus1 needs theta[-r1;r2](phi1(p2) - c1)
     != 0 too, which is the p1 guard (see corrected_shift).  Both thetas come
-    from one theta00 pass, cached per (spec, c1), so the pullbacks and
-    charts of one c1 share it.
+    from one theta00 pass, stored per (spec, c1) (_guard_thetas), so the
+    pullbacks and charts of one c1 share it.
     """
     scale = GENERICITY_TOL * _theta_scale(spec.tau)
     for name, value in zip(("theta00(phi1(p1) - c1)", "theta00(phi1(p2) - c1)"), _guard_thetas(spec, c1)):

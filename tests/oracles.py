@@ -23,6 +23,8 @@ routes.
   `jacobian_consistency_check`;
 - the congruence: `branch_correction_tracked` tracks A(eps, c) along a
   contour, and `literal_residual` reads the best stated-form residual;
+- the zero set: `corrected_residual_composed` composes the corrected
+  residual from phi, beta_k and theta_residual, a pass each;
 - log tracking: the scalar step-halving `track_log` with `winding_number`,
   the sampled `winding_number_sampled`, and `track_edges_resampling`, the
   sampled walk that evaluates every sample again at each doubling.
@@ -36,7 +38,8 @@ import math
 import mpmath
 import numpy as np
 
-from nodal_theta.abel_jacobi import a_eps, chart_g, e_phi2_from, phi1, phi2
+from nodal_theta.abel_jacobi import a_eps, chart_g, e_phi2_from, phi, phi1, phi2
+from nodal_theta.branches import beta_k, theta_residual
 from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import _ELL_SWITCH, third_kind
 from nodal_theta.errors import ContourThroughZero, JacobianSingular
@@ -312,6 +315,16 @@ def branch_correction_tracked(tp: ThetaPullback, eps: float) -> complex:
 def literal_residual(res: Thm51Result) -> float:
     """Best stated-form residual (no branch correction)."""
     return min(res.residual_half_tau, res.residual_full_tau)
+
+
+def corrected_residual_composed(P, spec: NodalCurveSpec, eps: float, k: int = 0, kappa=None) -> float:
+    """|Theta(phi(P) - beta_k(phi(P)))| under the corrected inverse, composed
+    from its parts as the package once computed it: phi(P) with phi2's own
+    pass, beta_k with the genericity guard's pass, then theta_residual's
+    pass of Theta.  The package takes all of them from one pass
+    (branches._corrected_point)."""
+    u = phi(spec, P)
+    return theta_residual(u, beta_k(u, spec, eps, k, True, kappa), spec)
 
 
 # -- log tracking and winding numbers --------------------------------------------

@@ -26,7 +26,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # OPENBLAS_CORETYPE -> the core that OPENBLAS_VERBOSE=2 then names
 IN_SCOPE = {"SkylakeX": "SkylakeX", "Prescott": "Katmai"}
 # the test modules that hold bitwise tests
-MODULES = ("test_theta.py", "test_inversion.py", "test_abel_jacobi.py", "test_differentials.py", "test_quadrature.py")
+MODULES = (
+    "test_theta.py",
+    "test_inversion.py",
+    "test_abel_jacobi.py",
+    "test_differentials.py",
+    "test_quadrature.py",
+    "test_branches.py",
+)
 
 
 @lru_cache(maxsize=None)

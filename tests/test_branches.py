@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nodal_theta import inversion, quadrature
-from nodal_theta.abel_jacobi import phi
+from nodal_theta.abel_jacobi import phi, phi1
 from nodal_theta.branches import (
     _PERIOD_FRACTIONS,
     _N_CHARTS,
@@ -29,7 +29,15 @@ from nodal_theta.branches import (
 )
 from nodal_theta.curve import derive_periods, reduce_to_cell
 from nodal_theta.differentials import odd_chars
-from nodal_theta.errors import ContourThroughZero, DegenerateC, NewtonDivergence, NoPreimage, NoValidEpsilon, QuadratureFailure
+from nodal_theta.errors import (
+    ContourThroughZero,
+    DegenerateC,
+    NewtonDivergence,
+    NoPreimage,
+    NoValidEpsilon,
+    PoleAt,
+    QuadratureFailure,
+)
 from nodal_theta.inversion import (
     DMap,
     corrected_shift,
@@ -39,7 +47,7 @@ from nodal_theta.inversion import (
 )
 from nodal_theta.theta import TWO_PI_I, big_theta, theta_char
 from conftest import GENERATED_SPECS, frac_norm, generated_spec
-from oracles import d2_dc2
+from oracles import corrected_residual_composed, d2_dc2
 
 EPS_SEL = 0.05  # pinned outcome of select_epsilon on the shipped configs
 
@@ -269,6 +277,13 @@ class TestBetaK:
                 assert errs[i + 1] / errs[i] ** 2 < 1e4
 
 
+def fused_chars(spec):
+    """The characteristics of the corrected residual's one pass: the odd
+    pair, theta00 and theta[-r1;r2] (branches._corrected_point)."""
+    r1, r2, _ = derive_periods(spec)
+    return odd_chars(spec) + ((0.0, 0.0), (-r1, r2))
+
+
 def grid_points(spec, n=6, margin=0.02):
     """The first curve-point grid of the thm66 suite."""
     pts = []
@@ -322,11 +337,12 @@ class TestZeroSet:
         assert_finding_3(spec, spec.eps / 2)
 
     def test_corrected_routes_build_no_chart(self, cfg_ab, kernel_passes, monkeypatch):
-        # a corrected residual at a fresh point makes 3 kernel passes: phi2,
-        # the genericity guard and Theta; a chart would add its own pass
+        # a corrected residual at a fresh point makes 1 kernel pass, of the
+        # odd pair, theta00 and theta[-r1;r2] at four points: phi2, the
+        # genericity guard and Theta share it; a chart would add its own pass
         spec = cfg_ab.spec
         P0, P1 = grid_points(spec)[:2]
-        inversion._guard_thetas.cache_clear()  # so that P1's shift c1 is fresh
+        inversion._GUARDS.clear()  # so that P1's shift c1 is fresh
         zero_set_residual(P0, spec, EPS_SEL)  # warm-up: per-spec caches
 
         def refuse(*args, **kwargs):
@@ -335,11 +351,12 @@ class TestZeroSet:
         monkeypatch.setattr(DMap, "__init__", refuse)
         kernel_passes.clear()
         zero_set_residual(P1, spec, EPS_SEL)
-        assert len(kernel_passes) == 3
+        assert kernel_passes == [fused_chars(spec)]
         u = phi(spec, P0)
         beta_k(u, spec, EPS_SEL)
         corrected_shift(spec, EPS_SEL)
 
+    @pytest.mark.bitwise
     def test_thm66_point_keeps_the_bits_of_two_residual_calls(self, cfg_ab, preset, cli_rows):
         # on every CLI point: the corrected value, and the stated value or
         # the name of its exception, as two zero_set_residual calls give them
@@ -357,9 +374,11 @@ class TestZeroSet:
 
     def test_thm66_point_takes_phi_once(self, cfg_ab, kernel_passes):
         # with warm caches a point makes one kernel pass fewer than the two
-        # zero_set_residual calls: the second pass of phi2 at P
+        # zero_set_residual calls: the stated call's phi2, the one pass of
+        # the odd pair alone; both take phi2 at P from the corrected pass
         spec = cfg_ab.spec
         P = grid_points(spec)[1]
+        inversion._GUARDS.clear()
         thm66_point(P, spec, EPS_SEL)  # warm-up: per-spec and per-c1 caches
         kernel_passes.clear()
         zero_set_residual(P, spec, EPS_SEL)
@@ -371,7 +390,47 @@ class TestZeroSet:
         kernel_passes.clear()
         thm66_point(P, spec, EPS_SEL)
         assert len(kernel_passes) == len(two_calls) - 1
-        assert two_calls.count(odd_chars(spec)) == kernel_passes.count(odd_chars(spec)) + 1
+        assert two_calls.count(odd_chars(spec)) == 1
+        assert kernel_passes.count(odd_chars(spec)) == 0
+        assert two_calls.count(fused_chars(spec)) == kernel_passes.count(fused_chars(spec)) == 1
+
+    def test_stated_route_after_the_corrected_makes_no_guard_pass(self, cfg_ab, kernel_passes):
+        # the corrected pass stores the guard thetas of its shift c1, which
+        # the stated inverse's chart at the same point reads; alone, the
+        # stated route makes the guard's theta00 pass itself
+        spec = cfg_ab.spec
+        P0, P1 = grid_points(spec)[:2]
+        inversion._GUARDS.clear()
+        thm66_point(P0, spec, EPS_SEL)  # warm-up: per-spec caches
+
+        def stated():
+            try:
+                zero_set_residual(P1, spec, EPS_SEL, use_correction=False)
+            except NewtonDivergence:
+                pass
+
+        kernel_passes.clear()
+        stated()
+        assert kernel_passes.count(((0.0, 0.0),)) == 1
+        inversion._GUARDS.clear()
+        zero_set_residual(P1, spec, EPS_SEL)
+        kernel_passes.clear()
+        stated()
+        assert kernel_passes.count(((0.0, 0.0),)) == 0
+
+    def test_thm66_point_makes_three_passes(self, spec_a, kappa_a, kernel_passes):
+        # at a fresh point of config A, where the stated inverse has no
+        # preimage: the corrected pass, the chart's beta_coeff and its ray,
+        # where phi2, the guard and Theta once took a pass each (5 in all)
+        spec = spec_a
+        P0, P1 = grid_points(spec)[:2]
+        inversion._GUARDS.clear()
+        thm66_point(P0, spec, EPS_SEL)  # warm-up: per-spec caches
+        kernel_passes.clear()
+        assert thm66_point(P1, spec, EPS_SEL)[1] == "no_preimage"
+        r1, r2, _ = derive_periods(spec)
+        c1 = phi1(spec, P1) - kappa_a[0]
+        assert kernel_passes == [fused_chars(spec), ((-r1, r2),), inversion._pullback_chars(spec, c1)]
 
     def test_curve_contained_with_corrected_inverse(self, spec_ab):
         spec = spec_ab
@@ -425,3 +484,68 @@ class TestZeroSet:
         # algebraic root of the vacuity
         r1v, r2v, _ = derive_periods(spec_ab)
         assert abs((r2v - r1v * spec_ab.tau) - (spec_ab.p1 - spec_ab.p2)) < 1e-14
+
+
+def outcome(f, *args):
+    """f(*args), or the class and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_one_pass_keeps_the_bits(P, spec, eps, k):
+    """The corrected residual from one pass (zero_set_residual) against the
+    composed route, each from an empty guard store: the same value or the
+    same exception, and the same stored guard thetas."""
+    inversion._GUARDS.clear()
+    want = outcome(corrected_residual_composed, P, spec, eps, k)
+    guards = dict(inversion._GUARDS)
+    inversion._GUARDS.clear()
+    assert outcome(zero_set_residual, P, spec, eps, k) == want
+    assert inversion._GUARDS == guards
+
+
+class TestOnePassResidual:
+    """zero_set_residual's corrected route takes every theta from one pass
+    (branches._corrected_point); the composed route, a pass each for phi2,
+    the genericity guard and Theta, is its oracle
+    (oracles.corrected_residual_composed)."""
+
+    @pytest.mark.bitwise
+    def test_cli_points_keep_the_bits(self, cfg_ab, preset, cli_rows):
+        spec = cfg_ab.spec
+        points = [complex(row[1]) for row in cli_rows("thm66", preset) if row[0].isdigit()]
+        assert len(points) == 20
+        for P in points:
+            for k in (0, 1):
+                assert_one_pass_keeps_the_bits(P, spec, EPS_SEL, k)
+
+    @pytest.mark.bitwise
+    @given(**GENERATED_SPECS, points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=4, max_size=4))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_generated_specs_keep_the_bits(self, tau, q0, coords, points):
+        spec = generated_spec(tau, q0, coords)
+        for i, (s, t) in enumerate(points):
+            assert_one_pass_keeps_the_bits(spec.point(s, t), spec, spec.eps / 2, i % 2)
+
+    def test_same_exceptions_in_the_same_order(self, spec_ab, kernel_passes):
+        # outside the cell and at p1 and p2 the point's own error comes
+        # first and before any pass, then a radius outside (0, spec.eps],
+        # then DegenerateC after the pass, at the shift of
+        # test_degenerate_shift_at_the_constructed_point
+        spec = spec_ab
+        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
+        degenerate = reduce_to_cell(spec.p1 + kap[0] - (1 + spec.tau) / 2, spec.q0, spec.tau)
+        zero_set_residual(grid_points(spec)[0], spec, EPS_SEL)  # warm-up: per-spec caches
+        cases = ((spec.point(-0.25, 0.5), ValueError), (spec.p1, PoleAt), (spec.p2, PoleAt), (degenerate, DegenerateC))
+        for P, exc in cases:
+            for eps in (EPS_SEL, 2 * spec.eps):
+                inversion._GUARDS.clear()
+                kernel_passes.clear()
+                got = outcome(zero_set_residual, P, spec, eps)
+                passes = len(kernel_passes)
+                assert got[0] is (ValueError if exc is DegenerateC and eps != EPS_SEL else exc)
+                assert passes == (exc is DegenerateC and eps == EPS_SEL)
+                inversion._GUARDS.clear()
+                assert outcome(corrected_residual_composed, P, spec, eps) == got

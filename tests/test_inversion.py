@@ -176,9 +176,12 @@ class TestPullback:
 
     def test_guard_makes_one_theta00_pass(self, spec_ab, kernel_passes):
         # both guard thetas from one pass of theta00 itself at the two points
-        inversion._guard_thetas.cache_clear()
+        inversion._GUARDS.clear()
         inversion._guard_thetas(spec_ab, 0.3 + 0.2j)
         assert kernel_passes == [((0.0, 0.0),)]
+        # then from the store
+        inversion._guard_thetas(spec_ab, 0.3 + 0.2j)
+        assert len(kernel_passes) == 1
 
     def test_residue_theta_is_a_multiple_of_the_p1_theta(self, spec_ab):
         """Why the guards need no theta[-r1;r2](phi1(p2) - c1) of their own.
