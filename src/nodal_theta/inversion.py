@@ -591,12 +591,18 @@ class DMap(_FusedSum):
         return ray
 
     def _ray_at(self, t):
-        """(alpha1, G) at the points t of one call of d2's walk: the n + 1
-        samples of ray(n) on its first call, and the n new midpoints of
-        ray(2n) on a doubling."""
-        if len(t) % 2:
-            return self.ray(len(t) - 1)
-        return tuple(x[1::2] for x in self.ray(2 * len(t)))
+        """(alpha1, G) at the points t of one call of d2's walk: ray(n)
+        when t is its n + 1 samples, the new midpoints of ray(2n) when t is
+        those of a doubling of a level the ray holds, and one chart pass at
+        t for any other call, such as the bisection of failing intervals
+        (quadrature._bisection).  Each case is told by the points, not by
+        their count."""
+        eps, m = complex(self.eps), len(t)
+        if m % 2 and m > 1 and np.array_equal(t, np.arange(m) / (m - 1) * eps):
+            return self.ray(m - 1)
+        if m in self._rays and np.array_equal(t, (np.arange(m) + 0.5) / m * eps):
+            return tuple(x[1::2] for x in self.ray(2 * m))
+        return self.alpha1_and_G(t)
 
     # -- c2-dependent quantities ----------------------------------------------
 

@@ -14,7 +14,14 @@ LAPACK call.
 The sampled log tracker continues log f(z) along a segment by summing
 principal logs of ratios of consecutive samples; until each ratio stays well
 inside the right half plane it doubles the samples, evaluating only the new
-midpoints, so each sample is evaluated once.
+midpoints, so each sample is evaluated once.  From _N_PROBE samples on it
+bisects only the failing intervals, at midpoints that doubling evaluates
+too (the adaptive step of Ying & Katz, Numer. Math. 53, 1988).  A chain of
+failing intervals down to spacing |b - a|/_N_MAX certifies that doubling
+fails at every level up to its cap, so a segment through a zero raises
+ContourThroughZero "at n=_N_MAX", the level at which doubling fails, after
+a few hundred samples rather than 16,385, and a segment that passes ends at
+doubling's samples and log change, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from .errors import ContourThroughZero, QuadratureFailure
 # absolute error budget of one integral; integrate_segment halves it per split
 _QUAD_TOL = 1e-10
 _MAX_DEPTH = 13
-# samples per segment of the sampled log trackers: first try and cap
-_N0, _N_MAX = 32, 1 << 14
+# samples per segment of the sampled log trackers: first try, the level
+# from which a failing segment is bisected rather than doubled, and cap
+_N0, _N_PROBE, _N_MAX = 32, 1 << 8, 1 << 14
 # bound on |Log ratio| per tracked step, and the largest distance from an
 # integer that a winding total snaps across
 _MAX_RATIO_LOG, _SNAP_TOL = 0.9, 0.1
@@ -137,18 +145,104 @@ def _interleave(samples, mids):
     return out
 
 
+def _ratio_test(vals):
+    """(ok, delta_log) of each row of samples: whether every consecutive
+    ratio has |Log| < _MAX_RATIO_LOG, and the sum of those Logs.  A zero
+    sample fails its row: its ratios are not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dlogs = np.log(vals[:, 1:] / vals[:, :-1])
+        return np.abs(dlogs).max(axis=1) < _MAX_RATIO_LOG, dlogs.sum(axis=1)
+
+
+def _failing(lo, hi):
+    """Which of the intervals with end values lo and hi fail the ratio
+    test of _ratio_test."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ~(np.abs(np.log(hi / lo)) < _MAX_RATIO_LOG)
+
+
+def _raised(n, vals, k, probes):
+    """The k + 1 samples of level k of a segment, from the n + 1 of level n
+    in `vals`, the `probes` (level, odd indices, values) at levels up to k,
+    and f at the samples that they lack.  A generator like _bisection, with
+    one call, or none when nothing lacks."""
+    held = [(odd * (k // level), mid) for level, odd, mid in probes if level <= k]
+    lacking = np.ones(k + 1, dtype=bool)
+    lacking[:: k // n] = False
+    for j, _ in held:
+        lacking[j] = False
+    lacking = np.flatnonzero(lacking)
+    f = (yield lacking / k) if len(lacking) else None
+    full = np.empty(k + 1, dtype=vals.dtype)
+    full[:: k // n] = vals
+    for j, mid in held:
+        full[j] = mid
+    if f is not None:
+        full[lacking] = f
+    return full
+
+
+def _bisection(n, vals):
+    """The walk of one segment on from a level n whose n + 1 samples `vals`
+    fail the ratio test.  A generator: it yields the fractions x of the
+    segment at which it needs f, is sent f there, and returns
+    (delta_log, samples) where the uniform walk passes, or None when that
+    walk fails at every level up to _N_MAX.
+
+    It bisects only the failing intervals of level n, then only their
+    failing halves, and so on.  Every interval of such a chain fails at its
+    own level, so a chain that reaches level _N_MAX certifies that the
+    uniform walk fails at each level from n to _N_MAX.  Once no chain
+    reaches a level k, the uniform walk fails below k and may pass at k:
+    the walk takes level k whole, evaluating only the samples it lacks, and
+    tests it as the uniform walk does.  Each midpoint is a sample
+    (i + 1/2)/k of the uniform walk, so every value and every decision is
+    one that walk makes.
+    """
+    while True:
+        i = np.flatnonzero(_failing(vals[:-1], vals[1:]))
+        lo, hi = vals[i], vals[i + 1]
+        k, probes = n, []
+        while len(i):
+            if k >= _N_MAX:
+                return None
+            odd = 2 * i + 1
+            mid = yield odd / (2 * k)
+            k *= 2
+            probes.append((k, odd, mid))
+            i = np.column_stack((odd - 1, odd)).ravel()
+            lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+            keep = _failing(lo, hi)
+            i, lo, hi = i[keep], lo[keep], hi[keep]
+        # level k/2 and then level k, so that no call is larger than the
+        # uniform walk's doubling to k
+        vals = yield from _raised(n, vals, k // 2, probes)
+        n, vals = k, (yield from _raised(k // 2, vals, k, probes))
+        (ok,), (d,) = _ratio_test(vals[None])
+        if ok:
+            return complex(d), vals
+
+
 def _track_edges(f_vec, edges):
     """(delta_log, samples) along each segment (a, b) of `edges`: the
     continuous log change and the n + 1 values f(a + j (b - a)/n), j = 0..n,
     it was read from, so samples[-1] is f(b).
 
     Every segment is first sampled at n = _N0 points in one f_vec call; a
-    segment is done once every consecutive ratio has |Log| < _MAX_RATIO_LOG.
-    The others double n, up to _N_MAX, and f_vec is called only at their n
-    new midpoints a + (i + 1/2)(b - a)/n, which sit between the samples in
-    hand.  One walk over several edges thus serves several readers: an
-    edge's log change does not depend on which other edges were walked
-    with it.
+    segment is done once every consecutive ratio has |Log| < _MAX_RATIO_LOG
+    (_ratio_test).  The uniform walk doubles n for the others up to _N_MAX,
+    and fails there; each doubling calls f_vec only at the n new midpoints
+    a + (i + 1/2)(b - a)/n, which sit between the samples in hand.  This
+    walk doubles so up to n = _N_PROBE, and from there it bisects only the
+    failing intervals (_bisection): a segment that passes ends at the n and
+    the samples of the uniform walk, and one through a zero raises
+    ContourThroughZero "at n=_N_MAX", the level at which the uniform walk
+    fails, as soon as a chain of failing intervals certifies that it fails
+    at every level up to there.  The message names the first segment of
+    `edges` that fails so.  Each round makes one f_vec call for all the
+    segments it samples, and a segment's log change does not depend on
+    which others were walked with it, so one walk over several edges serves
+    several readers.
     """
     if not edges:
         return []
@@ -159,32 +253,54 @@ def _track_edges(f_vec, edges):
     n = _N0
     vals = f_vec((a + np.arange(n + 1) / n * step).ravel()).reshape(len(edges), n + 1)
     while True:
-        # a zero sample fails its edge: its ratios are not finite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dlogs = np.log(vals[:, 1:] / vals[:, :-1])
-            ok = np.abs(dlogs).max(axis=1) < _MAX_RATIO_LOG
-            sums = dlogs.sum(axis=1)
+        ok, sums = _ratio_test(vals)
         for k, d, seg, done in zip(pending, sums, vals, ok):
             if done:
                 out[k] = (complex(d), seg)
         if ok.all():
             return out
         pending, vals = pending[~ok], vals[~ok]
-        if n >= _N_MAX:
-            lo, hi = edges[pending[0]]
-            raise ContourThroughZero(f"sampled log tracking failed on [{lo:.6g}, {hi:.6g}] at n={n}")
+        if n >= _N_PROBE:
+            break
         mids = f_vec((a[pending] + (np.arange(n) + 0.5) / n * step[pending]).ravel())
         vals = _interleave(vals, mids.reshape(len(pending), n))
         n *= 2
+    walks = {k: _bisection(n, seg) for k, seg in zip(pending, vals)}
+    sent, failed = dict.fromkeys(walks), []
+    while True:
+        wanted = {}
+        for k, f in sent.items():
+            try:
+                wanted[k] = walks[k].send(f)
+            except StopIteration as stop:
+                if stop.value is None:
+                    failed.append(k)
+                else:
+                    out[k] = stop.value
+        # the first segment that fails is the one named: later ones need no more samples
+        first = min(failed, default=len(edges))
+        wanted = {k: x for k, x in wanted.items() if k < first}
+        if not wanted:
+            break
+        f = f_vec(np.concatenate([a[k, 0] + x * step[k, 0] for k, x in wanted.items()]))
+        sent = dict(zip(wanted, np.split(f, np.cumsum([len(x) for x in wanted.values()])[:-1])))
+    if failed:
+        lo, hi = edges[min(failed)]
+        raise ContourThroughZero(f"sampled log tracking failed on [{lo:.6g}, {hi:.6g}] at n={_N_MAX}")
+    return out
 
 
 def track_log_sampled(f_vec, a: complex, b: complex):
-    """Continuous log change of a vectorized integrand along [a, b].
+    """Continuous log change of a vectorized integrand along [a, b], and
+    f(b).
 
     Samples the segment at n points, doubling n, and evaluating only the
-    new midpoints, until every consecutive ratio has |Log| < 0.9.  Much
-    faster than scalar stepping when f is vectorized, e.g. theta-based
-    integrands on contour walks.
+    new midpoints, until every consecutive ratio has |Log| < 0.9.  Raises
+    ContourThroughZero "at n=16384", the level at which that doubling walk
+    fails, once a chain of failing intervals certifies that it fails at
+    every level up to there (_track_edges).  Much faster than scalar
+    stepping when f is vectorized, e.g. theta-based integrands on contour
+    walks.
     """
     d, seg = _track_edges(f_vec, [(a, b)])[0]
     return d, complex(seg[-1])

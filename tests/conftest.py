@@ -2,6 +2,7 @@ import csv
 import functools
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -108,18 +109,33 @@ def thm51_samples():
     return draw
 
 
+class KernelPasses(list):
+    """The characteristics of each kernel pass, one tuple per pass, in
+    order; `points` holds the point count of each pass beside them."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = []
+
+    def clear(self):
+        super().clear()
+        self.points.clear()
+
+
 @pytest.fixture
 def kernel_passes(monkeypatch):
     """The characteristics of every theta kernel pass made while the test
-    runs, one tuple per pass, in order.  Every pass goes through
-    theta._theta_pass: theta_chars' passes from theta, the fused pass of
-    ThetaPullback.value and value_and_dvalue as inversion._theta_pass."""
-    calls = []
+    runs, one tuple per pass, in order, and in `.points` the number of
+    points of each.  Every pass goes through theta._theta_pass: theta_chars'
+    passes from theta, the fused pass of ThetaPullback.value and
+    value_and_dvalue as inversion._theta_pass."""
+    calls = KernelPasses()
     kernel = theta._theta_pass
 
-    def counted(chars, *args):
+    def counted(chars, z, *args):
         calls.append(chars)
-        return kernel(chars, *args)
+        calls.points.append(np.size(z))
+        return kernel(chars, z, *args)
 
     monkeypatch.setattr(theta, "_theta_pass", counted)
     monkeypatch.setattr(inversion, "_theta_pass", counted)

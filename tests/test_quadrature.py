@@ -24,9 +24,18 @@ from mpmath.calculus.quadrature import GaussLegendre
 from nodal_theta import quadrature
 from nodal_theta.abel_jacobi import a_eps
 from nodal_theta.curve import lattice_coords
-from nodal_theta.errors import ContourThroughZero
-from nodal_theta.inversion import DMap, ThetaPullback, count_zeros, locate_zeros, sample_generic_c
-from nodal_theta.quadrature import _gl_nodes, _track_edges, integrate_segment, track_log_sampled
+from nodal_theta.branches import beta_k
+from nodal_theta.errors import ContourThroughZero, NoPreimage
+from nodal_theta.inversion import (
+    DMap,
+    ThetaPullback,
+    count_zeros,
+    kappa_vector,
+    locate_zeros,
+    riemann_constants,
+    sample_generic_c,
+)
+from nodal_theta.quadrature import _N_MAX, _N_PROBE, _gl_nodes, _track_edges, integrate_segment, track_log_sampled
 from nodal_theta.theta import TWO_PI_I
 from oracles import track_edges_resampling, winding_number, winding_number_sampled
 
@@ -98,31 +107,50 @@ def test_resamples_only_failing_edges(pullback):
     tp, zeros = pullback
     spec = tp.spec
     s, t = lattice_coords(zeros[0], spec.q0, spec.tau)
-    # the left edge passes 2e-3 from a zero and needs more samples
-    verts = box(spec, s - 2e-3, s + 0.2, t - 0.1, t + 0.1)
-    f = CountingF(tp.value)
-    w = winding_number_sampled(f, verts)
-    assert w == winding_number(tp.value, verts)
+    # the left edge passes `gap` from a zero and needs more samples: at 2e-3
+    # it doubles to pass, at 1e-4 it fails at n = _N_PROBE too and is bisected
+    for gap in (2e-3, 1e-4):
+        verts = box(spec, s - gap, s + 0.2, t - 0.1, t + 0.1)
+        f = CountingF(tp.value)
+        w = winding_number_sampled(f, verts)
+        assert w == winding_number(tp.value, verts)
+        levels, rounds = assert_calls_hold_only_lacking_samples(tp.value, list(zip(verts[:-1], verts[1:])), f.calls)
+        assert (levels[3] > _N_PROBE) == (gap < 1e-3)
+        assert rounds[3] > 1  # the left edge is the last one
+        assert min(rounds) == 1
 
-    # the first call holds the n0 + 1 samples of all four edges; each later
-    # call holds only the n new midpoints of each edge that still fails
+
+def assert_calls_hold_only_lacking_samples(f_vec, edges, calls):
+    """The first call holds the n0 + 1 samples of every edge; each later
+    call holds, edge by edge and in edge order, only samples that an edge
+    that still fails lacks.  Over all calls each edge evaluates the samples
+    it ends with, each once, in as many calls as its walk alone makes.  The
+    edges share no sample but their ends.  Returns the level n each edge
+    ends at and the number of calls that hold its samples."""
     n0 = 32
-    edges = list(zip(verts[:-1], verts[1:]))
-    assert len(f.calls) >= 2
-    assert np.array_equal(f.calls[0], np.concatenate([a + np.linspace(0.0, 1.0, n0 + 1) * (b - a) for a, b in edges]))
-    walked = [list(range(4))]
-    for i, pts in enumerate(f.calls[1:]):
-        n = n0 << i
-        mids = [a + (np.arange(n) + 0.5) / n * (b - a) for a, b in edges]
-        assert len(pts) % n == 0
-        walked.append([next(k for k in walked[-1] if np.array_equal(chunk, mids[k])) for chunk in np.split(pts, len(pts) // n)])
-    rounds = [sum(k in ks for ks in walked) for k in range(4)]
-    for k in range(4):
-        ref = CountingF(tp.value)
-        track_log_sampled(ref, verts[k], verts[k + 1])
-        assert rounds[k] == len(ref.calls)
-    assert rounds[3] > 1  # the left edge is the last one
-    assert min(rounds) == 1
+    assert len(calls) >= 2
+    assert np.array_equal(calls[0], np.concatenate([a + np.linspace(0.0, 1.0, n0 + 1) * (b - a) for a, b in edges]))
+    samples, solo_calls = [], []
+    for a, b in edges:
+        ref = CountingF(f_vec)
+        (_, seg), = _track_edges(ref, [(a, b)])
+        n = len(seg) - 1
+        samples.append(a + np.arange(n + 1) / n * (b - a))
+        solo_calls.append(len(ref.calls))
+    held = [list(p) for p in np.split(calls[0], len(edges))]
+    rounds = [1] * len(edges)
+    for pts in calls[1:]:
+        owner = np.full(len(pts), -1)
+        for k, seg in enumerate(samples):
+            owner[np.isin(pts, seg[1:-1])] = k
+        assert np.all(owner >= 0) and np.all(np.diff(owner) >= 0)
+        for k in np.unique(owner):
+            held[k].extend(pts[owner == k])
+            rounds[k] += 1
+    for got, seg in zip(held, samples):
+        assert np.array_equal(np.sort_complex(np.array(got)), np.sort_complex(seg))
+    assert rounds == solo_calls
+    return [len(seg) - 1 for seg in samples], rounds
 
 
 def assert_same_walk(f_vec, edges, got):
@@ -209,6 +237,124 @@ class TestEachSampleOnce:
                     _track_edges(f_vec, edges)
             assert str(got.value) == str(ref.value)
             assert "at n=16384" in str(got.value)
+
+
+    @pytest.mark.parametrize("k", [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
+    def test_walks_near_a_zero_at_the_cap_spacing(self, pullback, k):
+        # a segment k |b - a|/_N_MAX from a zero of T_c: the uniform walk
+        # fails at the cap, or passes close to it, where the walk bisects
+        # failing intervals; alone and as the second edge of a square on
+        # the side away from the zero
+        tp, zeros = pullback
+        length, u = 0.02, cmath.exp(0.3j)
+        a = zeros[0] + 1j * u * k * length / _N_MAX - 0.37 * length * u
+        b, side = a + length * u, 1j * u * length
+        raised = [
+            assert_same_outcome(tp.value, edges)
+            for edges in ([(a, b)], [(a + side, a), (a, b), (b, b + side), (b + side, a + side)])
+        ]
+        assert raised[0] == raised[1]
+        if k <= 0.5:
+            assert raised[0]
+        if k >= 2.0:
+            assert not raised[0]
+
+    def test_the_message_names_the_first_edge_that_fails_at_the_cap(self):
+        # Edge 0 fails at n = 32 to 512 on a ramp of arg f, which its halves
+        # pass at 1024.  Level 1024 then fails on a full turn of arg f that
+        # a level-512 interval holds whole, so the walk bisects again and
+        # certifies edge 0 a round later than edge 1, a segment through a
+        # zero.  Both fail at the cap, and the message names edge 0.
+        ramp, turn = 5 / 1024, 1e-9
+
+        def f_vec(z):
+            x = z.real
+            phase = 3.0 * np.clip((x - 0.25) / ramp, 0.0, 1.0)
+            phase += 2 * np.pi * np.clip((x - 717 / 1024) / turn + 0.5, 0.0, 1.0)
+            return np.where(z.imag > 1.0, z - 2j, np.exp(1j * phase))
+
+        edges = [(0j, 1 + 0j), (2j - 1, 2j + 1)]
+        calls = []
+        for edge in edges:
+            f = CountingF(f_vec)
+            with pytest.raises(ContourThroughZero):
+                _track_edges(f, [edge])
+            calls.append(len(f.calls))
+        assert calls[1] < calls[0]
+        assert assert_same_outcome(f_vec, edges)
+        with pytest.raises(ContourThroughZero, match=r"^sampled log tracking failed on \[0\+0j, 1\+0j\] at n=16384$"):
+            _track_edges(f_vec, edges)
+
+
+def assert_same_outcome(f_vec, edges) -> bool:
+    """A walk of f_vec along `edges` is the resampling walk's, bit for bit
+    (assert_same_walk), or both raise the same message.  Returns whether
+    they raised."""
+    try:
+        track_edges_resampling(f_vec, edges)
+    except ContourThroughZero as exc:
+        with pytest.raises(ContourThroughZero) as got:
+            _track_edges(f_vec, edges)
+        assert str(got.value) == str(exc)
+        return True
+    assert_same_walk(f_vec, edges, _track_edges(f_vec, edges))
+    return False
+
+
+class TestAWalkThroughAZero:
+    """A walk through a zero of T_c raises once a chain of failing
+    intervals certifies that the uniform walk fails up to n = _N_MAX: it
+    evaluates a few hundred points where that walk evaluated 16,385 on the
+    edge through the zero, and raises that walk's message."""
+
+    def test_the_cell_walk(self, spec_ab, kernel_passes):
+        # c2 puts a zero of T_c on the bottom edge of the cell walk, and so
+        # one on the top edge, its tau translate
+        c1 = sample_generic_c(spec_ab, np.random.default_rng(101))[0][0]
+        z = spec_ab.q0 + 0.37
+        # at fixed c1, T_c(z) = alpha + beta e(-c2)
+        t0, t1 = (ThetaPullback((c1, c2), spec_ab).value(z) for c2 in (0.0, 0.5))
+        tp = ThetaPullback((c1, -cmath.log((t0 + t1) / (t1 - t0)) / TWO_PI_I), spec_ab)
+        tau, a = spec_ab.tau, spec_ab.q0
+        edges = [(a, a + 1.0), (a + 1.0, a + 1.0 + tau), (a + tau, a + 1.0 + tau), (a, a + tau)]
+        with pytest.raises(ContourThroughZero) as ref:
+            track_edges_resampling(tp.value, edges)
+        kernel_passes.clear()
+        with pytest.raises(ContourThroughZero) as got:
+            tp._cell_walk()
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith(f"sampled log tracking failed on [{a:.6g}, {a + 1.0:.6g}]")
+        assert sum(kernel_passes.points) < 800
+
+    def test_a_segment_through_a_located_zero(self, pullback, kernel_passes):
+        # the walk that the benchmark's thm51 workload makes after its ops
+        tp, zeros = pullback
+        z = zeros[0]
+        with pytest.raises(ContourThroughZero) as ref:
+            track_edges_resampling(tp.value, [(z - 0.01, z + 0.01)])
+        kernel_passes.clear()
+        with pytest.raises(ContourThroughZero) as got:
+            track_log_sampled(tp.value, z - 0.01, z + 0.01)
+        assert str(got.value) == str(ref.value)
+        assert sum(kernel_passes.points) < 400
+
+    def test_d2_through_a_zero_on_the_chart_ray(self, spec_ab, kernel_passes):
+        # the stated inverse at a target whose only candidate c2 puts a zero
+        # of T_c on the chart ray at t = 0.37 eps
+        eps = 0.03
+        c1 = sample_generic_c(spec_ab, np.random.default_rng(71))[0][0]
+        dm = DMap(spec_ab, c1, eps)
+        _, _, C, D = dm.mobius_coeffs(np.array([0.37 * dm.eps + 0j]))
+        c2 = complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I)
+        with pytest.raises(ContourThroughZero) as ref:
+            track_edges_resampling(lambda t: dm.f(t, c2), [(0j, complex(dm.eps))])
+        kap = kappa_vector(riemann_constants(spec_ab, eps), spec_ab, "half_tau")
+        v = dm.c1 * dm.r1 + np.log(dm.f(dm.eps, c2)) / TWO_PI_I
+        kernel_passes.clear()
+        with pytest.raises(NoPreimage) as got:
+            beta_k((dm.c1 + kap[0], v + kap[1]), spec_ab, eps, use_correction=False, _kappa_cache=kap)
+        assert str(got.value) == f"a zero of T_c lies on the chart ray at the only candidate: {ref.value}"
+        assert sum(kernel_passes.points) < 400
 
 
 def test_panel_calls_the_integrand_once():
