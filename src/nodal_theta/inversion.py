@@ -30,10 +30,10 @@ Laurent data at p2 and the stated d(eps) come from one node chart per
 (c1, eps), `DMap`, which takes c2 as an argument and reads T_c's four
 thetas at p2 + t through the pullback's fused sum (`_FusedSum`).  The
 stated map is d(eps)(c) = (c1, `DMap.d2`(c2)), the log of one chart
-value, and the quadrature of h3 is its dual route.  The branch-corrected
-map needs no chart: it is the translation d_corr(eps)(c) = c + (0,
-sigma(eps)) mod (0, 1), sigma = `corrected_shift(spec, eps)`, and the
-branch-cut term is their difference, A = c2 + sigma - d2 mod 1.
+value; its dual route, the quadrature of h3, is a test oracle.  The
+branch-corrected map needs no chart: it is the translation d_corr(eps)(c)
+= c + (0, sigma(eps)) mod (0, 1), sigma = `corrected_shift(spec, eps)`,
+and the branch-cut term is their difference, A = c2 + sigma - d2 mod 1.
 """
 
 from __future__ import annotations
@@ -56,12 +56,11 @@ from .curve import (
     reduce_to_cell,
 )
 from .differentials import _ELL_SWITCH, odd_chars, third_kind
-from .errors import ContourThroughZero, DegenerateC, QuadratureFailure, ZeroCollision
+from .errors import ContourThroughZero, DegenerateC, ZeroCollision
 from .quadrature import (
     _N0,
     _N_MAX,
     _QUAD_TOL,
-    _interleave,
     _snap_winding,
     _track_edges,
     integrate_segment,
@@ -454,11 +453,6 @@ def locate_zeros(tp: ThetaPullback) -> tuple[complex, complex]:
 # -- the node chart and the d-map ---------------------------------------------
 
 
-def _moebius(abcd, ec):
-    A, B, C, D = abcd
-    return (A + B * ec) / (C + D * ec)
-
-
 class DMap(_FusedSum):
     """The node chart z = p2 + t of T_c for one (c1, eps), and the second
     component of d(eps)(c) as a function of c2.
@@ -472,8 +466,8 @@ class DMap(_FusedSum):
     So h3 = T'/T + 1/t = f'/f = (A + B w)/(C + D w) with (A, B, C, D) =
     (alpha1 + t alpha1', G', t alpha1, G) independent of c2.  Its integral
     H3(eps) is therefore Log f(eps) + 2*pi*i*n, n the winding of f along
-    [0, eps]: `d2` is this closed form, and `H3`, the quadrature of h3 over
-    [0, eps], is its dual route, which verify_thm51 checks on every sample.
+    [0, eps]: `d2` is this closed form, and the quadrature of h3 over
+    [0, eps] is its dual route, a test oracle.
 
     The chart reads alpha1 and G from the pullback's fused sum of T_c's
     four thetas at p2 + t (_FusedSum), with K its constant G at c2 = 0:
@@ -490,12 +484,12 @@ class DMap(_FusedSum):
         G' = P_0 e(M w) K [D_r S_1 + S_r D_1 + 2 pi i r1 S_r S_1 - S_r S_1 L] / V,
 
     which divides by neither S_r nor S_1.  The chart holds what does not
-    depend on c2: beta_coeff = G0, and alpha1 and G at the samples of d2's
-    walk along [0, eps] (`ray`), computed on first use; what depends on c2
-    takes it as an argument.  The genericity guard runs once, at
-    construction.  The residue c_minus1, h3 itself, its value at the node,
-    the c2-derivative of d2 and the four-theta route to the chart's
-    factors are test oracles (tests/oracles.py).
+    depend on c2: beta_coeff = G0, and alpha1 and G at the _N0 + 1 first
+    samples of d2's walk along [0, eps] (`ray`), computed on first use;
+    what depends on c2 takes it as an argument.  The genericity guard runs
+    once, at construction.  The residue c_minus1, h3 itself, its value at
+    the node, its quadrature H3, the c2-derivative of d2 and the four-theta
+    route to the chart's factors are test oracles (tests/oracles.py).
     """
 
     def __init__(self, spec: NodalCurveSpec, c1, eps: float):
@@ -504,7 +498,7 @@ class DMap(_FusedSum):
         self.diff = third_kind(spec)
         x2 = phi1(spec, spec.p2) - self.c1
         self.beta_coeff = theta_char((-self.r1, self.r2), x2, spec.tau) * _chart_g0(spec)
-        self._rays = {}  # (alpha1, G) on the walk's samples, by sample count
+        self._ray = None  # (alpha1, G) on the walk's _N0 + 1 first samples
 
     # -- the chart's theta factors and the Moebius coefficients ---------------
 
@@ -572,36 +566,21 @@ class DMap(_FusedSum):
         window pass at p2 + t gives all four thetas with their derivatives."""
         return self._chart_pass(t, (0, 1))
 
-    def ray(self, n: int = _N0):
-        """(alpha1, G) at the n + 1 samples t_j = j eps/n of d2's walk along
-        [0, eps] (quadrature._track_edges), kept on the chart: the last
-        sample is t = eps.  ray(_N0) is one pass; ray(2n) is ray(n) with one
-        pass at the n new midpoints (i + 1/2) eps/n between its samples, as
-        the walk evaluates them when it doubles."""
-        ray = self._rays.get(n)
-        if ray is None:
-            eps = complex(self.eps)
-            if n > _N0 and n % 2 == 0:
-                m = n // 2
-                mids = self.alpha1_and_G((np.arange(m) + 0.5) / m * eps)
-                ray = tuple(_interleave(x, y) for x, y in zip(self.ray(m), mids))
-            else:
-                ray = self.alpha1_and_G(np.arange(n + 1) / n * eps)
-            self._rays[n] = ray
-        return ray
+    def ray(self):
+        """(alpha1, G) at the _N0 + 1 first samples t_j = j eps/_N0 of d2's
+        walk along [0, eps] (quadrature._track_edges), from one pass kept on
+        the chart: the last sample is t = eps."""
+        if self._ray is None:
+            self._ray = self.alpha1_and_G(np.arange(_N0 + 1) / _N0 * complex(self.eps))
+        return self._ray
 
     def _ray_at(self, t):
-        """(alpha1, G) at the points t of one call of d2's walk: ray(n)
-        when t is its n + 1 samples, the new midpoints of ray(2n) when t is
-        those of a doubling of a level the ray holds, and one chart pass at
-        t for any other call, such as the bisection of failing intervals
-        (quadrature._bisection).  Each case is told by the points, not by
-        their count."""
-        eps, m = complex(self.eps), len(t)
-        if m % 2 and m > 1 and np.array_equal(t, np.arange(m) / (m - 1) * eps):
-            return self.ray(m - 1)
-        if m in self._rays and np.array_equal(t, (np.arange(m) + 0.5) / m * eps):
-            return tuple(x[1::2] for x in self.ray(2 * m))
+        """(alpha1, G) at the points t of one call of d2's walk: the ray
+        when t is its samples, else one chart pass at t, as for the new
+        midpoints of a doubling and the bisection of failing intervals
+        (quadrature._bisection)."""
+        if len(t) == _N0 + 1 and np.array_equal(t, np.arange(_N0 + 1) / _N0 * complex(self.eps)):
+            return self.ray()
         return self.alpha1_and_G(t)
 
     # -- c2-dependent quantities ----------------------------------------------
@@ -614,21 +593,15 @@ class DMap(_FusedSum):
         t and c2 broadcast: one window pass at p2 + t serves every c2."""
         return self._f(t, *self.alpha1_and_G(t), c2)
 
-    def H3(self, c2) -> complex:
-        """Quadrature of h3 along the straight segment [0, eps]: the dual
-        route of the closed form in d2."""
-        ec = e_func(-complex(c2))
-        return integrate_segment(lambda s: _moebius(self.mobius_coeffs(s), ec), 0.0, complex(self.eps))
-
     def d2(self, c2) -> complex:
         """c1*r1 + H3(eps; (c1, c2))/(2*pi*i), the stated map's second
         component, with H3 = Log f(eps) + 2*pi*i*n: n comes from the
         continuous log of f along [0, eps], tracked from f(0) = 1, whose
-        last sample is f(eps).  The walk reads f from the chart's ray, its
-        first n + 1 samples and then the midpoints of each doubling, so a c2
-        makes no kernel pass of its own at a level of the ray that another
-        c2 has read.  Raises ContourThroughZero when a zero of T_c lies on
-        that segment."""
+        last sample is f(eps).  The walk's first call reads f from the
+        chart's ray, so a c2 whose walk needs no doubling makes no kernel
+        pass of its own; each later call is one chart pass at its own
+        points.  Raises ContourThroughZero when a zero of T_c lies on that
+        segment."""
         d, f_eps = track_log_sampled(lambda t: self._f(t, *self._ray_at(t), c2), 0j, complex(self.eps))
         log_f = complex(np.log(f_eps))
         n = round((d - log_f).imag / (2 * math.pi))
@@ -763,10 +736,8 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     result carries the edge integers too, read off the walk that counted
     the zeros, and THM51_SKIPS lists what a non-generic c raises.
 
-    The closed-form d2 is checked against its dual route, one quadrature of
-    h3: they must agree within _QUAD_TOL (the quadrature's error budget;
-    its accepted panel tolerances sum to at most _QUAD_TOL), else
-    QuadratureFailure.
+    The sample runs no quadrature but the one of riemann_constants, cached
+    per (spec, eps): d2 is a closed form, read only mod Gamma.
     """
     _chart_radius(spec, eps)
     tp = ThetaPullback(c, spec)
@@ -775,9 +746,6 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     w = divisor_image(spec, list(zeros))
     dm = DMap(spec, tp.c1, eps)
     d2 = dm.d2(tp.c2)
-    h3_gap = abs(dm.H3(tp.c2) - TWO_PI_I * (d2 - dm.c1 * dm.r1))
-    if h3_gap > _QUAD_TOL:
-        raise QuadratureFailure(f"H3 quadrature misses the closed-form d2 by {h3_gap:.3e}")
     d_corr = (tp.c1, tp.c2 + corrected_shift(spec, eps))
     rc = riemann_constants(spec, eps)
     pg = period_group(spec)

@@ -18,7 +18,8 @@ routes.
   instead of the branch-free quotient, and `pullback_terms` sums T_c and
   its derivative from four thetas instead of their combined row sums;
 - the node chart (`inversion.DMap`): its residue `c_minus1`, `h3` itself,
-  the criterion-6 facts `h3_zero`, `h3_zero_no_derivative` and
+  `H3`, the quadrature of h3 that is the dual route of `DMap.d2`, the
+  criterion-6 facts `h3_zero`, `h3_zero_no_derivative` and
   `h3_zero_defect`, and `d2_dc2` with its finite-difference dual route
   `jacobian_consistency_check`;
 - the congruence: `branch_correction_tracked` tracks A(eps, c) along a
@@ -43,7 +44,7 @@ from nodal_theta.branches import beta_k, theta_residual
 from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import _ELL_SWITCH, third_kind
 from nodal_theta.errors import ContourThroughZero, JacobianSingular
-from nodal_theta.inversion import DMap, ThetaPullback, Thm51Result, _moebius
+from nodal_theta.inversion import DMap, ThetaPullback, Thm51Result
 from nodal_theta.quadrature import (
     _MAX_RATIO_LOG,
     _N0,
@@ -246,7 +247,15 @@ def c_minus1(dm: DMap, c2) -> complex:
 def h3(dm: DMap, t, c2):
     """h3(t; c) = (A + B e(-c2)) / (C + D e(-c2)) from the chart's Moebius
     coefficients."""
-    return _moebius(dm.mobius_coeffs(t), e_func(-complex(c2)))
+    A, B, C, D = dm.mobius_coeffs(t)
+    w = e_func(-complex(c2))
+    return (A + B * w) / (C + D * w)
+
+
+def H3(dm: DMap, c2) -> complex:
+    """Quadrature of h3 along the straight segment [0, eps], the dual route
+    of the closed form DMap.d2: H3 = 2*pi*i (d2 - c1 r1) up to _QUAD_TOL."""
+    return integrate_segment(lambda t: h3(dm, t, c2), 0.0, complex(dm.eps))
 
 
 def h3_zero_defect(dm: DMap) -> complex:
@@ -284,8 +293,8 @@ def jacobian_consistency_check(dm: DMap, c2) -> float:
     and raises JacobianSingular beyond _JACOBIAN_REL_TOL."""
     analytic = TWO_PI_I * d2_dc2(dm, c2)
     h = 1e-3
-    d1 = (dm.H3(c2 + h) - dm.H3(c2 - h)) / (2 * h)
-    d2 = (dm.H3(c2 + h / 2) - dm.H3(c2 - h / 2)) / h
+    d1 = (H3(dm, c2 + h) - H3(dm, c2 - h)) / (2 * h)
+    d2 = (H3(dm, c2 + h / 2) - H3(dm, c2 - h / 2)) / h
     fd = (4 * d2 - d1) / 3.0
     rel = abs(analytic - fd) / max(1e-30, abs(analytic))
     if rel > _JACOBIAN_REL_TOL:

@@ -31,7 +31,7 @@ from nodal_theta.branches import beta_k
 from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, NonConvergent, ZeroCollision
 from nodal_theta.differentials import _ELL_SWITCH, third_kind
 from nodal_theta import quadrature
-from nodal_theta.quadrature import _N0, _gl_nodes, _log_change_sampled, integrate_segment, track_log_sampled
+from nodal_theta.quadrature import _N0, _QUAD_TOL, _gl_nodes, _log_change_sampled, integrate_segment, track_log_sampled
 from nodal_theta.inversion import (
     THM51_SKIPS,
     DMap,
@@ -51,6 +51,7 @@ from nodal_theta.inversion import (
 from nodal_theta.theta import TWO_PI_I, e_func, theta_char
 from conftest import GENERATED_SPECS, frac_norm, generated_spec
 from oracles import (
+    H3,
     branch_correction_tracked,
     c_minus1,
     chart_factors_four_theta,
@@ -975,10 +976,11 @@ class TestFusedChart:
 
     @pytest.mark.bitwise
     def test_the_ray_samples_are_the_walks(self, spec_ab, monkeypatch):
-        # d2 reads f from the ray: each call of its walk is one chart pass
-        # at the walk's own points, so each chart point is evaluated once,
-        # and at every doubling the walk reaches, the ray holds alpha1 and G
-        # of all its samples
+        # d2 reads f from the ray at its walk's first call, and each later
+        # call is one chart pass at the walk's own points, so a walk
+        # evaluates each chart point once.  A second d2 at the same c2
+        # returns the same bits, makes no pass for the first level, and one
+        # chart pass per doubling, at the walk's own points
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
         dm = DMap(spec_ab, c[0], EPS_W)
         c2 = TestDMap.pole_c2(dm) - 0.002  # a zero of T_c just off the ray: the walk doubles
@@ -988,16 +990,20 @@ class TestFusedChart:
             m.setattr(quadrature, "_track_edges", lambda f_vec, edges: track(lambda t: walk.append(t.copy()) or f_vec(t), edges))
             m.setattr(dm, "alpha1_and_G", lambda t: passes.append(np.copy(t)) or chart_pass(t))
             d = dm.d2(c2)
-            n_walk = len(walk)
-            assert dm.d2(c2) == d  # a c2 whose levels are read makes no pass
-        assert n_walk > 1 and len(walk) == 2 * n_walk
-        assert len(passes) == n_walk
-        assert all(np.array_equal(t, u) for t, u in zip(walk, passes))
-        points = np.concatenate(passes)
+            first_walk, first_passes = walk[:], passes[:]
+            walk.clear()
+            passes.clear()
+            assert dm.d2(c2) == d
+        n_walk = len(first_walk)
+        assert n_walk > 1 and len(first_passes) == n_walk
+        assert all(np.array_equal(t, u) for t, u in zip(first_walk, first_passes))
+        points = np.concatenate(first_passes)
         assert len(np.unique(points)) == len(points)
-        for n in (_N0 << i for i in range(n_walk)):
-            t = np.linspace(0.0, 1.0, n + 1) * complex(dm.eps)
-            assert all(np.array_equal(a, b) for a, b in zip(dm.ray(n), dm.alpha1_and_G(t)))
+        assert len(walk) == n_walk and len(passes) == n_walk - 1
+        assert all(np.array_equal(t, u) for t, u in zip(walk[1:], passes))
+        t = np.arange(_N0 + 1) / _N0 * complex(dm.eps)
+        assert np.array_equal(walk[0], t)
+        assert all(np.array_equal(a, b) for a, b in zip(dm.ray(), dm.alpha1_and_G(t)))
 
 
 class TestH3Map:
@@ -1015,8 +1021,8 @@ class TestH3Map:
 
     def test_integer_period_in_c2(self, spec_ab):
         tp = generic_tp(spec_ab)
-        a = chart(tp).H3(tp.c2)
-        b = chart(tp).H3(tp.c2 + 1.0)
+        a = H3(chart(tp), tp.c2)
+        b = H3(chart(tp), tp.c2 + 1.0)
         assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
     def test_not_half_periodic_in_c2(self, spec_ab):
@@ -1109,7 +1115,7 @@ class TestDMap:
         _, _, C, D = dm.mobius_coeffs(np.array([frac * dm.eps + 0j]))
         return complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I)
 
-    def test_closed_form_d2_matches_h3_quadrature(self, spec_ab):
+    def test_closed_form_d2_matches_h3_quadrature(self, spec_ab, preset, cli_rows):
         # d2 = c1 r1 + (Log f(eps) + 2 pi i n)/(2 pi i) against the quadrature
         # of h3, also with a zero of T_c just off the chart ray; at
         # pole_c2 - 0.002 the winding n of f along [0, eps] is 1
@@ -1117,9 +1123,19 @@ class TestDMap:
         dm = DMap(spec_ab, c[0], EPS_W)
         pole = self.pole_c2(dm)
         for c2 in (0.0, c[1], 0.3 + 0.1j, 0.77 - 0.2j, pole + 0.05, pole - 0.002):
-            assert abs(dm.d2(c2) - (dm.c1 * dm.r1 + dm.H3(c2) / TWO_PI_I)) < 1e-12
+            assert abs(dm.d2(c2) - (dm.c1 * dm.r1 + H3(dm, c2) / TWO_PI_I)) < 1e-12
         principal = dm.c1 * dm.r1 + np.log(dm.f(dm.eps, pole - 0.002)) / TWO_PI_I
         assert abs(dm.d2(pole - 0.002) - principal - 1) < 1e-12
+        # and on every sample that the thm51 suite verifies, within the
+        # quadrature's error budget: c1 and c2 from the sample's row and eps
+        # from the summary, whose 17 significant digits round-trip exactly
+        rows = cli_rows("thm51", preset)
+        eps = float(next(cell for cell in rows[-1] if cell.startswith("eps="))[4:])
+        samples = [(complex(row[2]), complex(row[3])) for row in rows if row[1] == "ok"]
+        assert samples
+        for c1, c2 in samples:
+            dm = DMap(spec_ab, c1, eps)
+            assert abs(H3(dm, c2) - TWO_PI_I * (dm.d2(c2) - dm.c1 * dm.r1)) <= _QUAD_TOL
 
     def test_zero_on_the_chart_ray_ends_d2_and_the_stated_inverse(self, spec_ab):
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
@@ -1263,17 +1279,29 @@ class TestInversionCongruence:
     # 27 (a) and 31 (b) on the same c, 10 (a) and 11 (b) while the node
     # chart's factor g was anchored by its own e(phi2) pass, 9 (a) and
     # 10 (b) while the zero moments sampled T'/T apart from the cell walk,
-    # and 8 (a) and 9 (b) while a quadrature panel called its integrand once
-    # per Gauss-Legendre rule
-    PASS_BUDGET = {"a": 7, "b": 8}
+    # 8 (a) and 9 (b) while a quadrature panel called its integrand once
+    # per Gauss-Legendre rule, and 7 (a) and 8 (b) while the sample checked
+    # d2 against one quadrature of h3.  The points of each pass: the cell
+    # walk, the zero moments (and a doubling of them on b), the Newton
+    # polish, phi2 at the zeros, the chart's beta_coeff and its ray
+    PASS_POINTS = {"a": [132, 32, 2, 2, 1, 33], "b": [132, 32, 64, 2, 2, 1, 33]}
 
-    def test_kernel_pass_budget(self, request, spec_ab, kernel_passes):
+    def test_kernel_pass_budget(self, spec_ab, preset, kernel_passes, monkeypatch):
+        # d2 is a closed form: with the Riemann constants of the radius warm,
+        # a sample enters no integrate_segment
         rng = np.random.default_rng(101)
         verify_thm51(sample_generic_c(spec_ab, rng)[0], spec_ab, eps=EPS_W)  # warm-up: per-spec caches
         c, _ = sample_generic_c(spec_ab, rng)
+        riemann_constants(spec_ab, EPS_W)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_segment reached")
+
+        monkeypatch.setattr(inversion, "integrate_segment", refuse)
+        monkeypatch.setattr(quadrature, "integrate_segment", refuse)
         kernel_passes.clear()
         verify_thm51(c, spec_ab, eps=EPS_W)
-        assert 0 < len(kernel_passes) <= self.PASS_BUDGET[request.node.callspec.id]
+        assert kernel_passes.points == self.PASS_POINTS[preset]
 
     def test_edge_integers_are_those_of_a_fresh_pullback(self, spec_ab, thm51_samples):
         results, _ = thm51_samples(spec_ab, 4, np.random.default_rng(83), eps=EPS_W)

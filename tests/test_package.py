@@ -17,7 +17,8 @@ PACKAGE = ROOT / "src" / "nodal_theta"
 COMMANDS = ("identities", "periods", "thm51", "thm66", "zeroset-plot")
 
 # Functions the five CLI commands never enter, each kept for a named reader:
-# the API that the README documents, or the entry point of a demo.
+# the API that the README documents, the entry point of a demo, or a branch
+# that the presets never take.
 NOT_RUN_BY_THE_CLI = {
     "abel_jacobi.e_phi2",  # README API
     "abel_jacobi.loop_increment",  # demo 03
@@ -26,6 +27,11 @@ NOT_RUN_BY_THE_CLI = {
     "differentials.ThirdKindDifferential.h_at_p1",  # demo 02
     "differentials.ThirdKindDifferential.h1_at_p2",  # demo 02
     "differentials.ThirdKindDifferential._chart",  # the two methods above
+    # ThirdKindDifferential._ell within _ELL_SWITCH of a lattice point, which
+    # eta_coeff takes near p1 and p2 (test_differentials.py::TestEtaCoeff),
+    # and DMap.mobius_coeffs within _ELL_SWITCH of the node, which
+    # estimate_u20_radius takes at radii below 4 _ELL_SWITCH
+    "differentials.ThirdKindDifferential._odd_series",
     "inversion.branch_correction",  # demo 04, README finding 1
 }
 
