@@ -191,11 +191,14 @@ def phi(spec: NodalCurveSpec, P: complex) -> tuple[complex, complex]:
     return phi1(spec, P), phi2(spec, P)
 
 
-def divisor_image(spec: NodalCurveSpec, points) -> tuple[complex, complex]:
-    """Componentwise sum of phi over a finite list of points, with phi2 of
-    all of them from one call."""
-    z = np.asarray(points, dtype=np.complex128)
-    return complex(np.sum(z - spec.z0)), complex(np.sum(phi2(spec, z)))
+def divisor_image(spec: NodalCurveSpec, points, odd=None) -> tuple[complex, complex]:
+    """Componentwise sum of phi over a finite list of cell points, with phi2
+    of all of them from one kernel pass, or from odd, the odd pair at the
+    points from a caller's pass (_ratio_and_r)."""
+    z = np.asarray(points, dtype=np.complex128).ravel()
+    for p in z:
+        _require_inside(spec, p)
+    return complex(np.sum(z - spec.z0)), complex(np.sum(_phi2_at(spec, z, odd)))
 
 
 def loop_increment(spec: NodalCurveSpec, vertices) -> complex:

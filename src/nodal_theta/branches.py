@@ -23,9 +23,13 @@ c + (0, sigma(eps)) mod (0, 1) (see inversion.corrected_shift), so its
 inverse needs no chart; it is the corrected inverse that places the
 curve image inside the zero set of the generalized theta function, so
 zero_set_residual uses it by default, at one kernel pass per point that
-phi2, the genericity guard and Theta share.  thm66_point is the thm66
-suite's one sample: the residual of both inverses at P, from that pass,
-the stated chart's beta_coeff and ray passes, and a Theta pass where the
+phi2, the genericity guard and Theta share.  That pass also holds
+theta[-r1;r2](phi1(p2) - c1), which the guard store keeps for the stated
+chart's beta_coeff.  The stated zero_set_residual builds its chart from
+phi1(P) alone, since c1 = phi1(P) - kappa1 needs no theta, and reads
+phi2(P) from the pass of the chart's ray.  thm66_point is the thm66
+suite's one sample: the residual of both inverses at P, from the
+corrected pass, the stated chart's ray pass, and a Theta pass where the
 stated inverse has a preimage.
 """
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .abel_jacobi import _node_offsets, _phi2_at, phi, phi1
+from .abel_jacobi import _node_offsets, _phi2_at, phi1
 from .curve import NodalCurveSpec, derive_periods
 from .differentials import odd_chars
 from .errors import ContourThroughZero, DegenerateC, NewtonDivergence, NoPreimage, NoValidEpsilon
@@ -138,12 +142,18 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
         sigma = corrected_shift(spec, eps)
         return (_require_generic(spec, c1), complex(v - sigma + k))
     # c2 enters the map only through e(-c2): one DMap serves every trial c2
-    dm = DMap(spec, c1, eps)
+    return _stated_inverse(DMap(spec, c1, eps), v, k)
+
+
+def _stated_inverse(dm: DMap, v: complex, k: int) -> tuple[complex, complex]:
+    """The stated beta_k on its chart dm of (c1, eps): the c = (c1, c2)
+    with dm.d2(c2) = v on sheet k, or NoPreimage or NewtonDivergence as
+    beta_k says."""
     # f(eps) = e(v - c1 r1) is linear in 1/w, w = e(-c2); alpha1(eps) and
     # G(eps) are the last sample of the ray that d2's walk reads
     alpha1, G = (complex(x[-1]) for x in dm.ray())
-    num = eps * alpha1
-    den = dm.beta_coeff * e_func(v - c1 * dm.r1) - G
+    num = dm.eps * alpha1
+    den = dm.beta_coeff * e_func(v - dm.c1 * dm.r1) - G
     if num == 0 or den == 0:
         raise NoPreimage("the closed-form e(-c2) has no finite nonzero value")
     c2 = complex(-np.log(num / den) / TWO_PI_I) + k
@@ -156,13 +166,25 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
         raise NoPreimage(f"the only candidate misses d2 = v by the integer {miss}")
     if abs(f) >= _NEWTON_TOL:
         raise NewtonDivergence(f"the closed-form root misses d2 = v by {abs(f):.2e}")
-    return (c1, c2)
+    return (dm.c1, c2)
 
 
 def theta_residual(u, c, spec: NodalCurveSpec) -> float:
     """|Theta(u - c)|, which vanishes where u - c lies in the zero set."""
     r1, r2, _ = derive_periods(spec)
     return abs(big_theta(u[0] - c[0], u[1] - c[1], spec.tau, r1, r2))
+
+
+def _curve_shift(P, spec: NodalCurveSpec, eps: float, _kappa_cache):
+    """(u1, z, kappa, c1) at the curve point P: u1 = phi1(P), z = [P], the
+    half_tau kappa at eps and the shift c1 = u1 - kappa1, with phi's and
+    then riemann_constants' errors, before any pass."""
+    u1 = phi1(spec, P)
+    z = np.array([P], dtype=np.complex128)
+    _node_offsets(spec, z)
+    if _kappa_cache is None:
+        _kappa_cache = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
+    return u1, z, _kappa_cache, u1 - _kappa_cache[0]
 
 
 def _corrected_point(P, spec: NodalCurveSpec, eps: float, k: int = 0, _kappa_cache=None):
@@ -173,16 +195,11 @@ def _corrected_point(P, spec: NodalCurveSpec, eps: float, k: int = 0, _kappa_cac
     last.  Each value equals its own call's bit for bit (theta), and the
     errors come in that route's order: ValueError outside the cell and
     PoleAt at p1 and p2 before the pass, DegenerateC after it."""
-    u1 = phi1(spec, P)
-    z = np.array([P], dtype=np.complex128)
-    _node_offsets(spec, z)
-    if _kappa_cache is None:
-        _kappa_cache = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
-    c1 = u1 - _kappa_cache[0]
+    u1, z, _kappa_cache, c1 = _curve_shift(P, spec, eps, _kappa_cache)
     r1, r2, _ = derive_periods(spec)
     x = np.array([P, phi1(spec, spec.p1) - c1, phi1(spec, spec.p2) - c1, u1 - c1])
     (th1,), (th2,), (th0,), (thr,) = theta_chars(odd_chars(spec) + ((0.0, 0.0), (-r1, r2)), x, spec.tau)
-    _guard_thetas(spec, c1, th0[1:3])
+    _guard_thetas(spec, c1, (th0[1], th0[2], thr[2]))
     u = (u1, complex(_phi2_at(spec, z, (th1[:1], th2[:1]))[0]))
     c = beta_k(u, spec, eps, k, True, _kappa_cache)
     # Theta's sum as big_theta forms it from a scalar pass
@@ -200,26 +217,32 @@ def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
     u, not only for curve images.  phi2, the genericity guard and Theta
     read one kernel pass (_corrected_point).  The uncorrected inverse
     leaves an order-one residual, which quantifies the branch-cut defect of
-    the stated map; phi2, its node chart and Theta read passes of their
-    own.  The value is independent of k because the generalized theta
-    function is invariant under (0, 1).  _kappa_cache is passed on to
-    beta_k, which says why it stays.
+    the stated map.  Its chart, of c1 = phi1(P) - kappa1, reads phi2(P) in
+    its ray pass, and the guard and beta_coeff read the guard store: right
+    after the corrected residual at P that is its one pass, but for d2's
+    doublings and Theta's where it has a preimage.  Its errors are those
+    of phi(P) and then beta_k.  The value is independent of k because the
+    generalized theta function is invariant under (0, 1).  _kappa_cache is
+    passed on to beta_k, which says why it stays.
     """
     if use_correction:
         return _corrected_point(P, spec, eps, k, _kappa_cache)[0]
-    u = phi(spec, P)
-    return theta_residual(u, beta_k(u, spec, eps, k, False, _kappa_cache), spec)
+    u1, z, kappa, c1 = _curve_shift(P, spec, eps, _kappa_cache)
+    dm = DMap(spec, c1, eps)
+    u = (u1, complex(_phi2_at(spec, z, dm.ray(z)[2:])[0]))
+    return theta_residual(u, _stated_inverse(dm, u[1] - kappa[1], k), spec)
 
 
 def thm66_point(P, spec: NodalCurveSpec, eps: float) -> tuple[float, float | str]:
     """(corrected, stated): the zero_set_residual of the curve point P under
     the corrected and the stated inverse, from one phi(P).  phi(P), the
-    guard of the shift c1 that both inverses share and the corrected Theta
-    read one kernel pass (_corrected_point); the stated inverse's chart
-    reads its beta_coeff and ray passes, and its Theta one where it has a
-    preimage.  stated is "no_preimage" where the stated map has no preimage
-    (NoPreimage) and "diverged" where its root misses (NewtonDivergence).
-    THM66_SKIPS lists what a point raises when its shift is not generic."""
+    guard of the shift c1 that both inverses share, the stated chart's
+    beta_coeff and the corrected Theta read one kernel pass
+    (_corrected_point); the stated inverse's chart reads its ray pass, and
+    its Theta one where it has a preimage.  stated is "no_preimage" where
+    the stated map has no preimage (NoPreimage) and "diverged" where its
+    root misses (NewtonDivergence).  THM66_SKIPS lists what a point raises
+    when its shift is not generic."""
     corrected, u = _corrected_point(P, spec, eps)
     try:
         stated = theta_residual(u, beta_k(u, spec, eps, use_correction=False), spec)

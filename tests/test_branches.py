@@ -15,10 +15,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nodal_theta import inversion, quadrature
-from nodal_theta.abel_jacobi import phi, phi1
+from nodal_theta.abel_jacobi import _chart_g0, phi, phi1
 from nodal_theta.branches import (
     _PERIOD_FRACTIONS,
     _N_CHARTS,
+    _corrected_point,
     _period_moves,
     beta_k,
     estimate_u20_radius,
@@ -37,8 +38,10 @@ from nodal_theta.errors import (
     NoValidEpsilon,
     PoleAt,
 )
+from nodal_theta.quadrature import _N0
 from nodal_theta.inversion import (
     DMap,
+    _pullback_chars,
     corrected_shift,
     kappa_vector,
     riemann_constants,
@@ -372,9 +375,11 @@ class TestZeroSet:
             assert thm66_point(P, spec, EPS_SEL) == (zero_set_residual(P, spec, EPS_SEL), stated)
 
     def test_thm66_point_takes_phi_once(self, cfg_ab, kernel_passes):
-        # with warm caches a point makes one kernel pass fewer than the two
-        # zero_set_residual calls: the stated call's phi2, the one pass of
-        # the odd pair alone; both take phi2 at P from the corrected pass
+        # with warm caches a point makes as many kernel passes as the two
+        # zero_set_residual calls, and neither makes a pass of the odd pair
+        # alone: thm66_point reads phi2 at P from the corrected pass, and
+        # the stated call from its chart's ray pass, one point longer (it
+        # took a pass of its own, one more than thm66_point, until then)
         spec = cfg_ab.spec
         P = grid_points(spec)[1]
         inversion._GUARDS.clear()
@@ -385,13 +390,13 @@ class TestZeroSet:
             zero_set_residual(P, spec, EPS_SEL, use_correction=False)
         except NewtonDivergence:
             pass
-        two_calls = list(kernel_passes)
+        two_calls, two_calls_points = list(kernel_passes), list(kernel_passes.points)
         kernel_passes.clear()
         thm66_point(P, spec, EPS_SEL)
-        assert len(kernel_passes) == len(two_calls) - 1
-        assert two_calls.count(odd_chars(spec)) == 1
-        assert kernel_passes.count(odd_chars(spec)) == 0
+        assert kernel_passes == two_calls
+        assert two_calls.count(odd_chars(spec)) == kernel_passes.count(odd_chars(spec)) == 0
         assert two_calls.count(fused_chars(spec)) == kernel_passes.count(fused_chars(spec)) == 1
+        assert two_calls_points[1] == kernel_passes.points[1] + 1
 
     def test_stated_route_after_the_corrected_makes_no_guard_pass(self, cfg_ab, kernel_passes):
         # the corrected pass stores the guard thetas of its shift c1, which
@@ -417,19 +422,72 @@ class TestZeroSet:
         stated()
         assert kernel_passes.count(((0.0, 0.0),)) == 0
 
-    def test_thm66_point_makes_three_passes(self, spec_a, kappa_a, kernel_passes):
+    def test_thm66_point_makes_two_passes(self, spec_a, kappa_a, kernel_passes):
         # at a fresh point of config A, where the stated inverse has no
-        # preimage: the corrected pass, the chart's beta_coeff and its ray,
-        # where phi2, the guard and Theta once took a pass each (5 in all)
+        # preimage: the corrected pass and the chart's ray.  phi2, the guard
+        # and Theta once took a pass each (5 in all), and beta_coeff took
+        # one until the corrected pass supplied its theta (3)
         spec = spec_a
         P0, P1 = grid_points(spec)[:2]
         inversion._GUARDS.clear()
         thm66_point(P0, spec, EPS_SEL)  # warm-up: per-spec caches
         kernel_passes.clear()
         assert thm66_point(P1, spec, EPS_SEL)[1] == "no_preimage"
-        r1, r2, _ = derive_periods(spec)
         c1 = phi1(spec, P1) - kappa_a[0]
-        assert kernel_passes == [fused_chars(spec), ((-r1, r2),), inversion._pullback_chars(spec, c1)]
+        assert kernel_passes == [fused_chars(spec), _pullback_chars(spec, c1)]
+
+    def test_stated_residual_after_the_corrected_makes_one_pass(self, cfg_ab, monkeypatch, kernel_passes):
+        # right after the corrected residual at the same point, the stated
+        # one reads the guard thetas and beta_coeff's theta from the store
+        # and phi2 at P from its chart's ray pass: that pass is its one
+        # pass where d2's walk needs no doubling, each doubling adds one
+        # chart pass, and a preimage adds Theta's pass
+        spec = cfg_ab.spec
+        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
+        points = grid_points(spec)[:9]
+        zero_set_residual(points[0], spec, EPS_SEL)  # warm-up: per-spec caches
+        outcome(zero_set_residual, points[0], spec, EPS_SEL, 0, False)
+        later_calls = []
+        ray_at = DMap._ray_at
+        monkeypatch.setattr(DMap, "_ray_at", lambda dm, t: later_calls.append(len(t)) or ray_at(dm, t))
+        alone = 0
+        for P in points[1:]:
+            zero_set_residual(P, spec, EPS_SEL)
+            kernel_passes.clear()
+            later_calls.clear()
+            got = outcome(zero_set_residual, P, spec, EPS_SEL, 0, False)
+            doublings = len(later_calls) - 1
+            assert kernel_passes[0] == _pullback_chars(spec, phi1(spec, P) - kap[0])
+            assert kernel_passes.points[0] == _N0 + 2
+            assert len(kernel_passes) == 1 + doublings + isinstance(got, float)
+            alone += doublings == 0
+        assert alone >= 4
+
+    def test_stated_residual_raises_before_its_passes(self, spec_ab, kernel_passes):
+        # outside the cell, at p1 and p2 and for a radius outside
+        # (0, spec.eps] before any pass, and at a degenerate shift before
+        # its chart's pass, with the class and message of the route that
+        # it replaced: phi(P), then the stated beta_k
+        spec = spec_ab
+        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
+        degenerate = reduce_to_cell(spec.p1 + kap[0] - (1 + spec.tau) / 2, spec.q0, spec.tau)
+        outcome(zero_set_residual, grid_points(spec)[0], spec, EPS_SEL, 0, False)  # warm-up: per-spec caches
+
+        def replaced(P, eps):
+            return beta_k(phi(spec, P), spec, eps, 0, False)
+
+        cases = ((spec.point(-0.25, 0.5), ValueError), (spec.p1, PoleAt), (spec.p2, PoleAt), (degenerate, DegenerateC))
+        for P, exc in cases:
+            for eps in (EPS_SEL, 2 * spec.eps):
+                inversion._GUARDS.clear()
+                kernel_passes.clear()
+                got = outcome(zero_set_residual, P, spec, eps, 0, False)
+                degenerate_case = exc is DegenerateC and eps == EPS_SEL
+                assert got[0] is (exc if degenerate_case or exc is not DegenerateC else ValueError)
+                # the guard's own pass where the store lacks c1, then no chart pass
+                assert kernel_passes == ([((0.0, 0.0),)] if degenerate_case else [])
+                inversion._GUARDS.clear()
+                assert outcome(replaced, P, eps) == got
 
     def test_curve_contained_with_corrected_inverse(self, spec_ab):
         spec = spec_ab
@@ -493,16 +551,41 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+def guard_thetas():
+    """The two guard thetas of each entry of the guard store."""
+    return {key: values[:2] for key, values in inversion._GUARDS.items()}
+
+
 def assert_one_pass_keeps_the_bits(P, spec, eps, k):
     """The corrected residual from one pass (zero_set_residual) against the
     composed route, each from an empty guard store: the same value or the
     same exception, and the same stored guard thetas."""
     inversion._GUARDS.clear()
     want = outcome(corrected_residual_composed, P, spec, eps, k)
-    guards = dict(inversion._GUARDS)
+    guards = guard_thetas()
     inversion._GUARDS.clear()
     assert outcome(zero_set_residual, P, spec, eps, k) == want
-    assert inversion._GUARDS == guards
+    assert guard_thetas() == guards
+
+
+def assert_stored_beta_coeff_keeps_the_bits(P, spec, eps):
+    """After the corrected residual at P, the guard store holds theta[-r1;r2]
+    (x2), x2 = phi1(p2) - c1, and the chart of the shift c1 reads beta_coeff
+    from it: beta_coeff equals theta_char((-r1, r2), x2) * g(0) by ==.
+    Returns False, checking nothing, at p1, p2 or a shift that is not
+    generic."""
+    inversion._GUARDS.clear()
+    try:
+        _corrected_point(P, spec, eps)
+    except (DegenerateC, PoleAt):
+        return False
+    kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
+    c1 = phi1(spec, P) - kap[0]
+    r1, r2, _ = derive_periods(spec)
+    want = theta_char((-r1, r2), phi1(spec, spec.p2) - c1, spec.tau)
+    assert inversion._GUARDS[(spec, c1)][2] == want
+    assert DMap(spec, c1, eps).beta_coeff == want * _chart_g0(spec)
+    return True
 
 
 class TestOnePassResidual:
@@ -527,6 +610,20 @@ class TestOnePassResidual:
         spec = generated_spec(tau, q0, coords)
         for i, (s, t) in enumerate(points):
             assert_one_pass_keeps_the_bits(spec.point(s, t), spec, spec.eps / 2, i % 2)
+
+    @pytest.mark.bitwise
+    def test_cli_points_keep_the_bits_of_beta_coeff(self, cfg_ab, preset, cli_rows):
+        spec = cfg_ab.spec
+        points = [complex(row[1]) for row in cli_rows("thm66", preset) if row[0].isdigit()]
+        assert all(assert_stored_beta_coeff_keeps_the_bits(P, spec, EPS_SEL) for P in points)
+
+    @pytest.mark.bitwise
+    @given(**GENERATED_SPECS, points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=4, max_size=4))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_generated_specs_keep_the_bits_of_beta_coeff(self, tau, q0, coords, points):
+        spec = generated_spec(tau, q0, coords)
+        checked = [assert_stored_beta_coeff_keeps_the_bits(spec.point(s, t), spec, spec.eps / 2) for s, t in points]
+        assume(any(checked))
 
     def test_same_exceptions_in_the_same_order(self, spec_ab, kernel_passes):
         # outside the cell and at p1 and p2 the point's own error comes

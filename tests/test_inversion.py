@@ -29,7 +29,7 @@ from nodal_theta.abel_jacobi import chart_g, divisor_image, e_phi2, phi1, phi2
 from nodal_theta.curve import derive_periods, lattice_coords, mod_gamma_decompose, period_group
 from nodal_theta.branches import beta_k
 from nodal_theta.errors import ContourThroughZero, DegenerateC, NoPreimage, NonConvergent, ZeroCollision
-from nodal_theta.differentials import _ELL_SWITCH, third_kind
+from nodal_theta.differentials import _ELL_SWITCH, odd_chars, third_kind
 from nodal_theta import quadrature
 from nodal_theta.quadrature import _N0, _QUAD_TOL, _gl_nodes, _log_change_sampled, integrate_segment, track_log_sampled
 from nodal_theta.inversion import (
@@ -48,7 +48,7 @@ from nodal_theta.inversion import (
     sample_generic_c,
     verify_thm51,
 )
-from nodal_theta.theta import TWO_PI_I, e_func, theta_char
+from nodal_theta.theta import TWO_PI_I, e_func, theta_char, theta_chars
 from conftest import GENERATED_SPECS, frac_norm, generated_spec
 from oracles import (
     H3,
@@ -925,6 +925,20 @@ def assert_chart_matches_four_theta(dm, t):
         assert gap <= 1e-14, f"{name}: fused chart misses the four-theta route by {gap:.2e} of its scale"
 
 
+def assert_the_ray_pass_reads_the_odd_pair(spec, c1, eps, z):
+    """The odd pair that the ray pass of a fresh chart of (c1, eps) reads at
+    the cell points z equals theta_chars(odd_chars(spec), z), and the ray
+    that the pass fills, which the chart keeps, equals a plain ray, each by
+    ==."""
+    dm = DMap(spec, c1, eps)
+    alpha1, G, th1, th2 = dm.ray(z)
+    (want1,), (want2,) = theta_chars(odd_chars(spec), z, spec.tau)
+    assert np.array_equal(th1, want1) and np.array_equal(th2, want2)
+    plain = DMap(spec, c1, eps).ray()
+    assert np.array_equal(alpha1, plain[0]) and np.array_equal(G, plain[1])
+    assert dm.ray()[0] is alpha1
+
+
 class TestFusedChart:
     """The node chart's fused block (DMap._block) against the four-theta
     route it replaced, and the bits of its values and of its ray."""
@@ -973,6 +987,32 @@ class TestFusedChart:
         assert (alpha1[-1], G[-1]) == dm.alpha1_and_G(dm.eps)
         # and D, the chart factor of mobius_coeffs, is G bit for bit
         assert dm.mobius_coeffs(dm.eps)[3] == G[-1]
+
+    @pytest.mark.bitwise
+    def test_the_ray_pass_reads_the_odd_pair(self, cfg_ab, preset, cli_rows):
+        # at 1 to 3 extra points: the zeros of every ok sample of the thm51
+        # suite at its shift c1, as verify_thm51 reads phi2 there, and a
+        # point within _ELL_SWITCH of the node, where the chart's series runs
+        spec = cfg_ab.spec
+        rows = [row for row in cli_rows("thm51", preset) if row[1] == "ok"]
+        assert len(rows) >= 7
+        near = spec.p2 + 0.6 * _ELL_SWITCH * (0.6 + 0.8j)
+        for row in rows:
+            c1, q1, q2 = (complex(row[i]) for i in (2, 5, 6))
+            for z in ([q1, q2], [q2], [q1, near, q2]):
+                assert_the_ray_pass_reads_the_odd_pair(spec, c1, EPS_W, np.array(z))
+
+    @pytest.mark.bitwise
+    @given(**GENERATED_SPECS, c1=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=3))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_the_ray_pass_reads_the_odd_pair_on_generated_specs(self, tau, q0, coords, c1, points):
+        spec = generated_spec(tau, q0, coords)
+        z = np.array([spec.point(s, t) for s, t in points])
+        try:
+            assert_the_ray_pass_reads_the_odd_pair(spec, c1[0] + c1[1] * spec.tau, spec.eps / 2, z)
+        except DegenerateC:
+            assume(False)
 
     @pytest.mark.bitwise
     def test_the_ray_samples_are_the_walks(self, spec_ab, monkeypatch):
@@ -1280,11 +1320,13 @@ class TestInversionCongruence:
     # chart's factor g was anchored by its own e(phi2) pass, 9 (a) and
     # 10 (b) while the zero moments sampled T'/T apart from the cell walk,
     # 8 (a) and 9 (b) while a quadrature panel called its integrand once
-    # per Gauss-Legendre rule, and 7 (a) and 8 (b) while the sample checked
-    # d2 against one quadrature of h3.  The points of each pass: the cell
-    # walk, the zero moments (and a doubling of them on b), the Newton
-    # polish, phi2 at the zeros, the chart's beta_coeff and its ray
-    PASS_POINTS = {"a": [132, 32, 2, 2, 1, 33], "b": [132, 32, 64, 2, 2, 1, 33]}
+    # per Gauss-Legendre rule, 7 (a) and 8 (b) while the sample checked d2
+    # against one quadrature of h3, and 6 (a) and 7 (b) while phi2 at the
+    # zeros took a 2-point pass of its own.  The points of each pass: the
+    # cell walk, the zero moments (and a doubling of them on b), the Newton
+    # polish, the chart's beta_coeff, and its ray with phi2's odd pair at
+    # the two zeros
+    PASS_POINTS = {"a": [132, 32, 2, 1, 35], "b": [132, 32, 64, 2, 1, 35]}
 
     def test_kernel_pass_budget(self, spec_ab, preset, kernel_passes, monkeypatch):
         # d2 is a closed form: with the Riemann constants of the radius warm,
@@ -1302,6 +1344,28 @@ class TestInversionCongruence:
         kernel_passes.clear()
         verify_thm51(c, spec_ab, eps=EPS_W)
         assert kernel_passes.points == self.PASS_POINTS[preset]
+
+    def test_a_repeated_sample_repeats_its_passes(self, spec_ab, kernel_passes, monkeypatch):
+        # the benchmark's traced run makes each thm51 op twice and requires
+        # the same counts both times, the theta_char call of beta_coeff
+        # among them: the chart makes that pass where the guard store lacks
+        # the value and never stores a value it computed itself
+        rng = np.random.default_rng(101)
+        verify_thm51(sample_generic_c(spec_ab, rng)[0], spec_ab, eps=EPS_W)  # warm-up: per-spec caches
+        c, _ = sample_generic_c(spec_ab, rng)
+        r1, r2, _ = derive_periods(spec_ab)
+        calls = []
+        real = inversion.theta_char
+        monkeypatch.setattr(inversion, "theta_char", lambda *args: calls.append(args[0]) or real(*args))
+        runs = []
+        for _ in range(2):
+            kernel_passes.clear()
+            calls.clear()
+            verify_thm51(c, spec_ab, eps=EPS_W)
+            runs.append((list(kernel_passes), list(kernel_passes.points), list(calls)))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == [(-r1, r2)]
+        assert runs[0][0].count(((-r1, r2),)) == 1
 
     def test_edge_integers_are_those_of_a_fresh_pullback(self, spec_ab, thm51_samples):
         results, _ = thm51_samples(spec_ab, 4, np.random.default_rng(83), eps=EPS_W)
