@@ -27,12 +27,11 @@ change of g, which the circle average a_eps reads.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from numbers import Real
 
 import numpy as np
 
-from .curve import NodalCurveSpec, derive_periods, lattice_coords
+from .curve import NodalCurveSpec, _per_spec, derive_periods, lattice_coords
 from .differentials import odd_chars, third_kind
 from .errors import LogBranchUnresolved, PoleAt
 from .quadrature import _log_change_sampled, track_log_sampled
@@ -49,7 +48,7 @@ def _require_inside(spec: NodalCurveSpec, P: complex):
         raise ValueError(f"point {P:.6g} lies outside the closed fundamental cell")
 
 
-@lru_cache(maxsize=16)
+@_per_spec
 def _q_at_z0(spec: NodalCurveSpec) -> complex:
     (th1,), (th2,) = theta_chars(odd_chars(spec), spec.z0, spec.tau)
     return th1 / th2
@@ -91,7 +90,7 @@ def chart_g(spec: NodalCurveSpec, t):
     return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-@lru_cache(maxsize=16)
+@_per_spec
 def _chart_g0(spec: NodalCurveSpec) -> complex:
     """g(0) = theta11(p2 - p1) e(kappa_coeff (p2 - z0)) / (theta11'(0) Q(z0))."""
     return chart_g(spec, 0.0)
@@ -116,7 +115,7 @@ def _ratio_and_r(spec: NodalCurveSpec, z: np.ndarray, odd=None):
     return d1 / d2, (th1 * d2) / (th2 * d1)
 
 
-@lru_cache(maxsize=16)
+@_per_spec
 def _arg_table(spec: NodalCurveSpec) -> np.ndarray:
     """Continuous arg R at the nodes q0 + (i + j tau)/(n - 1), i, j < n.
 
@@ -156,7 +155,7 @@ def _log_q(spec: NodalCurveSpec, z: np.ndarray, odd=None) -> np.ndarray:
     return np.log(ratio) + log_r + TWO_PI_I * turns
 
 
-@lru_cache(maxsize=16)
+@_per_spec
 def _log_q_at_z0(spec: NodalCurveSpec) -> complex:
     return complex(_log_q(spec, np.array([spec.z0]))[0])
 

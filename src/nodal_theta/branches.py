@@ -41,7 +41,7 @@ from .abel_jacobi import _node_offsets, _phi2_at, phi1
 from .curve import NodalCurveSpec, derive_periods
 from .differentials import odd_chars
 from .errors import ContourThroughZero, DegenerateC, NewtonDivergence, NoPreimage, NoValidEpsilon
-from .inversion import DMap, _guard_thetas, _require_generic, corrected_shift, kappa_vector, riemann_constants, sample_generic_c
+from .inversion import DMap, _guards, _require_generic, corrected_shift, kappa_vector, riemann_constants, sample_generic_c
 from .theta import TWO_PI_I, big_theta, e_func, theta_chars
 
 # select_epsilon: draws of c, one node chart each; the Moebius determinant
@@ -129,8 +129,8 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
     has no finite nonzero value, or a zero of T_c lies on the chart ray at
     the candidate.  Otherwise the candidate is a root of the computed map,
     |d2(c2*) - v| < _NEWTON_TOL; NewtonDivergence means it is not, a defect.
-    _kappa_cache, the half_tau kappa at eps, adds nothing, since
-    riemann_constants is cached per (spec, eps); it stays only because the
+    _kappa_cache, the half_tau kappa at eps, adds nothing, since the spec
+    keeps riemann_constants per radius; it stays only because the
     benchmark's workloads (perfbench/workloads.py) pass it.
     """
     if _kappa_cache is None:
@@ -199,7 +199,7 @@ def _corrected_point(P, spec: NodalCurveSpec, eps: float, k: int = 0, _kappa_cac
     r1, r2, _ = derive_periods(spec)
     x = np.array([P, phi1(spec, spec.p1) - c1, phi1(spec, spec.p2) - c1, u1 - c1])
     (th1,), (th2,), (th0,), (thr,) = theta_chars(odd_chars(spec) + ((0.0, 0.0), (-r1, r2)), x, spec.tau)
-    _guard_thetas(spec, c1, (th0[1], th0[2], thr[2]))
+    _guards(spec)[c1] = (th0[1], th0[2], thr[2])
     u = (u1, complex(_phi2_at(spec, z, (th1[:1], th2[:1]))[0]))
     c = beta_k(u, spec, eps, k, True, _kappa_cache)
     # Theta's sum as big_theta forms it from a scalar pass

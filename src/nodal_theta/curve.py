@@ -12,6 +12,7 @@ differential constructed in `differentials`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -113,6 +114,7 @@ class NodalCurveSpec:
         object.__setattr__(self, "z0", z0)
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "_derived", {})  # what other modules derive from it (_per_spec)
         self._validate()
 
     def _validate(self):
@@ -142,6 +144,20 @@ class NodalCurveSpec:
         s, t = lattice_coords(z, self.q0, self.tau)
         slack = _CONTAINS_SLACK
         return -slack <= s <= 1 + slack and -slack <= t <= 1 + slack
+
+
+def _per_spec(build):
+    """build(spec, *args), built on first use and kept on the spec object per
+    args, not in a field: a copy by dataclasses.replace(spec) starts cold."""
+
+    @functools.wraps(build)
+    def derived(spec: NodalCurveSpec, *args):
+        key = (build, *args)
+        if key not in spec._derived:
+            spec._derived[key] = build(spec, *args)
+        return spec._derived[key]
+
+    return derived
 
 
 def derive_periods(spec: NodalCurveSpec) -> tuple[float, float, float]:
@@ -181,17 +197,17 @@ def mod_gamma_decompose(v, pg: PeriodGroup) -> GammaDecomposition:
         for p in (math.floor(p_real), math.ceil(p_real)):
             m = round((vw - p * pg.r1 - q * pg.r2).real)
             residual = (vz - p - q * pg.tau, vw - m - p * pg.r1 - q * pg.r2)
-            candidates.append(GammaDecomposition(m=int(m), p=int(p), q=int(q), residual=residual))
-    dec = min(candidates, key=lambda d: d.residual_norm)
-    m_real = (vw - dec.p * pg.r1 - dec.q * pg.r2).real
-    off = max(abs(p_real - dec.p), abs(q_real - dec.q), abs(m_real - dec.m))
-    if off > 0.25 and dec.residual_norm < 1e-3:
+            candidates.append((math.hypot(abs(residual[0]), abs(residual[1])), m, p, q, residual))
+    norm, m, p, q, residual = min(candidates, key=lambda cand: cand[0])
+    m_real = (vw - p * pg.r1 - q * pg.r2).real
+    off = max(abs(p_real - p), abs(q_real - q), abs(m_real - m))
+    if off > 0.25 and norm < 1e-3:
         warnings.warn(
             f"marginal lattice rounding (offset {off:.3f}); tau may be near-degenerate",
             RuntimeWarning,
             stacklevel=2,
         )
-    return dec
+    return GammaDecomposition(m=m, p=p, q=q, residual=residual)
 
 
 def congruent_mod_gamma(v, w, pg: PeriodGroup, tol: float = 1e-6) -> bool:

@@ -20,11 +20,10 @@ t e(phi2(p2 + t)) (abel_jacobi).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .curve import NodalCurveSpec, derive_periods, lattice_coords
+from .curve import NodalCurveSpec, _per_spec, derive_periods, lattice_coords
 from .errors import NonConvergent, PoleAt
 from .quadrature import integrate_circle, integrate_polyline
 from .theta import _ABS_TOL, _MAX_INDEX, TWO_PI_I, theta_chars
@@ -164,7 +163,7 @@ class ThirdKindDifferential:
         return self._chart(t, self.p2 - self.p1) + self.kappa_coeff
 
 
-@lru_cache(maxsize=8)
+@_per_spec
 def third_kind(spec: NodalCurveSpec) -> ThirdKindDifferential:
     """The spec's differential, built once: eta_coeff, h_at_p1 and h1_at_p2
     are its methods."""

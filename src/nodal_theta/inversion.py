@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,6 +49,7 @@ import numpy as np
 from .abel_jacobi import _chart_g0, _chart_radius, _q_at_z0, a_eps, divisor_image, phi1, phi2
 from .curve import (
     NodalCurveSpec,
+    _per_spec,
     derive_periods,
     lattice_coords,
     mod_gamma_decompose,
@@ -89,28 +89,21 @@ def _theta_scale(tau: complex) -> float:
     return float(np.max(np.abs(theta_char((0.0, 0.0), zs, tau))))
 
 
-# the guard thetas by (spec, c1), least recently used first
-_GUARDS: OrderedDict = OrderedDict()
-_GUARD_ENTRIES = 64
+@_per_spec
+def _guards(spec: NodalCurveSpec) -> dict:
+    """The guard thetas of each shift c1 met on the spec (_guard_thetas)."""
+    return {}
 
 
-def _guard_thetas(spec: NodalCurveSpec, c1, values=None) -> tuple[complex, complex, complex | None]:
-    """(theta00(x1), theta00(x2), theta[-r1;r2](x2)), x_i = phi1(p_i) - c1:
-    values, from a pass that holds all three (branches._corrected_point),
-    else stored, else one pass of the single characteristic (0, 0) at x1
-    and x2, with None for theta[-r1;r2](x2), which only a corrected pass
-    supplies (DMap reads it for beta_coeff).  Stored per (spec, c1), the
-    least recently used going past _GUARD_ENTRIES."""
-    key = (spec, c1)
-    if values is None:
-        values = _GUARDS.get(key)
-    if values is None:
-        values = (*theta_char((0.0, 0.0), np.array([phi1(spec, spec.p1), phi1(spec, spec.p2)]) - c1, spec.tau), None)
-    _GUARDS[key] = values = tuple(values)
-    _GUARDS.move_to_end(key)
-    if len(_GUARDS) > _GUARD_ENTRIES:
-        _GUARDS.popitem(last=False)
-    return values
+def _guard_thetas(spec: NodalCurveSpec, c1) -> tuple[complex, complex, complex | None]:
+    """(theta00(x1), theta00(x2), theta[-r1;r2](x2)), x_i = phi1(p_i) - c1,
+    from the spec's store, where a corrected pass puts all three
+    (branches._corrected_point), else from one pass of theta00 at x1 and
+    x2, stored with None for theta[-r1;r2] (DMap reads it for beta_coeff)."""
+    guards = _guards(spec)
+    if c1 not in guards:
+        guards[c1] = (*theta_char((0.0, 0.0), np.array([phi1(spec, spec.p1), phi1(spec, spec.p2)]) - c1, spec.tau), None)
+    return guards[c1]
 
 
 def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
@@ -121,8 +114,8 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     counts as zero at or below GENERICITY_TOL times theta00's scale over one
     cell.  The chart's residue c_minus1 needs theta[-r1;r2](phi1(p2) - c1)
     != 0 too, which is the p1 guard (see corrected_shift).  Both thetas come
-    from one theta00 pass, stored per (spec, c1) (_guard_thetas), so the
-    pullbacks and charts of one c1 share it.
+    from one theta00 pass, stored per shift c1 on the spec (_guard_thetas),
+    so the draw of c1 and its pullbacks and charts share it.
     """
     scale = GENERICITY_TOL * _theta_scale(spec.tau)
     for name, value in zip(("theta00(phi1(p1) - c1)", "theta00(phi1(p2) - c1)"), _guard_thetas(spec, c1)[:2]):
@@ -491,10 +484,10 @@ class DMap(_FusedSum):
     samples of d2's walk along [0, eps] (`ray`), computed on first use;
     what depends on c2 takes it as an argument.  The genericity guard runs
     once, at construction, and beta_coeff's theta[-r1;r2](x2) comes from
-    the guard store where a corrected pass left it, else from a one-point
-    pass that the chart does not store: so a thm51 sample run twice makes
-    the same passes, which the benchmark's traced run
-    (perfbench/test_smoke.py) requires of its repeated ops.  The residue
+    the spec's guard store (_guard_thetas) where a corrected pass left it,
+    else from a one-point pass that the chart does not store: so a thm51
+    sample run twice makes the same passes, which the benchmark's traced
+    run (perfbench/test_smoke.py) requires of its repeated ops.  The residue
     c_minus1, h3 itself, its value at the node, its quadrature H3, the
     c2-derivative of d2 and the four-theta route to the chart's factors
     are test oracles (tests/oracles.py).
@@ -653,15 +646,15 @@ class RiemannConstants:
     alpha_phi2_integral: complex
 
 
-@lru_cache(maxsize=16)
+@_per_spec
 def riemann_constants(spec: NodalCurveSpec, eps: float) -> RiemannConstants:
     """kappa1 = -tau/2 - phi1(Q0) + phi1(P2) + int_alpha phi1 dz and
     kappa2 = (-tau/2 - phi1(Q0)) r1 + a(eps) + int_alpha phi2 dz.  Only
     int_alpha phi2 dz is a quadrature (to _QUAD_TOL): int_alpha phi1 dz =
     q0 + 1/2 - z0, and a(eps) is closed too, its -log(eps)/(2*pi*i) cancelling
-    the +log(eps)/(2*pi*i) of corrected_shift.  Cached per (spec, eps).
-    Raises ValueError, before any other work, unless eps lies in
-    (0, spec.eps]."""
+    the +log(eps)/(2*pi*i) of corrected_shift.  Built once per radius and
+    kept on the spec.  Raises ValueError, before any other work, unless eps
+    lies in (0, spec.eps]."""
     _chart_radius(spec, eps)
     r1, _, _ = derive_periods(spec)
     diff = third_kind(spec)
@@ -765,8 +758,8 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     result carries the edge integers too, read off the walk that counted
     the zeros, and THM51_SKIPS lists what a non-generic c raises.
 
-    The sample runs no quadrature but the one of riemann_constants, cached
-    per (spec, eps): d2 is a closed form, read only mod Gamma.
+    The sample runs no quadrature but the one of riemann_constants, built
+    once per radius of the spec: d2 is a closed form, read only mod Gamma.
     """
     _chart_radius(spec, eps)
     tp = ThetaPullback(c, spec)

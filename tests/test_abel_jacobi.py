@@ -1,6 +1,7 @@
 """Period map: closed form vs quadrature, cut jumps, monodromy, pole charts."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -106,21 +107,22 @@ class TestPhi2:
         assert abs(phi2(spec_ab, spec_ab.z0)) < 1e-14
 
     def test_one_kernel_pass_per_call(self, spec_a, kernel_passes):
-        # once a spec's arg R table and L(z0) are cached, phi2 reads both odd
-        # thetas of any batch from one pass, and divisor_image makes one call;
-        # Q(z0) is cached too, as the tests before this one may have evicted it
-        phi2(spec_a, spec_a.point(0.37, 0.61))
-        _q_at_z0(spec_a)
+        # once a spec's arg R table and L(z0) are built, phi2 reads both odd
+        # thetas of any batch from one pass, and divisor_image makes one
+        # call; the spec is a cold copy, and Q(z0) is built here too
+        spec = dataclasses.replace(spec_a)
+        phi2(spec, spec.point(0.37, 0.61))
+        _q_at_z0(spec)
         kernel_passes.clear()
-        phi2(spec_a, np.array([spec_a.point(s, 0.3) for s in (0.1, 0.2, 0.6, 0.9)]))
-        assert kernel_passes == [odd_chars(spec_a)]
+        phi2(spec, np.array([spec.point(s, 0.3) for s in (0.1, 0.2, 0.6, 0.9)]))
+        assert kernel_passes == [odd_chars(spec)]
         kernel_passes.clear()
-        divisor_image(spec_a, [spec_a.point(0.2, 0.8), spec_a.point(0.9, 0.6)])
-        assert kernel_passes == [odd_chars(spec_a)]
-        # e(phi2): Q's two odd thetas at z, once Q(z0) is cached
+        divisor_image(spec, [spec.point(0.2, 0.8), spec.point(0.9, 0.6)])
+        assert kernel_passes == [odd_chars(spec)]
+        # e(phi2): Q's two odd thetas at z, once Q(z0) is built
         kernel_passes.clear()
-        e_phi2(spec_a, np.array([spec_a.point(s, 0.7) for s in (0.1, 0.2, 0.6, 0.9)]))
-        assert kernel_passes == [odd_chars(spec_a)]
+        e_phi2(spec, np.array([spec.point(s, 0.7) for s in (0.1, 0.2, 0.6, 0.9)]))
+        assert kernel_passes == [odd_chars(spec)]
 
     @pytest.mark.bitwise
     def test_batch_equals_scalar_calls(self, spec_ab):
@@ -191,7 +193,7 @@ class TestPhi2:
         monkeypatch.setattr(abel_jacobi, "_ARG_STEP", 0.0)
         monkeypatch.setattr(abel_jacobi, "_ARG_NODES_MAX", 65)
         with pytest.raises(LogBranchUnresolved):
-            _arg_table.__wrapped__(spec_a)
+            _arg_table(dataclasses.replace(spec_a))
 
     def test_closed_form_matches_scalar_oracle(self, spec_ab):
         # a 40 x 40 grid of the cell; a different integer branch would show

@@ -9,6 +9,8 @@ they summarize what the containment statement actually delivers
 numerically.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -342,10 +344,9 @@ class TestZeroSet:
         # a corrected residual at a fresh point makes 1 kernel pass, of the
         # odd pair, theta00 and theta[-r1;r2] at four points: phi2, the
         # genericity guard and Theta share it; a chart would add its own pass
-        spec = cfg_ab.spec
+        spec = dataclasses.replace(cfg_ab.spec)  # cold, so that P1's shift c1 is fresh
         P0, P1 = grid_points(spec)[:2]
-        inversion._GUARDS.clear()  # so that P1's shift c1 is fresh
-        zero_set_residual(P0, spec, EPS_SEL)  # warm-up: per-spec caches
+        zero_set_residual(P0, spec, EPS_SEL)  # warm-up: per-spec data
 
         def refuse(*args, **kwargs):
             raise AssertionError("a node chart was built")
@@ -380,10 +381,9 @@ class TestZeroSet:
         # alone: thm66_point reads phi2 at P from the corrected pass, and
         # the stated call from its chart's ray pass, one point longer (it
         # took a pass of its own, one more than thm66_point, until then)
-        spec = cfg_ab.spec
+        spec = dataclasses.replace(cfg_ab.spec)
         P = grid_points(spec)[1]
-        inversion._GUARDS.clear()
-        thm66_point(P, spec, EPS_SEL)  # warm-up: per-spec and per-c1 caches
+        thm66_point(P, spec, EPS_SEL)  # warm-up: per-spec and per-c1 data
         kernel_passes.clear()
         zero_set_residual(P, spec, EPS_SEL)
         try:
@@ -401,36 +401,35 @@ class TestZeroSet:
     def test_stated_route_after_the_corrected_makes_no_guard_pass(self, cfg_ab, kernel_passes):
         # the corrected pass stores the guard thetas of its shift c1, which
         # the stated inverse's chart at the same point reads; alone, the
-        # stated route makes the guard's theta00 pass itself
-        spec = cfg_ab.spec
-        P0, P1 = grid_points(spec)[:2]
-        inversion._GUARDS.clear()
-        thm66_point(P0, spec, EPS_SEL)  # warm-up: per-spec caches
+        # stated route makes the guard's theta00 pass itself.  Each route
+        # starts from a cold copy of the spec, warmed at another point
+        P0, P1 = grid_points(cfg_ab.spec)[:2]
 
-        def stated():
+        def stated(spec):
             try:
                 zero_set_residual(P1, spec, EPS_SEL, use_correction=False)
             except NewtonDivergence:
                 pass
 
-        kernel_passes.clear()
-        stated()
-        assert kernel_passes.count(((0.0, 0.0),)) == 1
-        inversion._GUARDS.clear()
-        zero_set_residual(P1, spec, EPS_SEL)
-        kernel_passes.clear()
-        stated()
-        assert kernel_passes.count(((0.0, 0.0),)) == 0
+        counts = []
+        for corrected_first in (False, True):
+            spec = dataclasses.replace(cfg_ab.spec)
+            thm66_point(P0, spec, EPS_SEL)  # warm-up: per-spec data
+            if corrected_first:
+                zero_set_residual(P1, spec, EPS_SEL)
+            kernel_passes.clear()
+            stated(spec)
+            counts.append(kernel_passes.count(((0.0, 0.0),)))
+        assert counts == [1, 0]
 
     def test_thm66_point_makes_two_passes(self, spec_a, kappa_a, kernel_passes):
         # at a fresh point of config A, where the stated inverse has no
         # preimage: the corrected pass and the chart's ray.  phi2, the guard
         # and Theta once took a pass each (5 in all), and beta_coeff took
         # one until the corrected pass supplied its theta (3)
-        spec = spec_a
+        spec = dataclasses.replace(spec_a)
         P0, P1 = grid_points(spec)[:2]
-        inversion._GUARDS.clear()
-        thm66_point(P0, spec, EPS_SEL)  # warm-up: per-spec caches
+        thm66_point(P0, spec, EPS_SEL)  # warm-up: per-spec data
         kernel_passes.clear()
         assert thm66_point(P1, spec, EPS_SEL)[1] == "no_preimage"
         c1 = phi1(spec, P1) - kappa_a[0]
@@ -467,8 +466,9 @@ class TestZeroSet:
         # outside the cell, at p1 and p2 and for a radius outside
         # (0, spec.eps] before any pass, and at a degenerate shift before
         # its chart's pass, with the class and message of the route that
-        # it replaced: phi(P), then the stated beta_k
-        spec = spec_ab
+        # it replaced: phi(P), then the stated beta_k.  The spec is a cold
+        # copy, so its guard store lacks the degenerate shift
+        spec = dataclasses.replace(spec_ab)
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         degenerate = reduce_to_cell(spec.p1 + kap[0] - (1 + spec.tau) / 2, spec.q0, spec.tau)
         outcome(zero_set_residual, grid_points(spec)[0], spec, EPS_SEL, 0, False)  # warm-up: per-spec caches
@@ -479,14 +479,12 @@ class TestZeroSet:
         cases = ((spec.point(-0.25, 0.5), ValueError), (spec.p1, PoleAt), (spec.p2, PoleAt), (degenerate, DegenerateC))
         for P, exc in cases:
             for eps in (EPS_SEL, 2 * spec.eps):
-                inversion._GUARDS.clear()
                 kernel_passes.clear()
                 got = outcome(zero_set_residual, P, spec, eps, 0, False)
                 degenerate_case = exc is DegenerateC and eps == EPS_SEL
                 assert got[0] is (exc if degenerate_case or exc is not DegenerateC else ValueError)
                 # the guard's own pass where the store lacks c1, then no chart pass
                 assert kernel_passes == ([((0.0, 0.0),)] if degenerate_case else [])
-                inversion._GUARDS.clear()
                 assert outcome(replaced, P, eps) == got
 
     def test_curve_contained_with_corrected_inverse(self, spec_ab):
@@ -551,21 +549,20 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
-def guard_thetas():
-    """The two guard thetas of each entry of the guard store."""
-    return {key: values[:2] for key, values in inversion._GUARDS.items()}
+def guard_thetas(spec):
+    """The two guard thetas of each shift in the spec's guard store."""
+    return {c1: values[:2] for c1, values in inversion._guards(spec).items()}
 
 
 def assert_one_pass_keeps_the_bits(P, spec, eps, k):
     """The corrected residual from one pass (zero_set_residual) against the
-    composed route, each from an empty guard store: the same value or the
-    same exception, and the same stored guard thetas."""
-    inversion._GUARDS.clear()
-    want = outcome(corrected_residual_composed, P, spec, eps, k)
-    guards = guard_thetas()
-    inversion._GUARDS.clear()
-    assert outcome(zero_set_residual, P, spec, eps, k) == want
-    assert guard_thetas() == guards
+    composed route, each on its own cold copy of the spec, so from an empty
+    guard store: the same value or the same exception, and the same stored
+    guard thetas."""
+    composed, one_pass = dataclasses.replace(spec), dataclasses.replace(spec)
+    want = outcome(corrected_residual_composed, P, composed, eps, k)
+    assert outcome(zero_set_residual, P, one_pass, eps, k) == want
+    assert guard_thetas(one_pass) == guard_thetas(composed)
 
 
 def assert_stored_beta_coeff_keeps_the_bits(P, spec, eps):
@@ -574,7 +571,6 @@ def assert_stored_beta_coeff_keeps_the_bits(P, spec, eps):
     from it: beta_coeff equals theta_char((-r1, r2), x2) * g(0) by ==.
     Returns False, checking nothing, at p1, p2 or a shift that is not
     generic."""
-    inversion._GUARDS.clear()
     try:
         _corrected_point(P, spec, eps)
     except (DegenerateC, PoleAt):
@@ -583,7 +579,7 @@ def assert_stored_beta_coeff_keeps_the_bits(P, spec, eps):
     c1 = phi1(spec, P) - kap[0]
     r1, r2, _ = derive_periods(spec)
     want = theta_char((-r1, r2), phi1(spec, spec.p2) - c1, spec.tau)
-    assert inversion._GUARDS[(spec, c1)][2] == want
+    assert inversion._guard_thetas(spec, c1)[2] == want
     assert DMap(spec, c1, eps).beta_coeff == want * _chart_g0(spec)
     return True
 
@@ -637,11 +633,10 @@ class TestOnePassResidual:
         cases = ((spec.point(-0.25, 0.5), ValueError), (spec.p1, PoleAt), (spec.p2, PoleAt), (degenerate, DegenerateC))
         for P, exc in cases:
             for eps in (EPS_SEL, 2 * spec.eps):
-                inversion._GUARDS.clear()
                 kernel_passes.clear()
                 got = outcome(zero_set_residual, P, spec, eps)
                 passes = len(kernel_passes)
                 assert got[0] is (ValueError if exc is DegenerateC and eps != EPS_SEL else exc)
                 assert passes == (exc is DegenerateC and eps == EPS_SEL)
-                inversion._GUARDS.clear()
-                assert outcome(corrected_residual_composed, P, spec, eps) == got
+                # the composed route on a cold copy makes its own guard pass
+                assert outcome(corrected_residual_composed, P, dataclasses.replace(spec), eps) == got

@@ -10,6 +10,7 @@ Independent oracles used here:
 """
 
 import cmath
+import dataclasses
 import math
 import os
 import re
@@ -176,13 +177,43 @@ class TestPullback:
                 ThetaPullback((c1_bad, 0.1), spec)
 
     def test_guard_makes_one_theta00_pass(self, spec_ab, kernel_passes):
-        # both guard thetas from one pass of theta00 itself at the two points
-        inversion._GUARDS.clear()
-        inversion._guard_thetas(spec_ab, 0.3 + 0.2j)
+        # both guard thetas from one pass of theta00 itself at the two
+        # points, on a cold copy of the spec
+        spec = dataclasses.replace(spec_ab)
+        inversion._guard_thetas(spec, 0.3 + 0.2j)
         assert kernel_passes == [((0.0, 0.0),)]
         # then from the store
-        inversion._guard_thetas(spec_ab, 0.3 + 0.2j)
+        inversion._guard_thetas(spec, 0.3 + 0.2j)
         assert len(kernel_passes) == 1
+
+    def test_the_store_keeps_every_drawn_shift(self, spec_ab, kernel_passes):
+        # the spec's guard store keeps each shift for as long as the spec
+        # lives: a sample run after 150 draws makes no guard pass for the
+        # first of them
+        spec = dataclasses.replace(spec_ab)
+        rng = np.random.default_rng(402)
+        shifts = [sample_generic_c(spec, rng)[0] for _ in range(150)]
+        kernel_passes.clear()
+        try:
+            verify_thm51(shifts[0], spec, eps=EPS_W)
+        except THM51_SKIPS:
+            pass
+        assert len(kernel_passes) > 0
+        assert ((0.0, 0.0),) not in kernel_passes
+
+    def test_a_copy_of_the_spec_starts_cold(self, spec_ab, kernel_passes):
+        # dataclasses.replace gives a value-equal spec with its own, empty
+        # store: its first pullback at a shift stored on the original makes
+        # the 2-point guard pass
+        c, _ = sample_generic_c(spec_ab, np.random.default_rng(403))
+        ThetaPullback(c, spec_ab)
+        copy = dataclasses.replace(spec_ab)
+        assert (copy, hash(copy), repr(copy)) == (spec_ab, hash(spec_ab), repr(spec_ab))
+        kernel_passes.clear()
+        ThetaPullback(c, spec_ab)
+        assert ((0.0, 0.0),) not in kernel_passes
+        ThetaPullback(c, copy)
+        assert (kernel_passes[:1], kernel_passes.points[:1]) == ([((0.0, 0.0),)], [2])
 
     def test_residue_theta_is_a_multiple_of_the_p1_theta(self, spec_ab):
         """Why the guards need no theta[-r1;r2](phi1(p2) - c1) of their own.
@@ -1262,6 +1293,26 @@ class TestCorrectedTranslation:
                 call()
 
 
+def assert_corrected_constant(spec):
+    """kappa2(eps) + sigma(eps) is, mod 1, the radius-free
+    K2 = (-tau/2 - phi1(q0)) r1 + int_alpha phi2 dz + r1 (p2 - z0 + r2) - r1^2 tau/2 - 1/2:
+    the log eps of a(eps) and of sigma cancel, and so does Log g(0), up to
+    an integer.  Checked at four radii, to rounding at the scale of the
+    terms |kappa2| + |sigma|."""
+    r1, r2, _ = derive_periods(spec)
+    for eps in (spec.eps, spec.eps / 2, spec.eps / 4, 0.01):
+        rc = riemann_constants(spec, eps)
+        sigma = corrected_shift(spec, eps)
+        k2 = (
+            (-0.5 * spec.tau - phi1(spec, spec.q0)) * r1
+            + rc.alpha_phi2_integral
+            + r1 * (spec.p2 - spec.z0 + r2)
+            - r1 * r1 * spec.tau / 2
+            - 0.5
+        )
+        assert frac_norm(rc.kappa2 + sigma - k2) <= 1e-14 * (abs(rc.kappa2) + abs(sigma))
+
+
 class TestRiemannConstants:
     def test_alpha_phi1_integral_closed_form(self, spec_ab):
         rc = riemann_constants(spec_ab, EPS_W)
@@ -1283,6 +1334,14 @@ class TestRiemannConstants:
         ]
         assert max(abs(s - sums[0]) for s in sums) < 1e-14
 
+    def test_corrected_constant_has_a_closed_form(self, spec_ab):
+        assert_corrected_constant(spec_ab)
+
+    @given(**GENERATED_SPECS)
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_corrected_constant_has_a_closed_form_on_generated_specs(self, tau, q0, coords):
+        assert_corrected_constant(generated_spec(tau, q0, coords))
+
     def test_refinement_stability(self, spec_a):
         # kappa2's one quadrature, int_alpha phi2 dz, redone at a tenth of
         # the package's tolerance moves kappa2 by less than 1e-9
@@ -1299,8 +1358,7 @@ class TestRiemannConstants:
         calls = []
         real = inversion.a_eps
         monkeypatch.setattr(inversion, "a_eps", lambda *args: calls.append(args) or real(*args))
-        riemann_constants.cache_clear()
-        results, _ = thm51_samples(spec_a, 3, np.random.default_rng(71), eps=EPS_W)
+        results, _ = thm51_samples(dataclasses.replace(spec_a), 3, np.random.default_rng(71), eps=EPS_W)
         assert len(results) == 3
         assert len(calls) == 1
 

@@ -35,9 +35,10 @@ NOT_RUN_BY_THE_CLI = {
     "inversion.branch_correction",  # demo 04, README finding 1
 }
 
-# Runs the CLI commands in a fresh interpreter, so that no lru_cache filled
-# by an earlier test hides a function, and writes "module.qualname" of every
-# function of the package entered.
+# Runs the CLI commands in a fresh interpreter, so that no kernel cache
+# (theta's windows, quadrature's nodes) filled by an earlier test hides a
+# function, and writes "module.qualname" of every function of the package
+# entered.  What a spec derives starts cold on each parsed spec anyway.
 _TRAFFIC = """
 import json, sys
 from pathlib import Path
@@ -155,6 +156,24 @@ def test_the_integrals_load_no_polynomial_package():
         text=True,
     )
     assert json.loads(run.stdout.splitlines()[-1]) == []
+
+
+def test_no_spec_level_function_has_a_module_cache():
+    # what a spec derives is kept on the spec (curve._per_spec): a module
+    # cache keyed by the spec's value would be shared by every caller, and
+    # its capacity would show in pass counts
+    caches = {"lru_cache", "functools.lru_cache", "cache", "functools.cache"}
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            params = node.args.posonlyargs + node.args.args
+            for dec in node.decorator_list:
+                name = ast.unparse(dec.func if isinstance(dec, ast.Call) else dec)
+                if params and params[0].arg == "spec" and name in caches:
+                    hits.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not hits, hits
 
 
 def test_the_source_names_no_polynomial_or_lapack_module():
