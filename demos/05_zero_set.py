@@ -4,8 +4,8 @@ zero-set picture for curve points, plus the SVG rendering via the CLI.
 Two facts shown side by side: inverting the corrected map places every curve
 point in the zero set at machine precision (though the corrected criterion
 holds identically in the second coordinate, so it cannot separate off-curve
-points), while the uncorrected map leaves order-one residuals or, as on
-every point below, has no preimage at all.
+points), while the uncorrected map, read mod (0, 1) as the generalized
+Jacobian C^2/Gamma reads it, leaves order-one residuals.
 """
 
 import pathlib

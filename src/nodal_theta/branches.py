@@ -11,28 +11,25 @@ h3 = d/dt log(t*T_c(p2 + t)), so with G0 = beta_coeff
 
 The stated map d2(c2) = c1*r1 + H3(eps; c)/(2*pi*i) = v therefore forces
 f(eps) = e(v - c1*r1), which is linear in 1/w: there is one candidate w*,
-and so one candidate c2* mod 1.  DMap.d2 reads H3 as the continuous log of
-f along [0, eps], so d2(c2*) - v is an integer up to rounding, and a
-nonzero integer certifies that v has no preimage.  Both read one pass of
-the chart: the candidate takes alpha1(eps) and G(eps) from the last
-sample of the chart's ray (DMap.ray), whose samples d2's walk reads.  The
-same identity chooses the radius: c2 -> c2 + s moves d2 by
-Log(f_s/f_0)/(2*pi*i) up to an integer, so select_epsilon needs no log
-walk.  The branch-corrected map is the translation d_corr(eps)(c) =
-c + (0, sigma(eps)) mod (0, 1) (see inversion.corrected_shift), so its
-inverse needs no chart; it is the corrected inverse that places the
-curve image inside the zero set of the generalized theta function, so
-zero_set_residual uses it by default, at one kernel pass per point that
-phi2, the genericity guard and Theta share.  That pass also holds
-theta[-r1;r2](phi1(p2) - c1), which the guard store keeps for the stated
-chart's beta_coeff.  The stated zero_set_residual builds its chart from
-phi1(P) alone, since c1 = phi1(P) - kappa1 needs no theta, and reads
-phi2(P) from the pass of the chart's ray.  thm66_point is the thm66
-suite's one sample: the residual of both inverses at P, from the
-corrected pass, the stated chart's ray pass, and a Theta pass where the
-stated inverse has a preimage.
+and so one candidate c2* mod 1.  The map lands in C^2/Gamma, and Gamma
+holds (0, 1), so DMap.d2 reads H3 as the principal Log f(eps), and
+wherever w* is finite and nonzero c2* is a preimage: d2(c2*) - v is an
+integer up to rounding.  Both read the chart's one pass, alpha1 and G at
+t = eps (DMap.end).  The same identity chooses the radius: c2 -> c2 + s
+moves d2 by Log(f_s/f_0)/(2*pi*i) mod 1.  The branch-corrected map is the
+translation d_corr(eps)(c) = c + (0, sigma(eps)) mod (0, 1) (see
+inversion.corrected_shift), so its inverse needs no chart; it is the
+corrected inverse that places the curve image inside the zero set of the
+generalized theta function, so zero_set_residual uses it by default, at
+one kernel pass per point that phi2, the genericity guard and Theta
+share.  That pass also holds theta[-r1;r2](phi1(p2) - c1), which the
+guard store keeps for the stated chart's beta_coeff.  The stated
+zero_set_residual builds its chart from phi1(P) alone, since c1 =
+phi1(P) - kappa1 needs no theta, and reads phi2(P) from the chart's pass,
+of 2 points.  thm66_point is the thm66 suite's one sample: the residual
+of both inverses at P, from the corrected pass, the stated chart's pass
+of 1 point, and a Theta pass where the stated inverse has a preimage.
 """
-
 from __future__ import annotations
 
 import numpy as np
@@ -40,14 +37,15 @@ import numpy as np
 from .abel_jacobi import _node_offsets, _phi2_at, phi1
 from .curve import NodalCurveSpec, derive_periods
 from .differentials import odd_chars
-from .errors import ContourThroughZero, DegenerateC, NewtonDivergence, NoPreimage, NoValidEpsilon
+from .errors import DegenerateC, NewtonDivergence, NoPreimage, NoValidEpsilon
 from .inversion import DMap, _guards, _require_generic, corrected_shift, kappa_vector, riemann_constants, sample_generic_c
 from .theta import TWO_PI_I, big_theta, e_func, theta_chars
 
 # select_epsilon: draws of c, one node chart each; the Moebius determinant
 # floor relative to scale; the least move of d(eps) under a rational shift
 _N_CHARTS, _U20_DET_FLOOR, _SEP_TOL = 10, 1e-6, 1e-4
-# |d2(c2*) - v| below which the stated closed-form root is accepted
+# distance of d2(c2*) - v from an integer below which the stated
+# closed-form root is accepted
 _NEWTON_TOL = 1e-12
 
 # What a thm66 point may raise: its shift c1 = phi1(P) - kappa1 fails a
@@ -92,8 +90,8 @@ def select_epsilon(spec: NodalCurveSpec, candidates, rng: np.random.Generator | 
     tests read those charts.  Candidates at or above their determinant-bound
     radius (estimate_u20_radius) are skipped.  A candidate is kept when
     |x| = |Log(f_s/f_0)/(2*pi*i)| exceeds _SEP_TOL for every s in
-    _PERIOD_FRACTIONS and every draw.  A log walk of d2 reads x + j, j an
-    integer, and |x + j| >= |x| as |Re x| <= 1/2.
+    _PERIOD_FRACTIONS and every draw.  d2 moves by x + j, j an integer
+    that (0, 1) in Gamma absorbs, and |x + j| >= |x| as |Re x| <= 1/2.
     """
     rng = np.random.default_rng(1106) if rng is None else rng
     cs = [sample_generic_c(spec, rng)[0] for _ in range(_N_CHARTS)]
@@ -122,13 +120,11 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
     function does not see.  With use_correction the branch-corrected map,
     the translation c + (0, sigma(eps)), is inverted with no chart:
     c = (u1 - kappa1, u2 - kappa2 - sigma + k).  Without it, the stated map
-    is solved in closed form for e(-c2) (see the module docstring) from the
-    last sample of the chart's ray, and the closed-form d2 at the
-    candidate, a walk over that ray, gives its integer miss.  NoPreimage
-    means no c2 exists: the candidate misses by a nonzero integer, e(-c2)
-    has no finite nonzero value, or a zero of T_c lies on the chart ray at
-    the candidate.  Otherwise the candidate is a root of the computed map,
-    |d2(c2*) - v| < _NEWTON_TOL; NewtonDivergence means it is not, a defect.
+    is solved in closed form for e(-c2) (see the module docstring) from
+    the chart's one pass at t = eps.  NoPreimage means that e(-c2) has no
+    finite nonzero value; otherwise the candidate is a root of the
+    computed map mod 1, d2(c2*) - v within _NEWTON_TOL of an integer, and
+    NewtonDivergence means it is not, a defect.
     _kappa_cache, the half_tau kappa at eps, adds nothing, since the spec
     keeps riemann_constants per radius; it stays only because the
     benchmark's workloads (perfbench/workloads.py) pass it.
@@ -147,25 +143,20 @@ def beta_k(u, spec: NodalCurveSpec, eps: float, k: int = 0, use_correction: bool
 
 def _stated_inverse(dm: DMap, v: complex, k: int) -> tuple[complex, complex]:
     """The stated beta_k on its chart dm of (c1, eps): the c = (c1, c2)
-    with dm.d2(c2) = v on sheet k, or NoPreimage or NewtonDivergence as
-    beta_k says."""
-    # f(eps) = e(v - c1 r1) is linear in 1/w, w = e(-c2); alpha1(eps) and
-    # G(eps) are the last sample of the ray that d2's walk reads
-    alpha1, G = (complex(x[-1]) for x in dm.ray())
+    with dm.d2(c2) = v mod 1 on sheet k, or NoPreimage or NewtonDivergence
+    as beta_k says."""
+    # f(eps) = e(v - c1 r1) is linear in 1/w, w = e(-c2), with alpha1(eps)
+    # and G(eps) from the chart's end, which d2 reads too
+    alpha1, G = (complex(x[0]) for x in dm.end())
     num = dm.eps * alpha1
     den = dm.beta_coeff * e_func(v - dm.c1 * dm.r1) - G
     if num == 0 or den == 0:
         raise NoPreimage("the closed-form e(-c2) has no finite nonzero value")
     c2 = complex(-np.log(num / den) / TWO_PI_I) + k
-    try:
-        f = dm.d2(c2) - v
-    except ContourThroughZero as exc:
-        raise NoPreimage(f"a zero of T_c lies on the chart ray at the only candidate: {exc}") from exc
-    miss = round(f.real)
-    if miss != 0:
-        raise NoPreimage(f"the only candidate misses d2 = v by the integer {miss}")
-    if abs(f) >= _NEWTON_TOL:
-        raise NewtonDivergence(f"the closed-form root misses d2 = v by {abs(f):.2e}")
+    miss = dm.d2(c2) - v
+    miss -= round(miss.real)
+    if abs(miss) >= _NEWTON_TOL:
+        raise NewtonDivergence(f"the closed-form root misses d2 = v mod 1 by {abs(miss):.2e}")
     return (dm.c1, c2)
 
 
@@ -218,9 +209,9 @@ def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
     read one kernel pass (_corrected_point).  The uncorrected inverse
     leaves an order-one residual, which quantifies the branch-cut defect of
     the stated map.  Its chart, of c1 = phi1(P) - kappa1, reads phi2(P) in
-    its ray pass, and the guard and beta_coeff read the guard store: right
-    after the corrected residual at P that is its one pass, but for d2's
-    doublings and Theta's where it has a preimage.  Its errors are those
+    its pass of 2 points, t = eps and P, and the guard and beta_coeff read
+    the guard store: right after the corrected residual at P that is its
+    one pass but for Theta's where it has a preimage.  Its errors are those
     of phi(P) and then beta_k.  The value is independent of k because the
     generalized theta function is invariant under (0, 1).  _kappa_cache is
     passed on to beta_k, which says why it stays.
@@ -229,7 +220,7 @@ def zero_set_residual(P, spec: NodalCurveSpec, eps: float, k: int = 0,
         return _corrected_point(P, spec, eps, k, _kappa_cache)[0]
     u1, z, kappa, c1 = _curve_shift(P, spec, eps, _kappa_cache)
     dm = DMap(spec, c1, eps)
-    u = (u1, complex(_phi2_at(spec, z, dm.ray(z)[2:])[0]))
+    u = (u1, complex(_phi2_at(spec, z, dm.end(z)[2:])[0]))
     return theta_residual(u, _stated_inverse(dm, u[1] - kappa[1], k), spec)
 
 
@@ -238,10 +229,10 @@ def thm66_point(P, spec: NodalCurveSpec, eps: float) -> tuple[float, float | str
     the corrected and the stated inverse, from one phi(P).  phi(P), the
     guard of the shift c1 that both inverses share, the stated chart's
     beta_coeff and the corrected Theta read one kernel pass
-    (_corrected_point); the stated inverse's chart reads its ray pass, and
-    its Theta one where it has a preimage.  stated is "no_preimage" where
-    the stated map has no preimage (NoPreimage) and "diverged" where its
-    root misses (NewtonDivergence).  THM66_SKIPS lists what a point raises
+    (_corrected_point); the stated inverse's chart reads its pass of 1
+    point, t = eps, and its Theta one where it has a preimage, wherever
+    e(-c2) is finite and nonzero.  stated is "no_preimage" where it is not
+    (NoPreimage) and "diverged" where the root misses (NewtonDivergence).  THM66_SKIPS lists what a point raises
     when its shift is not generic."""
     corrected, u = _corrected_point(P, spec, eps)
     try:

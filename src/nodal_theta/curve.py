@@ -212,7 +212,7 @@ def mod_gamma_decompose(v, pg: PeriodGroup) -> GammaDecomposition:
 
 def congruent_mod_gamma(v, w, pg: PeriodGroup, tol: float = 1e-6) -> bool:
     """True iff v - w lies within tol of the period group Gamma."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     diff = (complex(v[0]) - complex(w[0]), complex(v[1]) - complex(w[1]))
     return mod_gamma_decompose(diff, pg).residual_norm < tol

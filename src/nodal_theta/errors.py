@@ -38,15 +38,14 @@ class DegenerateC(NodalThetaError):
 
 class NewtonDivergence(NodalThetaError):
     """The closed-form root of the stated inverse (branches.beta_k) misses
-    the computed map d2 by 1e-12 (_NEWTON_TOL) or more, which is a defect.
-    No Newton iteration raises it or its subclass NoPreimage; the name stays
-    because callers catch it."""
+    the computed map d2 mod 1 by 1e-12 (_NEWTON_TOL) or more, which is a
+    defect.  No Newton iteration raises it or its subclass NoPreimage; the
+    name stays because callers catch it."""
 
 
 class NoPreimage(NewtonDivergence):
     """The stated map d(eps) has no c2 over the target: its closed-form
-    candidate misses by a nonzero integer, has no finite value, or puts a
-    zero of T_c on the chart ray."""
+    candidate e(-c2) has no finite nonzero value."""
 
 
 class JacobianSingular(NodalThetaError):

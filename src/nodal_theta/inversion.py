@@ -28,13 +28,15 @@ the constant (-tau/2 versus -tau in the first component), reporting the
 residual of each and the edge integers read off the same walk.  The
 Laurent data at p2 and the stated d(eps) come from one node chart per
 (c1, eps), `DMap`, which takes c2 as an argument and reads T_c's four
-thetas at p2 + t through the pullback's fused sum (`_FusedSum`); its ray
-pass also gives phi2 at the located zeros its odd pair.  The
-stated map is d(eps)(c) = (c1, `DMap.d2`(c2)), the log of one chart
-value; its dual route, the quadrature of h3, is a test oracle.  The
-branch-corrected map needs no chart: it is the translation d_corr(eps)(c)
-= c + (0, sigma(eps)) mod (0, 1), sigma = `corrected_shift(spec, eps)`,
-and the branch-cut term is their difference, A = c2 + sigma - d2 mod 1.
+thetas at p2 + t through the pullback's fused sum (`_FusedSum`); its one
+pass, at the chart point t = eps, also gives phi2 at the located zeros
+its odd pair.  The stated map is d(eps)(c) = (c1, `DMap.d2`(c2)), the
+principal log of one chart value, a point of C/Z as Gamma holds (0, 1);
+its dual routes, the quadrature of h3 and the log walk of the chart
+value, are test oracles.  The branch-corrected map needs no chart: it is
+the translation d_corr(eps)(c) = c + (0, sigma(eps)) mod (0, 1), sigma =
+`corrected_shift(spec, eps)`, and the branch-cut term is their
+difference, A = c2 + sigma - d2 mod 1.
 """
 
 from __future__ import annotations
@@ -58,15 +60,7 @@ from .curve import (
 )
 from .differentials import _ELL_SWITCH, odd_chars, third_kind
 from .errors import ContourThroughZero, DegenerateC, ZeroCollision
-from .quadrature import (
-    _N0,
-    _N_MAX,
-    _QUAD_TOL,
-    _snap_winding,
-    _track_edges,
-    integrate_segment,
-    track_log_sampled,
-)
+from .quadrature import _N_MAX, _QUAD_TOL, _snap_winding, _track_edges, integrate_segment
 from .theta import TWO_PI_I, _reduce, _row_sums, _theta_pass, e_func, theta_char
 
 GENERICITY_TOL = 1e-3
@@ -462,8 +456,10 @@ class DMap(_FusedSum):
     So h3 = T'/T + 1/t = f'/f = (A + B w)/(C + D w) with (A, B, C, D) =
     (alpha1 + t alpha1', G', t alpha1, G) independent of c2.  Its integral
     H3(eps) is therefore Log f(eps) + 2*pi*i*n, n the winding of f along
-    [0, eps]: `d2` is this closed form, and the quadrature of h3 over
-    [0, eps] is its dual route, a test oracle.
+    [0, eps].  The map lands in C^2/Gamma, and Gamma holds (0, 1), so n
+    is no part of it: `d2` is the closed form with the principal Log.
+    The quadrature of h3 over [0, eps] and the log walk of f that reads
+    n are its dual routes, test oracles.
 
     The chart reads alpha1 and G from the pullback's fused sum of T_c's
     four thetas at p2 + t (_FusedSum), with K its constant G at c2 = 0:
@@ -480,9 +476,9 @@ class DMap(_FusedSum):
         G' = P_0 e(M w) K [D_r S_1 + S_r D_1 + 2 pi i r1 S_r S_1 - S_r S_1 L] / V,
 
     which divides by neither S_r nor S_1.  The chart holds what does not
-    depend on c2: beta_coeff = G0, and alpha1 and G at the _N0 + 1 first
-    samples of d2's walk along [0, eps] (`ray`), computed on first use;
-    what depends on c2 takes it as an argument.  The genericity guard runs
+    depend on c2: beta_coeff = G0, and alpha1 and G at the one chart point
+    t = eps (`end`), computed on first use; what depends on c2 takes it
+    as an argument.  The genericity guard runs
     once, at construction, and beta_coeff's theta[-r1;r2](x2) comes from
     the spec's guard store (_guard_thetas) where a corrected pass left it,
     else from a one-point pass that the chart does not store: so a thm51
@@ -501,8 +497,10 @@ class DMap(_FusedSum):
         if theta_r is None:
             theta_r = theta_char((-self.r1, self.r2), phi1(spec, spec.p2) - self.c1, spec.tau)
         self.beta_coeff = complex(theta_r) * _chart_g0(spec)
-        self._ray_t = np.arange(_N0 + 1) / _N0 * complex(self.eps)  # the walk's _N0 + 1 first samples
-        self._ray = None  # (alpha1, G) there
+        # the chart point t = eps, as an array, so that f there takes the
+        # array steps that f takes at t = eps in any batch, to the bit
+        self._t = np.array([complex(self.eps)])
+        self._end = None  # (alpha1, G) there
 
     # -- the chart's theta factors and the Moebius coefficients ---------------
 
@@ -578,32 +576,22 @@ class DMap(_FusedSum):
         window pass at p2 + t gives all four thetas with their derivatives."""
         return self._chart_pass(t, (0, 1))
 
-    def ray(self, z=None):
-        """(alpha1, G) at the _N0 + 1 first samples t_j = j eps/_N0 of d2's
-        walk along [0, eps] (quadrature._track_edges), from one pass kept on
-        the chart: the last sample is t = eps.  With z, a 1-d array of cell
-        points, the pass also reads the odd pair there and returns (alpha1,
-        G, theta11(z - p1), theta11(z - p2)), the last two equal to
-        theta_chars(odd_chars(spec), z) bit for bit; the chart keeps the
-        ray of that pass, which equals a plain ray's."""
-        t = self._ray_t
+    def end(self, z=None):
+        """(alpha1, G) at the chart point t = eps, each a 1-element array,
+        from one pass kept on the chart.  With z, a 1-d array of cell
+        points, that pass of 1 + len(z) points also reads the odd pair
+        there and returns (alpha1, G, theta11(z - p1), theta11(z - p2)), the
+        last two equal to theta_chars(odd_chars(spec), z) bit for bit; the
+        chart keeps the (alpha1, G) of that pass, which equal a plain
+        end's."""
         if z is None:
-            if self._ray is None:
-                self._ray = self.alpha1_and_G(t)
-            return self._ray
-        spec, n = self.spec, t.size
-        _, vals = _theta_pass(self._chars, np.concatenate((spec.p2 + t, z)), spec.tau, (0,), 4, self._block)
-        self._ray = (vals[0, :n], vals[1, :n])
-        return self._ray + (vals[2, n:n + len(z)], vals[3, n:n + len(z)])
-
-    def _ray_at(self, t):
-        """(alpha1, G) at the points t of one call of d2's walk: the ray
-        when t is its samples, else one chart pass at t, as for the new
-        midpoints of a doubling and the bisection of failing intervals
-        (quadrature._bisection)."""
-        if len(t) == _N0 + 1 and np.array_equal(t, self._ray_t):
-            return self.ray()
-        return self.alpha1_and_G(t)
+            if self._end is None:
+                self._end = self.alpha1_and_G(self._t)
+            return self._end
+        spec = self.spec
+        _, vals = _theta_pass(self._chars, np.concatenate((spec.p2 + self._t, z)), spec.tau, (0,), 4, self._block)
+        self._end = (vals[0, :1], vals[1, :1])
+        return self._end + (vals[2, 1:1 + len(z)], vals[3, 1:1 + len(z)])
 
     # -- c2-dependent quantities ----------------------------------------------
 
@@ -616,18 +604,13 @@ class DMap(_FusedSum):
         return self._f(t, *self.alpha1_and_G(t), c2)
 
     def d2(self, c2) -> complex:
-        """c1*r1 + H3(eps; (c1, c2))/(2*pi*i), the stated map's second
-        component, with H3 = Log f(eps) + 2*pi*i*n: n comes from the
-        continuous log of f along [0, eps], tracked from f(0) = 1, whose
-        last sample is f(eps).  The walk's first call reads f from the
-        chart's ray, so a c2 whose walk needs no doubling makes no kernel
-        pass of its own; each later call is one chart pass at its own
-        points.  Raises ContourThroughZero when a zero of T_c lies on that
-        segment."""
-        d, f_eps = track_log_sampled(lambda t: self._f(t, *self._ray_at(t), c2), 0j, complex(self.eps))
-        log_f = complex(np.log(f_eps))
-        n = round((d - log_f).imag / (2 * math.pi))
-        return self.c1 * self.r1 + log_f / TWO_PI_I + n
+        """c1*r1 + Log f(eps)/(2*pi*i), the stated map's second component
+        in C/Z: H3(eps; (c1, c2))/(2*pi*i) up to the winding n of f along
+        [0, eps], which (0, 1) in Gamma absorbs.  f(eps) is read from the
+        chart's end (alpha1 and G at t = eps), so after the chart's one
+        pass a d2 makes none; a zero of T_c on [0, eps] does not stop it."""
+        f_eps = complex(self._f(self._t, *self.end(), c2)[0])
+        return self.c1 * self.r1 + complex(np.log(f_eps)) / TWO_PI_I
 
 
 # -- generalized Riemann constants -------------------------------------------
@@ -712,8 +695,8 @@ def branch_correction(dm: DMap, c2, d2) -> complex:
 
         A = c2 + sigma(eps) - d2,
 
-    returned with Re A in [-1/2, 1/2).  d2 = c1 r1 + Log f(eps)/(2*pi*i) + n,
-    f(eps) = eps T_c(p2 + eps)/c_minus1, and the reduction drops the integer n.
+    returned with Re A in [-1/2, 1/2).  d2 = c1 r1 + Log f(eps)/(2*pi*i),
+    f(eps) = eps T_c(p2 + eps)/c_minus1, is read mod 1 as A is.
     """
     a = complex(c2) + corrected_shift(dm.spec, dm.eps) - complex(d2)
     return a - math.floor(a.real + 0.5)
@@ -766,7 +749,7 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     n = count_zeros(tp)
     zeros = locate_zeros(tp)
     dm = DMap(spec, tp.c1, eps)
-    w = divisor_image(spec, list(zeros), dm.ray(np.array(zeros))[2:])
+    w = divisor_image(spec, list(zeros), dm.end(np.array(zeros))[2:])
     d2 = dm.d2(tp.c2)
     d_corr = (tp.c1, tp.c2 + corrected_shift(spec, eps))
     rc = riemann_constants(spec, eps)

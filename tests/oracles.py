@@ -18,7 +18,8 @@ routes.
   instead of the branch-free quotient, and `pullback_terms` sums T_c and
   its derivative from four thetas instead of their combined row sums;
 - the node chart (`inversion.DMap`): its residue `c_minus1`, `h3` itself,
-  `H3`, the quadrature of h3 that is the dual route of `DMap.d2`, the
+  `H3`, the quadrature of h3 that is the dual route of `DMap.d2`,
+  `d2_walked`, the log walk of the chart value that reads d2's integer, the
   criterion-6 facts `h3_zero`, `h3_zero_no_derivative` and
   `h3_zero_defect`, and `d2_dc2` with its finite-difference dual route
   `jacobian_consistency_check`;
@@ -256,6 +257,19 @@ def H3(dm: DMap, c2) -> complex:
     """Quadrature of h3 along the straight segment [0, eps], the dual route
     of the closed form DMap.d2: H3 = 2*pi*i (d2 - c1 r1) up to _QUAD_TOL."""
     return integrate_segment(lambda t: h3(dm, t, c2), 0.0, complex(dm.eps))
+
+
+def d2_walked(dm: DMap, c2) -> complex:
+    """The stated map's second component with its integer: c1 r1 +
+    (Log f(eps) + 2*pi*i*n)/(2*pi*i), n the winding of f along [0, eps]
+    from the continuous log of f tracked from f(0) = 1, whose last sample
+    is f(eps).  DMap.d2 is the same value mod 1, n dropped.  Each call of
+    the walk is one chart pass at its own points.  Raises
+    ContourThroughZero when a zero of T_c lies on that segment."""
+    d, f_eps = track_log_sampled(lambda t: dm.f(t, c2), 0j, complex(dm.eps))
+    log_f = complex(np.log(f_eps))
+    n = round((d - log_f).imag / (2 * math.pi))
+    return dm.c1 * dm.r1 + log_f / TWO_PI_I + n
 
 
 def h3_zero_defect(dm: DMap) -> complex:

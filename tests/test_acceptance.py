@@ -314,15 +314,15 @@ def test_criterion_09_zero_set_containment(preset, cli_rows):
     dt = time.time() - t0
     ok_corrected = max(corrected) < 1e-6 and k_gap < 1e-9 and dt < 180
     stated_containment = bool(literal) and min(literal) < 1e-6
-    best_literal = f"{min(literal):.2e}" if literal else "none"
+    literal_range = f"{min(literal):.2e} to {max(literal):.2e}" if literal else "none"
     off_curve_separates = off > 1e-3
     verdict(
         9,
         "FAIL (as stated) / PASS (corrected, vacuously)"
         if ok_corrected and not stated_containment and not off_curve_separates
         else "FAIL",
-        f"zero-set containment at the CLI's {len(points)} points: stated map FAIL (no preimage at "
-        f"{stated.count('no_preimage')} of {len(points)} points, best curve residual {best_literal}); "
+        f"zero-set containment at the CLI's {len(points)} points: stated map FAIL (curve residual "
+        f"{literal_range} at {len(literal)} of {len(points)} points); "
         f"corrected map PASS (worst {max(corrected):.2e}) "
         f"but vacuously (off-curve control {off:.2e}, not > 1e-3); k-independence "
         f"{k_gap:.2e}; time bound 180s",

@@ -3,8 +3,8 @@
 The corrected inverse places the curve image in the zero set at machine
 precision but does so through an identity that holds for every argument
 (the test pins this vacuity explicitly); the closed-form inverse of the
-uncorrected map leaves an order-one residual on the curve, or certifies that
-the curve point has no preimage.  Both facts are asserted, since together
+uncorrected map, read mod (0, 1), leaves an order-one residual on the
+curve.  Both facts are asserted, since together
 they summarize what the containment statement actually delivers
 numerically.
 """
@@ -40,7 +40,6 @@ from nodal_theta.errors import (
     NoValidEpsilon,
     PoleAt,
 )
-from nodal_theta.quadrature import _N0
 from nodal_theta.inversion import (
     DMap,
     _pullback_chars,
@@ -51,20 +50,20 @@ from nodal_theta.inversion import (
 )
 from nodal_theta.theta import TWO_PI_I, big_theta, theta_char
 from conftest import GENERATED_SPECS, frac_norm, generated_spec
-from oracles import H3, corrected_residual_composed, d2_dc2
+from oracles import H3, corrected_residual_composed, d2_dc2, d2_walked
 
 EPS_SEL = 0.05  # pinned outcome of select_epsilon on the shipped configs
 
 
 def assert_moves_match_walk(spec, c, eps):
     """select_epsilon's closed-form moves x = _period_moves/(2 pi i) against
-    the walked moves d2(c2 + s) - d2(c2) of DMap.d2, its dual route: they
-    agree mod 1, and |x| never exceeds the walked move."""
+    the walked moves d2(c2 + s) - d2(c2) of oracles.d2_walked, their dual
+    route: they agree mod 1, and |x| never exceeds the walked move."""
     closed = _period_moves(DMap(spec, c[0], spec.eps / 2), c[1], eps) / TWO_PI_I
     for j, e in enumerate(eps):
         dm = DMap(spec, c[0], e)
-        base = dm.d2(c[1])
-        walked = np.array([dm.d2(c[1] + s) - base for s in _PERIOD_FRACTIONS])
+        base = d2_walked(dm, c[1])
+        walked = np.array([d2_walked(dm, c[1] + s) - base for s in _PERIOD_FRACTIONS])
         assert np.all(np.abs(closed[:, j]) <= np.abs(walked) + 1e-12)
         assert max(frac_norm(w - x) for w, x in zip(walked, closed[:, j])) < 1e-12
 
@@ -169,9 +168,9 @@ class TestBetaK:
             assert frac_norm(c_back[1] - c[1]) < 1e-9
 
     def test_stated_inverse_makes_one_chart_pass(self, cfg_ab, kernel_passes):
-        # at a fresh c1, with per-spec caches warm: the candidate reads the
-        # last sample of the ray that d2's walk then reads, so the chart's
-        # four thetas take one pass, where the candidate once took its own
+        # at a fresh c1, with per-spec caches warm: the candidate reads
+        # alpha1 and G at t = eps, which d2 then reads, so the chart's four
+        # thetas take one pass, where the candidate once took its own
         spec = cfg_ab.spec
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         rng = np.random.default_rng(23)
@@ -422,45 +421,44 @@ class TestZeroSet:
             counts.append(kernel_passes.count(((0.0, 0.0),)))
         assert counts == [1, 0]
 
-    def test_thm66_point_makes_two_passes(self, spec_a, kappa_a, kernel_passes):
-        # at a fresh point of config A, where the stated inverse has no
-        # preimage: the corrected pass and the chart's ray.  phi2, the guard
-        # and Theta once took a pass each (5 in all), and beta_coeff took
-        # one until the corrected pass supplied its theta (3)
+    def test_thm66_point_makes_three_passes(self, spec_a, kappa_a, kernel_passes):
+        # at a fresh point of config A: the corrected pass, the chart's one
+        # point t = eps and the stated Theta.  phi2, the guard and Theta
+        # once took a pass each (5 in all), beta_coeff took one until the
+        # corrected pass supplied its theta (3), and while the stated map
+        # was read with its integer the point had no preimage, so no
+        # stated Theta ran (2, the chart's pass a 33-sample ray)
         spec = dataclasses.replace(spec_a)
+        r1, r2, _ = derive_periods(spec)
         P0, P1 = grid_points(spec)[:2]
         thm66_point(P0, spec, EPS_SEL)  # warm-up: per-spec data
         kernel_passes.clear()
-        assert thm66_point(P1, spec, EPS_SEL)[1] == "no_preimage"
+        assert isinstance(thm66_point(P1, spec, EPS_SEL)[1], float)
         c1 = phi1(spec, P1) - kappa_a[0]
-        assert kernel_passes == [fused_chars(spec), _pullback_chars(spec, c1)]
+        assert kernel_passes == [fused_chars(spec), _pullback_chars(spec, c1), ((0.0, 0.0), (-r1, r2))]
+        assert kernel_passes.points == [4, 1, 1]
 
-    def test_stated_residual_after_the_corrected_makes_one_pass(self, cfg_ab, monkeypatch, kernel_passes):
+    def test_stated_residual_after_the_corrected_makes_one_pass(self, cfg_ab, kernel_passes):
         # right after the corrected residual at the same point, the stated
         # one reads the guard thetas and beta_coeff's theta from the store
-        # and phi2 at P from its chart's ray pass: that pass is its one
-        # pass where d2's walk needs no doubling, each doubling adds one
-        # chart pass, and a preimage adds Theta's pass
+        # and phi2 at P from its chart's one pass, of 2 points: t = eps and
+        # P.  Theta's pass follows wherever the target has a preimage,
+        # which on the grid is every point (while d2 walked the log of f,
+        # that pass was a 33-sample ray and P, and each doubling of the
+        # walk added one)
         spec = cfg_ab.spec
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
+        r1, r2, _ = derive_periods(spec)
         points = grid_points(spec)[:9]
         zero_set_residual(points[0], spec, EPS_SEL)  # warm-up: per-spec caches
         outcome(zero_set_residual, points[0], spec, EPS_SEL, 0, False)
-        later_calls = []
-        ray_at = DMap._ray_at
-        monkeypatch.setattr(DMap, "_ray_at", lambda dm, t: later_calls.append(len(t)) or ray_at(dm, t))
-        alone = 0
         for P in points[1:]:
             zero_set_residual(P, spec, EPS_SEL)
             kernel_passes.clear()
-            later_calls.clear()
             got = outcome(zero_set_residual, P, spec, EPS_SEL, 0, False)
-            doublings = len(later_calls) - 1
-            assert kernel_passes[0] == _pullback_chars(spec, phi1(spec, P) - kap[0])
-            assert kernel_passes.points[0] == _N0 + 2
-            assert len(kernel_passes) == 1 + doublings + isinstance(got, float)
-            alone += doublings == 0
-        assert alone >= 4
+            assert isinstance(got, float)
+            assert kernel_passes == [_pullback_chars(spec, phi1(spec, P) - kap[0]), ((0.0, 0.0), (-r1, r2))]
+            assert kernel_passes.points == [2, 1]
 
     def test_stated_residual_raises_before_its_passes(self, spec_ab, kernel_passes):
         # outside the cell, at p1 and p2 and for a radius outside
@@ -510,6 +508,28 @@ class TestZeroSet:
         r0 = zero_set_residual(P, spec, EPS_SEL, k=0)
         r1_ = zero_set_residual(P, spec, EPS_SEL, k=1)
         assert abs(r0 - r1_) < 1e-9
+
+    @pytest.mark.bitwise
+    def test_stated_inverse_reads_the_target_mod_one(self, cfg_ab, preset, cli_rows):
+        # Gamma holds (0, 1): at every CLI point u = phi(P), the stated
+        # inverse has a preimage at u2 and at u2 + 1, the same c2 mod 1;
+        # at u2 its residual is the stated zero_set_residual's, bit for
+        # bit, and at u2 + 1 it is the same up to rounding, since
+        # e(v + 1) is not e(v) to the bit.  While the map was read with
+        # its integer, one of the two had no preimage at every point
+        spec = cfg_ab.spec
+        points = [complex(row[1]) for row in cli_rows("thm66", preset) if row[0].isdigit()]
+        assert len(points) == 20
+        for P in points:
+            u = phi(spec, P)
+            c = beta_k(u, spec, EPS_SEL, use_correction=False)
+            shifted = (u[0], u[1] + 1.0)
+            c_shifted = beta_k(shifted, spec, EPS_SEL, use_correction=False)
+            assert c_shifted[0] == c[0]
+            assert frac_norm(c_shifted[1] - c[1]) < 1e-12
+            residual = theta_residual(u, c, spec)
+            assert residual == zero_set_residual(P, spec, EPS_SEL, use_correction=False)
+            assert abs(theta_residual(shifted, c_shifted, spec) - residual) < 1e-12 * max(1.0, residual)
 
     def test_curve_not_contained_with_stated_inverse(self, spec_b):
         # the H3-map inverse leaves an order-one residual on curve points:

@@ -94,6 +94,13 @@ class TestModGamma:
     def test_half_offset_not_congruent(self):
         assert not congruent_mod_gamma((0.0, 0.5), (0.0, 0.0), self.PG, tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        # NaN too: it fails every comparison, so a check of tol <= 0 let it
+        # through and the answer was False whatever v and w were
+        with pytest.raises(ValueError, match="tol must be positive"):
+            congruent_mod_gamma((0.0, 0.0), (0.0, 0.0), self.PG, tol)
+
     def test_second_generator_congruent(self):
         assert congruent_mod_gamma((1.0, self.PG.r1), (0.0, 0.0), self.PG)
 

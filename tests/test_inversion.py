@@ -56,6 +56,7 @@ from oracles import (
     branch_correction_tracked,
     c_minus1,
     chart_factors_four_theta,
+    d2_walked,
     h3,
     h3_zero,
     h3_zero_defect,
@@ -956,23 +957,24 @@ def assert_chart_matches_four_theta(dm, t):
         assert gap <= 1e-14, f"{name}: fused chart misses the four-theta route by {gap:.2e} of its scale"
 
 
-def assert_the_ray_pass_reads_the_odd_pair(spec, c1, eps, z):
-    """The odd pair that the ray pass of a fresh chart of (c1, eps) reads at
-    the cell points z equals theta_chars(odd_chars(spec), z), and the ray
-    that the pass fills, which the chart keeps, equals a plain ray, each by
-    ==."""
+def assert_the_end_pass_reads_the_odd_pair(spec, c1, eps, z):
+    """The odd pair that the pass of a fresh chart of (c1, eps) at t = eps
+    reads at the cell points z equals theta_chars(odd_chars(spec), z), and
+    the (alpha1, G) at t = eps that the pass fills, which the chart keeps,
+    equal a plain end's, each by ==."""
     dm = DMap(spec, c1, eps)
-    alpha1, G, th1, th2 = dm.ray(z)
+    alpha1, G, th1, th2 = dm.end(z)
     (want1,), (want2,) = theta_chars(odd_chars(spec), z, spec.tau)
     assert np.array_equal(th1, want1) and np.array_equal(th2, want2)
-    plain = DMap(spec, c1, eps).ray()
+    plain = DMap(spec, c1, eps).end()
     assert np.array_equal(alpha1, plain[0]) and np.array_equal(G, plain[1])
-    assert dm.ray()[0] is alpha1
+    assert dm.end()[0] is alpha1
 
 
 class TestFusedChart:
     """The node chart's fused block (DMap._block) against the four-theta
-    route it replaced, and the bits of its values and of its ray."""
+    route it replaced, and the bits of its values and of its one point,
+    the end t = eps of the ray [0, eps]."""
 
     def test_matches_the_four_theta_route(self, spec_ab):
         rng = np.random.default_rng(131)
@@ -1013,15 +1015,20 @@ class TestFusedChart:
 
     @pytest.mark.bitwise
     def test_the_ray_ends_at_alpha1_and_G_of_eps(self, spec_ab):
+        # the chart's one point is t = eps, the last of the _N0 + 1 samples
+        # t_j = j eps/_N0 of a walk along the ray [0, eps], bit for bit
         dm = chart(generic_tp(spec_ab))
-        alpha1, G = dm.ray()
-        assert (alpha1[-1], G[-1]) == dm.alpha1_and_G(dm.eps)
+        alpha1, G = dm.end()
+        assert (alpha1[0], G[0]) == dm.alpha1_and_G(dm.eps)
+        ray = dm.alpha1_and_G(np.arange(_N0 + 1) / _N0 * complex(dm.eps))
+        assert (alpha1[0], G[0]) == (ray[0][-1], ray[1][-1])
         # and D, the chart factor of mobius_coeffs, is G bit for bit
-        assert dm.mobius_coeffs(dm.eps)[3] == G[-1]
+        assert dm.mobius_coeffs(dm.eps)[3] == G[0]
 
     @pytest.mark.bitwise
     def test_the_ray_pass_reads_the_odd_pair(self, cfg_ab, preset, cli_rows):
-        # at 1 to 3 extra points: the zeros of every ok sample of the thm51
+        # the chart's pass at t = eps, with 1 to 3 extra points: the zeros
+        # of every ok sample of the thm51
         # suite at its shift c1, as verify_thm51 reads phi2 there, and a
         # point within _ELL_SWITCH of the node, where the chart's series runs
         spec = cfg_ab.spec
@@ -1031,7 +1038,7 @@ class TestFusedChart:
         for row in rows:
             c1, q1, q2 = (complex(row[i]) for i in (2, 5, 6))
             for z in ([q1, q2], [q2], [q1, near, q2]):
-                assert_the_ray_pass_reads_the_odd_pair(spec, c1, EPS_W, np.array(z))
+                assert_the_end_pass_reads_the_odd_pair(spec, c1, EPS_W, np.array(z))
 
     @pytest.mark.bitwise
     @given(**GENERATED_SPECS, c1=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -1041,40 +1048,29 @@ class TestFusedChart:
         spec = generated_spec(tau, q0, coords)
         z = np.array([spec.point(s, t) for s, t in points])
         try:
-            assert_the_ray_pass_reads_the_odd_pair(spec, c1[0] + c1[1] * spec.tau, spec.eps / 2, z)
+            assert_the_end_pass_reads_the_odd_pair(spec, c1[0] + c1[1] * spec.tau, spec.eps / 2, z)
         except DegenerateC:
             assume(False)
 
     @pytest.mark.bitwise
     def test_the_ray_samples_are_the_walks(self, spec_ab, monkeypatch):
-        # d2 reads f from the ray at its walk's first call, and each later
-        # call is one chart pass at the walk's own points, so a walk
-        # evaluates each chart point once.  A second d2 at the same c2
-        # returns the same bits, makes no pass for the first level, and one
-        # chart pass per doubling, at the walk's own points
+        # the log walk of f along the ray [0, eps] (oracles.d2_walked), the
+        # route d2 took until it read f(eps) from the chart's end, starts
+        # at the _N0 + 1 samples t_j = j eps/_N0 and ends at the f(eps)
+        # that d2 reads: d2 is the walked value less its integer n, bit
+        # for bit, also where a zero of T_c just off the ray makes the walk
+        # double and read n = 1
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
         dm = DMap(spec_ab, c[0], EPS_W)
-        c2 = TestDMap.pole_c2(dm) - 0.002  # a zero of T_c just off the ray: the walk doubles
-        walk, passes = [], []
-        track, chart_pass = quadrature._track_edges, dm.alpha1_and_G
-        with monkeypatch.context() as m:
-            m.setattr(quadrature, "_track_edges", lambda f_vec, edges: track(lambda t: walk.append(t.copy()) or f_vec(t), edges))
-            m.setattr(dm, "alpha1_and_G", lambda t: passes.append(np.copy(t)) or chart_pass(t))
-            d = dm.d2(c2)
-            first_walk, first_passes = walk[:], passes[:]
+        walk = []
+        track = quadrature._track_edges
+        monkeypatch.setattr(quadrature, "_track_edges", lambda f_vec, edges: track(lambda t: walk.append(t.copy()) or f_vec(t), edges))
+        for c2, n in ((c[1], 0), (TestDMap.pole_c2(dm) - 0.002, 1)):
             walk.clear()
-            passes.clear()
-            assert dm.d2(c2) == d
-        n_walk = len(first_walk)
-        assert n_walk > 1 and len(first_passes) == n_walk
-        assert all(np.array_equal(t, u) for t, u in zip(first_walk, first_passes))
-        points = np.concatenate(first_passes)
-        assert len(np.unique(points)) == len(points)
-        assert len(walk) == n_walk and len(passes) == n_walk - 1
-        assert all(np.array_equal(t, u) for t, u in zip(walk[1:], passes))
-        t = np.arange(_N0 + 1) / _N0 * complex(dm.eps)
-        assert np.array_equal(walk[0], t)
-        assert all(np.array_equal(a, b) for a, b in zip(dm.ray(), dm.alpha1_and_G(t)))
+            walked = d2_walked(dm, c2)
+            assert dm.d2(c2) + n == walked
+            assert np.array_equal(walk[0], np.arange(_N0 + 1) / _N0 * complex(dm.eps))
+        assert len(walk) > 1
 
 
 class TestH3Map:
@@ -1126,13 +1122,14 @@ class TestDMap:
         assert np.all(np.abs(fs - scalar) <= 1e-15 * np.abs(scalar))
 
     def test_d2_reads_the_ray(self, spec_ab, kernel_passes):
-        # alpha1 and G at the walk's samples are kept on the chart: after
-        # the first d2, a d2 at another c2 whose walk needs no doubling
-        # makes no kernel pass, and gives the value of a fresh chart
+        # alpha1 and G at the ray's end t = eps are kept on the chart: after
+        # the first d2, a d2 at another c2 makes no kernel pass, also at a
+        # c2 that puts a zero of T_c on the ray, and gives the value of a
+        # fresh chart
         tp = generic_tp(spec_ab)
         dm = chart(tp)
         dm.d2(tp.c2)
-        c2s = (tp.c2 + 0.3, 0.1 - 0.2j)
+        c2s = (tp.c2 + 0.3, 0.1 - 0.2j, TestDMap.pole_c2(dm))
         kernel_passes.clear()
         values = [dm.d2(c2) for c2 in c2s]
         assert kernel_passes == []
@@ -1171,7 +1168,7 @@ class TestDMap:
         assert abs(diff - round(diff.real)) < 1e-10
 
     def test_correction_reuses_the_walk_end(self, spec_ab):
-        # A = c2 + sigma - d2, with d2 from the end of d2's walk, against
+        # A = c2 + sigma - d2, with d2 from the chart's end t = eps, against
         # c2 + sigma - c1 r1 - Log f(eps)/(2 pi i) from a fresh f(eps)
         dm = chart(generic_tp(spec_ab))
         c2 = 0.3 - 0.1j
@@ -1187,38 +1184,64 @@ class TestDMap:
         return complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I)
 
     def test_closed_form_d2_matches_h3_quadrature(self, spec_ab, preset, cli_rows):
-        # d2 = c1 r1 + (Log f(eps) + 2 pi i n)/(2 pi i) against the quadrature
-        # of h3, also with a zero of T_c just off the chart ray; at
+        # d2 with its integer, c1 r1 + (Log f(eps) + 2 pi i n)/(2 pi i) from
+        # the log walk of f (oracles.d2_walked), against the quadrature of
+        # h3, also with a zero of T_c just off the chart ray; at
         # pole_c2 - 0.002 the winding n of f along [0, eps] is 1
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
         dm = DMap(spec_ab, c[0], EPS_W)
         pole = self.pole_c2(dm)
         for c2 in (0.0, c[1], 0.3 + 0.1j, 0.77 - 0.2j, pole + 0.05, pole - 0.002):
-            assert abs(dm.d2(c2) - (dm.c1 * dm.r1 + H3(dm, c2) / TWO_PI_I)) < 1e-12
+            assert abs(d2_walked(dm, c2) - (dm.c1 * dm.r1 + H3(dm, c2) / TWO_PI_I)) < 1e-12
         principal = dm.c1 * dm.r1 + np.log(dm.f(dm.eps, pole - 0.002)) / TWO_PI_I
-        assert abs(dm.d2(pole - 0.002) - principal - 1) < 1e-12
+        assert abs(d2_walked(dm, pole - 0.002) - principal - 1) < 1e-12
         # and on every sample that the thm51 suite verifies, within the
-        # quadrature's error budget: c1 and c2 from the sample's row and eps
-        # from the summary, whose 17 significant digits round-trip exactly
+        # quadrature's error budget, where d2 is the walked value mod 1: c1
+        # and c2 from the sample's row and eps from the summary, whose 17
+        # significant digits round-trip exactly
         rows = cli_rows("thm51", preset)
         eps = float(next(cell for cell in rows[-1] if cell.startswith("eps="))[4:])
         samples = [(complex(row[2]), complex(row[3])) for row in rows if row[1] == "ok"]
         assert samples
         for c1, c2 in samples:
             dm = DMap(spec_ab, c1, eps)
-            assert abs(H3(dm, c2) - TWO_PI_I * (dm.d2(c2) - dm.c1 * dm.r1)) <= _QUAD_TOL
+            walked = d2_walked(dm, c2)
+            assert abs(H3(dm, c2) - TWO_PI_I * (walked - dm.c1 * dm.r1)) <= _QUAD_TOL
+            assert frac_norm(dm.d2(c2) - walked) < 1e-12
 
-    def test_zero_on_the_chart_ray_ends_d2_and_the_stated_inverse(self, spec_ab):
+    def test_zero_on_the_chart_ray_leaves_d2_and_the_stated_inverse_finite(self, spec_ab):
+        # a zero of T_c on the ray [0, eps] stops the log walk of f, but
+        # not d2, which reads f at t = eps alone, nor the stated inverse
+        # at a target whose only candidate is that c2
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
         dm = DMap(spec_ab, c[0], EPS_W)
         c2 = self.pole_c2(dm)
         with pytest.raises(ContourThroughZero):
-            dm.d2(c2)
-        # a target whose only stated preimage candidate is that c2
+            d2_walked(dm, c2)
+        d2 = dm.d2(c2)
+        assert cmath.isfinite(d2)
         kap = kappa_vector(riemann_constants(spec_ab, EPS_W), spec_ab, "half_tau")
-        v = dm.c1 * dm.r1 + np.log(dm.f(dm.eps, c2)) / TWO_PI_I
-        with pytest.raises(NoPreimage, match="chart ray"):
-            beta_k((dm.c1 + kap[0], v + kap[1]), spec_ab, EPS_W, use_correction=False, _kappa_cache=kap)
+        c_back = beta_k((dm.c1 + kap[0], d2 + kap[1]), spec_ab, EPS_W, use_correction=False, _kappa_cache=kap)
+        assert frac_norm(c_back[1] - c2) < 1e-9
+        assert frac_norm(dm.d2(c_back[1]) - d2) < 1e-12
+
+    def test_no_chart_method_walks_a_log(self, spec_ab, monkeypatch):
+        # d2, its inverse and the chart's factors read closed forms: no
+        # log walk runs, also at a c2 that puts a zero of T_c on the ray
+        kap = kappa_vector(riemann_constants(spec_ab, EPS_W), spec_ab, "half_tau")  # warm: a(eps) walks
+        c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
+        walks = []
+        track = quadrature._track_edges
+        monkeypatch.setattr(quadrature, "_track_edges", lambda *args: walks.append(args) or track(*args))
+        dm = DMap(spec_ab, c[0], EPS_W)
+        for c2 in (c[1], self.pole_c2(dm)):
+            dm.d2(c2)
+            dm.f(dm.eps, c2)
+            beta_k((dm.c1 + kap[0], dm.d2(c2) + kap[1]), spec_ab, EPS_W, use_correction=False, _kappa_cache=kap)
+        dm.end(np.array([spec_ab.q0 + 0.5]))
+        dm.mobius_coeffs(dm.eps)
+        assert walks == []
+        assert not hasattr(inversion, "track_log_sampled")
 
     @pytest.mark.parametrize("eps", [0.05, 0.03])
     def test_quadrature_meets_closed_form_at_fine_tolerance(self, spec_a, eps):
@@ -1382,9 +1405,10 @@ class TestInversionCongruence:
     # against one quadrature of h3, and 6 (a) and 7 (b) while phi2 at the
     # zeros took a 2-point pass of its own.  The points of each pass: the
     # cell walk, the zero moments (and a doubling of them on b), the Newton
-    # polish, the chart's beta_coeff, and its ray with phi2's odd pair at
-    # the two zeros
-    PASS_POINTS = {"a": [132, 32, 2, 1, 35], "b": [132, 32, 64, 2, 1, 35]}
+    # polish, the chart's beta_coeff, and its one point t = eps with
+    # phi2's odd pair at the two zeros (a 33-sample ray, 35 points, while
+    # d2 walked the log of f along it)
+    PASS_POINTS = {"a": [132, 32, 2, 1, 3], "b": [132, 32, 64, 2, 1, 3]}
 
     def test_kernel_pass_budget(self, spec_ab, preset, kernel_passes, monkeypatch):
         # d2 is a closed form: with the Riemann constants of the radius warm,

@@ -33,6 +33,12 @@ NOT_RUN_BY_THE_CLI = {
     # estimate_u20_radius takes at radii below 4 _ELL_SWITCH
     "differentials.ThirdKindDifferential._odd_series",
     "inversion.branch_correction",  # demo 04, README finding 1
+    # the bisection of a log walk that fails at 256 samples: the cell walk
+    # through a zero and a(eps)'s walk past 256 samples, which no preset
+    # reaches, test_quadrature.py, and the benchmark's deep track
+    "quadrature._bisection",
+    "quadrature._raised",
+    "quadrature._failing",
 }
 
 # Runs the CLI commands in a fresh interpreter, so that no kernel cache

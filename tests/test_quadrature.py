@@ -24,20 +24,17 @@ from mpmath.calculus.quadrature import GaussLegendre
 from nodal_theta import quadrature
 from nodal_theta.abel_jacobi import a_eps
 from nodal_theta.curve import lattice_coords
-from nodal_theta.branches import beta_k
-from nodal_theta.errors import ContourThroughZero, NoPreimage
+from nodal_theta.errors import ContourThroughZero
 from nodal_theta.inversion import (
     DMap,
     ThetaPullback,
     count_zeros,
-    kappa_vector,
     locate_zeros,
-    riemann_constants,
     sample_generic_c,
 )
 from nodal_theta.quadrature import _N_MAX, _N_PROBE, _gl_nodes, _track_edges, integrate_segment, track_log_sampled
 from nodal_theta.theta import TWO_PI_I
-from oracles import track_edges_resampling, winding_number, winding_number_sampled
+from oracles import d2_walked, track_edges_resampling, winding_number, winding_number_sampled
 
 
 def box(spec, s0, s1, t0, t1):
@@ -206,14 +203,15 @@ class TestEachSampleOnce:
         assert_same_walk(tp.value, edges, got)
 
     def test_d2_walk_past_a_zero(self, spec_ab, monkeypatch):
-        # a zero of T_c just off the chart ray: d2's walk doubles, and reads
-        # the ray where the resampling walk reads f afresh
+        # a zero of T_c just off the chart ray: the log walk of f that
+        # reads d2's integer (oracles.d2_walked) doubles, and each of its
+        # calls is one chart pass at its own points
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
         dm = DMap(spec_ab, c[0], 0.03)
         _, _, C, D = dm.mobius_coeffs(np.array([0.37 * dm.eps + 0j]))
         c2 = complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I) - 0.002
         walks = recorded_walks(monkeypatch)
-        dm.d2(c2)
+        d2_walked(dm, c2)
         (_, edges, got), = walks
         assert len(got[0][1]) > 33
         assert_same_walk(lambda t: dm.f(t, c2), edges, got)
@@ -339,8 +337,9 @@ class TestAWalkThroughAZero:
         assert sum(kernel_passes.points) < 400
 
     def test_d2_through_a_zero_on_the_chart_ray(self, spec_ab, kernel_passes):
-        # the stated inverse at a target whose only candidate c2 puts a zero
-        # of T_c on the chart ray at t = 0.37 eps
+        # the log walk of f that reads d2's integer (oracles.d2_walked) at
+        # a c2 that puts a zero of T_c on the chart ray at t = 0.37 eps;
+        # DMap.d2 reads f at t = eps alone and does not walk
         eps = 0.03
         c1 = sample_generic_c(spec_ab, np.random.default_rng(71))[0][0]
         dm = DMap(spec_ab, c1, eps)
@@ -348,12 +347,10 @@ class TestAWalkThroughAZero:
         c2 = complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I)
         with pytest.raises(ContourThroughZero) as ref:
             track_edges_resampling(lambda t: dm.f(t, c2), [(0j, complex(dm.eps))])
-        kap = kappa_vector(riemann_constants(spec_ab, eps), spec_ab, "half_tau")
-        v = dm.c1 * dm.r1 + np.log(dm.f(dm.eps, c2)) / TWO_PI_I
         kernel_passes.clear()
-        with pytest.raises(NoPreimage) as got:
-            beta_k((dm.c1 + kap[0], v + kap[1]), spec_ab, eps, use_correction=False, _kappa_cache=kap)
-        assert str(got.value) == f"a zero of T_c lies on the chart ray at the only candidate: {ref.value}"
+        with pytest.raises(ContourThroughZero) as got:
+            d2_walked(dm, c2)
+        assert str(got.value) == str(ref.value)
         assert sum(kernel_passes.points) < 400
 
 
