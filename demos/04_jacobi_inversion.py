@@ -14,12 +14,12 @@ import numpy as np
 from nodal_theta.cli import parse_config
 from nodal_theta.inversion import (
     THM51_SKIPS,
-    DMap,
     ThetaPullback,
     branch_correction,
     count_zeros,
     locate_zeros,
     sample_generic_c,
+    stated_chart,
     verify_thm51,
 )
 
@@ -33,8 +33,8 @@ print("zero count by the argument principle (pole-corrected):", count_zeros(tp))
 q1, q2 = locate_zeros(tp)
 print(f"zeros: {q1:.10f}  and  {q2:.10f}")
 print(f"residuals: {abs(tp.value(q1)):.2e}, {abs(tp.value(q2)):.2e}")
-dm = DMap(spec, c[0], 0.05)
-print(f"branch-cut term A(eps, c) = {branch_correction(dm, c[1], dm.d2(c[1])):.8f}")
+d2 = stated_chart(spec, c[0], 0.05).d2(c[1])  # the stated map's second component
+print(f"branch-cut term A(eps, c) = {branch_correction(spec, 0.05, c[1], d2):.8f}")
 
 print("\ncongruence residuals over generic shifts (eps = 0.05):")
 results, skipped = [], 0

@@ -18,14 +18,15 @@ from .curve import (
 )
 from .differentials import ThirdKindDifferential, period_integral, third_kind
 from .inversion import (
-    DMap,
     RiemannConstants,
+    StatedChart,
     ThetaPullback,
     Thm51Result,
     branch_correction,
     count_zeros,
     locate_zeros,
     riemann_constants,
+    stated_chart,
     verify_thm51,
 )
 from .theta import (
@@ -37,11 +38,11 @@ from .theta import (
 )
 
 __all__ = [
-    "DMap",
     "GammaDecomposition",
     "NodalCurveSpec",
     "PeriodGroup",
     "RiemannConstants",
+    "StatedChart",
     "ThetaPullback",
     "ThirdKindDifferential",
     "Thm51Result",
@@ -64,6 +65,7 @@ __all__ = [
     "phi2",
     "riemann_constants",
     "select_epsilon",
+    "stated_chart",
     "theta_char",
     "theta_chars",
     "third_kind",

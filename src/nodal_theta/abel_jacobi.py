@@ -91,9 +91,11 @@ def chart_g(spec: NodalCurveSpec, t):
 
 
 @_per_spec
-def _chart_g0(spec: NodalCurveSpec) -> complex:
-    """g(0) = theta11(p2 - p1) e(kappa_coeff (p2 - z0)) / (theta11'(0) Q(z0))."""
-    return chart_g(spec, 0.0)
+def _chart_g(spec: NodalCurveSpec, t: float) -> complex:
+    """g(t) = chart_g(spec, t) at one real chart point, kept on the spec per
+    t: the node chart reads it at t = eps and at t = 0, where it is
+    theta11(p2 - p1) e(kappa_coeff (p2 - z0)) / (theta11'(0) Q(z0))."""
+    return chart_g(spec, t)
 
 
 def _node_offsets(spec: NodalCurveSpec, z: np.ndarray):
@@ -190,14 +192,13 @@ def phi(spec: NodalCurveSpec, P: complex) -> tuple[complex, complex]:
     return phi1(spec, P), phi2(spec, P)
 
 
-def divisor_image(spec: NodalCurveSpec, points, odd=None) -> tuple[complex, complex]:
+def divisor_image(spec: NodalCurveSpec, points) -> tuple[complex, complex]:
     """Componentwise sum of phi over a finite list of cell points, with phi2
-    of all of them from one kernel pass, or from odd, the odd pair at the
-    points from a caller's pass (_ratio_and_r)."""
+    of all of them from one kernel pass."""
     z = np.asarray(points, dtype=np.complex128).ravel()
     for p in z:
         _require_inside(spec, p)
-    return complex(np.sum(z - spec.z0)), complex(np.sum(_phi2_at(spec, z, odd)))
+    return complex(np.sum(z - spec.z0)), complex(np.sum(_phi2_at(spec, z)))
 
 
 def loop_increment(spec: NodalCurveSpec, vertices) -> complex:

@@ -1,5 +1,5 @@
 """Pullback of the generalized theta function along the period map, its
-zeros, the Laurent data at the node chart, the generalized Riemann constants
+zeros, the node chart of the stated map, the generalized Riemann constants
 and the inversion congruence check.
 
 The pullback
@@ -26,15 +26,17 @@ satisfies
 which `verify_thm51`, the thm51 suite's sample, checks for both readings of
 the constant (-tau/2 versus -tau in the first component), reporting the
 residual of each and the edge integers read off the same walk.  The
-Laurent data at p2 and the stated d(eps) come from one node chart per
-(c1, eps), `DMap`, which takes c2 as an argument and reads T_c's four
-thetas at p2 + t through the pullback's fused sum (`_FusedSum`); its one
-pass, at the chart point t = eps, also gives phi2 at the located zeros
-its odd pair.  The stated map is d(eps)(c) = (c1, `DMap.d2`(c2)), the
-principal log of one chart value, a point of C/Z as Gamma holds (0, 1);
-its dual routes, the quadrature of h3 and the log walk of the chart
-value, are test oracles.  The branch-corrected map needs no chart: it is
-the translation d_corr(eps)(c) = c + (0, sigma(eps)) mod (0, 1), sigma =
+stated d(eps) comes from the node chart of (c1, eps), `StatedChart`: f(eps)
+= eps T_c(p2 + eps)/c_minus1 is three theta00 values, at x2 + eps,
+x1 + eps and x1 (x_i = phi1(p_i) - c1), times the chart factor g at eps
+and at 0.  Its one pass (`stated_chart`) is of theta00 alone, which no
+shift c1 changes, so its window is built once per spec; the pass also
+holds the genericity guard's thetas, at x1 and x2.
+The stated map is d(eps)(c) = (c1, `StatedChart.d2`(c2)), the principal log
+of f(eps), a point of C/Z as Gamma holds (0, 1); its dual routes, the
+quadrature of h3 and the log walk of the chart value, are test oracles.
+The branch-corrected map needs no chart: it is the translation
+d_corr(eps)(c) = c + (0, sigma(eps)) mod (0, 1), sigma =
 `corrected_shift(spec, eps)`, and the branch-cut term is their
 difference, A = c2 + sigma - d2 mod 1.
 """
@@ -48,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .abel_jacobi import _chart_g0, _chart_radius, _q_at_z0, a_eps, divisor_image, phi1, phi2
+from .abel_jacobi import _chart_g, _chart_radius, _q_at_z0, a_eps, divisor_image, phi1, phi2
 from .curve import (
     NodalCurveSpec,
     _per_spec,
@@ -58,7 +60,7 @@ from .curve import (
     period_group,
     reduce_to_cell,
 )
-from .differentials import _ELL_SWITCH, odd_chars, third_kind
+from .differentials import odd_chars, third_kind
 from .errors import ContourThroughZero, DegenerateC, ZeroCollision
 from .quadrature import _N_MAX, _QUAD_TOL, _snap_winding, _track_edges, integrate_segment
 from .theta import TWO_PI_I, _reduce, _row_sums, _theta_pass, e_func, theta_char
@@ -89,14 +91,13 @@ def _guards(spec: NodalCurveSpec) -> dict:
     return {}
 
 
-def _guard_thetas(spec: NodalCurveSpec, c1) -> tuple[complex, complex, complex | None]:
-    """(theta00(x1), theta00(x2), theta[-r1;r2](x2)), x_i = phi1(p_i) - c1,
-    from the spec's store, where a corrected pass puts all three
-    (branches._corrected_point), else from one pass of theta00 at x1 and
-    x2, stored with None for theta[-r1;r2] (DMap reads it for beta_coeff)."""
+def _guard_thetas(spec: NodalCurveSpec, c1) -> tuple[complex, complex]:
+    """(theta00(x1), theta00(x2)), x_i = phi1(p_i) - c1, from the spec's
+    store, where a chart's pass puts them (_chart_from), else from one pass
+    of theta00 at x1 and x2, which the store then keeps."""
     guards = _guards(spec)
     if c1 not in guards:
-        guards[c1] = (*theta_char((0.0, 0.0), np.array([phi1(spec, spec.p1), phi1(spec, spec.p2)]) - c1, spec.tau), None)
+        guards[c1] = tuple(theta_char((0.0, 0.0), np.array([phi1(spec, spec.p1), phi1(spec, spec.p2)]) - c1, spec.tau))
     return guards[c1]
 
 
@@ -104,7 +105,8 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     """Name of the first genericity guard that the shift c1 fails, or None.
 
     T_c needs theta00(phi1(p1) - c1) != 0 (its value at p1), and the node
-    chart needs theta00(phi1(p2) - c1) != 0 (the Moebius determinant).  Each
+    chart needs theta00(phi1(p2) - c1) != 0 (alpha1 at the node, the
+    Moebius determinant of h3 there).  Each
     counts as zero at or below GENERICITY_TOL times theta00's scale over one
     cell.  The chart's residue c_minus1 needs theta[-r1;r2](phi1(p2) - c1)
     != 0 too, which is the p1 guard (see corrected_shift).  Both thetas come
@@ -112,7 +114,7 @@ def genericity_failure(spec: NodalCurveSpec, c1) -> str | None:
     so the draw of c1 and its pullbacks and charts share it.
     """
     scale = GENERICITY_TOL * _theta_scale(spec.tau)
-    for name, value in zip(("theta00(phi1(p1) - c1)", "theta00(phi1(p2) - c1)"), _guard_thetas(spec, c1)[:2]):
+    for name, value in zip(("theta00(phi1(p1) - c1)", "theta00(phi1(p2) - c1)"), _guard_thetas(spec, c1)):
         if abs(value) <= scale:
             return name
     return None
@@ -137,13 +139,12 @@ def corrected_shift(spec: NodalCurveSpec, eps: float) -> complex:
     theta[-r1;r2](x2) = e(r1^2 tau/2 - r1 (x2 + r2)) theta00(x1): c cancels but for c2."""
     r1, r2, _ = derive_periods(spec)
     log_eps = math.log(_chart_radius(spec, eps))
-    return r1 * (spec.p2 - spec.z0 + r2) - r1 * r1 * spec.tau / 2 - (cmath.log(_chart_g0(spec)) - log_eps) / TWO_PI_I
+    return r1 * (spec.p2 - spec.z0 + r2) - r1 * r1 * spec.tau / 2 - (cmath.log(_chart_g(spec, 0.0)) - log_eps) / TWO_PI_I
 
 
 def _pullback_chars(spec: NodalCurveSpec, c1: complex) -> tuple:
     """theta00 and theta[-r1;r2] at z - z0 - c1 and the odd pair, all as
-    characteristics at z: T_c's four thetas, which the node chart of c1
-    reads at z = p2 + t."""
+    characteristics at z: T_c's four thetas (ThetaPullback)."""
     r1, r2, _ = derive_periods(spec)
     s = spec.z0 + c1
     return ((0.0, -s), (-r1, r2 - s)) + odd_chars(spec)
@@ -188,14 +189,20 @@ def _table_power(powers, k: int):
     return np.power(powers[1, half], abs(k))
 
 
-class _FusedSum:
-    """T_c's four thetas for one shift c1 (_pullback_chars: theta00 and
-    theta_r at z - z0 - c1, theta11 at z - p1 and at z - p2), summed in one
-    kernel pass at z with their automorphy prefactors folded into theta00's.
+class ThetaPullback:
+    """T_c for one shift c = (c1, c2) on a given curve instance.
+
+    T_c(z) = theta00(x) + theta_r(x) e(phi2(z) - c2), x = z - z0 - c1, with
+    e(phi2(z)) = (Q(z)/Q(z0)) e(r1 (z - z0)), is summed from the row sums S_i
+    of its four thetas (_pullback_chars: theta00 and theta_r at z - z0 - c1,
+    theta11 at z - p1 and at z - p2) in one kernel pass at z, with their
+    automorphy prefactors folded into theta00's:
+
+        T_c = P_0 (S_0 + e(M w) G S_r S_1/S_2).
 
     theta_i = P_i S_i, S_i the row sums of theta._row_sums, and the
     prefactors other than theta00's combine to the table's e(w)^M times a
-    constant G (_odd_pair_factor, at the c2 given).  theta00's prefactor is
+    constant G (_odd_pair_factor, at this c2).  theta00's prefactor is
     P_0 = e(-w)^Q C(Q), with Q = Q_0 = q - m_0 its strip shift and C(Q) =
     e(-Q beta_0 - Q^2 tau/2) one scalar exponential per distinct Q, cached
     per object.  _prefactors builds P_0 once per Q in the range of a block's
@@ -205,17 +212,20 @@ class _FusedSum:
     each point takes the P_0 of its own Q, so its bits depend on that point
     alone.  e(M w) is the table's row |M|.  So a point takes one
     exponential, the table's e(w).  The windows of a new c1 twist cached
-    tau-only Gaussians (theta._window).  The pullback (ThetaPullback) and
-    the node chart (DMap) of c1 each sum their blocks on it."""
+    tau-only Gaussians (theta._window)."""
 
-    def __init__(self, spec: NodalCurveSpec, c1, c2):
-        self.c1 = _require_generic(spec, c1)
+    def __init__(self, c, spec: NodalCurveSpec):
+        self.c2 = complex(c[1])
+        self.c1 = _require_generic(spec, c[0])
         self.spec = spec
         self.r1, self.r2, _ = derive_periods(spec)
         self._chars = _pullback_chars(spec, self.c1)
-        self._power, self._scale = _odd_pair_factor(spec, self._chars, c2)
+        self._power, self._scale = _odd_pair_factor(spec, self._chars, self.c2)
         _, self._beta_0, _ = _reduce(*self._chars[0], spec.tau)
         self._constants = {}  # C(Q) by the strip shifts Q met so far
+        self._walks = {}
+
+    # -- building blocks ----------------------------------------------------
 
     def _theta00_prefactor(self, powers, shift: int):
         """P_0 = e(-w)^Q C(Q) at every point of a block, for one strip shift
@@ -236,23 +246,6 @@ class _FusedSum:
         for shift in range(lo + 1, hi + 1):
             np.copyto(p_0, self._theta00_prefactor(powers, shift), where=q == shift + m_0)
         return p_0, _table_power(powers, self._power) * self._scale
-
-
-class ThetaPullback(_FusedSum):
-    """T_c for one shift c = (c1, c2) on a given curve instance.
-
-    T_c(z) = theta00(x) + theta_r(x) e(phi2(z) - c2), x = z - z0 - c1, with
-    e(phi2(z)) = (Q(z)/Q(z0)) e(r1 (z - z0)), is summed from the row sums S_i
-    of its four thetas in one kernel pass at z (_FusedSum), G at this c2:
-
-        T_c = P_0 (S_0 + e(M w) G S_r S_1/S_2)."""
-
-    def __init__(self, c, spec: NodalCurveSpec):
-        self.c2 = complex(c[1])
-        super().__init__(spec, c[0], self.c2)
-        self._walks = {}
-
-    # -- building blocks ----------------------------------------------------
 
     def _block(self, z, tau, window_set, out):
         """T_c, and dT_c/dz when out has two rows, at the points z of one
@@ -443,174 +436,86 @@ def locate_zeros(tp: ThetaPullback) -> tuple[complex, complex]:
 # -- the node chart and the d-map ---------------------------------------------
 
 
-class DMap(_FusedSum):
-    """The node chart z = p2 + t of T_c for one (c1, eps), and the second
-    component of d(eps)(c) as a function of c2.
+@dataclass(frozen=True)
+class StatedChart:
+    """The node chart z = p2 + t of T_c for one (c1, eps), reduced to what
+    the stated map reads of it: the second component of d(eps)(c) as a
+    function of c2.
 
-    With w = e(-c2), g(t) = t e(phi2(p2 + t)) (`abel_jacobi.chart_g`),
-    G(t) = theta[-r1;r2](x2 + t) g(t) and G0 = G(0) = beta_coeff, the chart
-    reads t T_c(p2 + t) = c_minus1 f(t), where c_minus1 = G0 w and
+    With x_i = phi1(p_i) - c1 and g(t) = t e(phi2(p2 + t))
+    (`abel_jacobi.chart_g`), alpha1 = theta00(x2 + eps), G =
+    theta[-r1;r2](x2 + eps) g(eps) and beta_coeff = G0 = theta[-r1;r2](x2)
+    g(0), the chart reads eps T_c(p2 + eps) = c_minus1 f(eps), where
+    c_minus1 = G0 e(-c2) and
 
-        f(t) = (t alpha1(t)/w + G(t))/G0,   f(0) = 1.
+        f(eps) = (eps alpha1 e(c2) + G)/G0.
 
-    So h3 = T'/T + 1/t = f'/f = (A + B w)/(C + D w) with (A, B, C, D) =
-    (alpha1 + t alpha1', G', t alpha1, G) independent of c2.  Its integral
-    H3(eps) is therefore Log f(eps) + 2*pi*i*n, n the winding of f along
-    [0, eps].  The map lands in C^2/Gamma, and Gamma holds (0, 1), so n
-    is no part of it: `d2` is the closed form with the principal Log.
-    The quadrature of h3 over [0, eps] and the log walk of f that reads
-    n are its dual routes, test oracles.
+    h3 = T'/T + 1/t is f'/f on the chart, a Moebius form in e(-c2), so its
+    integral H3(eps) along [0, eps] is Log f(eps) + 2*pi*i*n, n the winding
+    of f.  The map lands in C^2/Gamma, and Gamma holds (0, 1), so n is no
+    part of it: `d2` is the closed form with the principal Log.  The
+    quadrature of h3, the log walk of f that reads n, the residue c_minus1
+    and the four-theta route to the chart's factors at any t are test
+    oracles (tests/oracles.py)."""
 
-    The chart reads alpha1 and G from the pullback's fused sum of T_c's
-    four thetas at p2 + t (_FusedSum), with K its constant G at c2 = 0:
+    c1: complex
+    r1: float
+    eps: float
+    alpha1: complex
+    G: complex
+    beta_coeff: complex
 
-        alpha1 = P_0 S_0,   G = P_0 e(M w) K S_r S_1 / V,   V = S_2/t,
-
-    and within _ELL_SWITCH of the node V = o(t)/P_2, o(t) = theta11(t)/t
-    from its Taylor series (ThirdKindDifferential._odd_over_t_series) and P_2
-    theta11's prefactor, so G is regular at t = 0.  A point takes one
-    exponential, and a point within _ELL_SWITCH one more, for P_2.  The
-    derivatives are the quotient rule on the order-1 sums D_i, as in
-    ThetaPullback._block, with L = V'/V = D_2/S_2 - 1/t (o'/o near the node):
-
-        G' = P_0 e(M w) K [D_r S_1 + S_r D_1 + 2 pi i r1 S_r S_1 - S_r S_1 L] / V,
-
-    which divides by neither S_r nor S_1.  The chart holds what does not
-    depend on c2: beta_coeff = G0, and alpha1 and G at the one chart point
-    t = eps (`end`), computed on first use; what depends on c2 takes it
-    as an argument.  The genericity guard runs
-    once, at construction, and beta_coeff's theta[-r1;r2](x2) comes from
-    the spec's guard store (_guard_thetas) where a corrected pass left it,
-    else from a one-point pass that the chart does not store: so a thm51
-    sample run twice makes the same passes, which the benchmark's traced
-    run (perfbench/test_smoke.py) requires of its repeated ops.  The residue
-    c_minus1, h3 itself, its value at the node, its quadrature H3, the
-    c2-derivative of d2 and the four-theta route to the chart's factors
-    are test oracles (tests/oracles.py).
-    """
-
-    def __init__(self, spec: NodalCurveSpec, c1, eps: float):
-        self.eps = _chart_radius(spec, eps)
-        super().__init__(spec, c1, 0.0)
-        self.diff = third_kind(spec)
-        theta_r = _guard_thetas(spec, self.c1)[2]
-        if theta_r is None:
-            theta_r = theta_char((-self.r1, self.r2), phi1(spec, spec.p2) - self.c1, spec.tau)
-        self.beta_coeff = complex(theta_r) * _chart_g0(spec)
-        # the chart point t = eps, as an array, so that f there takes the
-        # array steps that f takes at t = eps in any batch, to the bit
-        self._t = np.array([complex(self.eps)])
-        self._end = None  # (alpha1, G) there
-
-    # -- the chart's theta factors and the Moebius coefficients ---------------
-
-    def _block(self, z, tau, window_set, out):
-        """(alpha1, G), or (A, B, C, D) for orders (0, 1), at the chart points
-        z = p2 + t of one block, t = z - p2 (see the class docstring); for
-        order 0 with four rows out, (alpha1, G, theta11(z - p1), theta11(z -
-        p2)), the odd pair with its prefactors as theta._block_pass forms
-        them, so it equals theta_chars(odd_chars(spec), z) bit for bit.
-        Every step runs on the block's padded points, or on those of its
-        points that lie within _ELL_SWITCH of the node, so a point's values
-        do not depend on its batch."""
-        n = len(window_set.orders)
-        sums = np.empty((4 * n, len(z)), dtype=np.complex128)
-        w, powers, q, lo, hi = _row_sums(z, tau, window_set, sums)
-        if len(out) > 2 * n:
-            shift = q - window_set.m[2:]
-            odd = (window_set.a_red[2:] - shift) * w - shift * (0.5 * (shift * tau) + window_set.beta[2:])
-            np.exp(TWO_PI_I * odd, out=odd)
-            np.multiply(sums[2:], odd, out=out[2:])
-        p_0, xg = self._prefactors(window_set, powers, q, lo, hi)
-        xg *= p_0
-        s_0, s_r, s_1, s_2 = sums[::n]
-        t = z - self.spec.p2
-        small = np.abs(t) < _ELL_SWITCH
-        big = ~small
-        v = np.divide(s_2, t, out=np.empty_like(t), where=big)
-        if n == 2:
-            d_0, d_r, d_1, d_2 = sums[1::2]
-            ell = np.divide(d_2, s_2, out=np.empty_like(t), where=big)
-            ell -= np.divide(1.0, t, out=np.zeros_like(t), where=big)
-        if small.any():
-            # P_2 as theta._block_pass forms it, one exponential per point
-            shift = q[small] - window_set.m[3, 0]
-            p_2 = (window_set.a_red[3, 0] - shift) * w[small] - shift * (0.5 * (shift * tau) + window_set.beta[3, 0])
-            np.exp(TWO_PI_I * p_2, out=p_2)
-            if n == 1:
-                o = self.diff._odd_over_t_series(t[small])
-            else:
-                o, ell[small] = self.diff._odd_series(t[small])
-            v[small] = o / p_2
-        u = s_r * s_1
-        G = u / v
-        G *= xg
-        if n == 1:
-            np.multiply(s_0, p_0, out=out[0])
-            out[1] = G
-            return
-        alpha1 = s_0 * p_0
-        dG = d_r * s_1 + s_r * d_1 + (TWO_PI_I * self.r1) * u
-        dG -= u * ell
-        dG /= v
-        dG *= xg
-        out[0] = alpha1 + t * (d_0 * p_0)
-        out[1], out[2], out[3] = dG, t * alpha1, G
-
-    def _chart_pass(self, t, orders):
-        """The chart block's rows at a chart point t or an array of them,
-        from one window pass of the four thetas at p2 + t."""
-        t = np.asarray(t, dtype=np.complex128)
-        z, vals = _theta_pass(self._chars, self.spec.p2 + t, self.spec.tau, orders, 2 * len(orders), self._block)
-        return tuple(complex(v[0]) if z.ndim == 0 else v[:z.size].reshape(z.shape) for v in vals)
-
-    def alpha1_and_G(self, t):
-        """(alpha1(t), G(t)) = (theta00(x2 + t), theta[-r1;r2](x2 + t) g(t)),
-        the chart's two theta factors, from one window pass at p2 + t; G is
-        the residue factor of the chart."""
-        return self._chart_pass(t, (0,))
-
-    def mobius_coeffs(self, t):
-        """(A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G), so that
-        h3 = (A + B e(-c2)) / (C + D e(-c2)); nothing is divided by t.  One
-        window pass at p2 + t gives all four thetas with their derivatives."""
-        return self._chart_pass(t, (0, 1))
-
-    def end(self, z=None):
-        """(alpha1, G) at the chart point t = eps, each a 1-element array,
-        from one pass kept on the chart.  With z, a 1-d array of cell
-        points, that pass of 1 + len(z) points also reads the odd pair
-        there and returns (alpha1, G, theta11(z - p1), theta11(z - p2)), the
-        last two equal to theta_chars(odd_chars(spec), z) bit for bit; the
-        chart keeps the (alpha1, G) of that pass, which equal a plain
-        end's."""
-        if z is None:
-            if self._end is None:
-                self._end = self.alpha1_and_G(self._t)
-            return self._end
-        spec = self.spec
-        _, vals = _theta_pass(self._chars, np.concatenate((spec.p2 + self._t, z)), spec.tau, (0,), 4, self._block)
-        self._end = (vals[0, :1], vals[1, :1])
-        return self._end + (vals[2, 1:1 + len(z)], vals[3, 1:1 + len(z)])
-
-    # -- c2-dependent quantities ----------------------------------------------
-
-    def _f(self, t, alpha1, G, c2):
-        return (t * alpha1 * e_func(c2) + G) / self.beta_coeff
-
-    def f(self, t, c2):
-        """f(t) = t T_c(p2 + t)/c_minus1 = (t alpha1(t)/w + G(t))/G0, w = e(-c2); f(0) = 1.
-        t and c2 broadcast: one window pass at p2 + t serves every c2."""
-        return self._f(t, *self.alpha1_and_G(t), c2)
+    def f(self, c2):
+        """f(eps) = (eps alpha1 e(c2) + G)/G0 at c2, a scalar or an array."""
+        return (self.eps * self.alpha1 * e_func(c2) + self.G) / self.beta_coeff
 
     def d2(self, c2) -> complex:
-        """c1*r1 + Log f(eps)/(2*pi*i), the stated map's second component
-        in C/Z: H3(eps; (c1, c2))/(2*pi*i) up to the winding n of f along
-        [0, eps], which (0, 1) in Gamma absorbs.  f(eps) is read from the
-        chart's end (alpha1 and G at t = eps), so after the chart's one
-        pass a d2 makes none; a zero of T_c on [0, eps] does not stop it."""
-        f_eps = complex(self._f(self._t, *self.end(), c2)[0])
-        return self.c1 * self.r1 + complex(np.log(f_eps)) / TWO_PI_I
+        """c1*r1 + Log f(eps)/(2*pi*i), the stated map's second component in
+        C/Z: H3(eps; (c1, c2))/(2*pi*i) up to the winding n of f along
+        [0, eps], which (0, 1) in Gamma absorbs.  It makes no kernel pass,
+        and a zero of T_c on [0, eps] does not stop it."""
+        return self.c1 * self.r1 + cmath.log(self.f(c2)) / TWO_PI_I
+
+
+def _chart_points(spec: NodalCurveSpec, c1: complex, eps: float) -> np.ndarray:
+    """x2 + eps, x1 + eps, x1 and x2, x_i = phi1(p_i) - c1: where the node
+    chart of (c1, eps) reads theta00 (_chart_from)."""
+    x1, x2 = phi1(spec, spec.p1) - c1, phi1(spec, spec.p2) - c1
+    return np.array([x2 + eps, x1 + eps, x1, x2])
+
+
+def _chart_from(spec: NodalCurveSpec, c1: complex, eps: float, theta00) -> StatedChart:
+    """The StatedChart of (c1, eps) from theta00 at _chart_points(spec, c1,
+    eps), a radius already checked.  As r2 - r1 tau = p1 - p2, theta[-r1;r2]
+    (x) = E(x) theta00(x - x2 + x1) with E(x) = e(r1^2 tau/2 - r1 (x + r2))
+    (see corrected_shift), so G = E(x2 + eps) theta00(x1 + eps) g(eps) and
+    G0 = E(x2) theta00(x1) g(0): the chart is three theta00 values.  The
+    last two, at x1 and x2, are the genericity guard's, which the spec's
+    store keeps where it lacks c1; DegenerateC comes after them.  g(eps)
+    and g(0) are kept on the spec per radius (abel_jacobi._chart_g)."""
+    r1, r2, _ = derive_periods(spec)
+    t_x2e, t_x1e, t_x1, t_x2 = (complex(v) for v in theta00)
+    _guards(spec).setdefault(c1, (t_x1, t_x2))
+    _require_generic(spec, c1)
+    x2 = phi1(spec, spec.p2) - c1
+
+    def E(x):
+        return cmath.exp(TWO_PI_I * (0.5 * r1 * r1 * spec.tau - r1 * (x + r2)))
+
+    G = E(x2 + eps) * t_x1e * _chart_g(spec, eps)
+    return StatedChart(c1, r1, eps, t_x2e, G, E(x2) * t_x1 * _chart_g(spec, 0.0))
+
+
+def stated_chart(spec: NodalCurveSpec, c1, eps: float) -> StatedChart:
+    """The node chart of (c1, eps) that the stated map d(eps) reads, from
+    one kernel pass of theta00 at four points (_chart_points), which also
+    holds the genericity guard's thetas.  No shift c1 changes theta00, so
+    the pass builds no window.  Raises ValueError, before the pass, unless
+    eps lies in (0, spec.eps], and DegenerateC, after it, where c1 fails the
+    genericity guard."""
+    eps = _chart_radius(spec, eps)
+    c1 = complex(c1)
+    return _chart_from(spec, c1, eps, theta_char((0.0, 0.0), _chart_points(spec, c1, eps), spec.tau))
 
 
 # -- generalized Riemann constants -------------------------------------------
@@ -677,7 +582,7 @@ def kappa_vector(rc: RiemannConstants, spec: NodalCurveSpec, variant: str):
 # -- the inversion congruence -------------------------------------------------
 
 
-def branch_correction(dm: DMap, c2, d2) -> complex:
+def branch_correction(spec: NodalCurveSpec, eps: float, c2, d2) -> complex:
     """Branch-cut contribution A(eps, c) missing from the naive argument
     principle for the two-component period map.
 
@@ -690,15 +595,15 @@ def branch_correction(dm: DMap, c2, d2) -> complex:
     to the divisor-image congruence.  A is well defined modulo 1 (path and
     branch choices shift it by integers, absorbed by the period group).
     d(eps)(c) + (0, A) is the translation c + (0, sigma(eps)) (see
-    corrected_shift), so A is the corrected map less the stated one: on the
-    chart dm of (c1, eps), with d2 = dm.d2(c2),
+    corrected_shift), so A is the corrected map less the stated one: with
+    d2 = stated_chart(spec, c1, eps).d2(c2),
 
         A = c2 + sigma(eps) - d2,
 
     returned with Re A in [-1/2, 1/2).  d2 = c1 r1 + Log f(eps)/(2*pi*i),
     f(eps) = eps T_c(p2 + eps)/c_minus1, is read mod 1 as A is.
     """
-    a = complex(c2) + corrected_shift(dm.spec, dm.eps) - complex(d2)
+    a = complex(c2) + corrected_shift(spec, eps) - complex(d2)
     return a - math.floor(a.real + 0.5)
 
 
@@ -735,7 +640,7 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     the first component) and both congruence forms (stated, and with the
     branch-cut term A(eps, c) added to the second component).  Only the
     corrected form closes.  The stated residual reads d(eps)(c) from the
-    node chart (DMap.d2); the corrected one reads W - c - (0, sigma(eps)) -
+    node chart (StatedChart.d2); the corrected one reads W - c - (0, sigma(eps)) -
     kappa (see corrected_shift).  Raises ValueError, before any other work,
     unless eps lies in (0, spec.eps].  This is the thm51 suite's sample: the
     result carries the edge integers too, read off the walk that counted
@@ -748,16 +653,16 @@ def verify_thm51(c, spec: NodalCurveSpec, eps: float) -> Thm51Result:
     tp = ThetaPullback(c, spec)
     n = count_zeros(tp)
     zeros = locate_zeros(tp)
-    dm = DMap(spec, tp.c1, eps)
-    w = divisor_image(spec, list(zeros), dm.end(np.array(zeros))[2:])
-    d2 = dm.d2(tp.c2)
+    chart = stated_chart(spec, tp.c1, eps)
+    w = divisor_image(spec, list(zeros))
+    d2 = chart.d2(tp.c2)
     d_corr = (tp.c1, tp.c2 + corrected_shift(spec, eps))
     rc = riemann_constants(spec, eps)
     pg = period_group(spec)
     res = {}
     for variant in ("half_tau", "full_tau"):
         k1, k2 = kappa_vector(rc, spec, variant)
-        for corrected, d in ((False, (dm.c1, d2)), (True, d_corr)):
+        for corrected, d in ((False, (chart.c1, d2)), (True, d_corr)):
             dec = mod_gamma_decompose((w[0] - d[0] - k1, w[1] - d[1] - k2), pg)
             res[(variant, corrected)] = dec.residual_norm
     # after the residuals: where the walk at q0 failed and the zeros came

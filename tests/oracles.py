@@ -17,8 +17,11 @@ routes.
 - the pullback: `value_from_phi` evaluates T_c through the period map
   instead of the branch-free quotient, and `pullback_terms` sums T_c and
   its derivative from four thetas instead of their combined row sums;
-- the node chart (`inversion.DMap`): its residue `c_minus1`, `h3` itself,
-  `H3`, the quadrature of h3 that is the dual route of `DMap.d2`,
+- the node chart of (c1, eps) (`inversion.StatedChart`), at every chart
+  point t where the package reads t = eps alone: its factors alpha1 and G
+  and the Moebius coefficients of h3 by the four-theta route, the chart
+  value `chart_f`, its residue `c_minus1`, `h3` itself, `H3`, the
+  quadrature of h3 that is the dual route of `StatedChart.d2`,
   `d2_walked`, the log walk of the chart value that reads d2's integer, the
   criterion-6 facts `h3_zero`, `h3_zero_no_derivative` and
   `h3_zero_defect`, and `d2_dc2` with its finite-difference dual route
@@ -45,7 +48,7 @@ from nodal_theta.branches import beta_k, theta_residual
 from nodal_theta.curve import NodalCurveSpec, derive_periods
 from nodal_theta.differentials import _ELL_SWITCH, third_kind
 from nodal_theta.errors import ContourThroughZero, JacobianSingular
-from nodal_theta.inversion import DMap, ThetaPullback, Thm51Result
+from nodal_theta.inversion import ThetaPullback, Thm51Result, _pullback_chars
 from nodal_theta.quadrature import (
     _MAX_RATIO_LOG,
     _N0,
@@ -205,110 +208,142 @@ def pullback_terms(tp: ThetaPullback, z):
     return (th0, thr * ew), (th0p, (thrp + TWO_PI_I * eta * thr) * ew)
 
 
-def chart_factors_four_theta(dm: DMap, t):
-    """(alpha1, G) of DMap.alpha1_and_G at the points t of a 1-d array by
-    the four-theta route: the chart's four thetas from one theta_chars pass,
-    each with its own automorphy prefactor, and g = t e(phi2(p2 + t)) from
-    the odd pair through e_phi2_from with theta11(t) read as theta11(t)/t.
-    The package folds the prefactors into theta00's (inversion.DMap)."""
-    spec = dm.spec
-    (a1,), (th,), (th1,), (th2,) = theta_chars(dm._chars, spec.p2 + t, spec.tau)
-    return a1, th * e_phi2_from(spec, spec.p2 + t, th1, dm.diff.odd_over_t(t, th2))
+def _chart_points(t):
+    """t as a 1-d complex array, and whether t was a scalar."""
+    t = np.asarray(t, dtype=np.complex128)
+    return t.reshape(-1), t.ndim == 0
 
 
-def mobius_coeffs_four_theta(dm: DMap, t):
-    """(A, B, C, D) of DMap.mobius_coeffs at the points t of a 1-d array by
-    the four-theta route: alpha1 and theta_r with their derivatives from one
-    theta_chars pass, G' = (theta_r' + 2 pi i h1 theta_r) g, and h1 =
-    (ell(p2 - p1 + t) - ell(t) + 1/t)/(2 pi i) + kappa_coeff from the same
-    pass's odd pair, with ell(t) - 1/t from theta11's Taylor series for
-    small |t|."""
-    spec, diff = dm.spec, dm.diff
-    (a1, a1p), (th, thp), odd1, (th2, th2p) = theta_chars(dm._chars, spec.p2 + t, spec.tau, (0, 1))
+def _as_given(values, scalar):
+    return tuple(complex(v[0]) for v in values) if scalar else values
+
+
+def chart_factors_four_theta(spec: NodalCurveSpec, c1, t):
+    """(alpha1, G) = (theta00(x2 + t), theta[-r1;r2](x2 + t) g(t)), x2 =
+    phi1(p2) - c1, at a chart point t or a 1-d array of them by the
+    four-theta route: T_c's four thetas at p2 + t (inversion._pullback_chars)
+    from one theta_chars pass, each with its own automorphy prefactor, and
+    g = t e(phi2(p2 + t)) from the odd pair through e_phi2_from with
+    theta11(t) read as theta11(t)/t.  The package reads the chart at
+    t = eps alone, from theta00 at x2 + eps, x1 + eps and x1
+    (inversion._chart_from)."""
+    t, scalar = _chart_points(t)
+    (a1,), (th,), (th1,), (th2,) = theta_chars(_pullback_chars(spec, complex(c1)), spec.p2 + t, spec.tau)
+    return _as_given((a1, th * e_phi2_from(spec, spec.p2 + t, th1, third_kind(spec).odd_over_t(t, th2))), scalar)
+
+
+def mobius_coeffs_four_theta(spec: NodalCurveSpec, c1, t):
+    """(A, B, C, D) = (alpha1 + t alpha1', G', t alpha1, G), so that
+    h3 = (A + B e(-c2)) / (C + D e(-c2)) with nothing divided by t, at a
+    chart point t or a 1-d array of them by the four-theta route: alpha1
+    and theta_r with their derivatives from one theta_chars pass,
+    G' = (theta_r' + 2 pi i h1 theta_r) g, and h1 = (ell(p2 - p1 + t) -
+    ell(t) + 1/t)/(2 pi i) + kappa_coeff from the same pass's odd pair,
+    with ell(t) - 1/t from theta11's Taylor series for small |t|."""
+    t, scalar = _chart_points(t)
+    diff = third_kind(spec)
+    (a1, a1p), (th, thp), odd1, (th2, th2p) = theta_chars(_pullback_chars(spec, complex(c1)), spec.p2 + t, spec.tau, (0, 1))
     small = np.abs(t) < _ELL_SWITCH
     reg = np.empty_like(t)
     reg[~small] = th2p[~small] / th2[~small] - 1.0 / t[~small]
     reg[small] = diff._odd_series(t[small])[1]
     h1 = (diff._ell(spec.p2 - spec.p1 + t, *odd1) - reg) / TWO_PI_I + diff.kappa_coeff
     g = e_phi2_from(spec, spec.p2 + t, odd1[0], diff.odd_over_t(t, th2))
-    return a1 + t * a1p, (thp + TWO_PI_I * h1 * th) * g, t * a1, th * g
+    return _as_given((a1 + t * a1p, (thp + TWO_PI_I * h1 * th) * g, t * a1, th * g), scalar)
 
 
-def _x2_and_rchar(dm: DMap):
+def _x2_and_rchar(spec: NodalCurveSpec, c1):
     """x2 = phi1(p2) - c1 and the characteristic [-r1; r2] of the chart."""
-    _, r2, _ = derive_periods(dm.spec)
-    return phi1(dm.spec, dm.spec.p2) - dm.c1, (-dm.r1, r2)
+    r1, r2, _ = derive_periods(spec)
+    return phi1(spec, spec.p2) - complex(c1), (-r1, r2)
 
 
-def c_minus1(dm: DMap, c2) -> complex:
+def beta_coeff(spec: NodalCurveSpec, c1) -> complex:
+    """G0 = G(0) = theta[-r1;r2](x2) g(0), from its own theta_char and
+    chart_g calls."""
+    x2, rchar = _x2_and_rchar(spec, c1)
+    return complex(theta_char(rchar, x2, spec.tau) * chart_g(spec, 0.0))
+
+
+def chart_f(spec: NodalCurveSpec, c1, t, c2):
+    """f(t) = t T_c(p2 + t)/c_minus1 = (t alpha1(t) e(c2) + G(t))/G0 at the
+    chart points t, f(0) = 1, by the four-theta route; t and c2 broadcast."""
+    a1, G = chart_factors_four_theta(spec, c1, t)
+    return (np.asarray(t) * a1 * e_func(c2) + G) / beta_coeff(spec, c1)
+
+
+def c_minus1(spec: NodalCurveSpec, c1, c2) -> complex:
     """Residue of T_c at p2: G(0) e(-c2)."""
-    return dm.beta_coeff * e_func(-complex(c2))
+    return beta_coeff(spec, c1) * e_func(-complex(c2))
 
 
-def h3(dm: DMap, t, c2):
+def h3(spec: NodalCurveSpec, c1, t, c2):
     """h3(t; c) = (A + B e(-c2)) / (C + D e(-c2)) from the chart's Moebius
-    coefficients."""
-    A, B, C, D = dm.mobius_coeffs(t)
+    coefficients (mobius_coeffs_four_theta)."""
+    A, B, C, D = mobius_coeffs_four_theta(spec, c1, t)
     w = e_func(-complex(c2))
     return (A + B * w) / (C + D * w)
 
 
-def H3(dm: DMap, c2) -> complex:
+def H3(spec: NodalCurveSpec, c1, eps, c2) -> complex:
     """Quadrature of h3 along the straight segment [0, eps], the dual route
-    of the closed form DMap.d2: H3 = 2*pi*i (d2 - c1 r1) up to _QUAD_TOL."""
-    return integrate_segment(lambda t: h3(dm, t, c2), 0.0, complex(dm.eps))
+    of the closed form StatedChart.d2: H3 = 2*pi*i (d2 - c1 r1) up to
+    _QUAD_TOL."""
+    return integrate_segment(lambda t: h3(spec, c1, t, c2), 0.0, complex(eps))
 
 
-def d2_walked(dm: DMap, c2) -> complex:
+def d2_walked(spec: NodalCurveSpec, c1, eps, c2) -> complex:
     """The stated map's second component with its integer: c1 r1 +
     (Log f(eps) + 2*pi*i*n)/(2*pi*i), n the winding of f along [0, eps]
-    from the continuous log of f tracked from f(0) = 1, whose last sample
-    is f(eps).  DMap.d2 is the same value mod 1, n dropped.  Each call of
-    the walk is one chart pass at its own points.  Raises
+    from the continuous log of f (chart_f) tracked from f(0) = 1, whose last
+    sample is f(eps).  StatedChart.d2 is the same value mod 1, n dropped.
+    Each call of the walk is one four-theta pass at its own points.  Raises
     ContourThroughZero when a zero of T_c lies on that segment."""
-    d, f_eps = track_log_sampled(lambda t: dm.f(t, c2), 0j, complex(dm.eps))
+    r1, _, _ = derive_periods(spec)
+    d, f_eps = track_log_sampled(lambda t: chart_f(spec, c1, t, c2), 0j, complex(eps))
     log_f = complex(np.log(f_eps))
     n = round((d - log_f).imag / (2 * math.pi))
-    return dm.c1 * dm.r1 + log_f / TWO_PI_I + n
+    return complex(c1) * r1 + log_f / TWO_PI_I + n
 
 
-def h3_zero_defect(dm: DMap) -> complex:
+def h3_zero_defect(spec: NodalCurveSpec, c1) -> complex:
     """Gap between the two closed forms of h3(0; c), G'(0)/G(0) =
     theta_r'/theta_r(x2) + 2*pi*i*h1(0)."""
-    x2, rchar = _x2_and_rchar(dm)
-    ((th, thp),) = theta_chars((rchar,), x2, dm.spec.tau, (0, 1))
-    return complex(thp / th + TWO_PI_I * dm.diff.h1_at_p2(0.0))
+    x2, rchar = _x2_and_rchar(spec, c1)
+    ((th, thp),) = theta_chars((rchar,), x2, spec.tau, (0, 1))
+    return complex(thp / th + TWO_PI_I * third_kind(spec).h1_at_p2(0.0))
 
 
-def h3_zero(dm: DMap, c2) -> complex:
+def h3_zero(spec: NodalCurveSpec, c1, c2) -> complex:
     """h3(0; c) = G'(0)/G(0) + alpha1(0)/(G(0) w) implied by the
     definitions (includes the derivative term)."""
-    return h3_zero_no_derivative(dm, c2) + h3_zero_defect(dm)
+    return h3_zero_no_derivative(spec, c1, c2) + h3_zero_defect(spec, c1)
 
 
-def h3_zero_no_derivative(dm: DMap, c2) -> complex:
+def h3_zero_no_derivative(spec: NodalCurveSpec, c1, c2) -> complex:
     """Shorter closed form theta00(x2) e(c2) / (theta_r(x2) g(0)); deviates
     from h3_zero by h3_zero_defect."""
-    alpha1 = theta_char((0.0, 0.0), _x2_and_rchar(dm)[0], dm.spec.tau)
-    return complex(alpha1 * e_func(complex(c2)) / dm.beta_coeff)
+    alpha1 = theta_char((0.0, 0.0), _x2_and_rchar(spec, c1)[0], spec.tau)
+    return complex(alpha1 * e_func(complex(c2)) / beta_coeff(spec, c1))
 
 
-def d2_dc2(dm: DMap, c2) -> complex:
-    """dH3/dc2 (eps; (c1, c2))/(2*pi*i) = eps alpha1(eps) / (eps alpha1(eps) + w G(eps))."""
-    a1, G = dm.alpha1_and_G(dm.eps)
-    a = dm.eps * complex(a1)
-    return a / (a + e_func(-complex(c2)) * complex(G))
+def d2_dc2(spec: NodalCurveSpec, c1, eps, c2) -> complex:
+    """dH3/dc2 (eps; (c1, c2))/(2*pi*i) = eps alpha1(eps) / (eps alpha1(eps) + w G(eps)),
+    with alpha1 and G by the four-theta route."""
+    a1, G = chart_factors_four_theta(spec, c1, eps)
+    a = eps * a1
+    return a / (a + e_func(-complex(c2)) * G)
 
 
-def jacobian_consistency_check(dm: DMap, c2) -> float:
-    """Double-entry check of dH3/dc2 at (dm.c1, c2): the closed form
+def jacobian_consistency_check(spec: NodalCurveSpec, c1, eps, c2) -> float:
+    """Double-entry check of dH3/dc2 at (c1, c2): the closed form
     2*pi*i*d2_dc2 against a Richardson-extrapolated central difference of
     the H3 quadrature on the same chart.  Returns the relative disagreement
     and raises JacobianSingular beyond _JACOBIAN_REL_TOL."""
-    analytic = TWO_PI_I * d2_dc2(dm, c2)
+    analytic = TWO_PI_I * d2_dc2(spec, c1, eps, c2)
     h = 1e-3
-    d1 = (H3(dm, c2 + h) - H3(dm, c2 - h)) / (2 * h)
-    d2 = (H3(dm, c2 + h / 2) - H3(dm, c2 - h / 2)) / h
+    d1 = (H3(spec, c1, eps, c2 + h) - H3(spec, c1, eps, c2 - h)) / (2 * h)
+    d2 = (H3(spec, c1, eps, c2 + h / 2) - H3(spec, c1, eps, c2 - h / 2)) / h
     fd = (4 * d2 - d1) / 3.0
     rel = abs(analytic - fd) / max(1e-30, abs(analytic))
     if rel > _JACOBIAN_REL_TOL:

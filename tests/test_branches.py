@@ -16,15 +16,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nodal_theta import inversion, quadrature
-from nodal_theta.abel_jacobi import _chart_g0, phi, phi1
+from nodal_theta import inversion, quadrature, theta
+from nodal_theta.abel_jacobi import _chart_g, phi, phi1
 from nodal_theta.branches import (
     _PERIOD_FRACTIONS,
     _N_CHARTS,
-    _corrected_point,
+    _curve_point,
     _period_moves,
     beta_k,
-    estimate_u20_radius,
     select_epsilon,
     theta_residual,
     thm66_point,
@@ -41,12 +40,11 @@ from nodal_theta.errors import (
     PoleAt,
 )
 from nodal_theta.inversion import (
-    DMap,
-    _pullback_chars,
     corrected_shift,
     kappa_vector,
     riemann_constants,
     sample_generic_c,
+    stated_chart,
 )
 from nodal_theta.theta import TWO_PI_I, big_theta, theta_char
 from conftest import GENERATED_SPECS, frac_norm, generated_spec
@@ -59,13 +57,12 @@ def assert_moves_match_walk(spec, c, eps):
     """select_epsilon's closed-form moves x = _period_moves/(2 pi i) against
     the walked moves d2(c2 + s) - d2(c2) of oracles.d2_walked, their dual
     route: they agree mod 1, and |x| never exceeds the walked move."""
-    closed = _period_moves(DMap(spec, c[0], spec.eps / 2), c[1], eps) / TWO_PI_I
-    for j, e in enumerate(eps):
-        dm = DMap(spec, c[0], e)
-        base = d2_walked(dm, c[1])
-        walked = np.array([d2_walked(dm, c[1] + s) - base for s in _PERIOD_FRACTIONS])
-        assert np.all(np.abs(closed[:, j]) <= np.abs(walked) + 1e-12)
-        assert max(frac_norm(w - x) for w, x in zip(walked, closed[:, j])) < 1e-12
+    for e in eps:
+        closed = _period_moves(stated_chart(spec, c[0], e), c[1]) / TWO_PI_I
+        base = d2_walked(spec, c[0], e, c[1])
+        walked = np.array([d2_walked(spec, c[0], e, c[1] + s) - base for s in _PERIOD_FRACTIONS])
+        assert np.all(np.abs(closed) <= np.abs(walked) + 1e-12)
+        assert max(frac_norm(w - x) for w, x in zip(walked, closed)) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -78,31 +75,25 @@ class TestSelectEpsilon:
         # regression-pinned outcome for the shipped candidate list
         assert select_epsilon(spec_a, [0.05, 0.04, 0.03]) == 0.05
 
-    def test_u20_radius_covers_candidates(self, spec_a):
-        # the charts that select_epsilon builds at its default seed
-        rng = np.random.default_rng(1106)
-        cs = [sample_generic_c(spec_a, rng)[0] for _ in range(_N_CHARTS)]
-        r = estimate_u20_radius([DMap(spec_a, c1, spec_a.eps / 2) for c1, _ in cs])
-        assert r > 0.05
-
     def test_integer_shift_is_always_a_period(self, spec_ab):
         rng = np.random.default_rng(5)
         c, _ = sample_generic_c(spec_ab, rng)
         for eps in (0.05, 0.04):
-            dm = DMap(spec_ab, c[0], eps)
+            dm = stated_chart(spec_ab, c[0], eps)
             a, b = dm.d2(c[1]), dm.d2(c[1] + 1.0)
             assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
     def test_half_shift_separates(self, spec_ab):
         rng = np.random.default_rng(7)
         c, _ = sample_generic_c(spec_ab, rng)
-        dm = DMap(spec_ab, c[0], EPS_SEL)
+        dm = stated_chart(spec_ab, c[0], EPS_SEL)
         assert abs(dm.d2(c[1]) - dm.d2(c[1] + 0.5)) > 1e-4
 
     def test_no_valid_epsilon_raises(self, spec_a):
-        with pytest.raises(NoValidEpsilon):
-            # spec.eps is never usable: the determinant scan starts at 0.95 * spec.eps
-            select_epsilon(spec_a, [spec_a.eps])
+        # a radius past spec.eps is no chart radius; spec.eps itself is one
+        with pytest.raises(NoValidEpsilon, match="no candidate in the chart's radii"):
+            select_epsilon(spec_a, [2 * spec_a.eps, 0.0])
+        assert select_epsilon(spec_a, [2 * spec_a.eps, spec_a.eps]) == spec_a.eps
 
     def test_rational_period_rejects_a_radius(self, cfg_ab):
         # at eps = 1e-4 the term eps alpha1 e(c2) of f(eps) is too small for
@@ -129,25 +120,22 @@ class TestSelectEpsilon:
         except (DegenerateC, ContourThroughZero):
             assume(False)
 
-    # measured 30; walking d2 at c2 and at the nine shifts for each draw and
-    # candidate made 160
-    PASS_BUDGET = 30
-
     def test_kernel_pass_budget(self, cfg_ab, kernel_passes, monkeypatch):
-        # warm, 30 passes: per draw of c, one chart build, one mobius_coeffs
-        # pass in the determinant scan and one alpha1_and_G pass in the
-        # period test, both on that chart
+        # warm, one chart pass per draw of c at the first candidate, which
+        # the presets keep: 10 passes.  Walking d2 at c2 and at the nine
+        # shifts for each draw and candidate made 160, and a Moebius
+        # determinant scan beside the period test 30
         spec = cfg_ab.spec
         select_epsilon(spec, cfg_ab.eps_candidates)  # warm-up: per-spec and per-c1 caches
 
         def refuse(*args, **kwargs):
             raise AssertionError("a log walk of d2 reached")
 
-        monkeypatch.setattr(DMap, "d2", refuse)
         monkeypatch.setattr(quadrature, "_track_edges", refuse)
         kernel_passes.clear()
         assert select_epsilon(spec, cfg_ab.eps_candidates) == cfg_ab.eps_candidates[0]
-        assert 0 < len(kernel_passes) <= self.PASS_BUDGET
+        assert kernel_passes == [((0.0, 0.0),)] * _N_CHARTS
+        assert kernel_passes.points == [4] * _N_CHARTS
 
 
 class TestBetaK:
@@ -158,30 +146,32 @@ class TestBetaK:
         rng = np.random.default_rng(11)
         for _ in range(3):
             c, _ = sample_generic_c(spec, rng)
-            dm = DMap(spec, c[0], EPS_SEL)
+            dm = stated_chart(spec, c[0], EPS_SEL)
             u = (dm.c1 + kap[0], dm.d2(c[1]) + kap[1])
             c_back = beta_k(u, spec, EPS_SEL, use_correction=False, _kappa_cache=kap)
-            d_back = DMap(spec, c_back[0], EPS_SEL).d2(c_back[1])
+            d_back = stated_chart(spec, c_back[0], EPS_SEL).d2(c_back[1])
             assert abs(d_back - (u[1] - kap[1])) < 1e-9
             assert abs(c_back[0] - (u[0] - kap[0])) < 1e-12
             # left inverse up to the integer sheet
             assert frac_norm(c_back[1] - c[1]) < 1e-9
 
     def test_stated_inverse_makes_one_chart_pass(self, cfg_ab, kernel_passes):
-        # at a fresh c1, with per-spec caches warm: the candidate reads
-        # alpha1 and G at t = eps, which d2 then reads, so the chart's four
-        # thetas take one pass, where the candidate once took its own
+        # at a c1 that the spec's guard store lacks, with per-spec caches
+        # warm: the candidate and d2 read the chart's one pass, which also
+        # holds the guard thetas.  A cold copy of the spec, warmed at
+        # another target, lacks the shift that the targets were drawn at
         spec = cfg_ab.spec
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         rng = np.random.default_rng(23)
         targets = []
         for _ in range(2):
             c, _ = sample_generic_c(spec, rng)
-            targets.append((c[0] + kap[0], DMap(spec, c[0], EPS_SEL).d2(c[1]) + kap[1]))
+            targets.append((c[0] + kap[0], stated_chart(spec, c[0], EPS_SEL).d2(c[1]) + kap[1]))
+        spec = dataclasses.replace(spec)
         beta_k(targets[0], spec, EPS_SEL, use_correction=False)  # warm-up: per-spec caches
         kernel_passes.clear()
-        c1, _ = beta_k(targets[1], spec, EPS_SEL, use_correction=False)
-        assert kernel_passes.count(inversion._pullback_chars(spec, c1)) == 1
+        beta_k(targets[1], spec, EPS_SEL, use_correction=False)
+        assert kernel_passes == [((0.0, 0.0),)]
 
     def test_closed_form_identity(self, spec_ab):
         # h3 = d/dt log(t T_c(p2 + t)) on the chart, so exp(H3) is known in
@@ -190,9 +180,8 @@ class TestBetaK:
         rng = np.random.default_rng(19)
         for _ in range(12):
             c, _ = sample_generic_c(spec_ab, rng)
-            dm = DMap(spec_ab, c[0], EPS_SEL)
-            want = dm.f(dm.eps, c[1])
-            assert abs(np.exp(H3(dm, c[1])) - want) < 1e-12 * abs(want)
+            want = stated_chart(spec_ab, c[0], EPS_SEL).f(c[1])
+            assert abs(np.exp(H3(spec_ab, c[0], EPS_SEL, c[1])) - want) < 1e-12 * abs(want)
 
     def test_stated_inverse_runs_without_quadrature(self, cfg_ab, monkeypatch):
         # d2 and its inverse are closed forms: no integrate_segment on their path
@@ -207,7 +196,7 @@ class TestBetaK:
         candidates = cfg_ab.eps_candidates
         assert select_epsilon(spec, candidates) == candidates[0]
         c, _ = sample_generic_c(spec, np.random.default_rng(11))
-        dm = DMap(spec, c[0], EPS_SEL)
+        dm = stated_chart(spec, c[0], EPS_SEL)
         c_back = beta_k((dm.c1 + kap[0], dm.d2(c[1]) + kap[1]), spec, EPS_SEL, use_correction=False, _kappa_cache=kap)
         assert frac_norm(c_back[1] - c[1]) < 1e-9
 
@@ -228,7 +217,7 @@ class TestBetaK:
         eps = spec.eps / 2
         kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
         try:
-            dm = DMap(spec, c[0], eps)
+            dm = stated_chart(spec, c[0], eps)
             d2 = dm.d2(c[1])
         except DegenerateC:
             assume(False)
@@ -264,15 +253,15 @@ class TestBetaK:
         spec = spec_a
         rng = np.random.default_rng(17)
         c, _ = sample_generic_c(spec, rng)
-        dm = DMap(spec, c[0], EPS_SEL)
+        dm = stated_chart(spec, c[0], EPS_SEL)
         u = (dm.c1 + kappa_a[0], dm.d2(c[1]) + kappa_a[1])
         c_star = beta_k(u, spec, EPS_SEL, use_correction=False, _kappa_cache=kappa_a)
-        dm = DMap(spec, c_star[0], EPS_SEL)
+        dm = stated_chart(spec, c_star[0], EPS_SEL)
         errs = []
         c2 = c_star[1] + 0.05
         for _ in range(5):
             F = dm.d2(c2) - (u[1] - kappa_a[1])
-            c2 = c2 - F / d2_dc2(dm, c2)
+            c2 = c2 - F / d2_dc2(spec, c_star[0], EPS_SEL, c2)
             errs.append(abs(c2 - c_star[1]))
         # quadratic tail: error ratio e_{n+1}/e_n^2 stays bounded
         for i in (1, 2):
@@ -281,8 +270,8 @@ class TestBetaK:
 
 
 def fused_chars(spec):
-    """The characteristics of the corrected residual's one pass: the odd
-    pair, theta00 and theta[-r1;r2] (branches._corrected_point)."""
+    """The characteristics of a curve point's one pass: the odd pair,
+    theta00 and theta[-r1;r2] (branches._curve_point)."""
     r1, r2, _ = derive_periods(spec)
     return odd_chars(spec) + ((0.0, 0.0), (-r1, r2))
 
@@ -339,24 +328,22 @@ class TestZeroSet:
         spec = generated_spec(tau, q0, coords)
         assert_finding_3(spec, spec.eps / 2)
 
-    def test_corrected_routes_build_no_chart(self, cfg_ab, kernel_passes, monkeypatch):
+    def test_corrected_routes_build_no_chart(self, cfg_ab, kernel_passes):
         # a corrected residual at a fresh point makes 1 kernel pass, of the
-        # odd pair, theta00 and theta[-r1;r2] at four points: phi2, the
-        # genericity guard and Theta share it; a chart would add its own pass
+        # odd pair, theta00 and theta[-r1;r2] at six points: phi2, the
+        # genericity guard, Theta and the stated chart share it, so the
+        # chart builds no pass of its own; the corrected beta_k and sigma
+        # make none
         spec = dataclasses.replace(cfg_ab.spec)  # cold, so that P1's shift c1 is fresh
         P0, P1 = grid_points(spec)[:2]
         zero_set_residual(P0, spec, EPS_SEL)  # warm-up: per-spec data
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a node chart was built")
-
-        monkeypatch.setattr(DMap, "__init__", refuse)
         kernel_passes.clear()
         zero_set_residual(P1, spec, EPS_SEL)
         assert kernel_passes == [fused_chars(spec)]
-        u = phi(spec, P0)
-        beta_k(u, spec, EPS_SEL)
+        assert kernel_passes.points == [6]
+        beta_k(phi(spec, P0), spec, EPS_SEL)
         corrected_shift(spec, EPS_SEL)
+        assert len(kernel_passes) == 2  # phi(P0) alone
 
     @pytest.mark.bitwise
     def test_thm66_point_keeps_the_bits_of_two_residual_calls(self, cfg_ab, preset, cli_rows):
@@ -375,41 +362,29 @@ class TestZeroSet:
             assert thm66_point(P, spec, EPS_SEL) == (zero_set_residual(P, spec, EPS_SEL), stated)
 
     def test_thm66_point_takes_phi_once(self, cfg_ab, kernel_passes):
-        # with warm caches a point makes as many kernel passes as the two
-        # zero_set_residual calls, and neither makes a pass of the odd pair
-        # alone: thm66_point reads phi2 at P from the corrected pass, and
-        # the stated call from its chart's ray pass, one point longer (it
-        # took a pass of its own, one more than thm66_point, until then)
+        # with warm caches the two zero_set_residual calls make a pass each,
+        # and thm66_point one for both, of the same points; none is a pass
+        # of the odd pair alone: phi2 at P comes from the shared pass
         spec = dataclasses.replace(cfg_ab.spec)
         P = grid_points(spec)[1]
         thm66_point(P, spec, EPS_SEL)  # warm-up: per-spec and per-c1 data
         kernel_passes.clear()
         zero_set_residual(P, spec, EPS_SEL)
-        try:
-            zero_set_residual(P, spec, EPS_SEL, use_correction=False)
-        except NewtonDivergence:
-            pass
+        zero_set_residual(P, spec, EPS_SEL, use_correction=False)
         two_calls, two_calls_points = list(kernel_passes), list(kernel_passes.points)
         kernel_passes.clear()
         thm66_point(P, spec, EPS_SEL)
-        assert kernel_passes == two_calls
-        assert two_calls.count(odd_chars(spec)) == kernel_passes.count(odd_chars(spec)) == 0
-        assert two_calls.count(fused_chars(spec)) == kernel_passes.count(fused_chars(spec)) == 1
-        assert two_calls_points[1] == kernel_passes.points[1] + 1
+        assert two_calls == 2 * kernel_passes == [fused_chars(spec)] * 2
+        assert two_calls_points == 2 * kernel_passes.points == [6, 6]
+        assert odd_chars(spec) not in two_calls
 
     def test_stated_route_after_the_corrected_makes_no_guard_pass(self, cfg_ab, kernel_passes):
-        # the corrected pass stores the guard thetas of its shift c1, which
-        # the stated inverse's chart at the same point reads; alone, the
-        # stated route makes the guard's theta00 pass itself.  Each route
-        # starts from a cold copy of the spec, warmed at another point
+        # the stated route reads the guard thetas of its shift c1 from its
+        # own pass, alone as after the corrected route at the same point
+        # (which once stored them for it): one pass either way, and no
+        # guard pass.  Each route starts from a cold copy of the spec,
+        # warmed at another point
         P0, P1 = grid_points(cfg_ab.spec)[:2]
-
-        def stated(spec):
-            try:
-                zero_set_residual(P1, spec, EPS_SEL, use_correction=False)
-            except NewtonDivergence:
-                pass
-
         counts = []
         for corrected_first in (False, True):
             spec = dataclasses.replace(cfg_ab.spec)
@@ -417,38 +392,45 @@ class TestZeroSet:
             if corrected_first:
                 zero_set_residual(P1, spec, EPS_SEL)
             kernel_passes.clear()
-            stated(spec)
-            counts.append(kernel_passes.count(((0.0, 0.0),)))
-        assert counts == [1, 0]
+            zero_set_residual(P1, spec, EPS_SEL, use_correction=False)
+            counts.append((kernel_passes.count(((0.0, 0.0),)), len(kernel_passes)))
+        assert counts == [(0, 1), (0, 1)]
 
-    def test_thm66_point_makes_three_passes(self, spec_a, kappa_a, kernel_passes):
-        # at a fresh point of config A: the corrected pass, the chart's one
-        # point t = eps and the stated Theta.  phi2, the guard and Theta
-        # once took a pass each (5 in all), beta_coeff took one until the
-        # corrected pass supplied its theta (3), and while the stated map
-        # was read with its integer the point had no preimage, so no
-        # stated Theta ran (2, the chart's pass a 33-sample ray)
-        spec = dataclasses.replace(spec_a)
-        r1, r2, _ = derive_periods(spec)
+    def test_thm66_point_makes_one_pass(self, cfg_ab, kernel_passes):
+        # at fresh points of a cold copy of the spec, warmed at another:
+        # one pass per point, of the odd pair, theta00 and theta[-r1;r2] at
+        # P, u1 - c1 and the chart's x2 + eps, x1 + eps, x1 and x2,
+        # whichever the outcome of the stated inverse.  phi2, the guard and Theta
+        # once took a pass each (5 in all), the stated chart two until its
+        # beta_coeff came from the corrected pass (3), and the stated Theta
+        # one more until the chart's pass read it
+        spec = dataclasses.replace(cfg_ab.spec)
+        points = grid_points(spec)[:6]
+        thm66_point(points[0], spec, EPS_SEL)  # warm-up: per-spec data
+        for P in points[1:]:
+            kernel_passes.clear()
+            assert isinstance(thm66_point(P, spec, EPS_SEL)[1], float)
+            assert kernel_passes == [fused_chars(spec)]
+            assert kernel_passes.points == [6]
+
+    def test_a_warm_point_builds_no_window(self, cfg_ab):
+        # the pass reads characteristics that no shift c1 changes: at a new
+        # point, and so a new shift, it builds no window and no window set
+        spec = dataclasses.replace(cfg_ab.spec)
         P0, P1 = grid_points(spec)[:2]
         thm66_point(P0, spec, EPS_SEL)  # warm-up: per-spec data
-        kernel_passes.clear()
-        assert isinstance(thm66_point(P1, spec, EPS_SEL)[1], float)
-        c1 = phi1(spec, P1) - kappa_a[0]
-        assert kernel_passes == [fused_chars(spec), _pullback_chars(spec, c1), ((0.0, 0.0), (-r1, r2))]
-        assert kernel_passes.points == [4, 1, 1]
+        misses = theta._window.cache_info().misses, theta._window_set.cache_info().misses
+        thm66_point(P1, spec, EPS_SEL)
+        assert (theta._window.cache_info().misses, theta._window_set.cache_info().misses) == misses
 
     def test_stated_residual_after_the_corrected_makes_one_pass(self, cfg_ab, kernel_passes):
         # right after the corrected residual at the same point, the stated
-        # one reads the guard thetas and beta_coeff's theta from the store
-        # and phi2 at P from its chart's one pass, of 2 points: t = eps and
-        # P.  Theta's pass follows wherever the target has a preimage,
-        # which on the grid is every point (while d2 walked the log of f,
-        # that pass was a 33-sample ray and P, and each doubling of the
-        # walk added one)
+        # one makes its own pass of the odd pair, theta00 and theta[-r1;r2],
+        # of 6 points, which phi2 at P, the guard, the chart and Theta read; on
+        # the grid every target has a preimage (while d2 walked the log of
+        # f, the chart's pass was a 33-sample ray and P, and each doubling
+        # of the walk added one; after that, Theta took a pass of its own)
         spec = cfg_ab.spec
-        kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
-        r1, r2, _ = derive_periods(spec)
         points = grid_points(spec)[:9]
         zero_set_residual(points[0], spec, EPS_SEL)  # warm-up: per-spec caches
         outcome(zero_set_residual, points[0], spec, EPS_SEL, 0, False)
@@ -457,15 +439,16 @@ class TestZeroSet:
             kernel_passes.clear()
             got = outcome(zero_set_residual, P, spec, EPS_SEL, 0, False)
             assert isinstance(got, float)
-            assert kernel_passes == [_pullback_chars(spec, phi1(spec, P) - kap[0]), ((0.0, 0.0), (-r1, r2))]
-            assert kernel_passes.points == [2, 1]
+            assert kernel_passes == [fused_chars(spec)]
+            assert kernel_passes.points == [6]
 
     def test_stated_residual_raises_before_its_passes(self, spec_ab, kernel_passes):
         # outside the cell, at p1 and p2 and for a radius outside
-        # (0, spec.eps] before any pass, and at a degenerate shift before
-        # its chart's pass, with the class and message of the route that
-        # it replaced: phi(P), then the stated beta_k.  The spec is a cold
-        # copy, so its guard store lacks the degenerate shift
+        # (0, spec.eps] before any pass, and at a degenerate shift after
+        # its one pass, which holds the guard thetas, with the class and
+        # message of the route that it replaced: phi(P), then the stated
+        # beta_k.  The spec is a cold copy, so its guard store lacks the
+        # degenerate shift
         spec = dataclasses.replace(spec_ab)
         kap = kappa_vector(riemann_constants(spec, EPS_SEL), spec, "half_tau")
         degenerate = reduce_to_cell(spec.p1 + kap[0] - (1 + spec.tau) / 2, spec.q0, spec.tau)
@@ -481,8 +464,8 @@ class TestZeroSet:
                 got = outcome(zero_set_residual, P, spec, eps, 0, False)
                 degenerate_case = exc is DegenerateC and eps == EPS_SEL
                 assert got[0] is (exc if degenerate_case or exc is not DegenerateC else ValueError)
-                # the guard's own pass where the store lacks c1, then no chart pass
-                assert kernel_passes == ([((0.0, 0.0),)] if degenerate_case else [])
+                # the one pass that reads the guard where the store lacks c1
+                assert kernel_passes == ([fused_chars(spec)] if degenerate_case else [])
                 assert outcome(replaced, P, eps) == got
 
     def test_curve_contained_with_corrected_inverse(self, spec_ab):
@@ -586,27 +569,28 @@ def assert_one_pass_keeps_the_bits(P, spec, eps, k):
 
 
 def assert_stored_beta_coeff_keeps_the_bits(P, spec, eps):
-    """After the corrected residual at P, the guard store holds theta[-r1;r2]
-    (x2), x2 = phi1(p2) - c1, and the chart of the shift c1 reads beta_coeff
-    from it: beta_coeff equals theta_char((-r1, r2), x2) * g(0) by ==.
-    Returns False, checking nothing, at p1, p2 or a shift that is not
-    generic."""
+    """The chart that the pass at the curve point P builds, of the shift
+    c1 = phi1(P) - kappa1, equals the plain chart of c1 by ==, beta_coeff
+    among its fields, which meets theta[-r1;r2](x2) g(0), x2 = phi1(p2) -
+    c1, within rounding; and the pass leaves the guard thetas of c1 in the
+    store as theta00's own pass gives them.  Returns False, checking
+    nothing, at p1, p2 or a shift that is not generic."""
     try:
-        _corrected_point(P, spec, eps)
+        _, kap, chart, _ = _curve_point(P, spec, eps, None)
     except (DegenerateC, PoleAt):
         return False
-    kap = kappa_vector(riemann_constants(spec, eps), spec, "half_tau")
     c1 = phi1(spec, P) - kap[0]
     r1, r2, _ = derive_periods(spec)
-    want = theta_char((-r1, r2), phi1(spec, spec.p2) - c1, spec.tau)
-    assert inversion._guard_thetas(spec, c1)[2] == want
-    assert DMap(spec, c1, eps).beta_coeff == want * _chart_g0(spec)
+    want = theta_char((-r1, r2), phi1(spec, spec.p2) - c1, spec.tau) * _chart_g(spec, 0.0)
+    assert chart == stated_chart(spec, c1, eps)
+    assert abs(chart.beta_coeff - want) <= 1e-14 * abs(want)
+    assert inversion._guard_thetas(spec, c1) == tuple(theta_char((0.0, 0.0), np.array([phi1(spec, spec.p1), phi1(spec, spec.p2)]) - c1, spec.tau))
     return True
 
 
 class TestOnePassResidual:
     """zero_set_residual's corrected route takes every theta from one pass
-    (branches._corrected_point); the composed route, a pass each for phi2,
+    (branches._curve_point); the composed route, a pass each for phi2,
     the genericity guard and Theta, is its oracle
     (oracles.corrected_residual_composed)."""
 

@@ -29,8 +29,7 @@ NOT_RUN_BY_THE_CLI = {
     "differentials.ThirdKindDifferential._chart",  # the two methods above
     # ThirdKindDifferential._ell within _ELL_SWITCH of a lattice point, which
     # eta_coeff takes near p1 and p2 (test_differentials.py::TestEtaCoeff),
-    # and DMap.mobius_coeffs within _ELL_SWITCH of the node, which
-    # estimate_u20_radius takes at radii below 4 _ELL_SWITCH
+    # and ThirdKindDifferential._chart, the reader of the two methods above
     "differentials.ThirdKindDifferential._odd_series",
     "inversion.branch_correction",  # demo 04, README finding 1
     # the bisection of a log walk that fails at 256 samples: the cell walk

@@ -26,7 +26,6 @@ from nodal_theta.abel_jacobi import a_eps
 from nodal_theta.curve import lattice_coords
 from nodal_theta.errors import ContourThroughZero
 from nodal_theta.inversion import (
-    DMap,
     ThetaPullback,
     count_zeros,
     locate_zeros,
@@ -34,7 +33,7 @@ from nodal_theta.inversion import (
 )
 from nodal_theta.quadrature import _N_MAX, _N_PROBE, _gl_nodes, _track_edges, integrate_segment, track_log_sampled
 from nodal_theta.theta import TWO_PI_I
-from oracles import d2_walked, track_edges_resampling, winding_number, winding_number_sampled
+from oracles import chart_f, d2_walked, mobius_coeffs_four_theta, track_edges_resampling, winding_number, winding_number_sampled
 
 
 def box(spec, s0, s1, t0, t1):
@@ -207,14 +206,13 @@ class TestEachSampleOnce:
         # reads d2's integer (oracles.d2_walked) doubles, and each of its
         # calls is one chart pass at its own points
         c, _ = sample_generic_c(spec_ab, np.random.default_rng(71))
-        dm = DMap(spec_ab, c[0], 0.03)
-        _, _, C, D = dm.mobius_coeffs(np.array([0.37 * dm.eps + 0j]))
-        c2 = complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I) - 0.002
+        _, _, C, D = mobius_coeffs_four_theta(spec_ab, c[0], 0.37 * 0.03)
+        c2 = complex(-cmath.log(-C / D) / TWO_PI_I) - 0.002
         walks = recorded_walks(monkeypatch)
-        d2_walked(dm, c2)
+        d2_walked(spec_ab, c[0], 0.03, c2)
         (_, edges, got), = walks
         assert len(got[0][1]) > 33
-        assert_same_walk(lambda t: dm.f(t, c2), edges, got)
+        assert_same_walk(lambda t: chart_f(spec_ab, c[0], t, c2), edges, got)
 
     def test_a_eps_walk(self, spec_ab, monkeypatch):
         walks = recorded_walks(monkeypatch)
@@ -339,17 +337,16 @@ class TestAWalkThroughAZero:
     def test_d2_through_a_zero_on_the_chart_ray(self, spec_ab, kernel_passes):
         # the log walk of f that reads d2's integer (oracles.d2_walked) at
         # a c2 that puts a zero of T_c on the chart ray at t = 0.37 eps;
-        # DMap.d2 reads f at t = eps alone and does not walk
+        # StatedChart.d2 reads f at t = eps alone and does not walk
         eps = 0.03
         c1 = sample_generic_c(spec_ab, np.random.default_rng(71))[0][0]
-        dm = DMap(spec_ab, c1, eps)
-        _, _, C, D = dm.mobius_coeffs(np.array([0.37 * dm.eps + 0j]))
-        c2 = complex(-cmath.log(-C[0] / D[0]) / TWO_PI_I)
+        _, _, C, D = mobius_coeffs_four_theta(spec_ab, c1, 0.37 * eps)
+        c2 = complex(-cmath.log(-C / D) / TWO_PI_I)
         with pytest.raises(ContourThroughZero) as ref:
-            track_edges_resampling(lambda t: dm.f(t, c2), [(0j, complex(dm.eps))])
+            track_edges_resampling(lambda t: chart_f(spec_ab, c1, t, c2), [(0j, complex(eps))])
         kernel_passes.clear()
         with pytest.raises(ContourThroughZero) as got:
-            d2_walked(dm, c2)
+            d2_walked(spec_ab, c1, eps, c2)
         assert str(got.value) == str(ref.value)
         assert sum(kernel_passes.points) < 400
 
